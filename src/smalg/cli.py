@@ -541,12 +541,13 @@ def _random_invertible(rho, rng):
     n = rho.n
     m = DenseMatrix.diag([rng.choice([1, -1, 2]) for _ in range(n)])
     strict = rho.strict_pairs()
-    ident = DenseMatrix.identity(n)
     for _ in range(5):
         if not strict:
             break
         i, j = strict[rng.randrange(len(strict))]
-        m = m * (ident + DenseMatrix.unit(n, i, j).scale(rng.choice([1, -1, 2])))
+        elementary = {(k, k): 1 for k in range(1, n + 1)}
+        elementary[(i, j)] = rng.choice([1, -1, 2])
+        m = m * DenseMatrix.from_entries(n, n, elementary)
     return m
 
 
@@ -556,12 +557,12 @@ def _random_union(rho, rng):
 
 
 def _random_supported(rho, rng):
-    m = DenseMatrix.zeros(rho.n, rho.n)
+    entries = {}
     for (i, j) in rho.pairs():
         c = rng.randint(-2, 2)
         if c:
-            m = m + DenseMatrix.unit(rho.n, i, j).scale(c)
-    return m
+            entries[(i, j)] = c
+    return DenseMatrix.from_entries(rho.n, rho.n, entries)
 
 
 def _selftest_rank_identity(rng, n_max):

@@ -65,18 +65,6 @@ def is_diagonalizable(a: DenseMatrix) -> bool:
     return poly_eval_matrix(squarefree_part(charpoly(a)), a).is_zero()
 
 
-def eigenvalues_in_field(a: DenseMatrix):
-    """Sorted Gaussian-rational eigenvalues; IrrationalSpectrum if any root
-    of the characteristic polynomial lies outside the field."""
-    roots, rem = roots_in_gaussian_rationals(charpoly(a))
-    if poly_degree(rem) > 0:
-        raise IrrationalSpectrum(
-            f"characteristic factor of degree {poly_degree(rem)} has no "
-            "Gaussian-rational root"
-        )
-    return sorted(roots, key=GaussianRational.sort_key)
-
-
 def spectral_idempotents(a: DenseMatrix) -> SpectralDecomposition:
     """Resolve a matrix into eigenvalues and orthogonal idempotents.
 
@@ -160,8 +148,7 @@ def idempotent_family_triangular_similarity(family) -> DenseMatrix:
         if len(owners) != 1:
             raise PreconditionViolated(f"diagonal position {j} not covered once")
         cols.append(owners[0].col_list(j))
-    ents = [cols[j][i] for i in range(n) for j in range(n)]
-    return DenseMatrix(n, n, ents)
+    return DenseMatrix.from_rows(cols).transpose()
 
 
 def _restriction(basis: DenseMatrix, x: DenseMatrix) -> DenseMatrix:
@@ -185,11 +172,7 @@ def _common_eigenvector(mats, n: int) -> DenseMatrix:
         kern = nullspace(m - DenseMatrix.identity(m.rows).scale(lam))
         if not kern:
             raise InternalInconsistency("eigenvalue with trivial eigenspace")
-        stacked = DenseMatrix(
-            m.rows,
-            len(kern),
-            [v.at(i, 1) for i in range(1, m.rows + 1) for v in kern],
-        )
+        stacked = DenseMatrix.from_rows([v.col_list(1) for v in kern]).transpose()
         basis = basis * stacked
     return basis.submatrix(range(1, n + 1), [1])
 
@@ -202,12 +185,11 @@ def _extend_to_basis(v: DenseMatrix) -> DenseMatrix:
         if len(cols) == n:
             break
         candidate = cols + [[ONE if i == j else ZERO for i in range(1, n + 1)]]
-        m = DenseMatrix(n, len(candidate), [c[i] for i in range(n) for c in candidate])
-        if rank(m) == len(candidate):
+        if rank(DenseMatrix.from_rows(candidate)) == len(candidate):
             cols = candidate
     if len(cols) != n:
         raise InternalInconsistency("could not complete to a basis")
-    return DenseMatrix(n, n, [c[i] for i in range(n) for c in cols])
+    return DenseMatrix.from_rows(cols).transpose()
 
 
 def common_triangularizer(family) -> DenseMatrix:
@@ -259,7 +241,7 @@ def _deflate(mats, n: int) -> DenseMatrix:
     for i in range(2, n + 1):
         for j in range(2, n + 1):
             g[i - 1][j - 1] = uq.at(i - 1, j - 1)
-    return DenseMatrix(n, n, [g[i][j] for i in range(n) for j in range(n)]) * tinv
+    return DenseMatrix.from_rows(g) * tinv
 
 
 def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> DenseMatrix:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, FormatError, RankNotOne, Singular
 
@@ -221,27 +221,33 @@ class DenseMatrix:
         return cls(r, c, flat)
 
     @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: Mapping) -> "DenseMatrix":
+        """Matrix with the given entries, a mapping from 1-based (i, j) to
+        scalars; every other entry is zero."""
+        ents = [ZERO] * (rows * cols)
+        for (i, j), v in entries.items():
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                raise DimensionMismatch(f"index ({i},{j}) outside {rows}x{cols}")
+            ents[(i - 1) * cols + (j - 1)] = v
+        return cls(rows, cols, ents)
+
+    @classmethod
     def identity(cls, n: int) -> "DenseMatrix":
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        return cls.diag([ONE] * n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "DenseMatrix":
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return cls.from_entries(rows, cols, {})
 
     @classmethod
     def unit(cls, n: int, i: int, j: int) -> "DenseMatrix":
         """The matrix unit E_ij (1-based indices)."""
-        ents = [ZERO] * (n * n)
-        ents[(i - 1) * n + (j - 1)] = ONE
-        return cls(n, n, ents)
+        return cls.from_entries(n, n, {(i, j): ONE})
 
     @classmethod
     def diag(cls, values: Sequence) -> "DenseMatrix":
         n = len(values)
-        ents = [ZERO] * (n * n)
-        for k, v in enumerate(values):
-            ents[k * n + k] = scalar(v)
-        return cls(n, n, ents)
+        return cls.from_entries(n, n, {(k, k): v for k, v in enumerate(values, start=1)})
 
     @property
     def shape(self):
@@ -545,10 +551,9 @@ def permutation_matrix(pi: Sequence[int]) -> DenseMatrix:
     n = len(pi)
     if sorted(pi) != list(range(1, n + 1)):
         raise DimensionMismatch(f"not a permutation of 1..{n}: {pi}")
-    ents = [ZERO] * (n * n)
-    for k, img in enumerate(pi, start=1):
-        ents[(img - 1) * n + (k - 1)] = ONE
-    return DenseMatrix(n, n, ents)
+    return DenseMatrix.from_entries(
+        n, n, {(img, k): ONE for k, img in enumerate(pi, start=1)}
+    )
 
 
 def invert_permutation(pi: Sequence[int]):

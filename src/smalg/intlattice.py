@@ -1,5 +1,5 @@
 """Integer matrix utilities: Smith invariant factors, kernel lattice bases,
-GF(2) kernels, rational rank.
+GF(2) kernels.
 
 Matrices here are plain nested lists of Python ints. Sizes stay small (tens
 of rows), so the classic reduction algorithms with smallest-pivot selection
@@ -7,34 +7,6 @@ are plenty.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-
-def rational_rank(mat) -> int:
-    if not mat or not mat[0]:
-        return 0
-    a = [[Fraction(x) for x in row] for row in mat]
-    rows, cols = len(a), len(a[0])
-    rk = 0
-    for c in range(cols):
-        piv = None
-        for r in range(rk, rows):
-            if a[r][c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rk], a[piv] = a[piv], a[rk]
-        pv = a[rk][c]
-        for r in range(rk + 1, rows):
-            if a[r][c]:
-                f = a[r][c] / pv
-                a[r] = [x - f * y for x, y in zip(a[r], a[rk])]
-        rk += 1
-        if rk == rows:
-            break
-    return rk
 
 
 def smith_invariant_factors(mat):

@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     FormatError,
     InternalInconsistency,
+    NotClassUnion,
     NotJordan,
     NotTransitive,
     SupportViolation,
@@ -28,22 +29,20 @@ from .errors import (
 from .exactnum import (
     DenseMatrix,
     GaussianRational,
-    ONE,
     inverse,
-    invert_permutation,
     jordan_product,
-    relabel_matrix,
+    permutation_matrix,
 )
 from .quasiorder import (
     QuasiOrder,
     approx_classes,
+    automorphisms_fix_two_sided_classes,
     first_unsupported,
     from_edges,
     increasing_permutations,
     rho_U,
 )
 from .transmap import TransitiveMap, all_transitive_trivial, validate
-from .quasiorder import automorphisms_fix_two_sided_classes
 
 
 class LinearMapOnSMA:
@@ -176,33 +175,25 @@ class CanonicalJordanForm:
         n = self.rho.n
         return DenseMatrix.diag([1 if i in self.u else 0 for i in range(1, n + 1)])
 
-    def unit_image(self, i: int, j: int) -> DenseMatrix:
+    def _core(self, i: int, j: int) -> DenseMatrix:
+        """g(i, j) times E_ij, transposed outside u and relabeled by pi."""
+        a, b = (i, j) if i == j or i in self.u else (j, i)
+        if self.pi is not None:
+            a, b = self.pi[a - 1], self.pi[b - 1]
         n = self.rho.n
+        return DenseMatrix.from_entries(n, n, {(a, b): self.g.value(i, j)})
+
+    def unit_image(self, i: int, j: int) -> DenseMatrix:
         if (i, j) not in self.rho:
             raise SupportViolation(f"({i},{j}) is not in the relation", pair=(i, j))
-        if i == j or i in self.u:
-            core = DenseMatrix.unit(n, i, j)
-        else:
-            core = DenseMatrix.unit(n, j, i)
-        core = core.scale(self.g.value(i, j))
-        if self.pi is not None:
-            core = relabel_matrix(core, self.pi)
-        return self.s * core * inverse(self.s)
+        return self.s * self._core(i, j) * inverse(self.s)
 
     def reconstruct(self) -> LinearMapOnSMA:
-        n = self.rho.n
         sinv = inverse(self.s)
-        images = {}
-        for (i, j) in self.rho.pairs():
-            if i == j or i in self.u:
-                core = DenseMatrix.unit(n, i, j)
-            else:
-                core = DenseMatrix.unit(n, j, i)
-            core = core.scale(self.g.value(i, j))
-            if self.pi is not None:
-                core = relabel_matrix(core, self.pi)
-            images[(i, j)] = self.s * core * sinv
-        return LinearMapOnSMA(self.rho, images)
+        return LinearMapOnSMA(
+            self.rho,
+            {p: self.s * self._core(*p) * sinv for p in self.rho.pairs()},
+        )
 
 
 def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
@@ -243,7 +234,7 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
                 col = [v / lead for v in candidate]
                 break
         cols.append(col)
-    s0 = DenseMatrix(n, n, [cols[j][i] for i in range(n) for j in range(n)])
+    s0 = DenseMatrix.from_rows(cols).transpose()
     s0inv = inverse(s0)
     mult = {}
     anti = {}
@@ -251,9 +242,7 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
         b = s0inv * phi.images[(i, j)] * s0
         alpha = b.at(i, j)
         beta = b.at(j, i)
-        expected = DenseMatrix.unit(n, i, j).scale(alpha) + DenseMatrix.unit(
-            n, j, i
-        ).scale(beta)
+        expected = DenseMatrix.from_entries(n, n, {(i, j): alpha, (j, i): beta})
         if b != expected:
             raise NotJordan(
                 f"conjugated image of E_{i}{j} leaves span(E_{i}{j}, E_{j}{i})",
@@ -289,12 +278,10 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
             pair=exc.witness,
         ) from exc
     form = CanonicalJordanForm(s=s0, u=frozenset(u), g=g)
-    for (i, j) in rho.pairs():
-        if form.unit_image(i, j) != phi.images[(i, j)]:
-            raise InternalInconsistency(
-                f"reconstruction differs at unit ({i},{j}); the input was not "
-                "a Jordan homomorphism"
-            )
+    if form.reconstruct() != phi:
+        raise InternalInconsistency(
+            "reconstruction differs; the input was not a Jordan homomorphism"
+        )
     return form
 
 
@@ -304,8 +291,6 @@ def synthesize_jordan(rho: QuasiOrder, s: DenseMatrix, u, g) -> LinearMapOnSMA:
     ``u`` must be a union of connectivity classes; ``g`` either a validated
     TransitiveMap on rho or a weight dict to validate.
     """
-    from .errors import NotClassUnion
-
     if not isinstance(g, TransitiveMap):
         g = validate(rho, g)
     elif g.rho != rho:
@@ -315,7 +300,7 @@ def synthesize_jordan(rho: QuasiOrder, s: DenseMatrix, u, g) -> LinearMapOnSMA:
         raise NotClassUnion(f"{sorted(useg)} is not a union of classes")
     if s.shape != (rho.n, rho.n):
         raise DimensionMismatch("similarity has the wrong size")
-    inverse(s)  # Singular propagates
+    # reconstruct() inverts s first, so Singular propagates
     return CanonicalJordanForm(s=s, u=useg, g=g).reconstruct()
 
 
@@ -380,11 +365,10 @@ def classify_into_codomain(
                 pair=bad,
             )
     base = classify_jordan(phi)
-    lam_image = DenseMatrix.zeros(n, n)
-    for i in range(1, n + 1):
-        lam_image = lam_image + phi.images[(i, i)].scale(i)
+    lam_image = apply(phi, DenseMatrix.diag(range(1, n + 1)))
     s1 = simultaneous_diagonalize_in_sma(rho2, [lam_image])
-    d = inverse(s1) * lam_image * s1
+    s1inv = inverse(s1)
+    d = s1inv * lam_image * s1
     positions = {}
     for j in range(1, n + 1):
         val = d.at(j, j)
@@ -394,10 +378,7 @@ def classify_into_codomain(
     if sorted(positions) != list(range(1, n + 1)):
         raise InternalInconsistency("image of diag(1..n) lost an eigenvalue")
     pi = tuple(positions[i] for i in range(1, n + 1))
-    r_pi = relabel_matrix(DenseMatrix.identity(n), pi)
-    from .exactnum import permutation_matrix
-
-    d0 = inverse(permutation_matrix(pi)) * inverse(s1) * base.s
+    d0 = inverse(permutation_matrix(pi)) * s1inv * base.s
     if not d0.is_diagonal():
         raise InternalInconsistency("residual similarity is not diagonal")
     scale = {}
@@ -416,9 +397,8 @@ def classify_into_codomain(
         if (pi[i - 1], pi[j - 1]) not in rho2:
             raise InternalInconsistency("permutation is not increasing into codomain")
     form = CanonicalJordanForm(s=s1, u=base.u, g=g2, pi=pi)
-    for (i, j) in rho.pairs():
-        if form.unit_image(i, j) != phi.images[(i, j)]:
-            raise InternalInconsistency("codomain reconstruction differs")
+    if form.reconstruct() != phi:
+        raise InternalInconsistency("codomain reconstruction differs")
     return form
 
 

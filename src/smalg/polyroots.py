@@ -9,8 +9,8 @@ remains after deflation is a factor with no roots in the field.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
+from .errors import DimensionMismatch
 from .exactnum import DenseMatrix, GaussianRational, ONE, ZERO, scalar
 
 
@@ -33,16 +33,6 @@ def poly_eval(cs, x) -> GaussianRational:
     for c in reversed(poly_trim(cs)):
         acc = acc * x + c
     return acc
-
-
-def poly_add(cs, ds):
-    cs, ds = poly_trim(cs), poly_trim(ds)
-    if len(cs) < len(ds):
-        cs, ds = ds, cs
-    out = list(cs)
-    for k, d in enumerate(ds):
-        out[k] = out[k] + d
-    return poly_trim(out)
 
 
 def poly_mul(cs, ds):
@@ -138,8 +128,6 @@ def charpoly(a: DenseMatrix):
     """
     n = a.rows
     if a.cols != n:
-        from .errors import DimensionMismatch
-
         raise DimensionMismatch("characteristic polynomial needs a square matrix")
     coeffs = [ZERO] * n + [ONE]
     m = DenseMatrix.identity(n)

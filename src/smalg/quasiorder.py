@@ -17,7 +17,7 @@ from .errors import (
     NotClassUnion,
     NotClosed,
 )
-from .exactnum import DenseMatrix, ONE, ZERO
+from .exactnum import DenseMatrix
 
 
 class QuasiOrder:
@@ -51,9 +51,6 @@ class QuasiOrder:
     def out_set(self, i: int):
         """All j with (i, j) related; contains i itself."""
         return [j for j in range(1, self.n + 1) if self.has(i, j)]
-
-    def in_set(self, j: int):
-        return [i for i in range(1, self.n + 1) if self.has(i, j)]
 
     def card(self) -> int:
         return sum(r.bit_count() for r in self._rows)
@@ -139,12 +136,6 @@ class ClassPartition:
                 return b
         raise DimensionMismatch(f"vertex {i} outside 1..{self.n}")
 
-    def block_index(self, i: int) -> int:
-        for k, b in enumerate(self.blocks):
-            if i in b:
-                return k
-        raise DimensionMismatch(f"vertex {i} outside 1..{self.n}")
-
     def is_union_of_blocks(self, subset) -> bool:
         s = set(subset)
         if not s <= set(range(1, self.n + 1)):
@@ -206,13 +197,10 @@ def central_idempotents(q: QuasiOrder):
 
     These span the center of the algebra attached to q.
     """
-    out = []
-    for blk in approx_classes(q).blocks:
-        ents = [ZERO] * (q.n * q.n)
-        for i in blk:
-            ents[(i - 1) * q.n + (i - 1)] = ONE
-        out.append(DenseMatrix(q.n, q.n, ents))
-    return out
+    return [
+        DenseMatrix.diag([1 if i in blk else 0 for i in range(1, q.n + 1)])
+        for blk in approx_classes(q).blocks
+    ]
 
 
 @dataclass(frozen=True)

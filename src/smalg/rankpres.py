@@ -85,7 +85,7 @@ def induced_linear_map(g: TransitiveMap) -> LinearMapOnSMA:
     return LinearMapOnSMA(
         rho,
         {
-            (i, j): DenseMatrix.unit(n, i, j).scale(g.value(i, j))
+            (i, j): DenseMatrix.from_entries(n, n, {(i, j): g.value(i, j)})
             for (i, j) in rho.pairs()
         },
     )
@@ -116,13 +116,11 @@ def sample_rank_one_in_sma(rho: QuasiOrder, count: int, seed: int = 0):
             rows = [rng.choice(vertices)]
             common = set(rho.out_set(rows[0]))
         cols = sorted(rng.sample(sorted(common), rng.randint(1, len(common))))
-        m = DenseMatrix.zeros(n, n)
         uvals = {i: rng.choice([-2, -1, 1, 2]) for i in rows}
         vvals = {j: rng.choice([-2, -1, 1, 2]) for j in cols}
-        for i in rows:
-            for j in cols:
-                m = m + DenseMatrix.unit(n, i, j).scale(uvals[i] * vvals[j])
-        out.append(m)
+        out.append(DenseMatrix.from_entries(
+            n, n, {(i, j): uvals[i] * vvals[j] for i in rows for j in cols}
+        ))
     return out
 
 
@@ -165,12 +163,7 @@ def certify_rank_one_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     if check.ok:
         return PreserverVerdict(kind="RankOnePreserver", form=form)
     (i, k), (j, l) = check.rectangle
-    x = (
-        DenseMatrix.unit(n, i, j)
-        + DenseMatrix.unit(n, i, l)
-        + DenseMatrix.unit(n, k, j)
-        + DenseMatrix.unit(n, k, l)
-    )
+    x = DenseMatrix.from_entries(n, n, {(i, j): 1, (i, l): 1, (k, j): 1, (k, l): 1})
     r_image = rank(apply(phi, x))
     if r_image == 1:
         raise InternalInconsistency("violating rectangle kept rank one")
@@ -237,10 +230,7 @@ def _restrict_drop_last(rho: QuasiOrder) -> QuasiOrder:
 
 
 def _pad(m: DenseMatrix, n: int) -> DenseMatrix:
-    out = DenseMatrix.zeros(n, n)
-    for (i, j) in m.support():
-        out = out + DenseMatrix.unit(n, i, j).scale(m.at(i, j))
-    return out
+    return DenseMatrix.from_entries(n, n, {p: m.at(*p) for p in m.support()})
 
 
 def _even_chain_matrix(seq, last: int, n: int) -> DenseMatrix:
@@ -248,15 +238,15 @@ def _even_chain_matrix(seq, last: int, n: int) -> DenseMatrix:
     last column; has rank len(seq)//2 while the scaled image gains one."""
     if len(seq) < 3 or len(seq) % 2 == 0:
         raise InternalInconsistency("chain did not reduce to even form")
-    a = DenseMatrix.zeros(n, n)
+    entries = {}
     for j in range(0, len(seq) - 2, 2):
         sign = 1 if (j // 2) % 2 == 0 else -1
-        a = a + DenseMatrix.unit(n, seq[j], seq[j + 1]).scale(sign)
-        a = a + DenseMatrix.unit(n, seq[j + 2], seq[j + 1]).scale(sign)
+        entries[(seq[j], seq[j + 1])] = sign
+        entries[(seq[j + 2], seq[j + 1])] = sign
     k = (len(seq) - 1) // 2
-    a = a + DenseMatrix.unit(n, seq[0], last)
-    a = a + DenseMatrix.unit(n, seq[-1], last).scale(1 if (k - 1) % 2 == 0 else -1)
-    return a
+    entries[(seq[0], last)] = 1
+    entries[(seq[-1], last)] = 1 if (k - 1) % 2 == 0 else -1
+    return DenseMatrix.from_entries(n, n, entries)
 
 
 def _first_implication_witness(
@@ -269,12 +259,7 @@ def _first_implication_witness(
     case, seq = chain_of_alternating_pairs(rho_sub, a, b)
     if len(seq) == 2:
         p, q = seq if case == 1 else (seq[1], seq[0])
-        return (
-            DenseMatrix.unit(n, p, q)
-            + DenseMatrix.unit(n, p, n)
-            + DenseMatrix.unit(n, q, q)
-            + DenseMatrix.unit(n, q, n)
-        )
+        return DenseMatrix.from_entries(n, n, {(p, q): 1, (p, n): 1, (q, q): 1, (q, n): 1})
     if case == 1:
         seq = seq[:-1]
     elif case == 3:
@@ -464,7 +449,7 @@ def bounded_rank_preserver_check(
                 r = rank(witness)
                 if r <= max_rank and rank(apply(phi, witness)) != r:
                     return False, witness
-        except (NotJordan, VanishingUnitImage, InternalInconsistency):
+        except (NotJordan, VanishingUnitImage):
             pass
     for k in range(1, max_rank + 1):
         for _ in range(count):

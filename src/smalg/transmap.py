@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (
+    FormatError,
     NotTransitive,
     SupportViolation,
     ZeroWeight,
@@ -27,10 +28,9 @@ from .exactnum import DenseMatrix, GaussianRational, ONE, scalar
 from .intlattice import (
     gf2_kernel_basis,
     integer_kernel_basis,
-    rational_rank,
     smith_invariant_factors,
 )
-from .quasiorder import QuasiOrder, rectangles
+from .quasiorder import QuasiOrder, approx_classes, first_unsupported, rectangles
 
 
 class TransitiveMap:
@@ -120,19 +120,15 @@ def apply_induced(g: TransitiveMap, x: DenseMatrix) -> DenseMatrix:
     n = g.rho.n
     if x.shape != (n, n):
         raise SupportViolation(f"matrix shape {x.shape} does not match n={n}")
-    out = []
-    for i in range(1, n + 1):
-        row = x.row_list(i)
-        for j, v in enumerate(row, start=1):
-            if not v:
-                out.append(v)
-            elif (i, j) in g.rho:
-                out.append(g.value(i, j) * v)
-            else:
-                raise SupportViolation(
-                    f"nonzero entry at ({i},{j}) outside the relation", pair=(i, j)
-                )
-    return DenseMatrix(n, n, out)
+    support = x.support()
+    bad = first_unsupported(support, g.rho)
+    if bad is not None:
+        raise SupportViolation(
+            "nonzero entry at ({},{}) outside the relation".format(*bad), pair=bad
+        )
+    return DenseMatrix.from_entries(
+        n, n, {(i, j): g.value(i, j) * x.at(i, j) for (i, j) in support}
+    )
 
 
 @dataclass(frozen=True)
@@ -273,11 +269,8 @@ def all_transitive_trivial(rho: QuasiOrder) -> bool:
     ecount = len(edges)
     if ecount == 0:
         return True
-    boundary = [[0] * ecount for _ in range(rho.n)]
-    for t, (i, j) in enumerate(edges):
-        boundary[i - 1][t] += 1
-        boundary[j - 1][t] -= 1
-    kernel_dim = ecount - rational_rank(boundary)
+    # the boundary is a graph incidence matrix: rank n - #components (approx classes)
+    kernel_dim = ecount - (rho.n - len(approx_classes(rho).blocks))
     if not vecs:
         return kernel_dim == 0
     inv = smith_invariant_factors(vecs)
@@ -323,8 +316,6 @@ def random_transitive_map(rho: QuasiOrder, seed: int = 0) -> TransitiveMap:
 
 
 def parse_weights(text: str, rho: QuasiOrder) -> TransitiveMap:
-    from .errors import FormatError
-
     weights = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -110,14 +110,10 @@ def bordered_map_images(n: int):
     """On the diagonal algebra of size n: the last diagonal slot is spread
     over the whole leading (n-1) block. Preserves every singular rank but
     sends the identity to a singular matrix."""
-    images = {}
-    for i in range(1, n):
-        images[(i, i)] = DenseMatrix.unit(n, i, i)
-    ones = DenseMatrix.zeros(n, n)
-    for i in range(1, n):
-        for j in range(1, n):
-            ones = ones + DenseMatrix.unit(n, i, j)
-    images[(n, n)] = ones
+    images = {(i, i): DenseMatrix.unit(n, i, i) for i in range(1, n)}
+    images[(n, n)] = DenseMatrix.from_entries(
+        n, n, {(i, j): 1 for i in range(1, n) for j in range(1, n)}
+    )
     return images
 
 
@@ -200,13 +196,12 @@ def double_chain() -> QuasiOrder:
 
 def random_supported_matrix(rho, rng, lo=-3, hi=3) -> DenseMatrix:
     """Random integer matrix with entries only on related pairs."""
-    n = rho.n
-    m = DenseMatrix.zeros(n, n)
+    entries = {}
     for (i, j) in rho.pairs():
         c = rng.randint(lo, hi)
         if c:
-            m = m + DenseMatrix.unit(n, i, j).scale(c)
-    return m
+            entries[(i, j)] = c
+    return DenseMatrix.from_entries(rho.n, rho.n, entries)
 
 
 def random_class_union(rho, rng):

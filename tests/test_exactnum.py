@@ -298,6 +298,24 @@ class TestSolveAndNullspace:
                 assert rank(stacked) == len(basis)
 
 
+class TestFromEntries:
+    def test_places_entries_and_zeros(self):
+        m = DenseMatrix.from_entries(2, 3, {(1, 3): 2, (2, 1): "1i"})
+        assert m == DenseMatrix.from_rows([[0, 0, 2], [GaussianRational(0, 1), 0, 0]])
+        assert DenseMatrix.from_entries(2, 2, {}) == DenseMatrix.zeros(2, 2)
+
+    @pytest.mark.parametrize("pos", [(0, 1), (1, 0), (3, 1), (1, 4), (-1, 2)])
+    def test_out_of_range(self, pos):
+        with pytest.raises(DimensionMismatch):
+            DenseMatrix.from_entries(2, 3, {pos: 1})
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (4, 1), (1, 4), (-1, 1)])
+    def test_unit_out_of_range(self, i, j):
+        # negative list indices used to wrap: unit(3, 0, 1) gave E_31
+        with pytest.raises(DimensionMismatch):
+            DenseMatrix.unit(3, i, j)
+
+
 class TestPermutations:
     def test_unit_relabeling(self):
         pi = (2, 3, 1)

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+import smalg.rankpres
 from smalg.errors import (
     GIsTrivial,
+    InternalInconsistency,
     NotEquivalent,
     NotUnital,
     PreconditionViolated,
@@ -593,6 +595,18 @@ def test_bounded_bordered_map():
     assert v.kind == "Neither"
     assert v.ranks == (5, 4)
     assert "unitality" in v.note
+
+
+def test_bounded_internal_fault_is_not_a_verdict(monkeypatch):
+    """A broken witness construction must surface, not fall through to
+    sampling (which would still find a rank jump on the bowtie)."""
+
+    def broken(g):
+        raise InternalInconsistency("injected fault")
+
+    monkeypatch.setattr(smalg.rankpres, "nontrivial_g_rank_witness", broken)
+    with pytest.raises(InternalInconsistency, match="injected fault"):
+        bounded_rank_preserver_check(induced_linear_map(bowtie_g()), 1)
 
 
 # ---------------------------------------------------------------------------
