@@ -2,8 +2,13 @@
 
 Scalars are pairs of ``fractions.Fraction`` (real and imaginary part), so
 every invariant the representation needs (lowest terms, positive denominator,
-arbitrary precision) is inherited from the stdlib. No floating point enters
-anywhere in this package.
+arbitrary precision) is inherited from the stdlib. A matrix keeps one
+positive integer denominator and integer numerators for the real and
+imaginary parts of its entries, in lowest terms, so its arithmetic runs on
+Python ints and equal matrices have equal storage; entries are handed out as
+scalars. Rank, inverse, exact solving and kernels all run on one
+fraction-free Gauss-Jordan kernel over the Gaussian integers. No floating
+point enters anywhere in this package.
 
 Matrix indices in the public API are 1-based, matching the pair convention of
 the relation and weight file formats; storage is row-major and 0-based
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, FormatError, RankNotOne, Singular
@@ -195,19 +201,27 @@ I_UNIT = GaussianRational(0, 1)
 
 
 class DenseMatrix:
-    """Immutable dense matrix of Gaussian rationals."""
+    """Immutable dense matrix of Gaussian rationals.
 
-    __slots__ = ("rows", "cols", "_e")
+    Stored as one positive integer denominator ``_d`` and two row-major
+    tuples of integer numerators, ``_re`` and ``_im``, in lowest terms
+    (``gcd(_d, *_re, *_im) == 1``), so equal matrices have equal storage.
+    """
+
+    __slots__ = ("rows", "cols", "_d", "_re", "_im")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        ents = tuple(scalar(x) for x in entries)
+        ents = [scalar(x) for x in entries]
         if len(ents) != rows * cols:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(ents)}"
             )
+        d, re, im = _numerators(ents)
         self.rows = rows
         self.cols = cols
-        self._e = ents
+        self._d = d
+        self._re = tuple(re)
+        self._im = tuple(im)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "DenseMatrix":
@@ -224,12 +238,18 @@ class DenseMatrix:
     def from_entries(cls, rows: int, cols: int, entries: Mapping) -> "DenseMatrix":
         """Matrix with the given entries, a mapping from 1-based (i, j) to
         scalars; every other entry is zero."""
-        ents = [ZERO] * (rows * cols)
+        placed = {}
         for (i, j), v in entries.items():
             if not (1 <= i <= rows and 1 <= j <= cols):
                 raise DimensionMismatch(f"index ({i},{j}) outside {rows}x{cols}")
-            ents[(i - 1) * cols + (j - 1)] = v
-        return cls(rows, cols, ents)
+            placed[(i - 1) * cols + (j - 1)] = scalar(v)
+        d, placed_re, placed_im = _numerators(list(placed.values()))
+        re = [0] * (rows * cols)
+        im = [0] * (rows * cols)
+        for k, a, b in zip(placed, placed_re, placed_im):
+            re[k] = a
+            im[k] = b
+        return _new(rows, cols, d, tuple(re), tuple(im))
 
     @classmethod
     def identity(cls, n: int) -> "DenseMatrix":
@@ -257,101 +277,121 @@ class DenseMatrix:
     def is_square(self):
         return self.rows == self.cols
 
+    def _scalars(self, ks) -> list:
+        """The entries at the given 0-based row-major positions."""
+        re, im, d = self._re, self._im, self._d
+        return [_scalar_over(re[k], im[k], d) for k in ks]
+
     def at(self, i: int, j: int) -> GaussianRational:
         """Entry at row i, column j, 1-based."""
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise DimensionMismatch(f"index ({i},{j}) outside {self.rows}x{self.cols}")
-        return self._e[(i - 1) * self.cols + (j - 1)]
+        k = (i - 1) * self.cols + (j - 1)
+        return _scalar_over(self._re[k], self._im[k], self._d)
 
     def entries(self):
-        return self._e
+        return tuple(self._scalars(range(len(self._re))))
 
     def to_grid(self):
         """Row-major copy as nested lists (mutable working form)."""
         c = self.cols
-        return [list(self._e[r * c : (r + 1) * c]) for r in range(self.rows)]
+        return [self._scalars(range(r * c, (r + 1) * c)) for r in range(self.rows)]
 
     def row_list(self, i: int):
-        return list(self._e[(i - 1) * self.cols : i * self.cols])
+        return self._scalars(range((i - 1) * self.cols, i * self.cols))
 
     def col_list(self, j: int):
-        return [self._e[r * self.cols + (j - 1)] for r in range(self.rows)]
+        return self._scalars(r * self.cols + (j - 1) for r in range(self.rows))
 
     def diagonal(self):
         k = min(self.rows, self.cols)
-        return [self._e[t * self.cols + t] for t in range(k)]
+        return self._scalars(t * self.cols + t for t in range(k))
 
     def trace(self) -> GaussianRational:
         if not self.is_square:
             raise DimensionMismatch("trace needs a square matrix")
-        total = ZERO
-        for t in range(self.rows):
-            total = total + self._e[t * self.cols + t]
-        return total
+        step = self.cols + 1
+        return _scalar_over(sum(self._re[::step]), sum(self._im[::step]), self._d)
 
     def support(self):
         """Positions of nonzero entries as a frozenset of 1-based pairs."""
         c = self.cols
         return frozenset(
-            (k // c + 1, k % c + 1) for k, x in enumerate(self._e) if x
+            (k // c + 1, k % c + 1)
+            for k, (a, b) in enumerate(zip(self._re, self._im))
+            if a or b
         )
 
     def is_zero(self) -> bool:
-        return not any(self._e)
+        return not any(self._re) and not any(self._im)
 
     def is_diagonal(self) -> bool:
         c = self.cols
         return all(
-            not x for k, x in enumerate(self._e) if k // c != k % c
+            not (a or b)
+            for k, (a, b) in enumerate(zip(self._re, self._im))
+            if k // c != k % c
         )
 
     def is_upper_triangular(self) -> bool:
         c = self.cols
-        return all(not x for k, x in enumerate(self._e) if k // c > k % c)
-
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(
-            self.cols,
-            self.rows,
-            [self._e[r * self.cols + c] for c in range(self.cols) for r in range(self.rows)],
+        return all(
+            not (a or b)
+            for k, (a, b) in enumerate(zip(self._re, self._im))
+            if k // c > k % c
         )
 
+    def _pick(self, order: list):
+        """Numerator tuples of the entries at the given 0-based positions."""
+        re, im = self._re, self._im
+        return tuple(re[k] for k in order), tuple(im[k] for k in order)
+
+    def transpose(self) -> "DenseMatrix":
+        r, c = self.rows, self.cols
+        order = [i * c + j for j in range(c) for i in range(r)]
+        return _new(c, r, self._d, *self._pick(order))
+
     def conj(self) -> "DenseMatrix":
-        return DenseMatrix(self.rows, self.cols, [x.conjugate() for x in self._e])
+        return _new(self.rows, self.cols, self._d, self._re, tuple(-b for b in self._im))
 
     def scale(self, s) -> "DenseMatrix":
-        s = scalar(s)
-        return DenseMatrix(self.rows, self.cols, [s * x for x in self._e])
+        p, q, e = _split(scalar(s))
+        if q:
+            re = [p * a - q * b for a, b in zip(self._re, self._im)]
+            im = [p * b + q * a for a, b in zip(self._re, self._im)]
+        else:
+            re = [p * a for a in self._re]
+            im = [p * b for b in self._im]
+        return _reduced(self.rows, self.cols, self._d * e, re, im)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "DenseMatrix":
         """Submatrix on the given 1-based row and column index sequences."""
-        ents = []
-        for i in row_idx:
-            base = (i - 1) * self.cols
-            for j in col_idx:
-                ents.append(self._e[base + (j - 1)])
-        return DenseMatrix(len(row_idx), len(col_idx), ents)
+        c = self.cols
+        order = [(i - 1) * c + (j - 1) for i in row_idx for j in col_idx]
+        return _reduced(len(row_idx), len(col_idx), self._d, *self._pick(order))
 
     def __add__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot add {self.shape} and {other.shape}")
-        return DenseMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)]
-        )
+        return _combine(self, other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot subtract {self.shape} and {other.shape}")
-        return DenseMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)]
-        )
+        return _combine(self, other, -1)
 
     def __neg__(self):
-        return DenseMatrix(self.rows, self.cols, [-x for x in self._e])
+        return _new(
+            self.rows,
+            self.cols,
+            self._d,
+            tuple(-a for a in self._re),
+            tuple(-b for b in self._im),
+        )
 
     def __mul__(self, other):
         if isinstance(other, DenseMatrix):
@@ -370,10 +410,16 @@ class DenseMatrix:
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
             return NotImplemented
-        return self.shape == other.shape and self._e == other._e
+        return (
+            self.rows == other.rows
+            and self.cols == other.cols
+            and self._d == other._d
+            and self._re == other._re
+            and self._im == other._im
+        )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self.cols, self._d, self._re, self._im))
 
     def __repr__(self):
         body = "; ".join(
@@ -383,23 +429,132 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols}: {body})"
 
 
+# --- integer storage ----------------------------------------------------------
+
+
+def _new(rows: int, cols: int, d: int, re: tuple, im: tuple) -> DenseMatrix:
+    """Matrix from storage that is already in lowest terms."""
+    m = object.__new__(DenseMatrix)
+    m.rows = rows
+    m.cols = cols
+    m._d = d
+    m._re = re
+    m._im = im
+    return m
+
+
+def _numerators(xs: list):
+    """(d, re, im): the scalars xs as integer numerators over their least
+    common denominator d, which leaves them in lowest terms."""
+    d = lcm(*(x.re.denominator for x in xs), *(x.im.denominator for x in xs))
+    return (
+        d,
+        [x.re.numerator * (d // x.re.denominator) for x in xs],
+        [x.im.numerator * (d // x.im.denominator) for x in xs],
+    )
+
+
+def _reduced(rows: int, cols: int, d: int, re: list, im: list) -> DenseMatrix:
+    """Matrix (re + i im) / d for d > 0, brought to lowest terms."""
+    if d != 1:
+        g = gcd(d, *re, *im)
+        if g != 1:
+            d //= g
+            re = [a // g for a in re]
+            im = [b // g for b in im]
+    return _new(rows, cols, d, tuple(re), tuple(im))
+
+
+def _scalar_over(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b i) / d."""
+    if not (a or b):
+        return ZERO
+    if d == 1:
+        return GaussianRational(a, b)
+    return GaussianRational(Fraction(a, d), Fraction(b, d))
+
+
+def _split(s: GaussianRational):
+    """(p, q, e) with s = (p + q i) / e and e > 0."""
+    a, b = s.re, s.im
+    ad, bd = a.denominator, b.denominator
+    if ad == bd:
+        return a.numerator, b.numerator, ad
+    e = lcm(ad, bd)
+    return a.numerator * (e // ad), b.numerator * (e // bd), e
+
+
+def _combine(a: DenseMatrix, b: DenseMatrix, sign: int) -> DenseMatrix:
+    """a + sign * b over the lcm of the two denominators."""
+    da, db = a._d, b._d
+    if da == db:
+        d, fa, fb = da, 1, sign
+    else:
+        d = lcm(da, db)
+        fa, fb = d // da, sign * (d // db)
+    return _reduced(
+        a.rows,
+        a.cols,
+        d,
+        [fa * x + fb * y for x, y in zip(a._re, b._re)],
+        [fa * x + fb * y for x, y in zip(a._im, b._im)],
+    )
+
+
+def _int_rows(m: DenseMatrix, factor: int = 1):
+    """Working rows of factor * d * m: real parts and imaginary parts, each
+    a list of int lists."""
+    c = m.cols
+    return tuple(
+        [[factor * x for x in part[r * c : (r + 1) * c]] for r in range(m.rows)]
+        for part in (m._re, m._im)
+    )
+
+
+def _divided(rows: int, cols: int, re: list, im: list, p, num: int = 1) -> DenseMatrix:
+    """Matrix num * (re + i im) / p for a nonzero Gaussian integer p."""
+    pr, pi = p
+    if pi:
+        norm = pr * pr + pi * pi
+        return _reduced(
+            rows,
+            cols,
+            norm,
+            [num * (a * pr + b * pi) for a, b in zip(re, im)],
+            [num * (b * pr - a * pi) for a, b in zip(re, im)],
+        )
+    if pr < 0:
+        pr, num = -pr, -num
+    return _reduced(rows, cols, pr, [num * a for a in re], [num * b for b in im])
+
+
 def multiply(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
     n, m, p = a.rows, a.cols, b.cols
-    ae, be = a._e, b._e
-    out = [ZERO] * (n * p)
+    are, aim, bre, bim = a._re, a._im, b._re, b._im
+    # Nonzero parts of each row of b, as (column, value) lists.
+    b_re = [[(j, x) for j, x in enumerate(bre[k * p : (k + 1) * p]) if x] for k in range(m)]
+    b_im = [[(j, x) for j, x in enumerate(bim[k * p : (k + 1) * p]) if x] for k in range(m)]
+    re, im = [], []
     for i in range(n):
-        arow = ae[i * m : (i + 1) * m]
-        for k, aik in enumerate(arow):
-            if not aik:
-                continue
-            brow = be[k * p : (k + 1) * p]
-            base = i * p
-            for j, bkj in enumerate(brow):
-                if bkj:
-                    out[base + j] = out[base + j] + aik * bkj
-    return DenseMatrix(n, p, out)
+        row_re = [0] * p
+        row_im = [0] * p
+        for k in range(m):
+            x, y = are[i * m + k], aim[i * m + k]
+            if x:
+                for j, u in b_re[k]:
+                    row_re[j] += x * u
+                for j, v in b_im[k]:
+                    row_im[j] += x * v
+            if y:
+                for j, u in b_re[k]:
+                    row_im[j] += y * u
+                for j, v in b_im[k]:
+                    row_re[j] -= y * v
+        re.extend(row_re)
+        im.extend(row_im)
+    return _reduced(n, p, a._d * b._d, re, im)
 
 
 def conjugate_transpose(m: DenseMatrix) -> DenseMatrix:
@@ -411,91 +566,150 @@ def jordan_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     return multiply(a, b) + multiply(b, a)
 
 
-def _echelon(grid, reduce=False):
-    """In-place elimination; returns pivot (row, col) list.
+# --- elimination ----------------------------------------------------------------
+
+
+def _gauss_jordan(re_rows, im_rows, reduce=False):
+    """Fraction-free elimination over the Gaussian integers, in place.
+
+    Rows are lists of ints, real parts in ``re_rows`` and imaginary parts in
+    ``im_rows``. Each step replaces every other row x by
+    (p x - f y) / prev, with y the pivot row, p its pivot, f the entry of x
+    in the pivot column and prev the previous pivot (Bareiss 1968,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination"). Every entry stays a minor of the input, so the division
+    is exact in Z[i]; it is done as multiplication by conj(prev) and integer
+    division by its norm. With ``reduce`` the rows above the pivot are
+    updated too (Gauss-Jordan), and every pivot row then ends with the last
+    pivot at its pivot column and zeros in the other pivot columns: the
+    reduced echelon form times that pivot.
 
     Pivot choice: scan columns left to right, take the first row with a
-    nonzero entry (deterministic, no magnitude heuristics; exact arithmetic
-    makes pivot growth a non-issue at this scale).
+    nonzero entry (deterministic, no magnitude heuristics). Returns the
+    pivot (row, col) list and the last pivot as an (re, im) pair.
     """
-    if not grid:
-        return []
-    rows, cols = len(grid), len(grid[0])
+    rows = len(re_rows)
+    cols = len(re_rows[0]) if rows else 0
     pivots = []
+    qr, qi = 1, 0
     r = 0
     for c in range(cols):
         if r == rows:
             break
         src = None
         for rr in range(r, rows):
-            if grid[rr][c]:
+            if re_rows[rr][c] or im_rows[rr][c]:
                 src = rr
                 break
         if src is None:
             continue
         if src != r:
-            grid[r], grid[src] = grid[src], grid[r]
-        inv = grid[r][c].reciprocal()
-        grid[r] = [inv * x for x in grid[r]]
-        for rr in range(rows):
-            if rr == r or (not reduce and rr < r):
+            re_rows[r], re_rows[src] = re_rows[src], re_rows[r]
+            im_rows[r], im_rows[src] = im_rows[src], im_rows[r]
+        yr, yi = re_rows[r], im_rows[r]
+        pr, pi = yr[c], yi[c]
+        norm = qr * qr + qi * qi
+        for rr in range(0 if reduce else r + 1, rows):
+            if rr == r:
                 continue
-            f = grid[rr][c]
-            if f:
-                grid[rr] = [x - f * y for x, y in zip(grid[rr], grid[r])]
+            # Rows below the pivot are zero left of column c.
+            s = c if rr > r else 0
+            xr, xi = re_rows[rr][s:], im_rows[rr][s:]
+            ur, ui = yr[s:], yi[s:]
+            fr, fi = xr[c - s], xi[c - s]
+            if pi or fi:
+                parts = list(zip(xr, xi, ur, ui))
+                nr = [pr * a - pi * b - fr * u + fi * v for a, b, u, v in parts]
+                ni = [pr * b + pi * a - fr * v - fi * u for a, b, u, v in parts]
+            else:
+                nr = [pr * a - fr * u for a, u in zip(xr, ur)]
+                ni = [pr * b - fr * v for b, v in zip(xi, ui)] if any(xi) or any(ui) else xi
+            if qi:
+                nr, ni = (
+                    [(a * qr + b * qi) // norm for a, b in zip(nr, ni)],
+                    [(b * qr - a * qi) // norm for a, b in zip(nr, ni)],
+                )
+            elif qr != 1:
+                nr = [a // qr for a in nr]
+                ni = [b // qr for b in ni]
+            re_rows[rr][s:] = nr
+            im_rows[rr][s:] = ni
         pivots.append((r, c))
+        qr, qi = pr, pi
         r += 1
-    return pivots
+    return pivots, (qr, qi)
 
 
 def rank(m: DenseMatrix) -> int:
-    return len(_echelon(m.to_grid()))
+    return len(_gauss_jordan(*_int_rows(m))[0])
 
 
 def inverse(m: DenseMatrix) -> DenseMatrix:
     if not m.is_square:
         raise DimensionMismatch("inverse needs a square matrix")
     n = m.rows
-    grid = m.to_grid()
+    re_rows, im_rows = _int_rows(m)
     for r in range(n):
-        grid[r].extend(ONE if t == r else ZERO for t in range(n))
-    pivots = _echelon(grid, reduce=True)
+        re_rows[r].extend(1 if t == r else 0 for t in range(n))
+        im_rows[r].extend([0] * n)
+    pivots, p = _gauss_jordan(re_rows, im_rows, reduce=True)
     if len(pivots) < n or any(c >= n for _, c in pivots):
         raise Singular("matrix is not invertible")
-    return DenseMatrix(n, n, [x for r in range(n) for x in grid[r][n:]])
+    # m = N / d, and the right half holds p N^-1, so m^-1 = d * right / p.
+    return _divided(
+        n,
+        n,
+        [x for r in range(n) for x in re_rows[r][n:]],
+        [x for r in range(n) for x in im_rows[r][n:]],
+        p,
+        m._d,
+    )
 
 
 def solve_exact(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     """Solve a X = b exactly; requires full column rank and consistency."""
     if a.rows != b.rows:
         raise DimensionMismatch("row counts differ")
-    n, d, k = a.rows, a.cols, b.cols
-    grid = [a.row_list(i) + b.row_list(i) for i in range(1, n + 1)]
-    pivots = _echelon(grid, reduce=True)
+    d, k = a.cols, b.cols
+    den = lcm(a._d, b._d)
+    re_rows, im_rows = _int_rows(a, den // a._d)
+    b_re, b_im = _int_rows(b, den // b._d)
+    for r in range(a.rows):
+        re_rows[r].extend(b_re[r])
+        im_rows[r].extend(b_im[r])
+    pivots, p = _gauss_jordan(re_rows, im_rows, reduce=True)
     cols = {c for _, c in pivots}
     if any(c >= d for c in cols):
         raise Singular("system is inconsistent")
     if len(cols) < d:
         raise Singular("coefficient matrix does not have full column rank")
-    out = [[ZERO] * k for _ in range(d)]
-    for r, c in pivots:
-        out[c] = grid[r][d:]
-    return DenseMatrix.from_rows(out)
+    # Full column rank: pivot row r has its pivot in column r.
+    return _divided(
+        d,
+        k,
+        [x for r, _ in pivots for x in re_rows[r][d:]],
+        [x for r, _ in pivots for x in im_rows[r][d:]],
+        p,
+    )
 
 
 def nullspace(m: DenseMatrix):
     """Basis of the right kernel, as a list of column DenseMatrix (n x 1)."""
-    grid = m.to_grid()
-    pivots = _echelon(grid, reduce=True)
+    re_rows, im_rows = _int_rows(m)
+    pivots, p = _gauss_jordan(re_rows, im_rows, reduce=True)
     pivot_cols = {c: r for r, c in pivots}
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
     basis = []
-    for fc in free_cols:
-        v = [ZERO] * m.cols
-        v[fc] = ONE
+    for fc in range(m.cols):
+        if fc in pivot_cols:
+            continue
+        # p times the basis vector: p at fc, minus the reduced column elsewhere.
+        vr = [0] * m.cols
+        vi = [0] * m.cols
+        vr[fc], vi[fc] = p
         for c, r in pivot_cols.items():
-            v[c] = -grid[r][fc]
-        basis.append(DenseMatrix(m.cols, 1, v))
+            vr[c] = -re_rows[r][fc]
+            vi[c] = -im_rows[r][fc]
+        basis.append(_divided(m.cols, 1, vr, vi, p))
     return basis
 
 
@@ -571,12 +785,14 @@ def relabel_matrix(m: DenseMatrix, pi: Sequence[int]) -> DenseMatrix:
     if not m.is_square or m.rows != len(pi):
         raise DimensionMismatch("permutation length must match matrix size")
     n = m.rows
-    out = [ZERO] * (n * n)
-    ents = m._e
+    re = [0] * (n * n)
+    im = [0] * (n * n)
     for i in range(n):
         for j in range(n):
-            out[(pi[i] - 1) * n + (pi[j] - 1)] = ents[i * n + j]
-    return DenseMatrix(n, n, out)
+            k = (pi[i] - 1) * n + (pi[j] - 1)
+            re[k] = m._re[i * n + j]
+            im[k] = m._im[i * n + j]
+    return _new(n, n, m._d, tuple(re), tuple(im))
 
 
 # --- matrix text format -----------------------------------------------------

@@ -135,12 +135,15 @@ def is_jordan_homomorphism(phi: LinearMapOnSMA):
 
     Returns (True, None) or (False, ((i,j),(k,l))) with the first violating
     pair in lexicographic order. Bilinearity makes the unit check
-    sufficient.
+    sufficient. Both sides of the identity are symmetric in the two units,
+    so each unordered pair is checked once, in the order (i,j) <= (k,l); the
+    mirror of a violating pair violates too and comes first, so the pair
+    returned is the same as with every ordered pair checked.
     """
     rho = phi.rho
     pairs = rho.pairs()
-    for (a, b) in pairs:
-        for (c, d) in pairs:
+    for t, (a, b) in enumerate(pairs):
+        for (c, d) in pairs[t:]:
             left = DenseMatrix.zeros(rho.n, rho.n)
             if b == c:
                 left = left + phi.images[(a, d)]

@@ -438,11 +438,10 @@ def bounded_rank_preserver_check(
     n = rho.n
     f_id = apply(phi, DenseMatrix.identity(n))
     if rank(f_id) == n:
+        norm = inverse(f_id)
         try:
             form = classify_jordan(
-                LinearMapOnSMA(
-                    rho, {p: inverse(f_id) * m for p, m in phi.images.items()}
-                )
+                LinearMapOnSMA(rho, {p: norm * m for p, m in phi.images.items()})
             )
             if not triviality_witness(form.g).is_trivial:
                 witness = nontrivial_g_rank_witness(form.g)

@@ -397,3 +397,43 @@ def oracle_jordan_embedding_exists(rho, rho2):
             if ok:
                 return True
     return False
+
+
+# --- Jordan identity on unit pairs ------------------------------------------
+
+
+def _pair_matmul(x, y):
+    n, m, p = len(x), len(y), len(y[0]) if y else 0
+    out = [[CZERO] * p for _ in range(n)]
+    for i in range(n):
+        for k in range(m):
+            if is_czero(x[i][k]):
+                continue
+            for j in range(p):
+                out[i][j] = cadd(out[i][j], cmul(x[i][k], y[k][j]))
+    return out
+
+
+def _pair_matadd(x, y):
+    return [[cadd(a, b) for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+def oracle_first_jordan_violation(pairs, grids):
+    """First ordered unit pair (in the given order, every ordered pair) at
+    which phi(X) phi(Y) + phi(Y) phi(X) differs from phi(X Y + Y X); None if
+    there is none. ``grids`` maps each pair to its image in oracle pair
+    form."""
+    n = len(next(iter(grids.values())))
+    zero = [[CZERO] * n for _ in range(n)]
+    for (a, b) in pairs:
+        for (c, d) in pairs:
+            left = zero
+            if b == c:
+                left = _pair_matadd(left, grids[(a, d)])
+            if d == a:
+                left = _pair_matadd(left, grids[(c, b)])
+            x, y = grids[(a, b)], grids[(c, d)]
+            right = _pair_matadd(_pair_matmul(x, y), _pair_matmul(y, x))
+            if left != right:
+                return ((a, b), (c, d))
+    return None

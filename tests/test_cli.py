@@ -1,8 +1,10 @@
 """Tests for the command-line front end: dispatch, exit codes, reports."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -388,10 +390,15 @@ def test_reports_deterministic(files):
 
 
 def test_module_entry_point(files):
+    # pytest's pythonpath setting does not reach a subprocess.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "smalg.cli", "info", files["delta3"]],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "center-dimension 3" in proc.stdout

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smalg.errors import DimensionMismatch, FormatError, RankNotOne, Singular
 from smalg.exactnum import (
+    ONE,
     DenseMatrix,
     GaussianRational,
     conjugate_transpose,
@@ -27,7 +30,7 @@ from smalg.exactnum import (
     solve_exact,
 )
 
-from oracles import oracle_rank_of
+from oracles import grid_of, oracle_rank, oracle_rank_of
 
 POOL = [0, 0, 0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3)]
 IM_POOL = [0, 0, 0, 0, 0, 1, -1, Fraction(1, 2)]
@@ -363,3 +366,122 @@ class TestMatrixFormat:
         with pytest.raises(FormatError) as exc:
             parse_matrix("1 1\nnope\n")
         assert exc.value.line == 2
+
+
+# --- properties of the elimination kernel ------------------------------------
+
+PARTS = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.integers(10**9 - 3, 10**9 + 3),
+    st.integers(-(10**9) - 3, -(10**9) + 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """Gaussian-rational matrices up to 7x7 (0 rows or 0 columns included):
+    all real, all imaginary (so every pivot is imaginary) or mixed, with
+    some columns replaced by multiples of earlier columns and some rows by
+    combinations of earlier rows."""
+    r = draw(st.integers(0, 7)) if rows is None else rows
+    c = draw(st.integers(0, 7)) if cols is None else cols
+    mode = draw(st.sampled_from(["real", "imaginary", "mixed"]))
+
+    def entry():
+        a, b = draw(PARTS), draw(PARTS)
+        if mode == "real":
+            return GaussianRational(a)
+        if mode == "imaginary":
+            return GaussianRational(0, b)
+        return GaussianRational(a, b)
+
+    grid = [[entry() for _ in range(c)] for _ in range(r)]
+    for j in range(1, c):
+        if draw(st.integers(0, 2)) == 0:
+            k, s = draw(st.integers(0, j - 1)), entry()
+            for row in grid:
+                row[j] = s * row[k]
+    for i in range(1, r):
+        if draw(st.integers(0, 2)) == 0:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            s, t = entry(), entry()
+            grid[i] = [s * x + t * y for x, y in zip(grid[j], grid[k])]
+    return DenseMatrix(r, c, [x for row in grid for x in row])
+
+
+def square_matrices():
+    return st.integers(0, 7).flatmap(lambda n: matrices(n, n))
+
+
+def same_shape_pairs():
+    return st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+        lambda s: st.tuples(matrices(*s), matrices(*s))
+    )
+
+
+def systems():
+    """(a, x) with a of shape n x d and x of shape d x k."""
+    return st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 3)).flatmap(
+        lambda s: st.tuples(matrices(s[0], s[1]), matrices(s[1], s[2]))
+    )
+
+
+KERNEL = settings(max_examples=60, deadline=None)
+
+
+class TestKernelProperties:
+    @KERNEL
+    @given(matrices())
+    def test_rank_matches_oracle(self, m):
+        assert rank(m) == oracle_rank_of(m)
+
+    @KERNEL
+    @given(square_matrices())
+    def test_inverse_or_singular(self, m):
+        n = m.rows
+        if oracle_rank_of(m) < n:
+            with pytest.raises(Singular):
+                inverse(m)
+        else:
+            assert m * inverse(m) == DenseMatrix.identity(n)
+
+    @KERNEL
+    @given(matrices())
+    @example(DenseMatrix.from_rows([[1, 2, 0], [0, 0, 3]]))  # free column between pivots
+    def test_nullspace_basis(self, m):
+        grid = grid_of(m)
+        r = oracle_rank(grid)
+        # Free columns: those that do not raise the rank of the columns before them.
+        prefix_ranks = [oracle_rank([row[:j] for row in grid]) for j in range(m.cols + 1)]
+        free = [j for j in range(1, m.cols + 1) if prefix_ranks[j] == prefix_ranks[j - 1]]
+        basis = nullspace(m)
+        assert len(basis) == m.cols - r == len(free)
+        for v, fc in zip(basis, free):
+            assert v.shape == (m.cols, 1)
+            assert (m * v).is_zero()
+            assert v.at(fc, 1) == ONE
+            assert all(not v.at(j, 1) for j in free if j != fc)
+
+    @KERNEL
+    @given(systems())
+    def test_solve_exact(self, system):
+        a, x0 = system
+        b = a * x0
+        if oracle_rank_of(a) < a.cols:
+            with pytest.raises(Singular):
+                solve_exact(a, b)
+        else:
+            x = solve_exact(a, b)
+            assert a * x == b
+            assert x == x0
+
+    @KERNEL
+    @given(same_shape_pairs())
+    def test_storage_is_canonical(self, pair):
+        a, b = pair
+        rebuilt = DenseMatrix(a.rows, a.cols, a.entries())
+        for same in ((a + b) - b, a.scale(2).scale(Fraction(1, 2)), rebuilt):
+            assert same == a
+            assert hash(same) == hash(a)

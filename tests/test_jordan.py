@@ -58,7 +58,7 @@ from fixtures import (
     vee3,
     wedge3,
 )
-from oracles import oracle_jordan_embedding_exists
+from oracles import grid_of, oracle_first_jordan_violation, oracle_jordan_embedding_exists
 
 
 def unit(n, i, j):
@@ -105,6 +105,22 @@ def test_corner_map_is_not_jordan():
     with pytest.raises(NotJordan) as exc:
         classify_jordan(phi)
     assert exc.value.pair == ((1, 1), (3, 3))
+
+
+def test_is_jordan_first_violation_matches_ordered_pairs():
+    rng = random.Random(23)
+    for _ in range(20):
+        rho = random_quasiorder(rng, 2, 4, density=0.4)
+        phi = random_jordan_map(rho, rng)[0]
+        images = dict(phi.images)
+        pairs = rho.pairs()
+        p, q = rng.choice(pairs), rng.choice(pairs)
+        images[p] = images[p] + DenseMatrix.unit(rho.n, *q).scale(rng.choice([1, -2, "1i"]))
+        for m in (phi, linear_map(rho, images)):
+            expected = oracle_first_jordan_violation(
+                pairs, {k: grid_of(v) for k, v in m.images.items()}
+            )
+            assert is_jordan_homomorphism(m) == (expected is None, expected)
 
 
 def test_is_jordan_identity_and_transpose():

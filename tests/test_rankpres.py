@@ -609,6 +609,27 @@ def test_bounded_internal_fault_is_not_a_verdict(monkeypatch):
         bounded_rank_preserver_check(induced_linear_map(bowtie_g()), 1)
 
 
+def test_bounded_inverts_the_identity_image_once(monkeypatch):
+    rho = upper_chain(6)
+    rng = random.Random(5)
+    phi = synthesize_jordan(
+        rho,
+        random_invertible_in_sma(rho, rng),
+        random_class_union(rho, rng),
+        random_transitive_map(rho, seed=5),
+    )
+    calls = []
+    real_inverse = smalg.rankpres.inverse
+
+    def counting(m):
+        calls.append(m)
+        return real_inverse(m)
+
+    monkeypatch.setattr(smalg.rankpres, "inverse", counting)
+    assert bounded_rank_preserver_check(phi, 1, count=2) == (True, None)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # verdict reports
 
