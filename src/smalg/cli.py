@@ -2,7 +2,9 @@
 
 Exit codes follow one convention across subcommands: 0 for success or a
 positive verdict, 1 for a negative verdict accompanied by a certificate,
-2 for input that could not be parsed or validated. Reports go to standard
+2 for input that could not be parsed or validated, 3 for an internal
+failure (a certificate that failed re-verification or an
+`InternalInconsistency` raised inside the library). Reports go to standard
 output; `--format json-lines` swaps the text layout for one JSON object
 per line with the same content.
 """
@@ -20,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     FormatError,
     GIsTrivial,
+    InternalInconsistency,
     IrrationalSpectrum,
     NotClassUnion,
     NotClosed,
@@ -335,15 +338,15 @@ def _cmd_embed(args) -> tuple:
     if args.jordan:
         u, pi = found
         if not _verify_jordan_embedding(rho, rho2, u, pi):
-            raise _InputError("error: embedding certificate failed re-verification")
+            raise InternalInconsistency("embedding certificate failed re-verification")
         rep.add("EMBEDDING", embedding="jordan")
         rep.add(f"classes {_fmt_classes(u)}", classes=sorted(u))
     else:
         pi = found
         for (i, j) in rho.pairs():
             if (pi[i - 1], pi[j - 1]) not in rho2:
-                raise _InputError(
-                    "error: embedding certificate failed re-verification"
+                raise InternalInconsistency(
+                    "embedding certificate failed re-verification"
                 )
         rep.add("EMBEDDING", embedding="algebra")
     rep.add("pi " + " ".join(str(k) for k in pi), pi=list(pi))
@@ -359,13 +362,13 @@ def _cmd_trivial(args) -> tuple:
         s = cert.separator
         for (i, j) in rho.strict_pairs():
             if g.value(i, j) != s[i] / s[j]:
-                raise _InputError("error: separator failed re-verification")
+                raise InternalInconsistency("separator failed re-verification")
         values = [s[i].literal() for i in range(1, rho.n + 1)]
         rep.add("TRIVIAL", trivial=True)
         rep.add("separator " + " ".join(values), separator=values)
         return 0, rep
     if walk_product(g, cert.walk) != cert.product or cert.product == ONE:
-        raise _InputError("error: walk certificate failed re-verification")
+        raise InternalInconsistency("walk certificate failed re-verification")
     steps = " ".join(
         f"({i},{j}){'+' if d > 0 else '-'}" for ((i, j), d) in cert.walk
     )
@@ -409,12 +412,12 @@ def _cmd_diagonalize(args) -> tuple:
         raise _InputError(f"error: {exc}")
     s_inv = inverse(s)
     if first_unsupported(s.support(), rho) is not None:
-        raise _InputError("error: similarity failed re-verification")
+        raise InternalInconsistency("similarity failed re-verification")
     _block(rep, "S", format_matrix(s), "s")
     for m in family:
         d = s_inv * m * s
         if not d.is_diagonal():
-            raise _InputError("error: similarity failed re-verification")
+            raise InternalInconsistency("similarity failed re-verification")
         entries = [d.at(i, i).literal() for i in range(1, rho.n + 1)]
         rep.add("diag " + " ".join(entries), diag=entries)
     return 0, rep
@@ -446,7 +449,7 @@ def _cmd_classify(args) -> tuple:
         rep.add(f"pair {_fmt_pair(exc.pair)}", pair=list(exc.pair))
         return 1, rep
     if form.reconstruct() != phi:
-        raise _InputError("error: canonical form failed re-verification")
+        raise InternalInconsistency("canonical form failed re-verification")
     _add_form(rep, form)
     return 0, rep
 
@@ -462,7 +465,7 @@ def _cmd_synthesize(args) -> tuple:
         raise _InputError(f"error: {exc}")
     ok, _ = is_jordan_homomorphism(phi)
     if not ok:
-        raise _InputError("error: synthesized map failed re-verification")
+        raise InternalInconsistency("synthesized map failed re-verification")
     rep = Report()
     text = format_linear_map(phi)
     rep.add(text.rstrip("\n"), map=text)
@@ -730,10 +733,16 @@ def run(argv) -> CommandOutcome:
     try:
         code, rep = args.handler(args)
     except _InputError as exc:
-        if args.format == "json-lines":
-            return CommandOutcome(2, json.dumps({"error": exc.message}) + "\n")
-        return CommandOutcome(2, exc.message + "\n")
+        return _error_outcome(2, exc.message, args.format)
+    except InternalInconsistency as exc:
+        return _error_outcome(3, f"error: {exc}", args.format)
     return CommandOutcome(code, rep.render(args.format))
+
+
+def _error_outcome(code: int, message: str, fmt: str) -> CommandOutcome:
+    if fmt == "json-lines":
+        return CommandOutcome(code, json.dumps({"error": message}) + "\n")
+    return CommandOutcome(code, message + "\n")
 
 
 def main() -> None:

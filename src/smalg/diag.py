@@ -65,15 +65,24 @@ def is_diagonalizable(a: DenseMatrix) -> bool:
     return poly_eval_matrix(squarefree_part(charpoly(a)), a).is_zero()
 
 
-def spectral_idempotents(a: DenseMatrix) -> SpectralDecomposition:
-    """Resolve a matrix into eigenvalues and orthogonal idempotents.
+def _spectrum(a: DenseMatrix) -> list:
+    """Sorted distinct eigenvalues of a square matrix that is diagonalizable
+    over the Gaussian rationals.
 
-    Each idempotent is the Lagrange interpolation polynomial of the matrix
-    that is 1 at its own eigenvalue and 0 at the others, so everything in
-    sight is a polynomial in the input.
+    An upper-triangular matrix shows its spectrum on the diagonal, so only
+    the annihilation test by the product of the A - lam*I remains. Any other
+    matrix takes the squarefree part of its characteristic polynomial, tests
+    that it annihilates the matrix, and searches it for rational roots.
     """
-    if not a.is_square:
-        raise DimensionMismatch("spectral idempotents need a square matrix")
+    if a.is_upper_triangular():
+        eigs = sorted(set(a.diagonal()), key=GaussianRational.sort_key)
+        ident = DenseMatrix.identity(a.rows)
+        annihilator = ident
+        for lam in eigs:
+            annihilator = annihilator * (a - ident.scale(lam))
+        if not annihilator.is_zero():
+            raise NotDiagonalizable("minimal polynomial has a repeated root")
+        return eigs
     mu = squarefree_part(charpoly(a))
     if not poly_eval_matrix(mu, a).is_zero():
         raise NotDiagonalizable("minimal polynomial has a repeated root")
@@ -83,7 +92,19 @@ def spectral_idempotents(a: DenseMatrix) -> SpectralDecomposition:
             f"characteristic factor of degree {poly_degree(rem)} has no "
             "Gaussian-rational root"
         )
-    eigs = sorted(roots, key=GaussianRational.sort_key)
+    return sorted(roots, key=GaussianRational.sort_key)
+
+
+def spectral_idempotents(a: DenseMatrix) -> SpectralDecomposition:
+    """Resolve a matrix into eigenvalues and orthogonal idempotents.
+
+    Each idempotent is the Lagrange interpolation polynomial of the matrix
+    that is 1 at its own eigenvalue and 0 at the others, so everything in
+    sight is a polynomial in the input.
+    """
+    if not a.is_square:
+        raise DimensionMismatch("spectral idempotents need a square matrix")
+    eigs = _spectrum(a)
     n = a.rows
     ident = DenseMatrix.identity(n)
     pairs = []
@@ -156,22 +177,26 @@ def _restriction(basis: DenseMatrix, x: DenseMatrix) -> DenseMatrix:
     return solve_exact(basis, x * basis)
 
 
-def _common_eigenvector(mats, n: int) -> DenseMatrix:
+def _common_eigenvector(mats, spectra, n: int) -> DenseMatrix:
     """A joint eigenvector of pairwise commuting matrices, as an n x 1
     column. Intersects one eigenspace per matrix; commutativity keeps every
-    intermediate subspace invariant under the rest of the family."""
+    intermediate subspace invariant under the rest of the family.
+
+    ``spectra`` holds each matrix's sorted eigenvalues. A restriction to an
+    invariant subspace has a subset of them, so its least eigenvalue is the
+    first one whose eigenspace in the restriction is nonzero."""
     basis = DenseMatrix.identity(n)
-    for x in mats:
+    for x, eigs in zip(mats, spectra):
         if basis.cols == 1:
             break
         m = _restriction(basis, x)
-        roots, rem = roots_in_gaussian_rationals(charpoly(m))
-        if poly_degree(rem) > 0:
-            raise IrrationalSpectrum("restricted block has an irrational eigenvalue")
-        lam = sorted(roots, key=GaussianRational.sort_key)[0]
-        kern = nullspace(m - DenseMatrix.identity(m.rows).scale(lam))
-        if not kern:
-            raise InternalInconsistency("eigenvalue with trivial eigenspace")
+        ident = DenseMatrix.identity(m.rows)
+        for lam in eigs:
+            kern = nullspace(m - ident.scale(lam))
+            if kern:
+                break
+        else:
+            raise InternalInconsistency("restricted block has no eigenvector")
         stacked = DenseMatrix.from_rows([v.col_list(1) for v in kern]).transpose()
         basis = basis * stacked
     return basis.submatrix(range(1, n + 1), [1])
@@ -211,20 +236,23 @@ def common_triangularizer(family) -> DenseMatrix:
                 raise PreconditionViolated(
                     f"members {x + 1} and {y + 1} do not commute"
                 )
+    spectra = []
     for k, f in enumerate(family):
-        mu = squarefree_part(charpoly(f))
-        if not poly_eval_matrix(mu, f).is_zero():
-            raise NotDiagonalizable(f"member {k + 1} is not diagonalizable")
-        _, rem = roots_in_gaussian_rationals(mu)
-        if poly_degree(rem) > 0:
-            raise IrrationalSpectrum(f"member {k + 1} has irrational eigenvalues")
-    return _deflate(family, n)
+        try:
+            spectra.append(_spectrum(f))
+        except NotDiagonalizable as exc:
+            raise NotDiagonalizable(f"member {k + 1} is not diagonalizable") from exc
+        except IrrationalSpectrum as exc:
+            raise IrrationalSpectrum(
+                f"member {k + 1} has irrational eigenvalues"
+            ) from exc
+    return _deflate(family, spectra, n)
 
 
-def _deflate(mats, n: int) -> DenseMatrix:
+def _deflate(mats, spectra, n: int) -> DenseMatrix:
     if n <= 1 or all(m.is_upper_triangular() for m in mats):
         return DenseMatrix.identity(n)
-    v = _common_eigenvector(mats, n)
+    v = _common_eigenvector(mats, spectra, n)
     t = _extend_to_basis(v)
     tinv = inverse(t)
     tail = list(range(2, n + 1))
@@ -235,7 +263,7 @@ def _deflate(mats, n: int) -> DenseMatrix:
             if m.at(i, 1):
                 raise InternalInconsistency("joint eigenvector failed to deflate")
         quotients.append(m.submatrix(tail, tail))
-    uq = _deflate(quotients, n - 1)
+    uq = _deflate(quotients, spectra, n - 1)
     g = [[ZERO] * n for _ in range(n)]
     g[0][0] = ONE
     for i in range(2, n + 1):

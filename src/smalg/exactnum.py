@@ -24,10 +24,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, FormatError, RankNotOne, Singular
 
-_RATIONAL = r"-?\d+(?:/\d+)?"
-_RE_REAL = _re.compile(rf"\A({_RATIONAL})\Z")
-_RE_IMAG = _re.compile(rf"\A({_RATIONAL})i\Z")
-_RE_BOTH = _re.compile(rf"\A({_RATIONAL})([+-]{_RATIONAL})i\Z")
+# ASCII digits only: ``\d`` also matches other scripts' digits, and ``int()``
+# takes those and ``_`` separators. Each rational is (numerator, denominator).
+_RATIONAL = r"(-?[0-9]+)(?:/([0-9]+))?"
+_RE_REAL = _re.compile(rf"\A{_RATIONAL}\Z")
+_RE_IMAG = _re.compile(rf"\A{_RATIONAL}i\Z")
+_RE_BOTH = _re.compile(rf"\A{_RATIONAL}([+-]){_RATIONAL}i\Z")
+_RE_INT = _re.compile(r"\A[+-]?[0-9]+\Z")
 
 
 class GaussianRational:
@@ -66,19 +69,15 @@ class GaussianRational:
         t = text.strip()
         m = _RE_REAL.match(t)
         if m:
-            return cls(_frac(m.group(1), t))
+            return cls(_frac(m.group(1), m.group(2), t))
         m = _RE_IMAG.match(t)
         if m:
-            return cls(0, _frac(m.group(1), t))
+            return cls(0, _frac(m.group(1), m.group(2), t))
         m = _RE_BOTH.match(t)
         if m:
-            re_part = _frac(m.group(1), t)
-            imtok = m.group(2)
-            if imtok[0] == "+":
-                im_part = _frac(imtok[1:], t)
-            else:
-                im_part = -_frac(imtok[1:], t)
-            return cls(re_part, im_part)
+            re_part = _frac(m.group(1), m.group(2), t)
+            im_part = _frac(m.group(4), m.group(5), t)
+            return cls(re_part, im_part if m.group(3) == "+" else -im_part)
         raise FormatError(f"bad scalar literal {text!r}")
 
     def literal(self) -> str:
@@ -169,11 +168,27 @@ class GaussianRational:
         return (self.re, self.im)
 
 
-def _frac(token: str, context: str) -> Fraction:
+def _frac(num: str, den, context: str) -> Fraction:
+    """The rational ``num/den`` (``den`` None for an integer) from digit
+    strings already matched by ``_RATIONAL``."""
     try:
-        return Fraction(token)
+        if den is None:
+            return Fraction(int(num))
+        return Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError) as exc:
+        token = num if den is None else f"{num}/{den}"
         raise FormatError(f"bad rational {token!r} in {context!r}") from exc
+
+
+def parse_int(token: str) -> int:
+    """An optionally signed integer written in ASCII digits.
+
+    Raises ValueError, like ``int()``, on anything else, including the
+    ``_`` separators and non-ASCII digits that ``int()`` accepts.
+    """
+    if not _RE_INT.match(token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 def _coerce(x):
@@ -817,7 +832,7 @@ def parse_matrix(text: str) -> DenseMatrix:
     if len(parts) != 2:
         raise FormatError("matrix header must be 'rows cols'", line=lineno)
     try:
-        r, c = int(parts[0]), int(parts[1])
+        r, c = parse_int(parts[0]), parse_int(parts[1])
     except ValueError as exc:
         raise FormatError("matrix header must be 'rows cols'", line=lineno) from exc
     if r < 0 or c < 0:

@@ -31,6 +31,7 @@ from .exactnum import (
     GaussianRational,
     inverse,
     jordan_product,
+    parse_int,
     permutation_matrix,
 )
 from .quasiorder import (
@@ -433,7 +434,7 @@ def parse_linear_map(text: str) -> LinearMapOnSMA:
         raise FormatError("empty linear map input")
     lineno, header = lines[0]
     try:
-        n = int(header)
+        n = parse_int(header)
     except ValueError as exc:
         raise FormatError("first line must be the size n", line=lineno) from exc
     if n < 1:
@@ -446,7 +447,7 @@ def parse_linear_map(text: str) -> LinearMapOnSMA:
         if parts[0] != "unit" or len(parts) != 3:
             raise FormatError("expected 'unit i j'", line=lineno)
         try:
-            i, j = int(parts[1]), int(parts[2])
+            i, j = parse_int(parts[1]), parse_int(parts[2])
         except ValueError as exc:
             raise FormatError("unit indices must be integers", line=lineno) from exc
         if not (1 <= i <= n and 1 <= j <= n):

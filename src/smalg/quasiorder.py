@@ -17,7 +17,7 @@ from .errors import (
     NotClassUnion,
     NotClosed,
 )
-from .exactnum import DenseMatrix
+from .exactnum import DenseMatrix, parse_int
 
 
 class QuasiOrder:
@@ -404,7 +404,7 @@ def parse_relation(text: str):
             if len(parts) != 1:
                 raise FormatError("first line must be the vertex count", line=lineno)
             try:
-                n = int(parts[0])
+                n = parse_int(parts[0])
             except ValueError as exc:
                 raise FormatError("vertex count must be an integer", line=lineno) from exc
             if n < 1:
@@ -413,7 +413,7 @@ def parse_relation(text: str):
         if len(parts) != 2:
             raise FormatError("expected a pair 'i j'", line=lineno)
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = parse_int(parts[0]), parse_int(parts[1])
         except ValueError as exc:
             raise FormatError("pair entries must be integers", line=lineno) from exc
         if not (1 <= i <= n and 1 <= j <= n):

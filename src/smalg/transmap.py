@@ -24,7 +24,7 @@ from .errors import (
     SupportViolation,
     ZeroWeight,
 )
-from .exactnum import DenseMatrix, GaussianRational, ONE, scalar
+from .exactnum import DenseMatrix, GaussianRational, ONE, parse_int, scalar
 from .intlattice import (
     gf2_kernel_basis,
     integer_kernel_basis,
@@ -325,7 +325,7 @@ def parse_weights(text: str, rho: QuasiOrder) -> TransitiveMap:
         if len(parts) != 3:
             raise FormatError("expected 'i j value'", line=lineno)
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = parse_int(parts[0]), parse_int(parts[1])
         except ValueError as exc:
             raise FormatError("pair entries must be integers", line=lineno) from exc
         if (i, j) in weights:

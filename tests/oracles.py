@@ -2,13 +2,19 @@
 
 Everything here does its own arithmetic on (Fraction, Fraction) pairs or raw
 pair sets and never calls into the package's computational paths, so a bug in
-the package cannot hide behind these checks.
+the package cannot hide behind these checks. The one exception is
+``oracle_spectral_pairs``, which keeps the package's polynomial root search
+as the reference route that diag's triangular shortcut must agree with.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
+
+from smalg.errors import IrrationalSpectrum, NotDiagonalizable
+from smalg.exactnum import GaussianRational
+from smalg.polyroots import poly_degree, roots_in_gaussian_rationals, squarefree_part
 
 
 # --- complex rational arithmetic on plain pairs ------------------------------
@@ -437,3 +443,49 @@ def oracle_first_jordan_violation(pairs, grids):
             if left != right:
                 return ((a, b), (c, d))
     return None
+
+
+# --- spectral projectors by the characteristic-polynomial route --------------
+
+
+def _pair_scale(x, c):
+    return [[cmul(c, a) for a in row] for row in x]
+
+
+def oracle_spectral_pairs(rows):
+    """Eigenvalues and spectral projectors of a square pair-grid matrix by
+    the characteristic-polynomial route.
+
+    The squarefree part of ``oracle_charpoly`` must annihilate the matrix;
+    its roots come from the package's rational root search (which has tests
+    of its own in test_polyroots.py), and each projector is the Lagrange
+    polynomial in the matrix, built here on pairs. Returns a list of
+    (eigenvalue pair, projector grid) in ascending (re, im) order, or raises
+    NotDiagonalizable / IrrationalSpectrum with the messages of
+    ``smalg.diag.spectral_idempotents``.
+    """
+    n = len(rows)
+    one = (Fraction(1), Fraction(0))
+    ident = [[one if i == j else CZERO for j in range(n)] for i in range(n)]
+    mu = squarefree_part([GaussianRational(*c) for c in oracle_charpoly(rows)])
+    acc = [[CZERO] * n for _ in range(n)]
+    for c in reversed(mu):
+        acc = _pair_matadd(_pair_matmul(acc, rows), _pair_scale(ident, (c.re, c.im)))
+    if any(not is_czero(x) for row in acc for x in row):
+        raise NotDiagonalizable("minimal polynomial has a repeated root")
+    roots, rem = roots_in_gaussian_rationals(mu)
+    if poly_degree(rem) > 0:
+        raise IrrationalSpectrum(
+            f"characteristic factor of degree {poly_degree(rem)} has no "
+            "Gaussian-rational root"
+        )
+    eigs = sorted((r.re, r.im) for r in roots)
+    out = []
+    for lam in eigs:
+        p = ident
+        for other in eigs:
+            if other != lam:
+                shifted = _pair_matadd(rows, _pair_scale(ident, csub(CZERO, other)))
+                p = _pair_scale(_pair_matmul(shifted, p), cdiv(one, csub(lam, other)))
+        out.append((lam, p))
+    return out

@@ -4,11 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import smalg.cli
 from smalg.cli import run
+from smalg.errors import InternalInconsistency
 from smalg.exactnum import DenseMatrix, format_matrix, inverse, parse_matrix, rank
 from smalg.jordan import (
     format_linear_map,
@@ -250,6 +253,20 @@ def test_diagonalize_nilpotent(files, tmp_path):
     assert "NOT-DIAGONALIZABLE" in out.report
 
 
+def test_diagonalize_large_prime_spectrum_under_five_seconds(tmp_path):
+    # The characteristic-polynomial route trial-divides the norm of
+    # 1000000007 * 999999937 and gives no result in 30 s.
+    t2 = tmp_path / "t2.qo"
+    t2.write_text("2\n1 2\n")
+    m = tmp_path / "m.gm"
+    m.write_text("2 2\n1000000007 1\n0 999999937\n")
+    started = time.monotonic()
+    out = run(["diagonalize", str(t2), str(m)])
+    assert time.monotonic() - started < 5.0
+    assert out.exit_code == 0
+    assert out.report.splitlines()[-1] == "diag 1000000007 999999937"
+
+
 def test_diagonalize_unsupported_entry(files):
     out = run(["diagonalize", files["t3"], files["low"]])
     assert out.exit_code == 2
@@ -406,3 +423,35 @@ def test_module_entry_point(files):
 
 def test_no_command_is_input_error():
     assert run([]).exit_code == 2
+
+
+# --- internal failures exit 3 ------------------------------------------------
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_failed_reverification_exits_three(files, tmp_path, monkeypatch, fmt):
+    def identity(rho, family):
+        return DenseMatrix.identity(rho.n)
+
+    monkeypatch.setattr(smalg.cli, "simultaneous_diagonalize_in_sma", identity)
+    t2 = tmp_path / "t2.qo"
+    t2.write_text(format_relation(upper_chain(2)))
+    m = tmp_path / "m.gm"
+    m.write_text("2 2\n0 1\n0 1\n")
+    out = run(["--format", fmt, "diagonalize", str(t2), str(m)])
+    assert out.exit_code == 3
+    message = "error: similarity failed re-verification"
+    if fmt == "json-lines":
+        assert json.loads(out.report) == {"error": message}
+    else:
+        assert out.report == message + "\n"
+
+
+def test_internal_inconsistency_in_classify_exits_three(files, monkeypatch):
+    def broken(phi):
+        raise InternalInconsistency("canonical form lost a class")
+
+    monkeypatch.setattr(smalg.cli, "classify_jordan", broken)
+    out = run(["classify", files["t3"], files["id_t3"]])
+    assert out.exit_code == 3
+    assert out.report == "error: canonical form lost a class\n"

@@ -4,7 +4,10 @@ in-algebra simultaneous diagonalization pipeline."""
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import smalg.diag
 from smalg.diag import (
     common_triangularizer,
     idempotent_family_triangular_similarity,
@@ -18,7 +21,7 @@ from smalg.errors import (
     PreconditionViolated,
     SupportViolation,
 )
-from smalg.exactnum import DenseMatrix, inverse, scalar
+from smalg.exactnum import DenseMatrix, inverse, rank, scalar
 
 from fixtures import (
     delta,
@@ -27,6 +30,7 @@ from fixtures import (
     random_quasiorder,
     upper_chain,
 )
+from oracles import grid_of, oracle_spectral_pairs
 
 
 def rows(m):
@@ -180,6 +184,24 @@ def test_common_triangularizer_shares_u_across_powers():
         assert (u * (a * a) * uinv).is_upper_triangular()
 
 
+def test_common_triangularizer_deflates_least_eigenvalue_first():
+    # The first joint eigenvector lies in the eigenspace of the first
+    # member's least eigenvalue, which the triangular form then shows at (1, 1).
+    rng = random.Random(59)
+    checked = 0
+    for _ in range(10):
+        n = rng.randrange(2, 6)
+        s0 = random_invertible_in_sma(full(n), rng, steps=10)
+        eigs = [scalar(rng.choice(["-1", "0", "2", "1i", "1-1i"])) for _ in range(n)]
+        a = s0 * DenseMatrix.diag(eigs) * inverse(s0)
+        if a.is_upper_triangular():
+            continue
+        u = common_triangularizer([a, a * a])
+        assert (u * a * inverse(u)).at(1, 1) == min(eigs, key=lambda e: e.sort_key())
+        checked += 1
+    assert checked >= 5
+
+
 def test_common_triangularizer_errors():
     e12 = DenseMatrix.from_rows([[0, 1], [0, 0]])
     e21 = DenseMatrix.from_rows([[0, 0], [1, 0]])
@@ -248,3 +270,133 @@ def test_diagonalize_in_sma_random_roundtrip():
         assert all(p in rho for p in sinv.support())
         for f in fam:
             assert (sinv * f * s).is_diagonal()
+
+
+# --- triangular spectra come off the diagonal ---------------------------------
+
+
+def test_spectral_idempotents_large_prime_spectrum():
+    # The characteristic-polynomial route factors a norm near 1e54 by trial
+    # division here; the diagonal gives the spectrum at once.
+    p, q, r = 999999937, 1000000007, 1000000009
+    upper = {(1, 2): 1, (1, 5): -2, (2, 4): "1i", (3, 6): 3, (4, 6): 1}
+    u = DenseMatrix.from_entries(6, 6, {**{(k, k): 1 for k in range(1, 7)}, **upper})
+    a = u * DenseMatrix.diag([q, p, r, q, p, q]) * inverse(u)
+    dec = spectral_idempotents(a)
+    assert dec.eigenvalues == [scalar(p), scalar(q), scalar(r)]
+    assert [rank(e) for e in dec.idempotents] == [2, 3, 1]
+    for lam, e in dec.pairs:
+        assert a * e == e.scale(lam)
+
+
+EIGENVALUES = ["0", "1", "-2", "1/2", "1i", "-1+2i"]
+COEFFICIENTS = ["1", "-1", "2", "1i", "-1/3"]
+
+
+@st.composite
+def upper_triangular_inputs(draw):
+    """U (D + c E_pq) U^-1 with U unit upper-triangular: diagonalizable when
+    no coupling c is drawn, and not when c couples two equal diagonal
+    entries of D."""
+    n = draw(st.integers(1, 6))
+    eigs = draw(st.lists(st.sampled_from(EIGENVALUES), min_size=n, max_size=n))
+    core = {(k, k): e for k, e in enumerate(eigs, start=1)}
+    repeats = [
+        (p, q)
+        for p in range(1, n + 1)
+        for q in range(p + 1, n + 1)
+        if eigs[p - 1] == eigs[q - 1]
+    ]
+    if repeats and draw(st.booleans()):
+        core[draw(st.sampled_from(repeats))] = draw(st.sampled_from(COEFFICIENTS))
+    unit = {(k, k): 1 for k in range(1, n + 1)}
+    for p in range(1, n + 1):
+        for q in range(p + 1, n + 1):
+            if draw(st.booleans()):
+                unit[(p, q)] = draw(st.sampled_from(COEFFICIENTS))
+    u = DenseMatrix.from_entries(n, n, unit)
+    return u * DenseMatrix.from_entries(n, n, core) * inverse(u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(upper_triangular_inputs())
+@example(DenseMatrix.from_rows([[1, 1], [0, 1]]))
+@example(DenseMatrix.from_rows([["1i", 1, 0], [0, "-1i", 2], [0, 0, "1i"]]))
+def test_triangular_spectrum_matches_charpoly_route(a):
+    assert a.is_upper_triangular()
+    try:
+        expected = oracle_spectral_pairs(grid_of(a))
+    except (NotDiagonalizable, IrrationalSpectrum) as exc:
+        with pytest.raises(type(exc)) as got:
+            spectral_idempotents(a)
+        assert str(got.value) == str(exc)
+        return
+    dec = spectral_idempotents(a)
+    assert [(lam.re, lam.im) for lam in dec.eigenvalues] == [lam for lam, _ in expected]
+    assert [grid_of(e) for e in dec.idempotents] == [e for _, e in expected]
+
+
+def test_common_triangularizer_member_messages():
+    eye = DenseMatrix.identity(2)
+    cases = [
+        (DenseMatrix.from_rows([[0, 1], [0, 0]]), NotDiagonalizable,
+         "member 2 is not diagonalizable"),
+        (DenseMatrix.from_rows([[1, 1], [-1, -1]]), NotDiagonalizable,
+         "member 2 is not diagonalizable"),
+        (DenseMatrix.from_rows([[0, 1], [2, 0]]), IrrationalSpectrum,
+         "member 2 has irrational eigenvalues"),
+    ]
+    for member, error, message in cases:
+        with pytest.raises(error) as exc:
+            common_triangularizer([eye, member])
+        assert str(exc.value) == message
+
+
+@pytest.fixture
+def root_search_calls(monkeypatch):
+    """Counts of charpoly and root-search calls made through smalg.diag."""
+    calls = {"charpoly": 0, "roots": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(
+        smalg.diag, "charpoly", counting("charpoly", smalg.diag.charpoly)
+    )
+    monkeypatch.setattr(
+        smalg.diag,
+        "roots_in_gaussian_rationals",
+        counting("roots", smalg.diag.roots_in_gaussian_rationals),
+    )
+    return calls
+
+
+def test_chain_family_needs_no_root_search(root_search_calls):
+    rng = random.Random(83)
+    rho = upper_chain(5)
+    s0 = random_invertible_in_sma(rho, rng)
+    fam = [
+        s0 * DenseMatrix.diag([rng.randrange(4) for _ in range(5)]) * inverse(s0)
+        for _ in range(3)
+    ]
+    s = simultaneous_diagonalize_in_sma(rho, fam)
+    assert all((inverse(s) * f * s).is_diagonal() for f in fam)
+    assert root_search_calls == {"charpoly": 0, "roots": 0}
+
+
+def test_full_block_family_searches_each_non_triangular_member_once(root_search_calls):
+    rng = random.Random(89)
+    rho = full(4)
+    s0 = random_invertible_in_sma(rho, rng, steps=10)
+    fam = [
+        s0 * DenseMatrix.diag([rng.randrange(3) for _ in range(4)]) * inverse(s0)
+        for _ in range(3)
+    ] + [DenseMatrix.identity(4).scale(3)]
+    non_triangular = sum(not f.is_upper_triangular() for f in fam)
+    assert non_triangular >= 2
+    s = simultaneous_diagonalize_in_sma(rho, fam)
+    assert all((inverse(s) * f * s).is_diagonal() for f in fam)
+    assert root_search_calls == {"charpoly": non_triangular, "roots": non_triangular}

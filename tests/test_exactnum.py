@@ -367,6 +367,22 @@ class TestMatrixFormat:
             parse_matrix("1 1\nnope\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1 1\n\u0663\n", 2),  # ARABIC-INDIC DIGIT THREE
+            ("1 1\n1/\u0663\n", 2),
+            ("1 1\n1+\uff12i\n", 2),  # FULLWIDTH DIGIT TWO
+            ("1 1\n1_0\n", 2),
+            ("1 1_0\n" + "0 " * 10 + "\n", 1),
+            ("\u0661 1\n0\n", 1),
+        ],
+    )
+    def test_only_ascii_digits(self, text, line):
+        with pytest.raises(FormatError) as exc:
+            parse_matrix(text)
+        assert exc.value.line == line
+
 
 # --- properties of the elimination kernel ------------------------------------
 

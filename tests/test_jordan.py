@@ -467,6 +467,15 @@ def test_linear_map_parse_errors():
     with pytest.raises(FormatError) as exc:
         parse_linear_map("1\nunit 1 1\nbogus\n")
     assert exc.value.line == 3
+    for text, line in (
+        ("\u0661\nunit 1 1\n1\n", 1),
+        ("1\nunit 1 \u0661\n1\n", 2),
+        ("1\nunit 1_0 1\n1\n", 2),
+        ("1\nunit 1 1\n\u0661\n", 3),
+    ):
+        with pytest.raises(FormatError) as exc:
+            parse_linear_map(text)
+        assert exc.value.line == line
     # strict pair present but one diagonal block missing
     text = "2\nunit 1 1\n1 0\n0 0\nunit 1 2\n0 1\n0 0\n"
     with pytest.raises(FormatError):

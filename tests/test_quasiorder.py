@@ -313,3 +313,12 @@ class TestRelationFormat:
             parse_relation("2\n1 3\n")
         with pytest.raises(FormatError):
             parse_relation("x\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("1_0\n", 1), ("\u0663\n", 1), ("3\n1 \u0662\n", 2), ("12\n1_0 2\n", 2)],
+    )
+    def test_only_ascii_digits(self, text, line):
+        with pytest.raises(FormatError) as exc:
+            parse_relation(text)
+        assert exc.value.line == line

@@ -239,3 +239,13 @@ def test_weights_format_errors_carry_line_numbers():
     with pytest.raises(FormatError) as exc:
         parse_weights("1 2 1+\n", rho)
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("1 \u0662 3\n", 1), ("# ok\n1_0 2 3\n", 2), ("1 2 \u0663\n", 1)],
+)
+def test_weights_only_ascii_digits(text, line):
+    with pytest.raises(FormatError) as exc:
+        parse_weights(text, upper_chain(2))
+    assert exc.value.line == line
