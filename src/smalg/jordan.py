@@ -29,6 +29,7 @@ from .errors import (
 from .exactnum import (
     DenseMatrix,
     GaussianRational,
+    ONE,
     inverse,
     jordan_product,
     parse_int,
@@ -140,6 +141,9 @@ def is_jordan_homomorphism(phi: LinearMapOnSMA):
     so each unordered pair is checked once, in the order (i,j) <= (k,l); the
     mirror of a violating pair violates too and comes first, so the pair
     returned is the same as with every ordered pair checked.
+
+    The library itself verifies Jordan maps with the cheaper classification
+    ladder (``classify_jordan``); this direct check is the reference for it.
     """
     rho = phi.rho
     pairs = rho.pairs()
@@ -293,7 +297,8 @@ def synthesize_jordan(rho: QuasiOrder, s: DenseMatrix, u, g) -> LinearMapOnSMA:
     """Build the Jordan homomorphism with the given parameters.
 
     ``u`` must be a union of connectivity classes; ``g`` either a validated
-    TransitiveMap on rho or a weight dict to validate.
+    TransitiveMap on rho or a weight dict to validate. The built map is
+    re-verified by the classification ladder before it is returned.
     """
     if not isinstance(g, TransitiveMap):
         g = validate(rho, g)
@@ -305,7 +310,14 @@ def synthesize_jordan(rho: QuasiOrder, s: DenseMatrix, u, g) -> LinearMapOnSMA:
     if s.shape != (rho.n, rho.n):
         raise DimensionMismatch("similarity has the wrong size")
     # reconstruct() inverts s first, so Singular propagates
-    return CanonicalJordanForm(s=s, u=useg, g=g).reconstruct()
+    phi = CanonicalJordanForm(s=s, u=useg, g=g).reconstruct()
+    try:
+        classify_jordan(phi)
+    except (NotJordan, VanishingUnitImage) as exc:
+        raise InternalInconsistency(
+            f"synthesized map failed re-verification: {exc}"
+        ) from exc
+    return phi
 
 
 def multiplicativity_dichotomy(rho: QuasiOrder) -> bool:
@@ -318,7 +330,9 @@ def jordan_embeds_into(rho: QuasiOrder, rho2: QuasiOrder):
     """Class union and permutation witnessing a Jordan embedding, or None.
 
     Unions are tried largest first, so a plain algebra embedding (all
-    classes direct) is found before any partially transposed one.
+    classes direct) is found before any partially transposed one. The
+    witness map is built by ``synthesize_jordan``, which runs the
+    classification ladder on it, and every image must lie in rho2.
     """
     if rho.n != rho2.n:
         raise DimensionMismatch("relations live on different vertex counts")
@@ -332,20 +346,28 @@ def jordan_embeds_into(rho: QuasiOrder, rho2: QuasiOrder):
         hits = increasing_permutations(rho_U(rho, u), rho2, limit=1)
         if hits:
             pi = hits[0]
-            for (i, j) in rho.pairs():
-                a, b = (i, j) if (i == j or i in u) else (j, i)
-                if (pi[a - 1], pi[b - 1]) not in rho2:
+            ones = validate(rho, {p: ONE for p in rho.strict_pairs()})
+            phi = synthesize_jordan(rho, permutation_matrix(pi), u, ones)
+            for m in phi.images.values():
+                if first_unsupported(m.support(), rho2) is not None:
                     raise InternalInconsistency("embedding witness fails support")
             return u, pi
     return None
 
 
 def algebra_embeds_into(rho: QuasiOrder, rho2: QuasiOrder):
-    """Increasing permutation embedding the algebra directly, or None."""
+    """Increasing permutation embedding the algebra directly, or None;
+    the permutation is checked to send every pair of rho into rho2."""
     if rho.n != rho2.n:
         raise DimensionMismatch("relations live on different vertex counts")
     hits = increasing_permutations(rho, rho2, limit=1)
-    return hits[0] if hits else None
+    if not hits:
+        return None
+    pi = hits[0]
+    for (i, j) in rho.pairs():
+        if (pi[i - 1], pi[j - 1]) not in rho2:
+            raise InternalInconsistency("embedding witness fails support")
+    return pi
 
 
 def classify_into_codomain(

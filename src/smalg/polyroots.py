@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalInconsistency
 from .exactnum import DenseMatrix, GaussianRational, ONE, ZERO, scalar
 
 
@@ -106,7 +106,7 @@ def squarefree_part(cs):
     g = poly_gcd(cs, poly_derivative(cs))
     q, r = poly_divmod(cs, g)
     if r:
-        raise AssertionError("gcd does not divide its argument")
+        raise InternalInconsistency("gcd does not divide its argument")
     return poly_monic(q)
 
 
@@ -200,7 +200,7 @@ def _sqrt_minus_one_mod(p: int) -> int:
         c = pow(x, (p - 1) // 4, p)
         if (c * c) % p == p - 1:
             return c
-    raise AssertionError(f"no sqrt(-1) mod {p}")
+    raise InternalInconsistency(f"no sqrt(-1) mod {p}")
 
 
 def _gaussian_prime_factors(z):

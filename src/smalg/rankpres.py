@@ -132,6 +132,24 @@ def is_rank_one_preserver_sampled(phi: LinearMapOnSMA, samples):
     return True, None
 
 
+def _sampled_rank_one_counterexample(
+    phi: LinearMapOnSMA, note: str, failure: str
+) -> PreserverVerdict:
+    """The first of 2000 seeded rank-one samples whose image is not rank
+    one, for a map that theory says is no rank-one preserver."""
+    ok, witness = is_rank_one_preserver_sampled(
+        phi, sample_rank_one_in_sma(phi.rho, 2000, seed=0)
+    )
+    if ok:
+        raise InternalInconsistency(failure)
+    return PreserverVerdict(
+        kind="Neither",
+        counterexample=witness,
+        ranks=(1, rank(apply(phi, witness))),
+        note=note,
+    )
+
+
 def certify_rank_one_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     """Decide rank-one preservation with an algebraic certificate.
 
@@ -146,18 +164,10 @@ def certify_rank_one_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     except NotJordan:
         if apply(phi, DenseMatrix.identity(n)) != DenseMatrix.identity(n):
             raise NotUnital("map is neither Jordan nor unital")
-        ok, witness = is_rank_one_preserver_sampled(
-            phi, sample_rank_one_in_sma(rho, 2000, seed=0)
-        )
-        if ok:
-            raise InternalInconsistency(
-                "unital non-Jordan map passed rank-one sampling"
-            )
-        return PreserverVerdict(
-            kind="Neither",
-            counterexample=witness,
-            ranks=(1, rank(apply(phi, witness))),
-            note="not a Jordan homomorphism",
+        return _sampled_rank_one_counterexample(
+            phi,
+            "not a Jordan homomorphism",
+            "unital non-Jordan map passed rank-one sampling",
         )
     check = rectangle_minor_condition(form.g)
     if check.ok:
@@ -376,17 +386,10 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
             note=f"fails rank: the unit image at {exc.pair} vanishes",
         )
     except NotJordan as exc:
-        samples = sample_rank_one_in_sma(rho, 2000, seed=0)
-        ok, witness = is_rank_one_preserver_sampled(phi, samples)
-        if ok:
-            raise InternalInconsistency(
-                "non-Jordan unitalization passed rank-one sampling"
-            ) from exc
-        return PreserverVerdict(
-            kind="Neither",
-            counterexample=witness,
-            ranks=(1, rank(apply(phi, witness))),
-            note=f"fails rank: not Jordan at unit pair {exc.pair}",
+        return _sampled_rank_one_counterexample(
+            phi,
+            f"fails rank: not Jordan at unit pair {exc.pair}",
+            "non-Jordan unitalization passed rank-one sampling",
         )
     cert = triviality_witness(form.g)
     if not cert.is_trivial:

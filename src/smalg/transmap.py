@@ -20,6 +20,7 @@ from typing import Optional
 
 from .errors import (
     FormatError,
+    InternalInconsistency,
     NotTransitive,
     SupportViolation,
     ZeroWeight,
@@ -208,7 +209,7 @@ def triviality_witness(g: TransitiveMap) -> TrivialityCertificate:
             walk = tuple(walk)
             prod = walk_product(g, walk)
             if prod == ONE:
-                raise AssertionError("violation walk with unit product")
+                raise InternalInconsistency("violation walk with unit product")
             return TrivialityCertificate(walk=walk, product=prod)
     return TrivialityCertificate(separator=s)
 

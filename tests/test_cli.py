@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 
 import smalg.cli
+import smalg.diag
+import smalg.jordan
+import smalg.transmap
 from smalg.cli import run
-from smalg.errors import InternalInconsistency
-from smalg.exactnum import DenseMatrix, format_matrix, inverse, parse_matrix, rank
+from smalg.errors import InternalInconsistency, NotJordan
+from smalg.exactnum import ONE, DenseMatrix, format_matrix, inverse, parse_matrix, rank
 from smalg.jordan import (
     format_linear_map,
     identity_map,
@@ -430,17 +433,19 @@ def test_no_command_is_input_error():
 
 @pytest.mark.parametrize("fmt", ["text", "json-lines"])
 def test_failed_reverification_exits_three(files, tmp_path, monkeypatch, fmt):
-    def identity(rho, family):
-        return DenseMatrix.identity(rho.n)
+    def identity(family):
+        return DenseMatrix.identity(family[0].rows)
 
-    monkeypatch.setattr(smalg.cli, "simultaneous_diagonalize_in_sma", identity)
+    monkeypatch.setattr(
+        smalg.diag, "idempotent_family_triangular_similarity", identity
+    )
     t2 = tmp_path / "t2.qo"
     t2.write_text(format_relation(upper_chain(2)))
     m = tmp_path / "m.gm"
     m.write_text("2 2\n0 1\n0 1\n")
     out = run(["--format", fmt, "diagonalize", str(t2), str(m)])
     assert out.exit_code == 3
-    message = "error: similarity failed re-verification"
+    message = "error: conjugate failed to come out diagonal"
     if fmt == "json-lines":
         assert json.loads(out.report) == {"error": message}
     else:
@@ -455,3 +460,65 @@ def test_internal_inconsistency_in_classify_exits_three(files, monkeypatch):
     out = run(["classify", files["t3"], files["id_t3"]])
     assert out.exit_code == 3
     assert out.report == "error: canonical form lost a class\n"
+
+
+def _synthesize_argv(files, classes="1,2,3"):
+    return [
+        "synthesize", files["t3"], "--s", files["eye3"],
+        "--classes", classes, "--g", files["sep_gw"],
+    ]
+
+
+@pytest.mark.parametrize("jordan", [False, True])
+def test_embedding_witness_off_support_exits_three(files, monkeypatch, jordan):
+    def reversal(rho, rho2, limit=None):
+        return [tuple(range(rho.n, 0, -1))]
+
+    monkeypatch.setattr(smalg.jordan, "increasing_permutations", reversal)
+    argv = ["embed"] + (["--jordan"] if jordan else []) + [files["t3"], files["t3"]]
+    out = run(argv)
+    assert out.exit_code == 3
+    assert out.report == "error: embedding witness fails support\n"
+
+
+def test_synthesized_map_failing_the_ladder_exits_three(files, monkeypatch):
+    def broken(phi):
+        raise NotJordan("images of E_11 and E_22 are not orthogonal",
+                        pair=((1, 1), (2, 2)))
+
+    monkeypatch.setattr(smalg.jordan, "classify_jordan", broken)
+    out = run(_synthesize_argv(files))
+    assert out.exit_code == 3
+    assert out.report == (
+        "error: synthesized map failed re-verification: "
+        "images of E_11 and E_22 are not orthogonal\n"
+    )
+
+
+def test_jordan_certificates_do_not_use_the_all_pairs_check(files, monkeypatch):
+    def forbidden(phi):
+        raise AssertionError("all-pairs Jordan check called")
+
+    monkeypatch.setattr(smalg.jordan, "is_jordan_homomorphism", forbidden)
+    monkeypatch.setattr(smalg.cli, "is_jordan_homomorphism", forbidden,
+                        raising=False)
+    out = run(_synthesize_argv(files))
+    assert out.exit_code == 0
+    assert parse_linear_map(out.report).rho == upper_chain(3)
+    out = run(["embed", "--jordan", files["vee3"], files["wedge3"]])
+    assert out.exit_code == 0
+    assert "pi 1 2 3" in out.report
+
+
+def test_violation_walk_with_unit_product_exits_three(files, monkeypatch):
+    monkeypatch.setattr(smalg.transmap, "walk_product", lambda g, walk: ONE)
+    out = run(["trivial", files["bowtie"], files["bowtie_gw"]])
+    assert out.exit_code == 3
+    assert out.report == "error: violation walk with unit product\n"
+
+
+@pytest.mark.parametrize("classes", ["\u0661,2", "1_0"])
+def test_classes_take_ascii_digits_only(files, classes):
+    out = run(_synthesize_argv(files, classes))
+    assert out.exit_code == 2
+    assert out.report == f"error: --classes: {classes!r} is not a comma list\n"

@@ -3,6 +3,10 @@ root finding over the Gaussian rationals."""
 
 import random
 
+import pytest
+
+import smalg.polyroots
+from smalg.errors import InternalInconsistency
 from smalg.exactnum import DenseMatrix, GaussianRational, scalar
 from smalg.polyroots import (
     charpoly,
@@ -181,3 +185,12 @@ def test_gaussian_integer_divisors():
     assert norms((3, 0)) == [1, 9]
     # [DERIVED] 12 = unit * (1+i)^4 * 3, so 5 * 2 = 10 divisor classes
     assert len(gaussian_integer_divisors((12, 0))) == 10
+
+
+def test_internal_failures_raise_internal_inconsistency(monkeypatch):
+    # 21 = 1 mod 4 is not prime and -1 is no square mod 3, so no root exists
+    with pytest.raises(InternalInconsistency, match="no sqrt"):
+        smalg.polyroots._sqrt_minus_one_mod(21)
+    monkeypatch.setattr(smalg.polyroots, "poly_gcd", lambda a, b: lin(5))
+    with pytest.raises(InternalInconsistency, match="gcd does not divide"):
+        squarefree_part(poly_mul(lin(1), lin(1)))
