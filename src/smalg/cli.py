@@ -3,7 +3,8 @@
 Exit codes follow one convention across subcommands: 0 for success or a
 positive verdict, 1 for a negative verdict accompanied by a certificate,
 2 for input that could not be parsed or validated, 3 for an internal
-failure (an `InternalInconsistency` raised inside the library). Each
+failure (an `InternalInconsistency` or any other unexpected exception
+raised inside the library). Each
 certificate is verified once, by the library function that builds it;
 the handlers here only render it. Reports go to standard output;
 `--format json-lines` swaps the text layout for one JSON object per line
@@ -13,6 +14,7 @@ with the same content.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -407,6 +409,8 @@ def _cmd_classify(args) -> tuple:
             form = classify_into_codomain(phi, rho2)
         else:
             form = classify_jordan(phi)
+    except DimensionMismatch as exc:
+        raise _InputError(f"error: {exc}")
     except NotJordan as exc:
         rep.add("NOT-JORDAN", verdict="not-jordan")
         rep.add(
@@ -446,6 +450,8 @@ def _cmd_check_rank(args) -> tuple:
     phi = _load_lm(args.map, rho)
     rep = Report()
     if args.max_rank is not None:
+        if not 1 <= args.max_rank <= rho.n:
+            raise _InputError(f"error: --max-rank must lie in 1..{rho.n}")
         ok, witness = bounded_rank_preserver_check(
             phi, args.max_rank, seed=args.seed
         )
@@ -537,13 +543,16 @@ def _selftest_rank_identity(rng, n_max):
 
 
 def _selftest_round_trip(rng, n_max):
+    # synthesize_jordan classifies the map it builds and checks that the
+    # form rebuilds it
     for _ in range(15):
         rho = _random_quasiorder(rng, n_max)
         s = _random_invertible(rho, rng)
         u = _random_union(rho, rng)
         g = random_transitive_map(rho, seed=rng.randrange(10**6))
-        phi = synthesize_jordan(rho, s, u, g)
-        if classify_jordan(phi).reconstruct() != phi:
+        try:
+            synthesize_jordan(rho, s, u, g)
+        except InternalInconsistency:
             return "classification round trip failed"
     return None
 
@@ -605,12 +614,14 @@ def _cmd_selftest(args) -> tuple:
 # dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every run."""
     parser = argparse.ArgumentParser(
         prog="smalg",
         description="decision procedures for structural matrix algebras",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=parse_int, default=0)
     parser.add_argument(
         "--format", choices=("text", "json-lines"), default="text"
     )
@@ -662,7 +673,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_synthesize)
 
     p = sub.add_parser("check-rank", help="rank preserver classification")
-    p.add_argument("--max-rank", type=int)
+    p.add_argument("--max-rank", type=parse_int)
     p.add_argument("relation")
     p.add_argument("map")
     p.set_defaults(handler=_cmd_check_rank)
@@ -678,7 +689,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("selftest", help="run the randomized invariant suites")
-    p.add_argument("--n", type=int, default=6)
+    p.add_argument("--n", type=parse_int, default=6)
     p.set_defaults(handler=_cmd_selftest)
 
     return parser
@@ -696,6 +707,8 @@ def run(argv) -> CommandOutcome:
         return _error_outcome(2, exc.message, args.format)
     except InternalInconsistency as exc:
         return _error_outcome(3, f"error: {exc}", args.format)
+    except Exception as exc:  # a fault, never a verdict or bad input
+        return _error_outcome(3, f"error: {type(exc).__name__}: {exc}", args.format)
     return CommandOutcome(code, rep.render(args.format))
 
 

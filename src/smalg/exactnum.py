@@ -6,8 +6,8 @@ arbitrary precision) is inherited from the stdlib. A matrix keeps one
 positive integer denominator and integer numerators for the real and
 imaginary parts of its entries, in lowest terms, so its arithmetic runs on
 Python ints and equal matrices have equal storage; entries are handed out as
-scalars. Rank, inverse, exact solving and kernels all run on one
-fraction-free Gauss-Jordan kernel over the Gaussian integers. No floating
+scalars. Rank, pivot columns and inverse all run on one fraction-free
+Gauss-Jordan kernel over the Gaussian integers. No floating
 point enters anywhere in this package.
 
 Matrix indices in the public API are 1-based, matching the pair convention of
@@ -659,6 +659,12 @@ def rank(m: DenseMatrix) -> int:
     return len(_gauss_jordan(*_int_rows(m))[0])
 
 
+def pivot_columns(m: DenseMatrix) -> list:
+    """The 1-based pivot columns: each column that is not in the span of
+    the columns left of it."""
+    return [c + 1 for _, c in _gauss_jordan(*_int_rows(m))[0]]
+
+
 def inverse(m: DenseMatrix) -> DenseMatrix:
     if not m.is_square:
         raise DimensionMismatch("inverse needs a square matrix")
@@ -679,53 +685,6 @@ def inverse(m: DenseMatrix) -> DenseMatrix:
         p,
         m._d,
     )
-
-
-def solve_exact(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """Solve a X = b exactly; requires full column rank and consistency."""
-    if a.rows != b.rows:
-        raise DimensionMismatch("row counts differ")
-    d, k = a.cols, b.cols
-    den = lcm(a._d, b._d)
-    re_rows, im_rows = _int_rows(a, den // a._d)
-    b_re, b_im = _int_rows(b, den // b._d)
-    for r in range(a.rows):
-        re_rows[r].extend(b_re[r])
-        im_rows[r].extend(b_im[r])
-    pivots, p = _gauss_jordan(re_rows, im_rows, reduce=True)
-    cols = {c for _, c in pivots}
-    if any(c >= d for c in cols):
-        raise Singular("system is inconsistent")
-    if len(cols) < d:
-        raise Singular("coefficient matrix does not have full column rank")
-    # Full column rank: pivot row r has its pivot in column r.
-    return _divided(
-        d,
-        k,
-        [x for r, _ in pivots for x in re_rows[r][d:]],
-        [x for r, _ in pivots for x in im_rows[r][d:]],
-        p,
-    )
-
-
-def nullspace(m: DenseMatrix):
-    """Basis of the right kernel, as a list of column DenseMatrix (n x 1)."""
-    re_rows, im_rows = _int_rows(m)
-    pivots, p = _gauss_jordan(re_rows, im_rows, reduce=True)
-    pivot_cols = {c: r for r, c in pivots}
-    basis = []
-    for fc in range(m.cols):
-        if fc in pivot_cols:
-            continue
-        # p times the basis vector: p at fc, minus the reduced column elsewhere.
-        vr = [0] * m.cols
-        vi = [0] * m.cols
-        vr[fc], vi[fc] = p
-        for c, r in pivot_cols.items():
-            vr[c] = -re_rows[r][fc]
-            vi[c] = -im_rows[r][fc]
-        basis.append(_divided(m.cols, 1, vr, vi, p))
-    return basis
 
 
 def is_rank_one_by_minors(m: DenseMatrix) -> bool:
@@ -783,31 +742,6 @@ def permutation_matrix(pi: Sequence[int]) -> DenseMatrix:
     return DenseMatrix.from_entries(
         n, n, {(img, k): ONE for k, img in enumerate(pi, start=1)}
     )
-
-
-def invert_permutation(pi: Sequence[int]):
-    inv = [0] * len(pi)
-    for k, img in enumerate(pi, start=1):
-        inv[img - 1] = k
-    return tuple(inv)
-
-
-def relabel_matrix(m: DenseMatrix, pi: Sequence[int]) -> DenseMatrix:
-    """Relabeled matrix m' with m'[pi(i), pi(j)] = m[i, j].
-
-    Equals P m P^-1 for P = permutation_matrix(pi).
-    """
-    if not m.is_square or m.rows != len(pi):
-        raise DimensionMismatch("permutation length must match matrix size")
-    n = m.rows
-    re = [0] * (n * n)
-    im = [0] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            k = (pi[i] - 1) * n + (pi[j] - 1)
-            re[k] = m._re[i * n + j]
-            im[k] = m._im[i * n + j]
-    return _new(n, n, m._d, tuple(re), tuple(im))
 
 
 # --- matrix text format -----------------------------------------------------

@@ -4,7 +4,9 @@ Everything here does its own arithmetic on (Fraction, Fraction) pairs or raw
 pair sets and never calls into the package's computational paths, so a bug in
 the package cannot hide behind these checks. The one exception is
 ``oracle_spectral_pairs``, which keeps the package's polynomial root search
-as the reference route that diag's triangular shortcut must agree with.
+as the reference route that diag's triangular shortcut must agree with;
+``relabel_matrix`` only moves a matrix's entries and builds the result with
+``DenseMatrix.from_entries``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from smalg.errors import IrrationalSpectrum, NotDiagonalizable
-from smalg.exactnum import GaussianRational
+from smalg.exactnum import DenseMatrix, GaussianRational
 from smalg.polyroots import poly_degree, roots_in_gaussian_rationals, squarefree_part
 
 
@@ -87,6 +89,31 @@ def grid_of(matrix):
 
 def oracle_rank_of(matrix):
     return oracle_rank(grid_of(matrix))
+
+
+# --- relabeling by a permutation ---------------------------------------------
+
+
+def invert_permutation(pi):
+    inv = [0] * len(pi)
+    for k, img in enumerate(pi, start=1):
+        inv[img - 1] = k
+    return tuple(inv)
+
+
+def relabel_matrix(matrix, pi):
+    """The matrix m' with m'[pi(i), pi(j)] = m[i, j], entry by entry; equals
+    P m P^-1 for P = smalg.exactnum.permutation_matrix(pi)."""
+    n = matrix.rows
+    return DenseMatrix.from_entries(
+        n,
+        n,
+        {
+            (pi[i - 1], pi[j - 1]): matrix.at(i, j)
+            for i in range(1, n + 1)
+            for j in range(1, n + 1)
+        },
+    )
 
 
 # --- relation combinatorics on raw pair sets --------------------------------

@@ -433,12 +433,10 @@ def test_no_command_is_input_error():
 
 @pytest.mark.parametrize("fmt", ["text", "json-lines"])
 def test_failed_reverification_exits_three(files, tmp_path, monkeypatch, fmt):
-    def identity(family):
-        return DenseMatrix.identity(family[0].rows)
+    def identity(a, eigs):
+        return [DenseMatrix.identity(a.rows)]
 
-    monkeypatch.setattr(
-        smalg.diag, "idempotent_family_triangular_similarity", identity
-    )
+    monkeypatch.setattr(smalg.diag, "_projectors", identity)
     t2 = tmp_path / "t2.qo"
     t2.write_text(format_relation(upper_chain(2)))
     m = tmp_path / "m.gm"
@@ -522,3 +520,80 @@ def test_classes_take_ascii_digits_only(files, classes):
     out = run(_synthesize_argv(files, classes))
     assert out.exit_code == 2
     assert out.report == f"error: --classes: {classes!r} is not a comma list\n"
+
+
+# --- one parser, and input that used to end in a traceback ---------------------
+
+
+def test_parser_is_built_once_and_reused(files):
+    first = run(["info", files["bowtie"]])
+    assert smalg.cli._build_parser() is smalg.cli._build_parser()
+    for argv in (
+        ["close", files["t3"]],
+        ["no-such-command"],
+        ["blocks", files["vee3"]],
+        ["info", files["bowtie"]],
+    ):
+        out = run(argv)
+        if argv == ["no-such-command"]:
+            assert out.exit_code == 2
+        else:
+            assert out.exit_code == 0
+    assert run(["info", files["bowtie"]]) == first
+    assert run(["--format", "json-lines", "close", files["t3"]]).report.startswith("{")
+    assert not run(["close", files["t3"]]).report.startswith("{")
+
+
+@pytest.mark.parametrize("bound", ["0", "4", "-1"])
+def test_max_rank_outside_one_to_n_is_input_error(files, bound):
+    out = run(["check-rank", "--max-rank", bound, files["t3"], files["id_t3"]])
+    assert out.exit_code == 2
+    assert out.report == "error: --max-rank must lie in 1..3\n"
+
+
+def test_classify_codomain_of_another_size_is_input_error(files):
+    out = run(["classify", "--codomain", files["bowtie"], files["t3"], files["id_t3"]])
+    assert out.exit_code == 2
+    assert out.report == "error: codomain lives on a different vertex count\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "1_0", "selftest"],
+        ["--seed", "١", "selftest"],
+        ["selftest", "--n", "٣"],
+        ["check-rank", "--max-rank", "١", "REL", "MAP"],
+    ],
+)
+def test_integer_flags_take_ascii_digits_only(files, argv):
+    argv = [files["t3"] if a == "REL" else files["id_t3"] if a == "MAP" else a
+            for a in argv]
+    out = run(argv)
+    assert out.exit_code == 2
+    assert out.report == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_unexpected_exception_exits_three(files, monkeypatch, fmt):
+    def broken(q):
+        raise ValueError("lost a class")
+
+    monkeypatch.setattr(smalg.cli, "block_triangular_form", broken)
+    out = run(["--format", fmt, "blocks", files["t3"]])
+    assert out.exit_code == 3
+    message = "error: ValueError: lost a class"
+    if fmt == "json-lines":
+        assert json.loads(out.report) == {"error": message}
+    else:
+        assert out.report == message + "\n"
+
+
+def test_selftest_round_trip_reports_a_failed_ladder(monkeypatch):
+    def broken(rho, s, u, g):
+        raise InternalInconsistency("synthesized map failed re-verification")
+
+    monkeypatch.setattr(smalg.cli, "synthesize_jordan", broken)
+    out = run(["selftest", "--n", "3"])
+    assert out.exit_code == 1
+    assert "FAIL round-trip: classification round trip failed" in out.report.splitlines()

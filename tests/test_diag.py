@@ -1,7 +1,8 @@
-"""Tests for spectral idempotents, triangular similarities and the
-in-algebra simultaneous diagonalization pipeline."""
+"""Tests for spectral idempotents and the in-algebra simultaneous
+diagonalization built from joint spectral projectors."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +10,6 @@ from hypothesis import strategies as st
 
 import smalg.diag
 from smalg.diag import (
-    common_triangularizer,
-    idempotent_family_triangular_similarity,
     is_diagonalizable,
     simultaneous_diagonalize_in_sma,
     spectral_idempotents,
@@ -97,124 +96,6 @@ def test_spectral_invariants_random():
         assert eigs == sorted(eigs, key=lambda e: e.sort_key())
 
 
-def test_idempotent_similarity_unit_family_gives_identity():
-    fam = [DenseMatrix.unit(3, j, j) for j in range(1, 4)]
-    assert idempotent_family_triangular_similarity(fam) == DenseMatrix.identity(3)
-
-
-def test_idempotent_similarity_worked_example():
-    # [DERIVED] columns picked from the member owning each diagonal 1
-    fam = [
-        DenseMatrix.from_rows([[1, 1], [0, 0]]),
-        DenseMatrix.from_rows([[0, -1], [0, 1]]),
-    ]
-    t = idempotent_family_triangular_similarity(fam)
-    assert rows(t) == rows(DenseMatrix.from_rows([[1, -1], [0, 1]]))
-    for p in fam:
-        assert (inverse(t) * p * t).is_diagonal()
-
-
-def test_idempotent_similarity_composes_with_spectral():
-    # [DERIVED] diagonalizes [[0,1],[0,1]] via its spectral idempotents
-    a = DenseMatrix.from_rows([[0, 1], [0, 1]])
-    t = idempotent_family_triangular_similarity(spectral_idempotents(a).idempotents)
-    assert rows(t) == rows(DenseMatrix.from_rows([[1, 1], [0, 1]]))
-    assert inverse(t) * a * t == DenseMatrix.diag([0, 1])
-
-
-def test_idempotent_similarity_random_families():
-    rng = random.Random(41)
-    for _ in range(15):
-        n = rng.randrange(2, 6)
-        rho = upper_chain(n)
-        s0 = random_invertible_in_sma(rho, rng)
-        a = s0 * DenseMatrix.diag([rng.randrange(3) for _ in range(n)]) * inverse(s0)
-        fam = spectral_idempotents(a).idempotents
-        t = idempotent_family_triangular_similarity(fam)
-        assert t.is_upper_triangular()
-        union = set()
-        for p in fam:
-            union |= p.support()
-        assert t.support() <= union
-        for p in fam:
-            d_p = DenseMatrix.diag(p.diagonal())
-            assert t * d_p == p * t
-            assert (inverse(t) * p * t).is_diagonal()
-
-
-def test_idempotent_similarity_precondition_errors():
-    e11 = DenseMatrix.unit(2, 1, 1)
-    e22 = DenseMatrix.unit(2, 2, 2)
-    lower = DenseMatrix.from_rows([[0, 0], [1, 1]])
-    with pytest.raises(PreconditionViolated, match="empty"):
-        idempotent_family_triangular_similarity([])
-    with pytest.raises(PreconditionViolated, match="upper-triangular"):
-        idempotent_family_triangular_similarity([lower, e11])
-    with pytest.raises(PreconditionViolated, match="zero"):
-        idempotent_family_triangular_similarity([DenseMatrix.zeros(2, 2), e11])
-    with pytest.raises(PreconditionViolated, match="idempotent"):
-        idempotent_family_triangular_similarity([e11.scale(2), e22])
-    with pytest.raises(PreconditionViolated, match="orthogonal"):
-        idempotent_family_triangular_similarity([e11, e11])
-    with pytest.raises(PreconditionViolated, match="sum"):
-        idempotent_family_triangular_similarity([e11])
-
-
-def test_common_triangularizer_diagonal_family_is_identity():
-    fam = [DenseMatrix.diag([1, 2, 3]), DenseMatrix.diag([0, 0, 5])]
-    assert common_triangularizer(fam) == DenseMatrix.identity(3)
-
-
-def test_common_triangularizer_lower_triangular_input():
-    f = DenseMatrix.from_rows([[1, 0], [1, 2]])
-    u = common_triangularizer([f])
-    assert (u * f * inverse(u)).is_upper_triangular()
-
-
-def test_common_triangularizer_shares_u_across_powers():
-    rng = random.Random(53)
-    for _ in range(10):
-        n = rng.randrange(2, 5)
-        rho = full(n)
-        s0 = random_invertible_in_sma(rho, rng)
-        a = s0 * DenseMatrix.diag([rng.randrange(3) for _ in range(n)]) * inverse(s0)
-        u = common_triangularizer([a, a * a])
-        uinv = inverse(u)
-        assert (u * a * uinv).is_upper_triangular()
-        assert (u * (a * a) * uinv).is_upper_triangular()
-
-
-def test_common_triangularizer_deflates_least_eigenvalue_first():
-    # The first joint eigenvector lies in the eigenspace of the first
-    # member's least eigenvalue, which the triangular form then shows at (1, 1).
-    rng = random.Random(59)
-    checked = 0
-    for _ in range(10):
-        n = rng.randrange(2, 6)
-        s0 = random_invertible_in_sma(full(n), rng, steps=10)
-        eigs = [scalar(rng.choice(["-1", "0", "2", "1i", "1-1i"])) for _ in range(n)]
-        a = s0 * DenseMatrix.diag(eigs) * inverse(s0)
-        if a.is_upper_triangular():
-            continue
-        u = common_triangularizer([a, a * a])
-        assert (u * a * inverse(u)).at(1, 1) == min(eigs, key=lambda e: e.sort_key())
-        checked += 1
-    assert checked >= 5
-
-
-def test_common_triangularizer_errors():
-    e12 = DenseMatrix.from_rows([[0, 1], [0, 0]])
-    e21 = DenseMatrix.from_rows([[0, 0], [1, 0]])
-    with pytest.raises(PreconditionViolated, match="commute"):
-        common_triangularizer([e12, e21])
-    with pytest.raises(NotDiagonalizable):
-        common_triangularizer([e12])
-    with pytest.raises(IrrationalSpectrum):
-        common_triangularizer([DenseMatrix.from_rows([[0, 1], [2, 0]])])
-    with pytest.raises(PreconditionViolated, match="empty"):
-        common_triangularizer([])
-
-
 def test_diagonalize_in_sma_worked_example():
     # [DERIVED] on the order 1 <= 2 the similarity is exactly [[1,1],[0,1]]
     rho = upper_chain(2)
@@ -225,6 +106,91 @@ def test_diagonalize_in_sma_worked_example():
     # adding the identity to the family changes nothing
     s2 = simultaneous_diagonalize_in_sma(rho, [a, DenseMatrix.identity(2)])
     assert s2 == s
+
+
+def test_diagonalize_in_sma_full_block_worked_example():
+    # [DERIVED] A = [[1,1],[1,1]] has projectors (A - 2I)/(-2) and A/2, in
+    # eigenvalue order 0, 2. Both blocks pivot on column 1, so S takes
+    # column 1 of each: [1/2, -1/2] then [1/2, 1/2].
+    a = DenseMatrix.from_rows([[1, 1], [1, 1]])
+    s = simultaneous_diagonalize_in_sma(full(2), [a])
+    half = Fraction(1, 2)
+    assert rows(s) == rows(DenseMatrix.from_rows([[half, half], [-half, half]]))
+    assert inverse(s) * a * s == DenseMatrix.diag([0, 2])
+
+
+def test_diagonalize_in_sma_diagonal_family_on_full_block_is_identity():
+    fam = [DenseMatrix.diag([1, 2, 3]), DenseMatrix.diag([0, 0, 5])]
+    assert simultaneous_diagonalize_in_sma(full(3), fam) == DenseMatrix.identity(3)
+
+
+def test_diagonalize_in_sma_lower_triangular_member():
+    f = DenseMatrix.from_rows([[1, 0], [1, 2]])
+    s = simultaneous_diagonalize_in_sma(full(2), [f])
+    assert (inverse(s) * f * s).is_diagonal()
+
+
+def test_diagonalize_in_sma_family_of_powers():
+    rng = random.Random(53)
+    for _ in range(10):
+        n = rng.randrange(2, 5)
+        s0 = random_invertible_in_sma(full(n), rng)
+        a = s0 * DenseMatrix.diag([rng.randrange(3) for _ in range(n)]) * inverse(s0)
+        s = simultaneous_diagonalize_in_sma(full(n), [a, a * a])
+        sinv = inverse(s)
+        assert (sinv * a * s).is_diagonal()
+        assert (sinv * (a * a) * s).is_diagonal()
+
+
+def test_diagonalize_in_sma_triangular_family_takes_owning_projector_columns():
+    # Members upper-triangular on every class: column j of S is column j of
+    # the one joint projector with a 1 at (j, j), so S is unit upper-triangular.
+    rng = random.Random(41)
+    for _ in range(15):
+        n = rng.randrange(2, 6)
+        s0 = random_invertible_in_sma(upper_chain(n), rng)
+        fam = [
+            s0 * DenseMatrix.diag([rng.randrange(3) for _ in range(n)]) * inverse(s0)
+            for _ in range(2)
+        ]
+        joint = [
+            p * q
+            for p in spectral_idempotents(fam[0]).idempotents
+            for q in spectral_idempotents(fam[1]).idempotents
+        ]
+        for rho in (upper_chain(n), full(n)):
+            s = simultaneous_diagonalize_in_sma(rho, fam)
+            assert s.is_upper_triangular()
+            for j in range(1, n + 1):
+                (owner,) = [q for q in joint if q.at(j, j) == scalar(1)]
+                assert s.col_list(j) == owner.col_list(j)
+
+
+def test_diagonalize_in_sma_full_block_errors():
+    e12 = DenseMatrix.from_rows([[0, 1], [0, 0]])
+    e21 = DenseMatrix.from_rows([[0, 0], [1, 0]])
+    with pytest.raises(PreconditionViolated, match="commute"):
+        simultaneous_diagonalize_in_sma(full(2), [e12, e21])
+    with pytest.raises(NotDiagonalizable):
+        simultaneous_diagonalize_in_sma(full(2), [e12])
+    with pytest.raises(IrrationalSpectrum):
+        simultaneous_diagonalize_in_sma(full(2), [DenseMatrix.from_rows([[0, 1], [2, 0]])])
+
+
+def test_diagonalize_in_sma_member_messages():
+    eye = DenseMatrix.identity(2)
+    cases = [
+        (DenseMatrix.from_rows([[0, 1], [0, 0]]), NotDiagonalizable,
+         "member 2 is not diagonalizable"),
+        (DenseMatrix.from_rows([[1, 1], [-1, -1]]), NotDiagonalizable,
+         "member 2 is not diagonalizable"),
+        (DenseMatrix.from_rows([[0, 1], [2, 0]]), IrrationalSpectrum,
+         "member 2 has irrational eigenvalues"),
+    ]
+    for member, error, message in cases:
+        with pytest.raises(error) as exc:
+            simultaneous_diagonalize_in_sma(full(2), [eye, member])
+        assert str(exc.value) == message
 
 
 def test_diagonalize_in_sma_diagonal_input_stays_fixed():
@@ -334,22 +300,6 @@ def test_triangular_spectrum_matches_charpoly_route(a):
     dec = spectral_idempotents(a)
     assert [(lam.re, lam.im) for lam in dec.eigenvalues] == [lam for lam, _ in expected]
     assert [grid_of(e) for e in dec.idempotents] == [e for _, e in expected]
-
-
-def test_common_triangularizer_member_messages():
-    eye = DenseMatrix.identity(2)
-    cases = [
-        (DenseMatrix.from_rows([[0, 1], [0, 0]]), NotDiagonalizable,
-         "member 2 is not diagonalizable"),
-        (DenseMatrix.from_rows([[1, 1], [-1, -1]]), NotDiagonalizable,
-         "member 2 is not diagonalizable"),
-        (DenseMatrix.from_rows([[0, 1], [2, 0]]), IrrationalSpectrum,
-         "member 2 has irrational eigenvalues"),
-    ]
-    for member, error, message in cases:
-        with pytest.raises(error) as exc:
-            common_triangularizer([eye, member])
-        assert str(exc.value) == message
 
 
 @pytest.fixture

@@ -9,28 +9,30 @@ from hypothesis import strategies as st
 
 from smalg.errors import DimensionMismatch, FormatError, RankNotOne, Singular
 from smalg.exactnum import (
-    ONE,
     DenseMatrix,
     GaussianRational,
     conjugate_transpose,
     format_matrix,
     inverse,
-    invert_permutation,
     is_rank_one_by_minors,
     jordan_product,
     multiply,
-    nullspace,
     outer,
     parse_matrix,
     permutation_matrix,
+    pivot_columns,
     rank,
     rank_one_factor,
-    relabel_matrix,
     scalar,
-    solve_exact,
 )
 
-from oracles import grid_of, oracle_rank, oracle_rank_of
+from oracles import (
+    grid_of,
+    invert_permutation,
+    oracle_rank,
+    oracle_rank_of,
+    relabel_matrix,
+)
 
 POOL = [0, 0, 0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3)]
 IM_POOL = [0, 0, 0, 0, 0, 1, -1, Fraction(1, 2)]
@@ -268,39 +270,6 @@ class TestInverse:
             inverse(DenseMatrix.zeros(2, 3))
 
 
-class TestSolveAndNullspace:
-    def test_solve_exact(self):
-        rng = random.Random(31)
-        for _ in range(40):
-            n = rng.randrange(1, 5)
-            a = rand_invertible(rng, n)
-            x = rand_matrix(rng, n, 2)
-            b = multiply(a, x)
-            assert solve_exact(a, b) == x
-
-    def test_solve_tall(self):
-        # full column rank, consistent overdetermined system
-        a = DenseMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
-        x = DenseMatrix.from_rows([[2], [3]])
-        b = multiply(a, x)
-        assert solve_exact(a, b) == x
-
-    def test_nullspace(self):
-        rng = random.Random(43)
-        for _ in range(60):
-            m = rand_matrix(rng, rng.randrange(1, 5), rng.randrange(1, 5))
-            basis = nullspace(m)
-            assert len(basis) == m.cols - rank(m)
-            for v in basis:
-                assert multiply(m, v).is_zero()
-            if basis:
-                stacked = DenseMatrix(
-                    m.cols, len(basis),
-                    [b.at(i, 1) for i in range(1, m.cols + 1) for b in basis],
-                )
-                assert rank(stacked) == len(basis)
-
-
 class TestFromEntries:
     def test_places_entries_and_zeros(self):
         m = DenseMatrix.from_entries(2, 3, {(1, 3): 2, (2, 1): "1i"})
@@ -437,13 +406,6 @@ def same_shape_pairs():
     )
 
 
-def systems():
-    """(a, x) with a of shape n x d and x of shape d x k."""
-    return st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 3)).flatmap(
-        lambda s: st.tuples(matrices(s[0], s[1]), matrices(s[1], s[2]))
-    )
-
-
 KERNEL = settings(max_examples=60, deadline=None)
 
 
@@ -466,32 +428,14 @@ class TestKernelProperties:
     @KERNEL
     @given(matrices())
     @example(DenseMatrix.from_rows([[1, 2, 0], [0, 0, 3]]))  # free column between pivots
-    def test_nullspace_basis(self, m):
+    def test_pivot_columns(self, m):
+        # The pivots are the greedy left-to-right independent columns: those
+        # that raise the rank of the columns before them.
         grid = grid_of(m)
-        r = oracle_rank(grid)
-        # Free columns: those that do not raise the rank of the columns before them.
         prefix_ranks = [oracle_rank([row[:j] for row in grid]) for j in range(m.cols + 1)]
-        free = [j for j in range(1, m.cols + 1) if prefix_ranks[j] == prefix_ranks[j - 1]]
-        basis = nullspace(m)
-        assert len(basis) == m.cols - r == len(free)
-        for v, fc in zip(basis, free):
-            assert v.shape == (m.cols, 1)
-            assert (m * v).is_zero()
-            assert v.at(fc, 1) == ONE
-            assert all(not v.at(j, 1) for j in free if j != fc)
-
-    @KERNEL
-    @given(systems())
-    def test_solve_exact(self, system):
-        a, x0 = system
-        b = a * x0
-        if oracle_rank_of(a) < a.cols:
-            with pytest.raises(Singular):
-                solve_exact(a, b)
-        else:
-            x = solve_exact(a, b)
-            assert a * x == b
-            assert x == x0
+        greedy = [j for j in range(1, m.cols + 1) if prefix_ranks[j] > prefix_ranks[j - 1]]
+        assert pivot_columns(m) == greedy
+        assert len(greedy) == oracle_rank_of(m)
 
     @KERNEL
     @given(same_shape_pairs())

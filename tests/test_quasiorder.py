@@ -5,7 +5,7 @@ import random
 import pytest
 
 from smalg.errors import DimensionMismatch, FormatError, NotClassUnion, NotClosed
-from smalg.exactnum import DenseMatrix, multiply, relabel_matrix
+from smalg.exactnum import DenseMatrix, multiply
 from smalg.quasiorder import (
     approx_classes,
     automorphisms_fix_two_sided_classes,
@@ -30,6 +30,7 @@ from oracles import (
     oracle_increasing_perms,
     oracle_mutual_classes,
     oracle_rho_u,
+    relabel_matrix,
 )
 
 
