@@ -108,6 +108,20 @@ def test_diagonalize_in_sma_worked_example():
     assert s2 == s
 
 
+def test_idempotent_similarity_composes_with_spectral():
+    # [DERIVED] the spectral idempotents of [[0,1],[0,1]] are I - A (for 0)
+    # and A (for 1); column j of S is column j of the one with a 1 at (j, j)
+    a = DenseMatrix.from_rows([[0, 1], [0, 1]])
+    fam = spectral_idempotents(a).idempotents
+    assert fam == [DenseMatrix.identity(2) - a, a]
+    s = simultaneous_diagonalize_in_sma(upper_chain(2), [a])
+    for j in (1, 2):
+        (owner,) = [p for p in fam if p.at(j, j) == scalar(1)]
+        assert s.col_list(j) == owner.col_list(j)
+    assert rows(s) == rows(DenseMatrix.from_rows([[1, 1], [0, 1]]))
+    assert inverse(s) * a * s == DenseMatrix.diag([0, 1])
+
+
 def test_diagonalize_in_sma_full_block_worked_example():
     # [DERIVED] A = [[1,1],[1,1]] has projectors (A - 2I)/(-2) and A/2, in
     # eigenvalue order 0, 2. Both blocks pivot on column 1, so S takes
