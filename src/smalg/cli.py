@@ -290,10 +290,11 @@ def _cmd_info(args) -> tuple:
     rep.add(f"center-dimension {center}", center_dimension=center)
     rect = len(list(rectangles(q)))
     rep.add(f"rectangles {rect}", rectangles=rect)
+    all_trivial = all_transitive_trivial(q)
     for name, value in (
         ("dichotomy", multiplicativity_dichotomy(q)),
-        ("inner", all_algebra_automorphisms_inner(q)),
-        ("extends", extends_to_full_jordan_automorphism(q)),
+        ("inner", all_algebra_automorphisms_inner(q, all_trivial)),
+        ("extends", extends_to_full_jordan_automorphism(q, all_trivial)),
     ):
         rep.add(f"{name} {_bool(value)}", **{name: value})
     return 0, rep
@@ -369,8 +370,8 @@ def _cmd_all_trivial(args) -> tuple:
         g = random_transitive_map(rho, seed=seed)
         if not triviality_witness(g).is_trivial:
             _block(rep, "g", format_weights(g), "g")
-            break
-    return 1, rep
+            return 1, rep
+    raise InternalInconsistency("no nontrivial transitive map found in 200 samples")
 
 
 def _cmd_diagonalize(args) -> tuple:

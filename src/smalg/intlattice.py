@@ -1,19 +1,82 @@
 """Integer matrix utilities: Smith invariant factors, kernel lattice bases,
 GF(2) kernels.
 
-Matrices here are plain nested lists of Python ints. Sizes stay small (tens
-of rows), so the classic reduction algorithms with smallest-pivot selection
-are plenty.
+Matrices here are plain nested lists of Python ints. The Smith form is fed
+the transitivity relations of a quasi-order, one row per composable triple:
+C(n, 3) rows over C(n, 2) columns on the n-chain, so 9,880 x 780 at n = 40.
+Those rows are sparse with unit entries, and ``smith_invariant_factors``
+eliminates unit pivots on sparse rows before any dense work. The kernel
+routines run the classic dense reductions; their inputs stay small.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+
 
 def smith_invariant_factors(mat):
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix."""
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    Unit pivots go first, on rows kept as sparse dicts. An entry +-1 at
+    (i, j) clears column j from every other row; row i and column j then
+    drop out, contributing the invariant factor 1, and what is left is the
+    Schur complement, again an integer matrix. The pivot is taken in a
+    shortest row, in the column held by the fewest rows, to keep fill-in
+    low (Dumas, Saunders & Villard, "On efficient sparse integer matrix
+    Smith normal form computations", 2001). The smallest-pivot dense
+    reduction finishes whatever has no unit entry left.
+    """
     if not mat or not mat[0]:
         return []
-    a = [list(row) for row in mat]
+    cols = range(len(mat[0]))
+    rows = [{j: row[j] for j in compress(cols, row)} for row in mat]
+    live = {k for k, row in enumerate(rows) if row}
+    holders = {}
+    for k in live:
+        for j in rows[k]:
+            holders.setdefault(j, set()).add(k)
+    units = 0
+    progress = True
+    while progress:
+        progress = False
+        for k in sorted(live, key=lambda k: (len(rows[k]), k)):
+            if k not in live:
+                continue
+            row = rows[k]
+            unit_cols = [j for j, v in row.items() if v == 1 or v == -1]
+            if not unit_cols:
+                continue
+            j = min(unit_cols, key=lambda c: (len(holders[c]), c))
+            live.discard(k)
+            for c in row:
+                holders[c].discard(k)
+            sign = row[j]
+            for k2 in holders.pop(j):
+                other = rows[k2]
+                f = other[j] * sign
+                for c, v in row.items():
+                    nv = other.get(c, 0) - f * v
+                    if nv:
+                        if c not in other:
+                            holders[c].add(k2)
+                        other[c] = nv
+                    elif c != j:
+                        del other[c]
+                        holders[c].discard(k2)
+                del other[j]
+                if not other:
+                    live.discard(k2)
+            units += 1
+            progress = True
+    rest = [rows[k] for k in sorted(live)]
+    rest_cols = sorted({c for row in rest for c in row})
+    dense = [[row.get(c, 0) for c in rest_cols] for row in rest]
+    return [1] * units + (_dense_smith_factors(dense) if dense else [])
+
+
+def _dense_smith_factors(a):
+    """Invariant factors of the dense matrix a (rows modified in place), by
+    smallest-magnitude pivoting."""
     rows, cols = len(a), len(a[0])
     t = 0
     factors = []

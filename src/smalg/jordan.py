@@ -428,16 +428,30 @@ def classify_into_codomain(
     return form
 
 
-def extends_to_full_jordan_automorphism(rho: QuasiOrder) -> bool:
+def extends_to_full_jordan_automorphism(
+    rho: QuasiOrder, all_trivial: Optional[bool] = None
+) -> bool:
     """True iff every Jordan automorphism of the algebra is the restriction
-    of a Jordan automorphism of the full matrix algebra."""
-    return all_transitive_trivial(rho) and multiplicativity_dichotomy(rho)
+    of a Jordan automorphism of the full matrix algebra.
+
+    ``all_trivial`` is ``all_transitive_trivial(rho)`` when the caller has
+    it already; it is computed here otherwise."""
+    if all_trivial is None:
+        all_trivial = all_transitive_trivial(rho)
+    return all_trivial and multiplicativity_dichotomy(rho)
 
 
-def all_algebra_automorphisms_inner(rho: QuasiOrder) -> bool:
+def all_algebra_automorphisms_inner(
+    rho: QuasiOrder, all_trivial: Optional[bool] = None
+) -> bool:
     """True iff every algebra automorphism is conjugation by a unit of the
-    algebra."""
-    return all_transitive_trivial(rho) and automorphisms_fix_two_sided_classes(rho)
+    algebra.
+
+    ``all_trivial`` is ``all_transitive_trivial(rho)`` when the caller has
+    it already; it is computed here otherwise."""
+    if all_trivial is None:
+        all_trivial = all_transitive_trivial(rho)
+    return all_trivial and automorphisms_fix_two_sided_classes(rho)
 
 
 # --- linear map text format -------------------------------------------------

@@ -294,12 +294,18 @@ def increasing_permutations(
     """Bijections pi with (i,j) in src implying (pi(i), pi(j)) in dst.
 
     Backtracking search, assigning vertices in decreasing out-degree order
-    and pruning on degree compatibility. ``limit=None`` enumerates all
+    and pruning on degree compatibility. A ``limit`` of None enumerates all
     solutions; the returned list is sorted. The search is exhaustive, so an
     empty result proves nonexistence.
     """
     if src.n != dst.n:
         raise DimensionMismatch("relations live on different vertex counts")
+    return _increasing_search(src, dst, limit)
+
+
+def _increasing_search(src, dst, limit, pin=None):
+    """``increasing_permutations`` on relations of one size; ``pin = (v, t)``
+    keeps only the bijections with pi(v) = t."""
     n = src.n
     rev_src = reverse(src)
     rev_dst = reverse(dst)
@@ -308,6 +314,9 @@ def increasing_permutations(
     out_d = [dst._rows[i].bit_count() for i in range(n)]
     in_d = [rev_dst._rows[i].bit_count() for i in range(n)]
     order = sorted(range(1, n + 1), key=lambda v: (-out_s[v - 1], v))
+    if pin is not None:
+        order.remove(pin[0])
+        order.insert(0, pin[0])
     results = []
     assign = {}
     used = set()
@@ -317,7 +326,7 @@ def increasing_permutations(
             results.append(tuple(assign[i] for i in range(1, n + 1)))
             return limit is not None and len(results) >= limit
         v = order[pos]
-        for t in range(1, n + 1):
+        for t in (pin[1],) if pin is not None and pos == 0 else range(1, n + 1):
             if t in used:
                 continue
             if out_d[t - 1] < out_s[v - 1] or in_d[t - 1] < in_s[v - 1]:
@@ -370,18 +379,35 @@ def rho_U(q: QuasiOrder, u) -> QuasiOrder:
         raise InternalInconsistency(f"recombined relation not closed: {exc}")
 
 
-def quasi_order_automorphisms(q: QuasiOrder):
-    """All relation automorphisms (increasing bijections q -> q)."""
-    return increasing_permutations(q, q, limit=None)
-
-
 def automorphisms_fix_two_sided_classes(q: QuasiOrder) -> bool:
     """True iff every automorphism maps each mutual-relation class onto
-    itself."""
+    itself.
+
+    An automorphism (an increasing bijection q -> q) maps mutual classes
+    onto mutual classes of the same size. Two vertices of one class have
+    the same in-sets and out-sets, so swapping them is an automorphism, and
+    an automorphism taking class B onto B' can be composed with such a swap
+    inside B' into one sending min(B) to min(B'). Its inverse takes B' back
+    onto B. So it suffices to look, for each pair of distinct classes B
+    before B' of one size whose minima have the same in- and out-degree,
+    for a single automorphism with min(B) pinned to min(B'). Each search
+    stops at the first automorphism; when there is none it exhausts the
+    backtracking, which can take exponential time (the README gives an
+    example).
+    """
     classes = two_sided_classes(q).blocks
-    for pi in quasi_order_automorphisms(q):
-        for blk in classes:
-            if frozenset(pi[i - 1] for i in blk) != blk:
+    rev = reverse(q)
+
+    def degrees(v):
+        return q._rows[v - 1].bit_count(), rev._rows[v - 1].bit_count()
+
+    for a, blk in enumerate(classes):
+        v = min(blk)
+        for other in classes[a + 1:]:
+            t = min(other)
+            if len(other) != len(blk) or degrees(t) != degrees(v):
+                continue
+            if _increasing_search(q, q, 1, pin=(v, t)):
                 return False
     return True
 

@@ -212,6 +212,63 @@ def test_all_trivial_bowtie_with_example(files):
     assert not triviality_witness(g).is_trivial
 
 
+def test_all_trivial_without_a_sampled_example_exits_three(files, monkeypatch):
+    # a negative verdict is never printed without its certificate
+    def all_ones(rho, seed=0):
+        return validate(rho, {p: ONE for p in rho.strict_pairs()})
+
+    monkeypatch.setattr(smalg.cli, "random_transitive_map", all_ones)
+    out = run(["all-trivial", files["bowtie"]])
+    assert out.exit_code == 3
+    assert out.report == "error: no nontrivial transitive map found in 200 samples\n"
+
+
+def test_info_runs_one_smith_form(files, monkeypatch):
+    calls = []
+    smith = smalg.transmap.smith_invariant_factors
+
+    def counted(mat):
+        calls.append(len(mat))
+        return smith(mat)
+
+    monkeypatch.setattr(smalg.transmap, "smith_invariant_factors", counted)
+    out = run(["info", files["t3"]])
+    assert out.exit_code == 0
+    assert out.report.splitlines()[-2:] == ["inner true", "extends true"]
+    assert calls == [1]
+
+
+def _timed_run(argv):
+    started = time.monotonic()
+    out = run(argv)
+    return out, time.monotonic() - started
+
+
+def test_info_on_the_twelve_antichain_under_five_seconds(tmp_path):
+    # listing all 12! automorphisms would take hours; one pinned search
+    # finds the swap of 1 and 2
+    q = tmp_path / "a12.qo"
+    q.write_text(format_relation(delta(12)))
+    out, elapsed = _timed_run(["info", str(q)])
+    assert elapsed < 5.0
+    assert out.exit_code == 0
+    assert out.report.splitlines()[-3:] == ["dichotomy true", "inner false", "extends true"]
+
+
+def test_chain25_all_trivial_and_info_under_five_seconds(tmp_path):
+    # 2,300 transitivity rows over 300 pairs; a dense Smith form of them
+    # took about 15 s
+    q = tmp_path / "c25.qo"
+    q.write_text(format_relation(upper_chain(25)))
+    out, elapsed = _timed_run(["all-trivial", str(q)])
+    assert elapsed < 5.0
+    assert (out.exit_code, out.report) == (0, "ALL-TRIVIAL\n")
+    out, elapsed = _timed_run(["info", str(q)])
+    assert elapsed < 5.0
+    assert out.exit_code == 0
+    assert out.report.splitlines()[-3:] == ["dichotomy true", "inner true", "extends true"]
+
+
 def test_witness_bowtie(files):
     out = run(["witness", files["bowtie"], files["bowtie_gw"]])
     assert out.exit_code == 1

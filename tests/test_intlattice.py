@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -11,6 +12,10 @@ from smalg.intlattice import (
     smith_invariant_factors,
 )
 
+from smalg.quasiorder import from_edges
+from smalg.transmap import _relation_vectors
+
+from fixtures import upper_chain
 from oracles import oracle_rational_matrix_rank
 
 
@@ -43,6 +48,47 @@ class TestSmith:
             assert mine == sympy_invariant_factors(m)
             for a, b in zip(mine, mine[1:]):
                 assert b % a == 0
+
+    def test_relation_vectors_against_sympy(self):
+        # transitivity rows (three unit entries) and two-sided rows
+        # e_ij + e_ji, the input the unit-pivot elimination is built for
+        rng = random.Random(71)
+        torsion_free = 0
+        for _ in range(24):
+            n = rng.randrange(2, 10)
+            density = rng.choice((0.1, 0.2, 0.3, 0.45))
+            q = from_edges(n, [
+                (i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                if i != j and rng.random() < density
+            ])
+            _, vecs = _relation_vectors(q)
+            if not vecs:
+                continue
+            mine = smith_invariant_factors(vecs)
+            assert mine == sympy_invariant_factors(vecs)
+            torsion_free += all(d == 1 for d in mine)
+        assert torsion_free > 0
+
+    def test_sparse_against_sympy(self):
+        rng = random.Random(73)
+        weights = [0] * 12 + [1, -1] * 3 + [2, -2] * 2 + [3, -4, 6]
+        beyond_units = 0
+        for _ in range(120):
+            rows = rng.randrange(1, 13)
+            cols = rng.randrange(1, 13)
+            m = [[rng.choice(weights) for _ in range(cols)] for _ in range(rows)]
+            mine = smith_invariant_factors(m)
+            assert mine == sympy_invariant_factors(m)
+            beyond_units += any(d > 1 for d in mine)
+        assert beyond_units > 0
+
+    @pytest.mark.parametrize("n", [14, 20])
+    def test_chain_factors(self, n):
+        # Z^E / R is free of rank n - 1 on the chain, so the C(n, 3)
+        # transitivity rows have C(n - 1, 2) invariant factors, all 1
+        _, vecs = _relation_vectors(upper_chain(n))
+        assert len(vecs) == n * (n - 1) * (n - 2) // 6
+        assert smith_invariant_factors(vecs) == [1] * ((n - 1) * (n - 2) // 2)
 
     def test_rank_consistency(self):
         rng = random.Random(13)

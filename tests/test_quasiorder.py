@@ -15,7 +15,6 @@ from smalg.quasiorder import (
     from_edges,
     increasing_permutations,
     parse_relation,
-    quasi_order_automorphisms,
     rectangles,
     reverse,
     rho_U,
@@ -29,6 +28,7 @@ from oracles import (
     oracle_connected_classes,
     oracle_increasing_perms,
     oracle_mutual_classes,
+    oracle_relation_automorphisms,
     oracle_rho_u,
     relabel_matrix,
 )
@@ -248,13 +248,45 @@ class TestIncreasingPermutations:
         assert len(all_of_them) == 6
         assert len(increasing_permutations(fx.delta(3), fx.delta(3), limit=2)) == 2
 
-    def test_automorphisms(self):
-        assert quasi_order_automorphisms(fx.upper_chain(4)) == [(1, 2, 3, 4)]
-        assert len(quasi_order_automorphisms(fx.delta(4))) == 24
-        assert quasi_order_automorphisms(fx.cycle_over_point()) == [
-            (1, 2, 3),
-            (1, 3, 2),
+    def test_fix_classes_against_automorphism_enumeration(self):
+        rng = random.Random(59)
+        cases = [
+            # equal-size classes {1,2}, {3,4} with equal degrees that no
+            # automorphism swaps: 5 has one more predecessor than 6
+            from_edges(7, [(1, 2), (2, 1), (3, 4), (4, 3), (1, 5), (3, 6), (7, 5)]),
+            # the same with singletons 1 and 3, while 3 and 5 do swap
+            from_edges(5, [(1, 2), (3, 4), (5, 4)]),
+            from_edges(6, [(1, 2), (2, 1), (3, 4), (4, 3), (1, 5), (3, 6)]),
         ]
+        for _ in range(40):
+            cases.append(random_quasi_order(rng, rng.randrange(1, 8), rng.choice((0.15, 0.3, 0.5))))
+        for _ in range(20):
+            # blow the vertices of a small random relation up into mutual
+            # classes of size 1 or 2
+            base = random_quasi_order(rng, rng.randrange(2, 5), 0.3)
+            members, n = [], 0
+            for _ in range(base.n):
+                size = rng.choice((1, 2)) if n < 6 else 1
+                members.append(list(range(n + 1, n + size + 1)))
+                n += size
+            cases.append(from_edges(n, [
+                (i, j) for (a, b) in base.pairs() for i in members[a - 1] for j in members[b - 1]
+            ]))
+        verdicts = set()
+        for q in cases:
+            pairs = set(q.pairs())
+            classes = oracle_mutual_classes(q.n, pairs)
+            expected = all(
+                frozenset(images[i - 1] for i in blk) == blk
+                for images in oracle_relation_automorphisms(q.n, pairs)
+                for blk in classes
+            )
+            assert automorphisms_fix_two_sided_classes(q) == expected, q
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+        assert automorphisms_fix_two_sided_classes(cases[0])
+        assert not automorphisms_fix_two_sided_classes(cases[1])
+        assert not automorphisms_fix_two_sided_classes(cases[2])
 
     def test_fix_classes_predicate(self):
         assert automorphisms_fix_two_sided_classes(fx.upper_chain(3))
