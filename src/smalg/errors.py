@@ -21,7 +21,7 @@ class Singular(SmalgError):
 
 
 class RankNotOne(SmalgError):
-    """rank_one_factor was called on a matrix whose rank is not one."""
+    """A matrix required to have rank one does not."""
 
 
 class NotClosed(SmalgError):

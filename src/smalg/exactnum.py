@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatch, FormatError, RankNotOne, Singular
+from .errors import DimensionMismatch, FormatError, Singular
 
 # ASCII digits only: ``\d`` also matches other scripts' digits, and ``int()``
 # takes those and ``_`` separators. Each rational is (numerator, denominator).
@@ -42,42 +42,39 @@ class GaussianRational:
         self.re = re if type(re) is Fraction else Fraction(re)
         self.im = im if type(im) is Fraction else Fraction(im)
 
-    # The spec's four-integer record, derived from the Fractions.
-    @property
-    def re_num(self):
-        return self.re.numerator
-
-    @property
-    def re_den(self):
-        return self.re.denominator
-
-    @property
-    def im_num(self):
-        return self.im.numerator
-
-    @property
-    def im_den(self):
-        return self.im.denominator
-
     @classmethod
     def from_literal(cls, text: str) -> "GaussianRational":
-        """Parse a scalar literal: ``R``, ``Qi``, ``R+Qi`` or ``R-Qi``.
+        """Parse a scalar literal (grammar at :meth:`literal_parts`)."""
+        p, q, d = cls.literal_parts(text)
+        return cls(Fraction(p, d), Fraction(q, d))
 
-        R and Q are integers or fractions ``p/q`` with q > 0; a pure
+    @staticmethod
+    def literal_parts(text: str):
+        """(p, q, d) with integers p, q and d > 0 such that the literal is
+        (p + q i) / d, not necessarily in lowest terms.
+
+        The literal is ``R``, ``Qi``, ``R+Qi`` or ``R-Qi``, where R and Q are
+        integers or fractions ``p/q`` with q > 0 in ASCII digits; a pure
         imaginary unit is written with an explicit coefficient (``-1i``).
         """
+        if text == "0":
+            return 0, 0, 1
         t = text.strip()
         m = _RE_REAL.match(t)
         if m:
-            return cls(_frac(m.group(1), m.group(2), t))
+            p, d = _rational(m.group(1), m.group(2), t)
+            return p, 0, d
         m = _RE_IMAG.match(t)
         if m:
-            return cls(0, _frac(m.group(1), m.group(2), t))
+            q, d = _rational(m.group(1), m.group(2), t)
+            return 0, q, d
         m = _RE_BOTH.match(t)
         if m:
-            re_part = _frac(m.group(1), m.group(2), t)
-            im_part = _frac(m.group(4), m.group(5), t)
-            return cls(re_part, im_part if m.group(3) == "+" else -im_part)
+            p, e = _rational(m.group(1), m.group(2), t)
+            q, f = _rational(m.group(4), m.group(5), t)
+            if m.group(3) == "-":
+                q = -q
+            return p * f, q * e, e * f
         raise FormatError(f"bad scalar literal {text!r}")
 
     def literal(self) -> str:
@@ -168,16 +165,16 @@ class GaussianRational:
         return (self.re, self.im)
 
 
-def _frac(num: str, den, context: str) -> Fraction:
-    """The rational ``num/den`` (``den`` None for an integer) from digit
-    strings already matched by ``_RATIONAL``."""
-    try:
-        if den is None:
-            return Fraction(int(num))
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
-        token = num if den is None else f"{num}/{den}"
-        raise FormatError(f"bad rational {token!r} in {context!r}") from exc
+def _rational(num: str, den, context: str):
+    """(numerator, denominator) of ``num/den`` (``den`` None for an
+    integer) from digit strings already matched by ``_RATIONAL``."""
+    if den is None:
+        return int(num), 1
+    d = int(den)
+    if not d:
+        token = f"{num}/{den}"
+        raise FormatError(f"bad rational {token!r} in {context!r}")
+    return int(num), d
 
 
 def parse_int(token: str) -> int:
@@ -265,6 +262,28 @@ class DenseMatrix:
             re[k] = a
             im[k] = b
         return _new(rows, cols, d, tuple(re), tuple(im))
+
+    @classmethod
+    def from_parts(cls, rows: int, cols: int, parts: Sequence) -> "DenseMatrix":
+        """Matrix from row-major (p, q, d) triples, each the entry
+        (p + q i) / d with d > 0, as :meth:`GaussianRational.literal_parts`
+        gives them."""
+        if len(parts) != rows * cols:
+            raise DimensionMismatch(
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(parts)}"
+            )
+        d = lcm(*{e for _, _, e in parts})
+        if d == 1:
+            return _new(
+                rows, cols, 1, tuple(p for p, _, _ in parts), tuple(q for _, q, _ in parts)
+            )
+        return _reduced(
+            rows,
+            cols,
+            d,
+            [p * (d // e) for p, _, e in parts],
+            [q * (d // e) for _, q, e in parts],
+        )
 
     @classmethod
     def identity(cls, n: int) -> "DenseMatrix":
@@ -572,8 +591,25 @@ def multiply(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     return _reduced(n, p, a._d * b._d, re, im)
 
 
-def conjugate_transpose(m: DenseMatrix) -> DenseMatrix:
-    return m.transpose().conj()
+def combination(rows: int, cols: int, terms) -> DenseMatrix:
+    """The sum of c * m over the (scalar c, rows x cols matrix m) terms,
+    accumulated over one common denominator and reduced once."""
+    split = [(_split(scalar(c)), m) for c, m in terms]
+    d = lcm(*{e * m._d for (_, _, e), m in split})
+    re = [0] * (rows * cols)
+    im = [0] * (rows * cols)
+    for (p, q, e), m in split:
+        if m.shape != (rows, cols):
+            raise DimensionMismatch(f"cannot add {m.shape} to {rows}x{cols}")
+        f = d // (e * m._d)
+        p, q = f * p, f * q
+        if q:
+            re = [x + p * a - q * b for x, a, b in zip(re, m._re, m._im)]
+            im = [y + p * b + q * a for y, a, b in zip(im, m._re, m._im)]
+        else:
+            re = [x + p * a for x, a in zip(re, m._re)]
+            im = [y + p * b for y, b in zip(im, m._im)]
+    return _reduced(rows, cols, d, re, im)
 
 
 def jordan_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -687,49 +723,6 @@ def inverse(m: DenseMatrix) -> DenseMatrix:
     )
 
 
-def is_rank_one_by_minors(m: DenseMatrix) -> bool:
-    """True iff m is nonzero and all 2x2 minors vanish."""
-    if m.is_zero():
-        return False
-    g = m.to_grid()
-    for i in range(m.rows):
-        for k in range(i + 1, m.rows):
-            for j in range(m.cols):
-                for l in range(j + 1, m.cols):
-                    if g[i][j] * g[k][l] != g[i][l] * g[k][j]:
-                        return False
-    return True
-
-
-def rank_one_factor(m: DenseMatrix):
-    """Write m = u v* (v conjugated); u is the first nonzero column scaled so
-    its first nonzero entry is 1. Raises RankNotOne otherwise."""
-    if rank(m) != 1:
-        raise RankNotOne(f"matrix has rank {rank(m)}, not 1")
-    jcol = None
-    for j in range(1, m.cols + 1):
-        col = m.col_list(j)
-        if any(col):
-            jcol = j
-            break
-    u = m.col_list(jcol)
-    lead = next(x for x in u if x)
-    u = [x / lead for x in u]
-    irow = next(i for i, x in enumerate(u) if x) + 1
-    v = [x.conjugate() for x in m.row_list(irow)]
-    rebuilt = outer(u, v)
-    if rebuilt != m:
-        raise RankNotOne("factor reconstruction failed")
-    return u, v
-
-
-def outer(u: Sequence, v: Sequence) -> DenseMatrix:
-    """The rank-at-most-one matrix u v* (conjugating v)."""
-    uu = [scalar(x) for x in u]
-    vv = [scalar(x).conjugate() for x in v]
-    return DenseMatrix(len(uu), len(vv), [a * b for a in uu for b in vv])
-
-
 def permutation_matrix(pi: Sequence[int]) -> DenseMatrix:
     """Matrix P with P e_k = e_{pi(k)}: entry (pi(k), k) = 1, 1-based.
 
@@ -771,18 +764,17 @@ def parse_matrix(text: str) -> DenseMatrix:
         raise FormatError("matrix header must be 'rows cols'", line=lineno) from exc
     if r < 0 or c < 0:
         raise FormatError("matrix dimensions must be nonnegative", line=lineno)
-    tokens = []
+    parts = []
     for lineno, line in lines[1:]:
-        for tok in line.split():
-            try:
-                tokens.append(GaussianRational.from_literal(tok))
-            except FormatError as exc:
-                raise FormatError(str(exc), line=lineno) from exc
-    if len(tokens) != r * c:
+        try:
+            parts.extend(map(GaussianRational.literal_parts, line.split()))
+        except FormatError as exc:
+            raise FormatError(str(exc), line=lineno) from exc
+    if len(parts) != r * c:
         raise FormatError(
-            f"expected {r * c} entries for a {r}x{c} matrix, got {len(tokens)}"
+            f"expected {r * c} entries for a {r}x{c} matrix, got {len(parts)}"
         )
-    return DenseMatrix(r, c, tokens)
+    return DenseMatrix.from_parts(r, c, parts)
 
 
 def format_matrix(m: DenseMatrix) -> str:

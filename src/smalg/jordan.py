@@ -30,6 +30,7 @@ from .exactnum import (
     DenseMatrix,
     GaussianRational,
     ONE,
+    combination,
     inverse,
     jordan_product,
     parse_int,
@@ -119,17 +120,15 @@ def apply(phi: LinearMapOnSMA, x: DenseMatrix) -> DenseMatrix:
     n = phi.rho.n
     if x.shape != (n, n):
         raise DimensionMismatch(f"argument shape {x.shape}, expected {n}x{n}")
-    bad = first_unsupported(x.support(), phi.rho)
+    support = x.support()
+    bad = first_unsupported(support, phi.rho)
     if bad is not None:
         raise SupportViolation(
             f"argument has entry at {bad} outside the relation", pair=bad
         )
-    out = DenseMatrix.zeros(n, n)
-    for (i, j), m in phi.images.items():
-        c = x.at(i, j)
-        if c:
-            out = out + m.scale(c)
-    return out
+    return combination(
+        n, n, ((x.at(*p), m) for p, m in phi.images.items() if p in support)
+    )
 
 
 def is_jordan_homomorphism(phi: LinearMapOnSMA):
@@ -183,24 +182,25 @@ class CanonicalJordanForm:
         n = self.rho.n
         return DenseMatrix.diag([1 if i in self.u else 0 for i in range(1, n + 1)])
 
-    def _core(self, i: int, j: int) -> DenseMatrix:
-        """g(i, j) times E_ij, transposed outside u and relabeled by pi."""
+    def _image(self, i: int, j: int, sinv: DenseMatrix) -> DenseMatrix:
+        """S (g(i, j) E_ab) S^-1, where E_ab is E_ij transposed outside u and
+        relabeled by pi: column a of S, scaled, times row b of S^-1."""
         a, b = (i, j) if i == j or i in self.u else (j, i)
         if self.pi is not None:
             a, b = self.pi[a - 1], self.pi[b - 1]
-        n = self.rho.n
-        return DenseMatrix.from_entries(n, n, {(a, b): self.g.value(i, j)})
+        idx = range(1, self.rho.n + 1)
+        col = self.s.submatrix(idx, (a,)).scale(self.g.value(i, j))
+        return col * sinv.submatrix((b,), idx)
 
     def unit_image(self, i: int, j: int) -> DenseMatrix:
         if (i, j) not in self.rho:
             raise SupportViolation(f"({i},{j}) is not in the relation", pair=(i, j))
-        return self.s * self._core(i, j) * inverse(self.s)
+        return self._image(i, j, inverse(self.s))
 
     def reconstruct(self) -> LinearMapOnSMA:
         sinv = inverse(self.s)
         return LinearMapOnSMA(
-            self.rho,
-            {p: self.s * self._core(*p) * sinv for p in self.rho.pairs()},
+            self.rho, {p: self._image(*p, sinv) for p in self.rho.pairs()}
         )
 
 
@@ -211,6 +211,16 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
     that fails names a Jordan violation, and an input passing all of them,
     including the final exact reconstruction, provably was of the canonical
     form, hence a Jordan homomorphism.
+
+    Orthogonality of the idempotents q_i = phi(E_ii) costs one product:
+    q_i q_j + q_j q_i = 0 for all i != j iff P = q_1 + ... + q_n is
+    idempotent. P^2 - P is the sum of those anticommutators, which gives
+    one direction. Conversely, let P^2 = P. In characteristic 0 an
+    idempotent's rank is its trace, so rank P = sum rank q_i; range(P) lies
+    in the sum of the ranges of the q_i, so that sum is direct and equals
+    range(P). For y = q_j y, P y = y gives sum_{i != j} q_i y = 0, so each
+    q_i y = 0 and q_i q_j = 0. The pairs are scanned only when P fails, to
+    name the first one.
     """
     rho = phi.rho
     n = rho.n
@@ -223,25 +233,23 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
             raise NotJordan(
                 f"image of E_{i}{i} is not idempotent", pair=((i, i), (i, i))
             )
-    for i, j in combinations(range(1, n + 1), 2):
-        qi, qj = diag_imgs[i - 1], diag_imgs[j - 1]
-        if not (qi * qj + qj * qi).is_zero():
-            raise NotJordan(
-                f"images of E_{i}{i} and E_{j}{j} are not orthogonal",
-                pair=((i, i), (j, j)),
-            )
+    total = combination(n, n, ((ONE, q) for q in diag_imgs))
+    if total * total != total:
+        for i, j in combinations(range(1, n + 1), 2):
+            qi, qj = diag_imgs[i - 1], diag_imgs[j - 1]
+            if not (qi * qj + qj * qi).is_zero():
+                raise NotJordan(
+                    f"images of E_{i}{i} and E_{j}{j} are not orthogonal",
+                    pair=((i, i), (j, j)),
+                )
     # n orthogonal nonzero idempotents in n-space are rank one and sum to
-    # the identity, so one range vector per image assembles an invertible S0
+    # the identity, so one range vector per image assembles an invertible
+    # S0: the first nonzero column, scaled to lead with 1
+    idx = range(1, n + 1)
     cols = []
     for q in diag_imgs:
-        col = None
-        for j in range(1, n + 1):
-            candidate = q.col_list(j)
-            lead = next((v for v in candidate if v), None)
-            if lead is not None:
-                col = [v / lead for v in candidate]
-                break
-        cols.append(col)
+        j, i = min((j, i) for (i, j) in q.support())
+        cols.append(q.submatrix(idx, (j,)).scale(q.at(i, j).reciprocal()).entries())
     s0 = DenseMatrix.from_rows(cols).transpose()
     s0inv = inverse(s0)
     mult = {}
@@ -491,24 +499,23 @@ def parse_linear_map(text: str) -> LinearMapOnSMA:
         if (i, j) in images:
             raise FormatError(f"duplicate unit ({i},{j})", line=lineno)
         pos += 1
-        tokens = []
-        while pos < len(lines) and len(tokens) < n * n:
+        entries = []
+        while pos < len(lines) and len(entries) < n * n:
             tl, tline = lines[pos]
-            parts = tline.split()
-            if parts[0] == "unit":
+            tokens = tline.split()
+            if tokens[0] == "unit":
                 break
-            for tok in parts:
-                try:
-                    tokens.append(GaussianRational.from_literal(tok))
-                except FormatError as exc:
-                    raise FormatError(str(exc), line=tl) from exc
+            try:
+                entries.extend(map(GaussianRational.literal_parts, tokens))
+            except FormatError as exc:
+                raise FormatError(str(exc), line=tl) from exc
             pos += 1
-        if len(tokens) != n * n:
+        if len(entries) != n * n:
             raise FormatError(
-                f"unit ({i},{j}) needs {n * n} entries, got {len(tokens)}",
+                f"unit ({i},{j}) needs {n * n} entries, got {len(entries)}",
                 line=lineno,
             )
-        images[(i, j)] = DenseMatrix(n, n, tokens)
+        images[(i, j)] = DenseMatrix.from_parts(n, n, entries)
     strict = [p for p in images if p[0] != p[1]]
     rho = from_edges(n, strict, close=False)
     missing = sorted(set(rho.pairs()) - set(images))

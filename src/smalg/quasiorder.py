@@ -118,11 +118,6 @@ def reverse(q: QuasiOrder) -> QuasiOrder:
     return QuasiOrder(n, rows)
 
 
-def strict_part(q: QuasiOrder):
-    """The off-diagonal pairs as a frozenset."""
-    return frozenset(q.strict_pairs())
-
-
 @dataclass(frozen=True)
 class ClassPartition:
     """A partition of {1..n} into blocks, ordered by smallest element."""

@@ -241,11 +241,13 @@ def _edge_index(rho: QuasiOrder):
 def _relation_vectors(rho: QuasiOrder):
     """Integer vectors spanning the multiplicative relation lattice."""
     edges, idx = _edge_index(rho)
+    # sorted edges give sorted out-lists: vectors come in (i, j, k) order
+    out = {}
+    for (j, k) in edges:
+        out.setdefault(j, []).append(k)
     vecs = []
     for (i, j) in edges:
-        for (j2, k) in edges:
-            if j2 != j:
-                continue
+        for k in out.get(j, ()):
             vec = [0] * len(edges)
             vec[idx[(i, j)]] += 1
             vec[idx[(j, k)]] += 1

@@ -221,3 +221,60 @@ def random_jordan_map(rho, rng):
     u = random_class_union(rho, rng)
     g = random_transitive_map(rho, seed=rng.randrange(10**9))
     return synthesize_jordan(rho, s, u, g), s, u, g
+
+
+# Literals in spellings the format allows beyond the canonical one.
+ODD_LITERALS = {
+    "-0": (0, 0),
+    "0/7": (0, 0),
+    "4/6": (Fraction(2, 3), 0),
+    "-1i": (0, -1),
+    "0+0i": (0, 0),
+    "0i": (0, 0),
+    "00": (0, 0),
+    "-00/3": (0, 0),
+    "1/2+1/3i": (Fraction(1, 2), Fraction(1, 3)),
+    "-2/4-3/9i": (Fraction(-1, 2), Fraction(-1, 3)),
+    "1+-2i": (1, -2),
+    "1--3/6i": (1, Fraction(1, 2)),
+}
+
+
+def _random_rational_text(rng):
+    num, den = rng.randint(-6, 6), rng.randint(1, 6)
+    if num == 0 and rng.random() < 0.3:
+        text = "-0"
+    else:
+        text = str(num)
+    if den > 1 or rng.random() < 0.3:
+        text += f"/{den}"
+    return text, Fraction(num, den)
+
+
+def random_literal(rng):
+    """(text, (re, im)) for a random scalar literal: a bare real, a bare
+    imaginary or both parts, with unreduced fractions, signed zeros and
+    mixed denominators; about half of them are plain ``0``."""
+    if rng.random() < 0.5:
+        return "0", (0, 0)
+    if rng.random() < 0.2:
+        text = rng.choice(sorted(ODD_LITERALS))
+        return text, ODD_LITERALS[text]
+    a, x = _random_rational_text(rng)
+    b, y = _random_rational_text(rng)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return a, (x, 0)
+    if kind == 1:
+        return f"{b}i", (0, y)
+    sign = rng.choice("+-")
+    return f"{a}{sign}{b}i", (x, y if sign == "+" else -y)
+
+
+# Malformed literals and the FormatError message each one raises.
+BAD_LITERALS = [
+    ("1/0", "bad rational '1/0' in '1/0'"),
+    ("1_0", "bad scalar literal '1_0'"),
+    ("\u0663", "bad scalar literal '\u0663'"),  # ARABIC-INDIC DIGIT THREE
+    ("i", "bad scalar literal 'i'"),
+]

@@ -6,7 +6,11 @@ the package cannot hide behind these checks. The one exception is
 ``oracle_spectral_pairs``, which keeps the package's polynomial root search
 as the reference route that diag's triangular shortcut must agree with;
 ``relabel_matrix`` only moves a matrix's entries and builds the result with
-``DenseMatrix.from_entries``.
+``DenseMatrix.from_entries``. The matrix helpers that only tests use
+(``outer``, ``conjugate_transpose``, ``is_rank_one_by_minors``,
+``rank_one_factor``) and ``strict_part`` live here too; they use the
+package's scalar and matrix types but none of its elimination or product
+kernels.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
-from smalg.errors import IrrationalSpectrum, NotDiagonalizable
-from smalg.exactnum import DenseMatrix, GaussianRational
+from smalg.errors import IrrationalSpectrum, NotDiagonalizable, RankNotOne
+from smalg.exactnum import DenseMatrix, GaussianRational, scalar
 from smalg.polyroots import poly_degree, roots_in_gaussian_rationals, squarefree_part
 
 
@@ -89,6 +93,56 @@ def grid_of(matrix):
 
 def oracle_rank_of(matrix):
     return oracle_rank(grid_of(matrix))
+
+
+# --- matrix helpers that only tests use ---------------------------------------
+
+
+def outer(u, v):
+    """The rank-at-most-one matrix u v* (conjugating v)."""
+    uu = [scalar(x) for x in u]
+    vv = [scalar(x).conjugate() for x in v]
+    return DenseMatrix(len(uu), len(vv), [a * b for a in uu for b in vv])
+
+
+def conjugate_transpose(m):
+    return m.transpose().conj()
+
+
+def is_rank_one_by_minors(m):
+    """True iff m is nonzero and all 2x2 minors vanish."""
+    if m.is_zero():
+        return False
+    g = m.to_grid()
+    for i in range(m.rows):
+        for k in range(i + 1, m.rows):
+            for j in range(m.cols):
+                for l in range(j + 1, m.cols):
+                    if g[i][j] * g[k][l] != g[i][l] * g[k][j]:
+                        return False
+    return True
+
+
+def rank_one_factor(m):
+    """Write m = u v* (v conjugated); u is the first nonzero column scaled so
+    its first nonzero entry is 1. Raises RankNotOne otherwise."""
+    r = oracle_rank_of(m)
+    if r != 1:
+        raise RankNotOne(f"matrix has rank {r}, not 1")
+    jcol = next(j for j in range(1, m.cols + 1) if any(m.col_list(j)))
+    u = m.col_list(jcol)
+    lead = next(x for x in u if x)
+    u = [x / lead for x in u]
+    irow = next(i for i, x in enumerate(u) if x) + 1
+    v = [x.conjugate() for x in m.row_list(irow)]
+    if outer(u, v) != m:
+        raise RankNotOne("factor reconstruction failed")
+    return u, v
+
+
+def strict_part(q):
+    """The off-diagonal pairs of a quasi-order as a frozenset."""
+    return frozenset(q.strict_pairs())
 
 
 # --- relabeling by a permutation ---------------------------------------------
@@ -516,3 +570,36 @@ def oracle_spectral_pairs(rows):
                 p = _pair_scale(_pair_matmul(shifted, p), cdiv(one, csub(lam, other)))
         out.append((lam, p))
     return out
+
+
+# --- Jordan ladder references --------------------------------------------------
+
+
+def oracle_unit_image(form, i, j, sinv):
+    """Image of E_ij under a canonical Jordan form, as a pair grid, by two
+    dense products S (g(i, j) E_ab) S^-1. (a, b) is (i, j) on the diagonal
+    and inside the class union u, (j, i) outside it, then relabeled by pi.
+    ``sinv`` is the inverse of ``form.s``."""
+    n = form.rho.n
+    a, b = (i, j) if i == j or i in form.u else (j, i)
+    if form.pi is not None:
+        a, b = form.pi[a - 1], form.pi[b - 1]
+    g = form.g.value(i, j)
+    core = [[CZERO] * n for _ in range(n)]
+    core[a - 1][b - 1] = (g.re, g.im)
+    return _pair_matmul(_pair_matmul(grid_of(form.s), core), grid_of(sinv))
+
+
+def oracle_first_nonorthogonal_pair(grids):
+    """First (i, j) with i < j, in lexicographic order, whose idempotents
+    q_i, q_j (pair grids, 1-based list position) have q_i q_j + q_j q_i != 0;
+    None if every pair anticommutes. This is the pairwise scan that
+    ``classify_jordan`` runs only when the sum of the q_i is not idempotent."""
+    n = len(grids)
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = grids[i], grids[j]
+            anti = _pair_matadd(_pair_matmul(x, y), _pair_matmul(y, x))
+            if any(not is_czero(v) for row in anti for v in row):
+                return (i + 1, j + 1)
+    return None

@@ -11,26 +11,27 @@ from smalg.errors import DimensionMismatch, FormatError, RankNotOne, Singular
 from smalg.exactnum import (
     DenseMatrix,
     GaussianRational,
-    conjugate_transpose,
     format_matrix,
     inverse,
-    is_rank_one_by_minors,
     jordan_product,
     multiply,
-    outer,
     parse_matrix,
     permutation_matrix,
     pivot_columns,
     rank,
-    rank_one_factor,
     scalar,
 )
 
+from fixtures import BAD_LITERALS, random_literal
 from oracles import (
+    conjugate_transpose,
     grid_of,
     invert_permutation,
+    is_rank_one_by_minors,
     oracle_rank,
     oracle_rank_of,
+    outer,
+    rank_one_factor,
     relabel_matrix,
 )
 
@@ -86,9 +87,8 @@ class TestScalar:
 
     def test_components_stay_reduced(self):
         x = GaussianRational(Fraction(2, 4), Fraction(-3, -6))
-        assert (x.re_num, x.re_den) == (1, 2)
-        assert (x.im_num, x.im_den) == (1, 2)
-        assert x.re_den > 0 and x.im_den > 0
+        assert (x.re.numerator, x.re.denominator) == (1, 2)
+        assert (x.im.numerator, x.im.denominator) == (1, 2)
 
     def test_literal_fixtures(self):
         cases = {
@@ -110,6 +110,15 @@ class TestScalar:
         for _ in range(300):
             x = rand_scalar(rng)
             assert GaussianRational.from_literal(x.literal()) == x
+
+    def test_literal_parts(self):
+        rng = random.Random(17)
+        for _ in range(500):
+            text, (re, im) = random_literal(rng)
+            p, q, d = GaussianRational.literal_parts(text)
+            assert d > 0
+            assert (Fraction(p, d), Fraction(q, d)) == (re, im)
+            assert GaussianRational.from_literal(text) == GaussianRational(re, im)
 
     @pytest.mark.parametrize("bad", ["i", "1+i", "-i", "1/0", "--3", "1 + 2i", "2i3", ""])
     def test_bad_literals(self, bad):
@@ -335,6 +344,23 @@ class TestMatrixFormat:
         with pytest.raises(FormatError) as exc:
             parse_matrix("1 1\nnope\n")
         assert exc.value.line == 2
+
+    def test_literals_match_the_scalar_path(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            r, c = rng.randrange(0, 5), rng.randrange(1, 5)
+            cells = [random_literal(rng) for _ in range(r * c)]
+            rows = [" ".join(t for t, _ in cells[k * c : (k + 1) * c]) for k in range(r)]
+            m = parse_matrix(f"{r} {c}\n" + "\n".join(rows) + "\n")
+            assert m == DenseMatrix(r, c, [GaussianRational.from_literal(t) for t, _ in cells])
+            assert m == DenseMatrix(r, c, [GaussianRational(*v) for _, v in cells])
+
+    @pytest.mark.parametrize("bad, message", BAD_LITERALS)
+    def test_bad_literal_names_its_line(self, bad, message):
+        with pytest.raises(FormatError) as exc:
+            parse_matrix(f"2 2\n1 0\n# note\n0 {bad}\n")
+        assert exc.value.line == 4
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "text, line",

@@ -2,6 +2,7 @@
 and embeddings between algebras."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,15 @@ from smalg.errors import (
     VanishingUnitImage,
     ZeroWeight,
 )
-from smalg.exactnum import DenseMatrix, inverse, jordan_product, rank, scalar
+import smalg.exactnum as exactnum
+from smalg.exactnum import (
+    DenseMatrix,
+    GaussianRational,
+    inverse,
+    jordan_product,
+    rank,
+    scalar,
+)
 from smalg.jordan import (
     CanonicalJordanForm,
     LinearMapOnSMA,
@@ -39,6 +48,7 @@ from smalg.quasiorder import from_edges
 from smalg.transmap import random_transitive_map
 
 from fixtures import (
+    BAD_LITERALS,
     bowtie,
     census12,
     corner,
@@ -51,6 +61,7 @@ from fixtures import (
     random_class_union,
     random_invertible_in_sma,
     random_jordan_map,
+    random_literal,
     random_quasiorder,
     random_supported_matrix,
     transitive_map,
@@ -58,7 +69,13 @@ from fixtures import (
     vee3,
     wedge3,
 )
-from oracles import grid_of, oracle_first_jordan_violation, oracle_jordan_embedding_exists
+from oracles import (
+    grid_of,
+    oracle_first_jordan_violation,
+    oracle_first_nonorthogonal_pair,
+    oracle_jordan_embedding_exists,
+    oracle_unit_image,
+)
 
 
 def unit(n, i, j):
@@ -434,6 +451,146 @@ def test_classify_into_codomain_support_violation():
     with pytest.raises(SupportViolation) as exc:
         classify_into_codomain(identity_map(upper_chain(3)), delta(3))
     assert exc.value.pair == (1, 2)
+
+
+def rand_invertible(rng, n):
+    """Dense invertible matrix: random elementary row operations on I."""
+    m = DenseMatrix.identity(n).to_grid()
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            f = GaussianRational(rng.choice([1, -1, 2, Fraction(1, 2)]), rng.choice([0, 0, 1]))
+            m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+    return DenseMatrix.from_rows(m)
+
+
+def rank_one_idempotent(rng, n):
+    """u v^T / (v^T u) for random integer vectors with v^T u != 0."""
+    while True:
+        u = [rng.randint(-2, 2) for _ in range(n)]
+        v = [rng.randint(-2, 2) for _ in range(n)]
+        t = sum(a * b for a, b in zip(u, v))
+        if t:
+            return DenseMatrix.from_rows([[Fraction(a * b, t) for b in v] for a in u])
+
+
+def test_reconstruction_matches_dense_products():
+    rng = random.Random(59)
+    forms = []
+    for _ in range(12):
+        rho = random_quasiorder(rng)
+        pi = list(range(1, rho.n + 1))
+        rng.shuffle(pi)
+        forms.append(
+            CanonicalJordanForm(
+                s=rand_invertible(rng, rho.n),
+                u=random_class_union(rho, rng),
+                g=random_transitive_map(rho, seed=rng.randrange(10**9)),
+                pi=tuple(pi) if rng.random() < 0.5 else None,
+            )
+        )
+    # classified into a codomain: a relabeling pi, and a proper class union
+    t3 = upper_chain(3)
+    reverse = from_edges(3, [(2, 1), (3, 1), (3, 2)], close=False)
+    phi = LinearMapOnSMA(t3, {(i, j): unit(3, 4 - i, 4 - j) for (i, j) in t3.pairs()})
+    forms.append(classify_into_codomain(phi, reverse))
+    rho = double_chain()
+    ones = {p: 1 for p in rho.strict_pairs()}
+    phi = synthesize_jordan(rho, DenseMatrix.identity(4), {1, 2}, ones)
+    forms.append(classify_into_codomain(phi, from_edges(4, [(1, 2), (4, 3)], close=False)))
+    assert forms[-1].u == frozenset({1, 2}) and forms[-1].pi is not None
+    assert any(f.pi is not None and f.u and len(f.u) < f.rho.n for f in forms)
+    for form in forms:
+        sinv = inverse(form.s)
+        images = form.reconstruct().images
+        for (i, j) in form.rho.pairs():
+            assert grid_of(images[(i, j)]) == oracle_unit_image(form, i, j, sinv)
+            assert form.unit_image(i, j) == images[(i, j)]
+
+
+def test_nonorthogonal_idempotents_name_the_first_pair():
+    rng = random.Random(67)
+    raised = 0
+    for _ in range(40):
+        rho = random_quasiorder(rng, n_min=3)
+        n = rho.n
+        phi, _, _, _ = random_jordan_map(rho, rng)
+        images = dict(phi.images)
+        for k in rng.sample(range(1, n + 1), rng.randint(1, 2)):
+            images[(k, k)] = rank_one_idempotent(rng, n)
+        for family in (phi.images, images):
+            qs = [family[(i, i)] for i in range(1, n + 1)]
+            total = sum(qs[1:], qs[0])
+            first = oracle_first_nonorthogonal_pair([grid_of(q) for q in qs])
+            # the lemma in classify_jordan's docstring
+            assert (total * total == total) == (first is None)
+        if first is None:  # the perturbed family happens to be orthogonal
+            continue
+        raised += 1
+        i, j = first
+        with pytest.raises(NotJordan) as exc:
+            classify_jordan(LinearMapOnSMA(rho, images))
+        assert exc.value.pair == ((i, i), (j, j))
+        assert str(exc.value) == f"images of E_{i}{i} and E_{j}{j} are not orthogonal"
+    assert raised >= 30
+    # idempotents of rank two: I and E_22 on the 2-chain
+    rho = upper_chain(2)
+    imgs = {(1, 1): DenseMatrix.identity(2), (2, 2): unit(2, 2, 2), (1, 2): unit(2, 1, 2)}
+    with pytest.raises(NotJordan) as exc:
+        classify_jordan(LinearMapOnSMA(rho, imgs))
+    assert exc.value.pair == ((1, 1), (2, 2))
+
+
+def test_classify_chain10_dense_product_count(monkeypatch):
+    """n idempotent checks, one orthogonality product and two products per
+    strict pair; reconstruction and S0 use no n x n by n x n product."""
+    rng = random.Random(73)
+    rho = upper_chain(10)
+    n = rho.n
+    form = CanonicalJordanForm(
+        s=rand_invertible(rng, n),
+        u=random_class_union(rho, rng),
+        g=random_transitive_map(rho, seed=7),
+    )
+    phi = form.reconstruct()
+    dense = []
+    product = exactnum.multiply
+
+    def counting(a, b):
+        if a.shape == b.shape == (n, n):
+            dense.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(exactnum, "multiply", counting)
+    assert classify_jordan(phi).reconstruct() == phi
+    assert n <= len(dense) <= n + 1 + 2 * len(rho.strict_pairs())
+
+
+def test_linear_map_literals_match_the_scalar_path():
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        blocks, expected = [str(n)], {}
+        for i in range(1, n + 1):
+            cells = [random_literal(rng) for _ in range(n * n)]
+            blocks.append(f"unit {i} {i}")
+            blocks.extend(
+                " ".join(t for t, _ in cells[r * n : (r + 1) * n]) for r in range(n)
+            )
+            expected[(i, i)] = DenseMatrix(n, n, [GaussianRational(*v) for _, v in cells])
+            assert expected[(i, i)] == DenseMatrix(
+                n, n, [GaussianRational.from_literal(t) for t, _ in cells]
+            )
+        assert parse_linear_map("\n".join(blocks) + "\n").images == expected
+
+
+@pytest.mark.parametrize("bad, message", BAD_LITERALS)
+def test_linear_map_bad_literal_names_its_line(bad, message):
+    text = f"2\nunit 1 1\n1 0\n0 {bad}\nunit 2 2\n0 0\n0 1\n"
+    with pytest.raises(FormatError) as exc:
+        parse_linear_map(text)
+    assert exc.value.line == 4
+    assert str(exc.value) == message
 
 
 def test_linear_map_format_round_trip():

@@ -18,7 +18,6 @@ from smalg.quasiorder import (
     rectangles,
     reverse,
     rho_U,
-    strict_part,
     two_sided_classes,
 )
 
@@ -31,6 +30,7 @@ from oracles import (
     oracle_relation_automorphisms,
     oracle_rho_u,
     relabel_matrix,
+    strict_part,
 )
 
 
