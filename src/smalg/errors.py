@@ -111,10 +111,6 @@ class NotUnital(SmalgError):
     """An operation requires a unital map (identity maps to identity)."""
 
 
-class NotEquivalent(SmalgError):
-    """Two objects expected to agree (up to the documented equivalence) do not."""
-
-
 class FormatError(SmalgError):
     """A text input does not parse under one of the file formats.
 

@@ -326,11 +326,6 @@ class DenseMatrix:
     def entries(self):
         return tuple(self._scalars(range(len(self._re))))
 
-    def to_grid(self):
-        """Row-major copy as nested lists (mutable working form)."""
-        c = self.cols
-        return [self._scalars(range(r * c, (r + 1) * c)) for r in range(self.rows)]
-
     def row_list(self, i: int):
         return self._scalars(range((i - 1) * self.cols, i * self.cols))
 

@@ -35,19 +35,6 @@ def poly_eval(cs, x) -> GaussianRational:
     return acc
 
 
-def poly_mul(cs, ds):
-    cs, ds = poly_trim(cs), poly_trim(ds)
-    if not cs or not ds:
-        return []
-    out = [ZERO] * (len(cs) + len(ds) - 1)
-    for a, c in enumerate(cs):
-        if not c:
-            continue
-        for b, d in enumerate(ds):
-            out[a + b] = out[a + b] + c * d
-    return poly_trim(out)
-
-
 def poly_scale(cs, k):
     k = scalar(k)
     return poly_trim([k * c for c in cs])

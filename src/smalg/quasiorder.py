@@ -52,9 +52,6 @@ class QuasiOrder:
         """All j with (i, j) related; contains i itself."""
         return [j for j in range(1, self.n + 1) if self.has(i, j)]
 
-    def card(self) -> int:
-        return sum(r.bit_count() for r in self._rows)
-
     def __eq__(self, other):
         if not isinstance(other, QuasiOrder):
             return NotImplemented

@@ -2,8 +2,12 @@
 
 Positive verdicts come with a canonical form that reconstructs the map
 exactly; negative verdicts come with a concrete matrix whose rank jumps
-under the map. Sampling appears only as an oracle layer: every verdict that
-matters is certified algebraically before it is returned.
+under the map. For a map whose normalization phi(I)^-1 phi is Jordan, the
+witness is constructed from the shortest unbalanced cycle of its weight map
+and has least rank. Sampling is left in two places: the rank-one
+counterexample of a unital map that is not Jordan (one exists by theory and
+is re-verified), and the bounded check of a map with a singular phi(I),
+whose positive verdict rests on samples.
 """
 
 from __future__ import annotations
@@ -15,28 +19,19 @@ from typing import Optional
 from .errors import (
     GIsTrivial,
     InternalInconsistency,
-    NotEquivalent,
     NotJordan,
     NotUnital,
-    PreconditionViolated,
     SupportViolation,
     VanishingUnitImage,
 )
 from .exactnum import DenseMatrix, ONE, format_matrix, inverse, rank
 from .jordan import CanonicalJordanForm, LinearMapOnSMA, apply, classify_jordan
-from .quasiorder import (
-    NotClassUnion,
-    QuasiOrder,
-    approx_classes,
-    first_unsupported,
-    from_edges,
-    reverse,
-)
+from .quasiorder import NotClassUnion, QuasiOrder, approx_classes, first_unsupported
 from .transmap import (
     TransitiveMap,
     apply_induced,
     format_weights,
-    rectangle_minor_condition,
+    shortest_unbalanced_cycle,
     triviality_witness,
     validate,
 )
@@ -153,12 +148,13 @@ def _sampled_rank_one_counterexample(
 def certify_rank_one_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     """Decide rank-one preservation with an algebraic certificate.
 
-    Jordan inputs route through classification and the rectangle minors;
-    non-Jordan inputs must be unital, where rank-one preservation would
-    contradict their non-Jordan-ness, so a sampled counterexample exists.
+    A Jordan map keeps rank one iff its weight map has no unbalanced
+    4-cycle, i.e. every rectangle minor vanishes; otherwise the least-rank
+    witness is that rectangle's all-ones indicator. Non-Jordan inputs must
+    be unital, where rank-one preservation would contradict their
+    non-Jordan-ness, so a sampled counterexample exists.
     """
-    rho = phi.rho
-    n = rho.n
+    n = phi.rho.n
     try:
         form = classify_jordan(phi)
     except NotJordan:
@@ -169,11 +165,10 @@ def certify_rank_one_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
             "not a Jordan homomorphism",
             "unital non-Jordan map passed rank-one sampling",
         )
-    check = rectangle_minor_condition(form.g)
-    if check.ok:
+    cycle = shortest_unbalanced_cycle(form.g)
+    if cycle is None or len(cycle) > 4:
         return PreserverVerdict(kind="RankOnePreserver", form=form)
-    (i, k), (j, l) = check.rectangle
-    x = DenseMatrix.from_entries(n, n, {(i, j): 1, (i, l): 1, (k, j): 1, (k, l): 1})
+    x = _cycle_matrix(form.g, cycle)
     r_image = rank(apply(phi, x))
     if r_image == 1:
         raise InternalInconsistency("violating rectangle kept rank one")
@@ -185,156 +180,42 @@ def certify_rank_one_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     )
 
 
-def chain_of_alternating_pairs(rho: QuasiOrder, a: int, b: int):
-    """Shortest connecting sequence with alternating relation directions.
+def _cycle_matrix(g: TransitiveMap, cycle) -> DenseMatrix:
+    """1 on each pair of an unbalanced cycle of length 2m, (-1)^m on the
+    closing pair: rank m - 1, while its induced scaling has rank m.
 
-    Returns (case, (i_0, ..., i_m)) where the case tag 1-4 records the
-    start direction and parity: forward starts give 1 (odd length) or 2
-    (even), backward starts give 4 (odd) or 3 (even). Minimality of the
-    path forces every listed pair into the relation.
+    The support is an m x m block whose only two transversals are the odd
+    and the even pairs of the cycle, so its determinant is
+    +-(P_odd + (-1)^(m-1) P_even) for the entry products P on each. The
+    closing sign makes it 0, while the scaled block has determinant
+    +-(g on odd pairs - g on even pairs), nonzero as the cycle is
+    unbalanced. The path left by dropping the closing pair has a
+    unit-triangular minor of size m - 1.
     """
-    if a == b:
-        raise PreconditionViolated("endpoints must be distinct")
-    n = rho.n
-    adj = {v: set() for v in range(1, n + 1)}
-    for (i, j) in rho.strict_pairs():
-        adj[i].add(j)
-        adj[j].add(i)
-    parent = {a: None}
-    queue = [a]
-    while queue and b not in parent:
-        v = queue.pop(0)
-        for w in sorted(adj[v]):
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    if b not in parent:
-        raise NotEquivalent(f"{a} and {b} lie in different classes")
-    seq = [b]
-    while parent[seq[-1]] is not None:
-        seq.append(parent[seq[-1]])
-    seq.reverse()
-    m = len(seq) - 1
-    if (a, seq[1]) in rho:
-        case = 1 if m % 2 else 2
-        pairs = [
-            (seq[j - 1], seq[j]) if j % 2 else (seq[j], seq[j - 1])
-            for j in range(1, m + 1)
-        ]
-    else:
-        case = 4 if m % 2 else 3
-        pairs = [
-            (seq[j], seq[j - 1]) if j % 2 else (seq[j - 1], seq[j])
-            for j in range(1, m + 1)
-        ]
-    for p in pairs:
-        if p not in rho:
-            raise InternalInconsistency(f"alternating pair {p} left the relation")
-    return case, tuple(seq)
-
-
-def _restrict_drop_last(rho: QuasiOrder) -> QuasiOrder:
-    m = rho.n - 1
-    inner = [(i, j) for (i, j) in rho.strict_pairs() if i <= m and j <= m]
-    return from_edges(m, inner, close=False)
-
-
-def _pad(m: DenseMatrix, n: int) -> DenseMatrix:
-    return DenseMatrix.from_entries(n, n, {p: m.at(*p) for p in m.support()})
-
-
-def _even_chain_matrix(seq, last: int, n: int) -> DenseMatrix:
-    """The alternating +/- chain matrix with its two extra entries in the
-    last column; has rank len(seq)//2 while the scaled image gains one."""
-    if len(seq) < 3 or len(seq) % 2 == 0:
-        raise InternalInconsistency("chain did not reduce to even form")
-    entries = {}
-    for j in range(0, len(seq) - 2, 2):
-        sign = 1 if (j // 2) % 2 == 0 else -1
-        entries[(seq[j], seq[j + 1])] = sign
-        entries[(seq[j + 2], seq[j + 1])] = sign
-    k = (len(seq) - 1) // 2
-    entries[(seq[0], last)] = 1
-    entries[(seq[-1], last)] = 1 if (k - 1) % 2 == 0 else -1
-    return DenseMatrix.from_entries(n, n, entries)
-
-
-def _first_implication_witness(
-    rho: QuasiOrder, rho_sub: QuasiOrder, a: int, b: int
-) -> DenseMatrix:
-    """Witness matrix for two in-neighbors of the last vertex whose
-    normalized weights differ; the odd and backward chain cases peel down
-    to the even forward case by transitivity."""
-    n = rho.n
-    case, seq = chain_of_alternating_pairs(rho_sub, a, b)
-    if len(seq) == 2:
-        p, q = seq if case == 1 else (seq[1], seq[0])
-        return DenseMatrix.from_entries(n, n, {(p, q): 1, (p, n): 1, (q, q): 1, (q, n): 1})
-    if case == 1:
-        seq = seq[:-1]
-    elif case == 3:
-        seq = seq[1:-1]
-    elif case == 4:
-        seq = seq[1:]
-    for end in (seq[0], seq[-1]):
-        if (end, n) not in rho:
-            raise InternalInconsistency("chain endpoint lost the last column")
-    return _even_chain_matrix(seq, n, n)
+    m = len(cycle) // 2
+    n = g.rho.n
+    entries = dict.fromkeys(cycle, 1)
+    entries[cycle[-1]] = (-1) ** m
+    x = DenseMatrix.from_entries(n, n, entries)
+    if rank(x) != m - 1 or rank(apply_induced(g, x)) != m:
+        raise InternalInconsistency("cycle matrix does not change rank by one")
+    return x
 
 
 def nontrivial_g_rank_witness(g: TransitiveMap) -> DenseMatrix:
-    """A matrix whose rank changes under the induced scaling.
+    """A least-rank matrix whose rank changes under the induced scaling.
 
-    Follows the peeling recursion: restrict away the last vertex; if the
-    restriction is already nontrivial, recurse and pad. Otherwise rescale
-    by its separator, find two equivalent neighbors of the last vertex
-    with different normalized weights, and build the alternating chain
-    matrix (transposed when the neighbors are out-neighbors).
+    Let 2m be the length of the shortest unbalanced cycle of g (see
+    ``shortest_unbalanced_cycle``). Its cycle matrix has rank m - 1 and
+    image rank m. No matrix of smaller rank changes rank: on every R x C
+    with |R| = |C| <= m - 1 all cycles are balanced, so g is a_i b_j there
+    and scales every minor of size up to m - 1 by a nonzero constant; a
+    rank r <= m - 2 is decided by minors of sizes r and r + 1.
     """
-    cert = triviality_witness(g)
-    if cert.is_trivial:
+    cycle = shortest_unbalanced_cycle(g)
+    if cycle is None:
         raise GIsTrivial("weight map is a separator quotient")
-    witness = _witness_recursive(g)
-    before = rank(witness)
-    after = rank(apply_induced(g, witness))
-    if before == after:
-        raise InternalInconsistency("constructed witness does not change rank")
-    return witness
-
-
-def _witness_recursive(g: TransitiveMap) -> DenseMatrix:
-    rho = g.rho
-    n = rho.n
-    rho_sub = _restrict_drop_last(rho)
-    g_sub = g.restrict(rho_sub)
-    cert = triviality_witness(g_sub)
-    if not cert.is_trivial:
-        return _pad(_witness_recursive(g_sub), n)
-    s = dict(cert.separator)
-    s[n] = ONE
-    h = validate(
-        rho,
-        {(i, j): (s[j] / s[i]) * g.value(i, j) for (i, j) in rho.strict_pairs()},
-    )
-    classes = approx_classes(rho_sub)
-    preds = sorted(i for i in range(1, n) if (i, n) in rho)
-    for a in preds:
-        for b in preds:
-            if a < b and classes.block_of(a) == classes.block_of(b):
-                if h.value(a, n) != h.value(b, n):
-                    return _first_implication_witness(rho, rho_sub, a, b)
-    succs = sorted(i for i in range(1, n) if (n, i) in rho)
-    rho_t = reverse(rho)
-    classes_t = approx_classes(_restrict_drop_last(rho_t))
-    for a in succs:
-        for b in succs:
-            if a < b and classes_t.block_of(a) == classes_t.block_of(b):
-                if h.value(n, a) != h.value(n, b):
-                    wt = _first_implication_witness(
-                        rho_t, _restrict_drop_last(rho_t), a, b
-                    )
-                    return wt.transpose()
-    raise InternalInconsistency("nontrivial map satisfies both neighbor rules")
+    return _cycle_matrix(g, cycle)
 
 
 def rank_identity_check(rho: QuasiOrder, u, x: DenseMatrix) -> bool:
@@ -430,32 +311,25 @@ def _random_rank_k_sample(rho: QuasiOrder, k: int, rng):
 def bounded_rank_preserver_check(
     phi: LinearMapOnSMA, max_rank: int, count: int = 40, seed: int = 0
 ):
-    """Sampled rank preservation for ranks 1..max_rank.
+    """Rank preservation for ranks 1..max_rank: (True, None) or (False, X).
 
-    Random sampling alone provably misses sparse obstructions, so when the
-    map classifies with a nontrivial weight map its constructed witness is
-    also tried, provided its rank fits the bound.
+    Every witness ``classify_rank_preserver`` returns has least rank, except
+    the identity for a singular image of the identity. So the verdict is
+    exact unless phi(I) is singular and max_rank < n; only then ranks
+    1..max_rank are sampled, ``count`` matrices each.
     """
+    n = phi.rho.n
+    verdict = classify_rank_preserver(phi)
+    if verdict.kind == "RankPreserver":
+        return True, None
+    if verdict.ranks[0] <= max_rank:
+        return False, verdict.counterexample
+    if verdict.ranks[0] < n:
+        return True, None
     rng = random.Random(seed)
-    rho = phi.rho
-    n = rho.n
-    f_id = apply(phi, DenseMatrix.identity(n))
-    if rank(f_id) == n:
-        norm = inverse(f_id)
-        try:
-            form = classify_jordan(
-                LinearMapOnSMA(rho, {p: norm * m for p, m in phi.images.items()})
-            )
-            if not triviality_witness(form.g).is_trivial:
-                witness = nontrivial_g_rank_witness(form.g)
-                r = rank(witness)
-                if r <= max_rank and rank(apply(phi, witness)) != r:
-                    return False, witness
-        except (NotJordan, VanishingUnitImage):
-            pass
     for k in range(1, max_rank + 1):
         for _ in range(count):
-            x = _random_rank_k_sample(rho, k, rng)
+            x = _random_rank_k_sample(phi.rho, k, rng)
             if rank(apply(phi, x)) != k:
                 return False, x
     return True, None

@@ -31,7 +31,7 @@ from .intlattice import (
     integer_kernel_basis,
     smith_invariant_factors,
 )
-from .quasiorder import QuasiOrder, approx_classes, first_unsupported, rectangles
+from .quasiorder import QuasiOrder, approx_classes, first_unsupported
 
 
 class TransitiveMap:
@@ -53,11 +53,6 @@ class TransitiveMap:
 
     def items(self):
         return sorted(self._w.items())
-
-    def restrict(self, rho_sub: QuasiOrder) -> "TransitiveMap":
-        """Restriction to a sub-relation on the same or fewer vertices."""
-        w = {p: self._w[p] for p in rho_sub.strict_pairs()}
-        return TransitiveMap(rho_sub, w)
 
     def __eq__(self, other):
         if not isinstance(other, TransitiveMap):
@@ -159,13 +154,13 @@ def walk_product(g: TransitiveMap, walk) -> GaussianRational:
     return total
 
 
-def triviality_witness(g: TransitiveMap) -> TrivialityCertificate:
-    """Decide triviality by spanning-tree potentials.
+def _spanning_potentials(g: TransitiveMap):
+    """Spanning-forest potentials of the symmetrized strict relation.
 
-    Per connected component of the symmetrized strict relation, the lowest
-    vertex is the root with potential 1; potentials propagate along tree
-    edges, then every non-tree pair is checked. A failing pair closes a walk
-    whose product is the certificate.
+    Per connected component the lowest vertex is the root with potential 1;
+    potentials propagate along BFS tree edges. Returns the potentials, the
+    tree parents, and a lazy iterator over the strict pairs (in sorted
+    order) where g differs from s(i)/s(j).
     """
     rho = g.rho
     n = rho.n
@@ -192,6 +187,21 @@ def triviality_witness(g: TransitiveMap) -> TrivialityCertificate:
                     s[u] = g.value(u, v) * s[v]
                 parent[u] = (v, edge)
                 queue.append(u)
+    failing = ((i, j) for (i, j) in strict if g.value(i, j) != s[i] / s[j])
+    return s, parent, failing
+
+
+def triviality_witness(g: TransitiveMap) -> TrivialityCertificate:
+    """Decide triviality by spanning-tree potentials.
+
+    Every strict pair is checked against the potentials of
+    ``_spanning_potentials``. The first failing pair closes a walk through
+    the tree whose product is the certificate.
+    """
+    s, parent, failing = _spanning_potentials(g)
+    bad = next(failing, None)
+    if bad is None:
+        return TrivialityCertificate(separator=s)
 
     def steps_to_root(v):
         out = []
@@ -201,36 +211,87 @@ def triviality_witness(g: TransitiveMap) -> TrivialityCertificate:
             v = u
         return out
 
-    for (i, j) in strict:
-        if g.value(i, j) != s[i] / s[j]:
-            walk = [((i, j), 1)]
-            walk.extend(steps_to_root(j))
-            walk.extend((e, -d) for (e, d) in reversed(steps_to_root(i)))
-            walk = tuple(walk)
-            prod = walk_product(g, walk)
-            if prod == ONE:
-                raise InternalInconsistency("violation walk with unit product")
-            return TrivialityCertificate(walk=walk, product=prod)
-    return TrivialityCertificate(separator=s)
+    i, j = bad
+    walk = [((i, j), 1)]
+    walk.extend(steps_to_root(j))
+    walk.extend((e, -d) for (e, d) in reversed(steps_to_root(i)))
+    walk = tuple(walk)
+    prod = walk_product(g, walk)
+    if prod == ONE:
+        raise InternalInconsistency("violation walk with unit product")
+    return TrivialityCertificate(walk=walk, product=prod)
 
 
-@dataclass(frozen=True)
-class RectangleCheck:
-    """Result of the rectangle minor test; ``minor`` is set on violation."""
+def shortest_unbalanced_cycle(g: TransitiveMap):
+    """A shortest cycle of the graph B whose label product is not 1.
 
-    ok: bool
-    rectangle: Optional[tuple] = None
-    minor: Optional[GaussianRational] = None
+    B has a row vertex and a column vertex for each index and one edge
+    row i - column j, labelled g(i, j), for each pair (i, j) of the
+    relation, diagonal pairs included. A cycle through rows i_1..i_m and
+    columns j_1..j_m is returned as its 2m pairs in cycle order; the last
+    pair closes it. None means every cycle is balanced, i.e. g is trivial.
+
+    Every unbalanced cycle uses a strict pair that fails the spanning-forest
+    potentials (the others have label 1 after the gauge s(i)/s(j)), so BFS
+    with potentials starts only from the row ends of those pairs. A BFS from
+    a vertex of a shortest unbalanced cycle of length L meets an unbalanced
+    non-tree edge whose closed walk has length at most L; cutting the walk
+    at the lowest common ancestor leaves a cycle with the same product (Itai
+    and Rodeh's girth search, with potentials).
+    """
+    rho = g.rho
+    _, _, failing = _spanning_potentials(g)
+    # row i is vertex i, column j is vertex -j
+    adj = {}
+    label = {}
+    for (i, j) in rho.pairs():
+        adj.setdefault(i, []).append(-j)
+        adj.setdefault(-j, []).append(i)
+        label[(i, j)] = g.value(i, j)
+    best = None
+    for start in sorted({i for (i, _) in failing}):
+        pot = {start: ONE}
+        parent = {start: None}
+        depth = {start: 0}
+        layer, d = [start], 0
+        found = None
+        # a non-tree edge met from layer d closes a walk of length 2d + 2
+        while layer and found is None and (best is None or 2 * d + 2 < len(best)):
+            nxt = []
+            for x in layer:
+                for y in adj[x]:
+                    row, col = (x, y) if x > 0 else (y, x)
+                    w = label[(row, -col)]
+                    if y not in pot:
+                        pot[y] = pot[x] * w if x > 0 else pot[x] / w
+                        parent[y] = x
+                        depth[y] = d + 1
+                        nxt.append(y)
+                    elif depth[y] > d and parent[y] != x and pot[col] != pot[row] * w:
+                        found = (x, y)
+                        break
+                if found is not None:
+                    break
+            layer, d = nxt, d + 1
+        if found is not None:
+            cycle = _cycle_through(parent, *found)
+            if best is None or len(cycle) < len(best):
+                best = cycle
+    return best
 
 
-def rectangle_minor_condition(g: TransitiveMap) -> RectangleCheck:
-    """The induced scaling preserves rank one iff every rectangle of the
-    relation has a vanishing 2x2 weight minor."""
-    for ((i, k), (j, l)) in rectangles(g.rho):
-        minor = g.value(i, j) * g.value(k, l) - g.value(i, l) * g.value(k, j)
-        if minor:
-            return RectangleCheck(ok=False, rectangle=((i, k), (j, l)), minor=minor)
-    return RectangleCheck(ok=True)
+def _cycle_through(parent, x, y):
+    """The pairs of the cycle closed by the non-tree edge x - y (y one layer
+    below x), cut at the lowest common ancestor of x and y."""
+    left, right = [x], [y, parent[y]]
+    while left[-1] != right[-1]:
+        left.append(parent[left[-1]])
+        right.append(parent[right[-1]])
+    vertices = left[::-1] + right[:-1]
+    pairs = []
+    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
+        pairs.append((a, -b) if a > 0 else (b, -a))
+    return tuple(pairs)
 
 
 def _edge_index(rho: QuasiOrder):

@@ -70,11 +70,12 @@ def chain10() -> QuasiOrder:
 
 
 def chain10_matrix() -> DenseMatrix:
-    """Rank-4 matrix supported on chain10() whose last column ties the two
-    ends of the chain together."""
+    """Rank-4 matrix on the 10-cycle of chain10() (rows 1,3,5,7,9, columns
+    2,4,6,8,10): 1 on each pair and (-1)^5 on the closing pair (7,6). Its
+    scaling by chain10_weights() has rank 5."""
     entries = {
-        (1, 2): 1, (1, 10): 1, (3, 2): 1, (3, 4): -1, (5, 4): -1,
-        (5, 6): 1, (7, 6): 1, (7, 8): -1, (9, 8): -1, (9, 10): -1,
+        (1, 2): 1, (1, 10): 1, (3, 2): 1, (3, 4): 1, (5, 4): 1,
+        (5, 6): 1, (7, 6): -1, (7, 8): 1, (9, 8): 1, (9, 10): 1,
     }
     grid = [[entries.get((i, j), 0) for j in range(1, 11)] for i in range(1, 11)]
     return DenseMatrix.from_rows(grid)
@@ -85,6 +86,23 @@ def chain10_weights():
     pairs exist, so any assignment is transitive; this one is nontrivial."""
     w = {p: GaussianRational(1) for p in chain10().strict_pairs()}
     w[(9, 10)] = GaussianRational(2)
+    return w
+
+
+def seven_point() -> QuasiOrder:
+    """Sources 1,2,3 over sinks 4,5,7, vertex 6 isolated. It holds the
+    rectangles {1,2} x {5,7} and {2,3} x {4,7} and the 6-cycle through
+    rows 1,2,3 and columns 4,5,7."""
+    edges = [(1, 5), (1, 7), (2, 4), (2, 5), (2, 7), (3, 4), (3, 7)]
+    return from_edges(7, edges, close=False)
+
+
+def seven_point_weights():
+    """Weights on seven_point(): 2 on (3,4), 1 elsewhere. The rectangle
+    {2,3} x {4,7} has minor 1*1 - 1*2, so rank one is not kept; the 6-cycle
+    is unbalanced too, so a rank-2 witness exists besides the rank-1 one."""
+    w = {p: GaussianRational(1) for p in seven_point().strict_pairs()}
+    w[(3, 4)] = GaussianRational(2)
     return w
 
 

@@ -6,21 +6,29 @@ the package cannot hide behind these checks. The one exception is
 ``oracle_spectral_pairs``, which keeps the package's polynomial root search
 as the reference route that diag's triangular shortcut must agree with;
 ``relabel_matrix`` only moves a matrix's entries and builds the result with
-``DenseMatrix.from_entries``. The matrix helpers that only tests use
+``DenseMatrix.from_entries``. The helpers that only tests use
 (``outer``, ``conjugate_transpose``, ``is_rank_one_by_minors``,
-``rank_one_factor``) and ``strict_part`` live here too; they use the
-package's scalar and matrix types but none of its elimination or product
-kernels.
+``rank_one_factor``, ``to_grid``, ``strict_part``, ``card``, ``poly_mul``)
+and the rectangle minor test ``rectangle_minor_condition`` live here too;
+they use the package's scalar and matrix types but none of its elimination
+or product kernels.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
+from typing import Optional
 
 from smalg.errors import IrrationalSpectrum, NotDiagonalizable, RankNotOne
-from smalg.exactnum import DenseMatrix, GaussianRational, scalar
-from smalg.polyroots import poly_degree, roots_in_gaussian_rationals, squarefree_part
+from smalg.exactnum import ZERO, DenseMatrix, GaussianRational, scalar
+from smalg.polyroots import (
+    poly_degree,
+    poly_trim,
+    roots_in_gaussian_rationals,
+    squarefree_part,
+)
 
 
 # --- complex rational arithmetic on plain pairs ------------------------------
@@ -109,11 +117,28 @@ def conjugate_transpose(m):
     return m.transpose().conj()
 
 
+def to_grid(m):
+    """Row-major copy of a DenseMatrix as nested lists of scalars."""
+    return [m.row_list(i) for i in range(1, m.rows + 1)]
+
+
+def poly_mul(cs, ds):
+    """Product of two coefficient lists (constant term first)."""
+    cs, ds = poly_trim(cs), poly_trim(ds)
+    if not cs or not ds:
+        return []
+    out = [ZERO] * (len(cs) + len(ds) - 1)
+    for a, c in enumerate(cs):
+        for b, d in enumerate(ds):
+            out[a + b] = out[a + b] + c * d
+    return poly_trim(out)
+
+
 def is_rank_one_by_minors(m):
     """True iff m is nonzero and all 2x2 minors vanish."""
     if m.is_zero():
         return False
-    g = m.to_grid()
+    g = to_grid(m)
     for i in range(m.rows):
         for k in range(i + 1, m.rows):
             for j in range(m.cols):
@@ -138,6 +163,11 @@ def rank_one_factor(m):
     if outer(u, v) != m:
         raise RankNotOne("factor reconstruction failed")
     return u, v
+
+
+def card(q):
+    """Number of related pairs, diagonal included."""
+    return len(q.pairs())
 
 
 def strict_part(q):
@@ -603,3 +633,101 @@ def oracle_first_nonorthogonal_pair(grids):
             if any(not is_czero(v) for row in anti for v in row):
                 return (i + 1, j + 1)
     return None
+
+
+# --- rank preservation of the induced scaling -----------------------------------
+
+
+@dataclass(frozen=True)
+class RectangleCheck:
+    """Result of the rectangle minor test; ``minor`` is set on violation."""
+
+    ok: bool
+    rectangle: Optional[tuple] = None
+    minor: Optional[GaussianRational] = None
+
+
+def rectangle_minor_condition(g):
+    """The induced scaling preserves rank one iff every rectangle of the
+    relation has a vanishing 2x2 weight minor; the first rectangle (rows
+    i < k, columns j < l) with a nonzero minor is reported."""
+    n = g.rho.n
+    pairs = set(g.rho.pairs())
+    for i, k in combinations(range(1, n + 1), 2):
+        for j, l in combinations(range(1, n + 1), 2):
+            if {(i, j), (i, l), (k, j), (k, l)} <= pairs:
+                minor = g.value(i, j) * g.value(k, l) - g.value(i, l) * g.value(k, j)
+                if minor:
+                    return RectangleCheck(ok=False, rectangle=((i, k), (j, l)), minor=minor)
+    return RectangleCheck(ok=True)
+
+
+def _label(g, i, j):
+    v = g.value(i, j)
+    return (v.re, v.im)
+
+
+def oracle_product_form(g, rows, cols):
+    """True iff some a_i, b_j make g(i, j) = a_i b_j on every pair of the
+    relation inside rows x cols. Potentials are spread edge by edge from a
+    seed per component, then every edge is checked."""
+    edges = [(i, j) for (i, j) in g.rho.pairs() if i in rows and j in cols]
+    a, b = {}, {}
+    while True:
+        grew = True
+        while grew:
+            grew = False
+            for (i, j) in edges:
+                if i in a and j not in b:
+                    b[j] = cdiv(_label(g, i, j), a[i])
+                    grew = True
+                elif j in b and i not in a:
+                    a[i] = cdiv(_label(g, i, j), b[j])
+                    grew = True
+        loose = [i for (i, j) in edges if i not in a]
+        if not loose:
+            break
+        a[loose[0]] = (Fraction(1), Fraction(0))
+    return all(_label(g, i, j) == cmul(a[i], b[j]) for (i, j) in edges)
+
+
+def oracle_balanced_below(g, size):
+    """True iff g is a product a_i b_j on every R x C with |R| = |C| <= size.
+    Exhaustive over subsets; meant for n <= 6."""
+    n = g.rho.n
+    for k in range(1, size + 1):
+        for rows in combinations(range(1, n + 1), k):
+            for cols in combinations(range(1, n + 1), k):
+                if not oracle_product_form(g, set(rows), set(cols)):
+                    return False
+    return True
+
+
+def oracle_unbalanced_cycle(g, cycle):
+    """True iff ``cycle`` lists the 2m pairs of a simple cycle of the
+    row/column graph in order (rows i_1..i_m and columns j_1..j_m, each
+    used twice, consecutive pairs sharing a row or a column in turn) whose
+    alternating label product is not 1."""
+    pairs = set(g.rho.pairs())
+    if len(cycle) % 2 or len(cycle) < 4 or not set(cycle) <= pairs:
+        return False
+    rows = [i for (i, _) in cycle]
+    cols = [j for (_, j) in cycle]
+    if any(rows.count(i) != 2 for i in rows) or any(cols.count(j) != 2 for j in cols):
+        return False
+    m = len(cycle)
+    shared = [
+        (cycle[t][0] == cycle[(t + 1) % m][0], cycle[t][1] == cycle[(t + 1) % m][1])
+        for t in range(m)
+    ]
+    if any(r == c for (r, c) in shared):
+        return False
+    if any(shared[t] == shared[(t + 1) % m] for t in range(m)):
+        return False
+    num = den = (Fraction(1), Fraction(0))
+    for t, (i, j) in enumerate(cycle):
+        if t % 2:
+            den = cmul(den, _label(g, i, j))
+        else:
+            num = cmul(num, _label(g, i, j))
+    return num != den

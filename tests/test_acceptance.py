@@ -36,7 +36,6 @@ from smalg.transmap import (
     all_transitive_trivial,
     apply_induced,
     random_transitive_map,
-    rectangle_minor_condition,
     triviality_witness,
     validate,
     walk_product,
@@ -69,6 +68,7 @@ from oracles import (
     oracle_mutual_classes,
     oracle_rank_of,
     oracle_relation_automorphisms,
+    rectangle_minor_condition,
 )
 
 

@@ -35,6 +35,8 @@ from fixtures import (
     delta,
     linear_map,
     separator_map,
+    seven_point,
+    seven_point_weights,
     upper_chain,
     vee3,
     wedge3,
@@ -87,6 +89,11 @@ def files(tmp_path_factory):
 
     paths["bowtie_lm"] = scaled_lm("bowtie_g.lm", bowtie(), bowtie_weights())
     paths["chain10_lm"] = scaled_lm("chain10_g.lm", chain10(), chain10_weights())
+    paths["seven"] = write("seven.qo", format_relation(seven_point()))
+    paths["seven_gw"] = write(
+        "seven.gw", format_weights(validate(seven_point(), seven_point_weights()))
+    )
+    paths["seven_lm"] = scaled_lm("seven_g.lm", seven_point(), seven_point_weights())
     paths["unclosed"] = write("unclosed.qo", "3\n1 2\n2 3\n")
     paths["bad"] = write("bad.qo", "3\n1 x\n")
     paths["eye3"] = write("eye3.gm", format_matrix(DenseMatrix.identity(3)))
@@ -427,6 +434,24 @@ def test_check_rank_bounded_ok(files):
     out = run(["check-rank", "--max-rank", "2", files["t3"], files["id_t3"]])
     assert out.exit_code == 0
     assert "BOUNDED-OK" in out.report
+
+
+def test_seven_point_rank_verdicts_agree(files):
+    """Every rank command finds the rank-one witness on the unbalanced
+    rectangle, whatever the seed; none of them samples here."""
+    rel, lm = files["seven"], files["seven_lm"]
+    for seed in range(6):
+        out = run(["--seed", str(seed), "check-rank", "--max-rank", "1", rel, lm])
+        assert out.exit_code == 1
+        assert out.report.splitlines()[-1] == "RANKS 1 2"
+    for argv in (
+        ["witness", rel, files["seven_gw"]],
+        ["check-rank", rel, lm],
+        ["check-rank-one", rel, lm],
+    ):
+        out = run(argv)
+        assert out.exit_code == 1
+        assert "RANKS 1 2" in out.report.splitlines()
 
 
 def test_check_rank_one_bowtie(files):

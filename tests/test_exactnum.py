@@ -33,6 +33,7 @@ from oracles import (
     outer,
     rank_one_factor,
     relabel_matrix,
+    to_grid,
 )
 
 POOL = [0, 0, 0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3)]
@@ -49,7 +50,7 @@ def rand_matrix(rng, r, c):
 
 def rand_invertible(rng, n):
     """Product of elementary row operations applied to the identity."""
-    m = DenseMatrix.identity(n).to_grid()
+    m = to_grid(DenseMatrix.identity(n))
     for _ in range(3 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
@@ -201,7 +202,7 @@ class TestRank:
         assert rank(a) == 4
         assert oracle_rank_of(a) == 4
         # scaling the (9,10) entry by 2 breaks the column dependency
-        grid = a.to_grid()
+        grid = to_grid(a)
         grid[8][9] = grid[8][9] * scalar(2)
         scaled = DenseMatrix.from_rows(grid)
         assert oracle_rank_of(scaled) == 5

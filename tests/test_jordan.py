@@ -75,6 +75,7 @@ from oracles import (
     oracle_first_nonorthogonal_pair,
     oracle_jordan_embedding_exists,
     oracle_unit_image,
+    to_grid,
 )
 
 
@@ -455,7 +456,7 @@ def test_classify_into_codomain_support_violation():
 
 def rand_invertible(rng, n):
     """Dense invertible matrix: random elementary row operations on I."""
-    m = DenseMatrix.identity(n).to_grid()
+    m = to_grid(DenseMatrix.identity(n))
     for _ in range(3 * n):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:

@@ -17,14 +17,13 @@ from smalg.polyroots import (
     poly_eval_matrix,
     poly_gcd,
     poly_monic,
-    poly_mul,
     poly_scale,
     poly_trim,
     roots_in_gaussian_rationals,
     squarefree_part,
 )
 
-from oracles import grid_of, oracle_charpoly, oracle_det
+from oracles import grid_of, oracle_charpoly, oracle_det, poly_mul
 
 
 def lin(r):

@@ -8,19 +8,16 @@ import smalg.rankpres
 from smalg.errors import (
     GIsTrivial,
     InternalInconsistency,
-    NotEquivalent,
     NotUnital,
-    PreconditionViolated,
     SupportViolation,
     VanishingUnitImage,
 )
-from smalg.exactnum import DenseMatrix, ONE, rank
+from smalg.exactnum import DenseMatrix, ONE, rank, scalar
 from smalg.jordan import LinearMapOnSMA, apply, identity_map, synthesize_jordan, transpose_map
 from smalg.quasiorder import NotClassUnion, approx_classes, from_edges, rectangles
 from smalg.rankpres import (
     bounded_rank_preserver_check,
     certify_rank_one_preserver,
-    chain_of_alternating_pairs,
     classify_rank_preserver,
     format_verdict,
     induced_linear_map,
@@ -32,7 +29,7 @@ from smalg.rankpres import (
 from smalg.transmap import (
     apply_induced,
     random_transitive_map,
-    rectangle_minor_condition,
+    shortest_unbalanced_cycle,
     triviality_witness,
     validate,
 )
@@ -47,7 +44,6 @@ from fixtures import (
     corner,
     corner_map_images,
     delta,
-    double_chain,
     full,
     linear_map,
     random_class_union,
@@ -56,6 +52,12 @@ from fixtures import (
     random_supported_matrix,
     separator_map,
     upper_chain,
+)
+from oracles import (
+    oracle_balanced_below,
+    oracle_rank_of,
+    oracle_unbalanced_cycle,
+    rectangle_minor_condition,
 )
 
 
@@ -204,75 +206,6 @@ def test_certify_vanishing_unit_image_propagates():
 
 
 # ---------------------------------------------------------------------------
-# alternating chains
-
-
-def test_chain_direct_edge():
-    assert chain_of_alternating_pairs(upper_chain(2), 1, 2) == (1, (1, 2))
-
-
-def test_chain_long_even():
-    rho10 = chain10()
-    sub = from_edges(
-        9,
-        [(i, j) for (i, j) in rho10.strict_pairs() if i <= 9 and j <= 9],
-        close=False,
-    )
-    case, seq = chain_of_alternating_pairs(sub, 1, 9)
-    assert case == 2
-    assert seq == (1, 2, 3, 4, 5, 6, 7, 8, 9)
-
-
-def test_chain_shared_sink():
-    rho = from_edges(3, [(2, 1), (3, 1)])
-    assert chain_of_alternating_pairs(rho, 2, 3) == (2, (2, 1, 3))
-
-
-def test_chain_backward_even():
-    rho = from_edges(3, [(2, 1), (2, 3)])
-    assert chain_of_alternating_pairs(rho, 1, 3) == (3, (1, 2, 3))
-
-
-def test_chain_backward_direct():
-    rho = from_edges(3, [(2, 1), (2, 3)])
-    assert chain_of_alternating_pairs(rho, 1, 2) == (4, (1, 2))
-
-
-def test_chain_bowtie_backward():
-    assert chain_of_alternating_pairs(bowtie(), 3, 4) == (3, (3, 1, 4))
-
-
-def test_chain_membership_pattern():
-    """The returned tag fixes the direction of every consecutive pair."""
-    rng = random.Random(17)
-    for _ in range(20):
-        rho = random_quasiorder(rng, 3, 6, density=0.4)
-        blocks = approx_classes(rho).blocks
-        for block in blocks:
-            pts = sorted(block)
-            if len(pts) < 2:
-                continue
-            a, b = pts[0], pts[-1]
-            case, seq = chain_of_alternating_pairs(rho, a, b)
-            forward = case in (1, 2)
-            for j in range(1, len(seq)):
-                if (j % 2 == 1) == forward:
-                    assert (seq[j - 1], seq[j]) in rho
-                else:
-                    assert (seq[j], seq[j - 1]) in rho
-
-
-def test_chain_not_equivalent():
-    with pytest.raises(NotEquivalent):
-        chain_of_alternating_pairs(double_chain(), 1, 3)
-
-
-def test_chain_same_vertex():
-    with pytest.raises(PreconditionViolated):
-        chain_of_alternating_pairs(bowtie(), 2, 2)
-
-
-# ---------------------------------------------------------------------------
 # rank witness construction
 
 
@@ -299,8 +232,8 @@ def test_witness_total_order_trivial():
 
 
 def test_witness_nested_recursion():
-    """Nontrivial weights buried below two removable vertices still
-    produce a verified witness after padding back up."""
+    """An unbalanced rectangle on vertices 1-4, next to a separate pair
+    (5,6), gives the rectangle's indicator as the witness."""
     rho = from_edges(6, [(1, 3), (2, 3), (1, 4), (2, 4), (5, 6)])
     weights = {p: 1 for p in rho.strict_pairs()}
     weights[(2, 4)] = 3
@@ -311,8 +244,8 @@ def test_witness_nested_recursion():
 
 
 def test_witness_out_neighbor_route():
-    """When the last vertex only has out-neighbors, the witness comes from
-    the reversed relation and is transposed back."""
+    """Sources 3,4 over sinks 1,2: the witness is the rectangle with rows
+    3,4 and columns 1,2."""
     rho = from_edges(4, [(3, 1), (3, 2), (4, 1), (4, 2)])
     weights = {p: 1 for p in rho.strict_pairs()}
     weights[(4, 2)] = 2
@@ -349,6 +282,82 @@ def test_witness_random_property():
             assert pair in rho
         assert rank(apply_induced(g, w)) != rank(w)
     assert seen_nontrivial >= 10
+
+
+def random_weight_map(rng):
+    """A weight map on at most 6 points. Half the time a sampled transitive
+    map on a random quasi-order; else three sources over three sinks around
+    a hexagon, each remaining source-sink pair added with probability 0.3
+    (no composable pairs, so any weights are transitive), with separator
+    weights s(i)/s(j) times a factor on one random pair."""
+    if rng.random() < 0.5:
+        return random_transitive_map(
+            random_quasiorder(rng, 3, 6, density=0.4), seed=rng.randrange(10**6)
+        )
+    a, b, c, x, y, z = rng.sample(range(1, 7), 6)
+    pairs = [(a, x), (b, x), (b, y), (c, y), (c, z), (a, z)]
+    pairs += [p for p in [(a, y), (b, z), (c, x)] if rng.random() < 0.3]
+    s = {i: scalar(rng.choice([1, -1, 2, "1/2", "1i"])) for i in range(1, 7)}
+    weights = {(i, j): s[i] / s[j] for (i, j) in pairs}
+    p = rng.choice(pairs)
+    weights[p] = weights[p] * scalar(rng.choice([1, 2, -1, "1i"]))
+    return validate(from_edges(6, pairs, close=False), weights)
+
+
+def test_cycle_witness_has_least_rank():
+    """The returned cycle is an unbalanced cycle of length 2m, g is a_i b_j
+    on every R x C with |R| = |C| <= m - 1 (so no shorter unbalanced cycle
+    exists), and the cycle matrix has ranks m - 1 -> m."""
+    rng = random.Random(71)
+    lengths = {}
+    for _ in range(60):
+        g = random_weight_map(rng)
+        cycle = shortest_unbalanced_cycle(g)
+        if cycle is None:
+            assert triviality_witness(g).is_trivial
+            assert oracle_balanced_below(g, g.rho.n)
+            continue
+        assert oracle_unbalanced_cycle(g, cycle)
+        m = len(cycle) // 2
+        assert oracle_balanced_below(g, m - 1)
+        assert not oracle_balanced_below(g, m)
+        w = nontrivial_g_rank_witness(g)
+        assert set(w.support()) == set(cycle)
+        assert oracle_rank_of(w) == m - 1
+        assert oracle_rank_of(apply_induced(g, w)) == m
+        lengths[m] = lengths.get(m, 0) + 1
+    assert lengths.get(2, 0) >= 5 and lengths.get(3, 0) >= 3
+
+
+def test_bounded_check_is_exact_on_jordan_maps(monkeypatch):
+    """For a Jordan map with a nontrivial weight map, the bounded check
+    fails exactly from the witness rank on, agrees with the rank-one
+    certificate at rank one, and draws no sample."""
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a verdict on a Jordan map sampled")
+
+    monkeypatch.setattr(smalg.rankpres, "sample_rank_one_in_sma", no_sampling)
+    rng = random.Random(73)
+    checked = 0
+    while checked < 12:
+        g = random_weight_map(rng)
+        if triviality_witness(g).is_trivial:
+            continue
+        checked += 1
+        rho = g.rho
+        r = rank(nontrivial_g_rank_witness(g))
+        s = random_invertible_in_sma(rho, rng)
+        u = random_class_union(rho, rng)
+        for phi in (induced_linear_map(g), synthesize_jordan(rho, s, u, g)):
+            for k in range(1, rho.n + 1):
+                ok, witness = bounded_rank_preserver_check(phi, k)
+                assert ok == (k < r)
+                if not ok:
+                    assert rank(witness) == r
+                    assert rank(apply(phi, witness)) != r
+            rank_one = certify_rank_one_preserver(phi).kind == "RankOnePreserver"
+            assert bounded_rank_preserver_check(phi, 1)[0] == rank_one
 
 
 # ---------------------------------------------------------------------------

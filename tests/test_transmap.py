@@ -12,7 +12,6 @@ from smalg.transmap import (
     format_weights,
     parse_weights,
     random_transitive_map,
-    rectangle_minor_condition,
     triviality_witness,
     validate,
     walk_product,
@@ -33,6 +32,7 @@ from fixtures import (
     upper_chain,
     vee3,
 )
+from oracles import rectangle_minor_condition
 
 
 def walk_endpoints(walk):
