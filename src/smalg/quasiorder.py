@@ -20,6 +20,17 @@ from .errors import (
 from .exactnum import DenseMatrix, parse_int
 
 
+def _bits(mask: int):
+    """The 1-based positions of the set bits of ``mask``, ascending; one
+    step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
+
+
 class QuasiOrder:
     """Immutable reflexive transitive relation on {1..n}."""
 
@@ -38,19 +49,18 @@ class QuasiOrder:
 
     def pairs(self):
         """All related pairs, sorted."""
-        return [
-            (i, j)
-            for i in range(1, self.n + 1)
-            for j in range(1, self.n + 1)
-            if self.has(i, j)
-        ]
+        return [(i, j) for i, r in enumerate(self._rows, 1) for j in _bits(r)]
 
     def strict_pairs(self):
-        return [(i, j) for (i, j) in self.pairs() if i != j]
+        return [
+            (i, j)
+            for i, r in enumerate(self._rows, 1)
+            for j in _bits(r & ~(1 << (i - 1)))
+        ]
 
     def out_set(self, i: int):
         """All j with (i, j) related; contains i itself."""
-        return [j for j in range(1, self.n + 1) if self.has(i, j)]
+        return _bits(self._rows[i - 1])
 
     def __eq__(self, other):
         if not isinstance(other, QuasiOrder):
@@ -83,36 +93,31 @@ def from_edges(n: int, edges: Iterable, close: bool = True) -> QuasiOrder:
         for k in range(n):
             bit = 1 << k
             krow = rows[k]
+            if krow == bit:  # nothing to pass on through k
+                continue
             for i in range(n):
                 if rows[i] & bit:
                     rows[i] |= krow
     else:
-        for i in range(n):
-            ri = rows[i]
-            rest = ri
-            while rest:
-                k = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                missing = rows[k] & ~ri
+        for i, ri in enumerate(rows, 1):
+            for k in _bits(ri):
+                missing = rows[k - 1] & ~ri
                 if missing:
-                    j = (missing & -missing).bit_length() - 1
+                    j = _bits(missing)[0]
                     raise NotClosed(
-                        f"({i + 1},{k + 1}) and ({k + 1},{j + 1}) are present "
-                        f"but ({i + 1},{j + 1}) is not",
-                        witness=((i + 1, k + 1), (k + 1, j + 1)),
+                        f"({i},{k}) and ({k},{j}) are present but ({i},{j}) is not",
+                        witness=((i, k), (k, j)),
                     )
     return QuasiOrder(n, rows)
 
 
 def reverse(q: QuasiOrder) -> QuasiOrder:
-    n = q.n
-    rows = [0] * n
-    for i in range(n):
-        r = q._rows[i]
-        for j in range(n):
-            if r >> j & 1:
-                rows[j] |= 1 << i
-    return QuasiOrder(n, rows)
+    rows = [0] * q.n
+    for i, r in enumerate(q._rows):
+        bit = 1 << i
+        for j in _bits(r):
+            rows[j - 1] |= bit
+    return QuasiOrder(q.n, rows)
 
 
 @dataclass(frozen=True)
@@ -145,14 +150,15 @@ def _partition(n, block_iter):
 
 def two_sided_classes(q: QuasiOrder) -> ClassPartition:
     """Classes of the mutual relation: i ~ j iff both (i,j) and (j,i)."""
-    seen = set()
+    rev = reverse(q)._rows
+    seen = 0
     blocks = []
-    for i in range(1, q.n + 1):
-        if i in seen:
+    for i, r in enumerate(q._rows):
+        if seen >> i & 1:
             continue
-        blk = {j for j in range(1, q.n + 1) if q.has(i, j) and q.has(j, i)}
-        seen |= blk
-        blocks.append(blk)
+        cls = r & rev[i]
+        seen |= cls
+        blocks.append(_bits(cls))
     return _partition(q.n, blocks)
 
 
@@ -172,15 +178,12 @@ def approx_classes(q: QuasiOrder) -> ClassPartition:
         frontier = 1 << i
         while frontier:
             nxt = 0
-            rest = frontier
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                nxt |= adj[v] & ~comp
+            for v in _bits(frontier):
+                nxt |= adj[v - 1] & ~comp
             comp |= nxt
             frontier = nxt
         seen |= comp
-        blocks.append({k + 1 for k in range(n) if comp >> k & 1})
+        blocks.append(_bits(comp))
     return _partition(n, blocks)
 
 
@@ -216,46 +219,61 @@ def block_triangular_form(q: QuasiOrder) -> BlockTriangularForm:
 
     Among classes whose strict predecessors are all placed, the one with the
     smallest minimum element goes first, so the output is reproducible.
+    This is Kahn's sort: placing a class lowers the in-degree of the classes
+    above it, and the least ready class goes next. On p classes the order
+    costs O(p^2) steps at most (one ``min`` over the ready list per
+    placement); the p x p ``presence`` matrix is of the same size.
     """
-    part = two_sided_classes(q)
-    blocks = list(part.blocks)
+    blocks = two_sided_classes(q).blocks
     p = len(blocks)
-    reps = [min(b) for b in blocks]
-    leq = [
-        [q.has(reps[a], reps[b]) for b in range(p)]
-        for a in range(p)
+    cls = [0] * q.n
+    for a, blk in enumerate(blocks):
+        for v in blk:
+            cls[v - 1] = a
+    # the classes strictly above each class, read off one row of it
+    above = [
+        {cls[j - 1] for j in _bits(q._rows[min(blk) - 1])} - {a}
+        for a, blk in enumerate(blocks)
     ]
+    indeg = [0] * p
+    for succ in above:
+        for b in succ:
+            indeg[b] += 1
+    ready = [a for a in range(p) if not indeg[a]]
     placed = []
-    remaining = set(range(p))
-    while remaining:
-        ready = [
-            a
-            for a in remaining
-            if all(not leq[b][a] for b in remaining if b != a)
-        ]
-        if not ready:
-            raise InternalInconsistency("class order has a cycle")
-        nxt = min(ready, key=lambda a: reps[a])
+    while ready:
+        nxt = min(ready)  # blocks are ordered by minimum
+        ready.remove(nxt)
         placed.append(nxt)
-        remaining.remove(nxt)
+        for b in above[nxt]:
+            indeg[b] -= 1
+            if not indeg[b]:
+                ready.append(b)
+    if len(placed) < p:
+        raise InternalInconsistency("class order has a cycle")
+    pos = [0] * p
+    for t, a in enumerate(placed):
+        pos[a] = t
+    presence = []
+    for t, a in enumerate(placed):
+        row = [False] * p
+        row[t] = True
+        for b in above[a]:
+            if pos[b] < t:
+                raise InternalInconsistency("order not triangular")
+            row[pos[b]] = True
+        presence.append(tuple(row))
     pi = [0] * q.n
     offset = 0
     for a in placed:
         for t, v in enumerate(sorted(blocks[a]), start=1):
             pi[v - 1] = offset + t
         offset += len(blocks[a])
-    presence = tuple(
-        tuple(leq[placed[a]][placed[b]] for b in range(p)) for a in range(p)
-    )
-    for a in range(p):
-        for b in range(a):
-            if presence[a][b]:
-                raise InternalInconsistency("order not triangular")
     return BlockTriangularForm(
         pi=tuple(pi),
         sizes=tuple(len(blocks[a]) for a in placed),
-        presence=presence,
-        class_order=tuple(frozenset(blocks[a]) for a in placed),
+        presence=tuple(presence),
+        class_order=tuple(blocks[a] for a in placed),
     )
 
 
@@ -267,7 +285,7 @@ def rectangles(q: QuasiOrder):
     for i in range(1, n + 1):
         for k in range(i + 1, n + 1):
             common = q._rows[i - 1] & q._rows[k - 1]
-            cols = [c + 1 for c in range(n) if common >> c & 1]
+            cols = _bits(common)
             for a in range(len(cols)):
                 for b in range(a + 1, len(cols)):
                     out.append(((i, k), (cols[a], cols[b])))

@@ -63,6 +63,15 @@ class TransitiveMap:
         return f"TransitiveMap({self._w})"
 
 
+def _out_lists(strict):
+    """The k of each (j, k) in ``strict``, grouped by j. Sorted pairs give
+    ascending lists, so composable pairs come in (i, j, k) order."""
+    out = {}
+    for (j, k) in strict:
+        out.setdefault(j, []).append(k)
+    return out
+
+
 def validate(rho: QuasiOrder, weights) -> TransitiveMap:
     """Check coverage, nonvanishing and multiplicative transitivity.
 
@@ -89,10 +98,9 @@ def validate(rho: QuasiOrder, weights) -> TransitiveMap:
         raise SupportViolation(
             f"missing weight for {missing[0]}", pair=missing[0]
         )
+    out = _out_lists(strict)
     for (i, j) in strict:
-        for (j2, k) in strict:
-            if j2 != j:
-                continue
+        for k in out.get(j, ()):
             prod = w[(i, j)] * w[(j, k)]
             if i == k:
                 if prod != ONE:
@@ -302,10 +310,7 @@ def _edge_index(rho: QuasiOrder):
 def _relation_vectors(rho: QuasiOrder):
     """Integer vectors spanning the multiplicative relation lattice."""
     edges, idx = _edge_index(rho)
-    # sorted edges give sorted out-lists: vectors come in (i, j, k) order
-    out = {}
-    for (j, k) in edges:
-        out.setdefault(j, []).append(k)
+    out = _out_lists(edges)
     vecs = []
     for (i, j) in edges:
         for k in out.get(j, ()):

@@ -166,6 +166,28 @@ def random_quasiorder(rng, n_min=2, n_max=6, density=0.3) -> QuasiOrder:
     return from_edges(n, edges)
 
 
+def random_class_order(rng, n, density) -> QuasiOrder:
+    """A quasi-order on n shuffled labels whose mutual classes have 1 to 3
+    members (the first has two when n >= 2), each joined to each later
+    class with probability ``density``."""
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    classes, t = [], 0
+    while t < n:
+        size = min(n - t, 2 if t == 0 else rng.choice((1, 1, 2, 3)))
+        classes.append(labels[t:t + size])
+        t += size
+    edges = []
+    for c in classes:
+        if len(c) > 1:
+            edges.extend(zip(c, c[1:] + c[:1]))
+    for a, lower in enumerate(classes):
+        for upper in classes[a + 1:]:
+            if rng.random() < density:
+                edges.append((rng.choice(lower), rng.choice(upper)))
+    return from_edges(n, edges)
+
+
 def random_invertible_in_sma(rho, rng, steps=6) -> DenseMatrix:
     """Invertible matrix supported in the relation: a random diagonal of
     units times a product of random elementary matrices on strict pairs."""

@@ -6,12 +6,15 @@ the package cannot hide behind these checks. The one exception is
 ``oracle_spectral_pairs``, which keeps the package's polynomial root search
 as the reference route that diag's triangular shortcut must agree with;
 ``relabel_matrix`` only moves a matrix's entries and builds the result with
-``DenseMatrix.from_entries``. The helpers that only tests use
-(``outer``, ``conjugate_transpose``, ``is_rank_one_by_minors``,
-``rank_one_factor``, ``to_grid``, ``strict_part``, ``card``, ``poly_mul``)
-and the rectangle minor test ``rectangle_minor_condition`` live here too;
-they use the package's scalar and matrix types but none of its elimination
-or product kernels.
+``DenseMatrix.from_entries``. The relation oracles read a quasi-order only
+through its single-bit test ``has``; ``oracle_block_triangular_form``
+returns the package's ``BlockTriangularForm`` record so that its fields
+compare directly. The helpers that only tests use (``outer``,
+``conjugate_transpose``, ``is_rank_one_by_minors``, ``rank_one_factor``,
+``to_grid``, ``strict_part``, ``card``, ``poly_mul``) and the rectangle
+minor test ``rectangle_minor_condition`` live here too; they use the
+package's scalar and matrix types but none of its elimination or product
+kernels.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from smalg.polyroots import (
     roots_in_gaussian_rationals,
     squarefree_part,
 )
+from smalg.quasiorder import BlockTriangularForm
 
 
 # --- complex rational arithmetic on plain pairs ------------------------------
@@ -273,6 +277,92 @@ def oracle_connected_classes(n, pairs):
         seen |= comp
         blocks.append(frozenset(comp))
     return blocks
+
+
+def oracle_pairs(q):
+    """Every related pair of q, by testing all n^2 positions with ``has``."""
+    return [
+        (i, j)
+        for i in range(1, q.n + 1)
+        for j in range(1, q.n + 1)
+        if q.has(i, j)
+    ]
+
+
+def oracle_strict_pairs(q):
+    return [(i, j) for (i, j) in oracle_pairs(q) if i != j]
+
+
+def oracle_out_set(q, i):
+    return [j for j in range(1, q.n + 1) if q.has(i, j)]
+
+
+def oracle_reverse_pairs(q):
+    """The pairs of the reversed relation, sorted."""
+    return sorted((j, i) for (i, j) in oracle_pairs(q))
+
+
+def oracle_block_triangular_form(q):
+    """The class order by rescanning the remaining classes before each
+    placement (O(p^3) on p classes), with the least minimum breaking ties;
+    classes come from ``oracle_mutual_classes`` and every cell from ``has``."""
+    blocks = oracle_mutual_classes(q.n, set(oracle_pairs(q)))
+    p = len(blocks)
+    reps = [min(b) for b in blocks]
+    leq = [
+        [q.has(reps[a], reps[b]) for b in range(p)]
+        for a in range(p)
+    ]
+    placed = []
+    remaining = set(range(p))
+    while remaining:
+        ready = [
+            a
+            for a in remaining
+            if all(not leq[b][a] for b in remaining if b != a)
+        ]
+        if not ready:
+            raise ValueError("class order has a cycle")
+        nxt = min(ready, key=lambda a: reps[a])
+        placed.append(nxt)
+        remaining.remove(nxt)
+    pi = [0] * q.n
+    offset = 0
+    for a in placed:
+        for t, v in enumerate(sorted(blocks[a]), start=1):
+            pi[v - 1] = offset + t
+        offset += len(blocks[a])
+    presence = tuple(
+        tuple(leq[placed[a]][placed[b]] for b in range(p)) for a in range(p)
+    )
+    return BlockTriangularForm(
+        pi=tuple(pi),
+        sizes=tuple(len(blocks[a]) for a in placed),
+        presence=presence,
+        class_order=tuple(frozenset(blocks[a]) for a in placed),
+    )
+
+
+def oracle_first_transitivity_violation(strict, weights):
+    """The first composable pair that breaks multiplicative transitivity,
+    by scanning all pairs of strict pairs in sorted order: ``(witness,
+    message)``, or None when the map is transitive. ``weights`` maps each
+    strict pair to a (re, im) pair of Fractions."""
+    one = (Fraction(1), Fraction(0))
+    for (i, j) in strict:
+        for (j2, k) in strict:
+            if j2 != j:
+                continue
+            prod = cmul(weights[(i, j)], weights[(j, k)])
+            if i == k:
+                if prod != one:
+                    return (
+                        ((i, j), (j, k)),
+                        f"g({i},{j}) g({j},{k}) != 1 on a two-sided pair",
+                    )
+            elif prod != weights[(i, k)]:
+                return ((i, j), (j, k)), f"g({i},{j}) g({j},{k}) != g({i},{k})"
+    return None
 
 
 def oracle_rho_u(n, pairs, u):

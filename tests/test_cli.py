@@ -276,6 +276,33 @@ def test_chain25_all_trivial_and_info_under_five_seconds(tmp_path):
     assert out.report.splitlines()[-3:] == ["dichotomy true", "inner true", "extends true"]
 
 
+def test_close_on_twenty_thousand_isolated_vertices_under_five_seconds(tmp_path):
+    # a closure pass through a vertex with no strict successor adds nothing;
+    # running all 20,000 of them over all 20,000 rows took more than 60 s
+    q = tmp_path / "e20000.qo"
+    q.write_text("20000\n")
+    out, elapsed = _timed_run(["close", str(q)])
+    assert elapsed < 5.0
+    assert (out.exit_code, out.report) == (0, "20000\n")
+
+
+def test_blocks_on_the_thousand_antichain_under_five_seconds(tmp_path):
+    # rescanning the remaining classes before each placement took 34 s
+    n = 1000
+    q = tmp_path / "a1000.qo"
+    q.write_text(format_relation(delta(n)))
+    out, elapsed = _timed_run(["blocks", str(q)])
+    assert elapsed < 5.0
+    assert out.exit_code == 0
+    ones = " ".join(["1"] * n)
+    identity = " ".join("0" * k + "1" + "0" * (n - 1 - k) for k in range(n))
+    order = " ".join(f"{{{v}}}" for v in range(1, n + 1))
+    assert out.report == (
+        f"pi {' '.join(str(v) for v in range(1, n + 1))}\nsizes {ones}\n"
+        f"presence {identity}\nclass-order {order}\n"
+    )
+
+
 def test_witness_bowtie(files):
     out = run(["witness", files["bowtie"], files["bowtie_gw"]])
     assert out.exit_code == 1

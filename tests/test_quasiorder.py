@@ -24,12 +24,17 @@ from smalg.quasiorder import (
 import fixtures as fx
 from oracles import (
     card,
+    oracle_block_triangular_form,
     oracle_closure,
     oracle_connected_classes,
     oracle_increasing_perms,
     oracle_mutual_classes,
+    oracle_out_set,
+    oracle_pairs,
     oracle_relation_automorphisms,
+    oracle_reverse_pairs,
     oracle_rho_u,
+    oracle_strict_pairs,
     relabel_matrix,
     strict_part,
 )
@@ -95,6 +100,30 @@ class TestBasicOps:
         q = fx.cycle_over_point()
         assert strict_part(q) == {(1, 2), (1, 3), (2, 3), (3, 2)}
         assert all(i != j for (i, j) in strict_part(q))
+
+
+class TestRelationWalks:
+    """The set-bit walks and the class order against ``has`` enumerations,
+    on sizes whose masks end just below, at and just past word boundaries."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    def test_against_has(self, n):
+        rng = random.Random(7000 + n)
+        for density in (0.0, 0.03, 0.15, 0.6):
+            q = fx.random_class_order(rng, n, density)
+            assert q.pairs() == oracle_pairs(q)
+            assert q.strict_pairs() == oracle_strict_pairs(q)
+            for i in range(1, n + 1):
+                assert q.out_set(i) == oracle_out_set(q, i)
+            assert reverse(q).pairs() == oracle_reverse_pairs(q)
+            classes = two_sided_classes(q).blocks
+            assert classes == tuple(oracle_mutual_classes(n, set(oracle_pairs(q))))
+            assert n < 2 or max(len(c) for c in classes) >= 2
+            got, want = block_triangular_form(q), oracle_block_triangular_form(q)
+            assert got.pi == want.pi
+            assert got.sizes == want.sizes
+            assert got.presence == want.presence
+            assert got.class_order == want.class_order
 
 
 class TestClasses:
@@ -194,6 +223,14 @@ class TestBlockTriangularForm:
                         assert got == cells and a < b
                     else:
                         assert not got
+
+    def test_least_minimum_goes_first(self):
+        # 2 and 3 start ready; placing 2 readies 4 and placing 3 then
+        # readies 1, which still goes before 4
+        q = from_edges(4, [(3, 1), (2, 4)])
+        btf = block_triangular_form(q)
+        assert [min(c) for c in btf.class_order] == [2, 3, 1, 4]
+        assert btf.pi == (3, 1, 2, 4)
 
     def test_relabel_consistency(self):
         # relabeled units live where the block form says they do

@@ -1,6 +1,7 @@
 """Tests for transitive weight maps and the triviality decision."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,12 +28,19 @@ from fixtures import (
     cycle_over_point,
     delta,
     full,
+    random_class_order,
     random_quasiorder,
     separator_map,
     upper_chain,
     vee3,
 )
-from oracles import rectangle_minor_condition
+from oracles import (
+    cdiv,
+    cmul,
+    oracle_first_transitivity_violation,
+    oracle_strict_pairs,
+    rectangle_minor_condition,
+)
 
 
 def walk_endpoints(walk):
@@ -77,6 +85,35 @@ def test_two_sided_pair_must_wrap_to_one():
     with pytest.raises(NotTransitive) as exc:
         validate(rho, {(1, 2): 2, (2, 1): 3})
     assert exc.value.witness in (((1, 2), (2, 1)), ((2, 1), (1, 2)))
+
+
+def test_first_violation_matches_the_pair_scan():
+    # separator maps s(i)/s(j) with one to three pairs scaled by a unit
+    # other than 1; validate must name the composable pair, and give the
+    # message, that a scan over all pairs of strict pairs meets first
+    rng = random.Random(53)
+    units = [(Fraction(u), Fraction(v)) for (u, v) in ((2, 0), (-1, 0), (0, 1))]
+    values = units + [(Fraction(1, 3), Fraction(0)), (Fraction(1), Fraction(1))]
+    two_sided = []
+    for _ in range(300):
+        q = random_class_order(rng, rng.randrange(2, 12), rng.random())
+        strict = oracle_strict_pairs(q)
+        s = {v: rng.choice(values) for v in range(1, q.n + 1)}
+        w = {(i, j): cdiv(s[i], s[j]) for (i, j) in strict}
+        for _ in range(rng.randint(1, 3)):
+            pair = rng.choice(strict)
+            w[pair] = cmul(w[pair], rng.choice(units))
+        want = oracle_first_transitivity_violation(strict, w)
+        try:
+            validate(q, {pair: GaussianRational(*v) for pair, v in w.items()})
+            got = None
+        except NotTransitive as exc:
+            got = (exc.witness, str(exc))
+        assert got == want
+        if want is not None:
+            two_sided.append(want[0][0][0] == want[0][1][1])
+    # both branches: a two-sided product that is not 1, a composite mismatch
+    assert True in two_sided and False in two_sided
 
 
 def test_validate_rejects_bad_supports_and_zero():
