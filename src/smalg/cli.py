@@ -63,6 +63,7 @@ from .jordan import (
     synthesize_jordan,
 )
 from .quasiorder import (
+    MAX_VERTICES,
     approx_classes,
     block_triangular_form,
     central_idempotents,
@@ -591,6 +592,8 @@ def _selftest_diagonalize(rng, n_max):
 
 
 def _cmd_selftest(args) -> tuple:
+    if args.n > MAX_VERTICES:
+        raise _InputError(f"error: --n must be at most {MAX_VERTICES}")
     rng = random.Random(args.seed)
     n_max = max(2, args.n)
     suites = (

@@ -1,13 +1,13 @@
 """Exact scalars and dense matrices over the Gaussian rationals.
 
-Scalars are pairs of ``fractions.Fraction`` (real and imaginary part), so
-every invariant the representation needs (lowest terms, positive denominator,
-arbitrary precision) is inherited from the stdlib. A matrix keeps one
-positive integer denominator and integer numerators for the real and
-imaginary parts of its entries, in lowest terms, so its arithmetic runs on
-Python ints and equal matrices have equal storage; entries are handed out as
-scalars. Rank, pivot columns and inverse all run on one fraction-free
-Gauss-Jordan kernel over the Gaussian integers. No floating
+A scalar is one canonical integer triple (p, q, d), the number
+(p + q i) / d, with d > 0 and gcd(p, q, d) = 1, so equal scalars have
+equal storage and compare and hash as ints. A matrix keeps the same form
+with one denominator for all its entries: a positive integer denominator and
+integer numerators for the real and imaginary parts, in lowest terms, so its
+arithmetic runs on Python ints and equal matrices have equal storage; entries
+are handed out as scalars. Rank, pivot columns and inverse all run on one
+fraction-free Gauss-Jordan kernel over the Gaussian integers. No floating
 point enters anywhere in this package.
 
 Matrix indices in the public API are 1-based, matching the pair convention of
@@ -18,7 +18,7 @@ internally.
 from __future__ import annotations
 
 import re as _re
-from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -34,19 +34,33 @@ _RE_INT = _re.compile(r"\A[+-]?[0-9]+\Z")
 
 
 class GaussianRational:
-    """A number a + b*i with rational a, b."""
+    """A number (p + q i) / d with integers p, q and d > 0, kept in lowest
+    terms (gcd(p, q, d) = 1).
 
-    __slots__ = ("re", "im")
+    The constructor takes the real and imaginary parts, each an int or any
+    rational with integer ``numerator`` and ``denominator``, such as the
+    rationals of the standard library's ``fractions`` module.
+    """
+
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.p, self.q, self.d = re, im, 1
+            return
+        a, b = _ratio(re)
+        c, e = _ratio(im)
+        d = b * e
+        p, q = a * e, c * b
+        if d < 0:
+            p, q, d = -p, -q, -d
+        g = gcd(p, q, d)
+        self.p, self.q, self.d = p // g, q // g, d // g
 
     @classmethod
     def from_literal(cls, text: str) -> "GaussianRational":
         """Parse a scalar literal (grammar at :meth:`literal_parts`)."""
-        p, q, d = cls.literal_parts(text)
-        return cls(Fraction(p, d), Fraction(q, d))
+        return _reduced_scalar(*cls.literal_parts(text))
 
     @staticmethod
     def literal_parts(text: str):
@@ -78,34 +92,41 @@ class GaussianRational:
         raise FormatError(f"bad scalar literal {text!r}")
 
     def literal(self) -> str:
-        """Canonical literal form; inverse of :meth:`from_literal`."""
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        """Canonical literal form; inverse of :meth:`from_literal`. Each part
+        is spelled in lowest terms, ``-1/2`` or ``3``."""
+        p, q, d = self.p, self.q, self.d
+        if not q:
+            return _ratio_text(p, d)
+        if not p:
+            return f"{_ratio_text(q, d)}i"
+        sign = "+" if q > 0 else "-"
+        return f"{_ratio_text(p, d)}{sign}{_ratio_text(abs(q), d)}i"
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _scalar(self.p, -self.q, self.d)
 
     def reciprocal(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        p, q, d = self.p, self.q, self.d
+        n = p * p + q * q
         if not n:
             raise ZeroDivisionError("reciprocal of zero")
-        return GaussianRational(self.re / n, -self.im / n)
+        # d / (p + q i) = d (p - q i) / (p^2 + q^2)
+        return _reduced_scalar(d * p, -d * q, n)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not (self.p or self.q)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.p or self.q)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced_scalar(self.p + other.p, self.q + other.q, d)
+        return _reduced_scalar(self.p * e + other.p * d, self.q * e + other.q * d, d * e)
 
     __radd__ = __add__
 
@@ -113,7 +134,10 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced_scalar(self.p - other.p, self.q - other.q, d)
+        return _reduced_scalar(self.p * e - other.p * d, self.q * e - other.q * d, d * e)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -122,14 +146,14 @@ class GaussianRational:
         return other - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _scalar(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        a, b, c, e = self.p, self.q, other.p, other.q
+        return _reduced_scalar(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -137,22 +161,22 @@ class GaussianRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self * other.reciprocal()
+        return _quotient(self, other)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other * self.reciprocal()
+        return _quotient(other, self)
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.p == other.p and self.q == other.q and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.p, self.q, self.d))
 
     def __repr__(self):
         return f"GaussianRational({self.literal()!r})"
@@ -161,8 +185,74 @@ class GaussianRational:
         return self.literal()
 
     def sort_key(self):
-        """Total order used wherever eigenvalues need a reproducible order."""
-        return (self.re, self.im)
+        """Total order used wherever eigenvalues need a reproducible order:
+        by real part, then by imaginary part."""
+        return _SORT_KEY(self)
+
+
+def _compare(x: GaussianRational, y: GaussianRational) -> int:
+    """-1, 0 or 1 as x is below, equal to or above y in the (real part,
+    imaginary part) order. Each side is scaled by the other's positive
+    denominator, so the comparison stays in ints."""
+    left = (x.p * y.d, x.q * y.d)
+    right = (y.p * x.d, y.q * x.d)
+    return (left > right) - (left < right)
+
+
+_SORT_KEY = cmp_to_key(_compare)
+
+
+def _scalar(p: int, q: int, d: int) -> GaussianRational:
+    """The scalar (p + q i) / d from a triple already in canonical form."""
+    x = object.__new__(GaussianRational)
+    x.p = p
+    x.q = q
+    x.d = d
+    return x
+
+
+def _reduced_scalar(p: int, q: int, d: int) -> GaussianRational:
+    """The scalar (p + q i) / d for d > 0, brought to lowest terms."""
+    if d != 1:
+        g = gcd(p, q, d)
+        if g != 1:
+            p //= g
+            q //= g
+            d //= g
+    return _scalar(p, q, d)
+
+
+def _quotient(x: GaussianRational, y: GaussianRational) -> GaussianRational:
+    """x / y, where (a + b i) / d over (c + e i) / f is
+    f (a + b i)(c - e i) / (d (c^2 + e^2))."""
+    a, b, c, e, f = x.p, x.q, y.p, y.q, y.d
+    n = c * c + e * e
+    if not n:
+        raise ZeroDivisionError("division by zero")
+    return _reduced_scalar(f * (a * c + b * e), f * (b * c - a * e), x.d * n)
+
+
+def _ratio(x):
+    """(numerator, denominator) of an int or of a rational with integer
+    ``numerator`` and ``denominator``."""
+    if isinstance(x, int):
+        return int(x), 1
+    num = getattr(x, "numerator", None)
+    den = getattr(x, "denominator", None)
+    if not (isinstance(num, int) and isinstance(den, int)):
+        raise TypeError(f"cannot build a Gaussian rational from {type(x).__name__}")
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    return int(num), int(den)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """n / d in lowest terms, written ``n`` or ``n/d``."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def _rational(num: str, den, context: str):
@@ -189,27 +279,29 @@ def parse_int(token: str) -> int:
 
 
 def _coerce(x):
+    """x as a scalar, or None when it is not an int, a rational or a scalar."""
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
+    if type(x) is int:
+        return _scalar(x, 0, 1)
+    try:
         return GaussianRational(x)
-    return None
+    except TypeError:
+        return None
 
 
 def scalar(x) -> GaussianRational:
-    """Coerce an int, Fraction, literal string or scalar to a scalar."""
+    """Coerce an int, a rational (integer ``numerator`` and ``denominator``),
+    a literal string or a scalar to a scalar."""
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, str):
         return GaussianRational.from_literal(x)
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    raise TypeError(f"cannot build a Gaussian rational from {type(x).__name__}")
+    return GaussianRational(x)
 
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I_UNIT = GaussianRational(0, 1)
 
 
 class DenseMatrix:
@@ -384,7 +476,8 @@ class DenseMatrix:
         return _new(self.rows, self.cols, self._d, self._re, tuple(-b for b in self._im))
 
     def scale(self, s) -> "DenseMatrix":
-        p, q, e = _split(scalar(s))
+        s = scalar(s)
+        p, q, e = s.p, s.q, s.d
         if q:
             re = [p * a - q * b for a, b in zip(self._re, self._im)]
             im = [p * b + q * a for a, b in zip(self._re, self._im)]
@@ -475,12 +568,8 @@ def _new(rows: int, cols: int, d: int, re: tuple, im: tuple) -> DenseMatrix:
 def _numerators(xs: list):
     """(d, re, im): the scalars xs as integer numerators over their least
     common denominator d, which leaves them in lowest terms."""
-    d = lcm(*(x.re.denominator for x in xs), *(x.im.denominator for x in xs))
-    return (
-        d,
-        [x.re.numerator * (d // x.re.denominator) for x in xs],
-        [x.im.numerator * (d // x.im.denominator) for x in xs],
-    )
+    d = lcm(*{x.d for x in xs})
+    return d, [x.p * (d // x.d) for x in xs], [x.q * (d // x.d) for x in xs]
 
 
 def _reduced(rows: int, cols: int, d: int, re: list, im: list) -> DenseMatrix:
@@ -495,22 +584,10 @@ def _reduced(rows: int, cols: int, d: int, re: list, im: list) -> DenseMatrix:
 
 
 def _scalar_over(a: int, b: int, d: int) -> GaussianRational:
-    """The scalar (a + b i) / d."""
+    """The scalar (a + b i) / d for d > 0."""
     if not (a or b):
         return ZERO
-    if d == 1:
-        return GaussianRational(a, b)
-    return GaussianRational(Fraction(a, d), Fraction(b, d))
-
-
-def _split(s: GaussianRational):
-    """(p, q, e) with s = (p + q i) / e and e > 0."""
-    a, b = s.re, s.im
-    ad, bd = a.denominator, b.denominator
-    if ad == bd:
-        return a.numerator, b.numerator, ad
-    e = lcm(ad, bd)
-    return a.numerator * (e // ad), b.numerator * (e // bd), e
+    return _reduced_scalar(a, b, d)
 
 
 def _combine(a: DenseMatrix, b: DenseMatrix, sign: int) -> DenseMatrix:
@@ -589,15 +666,15 @@ def multiply(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 def combination(rows: int, cols: int, terms) -> DenseMatrix:
     """The sum of c * m over the (scalar c, rows x cols matrix m) terms,
     accumulated over one common denominator and reduced once."""
-    split = [(_split(scalar(c)), m) for c, m in terms]
-    d = lcm(*{e * m._d for (_, _, e), m in split})
+    split = [(scalar(c), m) for c, m in terms]
+    d = lcm(*{c.d * m._d for c, m in split})
     re = [0] * (rows * cols)
     im = [0] * (rows * cols)
-    for (p, q, e), m in split:
+    for c, m in split:
         if m.shape != (rows, cols):
             raise DimensionMismatch(f"cannot add {m.shape} to {rows}x{cols}")
-        f = d // (e * m._d)
-        p, q = f * p, f * q
+        f = d // (c.d * m._d)
+        p, q = f * c.p, f * c.q
         if q:
             re = [x + p * a - q * b for x, a, b in zip(re, m._re, m._im)]
             im = [y + p * b + q * a for y, a, b in zip(im, m._re, m._im)]
@@ -616,7 +693,7 @@ def jordan_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
 
 
 def _gauss_jordan(re_rows, im_rows, reduce=False):
-    """Fraction-free elimination over the Gaussian integers, in place.
+    """Bareiss elimination over the Gaussian integers, fraction-free and in place.
 
     Rows are lists of ints, real parts in ``re_rows`` and imaginary parts in
     ``im_rows``. Each step replaces every other row x by

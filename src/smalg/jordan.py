@@ -406,9 +406,9 @@ def classify_into_codomain(
     positions = {}
     for j in range(1, n + 1):
         val = d.at(j, j)
-        if val.im or val.re.denominator != 1:
+        if val.q or val.d != 1:
             raise InternalInconsistency("diagonalized eigenvalue not an index")
-        positions[int(val.re)] = j
+        positions[val.p] = j
     if sorted(positions) != list(range(1, n + 1)):
         raise InternalInconsistency("image of diag(1..n) lost an eigenvalue")
     pi = tuple(positions[i] for i in range(1, n + 1))

@@ -8,7 +8,7 @@ remains after deflation is a factor with no roots in the field.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatch, InternalInconsistency
 from .exactnum import DenseMatrix, GaussianRational, ONE, ZERO, scalar
@@ -230,7 +230,7 @@ def gaussian_integer_divisors(z):
             grown.extend(_gi_mul(d, power) for d in divs)
             power = _gi_mul(power, pi)
         divs = grown
-    return [GaussianRational(Fraction(a), Fraction(b)) for (a, b) in divs]
+    return [GaussianRational(a, b) for (a, b) in divs]
 
 
 _UNITS = (
@@ -243,22 +243,8 @@ _UNITS = (
 
 def _clear_denominators(cs):
     """Scale a polynomial to Gaussian-integer coefficients, as int pairs."""
-    lcm = 1
-    for c in cs:
-        for f in (c.re, c.im):
-            lcm = lcm * f.denominator // _int_gcd(lcm, f.denominator)
-    out = []
-    for c in cs:
-        re = c.re * lcm
-        im = c.im * lcm
-        out.append((int(re), int(im)))
-    return out
-
-
-def _int_gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    m = lcm(*{c.d for c in cs})
+    return [(c.p * (m // c.d), c.q * (m // c.d)) for c in cs]
 
 
 def roots_in_gaussian_rationals(cs):

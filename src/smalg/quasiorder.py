@@ -19,6 +19,11 @@ from .errors import (
 )
 from .exactnum import DenseMatrix, parse_int
 
+# Largest vertex count a relation may have. Each of the n rows is an n-bit
+# mask with its own bit set, so even an empty relation holds n^2 bits: about
+# 120 MB of process memory at this bound.
+MAX_VERTICES = 40_000
+
 
 def _bits(mask: int):
     """The 1-based positions of the set bits of ``mask``, ascending; one
@@ -445,6 +450,10 @@ def parse_relation(text: str):
                 raise FormatError("vertex count must be an integer", line=lineno) from exc
             if n < 1:
                 raise FormatError("vertex count must be positive", line=lineno)
+            if n > MAX_VERTICES:
+                raise FormatError(
+                    f"vertex count {n} exceeds the limit of {MAX_VERTICES}", line=lineno
+                )
             continue
         if len(parts) != 2:
             raise FormatError("expected a pair 'i j'", line=lineno)

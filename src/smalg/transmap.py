@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import (
@@ -184,8 +183,10 @@ def _spanning_potentials(g: TransitiveMap):
             continue
         s[root] = ONE
         queue = [root]
-        while queue:
-            v = queue.pop(0)
+        k = 0
+        while k < len(queue):
+            v = queue[k]
+            k += 1
             for (u, edge) in sorted(adj[v]):
                 if u in s:
                     continue
@@ -195,7 +196,7 @@ def _spanning_potentials(g: TransitiveMap):
                     s[u] = g.value(u, v) * s[v]
                 parent[u] = (v, edge)
                 queue.append(u)
-    failing = ((i, j) for (i, j) in strict if g.value(i, j) != s[i] / s[j])
+    failing = ((i, j) for (i, j) in strict if g.value(i, j) * s[j] != s[i])
     return s, parent, failing
 
 
@@ -374,8 +375,9 @@ def random_transitive_map(rho: QuasiOrder, seed: int = 0) -> TransitiveMap:
             signs = [x ^ y for x, y in zip(signs, vec)]
     weights = {}
     for t, e in enumerate(edges):
-        mag = Fraction(2) ** expo[t]
-        weights[e] = GaussianRational(-mag if signs[t] else mag)
+        x = expo[t]
+        mag = scalar(2**x) if x >= 0 else scalar(2**-x).reciprocal()
+        weights[e] = -mag if signs[t] else mag
     return validate(rho, weights)
 
 

@@ -63,6 +63,12 @@ def is_czero(x):
     return x[0] == 0 and x[1] == 0
 
 
+def fraction_pair(x):
+    """A package scalar as its (real, imaginary) pair of Fractions, read off
+    its (p, q, d) triple."""
+    return (Fraction(x.p, x.d), Fraction(x.q, x.d))
+
+
 def oracle_rank(rows):
     """Rank of a matrix given as nested lists of (Fraction, Fraction) pairs.
 
@@ -98,7 +104,7 @@ def oracle_rank(rows):
 def grid_of(matrix):
     """Extract a DenseMatrix into oracle pair form without reusing its math."""
     return [
-        [(matrix.at(i, j).re, matrix.at(i, j).im) for j in range(1, matrix.cols + 1)]
+        [fraction_pair(matrix.at(i, j)) for j in range(1, matrix.cols + 1)]
         for i in range(1, matrix.rows + 1)
     ]
 
@@ -671,7 +677,7 @@ def oracle_spectral_pairs(rows):
     mu = squarefree_part([GaussianRational(*c) for c in oracle_charpoly(rows)])
     acc = [[CZERO] * n for _ in range(n)]
     for c in reversed(mu):
-        acc = _pair_matadd(_pair_matmul(acc, rows), _pair_scale(ident, (c.re, c.im)))
+        acc = _pair_matadd(_pair_matmul(acc, rows), _pair_scale(ident, fraction_pair(c)))
     if any(not is_czero(x) for row in acc for x in row):
         raise NotDiagonalizable("minimal polynomial has a repeated root")
     roots, rem = roots_in_gaussian_rationals(mu)
@@ -680,7 +686,7 @@ def oracle_spectral_pairs(rows):
             f"characteristic factor of degree {poly_degree(rem)} has no "
             "Gaussian-rational root"
         )
-    eigs = sorted((r.re, r.im) for r in roots)
+    eigs = sorted(fraction_pair(r) for r in roots)
     out = []
     for lam in eigs:
         p = ident
@@ -706,7 +712,7 @@ def oracle_unit_image(form, i, j, sinv):
         a, b = form.pi[a - 1], form.pi[b - 1]
     g = form.g.value(i, j)
     core = [[CZERO] * n for _ in range(n)]
-    core[a - 1][b - 1] = (g.re, g.im)
+    core[a - 1][b - 1] = fraction_pair(g)
     return _pair_matmul(_pair_matmul(grid_of(form.s), core), grid_of(sinv))
 
 
@@ -753,8 +759,7 @@ def rectangle_minor_condition(g):
 
 
 def _label(g, i, j):
-    v = g.value(i, j)
-    return (v.re, v.im)
+    return fraction_pair(g.value(i, j))
 
 
 def oracle_product_form(g, rows, cols):

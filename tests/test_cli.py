@@ -286,6 +286,27 @@ def test_close_on_twenty_thousand_isolated_vertices_under_five_seconds(tmp_path)
     assert (out.exit_code, out.report) == (0, "20000\n")
 
 
+@pytest.mark.parametrize("text", ["40001\n1 2\n", "2000000\n"])
+def test_vertex_count_above_the_limit_exits_two_at_once(tmp_path, text):
+    # an empty relation on n vertices holds n^2 bits of row masks; the
+    # 8-byte file "2000000" ran out of memory before the limit
+    q = tmp_path / "big.qo"
+    q.write_text(text)
+    count = text.split()[0]
+    for command in ("close", "info", "blocks"):
+        out, elapsed = _timed_run([command, str(q)])
+        assert elapsed < 1.0
+        assert (out.exit_code, out.report) == (
+            2,
+            f"error: {q}: line 1: vertex count {count} exceeds the limit of 40000\n",
+        )
+
+
+def test_selftest_n_above_the_vertex_limit_exits_two():
+    out = run(["selftest", "--n", "40001"])
+    assert (out.exit_code, out.report) == (2, "error: --n must be at most 40000\n")
+
+
 def test_blocks_on_the_thousand_antichain_under_five_seconds(tmp_path):
     # rescanning the remaining classes before each placement took 34 s
     n = 1000

@@ -1,7 +1,12 @@
 """Exact scalar and matrix layer, checked against the independent oracle."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +29,12 @@ from smalg.exactnum import (
 
 from fixtures import BAD_LITERALS, random_literal
 from oracles import (
+    cadd,
+    cdiv,
+    cmul,
     conjugate_transpose,
+    csub,
+    fraction_pair,
     grid_of,
     invert_permutation,
     is_rank_one_by_minors,
@@ -88,8 +98,10 @@ class TestScalar:
 
     def test_components_stay_reduced(self):
         x = GaussianRational(Fraction(2, 4), Fraction(-3, -6))
-        assert (x.re.numerator, x.re.denominator) == (1, 2)
-        assert (x.im.numerator, x.im.denominator) == (1, 2)
+        re, im = fraction_pair(x)
+        assert (re.numerator, re.denominator) == (1, 2)
+        assert (im.numerator, im.denominator) == (1, 2)
+        assert (x.p, x.q, x.d) == (1, 1, 2)
 
     def test_literal_fixtures(self):
         cases = {
@@ -125,6 +137,118 @@ class TestScalar:
     def test_bad_literals(self, bad):
         with pytest.raises(FormatError):
             GaussianRational.from_literal(bad)
+
+
+# Real and imaginary parts: small, near 10^9 and fractions, so sums, products
+# and quotients exercise the reduction by a common factor of p, q and d.
+SCALAR_PARTS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.integers(-(10**9) - 3, 10**9 + 3).map(Fraction),
+    st.fractions(max_denominator=10**6),
+)
+SCALAR_PAIRS = st.tuples(SCALAR_PARTS, SCALAR_PARTS)
+
+
+def assert_canonical(x, pair):
+    """x is the triple (p, q, d) of the pair in lowest terms, d > 0."""
+    assert all(type(v) is int for v in (x.p, x.q, x.d))
+    assert x.d > 0 and gcd(x.p, x.q, x.d) == 1
+    assert fraction_pair(x) == pair
+
+
+def pair_literal(pair):
+    """The literal spelled from the parts' own ``str``: ``-1/2``, ``2/3i``."""
+    re, im = pair
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+class TestScalarTriple:
+    """The (p, q, d) scalar against (Fraction, Fraction) pair arithmetic."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(SCALAR_PAIRS, SCALAR_PAIRS)
+    @example((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2)))
+    @example((Fraction(3), Fraction(0)), (Fraction(0), Fraction(0)))
+    @example((Fraction(-2, 3), Fraction(0)), (Fraction(0), Fraction(2, 3)))
+    def test_field_ops_match_pairs(self, u, v):
+        x, y = GaussianRational(*u), GaussianRational(*v)
+        assert_canonical(x, u)
+        assert_canonical(y, v)
+        assert_canonical(x + y, cadd(u, v))
+        assert_canonical(x - y, csub(u, v))
+        assert_canonical(x * y, cmul(u, v))
+        assert_canonical(-x, csub((0, 0), u))
+        assert_canonical(x.conjugate(), (u[0], -u[1]))
+        if any(v):
+            assert_canonical(x / y, cdiv(u, v))
+            assert_canonical(y.reciprocal(), cdiv((1, 0), v))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            with pytest.raises(ZeroDivisionError):
+                y.reciprocal()
+        # ints and Fractions on either side
+        assert_canonical(x * 3, cmul(u, (3, 0)))
+        assert_canonical(2 - x, csub((2, 0), u))
+        assert_canonical(x + Fraction(1, 3), cadd(u, (Fraction(1, 3), 0)))
+        if any(u):
+            assert_canonical(1 / x, cdiv((1, 0), u))
+        assert bool(x) == any(u)
+
+    @settings(max_examples=200, deadline=None)
+    @given(SCALAR_PAIRS, SCALAR_PAIRS)
+    @example((Fraction(1, 2), Fraction(5)), (Fraction(1, 2), Fraction(-5)))
+    @example((Fraction(-1, 3), Fraction(0)), (Fraction(-1, 2), Fraction(7)))
+    def test_equality_hash_literal_and_order_match_pairs(self, u, v):
+        x, y = GaussianRational(*u), GaussianRational(*v)
+        assert (x == y) == (u == v)
+        assert (x != y) == (u != v)
+        assert x.literal() == pair_literal(u)
+        again = GaussianRational.from_literal(x.literal())
+        for same in (again, (x + y) - y, x * 1):
+            assert same == x
+            assert hash(same) == hash(x)
+        kx, ky = x.sort_key(), y.sort_key()
+        assert (kx < ky) == (u < v)
+        assert (kx > ky) == (u > v)
+        assert (kx == ky) == (u == v)
+        if x.d == 1:
+            assert x == GaussianRational(x.p, x.q)
+        if not u[1]:
+            assert x == u[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(SCALAR_PAIRS, max_size=8))
+    def test_sort_key_sorts_like_pairs(self, pairs):
+        xs = [GaussianRational(*u) for u in pairs]
+        got = sorted(xs, key=GaussianRational.sort_key)
+        assert [fraction_pair(x) for x in got] == sorted(pairs)
+
+
+class TestNoFractionsInTheScalarLayer:
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def test_importing_the_cli_loads_no_fractions(self):
+        # pytest's pythonpath setting does not reach a subprocess.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(self.SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import smalg.cli, sys; print('fractions' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+    def test_no_source_file_names_fraction(self):
+        sources = sorted((self.SRC / "smalg").glob("*.py"))
+        assert sources
+        assert [p.name for p in sources if "Fraction" in p.read_text(encoding="utf-8")] == []
 
 
 class TestMatrixAlgebra:

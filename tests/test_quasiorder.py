@@ -385,6 +385,14 @@ class TestRelationFormat:
         with pytest.raises(FormatError):
             parse_relation("x\n")
 
+    def test_vertex_count_limit(self):
+        # the parser builds no rows, so the bound itself costs nothing here
+        assert parse_relation("# header\n40000\n1 40000\n") == (40000, [(1, 40000)])
+        with pytest.raises(FormatError) as exc:
+            parse_relation("# header\n40001\n")
+        assert exc.value.line == 2
+        assert "exceeds the limit of 40000" in str(exc.value)
+
     @pytest.mark.parametrize(
         "text, line",
         [("1_0\n", 1), ("\u0663\n", 1), ("3\n1 \u0662\n", 2), ("12\n1_0 2\n", 2)],
