@@ -4,12 +4,13 @@ Given commuting diagonalizable matrices supported in a quasi-order, an
 invertible S with the same support is produced whose conjugation makes all
 of them diagonal; the inverse of S automatically shares the support. S is
 read off the family's joint spectral projectors in one step; see
-`simultaneous_diagonalize_in_sma` for why that works.
+`simultaneous_diagonalize_in_sma` for why that works. S comes back with the
+inverse and the diagonals it was checked with.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -30,27 +31,13 @@ from .polyroots import (
 from .quasiorder import QuasiOrder, block_triangular_form, first_unsupported
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues with their spectral idempotents, in eigenvalue order."""
+class Diagonalization(NamedTuple):
+    """S, its inverse, and for each family member F the diagonal entries of
+    S^-1 F S, in member order."""
 
-    pairs: tuple
-
-    @property
-    def eigenvalues(self):
-        return [lam for (lam, _) in self.pairs]
-
-    @property
-    def idempotents(self):
-        return [p for (_, p) in self.pairs]
-
-
-def is_diagonalizable(a: DenseMatrix) -> bool:
-    """Annihilation test: the squarefree part of the characteristic
-    polynomial must vanish at the matrix."""
-    if not a.is_square:
-        raise DimensionMismatch("diagonalizability needs a square matrix")
-    return poly_eval_matrix(squarefree_part(charpoly(a)), a).is_zero()
+    s: DenseMatrix
+    s_inv: DenseMatrix
+    diagonals: tuple
 
 
 def _annihilate(a: DenseMatrix, eigs) -> None:
@@ -105,35 +92,7 @@ def _projectors(a: DenseMatrix, eigs) -> list:
     return out
 
 
-def spectral_idempotents(a: DenseMatrix) -> SpectralDecomposition:
-    """Resolve a matrix into eigenvalues and orthogonal idempotents.
-
-    Each idempotent is the Lagrange interpolation polynomial of the matrix
-    that is 1 at its own eigenvalue and 0 at the others, so everything in
-    sight is a polynomial in the input.
-    """
-    if not a.is_square:
-        raise DimensionMismatch("spectral idempotents need a square matrix")
-    eigs = _spectrum(a)
-    pairs = tuple(zip(eigs, _projectors(a, eigs)))
-    n = a.rows
-    total = DenseMatrix.zeros(n, n)
-    recon = DenseMatrix.zeros(n, n)
-    for lam, p in pairs:
-        if p * p != p:
-            raise InternalInconsistency("spectral projector not idempotent")
-        total = total + p
-        recon = recon + p.scale(lam)
-    for x, (_, p) in enumerate(pairs):
-        for _, q in pairs[x + 1 :]:
-            if not (p * q).is_zero() or not (q * p).is_zero():
-                raise InternalInconsistency("spectral projectors not orthogonal")
-    if total != DenseMatrix.identity(n) or recon != a:
-        raise InternalInconsistency("spectral resolution does not reassemble")
-    return SpectralDecomposition(pairs=pairs)
-
-
-def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> DenseMatrix:
+def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> Diagonalization:
     """One S, supported in the quasi-order, conjugating every family member
     to a diagonal matrix; the support of S^-1 comes along for free.
 
@@ -175,7 +134,8 @@ def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> DenseMatrix:
                     f"members {x + 1} and {y + 1} do not commute"
                 )
     if not family:
-        return DenseMatrix.identity(n)
+        ident = DenseMatrix.identity(n)
+        return Diagonalization(ident, ident, ())
     classes = [sorted(c) for c in block_triangular_form(rho).class_order]
     # a member's spectrum is the union of the spectra of its class blocks
     spectra = [set() for _ in family]
@@ -220,7 +180,10 @@ def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> DenseMatrix:
         bad = first_unsupported(sinv.support(), rho)
     if bad is not None:
         raise InternalInconsistency(f"similarity escaped the algebra at {bad}")
+    diagonals = []
     for f in family:
-        if not (sinv * f * s).is_diagonal():
+        d = sinv * f * s
+        if not d.is_diagonal():
             raise InternalInconsistency("conjugate failed to come out diagonal")
-    return s
+        diagonals.append(d.diagonal())
+    return Diagonalization(s, sinv, tuple(diagonals))

@@ -20,10 +20,6 @@ class Singular(SmalgError):
     """A matrix required to be invertible is not."""
 
 
-class RankNotOne(SmalgError):
-    """A matrix required to have rank one does not."""
-
-
 class NotClosed(SmalgError):
     """An edge set fails reflexivity or transitivity under validation.
 

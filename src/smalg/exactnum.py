@@ -684,11 +684,6 @@ def combination(rows: int, cols: int, terms) -> DenseMatrix:
     return _reduced(rows, cols, d, re, im)
 
 
-def jordan_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """The symmetrized product a*b + b*a."""
-    return multiply(a, b) + multiply(b, a)
-
-
 # --- elimination ----------------------------------------------------------------
 
 

@@ -1,35 +1,32 @@
 """Integer matrix utilities: Smith invariant factors, kernel lattice bases,
 GF(2) kernels.
 
-Matrices here are plain nested lists of Python ints. The Smith form is fed
-the transitivity relations of a quasi-order, one row per composable triple:
-C(n, 3) rows over C(n, 2) columns on the n-chain, so 9,880 x 780 at n = 40.
-Those rows are sparse with unit entries, and ``smith_invariant_factors``
-eliminates unit pivots on sparse rows before any dense work. The kernel
-routines run the classic dense reductions; their inputs stay small.
+The Smith form is fed the transitivity relations of a quasi-order, one row
+per composable triple: C(n, 3) rows over C(n, 2) columns on the n-chain, so
+9,880 x 780 at n = 40. Those rows have at most three entries, all units, so
+``smith_invariant_factors`` takes each row as a sparse dict {column: value}
+and eliminates unit pivots on them before any dense work. The kernel
+routines take plain nested lists of Python ints and run the classic dense
+reductions; their inputs stay small.
 """
 
 from __future__ import annotations
 
-from itertools import compress
 
+def smith_invariant_factors(rows):
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix given
+    by its sparse rows, dicts from column to nonzero entry.
 
-def smith_invariant_factors(mat):
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
-
-    Unit pivots go first, on rows kept as sparse dicts. An entry +-1 at
-    (i, j) clears column j from every other row; row i and column j then
-    drop out, contributing the invariant factor 1, and what is left is the
-    Schur complement, again an integer matrix. The pivot is taken in a
-    shortest row, in the column held by the fewest rows, to keep fill-in
-    low (Dumas, Saunders & Villard, "On efficient sparse integer matrix
-    Smith normal form computations", 2001). The smallest-pivot dense
-    reduction finishes whatever has no unit entry left.
+    Unit pivots go first. An entry +-1 at (i, j) clears column j from every
+    other row; row i and column j then drop out, contributing the invariant
+    factor 1, and what is left is the Schur complement, again an integer
+    matrix. The pivot is taken in a shortest row, in the column held by the
+    fewest rows, to keep fill-in low (Dumas, Saunders & Villard, "On
+    efficient sparse integer matrix Smith normal form computations", 2001).
+    The smallest-pivot dense reduction finishes whatever has no unit entry
+    left.
     """
-    if not mat or not mat[0]:
-        return []
-    cols = range(len(mat[0]))
-    rows = [{j: row[j] for j in compress(cols, row)} for row in mat]
+    rows = [dict(row) for row in rows]
     live = {k for k, row in enumerate(rows) if row}
     holders = {}
     for k in live:

@@ -1,12 +1,12 @@
 """Jordan homomorphisms of structural matrix algebras.
 
 A linear map out of the algebra is stored by its images on the matrix-unit
-basis. Recognition checks the Jordan identity on unit pairs; classification
-factors a nonvanishing Jordan homomorphism into conjugation, a central
-idempotent splitting multiplicative from antimultiplicative behavior, and a
-transitive weight map; synthesis goes the other way. Embedding questions
-between two algebras reduce to a finite search over class unions and
-increasing permutations.
+basis. Classification factors a nonvanishing Jordan homomorphism into
+conjugation, a central idempotent splitting multiplicative from
+antimultiplicative behavior, and a transitive weight map; a map that fails
+one of its checks is not Jordan, so the same ladder recognizes Jordan maps.
+Synthesis goes the other way. Embedding questions between two algebras
+reduce to a finite search over class unions and increasing permutations.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .exactnum import (
     ONE,
     combination,
     inverse,
-    jordan_product,
     parse_int,
     permutation_matrix,
 )
@@ -76,12 +75,6 @@ class LinearMapOnSMA:
                 )
         self.images = imgs
 
-    def image(self, i: int, j: int) -> DenseMatrix:
-        try:
-            return self.images[(i, j)]
-        except KeyError:
-            raise SupportViolation(f"({i},{j}) is not in the relation", pair=(i, j))
-
     def __eq__(self, other):
         if not isinstance(other, LinearMapOnSMA):
             return NotImplemented
@@ -89,30 +82,6 @@ class LinearMapOnSMA:
 
     def __repr__(self):
         return f"LinearMapOnSMA(n={self.rho.n}, units={len(self.images)})"
-
-
-def identity_map(rho: QuasiOrder) -> LinearMapOnSMA:
-    n = rho.n
-    return LinearMapOnSMA(
-        rho, {(i, j): DenseMatrix.unit(n, i, j) for (i, j) in rho.pairs()}
-    )
-
-
-def transpose_map(rho: QuasiOrder) -> LinearMapOnSMA:
-    n = rho.n
-    return LinearMapOnSMA(
-        rho, {(i, j): DenseMatrix.unit(n, j, i) for (i, j) in rho.pairs()}
-    )
-
-
-def conjugation_map(rho: QuasiOrder, t: DenseMatrix) -> LinearMapOnSMA:
-    """X maps to T X T^-1; lands outside A_rho in general."""
-    n = rho.n
-    tinv = inverse(t)
-    return LinearMapOnSMA(
-        rho,
-        {(i, j): t * DenseMatrix.unit(n, i, j) * tinv for (i, j) in rho.pairs()},
-    )
 
 
 def apply(phi: LinearMapOnSMA, x: DenseMatrix) -> DenseMatrix:
@@ -129,34 +98,6 @@ def apply(phi: LinearMapOnSMA, x: DenseMatrix) -> DenseMatrix:
     return combination(
         n, n, ((x.at(*p), m) for p, m in phi.images.items() if p in support)
     )
-
-
-def is_jordan_homomorphism(phi: LinearMapOnSMA):
-    """Check the Jordan identity on all unit pairs.
-
-    Returns (True, None) or (False, ((i,j),(k,l))) with the first violating
-    pair in lexicographic order. Bilinearity makes the unit check
-    sufficient. Both sides of the identity are symmetric in the two units,
-    so each unordered pair is checked once, in the order (i,j) <= (k,l); the
-    mirror of a violating pair violates too and comes first, so the pair
-    returned is the same as with every ordered pair checked.
-
-    The library itself verifies Jordan maps with the cheaper classification
-    ladder (``classify_jordan``); this direct check is the reference for it.
-    """
-    rho = phi.rho
-    pairs = rho.pairs()
-    for t, (a, b) in enumerate(pairs):
-        for (c, d) in pairs[t:]:
-            left = DenseMatrix.zeros(rho.n, rho.n)
-            if b == c:
-                left = left + phi.images[(a, d)]
-            if d == a:
-                left = left + phi.images[(c, b)]
-            right = jordan_product(phi.images[(a, b)], phi.images[(c, d)])
-            if left != right:
-                return False, ((a, b), (c, d))
-    return True, None
 
 
 @dataclass(frozen=True)
@@ -177,10 +118,6 @@ class CanonicalJordanForm:
     @property
     def rho(self) -> QuasiOrder:
         return self.g.rho
-
-    def central_idempotent(self) -> DenseMatrix:
-        n = self.rho.n
-        return DenseMatrix.diag([1 if i in self.u else 0 for i in range(1, n + 1)])
 
     def _image(self, i: int, j: int, sinv: DenseMatrix) -> DenseMatrix:
         """S (g(i, j) E_ab) S^-1, where E_ab is E_ij transposed outside u and
@@ -400,19 +337,17 @@ def classify_into_codomain(
             )
     base = classify_jordan(phi)
     lam_image = apply(phi, DenseMatrix.diag(range(1, n + 1)))
-    s1 = simultaneous_diagonalize_in_sma(rho2, [lam_image])
-    s1inv = inverse(s1)
-    d = s1inv * lam_image * s1
+    s1, s1inv, (eigenvalues,) = simultaneous_diagonalize_in_sma(rho2, [lam_image])
     positions = {}
-    for j in range(1, n + 1):
-        val = d.at(j, j)
+    for j, val in enumerate(eigenvalues, start=1):
         if val.q or val.d != 1:
             raise InternalInconsistency("diagonalized eigenvalue not an index")
         positions[val.p] = j
     if sorted(positions) != list(range(1, n + 1)):
         raise InternalInconsistency("image of diag(1..n) lost an eigenvalue")
     pi = tuple(positions[i] for i in range(1, n + 1))
-    d0 = inverse(permutation_matrix(pi)) * s1inv * base.s
+    # a permutation matrix is inverted by its transpose
+    d0 = permutation_matrix(pi).transpose() * s1inv * base.s
     if not d0.is_diagonal():
         raise InternalInconsistency("residual similarity is not diagonal")
     scale = {}

@@ -132,12 +132,6 @@ class ClassPartition:
     n: int
     blocks: tuple
 
-    def block_of(self, i: int):
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise DimensionMismatch(f"vertex {i} outside 1..{self.n}")
-
     def is_union_of_blocks(self, subset) -> bool:
         s = set(subset)
         if not s <= set(range(1, self.n + 1)):

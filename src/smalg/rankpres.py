@@ -4,17 +4,18 @@ Positive verdicts come with a canonical form that reconstructs the map
 exactly; negative verdicts come with a concrete matrix whose rank jumps
 under the map. For a map whose normalization phi(I)^-1 phi is Jordan, the
 witness is constructed from the shortest unbalanced cycle of its weight map
-and has least rank. Sampling is left in two places: the rank-one
-counterexample of a unital map that is not Jordan (one exists by theory and
-is re-verified), and the bounded check of a map with a singular phi(I),
-whose positive verdict rests on samples.
+and has least rank. Every witness is handed back with the ranks measured
+when it was verified, so a caller only renders them. Sampling is left in
+two places: the rank-one counterexample of a unital map that is not Jordan
+(one exists by theory and is re-verified), and the bounded check of a map
+with a singular phi(I), whose positive verdict rests on samples.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     GIsTrivial,
@@ -24,53 +25,38 @@ from .errors import (
     SupportViolation,
     VanishingUnitImage,
 )
-from .exactnum import DenseMatrix, ONE, format_matrix, inverse, rank
+from .exactnum import DenseMatrix, ONE, inverse, rank
 from .jordan import CanonicalJordanForm, LinearMapOnSMA, apply, classify_jordan
 from .quasiorder import NotClassUnion, QuasiOrder, approx_classes, first_unsupported
 from .transmap import (
     TransitiveMap,
     apply_induced,
-    format_weights,
     shortest_unbalanced_cycle,
     triviality_witness,
     validate,
 )
 
 
+class RankWitness(NamedTuple):
+    """A matrix supported in the relation, with its rank and the rank of
+    its image under the map it convicts."""
+
+    matrix: DenseMatrix
+    ranks: tuple
+
+
 @dataclass(frozen=True)
 class PreserverVerdict:
     """Outcome of a preserver decision.
 
-    Exactly one of ``form`` (positive case) or ``counterexample`` with its
-    ``ranks`` pair (negative case) is set; ``note`` carries a short reason.
+    Exactly one of ``form`` (positive case) or ``witness`` (negative case)
+    is set; ``note`` carries a short reason.
     """
 
     kind: str
     form: Optional[CanonicalJordanForm] = None
-    counterexample: Optional[DenseMatrix] = None
-    ranks: Optional[tuple] = None
+    witness: Optional[RankWitness] = None
     note: str = ""
-
-
-def format_verdict(v: PreserverVerdict) -> str:
-    lines = [f"VERDICT {v.kind}"]
-    if v.form is not None:
-        lines.append("FORM")
-        lines.append("S")
-        lines.append(format_matrix(v.form.s).rstrip("\n"))
-        lines.append("P")
-        lines.append(format_matrix(v.form.central_idempotent()).rstrip("\n"))
-        lines.append("g")
-        lines.append(format_weights(v.form.g).rstrip("\n"))
-        if v.form.pi is not None:
-            lines.append("pi " + " ".join(str(k) for k in v.form.pi))
-    if v.counterexample is not None:
-        lines.append("WITNESS")
-        lines.append(format_matrix(v.counterexample).rstrip("\n"))
-        lines.append(f"RANKS {v.ranks[0]} {v.ranks[1]}")
-    if v.note:
-        lines.append(f"NOTE {v.note}")
-    return "\n".join(lines) + "\n"
 
 
 def induced_linear_map(g: TransitiveMap) -> LinearMapOnSMA:
@@ -120,10 +106,12 @@ def sample_rank_one_in_sma(rho: QuasiOrder, count: int, seed: int = 0):
 
 
 def is_rank_one_preserver_sampled(phi: LinearMapOnSMA, samples):
-    """Check the samples only; (False, witness) on the first rank jump."""
+    """Check the samples only: (True, None), or (False, RankWitness) for the
+    first sample whose image is not rank one."""
     for x in samples:
-        if rank(apply(phi, x)) != 1:
-            return False, x
+        r = rank(apply(phi, x))
+        if r != 1:
+            return False, RankWitness(x, (1, r))
     return True, None
 
 
@@ -137,12 +125,7 @@ def _sampled_rank_one_counterexample(
     )
     if ok:
         raise InternalInconsistency(failure)
-    return PreserverVerdict(
-        kind="Neither",
-        counterexample=witness,
-        ranks=(1, rank(apply(phi, witness))),
-        note=note,
-    )
+    return PreserverVerdict(kind="Neither", witness=witness, note=note)
 
 
 def certify_rank_one_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
@@ -168,19 +151,18 @@ def certify_rank_one_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     cycle = shortest_unbalanced_cycle(form.g)
     if cycle is None or len(cycle) > 4:
         return PreserverVerdict(kind="RankOnePreserver", form=form)
-    x = _cycle_matrix(form.g, cycle)
+    x = _cycle_matrix(form.g, cycle).matrix
     r_image = rank(apply(phi, x))
     if r_image == 1:
         raise InternalInconsistency("violating rectangle kept rank one")
     return PreserverVerdict(
         kind="Neither",
-        counterexample=x,
-        ranks=(1, r_image),
+        witness=RankWitness(x, (1, r_image)),
         note="rectangle minor does not vanish",
     )
 
 
-def _cycle_matrix(g: TransitiveMap, cycle) -> DenseMatrix:
+def _cycle_matrix(g: TransitiveMap, cycle) -> RankWitness:
     """1 on each pair of an unbalanced cycle of length 2m, (-1)^m on the
     closing pair: rank m - 1, while its induced scaling has rank m.
 
@@ -199,11 +181,12 @@ def _cycle_matrix(g: TransitiveMap, cycle) -> DenseMatrix:
     x = DenseMatrix.from_entries(n, n, entries)
     if rank(x) != m - 1 or rank(apply_induced(g, x)) != m:
         raise InternalInconsistency("cycle matrix does not change rank by one")
-    return x
+    return RankWitness(x, (m - 1, m))
 
 
-def nontrivial_g_rank_witness(g: TransitiveMap) -> DenseMatrix:
-    """A least-rank matrix whose rank changes under the induced scaling.
+def nontrivial_g_rank_witness(g: TransitiveMap) -> RankWitness:
+    """A least-rank matrix whose rank changes under the induced scaling,
+    with its ranks before and after.
 
     Let 2m be the length of the shortest unbalanced cycle of g (see
     ``shortest_unbalanced_cycle``). Its cycle matrix has rank m - 1 and
@@ -250,8 +233,7 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     if r_id < n:
         return PreserverVerdict(
             kind="Neither",
-            counterexample=DenseMatrix.identity(n),
-            ranks=(n, r_id),
+            witness=RankWitness(DenseMatrix.identity(n), (n, r_id)),
             note="fails unitality: the identity maps to a singular matrix",
         )
     norm = inverse(f_id)
@@ -262,8 +244,7 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
         unit = DenseMatrix.unit(n, *exc.pair)
         return PreserverVerdict(
             kind="Neither",
-            counterexample=unit,
-            ranks=(1, rank(apply(phi, unit))),
+            witness=RankWitness(unit, (1, rank(apply(phi, unit)))),
             note=f"fails rank: the unit image at {exc.pair} vanishes",
         )
     except NotJordan as exc:
@@ -274,11 +255,10 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
         )
     cert = triviality_witness(form.g)
     if not cert.is_trivial:
-        witness = nontrivial_g_rank_witness(form.g)
+        x, (before, _) = nontrivial_g_rank_witness(form.g)
         return PreserverVerdict(
             kind="Neither",
-            counterexample=witness,
-            ranks=(rank(witness), rank(apply(phi, witness))),
+            witness=RankWitness(x, (before, rank(apply(phi, x)))),
             note="fails rank: the weight map is not trivial",
         )
     s = dict(cert.separator)
@@ -311,7 +291,8 @@ def _random_rank_k_sample(rho: QuasiOrder, k: int, rng):
 def bounded_rank_preserver_check(
     phi: LinearMapOnSMA, max_rank: int, count: int = 40, seed: int = 0
 ):
-    """Rank preservation for ranks 1..max_rank: (True, None) or (False, X).
+    """Rank preservation for ranks 1..max_rank: (True, None) or
+    (False, RankWitness).
 
     Every witness ``classify_rank_preserver`` returns has least rank, except
     the identity for a singular image of the identity. So the verdict is
@@ -322,14 +303,16 @@ def bounded_rank_preserver_check(
     verdict = classify_rank_preserver(phi)
     if verdict.kind == "RankPreserver":
         return True, None
-    if verdict.ranks[0] <= max_rank:
-        return False, verdict.counterexample
-    if verdict.ranks[0] < n:
+    least = verdict.witness.ranks[0]
+    if least <= max_rank:
+        return False, verdict.witness
+    if least < n:
         return True, None
     rng = random.Random(seed)
     for k in range(1, max_rank + 1):
         for _ in range(count):
             x = _random_rank_k_sample(phi.rho, k, rng)
-            if rank(apply(phi, x)) != k:
-                return False, x
+            r = rank(apply(phi, x))
+            if r != k:
+                return False, RankWitness(x, (k, r))
     return True, None

@@ -8,7 +8,9 @@ scaling of the algebra is then an inner conjugation by diag(s).
 Whether every transitive map on a given quasi-order is trivial is decided
 exactly: the multiplicative relations span an integer lattice inside the
 kernel of the edge boundary map, and triviality of the quotient is read off
-a Smith normal form.
+a Smith normal form. A negative answer is backed by a nontrivial map built
+from the kernel bases of that lattice, with no random numbers; the seeded
+sampler over the same bases is left for the randomized self-tests.
 """
 
 from __future__ import annotations
@@ -303,28 +305,22 @@ def _cycle_through(parent, x, y):
     return tuple(pairs)
 
 
-def _edge_index(rho: QuasiOrder):
-    edges = sorted(rho.strict_pairs())
-    return edges, {e: t for t, e in enumerate(edges)}
-
-
 def _relation_vectors(rho: QuasiOrder):
-    """Integer vectors spanning the multiplicative relation lattice."""
-    edges, idx = _edge_index(rho)
+    """The strict pairs in sorted order, and one sparse integer row
+    {edge index: coefficient} per multiplicative relation: g(i, j) g(j, k)
+    = g(i, k) for composable pairs, g(i, j) g(j, i) = 1 once per two-sided
+    pair. The rows span the relation lattice."""
+    edges = sorted(rho.strict_pairs())
+    idx = {e: t for t, e in enumerate(edges)}
     out = _out_lists(edges)
-    vecs = []
+    rows = []
     for (i, j) in edges:
         for k in out.get(j, ()):
-            vec = [0] * len(edges)
-            vec[idx[(i, j)]] += 1
-            vec[idx[(j, k)]] += 1
-            if i == k:
-                if i < j:  # one copy per two-sided pair
-                    vecs.append(vec)
-            else:
-                vec[idx[(i, k)]] -= 1
-                vecs.append(vec)
-    return edges, vecs
+            if i != k:
+                rows.append({idx[(i, j)]: 1, idx[(j, k)]: 1, idx[(i, k)]: -1})
+            elif i < j:
+                rows.append({idx[(i, j)]: 1, idx[(j, i)]: 1})
+    return edges, rows
 
 
 def all_transitive_trivial(rho: QuasiOrder) -> bool:
@@ -335,50 +331,83 @@ def all_transitive_trivial(rho: QuasiOrder) -> bool:
     rank(R) = dim K and Z^E/R is torsion-free (all Smith invariant factors
     equal 1). Rational rank alone would miss root-of-unity-valued maps.
     """
-    edges, vecs = _relation_vectors(rho)
+    edges, rows = _relation_vectors(rho)
     ecount = len(edges)
     if ecount == 0:
         return True
     # the boundary is a graph incidence matrix: rank n - #components (approx classes)
     kernel_dim = ecount - (rho.n - len(approx_classes(rho).blocks))
-    if not vecs:
-        return kernel_dim == 0
-    inv = smith_invariant_factors(vecs)
+    inv = smith_invariant_factors(rows)
     return len(inv) == kernel_dim and all(d == 1 for d in inv)
 
 
-def random_transitive_map(rho: QuasiOrder, seed: int = 0) -> TransitiveMap:
-    """Seeded sampler over transitive maps with Gaussian-rational values.
+def _dense_relation_rows(rho: QuasiOrder):
+    """The strict pairs and the relation rows as dense lists, the input of
+    the kernel bases: the integer kernel holds the exponent vectors and the
+    GF(2) kernel the sign vectors of the transitive maps with values +-2^k."""
+    edges, rows = _relation_vectors(rho)
+    return edges, [[row.get(t, 0) for t in range(len(edges))] for row in rows]
 
-    Exponent vectors are drawn from the integer solution lattice of the
-    multiplicative relations and exponentiate base 2; sign factors come from
-    the mod-2 solution space. Every map with values in powers of 2 times
-    signs arises this way, which covers a nontrivial map whenever one with
-    Gaussian-rational values exists at all (odd-order characters have no
-    Gaussian-rational values to take).
+
+def _signed_powers(edges, expo, signs) -> dict:
+    """The weights (-1)^signs[t] 2^expo[t] on edge t."""
+    weights = {}
+    for e, x, sign in zip(edges, expo, signs):
+        mag = scalar(2**x) if x >= 0 else scalar(2**-x).reciprocal()
+        weights[e] = -mag if sign else mag
+    return weights
+
+
+def nontrivial_transitive_map(rho: QuasiOrder) -> Optional[TransitiveMap]:
+    """The first nontrivial basis map, validated, or None if all are trivial.
+
+    The basis maps are 2^b for each vector b of the integer kernel basis,
+    then (-1)^c for each vector c of the GF(2) kernel basis. The search is
+    complete: a +-2^k map is transitive iff its exponents lie in the integer
+    kernel and its signs in the GF(2) kernel, so it is a product of basis
+    maps and their inverses, and the trivial maps form a subgroup. The
+    obstruction group K/R of ``all_transitive_trivial`` is a free part,
+    which powers of 2 detect, plus torsion; -1 detects even torsion, and
+    odd torsion has no nontrivial Gaussian-rational values (the roots of
+    unity there are +-1, +-i). So None after a negative answer means the
+    only obstruction is odd torsion.
     """
-    edges, vecs = _relation_vectors(rho)
+    edges, dense = _dense_relation_rows(rho)
+    ecount = len(edges)
+    zeros = [0] * ecount
+
+    def candidates():
+        # the GF(2) basis, the costlier one, only if every exponent map fails
+        for vec in integer_kernel_basis(dense, ecount):
+            yield vec, zeros
+        for vec in gf2_kernel_basis(dense, ecount):
+            yield zeros, vec
+
+    for expo, signs in candidates():
+        weights = _signed_powers(edges, expo, signs)
+        if not triviality_witness(TransitiveMap(rho, weights)).is_trivial:
+            return validate(rho, weights)
+    return None
+
+
+def random_transitive_map(rho: QuasiOrder, seed: int = 0) -> TransitiveMap:
+    """Seeded sampler over the +-2^k transitive maps, for the randomized
+    self-tests: a random combination of the integer kernel basis
+    (coefficients -2..2) gives the exponents, one of the GF(2) kernel basis
+    the signs (see ``nontrivial_transitive_map``)."""
+    edges, dense = _dense_relation_rows(rho)
     ecount = len(edges)
     rng = random.Random(seed)
-    if ecount == 0:
-        return TransitiveMap(rho, {})
-    lattice = integer_kernel_basis(vecs, cols=ecount)
-    signs_basis = gf2_kernel_basis(vecs, cols=ecount)
     expo = [0] * ecount
-    for vec in lattice:
+    for vec in integer_kernel_basis(dense, ecount):
         c = rng.randint(-2, 2)
         if c:
             expo = [x + c * y for x, y in zip(expo, vec)]
     signs = [0] * ecount
-    for vec in signs_basis:
+    for vec in gf2_kernel_basis(dense, ecount):
         if rng.random() < 0.5:
             signs = [x ^ y for x, y in zip(signs, vec)]
-    weights = {}
-    for t, e in enumerate(edges):
-        x = expo[t]
-        mag = scalar(2**x) if x >= 0 else scalar(2**-x).reciprocal()
-        weights[e] = -mag if signs[t] else mag
-    return validate(rho, weights)
+    return validate(rho, _signed_powers(edges, expo, signs))
 
 
 # --- weight text format -----------------------------------------------------

@@ -14,7 +14,12 @@ compare directly. The helpers that only tests use (``outer``,
 ``to_grid``, ``strict_part``, ``card``, ``poly_mul``) and the rectangle
 minor test ``rectangle_minor_condition`` live here too; they use the
 package's scalar and matrix types but none of its elimination or product
-kernels.
+kernels. The last section holds reference checks that the package once
+exported and no longer calls (the all-pairs Jordan identity check, the
+identity, transpose and conjugation maps, the annihilation test for
+diagonalizability and the spectral resolution of one matrix); unlike the
+oracles they run on the package's matrix products and, for the spectral
+resolution, on diag's own spectrum and Lagrange projectors.
 """
 
 from __future__ import annotations
@@ -24,15 +29,28 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Optional
 
-from smalg.errors import IrrationalSpectrum, NotDiagonalizable, RankNotOne
-from smalg.exactnum import ZERO, DenseMatrix, GaussianRational, scalar
+from smalg.diag import _projectors, _spectrum
+from smalg.errors import (
+    DimensionMismatch,
+    InternalInconsistency,
+    IrrationalSpectrum,
+    NotDiagonalizable,
+)
+from smalg.exactnum import ZERO, DenseMatrix, GaussianRational, inverse, scalar
+from smalg.jordan import LinearMapOnSMA
 from smalg.polyroots import (
+    charpoly,
     poly_degree,
+    poly_eval_matrix,
     poly_trim,
     roots_in_gaussian_rationals,
     squarefree_part,
 )
-from smalg.quasiorder import BlockTriangularForm
+from smalg.quasiorder import BlockTriangularForm, QuasiOrder
+
+
+class RankNotOne(Exception):
+    """A matrix required to have rank one does not."""
 
 
 # --- complex rational arithmetic on plain pairs ------------------------------
@@ -669,7 +687,7 @@ def oracle_spectral_pairs(rows):
     polynomial in the matrix, built here on pairs. Returns a list of
     (eigenvalue pair, projector grid) in ascending (re, im) order, or raises
     NotDiagonalizable / IrrationalSpectrum with the messages of
-    ``smalg.diag.spectral_idempotents``.
+    ``spectral_idempotents`` below.
     """
     n = len(rows)
     one = (Fraction(1), Fraction(0))
@@ -826,3 +844,114 @@ def oracle_unbalanced_cycle(g, cycle):
         else:
             num = cmul(num, _label(g, i, j))
     return num != den
+
+
+# --- reference checks the package no longer calls ------------------------------
+
+
+def jordan_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
+    """The symmetrized product a*b + b*a."""
+    return a * b + b * a
+
+
+def identity_map(rho: QuasiOrder) -> LinearMapOnSMA:
+    n = rho.n
+    return LinearMapOnSMA(
+        rho, {(i, j): DenseMatrix.unit(n, i, j) for (i, j) in rho.pairs()}
+    )
+
+
+def transpose_map(rho: QuasiOrder) -> LinearMapOnSMA:
+    n = rho.n
+    return LinearMapOnSMA(
+        rho, {(i, j): DenseMatrix.unit(n, j, i) for (i, j) in rho.pairs()}
+    )
+
+
+def conjugation_map(rho: QuasiOrder, t: DenseMatrix) -> LinearMapOnSMA:
+    """X maps to T X T^-1; lands outside A_rho in general."""
+    n = rho.n
+    tinv = inverse(t)
+    return LinearMapOnSMA(
+        rho,
+        {(i, j): t * DenseMatrix.unit(n, i, j) * tinv for (i, j) in rho.pairs()},
+    )
+
+
+def is_jordan_homomorphism(phi: LinearMapOnSMA):
+    """Check the Jordan identity on all unit pairs.
+
+    Returns (True, None) or (False, ((i,j),(k,l))) with the first violating
+    pair in lexicographic order. Bilinearity makes the unit check
+    sufficient. Both sides of the identity are symmetric in the two units,
+    so each unordered pair is checked once, in the order (i,j) <= (k,l); the
+    mirror of a violating pair violates too and comes first, so the pair
+    returned is the same as with every ordered pair checked.
+
+    The package verifies Jordan maps with the cheaper classification ladder
+    (``classify_jordan``); this direct check is the reference for it.
+    """
+    rho = phi.rho
+    pairs = rho.pairs()
+    for t, (a, b) in enumerate(pairs):
+        for (c, d) in pairs[t:]:
+            left = DenseMatrix.zeros(rho.n, rho.n)
+            if b == c:
+                left = left + phi.images[(a, d)]
+            if d == a:
+                left = left + phi.images[(c, b)]
+            right = jordan_product(phi.images[(a, b)], phi.images[(c, d)])
+            if left != right:
+                return False, ((a, b), (c, d))
+    return True, None
+
+
+def is_diagonalizable(a: DenseMatrix) -> bool:
+    """Annihilation test: the squarefree part of the characteristic
+    polynomial must vanish at the matrix."""
+    if not a.is_square:
+        raise DimensionMismatch("diagonalizability needs a square matrix")
+    return poly_eval_matrix(squarefree_part(charpoly(a)), a).is_zero()
+
+
+@dataclass(frozen=True)
+class SpectralDecomposition:
+    """Eigenvalues with their spectral idempotents, in eigenvalue order."""
+
+    pairs: tuple
+
+    @property
+    def eigenvalues(self):
+        return [lam for (lam, _) in self.pairs]
+
+    @property
+    def idempotents(self):
+        return [p for (_, p) in self.pairs]
+
+
+def spectral_idempotents(a: DenseMatrix) -> SpectralDecomposition:
+    """Resolve a matrix into eigenvalues and orthogonal idempotents.
+
+    Each idempotent is the Lagrange interpolation polynomial of the matrix
+    that is 1 at its own eigenvalue and 0 at the others, so everything in
+    sight is a polynomial in the input.
+    """
+    if not a.is_square:
+        raise DimensionMismatch("spectral idempotents need a square matrix")
+    eigs = _spectrum(a)
+    pairs = tuple(zip(eigs, _projectors(a, eigs)))
+    n = a.rows
+    total = DenseMatrix.zeros(n, n)
+    recon = DenseMatrix.zeros(n, n)
+    for lam, p in pairs:
+        if p * p != p:
+            raise InternalInconsistency("spectral projector not idempotent")
+        total = total + p
+        recon = recon + p.scale(lam)
+    for x, (_, p) in enumerate(pairs):
+        for _, q in pairs[x + 1 :]:
+            if not (p * q).is_zero() or not (q * p).is_zero():
+                raise InternalInconsistency("spectral projectors not orthogonal")
+    if total != DenseMatrix.identity(n) or recon != a:
+        raise InternalInconsistency("spectral resolution does not reassemble")
+    return SpectralDecomposition(pairs=pairs)

@@ -18,7 +18,6 @@ from smalg.jordan import (
     apply,
     classify_jordan,
     extends_to_full_jordan_automorphism,
-    is_jordan_homomorphism,
     jordan_embeds_into,
 )
 from smalg.quasiorder import first_unsupported, from_edges
@@ -61,6 +60,7 @@ from fixtures import (
     upper_chain,
 )
 from oracles import (
+    is_jordan_homomorphism,
     oracle_all_transitive_trivial_small,
     oracle_connected_classes,
     oracle_increasing_perms,
@@ -82,10 +82,10 @@ def test_criterion_01_chain_fixture_rank_four_to_five_with_witness():
     ga = apply_induced(g, a)
     assert rank(ga) == 5
     assert oracle_rank_of(ga) == 5  # [DERIVED]
-    w = nontrivial_g_rank_witness(g)
+    w, ranks = nontrivial_g_rank_witness(g)
     assert first_unsupported(w.support(), rho) is None
     r_before, r_after = rank(w), rank(apply_induced(g, w))
-    assert (r_before, r_after) == (4, 5)
+    assert (r_before, r_after) == ranks == (4, 5)
     assert oracle_rank_of(w) == 4
     assert oracle_rank_of(apply_induced(g, w)) == 5
 
@@ -109,8 +109,8 @@ def test_criterion_02_bowtie_minor_rank_jump_and_neither_verdict():
     assert not all_transitive_trivial(rho)
     verdict = certify_rank_one_preserver(induced_linear_map(g))
     assert verdict.kind == "Neither"
-    assert rank(verdict.counterexample) == 1
-    assert verdict.ranks == (1, 2)
+    assert rank(verdict.witness.matrix) == 1
+    assert verdict.witness.ranks == (1, 2)
 
 
 def test_criterion_03_corner_map_singular_unit_yet_rank_one_preserving():
@@ -138,7 +138,7 @@ def test_criterion_04_bordered_diagonal_bounded_true_classify_neither():
     verdict = classify_rank_preserver(phi)
     assert verdict.kind == "Neither"
     assert "unitality" in verdict.note
-    assert verdict.counterexample == DenseMatrix.identity(5)
+    assert verdict.witness.matrix == DenseMatrix.identity(5)
     assert rank(apply(phi, DenseMatrix.identity(5))) == 4
 
 
@@ -179,11 +179,12 @@ def test_criterion_07_hundred_diagonalization_pipelines_under_ten_seconds():
             t * DenseMatrix.diag([rng.randint(-2, 2) for _ in range(n)]) * t_inv
             for _ in range(rng.randint(1, 3))
         ]
-        s = simultaneous_diagonalize_in_sma(rho, family)
-        s_inv = inverse(s)
+        s, s_inv, diagonals = simultaneous_diagonalize_in_sma(rho, family)
+        assert s_inv == inverse(s)
         assert first_unsupported(s.support(), rho) is None
-        for member in family:
-            assert (s_inv * member * s).is_diagonal()
+        for member, diagonal in zip(family, diagonals):
+            d = s_inv * member * s
+            assert d.is_diagonal() and d.diagonal() == diagonal
     assert time.monotonic() - started < 10.0
 
 
@@ -204,11 +205,12 @@ def test_criterion_08_hundred_transitive_maps_triviality_matches_rank():
         cert = triviality_witness(g)
         samples = [random_supported_matrix(rho, rng) for _ in range(12)]
         if not cert.is_trivial:
-            witness = nontrivial_g_rank_witness(g)
+            witness, ranks = nontrivial_g_rank_witness(g)
             assert first_unsupported(witness.support(), rho) is None
             r_before = rank(witness)
             r_after = rank(apply_induced(g, witness))
             assert r_before != r_after
+            assert ranks == (r_before, r_after)
             assert oracle_rank_of(witness) == r_before  # [DERIVED]
             assert oracle_rank_of(apply_induced(g, witness)) == r_after
             assert walk_product(g, cert.walk) == cert.product
@@ -293,9 +295,10 @@ def test_criterion_11_half_dimension_rank_bound_still_detects():
     phi = induced_linear_map(g)
     bound = chain10().n // 2 - 1
     assert bound == 4
-    ok, witness = bounded_rank_preserver_check(phi, bound)
+    ok, (witness, ranks) = bounded_rank_preserver_check(phi, bound)
     assert not ok
     r = rank(witness)
+    assert ranks == (r, rank(apply(phi, witness)))
     assert r <= bound
     assert rank(apply(phi, witness)) != r
     assert oracle_rank_of(witness) == r  # [DERIVED]

@@ -1,0 +1,35 @@
+"""The package's exports: each one is used by the package or documented."""
+
+import ast
+import re
+from pathlib import Path
+
+import smalg
+
+SRC = Path(smalg.__file__).resolve().parent
+README = SRC.parents[1] / "README.md"
+
+
+def _names_read_in_the_package():
+    names = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_export_is_used_by_the_package_or_named_in_the_readme():
+    # helpers that only tests need live in tests/oracles.py, not in __all__
+    used = _names_read_in_the_package()
+    readme = README.read_text(encoding="utf-8")
+    stray = [
+        name
+        for name in smalg.__all__
+        if name not in used and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert stray == []

@@ -9,11 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smalg.diag
-from smalg.diag import (
-    is_diagonalizable,
-    simultaneous_diagonalize_in_sma,
-    spectral_idempotents,
-)
+from smalg.diag import simultaneous_diagonalize_in_sma
 from smalg.errors import (
     IrrationalSpectrum,
     NotDiagonalizable,
@@ -29,7 +25,13 @@ from fixtures import (
     random_quasiorder,
     upper_chain,
 )
-from oracles import fraction_pair, grid_of, oracle_spectral_pairs
+from oracles import (
+    fraction_pair,
+    grid_of,
+    is_diagonalizable,
+    oracle_spectral_pairs,
+    spectral_idempotents,
+)
 
 
 def rows(m):
@@ -100,12 +102,17 @@ def test_diagonalize_in_sma_worked_example():
     # [DERIVED] on the order 1 <= 2 the similarity is exactly [[1,1],[0,1]]
     rho = upper_chain(2)
     a = DenseMatrix.from_rows([[0, 1], [0, 1]])
-    s = simultaneous_diagonalize_in_sma(rho, [a])
+    s, s_inv, diagonals = simultaneous_diagonalize_in_sma(rho, [a])
     assert rows(s) == rows(DenseMatrix.from_rows([[1, 1], [0, 1]]))
+    assert s_inv == inverse(s)
     assert inverse(s) * a * s == DenseMatrix.diag([0, 1])
+    assert diagonals == ([scalar(0), scalar(1)],)
     # adding the identity to the family changes nothing
-    s2 = simultaneous_diagonalize_in_sma(rho, [a, DenseMatrix.identity(2)])
+    s2, _, diagonals2 = simultaneous_diagonalize_in_sma(
+        rho, [a, DenseMatrix.identity(2)]
+    )
     assert s2 == s
+    assert diagonals2 == ([scalar(0), scalar(1)], [scalar(1), scalar(1)])
 
 
 def test_idempotent_similarity_composes_with_spectral():
@@ -114,7 +121,7 @@ def test_idempotent_similarity_composes_with_spectral():
     a = DenseMatrix.from_rows([[0, 1], [0, 1]])
     fam = spectral_idempotents(a).idempotents
     assert fam == [DenseMatrix.identity(2) - a, a]
-    s = simultaneous_diagonalize_in_sma(upper_chain(2), [a])
+    s = simultaneous_diagonalize_in_sma(upper_chain(2), [a]).s
     for j in (1, 2):
         (owner,) = [p for p in fam if p.at(j, j) == scalar(1)]
         assert s.col_list(j) == owner.col_list(j)
@@ -127,7 +134,7 @@ def test_diagonalize_in_sma_full_block_worked_example():
     # eigenvalue order 0, 2. Both blocks pivot on column 1, so S takes
     # column 1 of each: [1/2, -1/2] then [1/2, 1/2].
     a = DenseMatrix.from_rows([[1, 1], [1, 1]])
-    s = simultaneous_diagonalize_in_sma(full(2), [a])
+    s = simultaneous_diagonalize_in_sma(full(2), [a]).s
     half = Fraction(1, 2)
     assert rows(s) == rows(DenseMatrix.from_rows([[half, half], [-half, half]]))
     assert inverse(s) * a * s == DenseMatrix.diag([0, 2])
@@ -135,12 +142,12 @@ def test_diagonalize_in_sma_full_block_worked_example():
 
 def test_diagonalize_in_sma_diagonal_family_on_full_block_is_identity():
     fam = [DenseMatrix.diag([1, 2, 3]), DenseMatrix.diag([0, 0, 5])]
-    assert simultaneous_diagonalize_in_sma(full(3), fam) == DenseMatrix.identity(3)
+    assert simultaneous_diagonalize_in_sma(full(3), fam).s == DenseMatrix.identity(3)
 
 
 def test_diagonalize_in_sma_lower_triangular_member():
     f = DenseMatrix.from_rows([[1, 0], [1, 2]])
-    s = simultaneous_diagonalize_in_sma(full(2), [f])
+    s = simultaneous_diagonalize_in_sma(full(2), [f]).s
     assert (inverse(s) * f * s).is_diagonal()
 
 
@@ -150,7 +157,7 @@ def test_diagonalize_in_sma_family_of_powers():
         n = rng.randrange(2, 5)
         s0 = random_invertible_in_sma(full(n), rng)
         a = s0 * DenseMatrix.diag([rng.randrange(3) for _ in range(n)]) * inverse(s0)
-        s = simultaneous_diagonalize_in_sma(full(n), [a, a * a])
+        s = simultaneous_diagonalize_in_sma(full(n), [a, a * a]).s
         sinv = inverse(s)
         assert (sinv * a * s).is_diagonal()
         assert (sinv * (a * a) * s).is_diagonal()
@@ -173,7 +180,7 @@ def test_diagonalize_in_sma_triangular_family_takes_owning_projector_columns():
             for q in spectral_idempotents(fam[1]).idempotents
         ]
         for rho in (upper_chain(n), full(n)):
-            s = simultaneous_diagonalize_in_sma(rho, fam)
+            s = simultaneous_diagonalize_in_sma(rho, fam).s
             assert s.is_upper_triangular()
             for j in range(1, n + 1):
                 (owner,) = [q for q in joint if q.at(j, j) == scalar(1)]
@@ -211,12 +218,13 @@ def test_diagonalize_in_sma_diagonal_input_stays_fixed():
     rng = random.Random(61)
     for rho in (delta(3), upper_chain(4), random_quasiorder(rng)):
         d = DenseMatrix.diag(list(range(1, rho.n + 1)))
-        s = simultaneous_diagonalize_in_sma(rho, [d])
+        s = simultaneous_diagonalize_in_sma(rho, [d]).s
         assert inverse(s) * d * s == d
 
 
 def test_diagonalize_in_sma_empty_family():
-    assert simultaneous_diagonalize_in_sma(delta(3), []) == DenseMatrix.identity(3)
+    ident = DenseMatrix.identity(3)
+    assert simultaneous_diagonalize_in_sma(delta(3), []) == (ident, ident, ())
 
 
 def test_diagonalize_in_sma_errors():
@@ -244,7 +252,7 @@ def test_diagonalize_in_sma_random_roundtrip():
             s0 * DenseMatrix.diag([rng.randrange(4) for _ in range(rho.n)]) * s0inv
             for _ in range(2)
         ]
-        s = simultaneous_diagonalize_in_sma(rho, fam)
+        s = simultaneous_diagonalize_in_sma(rho, fam).s
         sinv = inverse(s)
         assert all(p in rho for p in s.support())
         assert all(p in rho for p in sinv.support())
@@ -346,7 +354,7 @@ def test_chain_family_needs_no_root_search(root_search_calls):
         s0 * DenseMatrix.diag([rng.randrange(4) for _ in range(5)]) * inverse(s0)
         for _ in range(3)
     ]
-    s = simultaneous_diagonalize_in_sma(rho, fam)
+    s = simultaneous_diagonalize_in_sma(rho, fam).s
     assert all((inverse(s) * f * s).is_diagonal() for f in fam)
     assert root_search_calls == {"charpoly": 0, "roots": 0}
 
@@ -361,6 +369,6 @@ def test_full_block_family_searches_each_non_triangular_member_once(root_search_
     ] + [DenseMatrix.identity(4).scale(3)]
     non_triangular = sum(not f.is_upper_triangular() for f in fam)
     assert non_triangular >= 2
-    s = simultaneous_diagonalize_in_sma(rho, fam)
+    s = simultaneous_diagonalize_in_sma(rho, fam).s
     assert all((inverse(s) * f * s).is_diagonal() for f in fam)
     assert root_search_calls == {"charpoly": non_triangular, "roots": non_triangular}

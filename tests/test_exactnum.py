@@ -12,13 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smalg.errors import DimensionMismatch, FormatError, RankNotOne, Singular
+from smalg.errors import DimensionMismatch, FormatError, Singular
 from smalg.exactnum import (
     DenseMatrix,
     GaussianRational,
     format_matrix,
     inverse,
-    jordan_product,
     multiply,
     parse_matrix,
     permutation_matrix,
@@ -38,9 +37,11 @@ from oracles import (
     grid_of,
     invert_permutation,
     is_rank_one_by_minors,
+    jordan_product,
     oracle_rank,
     oracle_rank_of,
     outer,
+    RankNotOne,
     rank_one_factor,
     relabel_matrix,
     to_grid,

@@ -13,13 +13,12 @@ from smalg.errors import (
     VanishingUnitImage,
 )
 from smalg.exactnum import DenseMatrix, ONE, rank, scalar
-from smalg.jordan import LinearMapOnSMA, apply, identity_map, synthesize_jordan, transpose_map
+from smalg.jordan import LinearMapOnSMA, apply, synthesize_jordan
 from smalg.quasiorder import NotClassUnion, approx_classes, from_edges, rectangles
 from smalg.rankpres import (
     bounded_rank_preserver_check,
     certify_rank_one_preserver,
     classify_rank_preserver,
-    format_verdict,
     induced_linear_map,
     is_rank_one_preserver_sampled,
     nontrivial_g_rank_witness,
@@ -54,10 +53,12 @@ from fixtures import (
     upper_chain,
 )
 from oracles import (
+    identity_map,
     oracle_balanced_below,
     oracle_rank_of,
     oracle_unbalanced_cycle,
     rectangle_minor_condition,
+    transpose_map,
 )
 
 
@@ -114,10 +115,11 @@ def test_sampled_preserver_bowtie_counterexample():
     g = bowtie_g()
     phi = induced_linear_map(g)
     samples = sample_rank_one_in_sma(g.rho, 300, seed=5)
-    ok, witness = is_rank_one_preserver_sampled(phi, samples)
+    ok, (witness, ranks) = is_rank_one_preserver_sampled(phi, samples)
     assert not ok
     # [DERIVED] the scaled image of any witness stays in a 2x4 strip
     assert rank(apply(phi, witness)) == 2
+    assert ranks == (1, 2)
 
 
 def test_sampled_preserver_corner_map():
@@ -151,8 +153,8 @@ def test_certify_bowtie_neither():
     v = certify_rank_one_preserver(induced_linear_map(bowtie_g()))
     assert v.kind == "Neither"
     # [DERIVED] the violating rectangle indicator is the 2x2 all-ones block
-    assert set(v.counterexample.support()) == {(1, 3), (1, 4), (2, 3), (2, 4)}
-    assert v.ranks == (1, 2)
+    assert set(v.witness.matrix.support()) == {(1, 3), (1, 4), (2, 3), (2, 4)}
+    assert v.witness.ranks == (1, 2)
 
 
 def test_certify_chain10_rank_one_but_not_rank():
@@ -187,8 +189,8 @@ def unital_non_jordan_on_full2():
 def test_certify_unital_non_jordan_sampled():
     v = certify_rank_one_preserver(unital_non_jordan_on_full2())
     assert v.kind == "Neither"
-    assert rank(v.counterexample) == 1
-    assert v.ranks[1] != 1
+    assert rank(v.witness.matrix) == 1
+    assert v.witness.ranks[1] != 1
 
 
 def test_certify_vanishing_unit_image_propagates():
@@ -210,16 +212,18 @@ def test_certify_vanishing_unit_image_propagates():
 
 
 def test_witness_chain10_exact():
-    a = nontrivial_g_rank_witness(chain10_g())
+    a, ranks = nontrivial_g_rank_witness(chain10_g())
     assert a == chain10_matrix()
+    assert ranks == (4, 5)
     assert rank(a) == 4
     assert rank(apply_induced(chain10_g(), a)) == 5
 
 
 def test_witness_bowtie():
     g = bowtie_g()
-    a = nontrivial_g_rank_witness(g)
+    a, ranks = nontrivial_g_rank_witness(g)
     assert set(a.support()) == {(1, 3), (1, 4), (2, 3), (2, 4)}
+    assert ranks == (1, 2)
     assert rank(a) == 1
     assert rank(apply_induced(g, a)) == 2
 
@@ -238,7 +242,7 @@ def test_witness_nested_recursion():
     weights = {p: 1 for p in rho.strict_pairs()}
     weights[(2, 4)] = 3
     g = validate(rho, weights)
-    a = nontrivial_g_rank_witness(g)
+    a = nontrivial_g_rank_witness(g).matrix
     assert set(a.support()) == {(1, 3), (1, 4), (2, 3), (2, 4)}
     assert rank(apply_induced(g, a)) == 2
 
@@ -250,7 +254,7 @@ def test_witness_out_neighbor_route():
     weights = {p: 1 for p in rho.strict_pairs()}
     weights[(4, 2)] = 2
     g = validate(rho, weights)
-    a = nontrivial_g_rank_witness(g)
+    a = nontrivial_g_rank_witness(g).matrix
     assert set(a.support()) == {(3, 1), (3, 2), (4, 1), (4, 2)}
     assert rank(a) == 1
     assert rank(apply_induced(g, a)) == 2
@@ -277,10 +281,11 @@ def test_witness_random_property():
                 nontrivial_g_rank_witness(g)
             continue
         seen_nontrivial += 1
-        w = nontrivial_g_rank_witness(g)
+        w, ranks = nontrivial_g_rank_witness(g)
         for pair in w.support():
             assert pair in rho
         assert rank(apply_induced(g, w)) != rank(w)
+        assert ranks == (rank(w), rank(apply_induced(g, w)))
     assert seen_nontrivial >= 10
 
 
@@ -321,7 +326,8 @@ def test_cycle_witness_has_least_rank():
         m = len(cycle) // 2
         assert oracle_balanced_below(g, m - 1)
         assert not oracle_balanced_below(g, m)
-        w = nontrivial_g_rank_witness(g)
+        w, ranks = nontrivial_g_rank_witness(g)
+        assert ranks == (m - 1, m)
         assert set(w.support()) == set(cycle)
         assert oracle_rank_of(w) == m - 1
         assert oracle_rank_of(apply_induced(g, w)) == m
@@ -346,7 +352,7 @@ def test_bounded_check_is_exact_on_jordan_maps(monkeypatch):
             continue
         checked += 1
         rho = g.rho
-        r = rank(nontrivial_g_rank_witness(g))
+        r = rank(nontrivial_g_rank_witness(g).matrix)
         s = random_invertible_in_sma(rho, rng)
         u = random_class_union(rho, rng)
         for phi in (induced_linear_map(g), synthesize_jordan(rho, s, u, g)):
@@ -354,8 +360,10 @@ def test_bounded_check_is_exact_on_jordan_maps(monkeypatch):
                 ok, witness = bounded_rank_preserver_check(phi, k)
                 assert ok == (k < r)
                 if not ok:
-                    assert rank(witness) == r
-                    assert rank(apply(phi, witness)) != r
+                    x, ranks = witness
+                    assert rank(x) == r
+                    assert rank(apply(phi, x)) != r
+                    assert ranks == (r, rank(apply(phi, x)))
             rank_one = certify_rank_one_preserver(phi).kind == "RankOnePreserver"
             assert bounded_rank_preserver_check(phi, 1)[0] == rank_one
 
@@ -368,38 +376,38 @@ def test_classify_identity():
     v = classify_rank_preserver(identity_map(full(3)))
     assert v.kind == "RankPreserver"
     assert v.form.s == DenseMatrix.identity(3)
-    assert v.form.central_idempotent() == DenseMatrix.identity(3)
+    assert v.form.u == frozenset({1, 2, 3})
 
 
 def test_classify_transpose():
     v = classify_rank_preserver(transpose_map(full(3)))
     assert v.kind == "RankPreserver"
     assert v.form.s == DenseMatrix.identity(3)
-    assert v.form.central_idempotent() == DenseMatrix.zeros(3, 3)
+    assert v.form.u == frozenset()
 
 
 def test_classify_bowtie_neither():
     phi = induced_linear_map(bowtie_g())
     v = classify_rank_preserver(phi)
     assert v.kind == "Neither"
-    assert v.ranks == (1, 2)
-    assert rank(apply(phi, v.counterexample)) == 2
+    assert v.witness.ranks == (1, 2)
+    assert rank(apply(phi, v.witness.matrix)) == 2
 
 
 def test_classify_chain10_neither():
     phi = induced_linear_map(chain10_g())
     v = classify_rank_preserver(phi)
     assert v.kind == "Neither"
-    assert v.counterexample == chain10_matrix()
-    assert v.ranks == (4, 5)
+    assert v.witness.matrix == chain10_matrix()
+    assert v.witness.ranks == (4, 5)
 
 
 def test_classify_corner_fails_unitality():
     phi = linear_map(corner(), corner_map_images())
     v = classify_rank_preserver(phi)
     assert v.kind == "Neither"
-    assert v.counterexample == DenseMatrix.identity(3)
-    assert v.ranks == (3, 2)
+    assert v.witness.matrix == DenseMatrix.identity(3)
+    assert v.witness.ranks == (3, 2)
     assert "unitality" in v.note
 
 
@@ -407,8 +415,8 @@ def test_classify_unital_non_jordan():
     v = classify_rank_preserver(unital_non_jordan_on_full2())
     assert v.kind == "Neither"
     assert "not Jordan" in v.note
-    assert rank(v.counterexample) == 1
-    assert v.ranks[1] != 1
+    assert rank(v.witness.matrix) == 1
+    assert v.witness.ranks[1] != 1
 
 
 def test_classify_vanishing_unit():
@@ -423,7 +431,7 @@ def test_classify_vanishing_unit():
     )
     v = classify_rank_preserver(phi)
     assert v.kind == "Neither"
-    assert v.ranks == (1, 0)
+    assert v.witness.ranks == (1, 0)
 
 
 def test_classify_synthesized_trivial_maps():
@@ -469,10 +477,10 @@ def test_trivial_iff_rank_preserver():
             assert verdict.kind == "RankPreserver"
         else:
             assert verdict.kind == "Neither"
-            r_before, r_after = verdict.ranks
+            r_before, r_after = verdict.witness.ranks
             assert r_before != r_after
-            assert rank(verdict.counterexample) == r_before
-            assert rank(apply(phi, verdict.counterexample)) == r_after
+            assert rank(verdict.witness.matrix) == r_before
+            assert rank(apply(phi, verdict.witness.matrix)) == r_after
     assert seen["RankPreserver"] >= 5 and seen["Neither"] >= 5
 
 
@@ -493,8 +501,8 @@ def test_synthesized_jordan_rank_one_matches_minors():
         if v.kind == "RankOnePreserver":
             assert rectangle_minor_condition(v.form.g).ok
         else:
-            assert v.ranks[0] == 1
-            assert rank(apply(phi, v.counterexample)) == v.ranks[1] != 1
+            assert v.witness.ranks[0] == 1
+            assert rank(apply(phi, v.witness.matrix)) == v.witness.ranks[1] != 1
 
 
 def test_small_blocks_never_obstruct():
@@ -575,10 +583,11 @@ def test_bounded_chain10_catches_at_four():
     """The half-dimension bound suffices: the scaled chain map fails at
     rank four without any rank-five test."""
     phi = induced_linear_map(chain10_g())
-    ok, witness = bounded_rank_preserver_check(phi, 4)
+    ok, (witness, ranks) = bounded_rank_preserver_check(phi, 4)
     assert not ok
     assert witness == chain10_matrix()
     assert rank(witness) == 4
+    assert ranks == (4, 5)
 
 
 def test_bounded_chain10_passes_below_witness_rank():
@@ -588,9 +597,10 @@ def test_bounded_chain10_passes_below_witness_rank():
 
 
 def test_bounded_bowtie_rank_one():
-    ok, witness = bounded_rank_preserver_check(induced_linear_map(bowtie_g()), 1)
+    ok, (witness, ranks) = bounded_rank_preserver_check(induced_linear_map(bowtie_g()), 1)
     assert not ok
     assert rank(witness) == 1
+    assert ranks == (1, 2)
 
 
 def test_bounded_bordered_map():
@@ -602,7 +612,7 @@ def test_bounded_bordered_map():
     assert ok
     v = classify_rank_preserver(phi)
     assert v.kind == "Neither"
-    assert v.ranks == (5, 4)
+    assert v.witness.ranks == (5, 4)
     assert "unitality" in v.note
 
 
@@ -637,31 +647,3 @@ def test_bounded_inverts_the_identity_image_once(monkeypatch):
     monkeypatch.setattr(smalg.rankpres, "inverse", counting)
     assert bounded_rank_preserver_check(phi, 1, count=2) == (True, None)
     assert len(calls) == 1
-
-
-# ---------------------------------------------------------------------------
-# verdict reports
-
-
-def test_format_verdict_form_blocks():
-    report = format_verdict(classify_rank_preserver(identity_map(upper_chain(2))))
-    lines = report.splitlines()
-    assert lines[0] == "VERDICT RankPreserver"
-    assert "FORM" in lines
-    assert "S" in lines and "P" in lines and "g" in lines
-
-
-def test_format_verdict_witness_blocks():
-    v = certify_rank_one_preserver(induced_linear_map(bowtie_g()))
-    report = format_verdict(v)
-    lines = report.splitlines()
-    assert lines[0] == "VERDICT Neither"
-    assert "WITNESS" in lines
-    assert any(line.startswith("RANKS 1 2") for line in lines)
-
-
-def test_format_verdict_deterministic():
-    phi = induced_linear_map(chain10_g())
-    assert format_verdict(classify_rank_preserver(phi)) == format_verdict(
-        classify_rank_preserver(phi)
-    )

@@ -2,15 +2,18 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from smalg.errors import FormatError, NotTransitive, SupportViolation, ZeroWeight
 from smalg.exactnum import DenseMatrix, GaussianRational, ONE, scalar
+from smalg.quasiorder import from_edges
 from smalg.transmap import (
     all_transitive_trivial,
     apply_induced,
     format_weights,
+    nontrivial_transitive_map,
     parse_weights,
     random_transitive_map,
     triviality_witness,
@@ -209,6 +212,54 @@ def test_all_trivial_agrees_with_sampling():
                 for seed in range(50)
             )
             assert found, f"no nontrivial sample found on {rho!r}"
+
+
+def rp2_face_poset():
+    """Faces of the six-vertex triangulation of the projective plane,
+    ordered by inclusion. Transitive maps are 1-cocycles of its order
+    complex, a subdivision of RP^2, and H^1(RP^2) with Gaussian-rational
+    coefficients is {+-1}: the only nontrivial maps are sign maps."""
+    triangles = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+                 (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)]
+    faces = {
+        frozenset(c) for t in triangles for k in (1, 2, 3) for c in combinations(t, k)
+    }
+    faces = sorted(faces, key=lambda f: (len(f), sorted(f)))
+    label = {f: k for k, f in enumerate(faces, start=1)}
+    pairs = [(label[a], label[b]) for a in faces for b in faces if a < b]
+    return from_edges(len(faces), pairs)
+
+
+def test_nontrivial_transitive_map_exists_iff_not_all_trivial():
+    rng = random.Random(11)
+    relations = [q for (_, q) in census12()]
+    relations += [random_quasiorder(rng) for _ in range(10)]
+    relations += [bowtie(), chain10(), rp2_face_poset()]
+    negatives = 0
+    for rho in relations:
+        g = nontrivial_transitive_map(rho)
+        if all_transitive_trivial(rho):
+            assert g is None
+            continue
+        negatives += 1
+        assert not triviality_witness(g).is_trivial
+        assert validate(rho, dict(g.items())) == g
+    assert negatives >= 3
+
+
+def test_nontrivial_transitive_map_tries_exponents_first():
+    # [DERIVED] the bowtie has no composable pairs, so the integer kernel
+    # basis is the unit vectors and the first one, 2 at (1,3), is nontrivial
+    g = nontrivial_transitive_map(bowtie())
+    assert g == validate(bowtie(), {(1, 3): 2, (1, 4): 1, (2, 3): 1, (2, 4): 1})
+
+
+def test_nontrivial_transitive_map_falls_back_to_signs():
+    rho = rp2_face_poset()
+    assert not all_transitive_trivial(rho)
+    g = nontrivial_transitive_map(rho)
+    assert {v for (_, v) in g.items()} == {ONE, -ONE}
+    assert triviality_witness(g).product == -ONE
 
 
 def test_rectangle_minor_detects_bowtie():
