@@ -199,8 +199,12 @@ def _parse_class_list(text: str) -> frozenset:
 
 
 def _fmt_blocks(blocks) -> str:
-    ordered = sorted(blocks, key=min)
-    return " ".join("{" + ",".join(str(v) for v in sorted(b)) + "}" for b in ordered)
+    return _fmt_block_list(sorted(blocks, key=min))
+
+
+def _fmt_block_list(blocks) -> str:
+    """The blocks in the order given, each as {v1,v2,...}."""
+    return " ".join("{" + ",".join(str(v) for v in sorted(b)) + "}" for b in blocks)
 
 
 def _json_blocks(blocks):
@@ -314,7 +318,7 @@ def _cmd_blocks(args) -> tuple:
     ]
     rep.add("presence " + " ".join(rows), presence=rows)
     rep.add(
-        "class-order " + _fmt_blocks(b.class_order),
+        "class-order " + _fmt_block_list(b.class_order),
         class_order=[sorted(c) for c in b.class_order],
     )
     return 0, rep

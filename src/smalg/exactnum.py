@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import re as _re
 from functools import cmp_to_key
+from itertools import compress
 from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, FormatError, Singular
@@ -682,6 +684,138 @@ def combination(rows: int, cols: int, terms) -> DenseMatrix:
             re = [x + p * a for x, a in zip(re, m._re)]
             im = [y + p * b for y, b in zip(im, m._im)]
     return _reduced(rows, cols, d, re, im)
+
+
+def _nonzero_positions(m: DenseMatrix):
+    """The 0-based row-major positions of the nonzero entries of m."""
+    re, im = m._re, m._im
+    if any(im):
+        return compress(range(len(re)), map(or_, re, im))
+    return compress(range(len(re)), re)
+
+
+def _nonzero_count(m: DenseMatrix) -> int:
+    re, im = m._re, m._im
+    if any(im):
+        # a | b is 0 exactly when a and b are
+        return len(re) - list(map(or_, re, im)).count(0)
+    return len(re) - re.count(0)
+
+
+# --- unit frames ----------------------------------------------------------------
+
+
+class UnitFrame:
+    """The columns c_a of an invertible S and the rows r_b of S^-1, for
+    matrices of the form sum g c_a r_b.
+
+    Conjugation by S sends the unit E_ab to the outer product c_a r_b, so
+    every unit image of a Jordan homomorphism in canonical form is one
+    scaled outer product. The frame keeps the nonzero integer numerators of
+    each c_a and each r_b; its operations take time in the nonzeros of the
+    matrices and terms they are given, and form no matrix product. A term
+    is a triple (g, a, b), the matrix g c_a r_b, with 1-based a and b.
+    ``s_inv`` must be the inverse of ``s``; the frame trusts it.
+    """
+
+    __slots__ = ("n", "_cols", "_rows", "_col_parts", "_row_parts", "_d")
+
+    def __init__(self, s: DenseMatrix, s_inv: DenseMatrix):
+        n = s.rows
+        if s.shape != (n, n) or s_inv.shape != (n, n):
+            raise DimensionMismatch("a unit frame needs two square matrices of one size")
+        self.n = n
+        sre, sim, tre, tim = s._re, s._im, s_inv._re, s_inv._im
+        # dense numerators: column a of S over s._d, row b of S^-1 over s_inv._d
+        self._col_parts = [(sre[a::n], sim[a::n]) for a in range(n)]
+        self._row_parts = [
+            (tre[b * n : (b + 1) * n], tim[b * n : (b + 1) * n]) for b in range(n)
+        ]
+        self._cols = [
+            [(k, x, y) for k, (x, y) in enumerate(zip(*part)) if x or y]
+            for part in self._col_parts
+        ]
+        self._rows = [
+            [(k, x, y) for k, (x, y) in enumerate(zip(*part)) if x or y]
+            for part in self._row_parts
+        ]
+        # the denominator of every outer product c_a r_b
+        self._d = s._d * s_inv._d
+
+    def _check(self, m: DenseMatrix):
+        if m.shape != (self.n, self.n):
+            raise DimensionMismatch(f"matrix shape {m.shape}, frame size {self.n}")
+
+    def coordinate(self, m: DenseMatrix, a: int, b: int) -> GaussianRational:
+        """r_a m c_b, the entry (a, b) of S^-1 m S, summed over the nonzero
+        entries of m."""
+        self._check(m)
+        n = self.n
+        xr, xi = self._row_parts[a - 1]
+        yr, yi = self._col_parts[b - 1]
+        re, im = m._re, m._im
+        tr = ti = 0
+        for pos in _nonzero_positions(m):
+            k, l = divmod(pos, n)
+            u, v = xr[k], xi[k]
+            w, z = yr[l], yi[l]
+            if (u or v) and (w or z):
+                p, q = re[pos], im[pos]
+                # (u + v i)(p + q i)(w + z i)
+                f, h = u * p - v * q, u * q + v * p
+                tr += f * w - h * z
+                ti += f * z + h * w
+        return _scalar_over(tr, ti, self._d * m._d)
+
+    def _sum(self, terms):
+        """The numerators of sum g c_a r_b at every position the terms
+        reach, as {0-based row-major position: (re, im)}, and their common
+        denominator."""
+        terms = [(scalar(g), a, b) for g, a, b in terms]
+        dg = lcm(*{g.d for g, _, _ in terms})
+        n = self.n
+        acc = {}
+        for g, a, b in terms:
+            f = dg // g.d
+            gp, gq = f * g.p, f * g.q
+            if not (gp or gq):
+                continue
+            row = self._rows[b - 1]
+            for k, u, v in self._cols[a - 1]:
+                xr, xi = gp * u - gq * v, gp * v + gq * u
+                base = k * n
+                for l, p, q in row:
+                    pos = base + l
+                    yr, yi = xr * p - xi * q, xr * q + xi * p
+                    old = acc.get(pos)
+                    acc[pos] = (yr, yi) if old is None else (old[0] + yr, old[1] + yi)
+        return acc, dg * self._d
+
+    def matches(self, m: DenseMatrix, terms) -> bool:
+        """Whether m equals the sum of the terms, decided by cross-multiplying
+        numerators at the positions the terms reach and counting the nonzero
+        entries of m."""
+        self._check(m)
+        acc, d = self._sum(terms)
+        re, im, e = m._re, m._im, m._d
+        reached = 0
+        for pos, (x, y) in acc.items():
+            # m = (re + i im) / e against (x + i y) / d
+            if re[pos] * d != x * e or im[pos] * d != y * e:
+                return False
+            if x or y:
+                reached += 1
+        return reached == _nonzero_count(m)
+
+    def image(self, terms) -> DenseMatrix:
+        """The matrix sum g c_a r_b over the terms."""
+        acc, d = self._sum(terms)
+        size = self.n * self.n
+        re, im = [0] * size, [0] * size
+        for pos, (x, y) in acc.items():
+            re[pos] = x
+            im[pos] = y
+        return _reduced(self.n, self.n, d, re, im)
 
 
 # --- elimination ----------------------------------------------------------------

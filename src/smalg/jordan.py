@@ -11,7 +11,7 @@ reduce to a finite search over class unions and increasing permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
@@ -23,6 +23,7 @@ from .errors import (
     NotClassUnion,
     NotJordan,
     NotTransitive,
+    Singular,
     SupportViolation,
     VanishingUnitImage,
 )
@@ -30,6 +31,7 @@ from .exactnum import (
     DenseMatrix,
     GaussianRational,
     ONE,
+    UnitFrame,
     combination,
     inverse,
     parse_int,
@@ -107,37 +109,55 @@ class CanonicalJordanForm:
     ``s`` conjugates, ``u`` is the class union carrying the multiplicative
     part (the central idempotent has 1 exactly on u), ``g`` scales, and
     ``pi`` (when present) relabels into a codomain algebra before
-    conjugation.
+    conjugation. ``s_inv`` is the inverse of ``s``, given by the code that
+    made the form whenever it has it, so that no form is inverted twice;
+    left out, it is computed when the form is rebuilt. It is trusted, not
+    checked, and takes no part in comparisons.
     """
 
     s: DenseMatrix
     u: frozenset
     g: TransitiveMap
     pi: Optional[tuple] = None
+    s_inv: Optional[DenseMatrix] = field(default=None, repr=False, compare=False)
 
     @property
     def rho(self) -> QuasiOrder:
         return self.g.rho
 
-    def _image(self, i: int, j: int, sinv: DenseMatrix) -> DenseMatrix:
-        """S (g(i, j) E_ab) S^-1, where E_ab is E_ij transposed outside u and
-        relabeled by pi: column a of S, scaled, times row b of S^-1."""
+    def _frame(self) -> UnitFrame:
+        """The columns of S and the rows of S^-1; inverts S (Singular
+        propagates) unless ``s_inv`` is set."""
+        return UnitFrame(self.s, inverse(self.s) if self.s_inv is None else self.s_inv)
+
+    def _term(self, i: int, j: int):
+        """The image of E_ij as a frame term (g(i, j), a, b), the matrix
+        S (g(i, j) E_ab) S^-1: E_ab is E_ij, transposed outside u and
+        relabeled by pi."""
         a, b = (i, j) if i == j or i in self.u else (j, i)
         if self.pi is not None:
             a, b = self.pi[a - 1], self.pi[b - 1]
-        idx = range(1, self.rho.n + 1)
-        col = self.s.submatrix(idx, (a,)).scale(self.g.value(i, j))
-        return col * sinv.submatrix((b,), idx)
+        return self.g.value(i, j), a, b
 
     def unit_image(self, i: int, j: int) -> DenseMatrix:
         if (i, j) not in self.rho:
             raise SupportViolation(f"({i},{j}) is not in the relation", pair=(i, j))
-        return self._image(i, j, inverse(self.s))
+        return self._frame().image((self._term(i, j),))
 
     def reconstruct(self) -> LinearMapOnSMA:
-        sinv = inverse(self.s)
+        frame = self._frame()
         return LinearMapOnSMA(
-            self.rho, {p: self._image(*p, sinv) for p in self.rho.pairs()}
+            self.rho, {p: frame.image((self._term(*p),)) for p in self.rho.pairs()}
+        )
+
+    def reproduces(self, phi: LinearMapOnSMA) -> bool:
+        """Whether ``reconstruct() == phi``, checked unit by unit in the
+        nonzeros of each image without building one."""
+        if phi.rho != self.rho:
+            return False
+        frame = self._frame()
+        return all(
+            frame.matches(phi.images[p], (self._term(*p),)) for p in self.rho.pairs()
         )
 
 
@@ -149,15 +169,34 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
     including the final exact reconstruction, provably was of the canonical
     form, hence a Jordan homomorphism.
 
-    Orthogonality of the idempotents q_i = phi(E_ii) costs one product:
-    q_i q_j + q_j q_i = 0 for all i != j iff P = q_1 + ... + q_n is
-    idempotent. P^2 - P is the sum of those anticommutators, which gives
-    one direction. Conversely, let P^2 = P. In characteristic 0 an
-    idempotent's rank is its trace, so rank P = sum rank q_i; range(P) lies
-    in the sum of the ranges of the q_i, so that sum is direct and equals
-    range(P). For y = q_j y, P y = y gives sum_{i != j} q_i y = 0, so each
-    q_i y = 0 and q_i q_j = 0. The pairs are scanned only when P fails, to
-    name the first one.
+    Every check runs in one frame (``UnitFrame``) of an S0 and its inverse,
+    inverted once: column k of S0 is c_k, the first nonzero column of
+    q_k = phi(E_kk) scaled to lead with 1, and r_k is row k of S0^-1. The
+    diagonal units pass when q_k == c_k r_k for every k. With S0
+    invertible this holds exactly when the q_k are orthogonal idempotents
+    (q_k q_l + q_l q_k = 0 for k != l), which is what the dense checks test:
+
+    - If q_k = c_k r_k for all k, then r_k c_l = delta_kl, as S0^-1 S0 = I,
+      gives q_k q_l = c_k (r_k c_l) r_l = delta_kl q_k.
+    - Conversely, anticommuting idempotents multiply to zero: multiplying
+      q_k q_l + q_l q_k = 0 by q_k on the left, and on the right, gives
+      q_k q_l = -q_k q_l q_k = q_l q_k, so 2 q_k q_l = 0. In characteristic
+      0 an idempotent's rank is its trace, so the ranks of the n nonzero
+      q_k add up to the rank of their idempotent sum, at most n: each has
+      rank one and their sum is I. As c_l lies in the range of q_l,
+      q_k c_l = delta_kl c_l, so q_k S0 = c_k e_k^T. Applying q_k to a
+      relation sum_l a_l c_l = 0 leaves a_k c_k = 0, so the c_k are
+      independent, S0 is invertible and q_k = c_k e_k^T S0^-1 = c_k r_k.
+
+    So the dense checks (each q_k squared, then each pair) run only when S0
+    is singular or the frame check fails, to name the first failure; they
+    cannot all pass then. A strict unit passes when
+    phi(E_ij) == alpha c_i r_j + beta c_j r_i, with alpha = r_i phi(E_ij) c_j
+    and beta = r_j phi(E_ij) c_i the entries (i, j) and (j, i) of
+    S0^-1 phi(E_ij) S0; as S0 is invertible, that is S0^-1 phi(E_ij) S0
+    lying in span(E_ij, E_ji). The final reconstruction compares each unit
+    image with its term in the same frame. No step forms an n x n by n x n
+    product unless a diagonal check fails.
     """
     rho = phi.rho
     n = rho.n
@@ -165,38 +204,34 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
         if phi.images[pair].is_zero():
             raise VanishingUnitImage(f"unit {pair} maps to zero", pair=pair)
     diag_imgs = [phi.images[(i, i)] for i in range(1, n + 1)]
-    for i, q in enumerate(diag_imgs, start=1):
-        if q * q != q:
-            raise NotJordan(
-                f"image of E_{i}{i} is not idempotent", pair=((i, i), (i, i))
-            )
-    total = combination(n, n, ((ONE, q) for q in diag_imgs))
-    if total * total != total:
-        for i, j in combinations(range(1, n + 1), 2):
-            qi, qj = diag_imgs[i - 1], diag_imgs[j - 1]
-            if not (qi * qj + qj * qi).is_zero():
-                raise NotJordan(
-                    f"images of E_{i}{i} and E_{j}{j} are not orthogonal",
-                    pair=((i, i), (j, j)),
-                )
-    # n orthogonal nonzero idempotents in n-space are rank one and sum to
-    # the identity, so one range vector per image assembles an invertible
-    # S0: the first nonzero column, scaled to lead with 1
+    # one range vector per image: the first nonzero column, scaled to lead
+    # with 1
     idx = range(1, n + 1)
     cols = []
     for q in diag_imgs:
         j, i = min((j, i) for (i, j) in q.support())
         cols.append(q.submatrix(idx, (j,)).scale(q.at(i, j).reciprocal()).entries())
     s0 = DenseMatrix.from_rows(cols).transpose()
-    s0inv = inverse(s0)
+    try:
+        s0inv = inverse(s0)
+    except Singular:
+        frame = None
+    else:
+        frame = UnitFrame(s0, s0inv)
+    if frame is None or not all(
+        frame.matches(q, ((ONE, k, k),)) for k, q in enumerate(diag_imgs, start=1)
+    ):
+        _raise_diagonal_failure(diag_imgs)
+        raise InternalInconsistency(
+            "diagonal unit images pass the dense checks but not the frame"
+        )
     mult = {}
     anti = {}
     for (i, j) in rho.strict_pairs():
-        b = s0inv * phi.images[(i, j)] * s0
-        alpha = b.at(i, j)
-        beta = b.at(j, i)
-        expected = DenseMatrix.from_entries(n, n, {(i, j): alpha, (j, i): beta})
-        if b != expected:
+        m = phi.images[(i, j)]
+        alpha = frame.coordinate(m, i, j)
+        beta = frame.coordinate(m, j, i)
+        if not frame.matches(m, ((alpha, i, j), (beta, j, i))):
             raise NotJordan(
                 f"conjugated image of E_{i}{j} leaves span(E_{i}{j}, E_{j}{i})",
                 pair=((i, i), (i, j)),
@@ -230,12 +265,30 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
             f"unit weights are not multiplicatively transitive: {exc}",
             pair=exc.witness,
         ) from exc
-    form = CanonicalJordanForm(s=s0, u=frozenset(u), g=g)
-    if form.reconstruct() != phi:
+    form = CanonicalJordanForm(s=s0, u=frozenset(u), g=g, s_inv=s0inv)
+    if not form.reproduces(phi):
         raise InternalInconsistency(
             "reconstruction differs; the input was not a Jordan homomorphism"
         )
     return form
+
+
+def _raise_diagonal_failure(diag_imgs) -> None:
+    """Raise NotJordan for the first dense check the q_k = phi(E_kk) fail:
+    idempotence of each q_k in order, then q_k q_l + q_l q_k = 0 for each
+    pair k < l in lexicographic order. Returns when every check passes."""
+    for k, q in enumerate(diag_imgs, start=1):
+        if q * q != q:
+            raise NotJordan(
+                f"image of E_{k}{k} is not idempotent", pair=((k, k), (k, k))
+            )
+    for k, l in combinations(range(1, len(diag_imgs) + 1), 2):
+        qk, ql = diag_imgs[k - 1], diag_imgs[l - 1]
+        if not (qk * ql + ql * qk).is_zero():
+            raise NotJordan(
+                f"images of E_{k}{k} and E_{l}{l} are not orthogonal",
+                pair=((k, k), (l, l)),
+            )
 
 
 def synthesize_jordan(rho: QuasiOrder, s: DenseMatrix, u, g) -> LinearMapOnSMA:
@@ -365,8 +418,8 @@ def classify_into_codomain(
     for (i, j) in mixed.pairs():
         if (pi[i - 1], pi[j - 1]) not in rho2:
             raise InternalInconsistency("permutation is not increasing into codomain")
-    form = CanonicalJordanForm(s=s1, u=base.u, g=g2, pi=pi)
-    if form.reconstruct() != phi:
+    form = CanonicalJordanForm(s=s1, u=base.u, g=g2, pi=pi, s_inv=s1inv)
+    if not form.reproduces(phi):
         raise InternalInconsistency("codomain reconstruction differs")
     return form
 

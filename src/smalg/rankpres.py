@@ -262,13 +262,13 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
             note="fails rank: the weight map is not trivial",
         )
     s = dict(cert.separator)
-    gamma = DenseMatrix.diag(
-        [s[i] if i in form.u else s[i].reciprocal() for i in range(1, n + 1)]
-    )
-    t = form.s * gamma
+    gamma = [s[i] if i in form.u else s[i].reciprocal() for i in range(1, n + 1)]
+    # (S0 Gamma)^-1 = Gamma^-1 S0^-1 scales the rows of S0^-1
+    t = form.s * DenseMatrix.diag(gamma)
+    t_inv = DenseMatrix.diag([v.reciprocal() for v in gamma]) * form.s_inv
     ones = validate(rho, {p: ONE for p in rho.strict_pairs()})
-    final = CanonicalJordanForm(s=t, u=form.u, g=ones)
-    if final.reconstruct() != psi:
+    final = CanonicalJordanForm(s=t, u=form.u, g=ones, s_inv=t_inv)
+    if not final.reproduces(psi):
         raise InternalInconsistency("absorbed similarity fails to reconstruct")
     return PreserverVerdict(kind="RankPreserver", form=final)
 

@@ -14,8 +14,11 @@ compare directly. The helpers that only tests use (``outer``,
 ``to_grid``, ``strict_part``, ``card``, ``poly_mul``) and the rectangle
 minor test ``rectangle_minor_condition`` live here too; they use the
 package's scalar and matrix types but none of its elimination or product
-kernels. The last section holds reference checks that the package once
-exported and no longer calls (the all-pairs Jordan identity check, the
+kernels. ``dense_classify_jordan`` keeps the classification ladder as the
+package ran it on dense products, with ``dense_reconstruct``, as the
+reference for its frame ladder. The last section holds reference checks
+that the package once exported and no longer calls (the all-pairs Jordan
+identity check, the
 identity, transpose and conjugation maps, the annihilation test for
 diagonalizability and the spectral resolution of one matrix); unlike the
 oracles they run on the package's matrix products and, for the spectral
@@ -35,9 +38,20 @@ from smalg.errors import (
     InternalInconsistency,
     IrrationalSpectrum,
     NotDiagonalizable,
+    NotJordan,
+    NotTransitive,
+    VanishingUnitImage,
 )
-from smalg.exactnum import ZERO, DenseMatrix, GaussianRational, inverse, scalar
-from smalg.jordan import LinearMapOnSMA
+from smalg.exactnum import (
+    ONE,
+    ZERO,
+    DenseMatrix,
+    GaussianRational,
+    combination,
+    inverse,
+    scalar,
+)
+from smalg.jordan import CanonicalJordanForm, LinearMapOnSMA
 from smalg.polyroots import (
     charpoly,
     poly_degree,
@@ -46,7 +60,8 @@ from smalg.polyroots import (
     roots_in_gaussian_rationals,
     squarefree_part,
 )
-from smalg.quasiorder import BlockTriangularForm, QuasiOrder
+from smalg.quasiorder import BlockTriangularForm, QuasiOrder, approx_classes
+from smalg.transmap import validate
 
 
 class RankNotOne(Exception):
@@ -635,13 +650,15 @@ def oracle_jordan_embedding_exists(rho, rho2):
 
 def _pair_matmul(x, y):
     n, m, p = len(x), len(y), len(y[0]) if y else 0
+    # the nonzero entries of each row of y; zero products add nothing
+    y_rows = [[(j, v) for j, v in enumerate(row) if not is_czero(v)] for row in y]
     out = [[CZERO] * p for _ in range(n)]
     for i in range(n):
         for k in range(m):
             if is_czero(x[i][k]):
                 continue
-            for j in range(p):
-                out[i][j] = cadd(out[i][j], cmul(x[i][k], y[k][j]))
+            for j, v in y_rows[k]:
+                out[i][j] = cadd(out[i][j], cmul(x[i][k], v))
     return out
 
 
@@ -724,6 +741,20 @@ def oracle_unit_image(form, i, j, sinv):
     dense products S (g(i, j) E_ab) S^-1. (a, b) is (i, j) on the diagonal
     and inside the class union u, (j, i) outside it, then relabeled by pi.
     ``sinv`` is the inverse of ``form.s``."""
+    return _unit_image_grid(form, i, j, grid_of(form.s), grid_of(sinv))
+
+
+def oracle_unit_images(form, sinv):
+    """``oracle_unit_image`` for every unit of the form's relation, as a
+    dict of pair grids; S and S^-1 are read into pair form once."""
+    s_grid, sinv_grid = grid_of(form.s), grid_of(sinv)
+    return {
+        (i, j): _unit_image_grid(form, i, j, s_grid, sinv_grid)
+        for (i, j) in form.rho.pairs()
+    }
+
+
+def _unit_image_grid(form, i, j, s_grid, sinv_grid):
     n = form.rho.n
     a, b = (i, j) if i == j or i in form.u else (j, i)
     if form.pi is not None:
@@ -731,14 +762,14 @@ def oracle_unit_image(form, i, j, sinv):
     g = form.g.value(i, j)
     core = [[CZERO] * n for _ in range(n)]
     core[a - 1][b - 1] = fraction_pair(g)
-    return _pair_matmul(_pair_matmul(grid_of(form.s), core), grid_of(sinv))
+    return _pair_matmul(_pair_matmul(s_grid, core), sinv_grid)
 
 
 def oracle_first_nonorthogonal_pair(grids):
     """First (i, j) with i < j, in lexicographic order, whose idempotents
     q_i, q_j (pair grids, 1-based list position) have q_i q_j + q_j q_i != 0;
     None if every pair anticommutes. This is the pairwise scan that
-    ``classify_jordan`` runs only when the sum of the q_i is not idempotent."""
+    ``classify_jordan`` runs only when the q_i fail its frame check."""
     n = len(grids)
     for i in range(n):
         for j in range(i + 1, n):
@@ -747,6 +778,107 @@ def oracle_first_nonorthogonal_pair(grids):
             if any(not is_czero(v) for row in anti for v in row):
                 return (i + 1, j + 1)
     return None
+
+
+def dense_reconstruct(form) -> LinearMapOnSMA:
+    """The map of a canonical Jordan form rebuilt by dense products: S
+    inverted, then for each unit column a of S, scaled by g(i, j), times
+    row b of S^-1, with (a, b) as in ``oracle_unit_image``. This is how the
+    package rebuilt forms before its unit frames."""
+    rho = form.rho
+    sinv = inverse(form.s)
+    idx = range(1, rho.n + 1)
+    images = {}
+    for (i, j) in rho.pairs():
+        a, b = (i, j) if i == j or i in form.u else (j, i)
+        if form.pi is not None:
+            a, b = form.pi[a - 1], form.pi[b - 1]
+        col = form.s.submatrix(idx, (a,)).scale(form.g.value(i, j))
+        images[(i, j)] = col * sinv.submatrix((b,), idx)
+    return LinearMapOnSMA(rho, images)
+
+
+def dense_classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
+    """The classification ladder as the package ran it on dense products:
+    idempotence of each q_i = phi(E_ii) by squaring, orthogonality through
+    one product of their sum, two n x n products S0^-1 phi(E_ij) S0 per
+    strict unit, and the final comparison with ``dense_reconstruct``. The
+    package's frame ladder must give the same form, or raise the same
+    exception with the same message and pair."""
+    rho = phi.rho
+    n = rho.n
+    for pair in rho.pairs():
+        if phi.images[pair].is_zero():
+            raise VanishingUnitImage(f"unit {pair} maps to zero", pair=pair)
+    diag_imgs = [phi.images[(i, i)] for i in range(1, n + 1)]
+    for i, q in enumerate(diag_imgs, start=1):
+        if q * q != q:
+            raise NotJordan(
+                f"image of E_{i}{i} is not idempotent", pair=((i, i), (i, i))
+            )
+    total = combination(n, n, ((ONE, q) for q in diag_imgs))
+    if total * total != total:
+        for i, j in combinations(range(1, n + 1), 2):
+            qi, qj = diag_imgs[i - 1], diag_imgs[j - 1]
+            if not (qi * qj + qj * qi).is_zero():
+                raise NotJordan(
+                    f"images of E_{i}{i} and E_{j}{j} are not orthogonal",
+                    pair=((i, i), (j, j)),
+                )
+    idx = range(1, n + 1)
+    cols = []
+    for q in diag_imgs:
+        j, i = min((j, i) for (i, j) in q.support())
+        cols.append(q.submatrix(idx, (j,)).scale(q.at(i, j).reciprocal()).entries())
+    s0 = DenseMatrix.from_rows(cols).transpose()
+    s0inv = inverse(s0)
+    mult = {}
+    anti = {}
+    for (i, j) in rho.strict_pairs():
+        b = s0inv * phi.images[(i, j)] * s0
+        alpha = b.at(i, j)
+        beta = b.at(j, i)
+        expected = DenseMatrix.from_entries(n, n, {(i, j): alpha, (j, i): beta})
+        if b != expected:
+            raise NotJordan(
+                f"conjugated image of E_{i}{j} leaves span(E_{i}{j}, E_{j}{i})",
+                pair=((i, i), (i, j)),
+            )
+        if alpha and beta:
+            raise NotJordan(
+                f"image of E_{i}{j} mixes multiplicative and antimultiplicative "
+                "parts",
+                pair=((i, j), (i, j)),
+            )
+        if alpha:
+            mult[(i, j)] = alpha
+        else:
+            anti[(i, j)] = beta
+    classes = approx_classes(rho).blocks
+    u = set()
+    for blk in classes:
+        m_pairs = sorted(p for p in mult if p[0] in blk)
+        a_pairs = sorted(p for p in anti if p[0] in blk)
+        if m_pairs and a_pairs:
+            raise NotJordan(
+                "multiplicative and antimultiplicative pairs share a class",
+                pair=(m_pairs[0], a_pairs[0]),
+            )
+        if m_pairs:
+            u |= blk
+    try:
+        g = validate(rho, {**mult, **anti})
+    except NotTransitive as exc:
+        raise NotJordan(
+            f"unit weights are not multiplicatively transitive: {exc}",
+            pair=exc.witness,
+        ) from exc
+    form = CanonicalJordanForm(s=s0, u=frozenset(u), g=g)
+    if dense_reconstruct(form) != phi:
+        raise InternalInconsistency(
+            "reconstruction differs; the input was not a Jordan homomorphism"
+        )
+    return form
 
 
 # --- rank preservation of the induced scaling -----------------------------------

@@ -13,6 +13,7 @@ from smalg.diag import simultaneous_diagonalize_in_sma
 from smalg.exactnum import ONE, DenseMatrix, GaussianRational, inverse, rank
 from smalg.jordan import (
     CanonicalJordanForm,
+    LinearMapOnSMA,
     algebra_embeds_into,
     all_algebra_automorphisms_inner,
     apply,
@@ -54,7 +55,6 @@ from fixtures import (
     linear_map,
     random_class_union,
     random_invertible_in_sma,
-    random_jordan_map,
     random_quasiorder,
     random_supported_matrix,
     upper_chain,
@@ -68,6 +68,7 @@ from oracles import (
     oracle_mutual_classes,
     oracle_rank_of,
     oracle_relation_automorphisms,
+    oracle_unit_images,
     rectangle_minor_condition,
 )
 
@@ -142,14 +143,33 @@ def test_criterion_04_bordered_diagonal_bounded_true_classify_neither():
     assert rank(apply(phi, DenseMatrix.identity(5))) == 4
 
 
+def _oracle_map(form) -> LinearMapOnSMA:
+    """The map of a canonical form, each image built by the oracle's two
+    dense products."""
+    grids = oracle_unit_images(form, inverse(form.s))
+    return LinearMapOnSMA(
+        form.rho,
+        {
+            p: DenseMatrix.from_rows([[GaussianRational(*v) for v in row] for row in grid])
+            for p, grid in grids.items()
+        },
+    )
+
+
 def test_criterion_05_two_hundred_classify_synthesize_round_trips():
+    # the maps are built by the oracle, not synthesized, so that the
+    # classification here is the only run of the ladder; the classified
+    # form is rebuilt by the oracle too
     rng = random.Random(20260823)
     for _ in range(200):
         rho = random_quasiorder(rng, 2, 6)
-        phi, s, u, g = random_jordan_map(rho, rng)
+        s = random_invertible_in_sma(rho, rng)
+        u = random_class_union(rho, rng)
+        g = random_transitive_map(rho, seed=rng.randrange(10**9))
+        phi = _oracle_map(CanonicalJordanForm(s=s, u=u, g=g))
         form = classify_jordan(phi)
-        rebuilt = form.reconstruct()
-        assert rebuilt.images == phi.images
+        assert _oracle_map(form) == phi
+        assert form.reconstruct() == phi
 
 
 def test_criterion_06_thousand_rank_identity_trials():

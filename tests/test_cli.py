@@ -11,12 +11,14 @@ import pytest
 
 import smalg.cli
 import smalg.diag
+import smalg.exactnum
 import smalg.jordan
+import smalg.rankpres
 import smalg.transmap
 from smalg.cli import run
 from smalg.errors import InternalInconsistency, NotJordan
 from smalg.exactnum import ONE, DenseMatrix, format_matrix, inverse, parse_matrix, rank
-from smalg.jordan import format_linear_map, parse_linear_map
+from smalg.jordan import format_linear_map, parse_linear_map, synthesize_jordan
 from smalg.quasiorder import format_relation, reverse
 from smalg.transmap import apply_induced, format_weights, parse_weights, validate
 
@@ -158,6 +160,20 @@ def test_blocks_chain(files):
     assert out.report == (
         "pi 1 2 3\nsizes 1 1 1\npresence 111 011 001\nclass-order {1} {2} {3}\n"
     )
+
+
+def test_blocks_lists_the_class_order_in_layout_order(tmp_path):
+    # the layout puts vertex 2 first; text and json-lines agree on it
+    q = tmp_path / "down.qo"
+    q.write_text("2\n2 1\n")
+    out = run(["blocks", str(q)])
+    assert (out.exit_code, out.report) == (
+        0,
+        "pi 2 1\nsizes 1 1\npresence 11 01\nclass-order {2} {1}\n",
+    )
+    out = run(["--format", "json-lines", "blocks", str(q)])
+    records = [json.loads(line) for line in out.report.splitlines()]
+    assert records[-1] == {"class_order": [[2], [1]]}
 
 
 def test_embed_jordan_vee_wedge(files):
@@ -419,6 +435,44 @@ def test_classify_codomain_support(files):
     out = run(["classify", "--codomain", files["delta3"], files["t3"], files["id_t3"]])
     assert out.exit_code == 1
     assert out.report.splitlines()[0] == "UNSUPPORTED"
+
+
+@pytest.mark.parametrize(
+    "command, inversions",
+    [
+        (["classify"], 1),
+        (["classify", "--codomain", "{qo}"], 2),
+        (["check-rank-one"], 1),
+        (["check-rank"], 2),
+    ],
+)
+def test_each_form_is_inverted_once(tmp_path, monkeypatch, command, inversions):
+    """classify inverts S0 only; --codomain adds the diagonalizer's S;
+    check-rank inverts phi(I) and S0, and takes the inverse of the absorbed
+    similarity S0 Gamma from S0^-1."""
+    rho = upper_chain(4)
+    s = DenseMatrix.from_rows(
+        [[1, 2, 0, 1], [0, 1, -1, 0], [0, 0, 2, "1i"], [0, 0, 0, -1]]
+    )
+    g = separator_map(rho, {1: 2, 2: 1, 3: "1/3", 4: "1i"})
+    phi = synthesize_jordan(rho, s, {1, 2, 3, 4}, g)
+    qo = tmp_path / "t4.qo"
+    qo.write_text(format_relation(rho))
+    lm = tmp_path / "phi.lm"
+    lm.write_text(format_linear_map(phi))
+    calls = []
+    real_inverse = smalg.exactnum.inverse
+
+    def counting(m):
+        calls.append(m)
+        return real_inverse(m)
+
+    for module in (smalg.cli, smalg.diag, smalg.jordan, smalg.rankpres):
+        monkeypatch.setattr(module, "inverse", counting)
+    argv = [a.format(qo=qo) for a in command] + [str(qo), str(lm)]
+    out = run(argv)
+    assert out.exit_code == 0
+    assert len(calls) == inversions
 
 
 def test_classify_synthesize_round_trip(files):

@@ -16,6 +16,7 @@ from smalg.errors import DimensionMismatch, FormatError, Singular
 from smalg.exactnum import (
     DenseMatrix,
     GaussianRational,
+    UnitFrame,
     format_matrix,
     inverse,
     multiply,
@@ -403,6 +404,62 @@ class TestInverse:
             inverse(DenseMatrix.from_rows([[1, 2], [2, 4]]))
         with pytest.raises(DimensionMismatch):
             inverse(DenseMatrix.zeros(2, 3))
+
+
+class TestUnitFrame:
+    """Coordinates, matches and images of a unit frame against dense
+    products with S and S^-1."""
+
+    def _frames(self, rng, count):
+        while count:
+            n = rng.randint(1, 5)
+            s = rand_matrix(rng, n, n)
+            try:
+                s_inv = inverse(s)
+            except Singular:
+                continue
+            count -= 1
+            yield n, s, s_inv, UnitFrame(s, s_inv)
+
+    def test_coordinates_are_entries_of_the_conjugate(self):
+        rng = random.Random(83)
+        for n, s, s_inv, frame in self._frames(rng, 60):
+            m = rand_matrix(rng, n, n)
+            conj = multiply(multiply(s_inv, m), s)
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    assert frame.coordinate(m, a, b) == conj.at(a, b)
+
+    def test_images_and_matches_against_dense_products(self):
+        rng = random.Random(89)
+        for n, s, s_inv, frame in self._frames(rng, 120):
+            terms = [
+                (rand_scalar(rng), rng.randint(1, n), rng.randint(1, n))
+                for _ in range(rng.randint(0, 3))
+            ]
+            dense = DenseMatrix.zeros(n, n)
+            for g, a, b in terms:
+                dense = dense + multiply(multiply(s, DenseMatrix.unit(n, a, b)), s_inv).scale(g)
+            assert frame.image(terms) == dense
+            assert frame.matches(dense, terms)
+            other = rand_matrix(rng, n, n)
+            assert frame.matches(other, terms) == (other == dense)
+            if not dense.is_zero():
+                # one entry off, inside or outside the terms' support
+                i, j = rng.randint(1, n), rng.randint(1, n)
+                assert not frame.matches(dense + DenseMatrix.unit(n, i, j), terms)
+            # cancelling terms sum to zero
+            g, a, b = rand_scalar(rng), rng.randint(1, n), rng.randint(1, n)
+            assert frame.matches(DenseMatrix.zeros(n, n), [(g, a, b), (-g, a, b)])
+
+    def test_shapes(self):
+        frame = UnitFrame(DenseMatrix.identity(2), DenseMatrix.identity(2))
+        with pytest.raises(DimensionMismatch):
+            UnitFrame(DenseMatrix.identity(2), DenseMatrix.identity(3))
+        with pytest.raises(DimensionMismatch):
+            frame.matches(DenseMatrix.identity(3), [(1, 1, 1)])
+        with pytest.raises(DimensionMismatch):
+            frame.coordinate(DenseMatrix.zeros(2, 3), 1, 1)
 
 
 class TestFromEntries:

@@ -9,9 +9,11 @@ import pytest
 from smalg.errors import (
     DimensionMismatch,
     FormatError,
+    InternalInconsistency,
     NotClassUnion,
     NotJordan,
     Singular,
+    SmalgError,
     SupportViolation,
     VanishingUnitImage,
     ZeroWeight,
@@ -40,7 +42,7 @@ from smalg.jordan import (
     synthesize_jordan,
 )
 from smalg.quasiorder import from_edges
-from smalg.transmap import random_transitive_map
+from smalg.transmap import random_transitive_map, validate
 
 from fixtures import (
     BAD_LITERALS,
@@ -66,6 +68,8 @@ from fixtures import (
 )
 from oracles import (
     conjugation_map,
+    dense_classify_jordan,
+    dense_reconstruct,
     grid_of,
     identity_map,
     is_jordan_homomorphism,
@@ -523,7 +527,7 @@ def test_nonorthogonal_idempotents_name_the_first_pair():
             qs = [family[(i, i)] for i in range(1, n + 1)]
             total = sum(qs[1:], qs[0])
             first = oracle_first_nonorthogonal_pair([grid_of(q) for q in qs])
-            # the lemma in classify_jordan's docstring
+            # the sum test of the dense ladder (oracles.dense_classify_jordan)
             assert (total * total == total) == (first is None)
         if first is None:  # the perturbed family happens to be orthogonal
             continue
@@ -543,8 +547,8 @@ def test_nonorthogonal_idempotents_name_the_first_pair():
 
 
 def test_classify_chain10_dense_product_count(monkeypatch):
-    """n idempotent checks, one orthogonality product and two products per
-    strict pair; reconstruction and S0 use no n x n by n x n product."""
+    """On a Jordan input every check runs in the unit frame of S0, and the
+    reconstruction too: no n x n by n x n product at all."""
     rng = random.Random(73)
     rho = upper_chain(10)
     n = rho.n
@@ -564,7 +568,85 @@ def test_classify_chain10_dense_product_count(monkeypatch):
 
     monkeypatch.setattr(exactnum, "multiply", counting)
     assert classify_jordan(phi).reconstruct() == phi
-    assert n <= len(dense) <= n + 1 + 2 * len(rho.strict_pairs())
+    assert dense == []
+
+
+def _ladder_outcome(classify, phi):
+    """The form a ladder returns, or the class, message and pair of what it
+    raises."""
+    try:
+        return classify(phi)
+    except SmalgError as exc:
+        return type(exc), str(exc), getattr(exc, "pair", None)
+
+
+def _perturbed(rng, phi, kind):
+    """phi with one image changed: 0 none, 1 a unit added to a strict image,
+    2 a unit added to a diagonal image, 3 an image scaled, 4 an image
+    transposed."""
+    rho = phi.rho
+    n = rho.n
+    images = dict(phi.images)
+    strict = rho.strict_pairs()
+    if kind == 1 and strict:
+        p = rng.choice(strict)
+        images[p] = images[p] + unit(n, rng.randint(1, n), rng.randint(1, n))
+    elif kind == 2:
+        k = rng.randint(1, n)
+        images[(k, k)] = images[(k, k)] + unit(n, rng.randint(1, n), rng.randint(1, n))
+    elif kind == 3:
+        p = rng.choice(rho.pairs())
+        images[p] = images[p].scale(rng.choice([2, -1, "1/2", "1i", "1+1i"]))
+    elif kind == 4:
+        p = rng.choice(rho.pairs())
+        images[p] = images[p].transpose()
+    return LinearMapOnSMA(rho, images)
+
+
+def test_frame_ladder_agrees_with_the_dense_ladder():
+    """The frame ladder and the dense one it replaced, on 1,000 maps with
+    n <= 6: Jordan maps rebuilt by dense products from random forms, and
+    the same maps with one image perturbed. Both give the same form, or
+    raise the same exception with the same message and pair."""
+    rng = random.Random(20261018)
+    kinds = {}
+    for trial in range(1000):
+        rho = random_quasiorder(rng, 1, 6)
+        n = rho.n
+        base = random_transitive_map(rho, seed=rng.randrange(10**9))
+        shift = {i: scalar(rng.choice(["1", "2", "-1/2", "1i", "1-1i"])) for i in range(1, n + 1)}
+        g = validate(
+            rho, {(i, j): base.value(i, j) * shift[i] / shift[j] for (i, j) in rho.strict_pairs()}
+        )
+        pi = list(range(1, n + 1))
+        rng.shuffle(pi)
+        form = CanonicalJordanForm(
+            s=random_invertible_in_sma(rho, rng) if trial % 2 else rand_invertible(rng, n),
+            u=random_class_union(rho, rng),
+            g=g,
+            pi=tuple(pi) if rng.random() < 0.3 else None,
+        )
+        phi = _perturbed(rng, dense_reconstruct(form), trial % 5)
+        got = _ladder_outcome(classify_jordan, phi)
+        assert got == _ladder_outcome(dense_classify_jordan, phi)
+        if isinstance(got, tuple):
+            for key in ("idempotent", "orthogonal", "leaves span", "transitive"):
+                if key in got[1]:
+                    kinds[key] = kinds.get(key, 0) + 1
+        else:
+            kinds["form"] = kinds.get("form", 0) + 1
+    assert kinds["form"] >= 250
+    assert min(kinds["idempotent"], kinds["leaves span"]) >= 150
+    assert min(kinds["orthogonal"], kinds["transitive"]) >= 25
+
+
+def test_frame_failure_on_dense_jordan_images_is_internal(monkeypatch):
+    # idempotent, orthogonal diagonal images always pass the frame check;
+    # a frame that says otherwise is a fault, not a verdict
+    phi = identity_map(upper_chain(3))
+    monkeypatch.setattr(exactnum.UnitFrame, "matches", lambda self, m, terms: False)
+    with pytest.raises(InternalInconsistency, match="pass the dense checks"):
+        classify_jordan(phi)
 
 
 def test_linear_map_literals_match_the_scalar_path():
