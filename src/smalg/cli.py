@@ -67,7 +67,6 @@ from .jordan import (
 from .quasiorder import (
     approx_classes,
     block_triangular_form,
-    central_idempotents,
     first_unsupported,
     format_relation,
     from_edges,
@@ -293,7 +292,8 @@ def _cmd_info(args) -> tuple:
         "mutual-classes " + _fmt_blocks(mutual),
         mutual_classes=_json_blocks(mutual),
     )
-    center = len(central_idempotents(q))
+    # the center is spanned by one 0/1 diagonal idempotent per class
+    center = len(classes)
     rep.add(f"center-dimension {center}", center_dimension=center)
     rect = len(list(rectangles(q)))
     rep.add(f"rectangles {rect}", rectangles=rect)

@@ -175,39 +175,46 @@ def integer_kernel_basis(mat, cols=None):
 
 
 def gf2_kernel_basis(mat, cols=None):
-    """Basis of the kernel over GF(2), vectors with entries in {0, 1}."""
+    """Basis of the kernel over GF(2), vectors with entries in {0, 1}.
+
+    Each row is kept as an int bitmask, bit c for column c, so that one
+    elimination step is one XOR. The rows are inserted one by one, each
+    reduced by the pivot rows at its lowest set bit, and the pivot rows are
+    then cleared above each other: that is the reduced row echelon form,
+    which the row space alone determines. The basis has one vector per free
+    column, in column order: 1 at that column and, at each pivot column,
+    the pivot row's bit at the free column.
+    """
     if not mat:
         if cols is None:
             raise ValueError("need column count for an empty matrix")
         return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
     ncols = len(mat[0]) if cols is None else cols
-    a = [[x & 1 for x in row] for row in mat]
-    rows = len(a)
-    pivot_of_col = {}
-    r = 0
-    for c in range(ncols):
-        src = None
-        for rr in range(r, rows):
-            if a[rr][c]:
-                src = rr
+    pivots = {}  # lowest set bit -> pivot row
+    for row in mat:
+        mask = 0
+        for c in range(ncols):
+            if row[c] & 1:
+                mask |= 1 << c
+        while mask:
+            c = (mask & -mask).bit_length() - 1
+            if c not in pivots:
+                pivots[c] = mask
                 break
-        if src is None:
-            continue
-        a[r], a[src] = a[src], a[r]
-        for rr in range(rows):
-            if rr != r and a[rr][c]:
-                a[rr] = [x ^ y for x, y in zip(a[rr], a[r])]
-        pivot_of_col[c] = r
-        r += 1
-        if r == rows:
-            break
+            mask ^= pivots[c]
+    order = sorted(pivots)
+    for t, c in enumerate(reversed(order)):
+        bit, prow = 1 << c, pivots[c]
+        for lower in order[: len(order) - 1 - t]:
+            if pivots[lower] & bit:
+                pivots[lower] ^= prow
     basis = []
     for fc in range(ncols):
-        if fc in pivot_of_col:
+        if fc in pivots:
             continue
         vec = [0] * ncols
         vec[fc] = 1
-        for c, pr in pivot_of_col.items():
-            vec[c] = a[pr][fc]
+        for c in order:
+            vec[c] = (pivots[c] >> fc) & 1
         basis.append(vec)
     return basis

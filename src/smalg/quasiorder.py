@@ -17,7 +17,7 @@ from .errors import (
     NotClassUnion,
     NotClosed,
 )
-from .exactnum import DenseMatrix, parse_int
+from .exactnum import parse_int
 
 # Largest vertex count a relation may have. Each of the n rows is an n-bit
 # mask with its own bit set, so even an empty relation holds n^2 bits: about
@@ -184,17 +184,6 @@ def approx_classes(q: QuasiOrder) -> ClassPartition:
         seen |= comp
         blocks.append(_bits(comp))
     return _partition(n, blocks)
-
-
-def central_idempotents(q: QuasiOrder):
-    """Diagonal 0/1 matrices P_C, one per connectivity class, in block order.
-
-    These span the center of the algebra attached to q.
-    """
-    return [
-        DenseMatrix.diag([1 if i in blk else 0 for i in range(1, q.n + 1)])
-        for blk in approx_classes(q).blocks
-    ]
 
 
 @dataclass(frozen=True)

@@ -166,15 +166,15 @@ def random_quasiorder(rng, n_min=2, n_max=6, density=0.3) -> QuasiOrder:
     return from_edges(n, edges)
 
 
-def random_class_order(rng, n, density) -> QuasiOrder:
-    """A quasi-order on n shuffled labels whose mutual classes have 1 to 3
-    members (the first has two when n >= 2), each joined to each later
-    class with probability ``density``."""
+def random_class_order(rng, n, density, sizes=(1, 1, 2, 3)) -> QuasiOrder:
+    """A quasi-order on n shuffled labels whose mutual classes have sizes
+    drawn from ``sizes`` (the first has two members when n >= 2), each
+    joined to each later class with probability ``density``."""
     labels = list(range(1, n + 1))
     rng.shuffle(labels)
     classes, t = [], 0
     while t < n:
-        size = min(n - t, 2 if t == 0 else rng.choice((1, 1, 2, 3)))
+        size = min(n - t, 2 if t == 0 else rng.choice(sizes))
         classes.append(labels[t:t + size])
         t += size
     edges = []

@@ -16,9 +16,13 @@ minor test ``rectangle_minor_condition`` live here too; they use the
 package's scalar and matrix types but none of its elimination or product
 kernels. ``dense_classify_jordan`` keeps the classification ladder as the
 package ran it on dense products, with ``dense_reconstruct``, as the
-reference for its frame ladder. The last section holds reference checks
-that the package once exported and no longer calls (the all-pairs Jordan
-identity check, the
+reference for its frame ladder; ``dense_simultaneous_diagonalize`` keeps
+the diagonalizer as it read S off the n x n joint projectors, as the
+reference for its column construction; ``dense_gf2_kernel_basis`` keeps
+the GF(2) elimination on dense 0/1 rows, as the reference for its bitmask
+rows. The last section holds reference checks
+that the package once exported and no longer calls (the central
+idempotents, the all-pairs Jordan identity check, the
 identity, transpose and conjugation maps, the annihilation test for
 diagonalizability and the spectral resolution of one matrix); unlike the
 oracles they run on the package's matrix products and, for the spectral
@@ -32,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Optional
 
-from smalg.diag import _projectors, _spectrum
+from smalg.diag import Diagonalization, _annihilate, _projectors, _spectrum
 from smalg.errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -40,6 +44,8 @@ from smalg.errors import (
     NotDiagonalizable,
     NotJordan,
     NotTransitive,
+    PreconditionViolated,
+    SupportViolation,
     VanishingUnitImage,
 )
 from smalg.exactnum import (
@@ -49,6 +55,7 @@ from smalg.exactnum import (
     GaussianRational,
     combination,
     inverse,
+    pivot_columns,
     scalar,
 )
 from smalg.jordan import CanonicalJordanForm, LinearMapOnSMA
@@ -60,7 +67,13 @@ from smalg.polyroots import (
     roots_in_gaussian_rationals,
     squarefree_part,
 )
-from smalg.quasiorder import BlockTriangularForm, QuasiOrder, approx_classes
+from smalg.quasiorder import (
+    BlockTriangularForm,
+    QuasiOrder,
+    approx_classes,
+    block_triangular_form,
+    first_unsupported,
+)
 from smalg.transmap import validate
 
 
@@ -884,6 +897,127 @@ def dense_classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
 # --- rank preservation of the induced scaling -----------------------------------
 
 
+def dense_simultaneous_diagonalize(rho: QuasiOrder, family) -> Diagonalization:
+    """The simultaneous diagonalization as the package built it before it
+    pushed unit columns through the Lagrange factors: every member's n x n
+    Lagrange projectors, refined into the nonzero n x n joint projectors,
+    and the columns of S read off their pivot columns on each class. The
+    reference for ``simultaneous_diagonalize_in_sma``, which must return
+    the same S, S^-1 and diagonals, or raise the same error."""
+    family = list(family)
+    n = rho.n
+    for f in family:
+        if f.shape != (n, n):
+            raise DimensionMismatch(f"family member shape {f.shape}, expected n={n}")
+        bad = first_unsupported(f.support(), rho)
+        if bad is not None:
+            raise SupportViolation(
+                f"family member has entry at {bad} outside the relation", pair=bad
+            )
+    for x in range(len(family)):
+        for y in range(x + 1, len(family)):
+            if family[x] * family[y] != family[y] * family[x]:
+                raise PreconditionViolated(
+                    f"members {x + 1} and {y + 1} do not commute"
+                )
+    if not family:
+        ident = DenseMatrix.identity(n)
+        return Diagonalization(ident, ident, ())
+    classes = [sorted(c) for c in block_triangular_form(rho).class_order]
+    # a member's spectrum is the union of the spectra of its class blocks
+    spectra = [set() for _ in family]
+    for idx in classes:
+        for k, f in enumerate(family):
+            if len(idx) == 1:
+                spectra[k].add(f.at(idx[0], idx[0]))
+                continue
+            try:
+                spectra[k].update(_spectrum(f.submatrix(idx, idx)))
+            except NotDiagonalizable as exc:
+                raise NotDiagonalizable(f"member {k + 1} is not diagonalizable") from exc
+            except IrrationalSpectrum as exc:
+                raise IrrationalSpectrum(
+                    f"member {k + 1} has irrational eigenvalues"
+                ) from exc
+    joint = [DenseMatrix.identity(n)]
+    for f, eigs in zip(family, spectra):
+        eigs = sorted(eigs, key=GaussianRational.sort_key)
+        _annihilate(f, eigs)
+        projectors = _projectors(f, eigs)
+        refined = []
+        for q in joint:
+            for p in projectors:
+                qp = q * p
+                if not qp.is_zero():
+                    refined.append(qp)
+        joint = refined
+    columns = {}
+    for idx in classes:
+        picks = sorted(
+            (c, t) for t, q in enumerate(joint) for c in pivot_columns(q.submatrix(idx, idx))
+        )
+        if len(picks) != len(idx):
+            raise InternalInconsistency("joint projectors do not split a class")
+        for j, (c, t) in zip(idx, picks):
+            columns[j] = joint[t].col_list(idx[c - 1])
+    s = DenseMatrix.from_rows([columns[j] for j in range(1, n + 1)]).transpose()
+    sinv = inverse(s)
+    bad = first_unsupported(s.support(), rho)
+    if bad is None:
+        bad = first_unsupported(sinv.support(), rho)
+    if bad is not None:
+        raise InternalInconsistency(f"similarity escaped the algebra at {bad}")
+    diagonals = []
+    for f in family:
+        d = sinv * f * s
+        if not d.is_diagonal():
+            raise InternalInconsistency("conjugate failed to come out diagonal")
+        diagonals.append(d.diagonal())
+    return Diagonalization(s, sinv, tuple(diagonals))
+
+
+def dense_gf2_kernel_basis(mat, cols=None):
+    """Basis of the kernel over GF(2), vectors with entries in {0, 1}, by
+    Gauss-Jordan elimination on dense 0/1 rows: the reference for the
+    package's bitmask ``gf2_kernel_basis``, which must return the same
+    vectors in the same order."""
+    if not mat:
+        if cols is None:
+            raise ValueError("need column count for an empty matrix")
+        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
+    ncols = len(mat[0]) if cols is None else cols
+    a = [[x & 1 for x in row] for row in mat]
+    rows = len(a)
+    pivot_of_col = {}
+    r = 0
+    for c in range(ncols):
+        src = None
+        for rr in range(r, rows):
+            if a[rr][c]:
+                src = rr
+                break
+        if src is None:
+            continue
+        a[r], a[src] = a[src], a[r]
+        for rr in range(rows):
+            if rr != r and a[rr][c]:
+                a[rr] = [x ^ y for x, y in zip(a[rr], a[r])]
+        pivot_of_col[c] = r
+        r += 1
+        if r == rows:
+            break
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_of_col:
+            continue
+        vec = [0] * ncols
+        vec[fc] = 1
+        for c, pr in pivot_of_col.items():
+            vec[c] = a[pr][fc]
+        basis.append(vec)
+    return basis
+
+
 @dataclass(frozen=True)
 class RectangleCheck:
     """Result of the rectangle minor test; ``minor`` is set on violation."""
@@ -979,6 +1113,18 @@ def oracle_unbalanced_cycle(g, cycle):
 
 
 # --- reference checks the package no longer calls ------------------------------
+
+
+def central_idempotents(q: QuasiOrder):
+    """Diagonal 0/1 matrices P_C, one per connectivity class, in block order.
+
+    These span the center of the algebra attached to q; ``info`` prints
+    only their number, the number of classes.
+    """
+    return [
+        DenseMatrix.diag([1 if i in blk else 0 for i in range(1, q.n + 1)])
+        for blk in approx_classes(q).blocks
+    ]
 
 
 def jordan_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:

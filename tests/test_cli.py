@@ -672,10 +672,11 @@ def test_no_command_is_input_error():
 
 @pytest.mark.parametrize("fmt", ["text", "json-lines"])
 def test_failed_reverification_exits_three(files, tmp_path, monkeypatch, fmt):
-    def identity(a, eigs):
-        return [DenseMatrix.identity(a.rows)]
+    # the column step leaves every column of S at its unit column
+    def bare_units(family, spectra, sources, targets):
+        return [[int(i == src) for i in range(1, len(sources) + 1)] for src in sources]
 
-    monkeypatch.setattr(smalg.diag, "_projectors", identity)
+    monkeypatch.setattr(smalg.diag, "_push", bare_units)
     t2 = tmp_path / "t2.qo"
     t2.write_text(format_relation(upper_chain(2)))
     m = tmp_path / "m.gm"

@@ -1,5 +1,5 @@
 """Tests for spectral idempotents and the in-algebra simultaneous
-diagonalization built from joint spectral projectors."""
+diagonalization built by pushing unit columns through Lagrange factors."""
 
 import random
 from fractions import Fraction
@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smalg.diag
+import smalg.exactnum
 from smalg.diag import simultaneous_diagonalize_in_sma
 from smalg.errors import (
     IrrationalSpectrum,
@@ -21,11 +22,13 @@ from smalg.exactnum import DenseMatrix, inverse, rank, scalar
 from fixtures import (
     delta,
     full,
+    random_class_order,
     random_invertible_in_sma,
     random_quasiorder,
     upper_chain,
 )
 from oracles import (
+    dense_simultaneous_diagonalize,
     fraction_pair,
     grid_of,
     is_diagonalizable,
@@ -233,7 +236,9 @@ def test_diagonalize_in_sma_errors():
     with pytest.raises(SupportViolation) as exc:
         simultaneous_diagonalize_in_sma(rho, [outside])
     assert exc.value.pair == (2, 1)
-    with pytest.raises(NotDiagonalizable):
+    # each class block is a scalar, so only the conjugate check finds the
+    # defect, and the annihilation test then names it
+    with pytest.raises(NotDiagonalizable, match="^minimal polynomial has a repeated root$"):
         simultaneous_diagonalize_in_sma(rho, [DenseMatrix.from_rows([[0, 1], [0, 0]])])
     e12 = DenseMatrix.from_rows([[0, 1], [0, 0]])
     e21 = DenseMatrix.from_rows([[0, 0], [1, 0]])
@@ -372,3 +377,96 @@ def test_full_block_family_searches_each_non_triangular_member_once(root_search_
     s = simultaneous_diagonalize_in_sma(rho, fam).s
     assert all((inverse(s) * f * s).is_diagonal() for f in fam)
     assert root_search_calls == {"charpoly": non_triangular, "roots": non_triangular}
+
+
+# --- the column construction against the dense joint projectors ---------------
+
+
+GAUSSIAN_EIGENVALUES = ["0", "1", "-2", "1/2", "1i", "-1+2i"]
+
+
+def _outcome(diagonalize, rho, family):
+    try:
+        return diagonalize(rho, family)
+    except Exception as exc:  # the two must fail alike
+        return type(exc), str(exc)
+
+
+def _random_family(rng):
+    """A relation with classes of 1 to 4 vertices and a family of 1 to 3
+    members S0 D_k S0^-1 with Gaussian eigenvalues, with S0 invertible in
+    the algebra. Some families get a member with a nilpotent coupling D_pp
+    = D_qq, some a 2 x 2 block of irrational eigenvalues on one class, and
+    some a member conjugated by a second, unrelated S1."""
+    n = rng.randint(1, 8)
+    rho = random_class_order(rng, n, rng.choice((0.2, 0.5, 0.9)), sizes=(1, 2, 3, 4))
+    s0 = random_invertible_in_sma(rho, rng, steps=rng.randrange(0, 8))
+    s0inv = inverse(s0)
+    pool = GAUSSIAN_EIGENVALUES[: rng.randint(1, len(GAUSSIAN_EIGENVALUES))]
+    values = [[rng.choice(pool) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    kind = rng.choice(("plain", "plain", "defective", "irrational", "non-commuting"))
+    strict = rho.strict_pairs()
+    mutual = [(i, j) for (i, j) in strict if (j, i) in rho]
+    extra = {}
+    if kind == "defective" and strict:
+        p, q = rng.choice(strict)
+        extra = {(p, q): rng.choice(("1", "-1/3", "1i"))}
+    elif kind == "irrational" and mutual:
+        p, q = rng.choice(mutual)
+        extra = {(p, q): 1, (q, p): rng.choice((2, 3, "1i"))}
+    if extra:
+        # every member is scalar on {p, q}, so each commutes with the coupling
+        for row in values:
+            row[q - 1] = row[p - 1]
+    family = []
+    for k, row in enumerate(values):
+        core = {(i, i): v for i, v in enumerate(row, start=1)}
+        if k == 0:
+            core.update(extra)
+        family.append(s0 * DenseMatrix.from_entries(n, n, core) * s0inv)
+    if kind == "non-commuting" and n > 1:
+        s1 = random_invertible_in_sma(rho, rng)
+        d1 = DenseMatrix.diag([rng.choice(pool) for _ in range(n)])
+        family.append(s1 * d1 * inverse(s1))
+    rng.shuffle(family)
+    return rho, family
+
+
+def test_column_construction_matches_dense_joint_projectors():
+    rng = random.Random(2024)
+    seen = set()
+    # the pivot tie: both projectors of [[0,1],[1,0]] pivot on column 1
+    cases = [(full(2), [DenseMatrix.from_rows([[0, 1], [1, 0]])])]
+    cases += [_random_family(rng) for _ in range(1000)]
+    for rho, family in cases:
+        got = _outcome(simultaneous_diagonalize_in_sma, rho, family)
+        assert got == _outcome(dense_simultaneous_diagonalize, rho, family)
+        seen.add(got[0] if isinstance(got[0], type) else "ok")
+    assert seen == {
+        "ok", IrrationalSpectrum, NotDiagonalizable, PreconditionViolated,
+    }
+
+
+def test_diagonalize_products_stay_within_the_spectra(monkeypatch):
+    # one product per member and eigenvalue, two per commuting pair and two
+    # per conjugate S^-1 F S; the n x n joint projectors took 86 here
+    n = 10
+    rng = random.Random(97)
+    s0 = random_invertible_in_sma(upper_chain(n), rng, steps=12)
+    s0inv = inverse(s0)
+    family = [
+        s0 * DenseMatrix.diag([(k * i) % 5 for i in range(n)]) * s0inv
+        for k in (1, 2)
+    ]
+    products = []
+    multiply = smalg.exactnum.multiply
+
+    def counting(a, b):
+        if (n, n) in (a.shape, b.shape):
+            products.append((a.shape, b.shape))
+        return multiply(a, b)
+
+    monkeypatch.setattr(smalg.exactnum, "multiply", counting)
+    result = simultaneous_diagonalize_in_sma(upper_chain(n), family)
+    assert [len(set(d)) for d in result.diagonals] == [5, 5]
+    assert len(products) <= 5 + 5 + 2 * 1 + 2 * 2

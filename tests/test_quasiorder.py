@@ -10,7 +10,6 @@ from smalg.quasiorder import (
     approx_classes,
     automorphisms_fix_two_sided_classes,
     block_triangular_form,
-    central_idempotents,
     format_relation,
     from_edges,
     increasing_permutations,
@@ -24,6 +23,7 @@ from smalg.quasiorder import (
 import fixtures as fx
 from oracles import (
     card,
+    central_idempotents,
     oracle_block_triangular_form,
     oracle_closure,
     oracle_connected_classes,
