@@ -66,12 +66,13 @@ from .jordan import (
 )
 from .quasiorder import (
     approx_classes,
+    beat_core,
     block_triangular_form,
     first_unsupported,
     format_relation,
     from_edges,
     parse_relation,
-    rectangles,
+    rectangle_count,
     two_sided_classes,
 )
 from .rankpres import (
@@ -295,7 +296,7 @@ def _cmd_info(args) -> tuple:
     # the center is spanned by one 0/1 diagonal idempotent per class
     center = len(classes)
     rep.add(f"center-dimension {center}", center_dimension=center)
-    rect = len(list(rectangles(q)))
+    rect = rectangle_count(q)
     rep.add(f"rectangles {rect}", rectangles=rect)
     all_trivial = all_transitive_trivial(q)
     for name, value in (
@@ -368,11 +369,12 @@ def _cmd_trivial(args) -> tuple:
 
 def _cmd_all_trivial(args) -> tuple:
     rho = _load_qo(args.relation)
+    core = beat_core(rho)
     rep = Report()
-    if all_transitive_trivial(rho):
+    if all_transitive_trivial(rho, core):
         rep.add("ALL-TRIVIAL", all_trivial=True)
         return 0, rep
-    g = nontrivial_transitive_map(rho)
+    g = nontrivial_transitive_map(rho, core)
     if g is None:
         raise InternalInconsistency("no transitive map with values +-2^k is nontrivial")
     rep.add("NOT-ALL-TRIVIAL", all_trivial=False)

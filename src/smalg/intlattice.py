@@ -1,9 +1,11 @@
 """Integer matrix utilities: Smith invariant factors, kernel lattice bases,
 GF(2) kernels.
 
-The Smith form is fed the transitivity relations of a quasi-order, one row
-per composable triple: C(n, 3) rows over C(n, 2) columns on the n-chain, so
-9,880 x 780 at n = 40. Those rows have at most three entries, all units, so
+The Smith form is fed the transitivity relations of a quasi-order's
+beat-point core (``quasiorder.beat_core``), one row per composable triple.
+A chain's core is one point, with no rows; a relation that is its own core
+keeps them all, 9,120 x 760 for the 40-point ordinal sum of 2-point
+antichains. Those rows have at most three entries, all units, so
 ``smith_invariant_factors`` takes each row as a sparse dict {column: value}
 and eliminates unit pivots on them before any dense work. The kernel
 routines take plain nested lists of Python ints and run the classic dense

@@ -8,9 +8,12 @@ scaling of the algebra is then an inner conjugation by diag(s).
 Whether every transitive map on a given quasi-order is trivial is decided
 exactly: the multiplicative relations span an integer lattice inside the
 kernel of the edge boundary map, and triviality of the quotient is read off
-a Smith normal form. A negative answer is backed by a nontrivial map built
-from the kernel bases of that lattice, with no random numbers; the seeded
-sampler over the same bases is left for the randomized self-tests.
+a Smith normal form. Both the decision and its witness run on the
+relation's beat-point core, which has the same answer (see
+``all_transitive_trivial``). A negative answer is backed by a nontrivial
+map built from the kernel bases of that lattice, with no random numbers;
+the seeded sampler over the same bases is left for the randomized
+self-tests.
 """
 
 from __future__ import annotations
@@ -32,7 +35,13 @@ from .intlattice import (
     integer_kernel_basis,
     smith_invariant_factors,
 )
-from .quasiorder import QuasiOrder, approx_classes, first_unsupported
+from .quasiorder import (
+    BeatCore,
+    QuasiOrder,
+    approx_classes,
+    beat_core,
+    first_unsupported,
+)
 
 
 class TransitiveMap:
@@ -81,24 +90,23 @@ def validate(rho: QuasiOrder, weights) -> TransitiveMap:
     must multiply to 1 with its reverse.
     """
     strict = rho.strict_pairs()
+    allowed = set(strict)
     w = {}
     for key, val in dict(weights).items():
         i, j = key
-        if i == j:
-            raise SupportViolation(
-                f"diagonal weight ({i},{j}) must not be given", pair=(i, j)
-            )
-        if (i, j) not in rho:
+        if (i, j) not in allowed:
+            if i == j:
+                raise SupportViolation(
+                    f"diagonal weight ({i},{j}) must not be given", pair=(i, j)
+                )
             raise SupportViolation(f"({i},{j}) is not in the relation", pair=(i, j))
         v = scalar(val)
         if not v:
             raise ZeroWeight(f"weight at ({i},{j}) is zero")
         w[(i, j)] = v
-    missing = [p for p in strict if p not in w]
-    if missing:
-        raise SupportViolation(
-            f"missing weight for {missing[0]}", pair=missing[0]
-        )
+    if len(w) < len(strict):
+        missing = next(p for p in strict if p not in w)
+        raise SupportViolation(f"missing weight for {missing}", pair=missing)
     out = _out_lists(strict)
     for (i, j) in strict:
         for k in out.get(j, ()):
@@ -159,7 +167,8 @@ def walk_product(g: TransitiveMap, walk) -> GaussianRational:
     total = ONE
     for (pair, direction) in walk:
         v = g.value(*pair)
-        total = total * (v if direction == 1 else v.reciprocal())
+        if not _is_one(v):
+            total = total * (v if direction == 1 else v.reciprocal())
     return total
 
 
@@ -172,34 +181,43 @@ def _spanning_potentials(g: TransitiveMap):
     order) where g differs from s(i)/s(j).
     """
     rho = g.rho
-    n = rho.n
-    strict = sorted(rho.strict_pairs())
-    adj = {v: [] for v in range(1, n + 1)}
-    for (i, j) in strict:
-        adj[i].append((j, (i, j)))
-        adj[j].append((i, (i, j)))
+    w = g._w
+    strict = rho.strict_pairs()
+    adj = [[] for _ in range(rho.n + 1)]
+    for edge in strict:
+        i, j = edge
+        adj[i].append((j, edge))
+        adj[j].append((i, edge))
     s = {}
     parent = {}
-    for root in range(1, n + 1):
+    for root in range(1, rho.n + 1):
         if root in s:
             continue
         s[root] = ONE
         queue = [root]
-        k = 0
-        while k < len(queue):
-            v = queue[k]
-            k += 1
+        for v in queue:  # grows while it is walked: breadth first
+            sv = s[v]
             for (u, edge) in sorted(adj[v]):
                 if u in s:
                     continue
-                if edge == (v, u):
-                    s[u] = s[v] / g.value(v, u)
+                x = w[edge]
+                if _is_one(x):
+                    s[u] = sv
                 else:
-                    s[u] = g.value(u, v) * s[v]
+                    s[u] = sv / x if edge[0] == v else x * sv
                 parent[u] = (v, edge)
                 queue.append(u)
-    failing = ((i, j) for (i, j) in strict if g.value(i, j) * s[j] != s[i])
+    failing = (
+        e for e in strict
+        if (s[e[1]] if _is_one(w[e]) else w[e] * s[e[1]]) != s[e[0]]
+    )
     return s, parent, failing
+
+
+def _is_one(x: GaussianRational) -> bool:
+    # most weights of the constructed and pulled-back maps are 1, and the
+    # test is cheaper than a product
+    return x.p == 1 and x.d == 1 and not x.q
 
 
 def triviality_witness(g: TransitiveMap) -> TrivialityCertificate:
@@ -323,20 +341,39 @@ def _relation_vectors(rho: QuasiOrder):
     return edges, rows
 
 
-def all_transitive_trivial(rho: QuasiOrder) -> bool:
+def all_transitive_trivial(rho: QuasiOrder, core: Optional[BeatCore] = None) -> bool:
     """True iff every transitive map on rho is trivial.
 
     The relation lattice R always sits inside the kernel K of the boundary
     map sending an edge (i, j) to e_i - e_j; K is saturated, so K = R iff
     rank(R) = dim K and Z^E/R is torsion-free (all Smith invariant factors
     equal 1). Rational rank alone would miss root-of-unity-valued maps.
+    K/R is the first homology of the complex on vertices, strict pairs and
+    composable triples; transitive maps modulo trivial ones, with values in
+    an abelian group A, are Hom(K/R, A).
+
+    The test runs on ``core``, the beat-point core of rho (``beat_core``,
+    built here when not given), and a core with no strict pair answers
+    True with no Smith form. That gives the same answer. Let x be deleted
+    with least element c above it, and restrict from P to P - x. Every map
+    g on P - x extends to P, as g after the retraction x -> c. If the
+    restriction of a map G is trivial, s(i)/s(j), then so is G, with
+    s(x) = G(x, c) s(c): for y > x, G(x, y) = G(x, c) G(c, y) = s(x)/s(y)
+    (c <= y), and for y < x, G(y, x) G(x, c) = G(y, c) = s(y)/s(c) gives
+    G(y, x) = s(y)/s(x). A greatest element below x is the mirror case, and
+    a vertex x with a mutually related c is the case where c is both. So
+    restriction is a bijection on maps modulo trivial ones, for every A,
+    and the inclusion of the core induces an isomorphism on K/R.
     """
-    edges, rows = _relation_vectors(rho)
+    if core is None:
+        core = beat_core(rho)
+    q = core.core
+    edges, rows = _relation_vectors(q)
     ecount = len(edges)
     if ecount == 0:
         return True
     # the boundary is a graph incidence matrix: rank n - #components (approx classes)
-    kernel_dim = ecount - (rho.n - len(approx_classes(rho).blocks))
+    kernel_dim = ecount - (q.n - len(approx_classes(q).blocks))
     inv = smith_invariant_factors(rows)
     return len(inv) == kernel_dim and all(d == 1 for d in inv)
 
@@ -358,36 +395,89 @@ def _signed_powers(edges, expo, signs) -> dict:
     return weights
 
 
-def nontrivial_transitive_map(rho: QuasiOrder) -> Optional[TransitiveMap]:
-    """The first nontrivial basis map, validated, or None if all are trivial.
+def _is_coboundary(n: int, edges, vec, parity: bool) -> bool:
+    """True iff some integer potential p on 1..n has vec[t] = p(i) - p(j)
+    on every edge t = (i, j), modulo 2 when ``parity``: that is, iff the
+    map 2^vec, or (-1)^vec with ``parity``, is trivial. The potentials are
+    spread along a spanning forest and then checked on every edge."""
+    adj = [[] for _ in range(n + 1)]
+    for (i, j), x in zip(edges, vec):
+        adj[i].append((j, -x))
+        adj[j].append((i, x))
+    p = [None] * (n + 1)
+    for root in range(1, n + 1):
+        if p[root] is not None:
+            continue
+        p[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u, x in adj[v]:
+                if p[u] is None:
+                    p[u] = p[v] + x
+                    stack.append(u)
+    gaps = (p[i] - p[j] - x for (i, j), x in zip(edges, vec))
+    return not any(d % 2 for d in gaps) if parity else not any(gaps)
 
-    The basis maps are 2^b for each vector b of the integer kernel basis,
-    then (-1)^c for each vector c of the GF(2) kernel basis. The search is
-    complete: a +-2^k map is transitive iff its exponents lie in the integer
-    kernel and its signs in the GF(2) kernel, so it is a product of basis
-    maps and their inverses, and the trivial maps form a subgroup. The
-    obstruction group K/R of ``all_transitive_trivial`` is a free part,
-    which powers of 2 detect, plus torsion; -1 detects even torsion, and
-    odd torsion has no nontrivial Gaussian-rational values (the roots of
-    unity there are +-1, +-i). So None after a negative answer means the
-    only obstruction is odd torsion.
+
+def _pull_back(rho: QuasiOrder, core: BeatCore, weights) -> dict:
+    """The weights of g after the retraction r on the strict pairs of rho:
+    g(r(i), r(j)), and 1 where r(i) = r(j)."""
+    r = core.retraction
+    # the core's weights sit on its strict pairs only, so (a, a) gets 1
+    return {
+        (i, j): weights.get((r[i - 1], r[j - 1]), ONE) for (i, j) in rho.strict_pairs()
+    }
+
+
+def nontrivial_transitive_map(
+    rho: QuasiOrder, core: Optional[BeatCore] = None
+) -> Optional[TransitiveMap]:
+    """A nontrivial basis map of the core, pulled back to rho, validated and
+    checked nontrivial; None if all basis maps are trivial.
+
+    The search runs on ``core``, the beat-point core of rho (built here
+    when not given). The basis maps are 2^b for each vector b of the
+    integer kernel basis, then (-1)^c for each vector c of the GF(2) kernel
+    basis; each is screened in integer arithmetic, as an exponent or sign
+    vector that is or is not a coboundary. The search is complete: a +-2^k
+    map is transitive iff its exponents lie in the integer kernel and its
+    signs in the GF(2) kernel, so it is a product of basis maps and their
+    inverses, and the trivial maps form a subgroup. The obstruction group
+    K/R of ``all_transitive_trivial`` is a free part, which powers of 2
+    detect, plus torsion; -1 detects even torsion, and odd torsion has no
+    nontrivial Gaussian-rational values (the roots of unity there are +-1,
+    +-i). So None after a negative answer means the only obstruction is
+    odd torsion. The first nontrivial map g of the core comes back as g
+    after the retraction, which is transitive because the retraction is
+    order-preserving, and nontrivial because it restricts to g on the core.
+    By the bijection of ``all_transitive_trivial``, rho has a nontrivial
+    +-2^k map iff its core has one.
     """
-    edges, dense = _dense_relation_rows(rho)
+    if core is None:
+        core = beat_core(rho)
+    q = core.core
+    edges, dense = _dense_relation_rows(q)
     ecount = len(edges)
     zeros = [0] * ecount
 
     def candidates():
         # the GF(2) basis, the costlier one, only if every exponent map fails
         for vec in integer_kernel_basis(dense, ecount):
-            yield vec, zeros
+            if not _is_coboundary(q.n, edges, vec, False):
+                yield vec, zeros
         for vec in gf2_kernel_basis(dense, ecount):
-            yield zeros, vec
+            if not _is_coboundary(q.n, edges, vec, True):
+                yield zeros, vec
 
-    for expo, signs in candidates():
-        weights = _signed_powers(edges, expo, signs)
-        if not triviality_witness(TransitiveMap(rho, weights)).is_trivial:
-            return validate(rho, weights)
-    return None
+    found = next(candidates(), None)
+    if found is None:
+        return None
+    weights = _signed_powers(edges, *found)
+    g = validate(rho, weights if q is rho else _pull_back(rho, core, weights))
+    if triviality_witness(g).is_trivial:
+        raise InternalInconsistency("the weight map found nontrivial is trivial")
+    return g
 
 
 def random_transitive_map(rho: QuasiOrder, seed: int = 0) -> TransitiveMap:

@@ -67,14 +67,27 @@ from smalg.polyroots import (
     roots_in_gaussian_rationals,
     squarefree_part,
 )
+from smalg.intlattice import (
+    gf2_kernel_basis,
+    integer_kernel_basis,
+    smith_invariant_factors,
+)
 from smalg.quasiorder import (
     BlockTriangularForm,
     QuasiOrder,
+    _bits,
     approx_classes,
     block_triangular_form,
     first_unsupported,
 )
-from smalg.transmap import validate
+from smalg.transmap import (
+    TransitiveMap,
+    _dense_relation_rows,
+    _relation_vectors,
+    _signed_powers,
+    triviality_witness,
+    validate,
+)
 
 
 class RankNotOne(Exception):
@@ -1016,6 +1029,69 @@ def dense_gf2_kernel_basis(mat, cols=None):
             vec[c] = a[pr][fc]
         basis.append(vec)
     return basis
+
+
+def rectangles(q: QuasiOrder):
+    """All position rectangles: row pair i<k and column pair j<l with all of
+    (i,j), (i,l), (k,j), (k,l) related."""
+    out = []
+    n = q.n
+    for i in range(1, n + 1):
+        for k in range(i + 1, n + 1):
+            common = q._rows[i - 1] & q._rows[k - 1]
+            cols = _bits(common)
+            for a in range(len(cols)):
+                for b in range(a + 1, len(cols)):
+                    out.append(((i, k), (cols[a], cols[b])))
+    return out
+
+
+def full_relation_all_transitive_trivial(rho: QuasiOrder) -> bool:
+    """The triviality decision on the whole relation, one Smith form over
+    all its transitivity rows: the route before the beat-point core."""
+    edges, rows = _relation_vectors(rho)
+    ecount = len(edges)
+    if ecount == 0:
+        return True
+    # the boundary is a graph incidence matrix: rank n - #components (approx classes)
+    kernel_dim = ecount - (rho.n - len(approx_classes(rho).blocks))
+    inv = smith_invariant_factors(rows)
+    return len(inv) == kernel_dim and all(d == 1 for d in inv)
+
+
+def full_relation_nontrivial_transitive_map(rho: QuasiOrder):
+    """The basis search for a nontrivial +-2^k map on the whole relation:
+    the route before the beat-point core."""
+    edges, dense = _dense_relation_rows(rho)
+    ecount = len(edges)
+    zeros = [0] * ecount
+
+    def candidates():
+        # the GF(2) basis, the costlier one, only if every exponent map fails
+        for vec in integer_kernel_basis(dense, ecount):
+            yield vec, zeros
+        for vec in gf2_kernel_basis(dense, ecount):
+            yield zeros, vec
+
+    for expo, signs in candidates():
+        weights = _signed_powers(edges, expo, signs)
+        if not triviality_witness(TransitiveMap(rho, weights)).is_trivial:
+            return validate(rho, weights)
+    return None
+
+
+def is_beat_point(up, v) -> bool:
+    """True iff vertex v has a least element strictly above it, or a
+    greatest element strictly below it, among the vertices of ``up``, a dict
+    from each vertex to its set of vertices above (itself included); or
+    another vertex mutually related to it. Brute force over the sets."""
+    above = {w for w in up[v] if w != v}
+    below = {w for w in up if v in up[w] and w != v}
+    if any(v in up[w] for w in above):
+        return True
+    least = [c for c in above if above <= up[c]]
+    greatest = [c for c in below if all(c in up[w] for w in below)]
+    return bool(least or greatest)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,14 @@ from smalg.cli import run
 from smalg.errors import InternalInconsistency, NotJordan
 from smalg.exactnum import ONE, DenseMatrix, format_matrix, inverse, parse_matrix, rank
 from smalg.jordan import format_linear_map, parse_linear_map, synthesize_jordan
-from smalg.quasiorder import format_relation, reverse
-from smalg.transmap import apply_induced, format_weights, parse_weights, validate
+from smalg.quasiorder import format_relation, from_edges, reverse
+from smalg.transmap import (
+    apply_induced,
+    format_weights,
+    parse_weights,
+    triviality_witness,
+    validate,
+)
 
 from fixtures import (
     bowtie,
@@ -30,6 +36,7 @@ from fixtures import (
     corner,
     corner_map_images,
     delta,
+    full,
     linear_map,
     separator_map,
     seven_point,
@@ -226,15 +233,15 @@ def test_all_trivial_bowtie_with_example(files):
     lines = out.report.splitlines()
     assert lines[0] == "NOT-ALL-TRIVIAL"
     assert lines[1] == "g"
-    from smalg.transmap import triviality_witness
-
     g = parse_weights("\n".join(lines[2:]) + "\n", bowtie())
     assert not triviality_witness(g).is_trivial
 
 
 def test_all_trivial_without_a_sampled_example_exits_three(files, monkeypatch):
     # a negative verdict is never printed without its certificate
-    monkeypatch.setattr(smalg.cli, "nontrivial_transitive_map", lambda rho: None)
+    monkeypatch.setattr(
+        smalg.cli, "nontrivial_transitive_map", lambda rho, core: None
+    )
     out = run(["all-trivial", files["bowtie"]])
     assert out.exit_code == 3
     assert out.report == "error: no transitive map with values +-2^k is nontrivial\n"
@@ -257,7 +264,8 @@ def test_all_trivial_example_is_constructed_without_random_numbers(
     assert not smalg.transmap.triviality_witness(g).is_trivial
 
 
-def test_info_runs_one_smith_form(files, monkeypatch):
+def _counted_smith(monkeypatch):
+    """The row counts of the Smith forms taken from here on."""
     calls = []
     smith = smalg.transmap.smith_invariant_factors
 
@@ -266,10 +274,26 @@ def test_info_runs_one_smith_form(files, monkeypatch):
         return smith(mat)
 
     monkeypatch.setattr(smalg.transmap, "smith_invariant_factors", counted)
+    return calls
+
+
+def test_info_runs_one_smith_form(files, monkeypatch):
+    # the bowtie is its own core: one Smith form over its transitivity
+    # rows, of which it has none
+    calls = _counted_smith(monkeypatch)
+    out = run(["info", files["bowtie"]])
+    assert out.exit_code == 0
+    assert out.report.splitlines()[-3:] == ["dichotomy true", "inner false", "extends false"]
+    assert calls == [0]
+
+
+def test_info_on_the_three_chain_runs_no_smith_form(files, monkeypatch):
+    # the 3-chain strips down to one point
+    calls = _counted_smith(monkeypatch)
     out = run(["info", files["t3"]])
     assert out.exit_code == 0
     assert out.report.splitlines()[-2:] == ["inner true", "extends true"]
-    assert calls == [1]
+    assert calls == []
 
 
 def _timed_run(argv):
@@ -301,6 +325,54 @@ def test_chain25_all_trivial_and_info_under_five_seconds(tmp_path):
     assert elapsed < 5.0
     assert out.exit_code == 0
     assert out.report.splitlines()[-3:] == ["dichotomy true", "inner true", "extends true"]
+
+
+def test_all_trivial_on_the_two_hundred_chain_under_five_seconds(tmp_path):
+    # the chain strips down to one point, so none of its 1,313,400
+    # transitivity rows is built
+    q = tmp_path / "c200.qo"
+    q.write_text(format_relation(upper_chain(200)))
+    out, elapsed = _timed_run(["all-trivial", str(q)])
+    assert elapsed < 5.0
+    assert (out.exit_code, out.report) == (0, "ALL-TRIVIAL\n")
+
+
+def test_all_trivial_on_a_sixty_chain_beside_a_bowtie_under_five_seconds(tmp_path):
+    # the core is the bowtie beside one point; the map found there is pulled
+    # back along the chain's retraction
+    rho = from_edges(
+        64, [(i, i + 1) for i in range(1, 60)] + [(61, 63), (61, 64), (62, 63), (62, 64)]
+    )
+    q = tmp_path / "c60b.qo"
+    q.write_text(format_relation(rho))
+    out, elapsed = _timed_run(["all-trivial", str(q)])
+    assert elapsed < 5.0
+    assert out.exit_code == 1
+    lines = out.report.splitlines()
+    assert lines[:2] == ["NOT-ALL-TRIVIAL", "g"]
+    g = parse_weights("\n".join(lines[2:]) + "\n", rho)
+    assert not triviality_witness(g).is_trivial
+    assert out.report == "NOT-ALL-TRIVIAL\ng\n" + format_weights(g)
+
+
+def test_info_on_the_full_eighty_point_relation_under_five_seconds(tmp_path):
+    # the 9,985,600 rectangles are counted, not listed
+    q = tmp_path / "full80.qo"
+    q.write_text(format_relation(full(80)))
+    out, elapsed = _timed_run(["info", str(q)])
+    assert elapsed < 5.0
+    assert out.exit_code == 0
+    block = "{" + ",".join(str(k) for k in range(1, 81)) + "}"
+    assert out.report == "\n".join([
+        "n 80",
+        f"classes {block}",
+        f"mutual-classes {block}",
+        "center-dimension 1",
+        f"rectangles {3160 ** 2}",
+        "dichotomy true",
+        "inner true",
+        "extends true",
+    ]) + "\n"
 
 
 def test_close_on_twenty_thousand_isolated_vertices_under_five_seconds(tmp_path):

@@ -14,7 +14,7 @@ from smalg.quasiorder import (
     from_edges,
     increasing_permutations,
     parse_relation,
-    rectangles,
+    rectangle_count,
     reverse,
     rho_U,
     two_sided_classes,
@@ -35,6 +35,7 @@ from oracles import (
     oracle_reverse_pairs,
     oracle_rho_u,
     oracle_strict_pairs,
+    rectangles,
     relabel_matrix,
     strict_part,
 )
@@ -262,6 +263,14 @@ class TestRectangles:
             for ((i, k), (j, l)) in rectangles(q):
                 assert i < k and j < l
                 assert (i, j) in q and (i, l) in q and (k, j) in q and (k, l) in q
+
+    def test_count_matches_the_lister(self):
+        rng = random.Random(43)
+        qs = [fx.upper_chain(3), fx.bowtie(), fx.chain10(), fx.full(5), fx.delta(4)]
+        qs += [random_quasi_order(rng, rng.randrange(1, 9)) for _ in range(200)]
+        qs += [fx.random_class_order(rng, 8, 0.5) for _ in range(50)]
+        for q in qs:
+            assert rectangle_count(q) == len(rectangles(q))
 
 
 class TestIncreasingPermutations:

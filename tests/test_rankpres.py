@@ -14,7 +14,7 @@ from smalg.errors import (
 )
 from smalg.exactnum import DenseMatrix, ONE, rank, scalar
 from smalg.jordan import LinearMapOnSMA, apply, synthesize_jordan
-from smalg.quasiorder import NotClassUnion, approx_classes, from_edges, rectangles
+from smalg.quasiorder import NotClassUnion, approx_classes, from_edges
 from smalg.rankpres import (
     bounded_rank_preserver_check,
     certify_rank_one_preserver,
@@ -58,6 +58,7 @@ from oracles import (
     oracle_rank_of,
     oracle_unbalanced_cycle,
     rectangle_minor_condition,
+    rectangles,
     transpose_map,
 )
 

@@ -8,7 +8,7 @@ import pytest
 
 from smalg.errors import FormatError, NotTransitive, SupportViolation, ZeroWeight
 from smalg.exactnum import DenseMatrix, GaussianRational, ONE, scalar
-from smalg.quasiorder import from_edges
+from smalg.quasiorder import beat_core, from_edges
 from smalg.transmap import (
     all_transitive_trivial,
     apply_induced,
@@ -40,6 +40,9 @@ from fixtures import (
 from oracles import (
     cdiv,
     cmul,
+    full_relation_all_transitive_trivial,
+    full_relation_nontrivial_transitive_map,
+    is_beat_point,
     oracle_first_transitivity_violation,
     oracle_strict_pairs,
     rectangle_minor_condition,
@@ -121,13 +124,15 @@ def test_first_violation_matches_the_pair_scan():
 
 def test_validate_rejects_bad_supports_and_zero():
     rho = upper_chain(2)
-    with pytest.raises(SupportViolation) as exc:
+    with pytest.raises(SupportViolation, match=r"^missing weight for \(1, 2\)$") as exc:
         validate(rho, {})
     assert exc.value.pair == (1, 2)
-    with pytest.raises(SupportViolation):
+    with pytest.raises(SupportViolation, match=r"^diagonal weight \(1,1\)"):
         validate(rho, {(1, 2): 2, (1, 1): 1})
-    with pytest.raises(SupportViolation):
+    with pytest.raises(SupportViolation, match=r"^\(2,1\) is not in the relation$"):
         validate(rho, {(1, 2): 2, (2, 1): 2})
+    with pytest.raises(SupportViolation, match=r"^\(1,3\) is not in the relation$"):
+        validate(rho, {(1, 3): 2, (1, 2): 0})
     with pytest.raises(ZeroWeight):
         validate(rho, {(1, 2): 0})
 
@@ -260,6 +265,69 @@ def test_nontrivial_transitive_map_falls_back_to_signs():
     g = nontrivial_transitive_map(rho)
     assert {v for (_, v) in g.items()} == {ONE, -ONE}
     assert triviality_witness(g).product == -ONE
+
+
+def _core_route_matches_full_relation(rho):
+    """Check the beat-point core of rho and compare the decision and witness
+    on it with the whole-relation route; True iff rho is a negative."""
+    core = beat_core(rho)
+    r = core.retraction
+    kept = {v for v in range(1, rho.n + 1) if r[v - 1] == v}
+    assert all(r[i - 1] in kept for i in range(1, rho.n + 1))
+    assert (core.core is rho) == (len(kept) == rho.n)
+    for (i, j) in rho.pairs():
+        assert (r[i - 1], r[j - 1]) in rho
+    assert core.core.pairs() == sorted(
+        [(i, j) for (i, j) in rho.pairs() if i in kept and j in kept]
+        + [(i, i) for i in range(1, rho.n + 1) if i not in kept]
+    )
+    up = {v: set(core.core.out_set(v)) for v in range(1, core.core.n + 1)}
+    assert not any(is_beat_point(up, v) for v in up)
+    verdict = all_transitive_trivial(rho, core)
+    assert verdict == full_relation_all_transitive_trivial(rho)
+    g = nontrivial_transitive_map(rho, core)
+    if verdict:
+        assert g is None
+        return False
+    assert (g is None) == (full_relation_nontrivial_transitive_map(rho) is None)
+    if g is not None:
+        assert validate(rho, dict(g.items())) == g
+        assert not triviality_witness(g).is_trivial
+    return True
+
+
+def test_core_route_matches_the_full_relation_on_every_small_quasi_order():
+    seen = set()
+    for n in range(1, 5):
+        off = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        for mask in range(1 << len(off)):
+            rho = from_edges(n, [e for t, e in enumerate(off) if mask >> t & 1])
+            if rho not in seen:
+                seen.add(rho)
+                _core_route_matches_full_relation(rho)
+    # quasi-orders on 1..4 labeled points: 1 + 4 + 29 + 355
+    assert len(seen) == 389
+
+
+def test_core_route_matches_the_full_relation_on_random_relations():
+    rng = random.Random(23)
+    relations = [rp2_face_poset(), bowtie(), chain10()]
+    for t in range(2000):
+        sizes = (1,) if t % 2 else (1, 1, 2, 3)
+        n = rng.randint(2, 10)
+        relations.append(random_class_order(rng, n, rng.choice((0.2, 0.35, 0.5)), sizes))
+    negatives = sum(_core_route_matches_full_relation(rho) for rho in relations)
+    assert negatives >= 90
+
+
+def test_core_of_a_chain_beside_a_bowtie_keeps_the_bowtie():
+    # [DERIVED] the chain retracts onto its top; the bowtie has no beat point
+    rho = from_edges(8, [(1, 2), (2, 3), (3, 4), (5, 7), (5, 8), (6, 7), (6, 8)])
+    core = beat_core(rho)
+    assert core.retraction == (4, 4, 4, 4, 5, 6, 7, 8)
+    g = nontrivial_transitive_map(rho, core)
+    assert [v for ((i, j), v) in g.items() if i < 5] == [ONE] * 6
+    assert not triviality_witness(g).is_trivial
 
 
 def test_rectangle_minor_detects_bowtie():
