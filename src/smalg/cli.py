@@ -45,7 +45,6 @@ from .exactnum import (
     DenseMatrix,
     format_matrix,
     inverse,
-    parse_int,
     parse_matrix,
     rank,
 )
@@ -83,6 +82,7 @@ from .rankpres import (
     nontrivial_g_rank_witness,
     rank_identity_check,
 )
+from .tokens import parse_int
 from .transmap import (
     all_transitive_trivial,
     format_weights,
@@ -196,6 +196,9 @@ def _parse_class_list(text: str) -> frozenset:
 
 # ---------------------------------------------------------------------------
 # shared rendering
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _fmt_blocks(blocks) -> str:
@@ -314,9 +317,8 @@ def _cmd_blocks(args) -> tuple:
     rep = Report()
     rep.add("pi " + " ".join(str(k) for k in b.pi), pi=list(b.pi))
     rep.add("sizes " + " ".join(str(s) for s in b.sizes), sizes=list(b.sizes))
-    rows = [
-        "".join("1" if cell else "0" for cell in row) for row in b.presence
-    ]
+    # each row of bools is rendered in one pass: False -> "0", True -> "1"
+    rows = [bytes(row).translate(_DIGITS).decode() for row in b.presence]
     rep.add("presence " + " ".join(rows), presence=rows)
     rep.add(
         "class-order " + _fmt_block_list(b.class_order),

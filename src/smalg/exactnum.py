@@ -18,13 +18,14 @@ internally.
 from __future__ import annotations
 
 import re as _re
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import compress
 from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, FormatError, Singular
+from .tokens import convert, parse_int, strip_comments, token_lines
 
 # ASCII digits only: ``\d`` also matches other scripts' digits, and ``int()``
 # takes those and ``_`` separators. Each rational is (numerator, denominator).
@@ -32,7 +33,6 @@ _RATIONAL = r"(-?[0-9]+)(?:/([0-9]+))?"
 _RE_REAL = _re.compile(rf"\A{_RATIONAL}\Z")
 _RE_IMAG = _re.compile(rf"\A{_RATIONAL}i\Z")
 _RE_BOTH = _re.compile(rf"\A{_RATIONAL}([+-]){_RATIONAL}i\Z")
-_RE_INT = _re.compile(r"\A[+-]?[0-9]+\Z")
 
 
 class GaussianRational:
@@ -73,8 +73,6 @@ class GaussianRational:
         integers or fractions ``p/q`` with q > 0 in ASCII digits; a pure
         imaginary unit is written with an explicit coefficient (``-1i``).
         """
-        if text == "0":
-            return 0, 0, 1
         t = text.strip()
         m = _RE_REAL.match(t)
         if m:
@@ -269,17 +267,6 @@ def _rational(num: str, den, context: str):
     return int(num), d
 
 
-def parse_int(token: str) -> int:
-    """An optionally signed integer written in ASCII digits.
-
-    Raises ValueError, like ``int()``, on anything else, including the
-    ``_`` separators and non-ASCII digits that ``int()`` accepts.
-    """
-    if not _RE_INT.match(token):
-        raise ValueError(f"not an integer: {token!r}")
-    return int(token)
-
-
 def _coerce(x):
     """x as a scalar, or None when it is not an int, a rational or a scalar."""
     if isinstance(x, GaussianRational):
@@ -422,9 +409,6 @@ class DenseMatrix:
 
     def row_list(self, i: int):
         return self._scalars(range((i - 1) * self.cols, i * self.cols))
-
-    def col_list(self, j: int):
-        return self._scalars(r * self.cols + (j - 1) for r in range(self.rows))
 
     def diagonal(self):
         k = min(self.rows, self.cols)
@@ -944,33 +928,21 @@ def permutation_matrix(pi: Sequence[int]) -> DenseMatrix:
 # row-major. '#' starts a comment for the rest of its line.
 
 
-def _strip_comments(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if line.strip():
-            yield lineno, line
-
-
 def parse_matrix(text: str) -> DenseMatrix:
-    lines = list(_strip_comments(text))
+    lines = token_lines(strip_comments(text))
     if not lines:
         raise FormatError("empty matrix input")
     lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
+    if len(header) != 2:
         raise FormatError("matrix header must be 'rows cols'", line=lineno)
-    try:
-        r, c = parse_int(parts[0]), parse_int(parts[1])
-    except ValueError as exc:
-        raise FormatError("matrix header must be 'rows cols'", line=lineno) from exc
+    r, c = convert(parse_int, header, lineno, "matrix header must be 'rows cols'")
     if r < 0 or c < 0:
         raise FormatError("matrix dimensions must be nonnegative", line=lineno)
+    # a matrix repeats few values: each literal is read once per file
+    literal = cache(GaussianRational.literal_parts)
     parts = []
-    for lineno, line in lines[1:]:
-        try:
-            parts.extend(map(GaussianRational.literal_parts, line.split()))
-        except FormatError as exc:
-            raise FormatError(str(exc), line=lineno) from exc
+    for lineno, tokens in lines[1:]:
+        parts += convert(literal, tokens, lineno)
     if len(parts) != r * c:
         raise FormatError(
             f"expected {r * c} entries for a {r}x{c} matrix, got {len(parts)}"

@@ -12,6 +12,7 @@ reduce to a finite search over class unions and increasing permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Optional
 
@@ -34,7 +35,6 @@ from .exactnum import (
     UnitFrame,
     combination,
     inverse,
-    parse_int,
     permutation_matrix,
 )
 from .quasiorder import (
@@ -46,6 +46,7 @@ from .quasiorder import (
     increasing_permutations,
     rho_U,
 )
+from .tokens import convert, parse_int, strip_comments, token_lines
 from .transmap import TransitiveMap, all_transitive_trivial, validate
 
 
@@ -457,31 +458,25 @@ def all_algebra_automorphisms_inner(
 
 
 def parse_linear_map(text: str) -> LinearMapOnSMA:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append((lineno, line))
+    lines = token_lines(strip_comments(text))
     if not lines:
         raise FormatError("empty linear map input")
     lineno, header = lines[0]
-    try:
-        n = parse_int(header)
-    except ValueError as exc:
-        raise FormatError("first line must be the size n", line=lineno) from exc
+    if len(header) != 1:
+        raise FormatError("first line must be the size n", line=lineno)
+    (n,) = convert(parse_int, header, lineno, "first line must be the size n")
     if n < 1:
         raise FormatError("size must be positive", line=lineno)
+    # the n*n entries of a unit image are mostly 0: each literal is read
+    # once per file
+    literal = cache(GaussianRational.literal_parts)
     images = {}
     pos = 1
     while pos < len(lines):
-        lineno, line = lines[pos]
-        parts = line.split()
+        lineno, parts = lines[pos]
         if parts[0] != "unit" or len(parts) != 3:
             raise FormatError("expected 'unit i j'", line=lineno)
-        try:
-            i, j = parse_int(parts[1]), parse_int(parts[2])
-        except ValueError as exc:
-            raise FormatError("unit indices must be integers", line=lineno) from exc
+        i, j = convert(parse_int, parts[1:], lineno, "unit indices must be integers")
         if not (1 <= i <= n and 1 <= j <= n):
             raise FormatError(f"unit ({i},{j}) outside 1..{n}", line=lineno)
         if (i, j) in images:
@@ -489,14 +484,10 @@ def parse_linear_map(text: str) -> LinearMapOnSMA:
         pos += 1
         entries = []
         while pos < len(lines) and len(entries) < n * n:
-            tl, tline = lines[pos]
-            tokens = tline.split()
+            tl, tokens = lines[pos]
             if tokens[0] == "unit":
                 break
-            try:
-                entries.extend(map(GaussianRational.literal_parts, tokens))
-            except FormatError as exc:
-                raise FormatError(str(exc), line=tl) from exc
+            entries += convert(literal, tokens, tl)
             pos += 1
         if len(entries) != n * n:
             raise FormatError(

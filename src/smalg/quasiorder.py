@@ -7,6 +7,7 @@ machine words. All pairs in the public API are 1-based.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -17,7 +18,7 @@ from .errors import (
     NotClassUnion,
     NotClosed,
 )
-from .exactnum import parse_int
+from .tokens import convert, parse_int, plain_tokens, strip_comments, token_lines
 
 # Largest vertex count a relation may have. Each of the n rows is an n-bit
 # mask with its own bit set, so even an empty relation holds n^2 bits: about
@@ -85,10 +86,16 @@ def from_edges(n: int, edges: Iterable, close: bool = True) -> QuasiOrder:
     The diagonal is always included. With ``close=True`` the transitive
     closure is taken (Warshall); with ``close=False`` the edge set must
     already be transitive, otherwise NotClosed reports a violating
-    composable pair.
+    composable pair: the first (i, k), (k, j) with i, then k, then j least.
+
+    Without closure the relation is transitive exactly when row k lies
+    inside row i for each given pair (i, k), so the check walks the given
+    pairs once; the rows are walked bit by bit only to name the witness.
     """
     if n < 1:
         raise DimensionMismatch("need at least one vertex")
+    if not close:
+        edges = list(edges)  # walked twice; a generator would be spent
     rows = [1 << i for i in range(n)]
     for (i, j) in edges:
         if not (1 <= i <= n and 1 <= j <= n):
@@ -104,16 +111,24 @@ def from_edges(n: int, edges: Iterable, close: bool = True) -> QuasiOrder:
                 if rows[i] & bit:
                     rows[i] |= krow
     else:
-        for i, ri in enumerate(rows, 1):
-            for k in _bits(ri):
-                missing = rows[k - 1] & ~ri
-                if missing:
-                    j = _bits(missing)[0]
-                    raise NotClosed(
-                        f"({i},{k}) and ({k},{j}) are present but ({i},{j}) is not",
-                        witness=((i, k), (k, j)),
-                    )
+        for (i, k) in edges:
+            if rows[k - 1] & ~rows[i - 1]:
+                _raise_first_violation(rows)
     return QuasiOrder(n, rows)
+
+
+def _raise_first_violation(rows):
+    """Raise NotClosed for the first composable (i, k), (k, j) of the rows
+    with (i, j) missing, in the order of ``from_edges``'s docstring."""
+    for i, ri in enumerate(rows, 1):
+        for k in _bits(ri):
+            missing = rows[k - 1] & ~ri
+            if missing:
+                j = _bits(missing)[0]
+                raise NotClosed(
+                    f"({i},{k}) and ({k},{j}) are present but ({i},{j}) is not",
+                    witness=((i, k), (k, j)),
+                )
 
 
 def reverse(q: QuasiOrder) -> QuasiOrder:
@@ -269,8 +284,10 @@ def rectangle_count(q: QuasiOrder) -> int:
     """The number of position rectangles: row pairs i<k and column pairs
     j<l with all of (i,j), (i,l), (k,j), (k,l) related. Rows i and k share
     the columns of ``row_i & row_k``, so they contribute C(c, 2) for c
-    common columns; O(n^2) mask operations, with no rectangle listed."""
-    rows = q._rows
+    common columns; O(n^2) mask operations, with no rectangle listed. A
+    row with fewer than two columns shares no column pair with any row and
+    is skipped."""
+    rows = [r for r in q._rows if r & (r - 1)]
     total = 0
     for i, ri in enumerate(rows):
         for rk in rows[i + 1:]:
@@ -408,35 +425,43 @@ def _increasing_search(src, dst, limit, pin=None):
     assign = {}
     used = set()
 
-    def bt(pos: int) -> bool:
-        if pos == n:
-            results.append(tuple(assign[i] for i in range(1, n + 1)))
-            return limit is not None and len(results) >= limit
+    def candidates(pos: int):
+        """The images t of order[pos] that fit the vertices placed so far,
+        ascending; it reads ``assign`` and ``used`` as it goes."""
         v = order[pos]
         for t in (pin[1],) if pin is not None and pos == 0 else range(1, n + 1):
             if t in used:
                 continue
             if out_d[t - 1] < out_s[v - 1] or in_d[t - 1] < in_s[v - 1]:
                 continue
-            ok = True
             for w, u in assign.items():
                 if src.has(v, w) and not dst.has(t, u):
-                    ok = False
                     break
                 if src.has(w, v) and not dst.has(u, t):
-                    ok = False
                     break
-            if not ok:
-                continue
-            assign[v] = t
-            used.add(t)
-            if bt(pos + 1):
-                return True
-            del assign[v]
-            used.remove(t)
-        return False
+            else:
+                yield t
 
-    bt(0)
+    # depth-first, one candidate iterator per placed vertex: an explicit
+    # stack, so the depth is not bound by the interpreter's recursion limit
+    stack = [candidates(0)]
+    while stack:
+        pos = len(stack) - 1
+        v = order[pos]
+        if v in assign:  # back at this level: undo its last choice
+            used.remove(assign.pop(v))
+        t = next(stack[-1], None)
+        if t is None:
+            stack.pop()
+            continue
+        assign[v] = t
+        used.add(t)
+        if pos + 1 < n:
+            stack.append(candidates(pos + 1))
+            continue
+        results.append(tuple(assign[i] for i in range(1, n + 1)))
+        if limit is not None and len(results) >= limit:
+            break
     return sorted(results)
 
 
@@ -503,41 +528,45 @@ def automorphisms_fix_two_sided_classes(q: QuasiOrder) -> bool:
 #
 # Line 1: n. Then one pair "i j" per line; '#' comments; diagonal implied.
 
+# The format in ASCII digits, spaces and tabs, for plain_tokens. A number
+# of more than five digits is out of range (or has leading zeros), so it
+# goes to the line walk, and so does one too long for int().
+_PLAIN_RELATION = re.compile(
+    r"[ \t\n]*[0-9]{1,5}[ \t]*(?:\n[ \t]*(?:[0-9]{1,5}[ \t]+[0-9]{1,5}[ \t]*)?)*"
+)
+
 
 def parse_relation(text: str):
     """Parse relation text into (n, edge list); closure is the caller's call."""
-    n = None
+    text = strip_comments(text)
+    tokens = plain_tokens(text, _PLAIN_RELATION)
+    if tokens:
+        values = list(map(int, tokens))
+        # every value in 1..n and n within the bound, or the line walk errs
+        if min(values) >= 1 and max(values) == values[0] <= MAX_VERTICES:
+            pairs = iter(values[1:])
+            return values[0], list(zip(pairs, pairs))
+    lines = token_lines(text)
+    if not lines:
+        raise FormatError("empty relation input")
+    lineno, parts = lines[0]
+    if len(parts) != 1:
+        raise FormatError("first line must be the vertex count", line=lineno)
+    (n,) = convert(parse_int, parts, lineno, "vertex count must be an integer")
+    if n < 1:
+        raise FormatError("vertex count must be positive", line=lineno)
+    if n > MAX_VERTICES:
+        raise FormatError(
+            f"vertex count {n} exceeds the limit of {MAX_VERTICES}", line=lineno
+        )
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 1:
-                raise FormatError("first line must be the vertex count", line=lineno)
-            try:
-                n = parse_int(parts[0])
-            except ValueError as exc:
-                raise FormatError("vertex count must be an integer", line=lineno) from exc
-            if n < 1:
-                raise FormatError("vertex count must be positive", line=lineno)
-            if n > MAX_VERTICES:
-                raise FormatError(
-                    f"vertex count {n} exceeds the limit of {MAX_VERTICES}", line=lineno
-                )
-            continue
+    for lineno, parts in lines[1:]:
         if len(parts) != 2:
             raise FormatError("expected a pair 'i j'", line=lineno)
-        try:
-            i, j = parse_int(parts[0]), parse_int(parts[1])
-        except ValueError as exc:
-            raise FormatError("pair entries must be integers", line=lineno) from exc
+        i, j = convert(parse_int, parts, lineno, "pair entries must be integers")
         if not (1 <= i <= n and 1 <= j <= n):
             raise FormatError(f"pair ({i},{j}) outside 1..{n}", line=lineno)
         edges.append((i, j))
-    if n is None:
-        raise FormatError("empty relation input")
     return n, edges
 
 

@@ -19,7 +19,9 @@ self-tests.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .errors import (
@@ -29,7 +31,7 @@ from .errors import (
     SupportViolation,
     ZeroWeight,
 )
-from .exactnum import DenseMatrix, GaussianRational, ONE, parse_int, scalar
+from .exactnum import DenseMatrix, GaussianRational, ONE, scalar
 from .intlattice import (
     gf2_kernel_basis,
     integer_kernel_basis,
@@ -42,10 +44,15 @@ from .quasiorder import (
     beat_core,
     first_unsupported,
 )
+from .tokens import convert, parse_int, plain_tokens, strip_comments, token_lines
 
 
 class TransitiveMap:
-    """Validated weight assignment on the strict pairs of a quasi-order."""
+    """Validated weight assignment on the strict pairs of a quasi-order.
+
+    ``_w`` holds the strict pairs in sorted order (``validate`` builds it
+    so), and the triviality walk reads them in that order.
+    """
 
     __slots__ = ("rho", "_w")
 
@@ -62,7 +69,7 @@ class TransitiveMap:
             raise SupportViolation(f"({i},{j}) is not in the relation", pair=(i, j))
 
     def items(self):
-        return sorted(self._w.items())
+        return list(self._w.items())
 
     def __eq__(self, other):
         if not isinstance(other, TransitiveMap):
@@ -122,7 +129,7 @@ def validate(rho: QuasiOrder, weights) -> TransitiveMap:
                     f"g({i},{j}) g({j},{k}) != g({i},{k})",
                     witness=((i, j), (j, k)),
                 )
-    return TransitiveMap(rho, w)
+    return TransitiveMap(rho, {p: w[p] for p in strict})
 
 
 def apply_induced(g: TransitiveMap, x: DenseMatrix) -> DenseMatrix:
@@ -182,9 +189,8 @@ def _spanning_potentials(g: TransitiveMap):
     """
     rho = g.rho
     w = g._w
-    strict = rho.strict_pairs()
     adj = [[] for _ in range(rho.n + 1)]
-    for edge in strict:
+    for edge in w:
         i, j = edge
         adj[i].append((j, edge))
         adj[j].append((i, edge))
@@ -208,8 +214,8 @@ def _spanning_potentials(g: TransitiveMap):
                 parent[u] = (v, edge)
                 queue.append(u)
     failing = (
-        e for e in strict
-        if (s[e[1]] if _is_one(w[e]) else w[e] * s[e[1]]) != s[e[0]]
+        e for e, x in w.items()
+        if (s[e[1]] if _is_one(x) else x * s[e[1]]) != s[e[0]]
     )
     return s, parent, failing
 
@@ -504,26 +510,36 @@ def random_transitive_map(rho: QuasiOrder, seed: int = 0) -> TransitiveMap:
 #
 # One line per strict pair: "i j literal"; '#' comments.
 
+# The format with ASCII pairs and literal characters, for plain_tokens. The
+# bounded lengths send a number too long for int() to the line walk.
+_PLAIN_WEIGHTS = re.compile(
+    r"[ \t\n]*(?:[0-9]{1,5}[ \t]+[0-9]{1,5}[ \t]+[-+/0-9i]{1,64}[ \t]*"
+    r"(?:\n[ \t\n]*|\Z))*"
+)
+
 
 def parse_weights(text: str, rho: QuasiOrder) -> TransitiveMap:
+    text = strip_comments(text)
+    # a map repeats few values: each literal is read once per file
+    value = cache(GaussianRational.from_literal)
+    tokens = plain_tokens(text, _PLAIN_WEIGHTS)
+    if tokens is not None:
+        pairs = zip(map(int, tokens[::3]), map(int, tokens[1::3]))
+        try:
+            weights = dict(zip(pairs, map(value, tokens[2::3])))
+        except FormatError:
+            weights = {}
+        # a bad literal or a repeated pair: the line walk names its line
+        if 3 * len(weights) == len(tokens):
+            return validate(rho, weights)
     weights = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in token_lines(text):
         if len(parts) != 3:
             raise FormatError("expected 'i j value'", line=lineno)
-        try:
-            i, j = parse_int(parts[0]), parse_int(parts[1])
-        except ValueError as exc:
-            raise FormatError("pair entries must be integers", line=lineno) from exc
+        i, j = convert(parse_int, parts[:2], lineno, "pair entries must be integers")
         if (i, j) in weights:
             raise FormatError(f"duplicate pair ({i},{j})", line=lineno)
-        try:
-            weights[(i, j)] = GaussianRational.from_literal(parts[2])
-        except FormatError as exc:
-            raise FormatError(str(exc), line=lineno) from exc
+        weights[(i, j)] = convert(value, parts[2:], lineno)[0]
     return validate(rho, weights)
 
 

@@ -10,7 +10,7 @@ as the reference route that diag's triangular shortcut must agree with;
 through its single-bit test ``has``; ``oracle_block_triangular_form``
 returns the package's ``BlockTriangularForm`` record so that its fields
 compare directly. The helpers that only tests use (``outer``,
-``conjugate_transpose``, ``is_rank_one_by_minors``, ``rank_one_factor``,
+``col_list``, ``conjugate_transpose``, ``is_rank_one_by_minors``, ``rank_one_factor``,
 ``to_grid``, ``strict_part``, ``card``, ``poly_mul``) and the rectangle
 minor test ``rectangle_minor_condition`` live here too; they use the
 package's scalar and matrix types but none of its elimination or product
@@ -20,13 +20,17 @@ reference for its frame ladder; ``dense_simultaneous_diagonalize`` keeps
 the diagonalizer as it read S off the n x n joint projectors, as the
 reference for its column construction; ``dense_gf2_kernel_basis`` keeps
 the GF(2) elimination on dense 0/1 rows, as the reference for its bitmask
-rows. The last section holds reference checks
+rows. The next-to-last section holds reference checks
 that the package once exported and no longer calls (the central
 idempotents, the all-pairs Jordan identity check, the
 identity, transpose and conjugation maps, the annihilation test for
 diagonalizability and the spectral resolution of one matrix); unlike the
 oracles they run on the package's matrix products and, for the spectral
-resolution, on diag's own spectrum and Lagrange projectors.
+resolution, on diag's own spectrum and Lagrange projectors. The last
+section keeps the references of the fast routes: the rectangle count over every
+row pair, the first missing composition of a pair set, and the four input
+parsers as they read their text line by line before the shared tokenizer
+(they build their values with the package's constructors and ``validate``).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from typing import Optional
 from smalg.diag import Diagonalization, _annihilate, _projectors, _spectrum
 from smalg.errors import (
     DimensionMismatch,
+    FormatError,
     InternalInconsistency,
     IrrationalSpectrum,
     NotDiagonalizable,
@@ -73,13 +78,16 @@ from smalg.intlattice import (
     smith_invariant_factors,
 )
 from smalg.quasiorder import (
+    MAX_VERTICES,
     BlockTriangularForm,
     QuasiOrder,
     _bits,
     approx_classes,
     block_triangular_form,
     first_unsupported,
+    from_edges,
 )
+from smalg.tokens import parse_int
 from smalg.transmap import (
     TransitiveMap,
     _dense_relation_rows,
@@ -217,14 +225,19 @@ def is_rank_one_by_minors(m):
     return True
 
 
+def col_list(m, j):
+    """Column j of m (1-based) as a list of scalars."""
+    return [m.at(i, j) for i in range(1, m.rows + 1)]
+
+
 def rank_one_factor(m):
     """Write m = u v* (v conjugated); u is the first nonzero column scaled so
     its first nonzero entry is 1. Raises RankNotOne otherwise."""
     r = oracle_rank_of(m)
     if r != 1:
         raise RankNotOne(f"matrix has rank {r}, not 1")
-    jcol = next(j for j in range(1, m.cols + 1) if any(m.col_list(j)))
-    u = m.col_list(jcol)
+    jcol = next(j for j in range(1, m.cols + 1) if any(col_list(m, j)))
+    u = col_list(m, jcol)
     lead = next(x for x in u if x)
     u = [x / lead for x in u]
     irow = next(i for i, x in enumerate(u) if x) + 1
@@ -972,7 +985,7 @@ def dense_simultaneous_diagonalize(rho: QuasiOrder, family) -> Diagonalization:
         if len(picks) != len(idx):
             raise InternalInconsistency("joint projectors do not split a class")
         for j, (c, t) in zip(idx, picks):
-            columns[j] = joint[t].col_list(idx[c - 1])
+            columns[j] = col_list(joint[t], idx[c - 1])
     s = DenseMatrix.from_rows([columns[j] for j in range(1, n + 1)]).transpose()
     sinv = inverse(s)
     bad = first_unsupported(s.support(), rho)
@@ -1309,3 +1322,183 @@ def spectral_idempotents(a: DenseMatrix) -> SpectralDecomposition:
     if total != DenseMatrix.identity(n) or recon != a:
         raise InternalInconsistency("spectral resolution does not reassemble")
     return SpectralDecomposition(pairs=pairs)
+
+
+# --- counts and parsers kept as the reference for the fast routes ------------
+
+
+def row_pair_rectangle_count(q: QuasiOrder) -> int:
+    """``rectangle_count`` over every pair of rows, none skipped: C(c, 2)
+    for the c columns that rows i < k share."""
+    rows = q._rows
+    total = 0
+    for i, ri in enumerate(rows):
+        for rk in rows[i + 1:]:
+            c = (ri & rk).bit_count()
+            total += c * (c - 1) // 2
+    return total
+
+
+def oracle_first_closure_violation(n, edges):
+    """The first composable (i, k), (k, j) of the reflexive pair set with
+    (i, j) missing, least in i, then k, then j; None when it is transitive."""
+    rel = {(i, i) for i in range(1, n + 1)} | set(edges)
+    for i in range(1, n + 1):
+        for k in range(1, n + 1):
+            if (i, k) not in rel:
+                continue
+            for j in range(1, n + 1):
+                if (k, j) in rel and (i, j) not in rel:
+                    return (i, k), (k, j)
+    return None
+
+
+# The four parsers as they read their input line by line, token by token,
+# before the shared tokenizer: the reference that its fast paths must match
+# in value, error message and line number.
+
+
+def line_parse_relation(text: str):
+    n = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if n is None:
+            if len(parts) != 1:
+                raise FormatError("first line must be the vertex count", line=lineno)
+            try:
+                n = parse_int(parts[0])
+            except ValueError as exc:
+                raise FormatError("vertex count must be an integer", line=lineno) from exc
+            if n < 1:
+                raise FormatError("vertex count must be positive", line=lineno)
+            if n > MAX_VERTICES:
+                raise FormatError(
+                    f"vertex count {n} exceeds the limit of {MAX_VERTICES}", line=lineno
+                )
+            continue
+        if len(parts) != 2:
+            raise FormatError("expected a pair 'i j'", line=lineno)
+        try:
+            i, j = parse_int(parts[0]), parse_int(parts[1])
+        except ValueError as exc:
+            raise FormatError("pair entries must be integers", line=lineno) from exc
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise FormatError(f"pair ({i},{j}) outside 1..{n}", line=lineno)
+        edges.append((i, j))
+    if n is None:
+        raise FormatError("empty relation input")
+    return n, edges
+
+
+def line_parse_weights(text: str, rho: QuasiOrder) -> TransitiveMap:
+    weights = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise FormatError("expected 'i j value'", line=lineno)
+        try:
+            i, j = parse_int(parts[0]), parse_int(parts[1])
+        except ValueError as exc:
+            raise FormatError("pair entries must be integers", line=lineno) from exc
+        if (i, j) in weights:
+            raise FormatError(f"duplicate pair ({i},{j})", line=lineno)
+        try:
+            weights[(i, j)] = GaussianRational.from_literal(parts[2])
+        except FormatError as exc:
+            raise FormatError(str(exc), line=lineno) from exc
+    return validate(rho, weights)
+
+
+def _comment_free_lines(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if line.strip():
+            yield lineno, line
+
+
+def line_parse_matrix(text: str) -> DenseMatrix:
+    lines = list(_comment_free_lines(text))
+    if not lines:
+        raise FormatError("empty matrix input")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise FormatError("matrix header must be 'rows cols'", line=lineno)
+    try:
+        r, c = parse_int(parts[0]), parse_int(parts[1])
+    except ValueError as exc:
+        raise FormatError("matrix header must be 'rows cols'", line=lineno) from exc
+    if r < 0 or c < 0:
+        raise FormatError("matrix dimensions must be nonnegative", line=lineno)
+    parts = []
+    for lineno, line in lines[1:]:
+        try:
+            parts.extend(map(GaussianRational.literal_parts, line.split()))
+        except FormatError as exc:
+            raise FormatError(str(exc), line=lineno) from exc
+    if len(parts) != r * c:
+        raise FormatError(
+            f"expected {r * c} entries for a {r}x{c} matrix, got {len(parts)}"
+        )
+    return DenseMatrix.from_parts(r, c, parts)
+
+
+def line_parse_linear_map(text: str) -> LinearMapOnSMA:
+    lines = [
+        (lineno, line.strip()) for lineno, line in _comment_free_lines(text)
+    ]
+    if not lines:
+        raise FormatError("empty linear map input")
+    lineno, header = lines[0]
+    try:
+        n = parse_int(header)
+    except ValueError as exc:
+        raise FormatError("first line must be the size n", line=lineno) from exc
+    if n < 1:
+        raise FormatError("size must be positive", line=lineno)
+    images = {}
+    pos = 1
+    while pos < len(lines):
+        lineno, line = lines[pos]
+        parts = line.split()
+        if parts[0] != "unit" or len(parts) != 3:
+            raise FormatError("expected 'unit i j'", line=lineno)
+        try:
+            i, j = parse_int(parts[1]), parse_int(parts[2])
+        except ValueError as exc:
+            raise FormatError("unit indices must be integers", line=lineno) from exc
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise FormatError(f"unit ({i},{j}) outside 1..{n}", line=lineno)
+        if (i, j) in images:
+            raise FormatError(f"duplicate unit ({i},{j})", line=lineno)
+        pos += 1
+        entries = []
+        while pos < len(lines) and len(entries) < n * n:
+            tl, tline = lines[pos]
+            tokens = tline.split()
+            if tokens[0] == "unit":
+                break
+            try:
+                entries.extend(map(GaussianRational.literal_parts, tokens))
+            except FormatError as exc:
+                raise FormatError(str(exc), line=tl) from exc
+            pos += 1
+        if len(entries) != n * n:
+            raise FormatError(
+                f"unit ({i},{j}) needs {n * n} entries, got {len(entries)}",
+                line=lineno,
+            )
+        images[(i, j)] = DenseMatrix.from_parts(n, n, entries)
+    strict = [p for p in images if p[0] != p[1]]
+    rho = from_edges(n, strict, close=False)
+    missing = sorted(set(rho.pairs()) - set(images))
+    if missing:
+        raise FormatError(f"missing unit block for {missing[0]}")
+    return LinearMapOnSMA(rho, images)

@@ -313,6 +313,19 @@ def test_info_on_the_twelve_antichain_under_five_seconds(tmp_path):
     assert out.report.splitlines()[-3:] == ["dichotomy true", "inner false", "extends true"]
 
 
+def test_info_on_the_thousand_antichain_under_five_seconds(tmp_path):
+    # the pinned automorphism search places all 1,000 vertices; one nested
+    # call per vertex passed the interpreter's recursion limit and exited 3
+    q = tmp_path / "a1000.qo"
+    q.write_text("1000\n")
+    out, elapsed = _timed_run(["info", str(q)])
+    assert elapsed < 5.0
+    assert out.exit_code == 0
+    assert out.report.splitlines()[-4:] == [
+        "rectangles 0", "dichotomy true", "inner false", "extends true"
+    ]
+
+
 def test_chain25_all_trivial_and_info_under_five_seconds(tmp_path):
     # 2,300 transitivity rows over 300 pairs; a dense Smith form of them
     # took about 15 s

@@ -28,6 +28,7 @@ from fixtures import (
     upper_chain,
 )
 from oracles import (
+    col_list,
     dense_simultaneous_diagonalize,
     fraction_pair,
     grid_of,
@@ -127,7 +128,7 @@ def test_idempotent_similarity_composes_with_spectral():
     s = simultaneous_diagonalize_in_sma(upper_chain(2), [a]).s
     for j in (1, 2):
         (owner,) = [p for p in fam if p.at(j, j) == scalar(1)]
-        assert s.col_list(j) == owner.col_list(j)
+        assert col_list(s, j) == col_list(owner, j)
     assert rows(s) == rows(DenseMatrix.from_rows([[1, 1], [0, 1]]))
     assert inverse(s) * a * s == DenseMatrix.diag([0, 1])
 
@@ -187,7 +188,7 @@ def test_diagonalize_in_sma_triangular_family_takes_owning_projector_columns():
             assert s.is_upper_triangular()
             for j in range(1, n + 1):
                 (owner,) = [q for q in joint if q.at(j, j) == scalar(1)]
-                assert s.col_list(j) == owner.col_list(j)
+                assert col_list(s, j) == col_list(owner, j)
 
 
 def test_diagonalize_in_sma_full_block_errors():

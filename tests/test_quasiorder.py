@@ -35,8 +35,10 @@ from oracles import (
     oracle_reverse_pairs,
     oracle_rho_u,
     oracle_strict_pairs,
+    oracle_first_closure_violation,
     rectangles,
     relabel_matrix,
+    row_pair_rectangle_count,
     strict_part,
 )
 
@@ -79,6 +81,45 @@ class TestClosure:
     def test_validation_witness(self):
         with pytest.raises(NotClosed) as exc:
             from_edges(3, [(1, 2), (2, 3)], close=False)
+        assert exc.value.witness == ((1, 2), (2, 3))
+
+    def test_validation_names_the_least_witness(self):
+        # the violation the pair walk meets first, (4,3) then (3,1), is
+        # not the one reported
+        with pytest.raises(NotClosed) as exc:
+            from_edges(4, [(3, 1), (1, 2), (2, 4), (4, 3)], close=False)
+        assert str(exc.value) == "(1,2) and (2,4) are present but (1,4) is not"
+        assert exc.value.witness == ((1, 2), (2, 4))
+
+    def test_validation_against_oracle(self):
+        rng = random.Random(59)
+        for _ in range(400):
+            n = rng.randrange(1, 8)
+            edges = random_edges(rng, n, rng.random())
+            rng.shuffle(edges)
+            expected = oracle_first_closure_violation(n, edges)
+            if expected is None:
+                assert set(from_edges(n, edges, close=False).pairs()) == (
+                    oracle_closure(n, edges)
+                )
+                continue
+            with pytest.raises(NotClosed) as exc:
+                from_edges(n, edges, close=False)
+            (i, k), (_, j) = expected
+            assert exc.value.witness == expected
+            assert str(exc.value) == (
+                f"({i},{k}) and ({k},{j}) are present but ({i},{j}) is not"
+            )
+
+    def test_edges_from_a_generator(self):
+        # the pairs are read twice without closure: once for the rows, once
+        # for the check, so a spent generator would pass anything
+        pairs = [(1, 2), (2, 3), (1, 3)]
+        q = from_edges(3, (p for p in pairs), close=False)
+        assert q == from_edges(3, pairs)
+        assert from_edges(3, (p for p in pairs[:2])) == q
+        with pytest.raises(NotClosed) as exc:
+            from_edges(3, (p for p in pairs[:2]), close=False)
         assert exc.value.witness == ((1, 2), (2, 3))
 
     def test_bounds(self):
@@ -263,6 +304,16 @@ class TestRectangles:
             for ((i, k), (j, l)) in rectangles(q):
                 assert i < k and j < l
                 assert (i, j) in q and (i, l) in q and (k, j) in q and (k, l) in q
+
+    def test_count_matches_the_row_pair_count(self):
+        # sparse relations have many rows with fewer than two columns
+        rng = random.Random(47)
+        qs = [fx.delta(30), fx.upper_chain(12), fx.full(6), fx.bowtie()]
+        for _ in range(300):
+            n = rng.randrange(1, 40)
+            qs.append(random_quasi_order(rng, n, rng.choice((0.01, 0.05, 0.2))))
+        for q in qs:
+            assert rectangle_count(q) == row_pair_rectangle_count(q)
 
     def test_count_matches_the_lister(self):
         rng = random.Random(43)
