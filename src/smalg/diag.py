@@ -6,9 +6,11 @@ of them diagonal; the inverse of S automatically shares the support. The
 joint spectral projectors of the small class blocks choose, for each
 column of S, a unit column and a joint eigenvalue; the unit column is then
 pushed through the Lagrange factors of that eigenvalue, one product per
-member and eigenvalue for all columns at once. No n x n projector is
-formed. `simultaneous_diagonalize_in_sma` proves this correct. S comes
-back with the inverse and the diagonals it was checked with.
+member and eigenvalue for all columns at once, on integer rows. No n x n
+projector is formed. Each member F is checked as F S = S D, with D read off
+the chosen eigenvalues, and the family is checked to commute only when
+something fails. `simultaneous_diagonalize_in_sma` proves this correct. S
+comes back with the inverse and the diagonals it was checked with.
 """
 
 from __future__ import annotations
@@ -22,9 +24,19 @@ from .errors import (
     IrrationalSpectrum,
     NotDiagonalizable,
     PreconditionViolated,
+    SmalgError,
     SupportViolation,
 )
-from .exactnum import ONE, ZERO, DenseMatrix, GaussianRational, inverse, pivot_columns
+from .exactnum import (
+    ONE,
+    DenseMatrix,
+    GaussianRational,
+    _rows_times,
+    _scaled_columns,
+    inverse,
+    pivot_columns,
+    scalar,
+)
 from .polyroots import (
     charpoly,
     poly_degree,
@@ -117,21 +129,26 @@ def _class_picks(blocks, position) -> list:
     return [(j, t) for t, q in joint for j in pivot_columns(q)]
 
 
-def _push(family, spectra, sources, targets) -> list:
-    """The columns of S as lists: column j is Q_t e_src for src =
-    ``sources[j]`` and t = ``targets[j]``.
+def _push(family, spectra, sources, targets) -> DenseMatrix:
+    """S, whose column j is Q_t e_src for src = ``sources[j]`` and
+    t = ``targets[j]``.
 
-    Each column starts as the unit column e_src. For each member F_k and
-    each eigenvalue mu in ``spectra[k]``, one product replaces every column
-    whose target eigenvalue for F_k is not mu by (F_k - mu I) times it;
-    the columns are kept as the rows of their transposes, so the product
-    is taken with (F_k - mu I)^T on the right. Column j is then divided by
-    the product of (lam - mu) over the factors it took.
+    The columns are kept as integer rows, the rows of S^T, each with an
+    integer denominator, and start as the unit columns e_src. For each
+    member F_k and each eigenvalue mu in ``spectra[k]``, (F_k - mu I)^T is
+    formed once, and one product of the kernel replaces every row whose
+    target eigenvalue for F_k is not mu by its product with it, the
+    factor's denominator joining the row's. Column j is then divided by its
+    denominator and by the product of (lam - mu) over the factors it took:
+    one scaling per column, onto a common denominator, and S is reduced
+    once.
     """
     n = len(sources)
-    cols = [[ZERO] * n for _ in sources]
-    for col, src in zip(cols, sources):
-        col[src - 1] = ONE
+    re_cols = [[0] * n for _ in sources]
+    im_cols = [[0] * n for _ in sources]
+    for col, src in zip(re_cols, sources):
+        col[src - 1] = 1
+    dens = [1] * n
     ident = DenseMatrix.identity(n)
     for k, (f, eigs) in enumerate(zip(family, spectra)):
         ft = f.transpose()
@@ -139,21 +156,35 @@ def _push(family, spectra, sources, targets) -> list:
             moved = [j for j, t in enumerate(targets) if t[k] != u]
             if not moved:
                 continue
-            shifted = ft - ident.scale(mu)
-            pushed = DenseMatrix.from_rows([cols[j] for j in moved]) * shifted
-            for r, j in enumerate(moved, start=1):
-                cols[j] = pushed.row_list(r)
+            pushed_re, pushed_im, d = _rows_times(
+                [re_cols[j] for j in moved],
+                [im_cols[j] for j in moved],
+                ft - ident.scale(mu),
+            )
+            for j, xs, ys in zip(moved, pushed_re, pushed_im):
+                re_cols[j] = xs
+                im_cols[j] = ys
+                dens[j] *= d
     # each member's Lagrange denominators, prod (lam - mu) over mu != lam
-    dens = [
+    lagrange = [
         [prod((lam - mu for mu in eigs if mu != lam), start=ONE) for lam in eigs]
         for eigs in spectra
     ]
-    for j, t in enumerate(targets):
-        den = prod((d[u] for d, u in zip(dens, t)), start=ONE)
-        if den != ONE:
-            c = den.reciprocal()
-            cols[j] = [x * c if x else x for x in cols[j]]
-    return cols
+    scales = [
+        prod((ls[u] for ls, u in zip(lagrange, t)), start=scalar(den)).reciprocal()
+        for den, t in zip(dens, targets)
+    ]
+    return _scaled_columns(n, re_cols, im_cols, scales)
+
+
+def _check_commute(family) -> None:
+    """Raise unless the members commute in pairs."""
+    for x in range(len(family)):
+        for y in range(x + 1, len(family)):
+            if family[x] * family[y] != family[y] * family[x]:
+                raise PreconditionViolated(
+                    f"members {x + 1} and {y + 1} do not commute"
+                )
 
 
 def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> Diagonalization:
@@ -190,10 +221,11 @@ def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> Diagonalization:
        polynomials in a commuting family, so Q_t e_j is e_j multiplied by
        F_k - mu I for every member k and every mu other than lam_{t_k}, in
        any order, then scaled by the product of the (lam_{t_k} - mu)^-1.
-       `_push` takes one product per member and eigenvalue, moving every
-       column that takes that factor at once. The values are exact, so S is
-       the same matrix, entry for entry, as the one read off the n x n
-       joint projectors.
+       `_push` keeps the columns as integer rows and takes one product per
+       member and eigenvalue, moving every column that takes that factor
+       at once; each column is divided once at the end. The values are
+       exact, so S is the same matrix, entry for entry, as the one read off
+       the n x n joint projectors.
     3. S is invertible and lies in the algebra, for every commuting family
        whose class blocks passed the spectrum step, diagonalizable or not:
        - Q_t is a polynomial in the family, so it lies in the algebra, and
@@ -209,15 +241,25 @@ def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> Diagonalization:
          invertible.
        - S^-1 is a polynomial in S (Cayley-Hamilton), so it lies in the
          algebra too.
-    4. Certify first, diagnose on failure. When every member is
-       diagonalizable the Q_t are the joint spectral projectors, each
-       column of S is a joint eigenvector, and every S^-1 F S is diagonal.
-       A positive verdict rests on the checked certificate alone: S is
-       invertible, S and S^-1 are supported in the relation, and every
-       S^-1 F S is diagonal. Since S is invertible in any case, a conjugate
-       that is not diagonal means that some member is not diagonalizable;
-       the annihilation test prod (F_k - lam I) = 0, run member by member,
-       then names the first such member.
+    4. Certify, and diagnose only on failure. When every member is
+       diagonalizable the Q_t are the joint spectral projectors, so column
+       j of S, for the pair (j', t), is a joint eigenvector: F_k takes it to
+       lam_{t_k} times itself. With D_k the diagonal matrix of these
+       eigenvalues, read off the tuples t, each member is checked as
+       F_k S = S D_k: one product and a column scaling, where S^-1 F_k S
+       takes two. A positive verdict rests on the checked certificate
+       alone: S is invertible (its inverse was computed), S and S^-1 are
+       supported in the relation, and F_k S = S D_k, so S^-1 F_k S = D_k
+       is diagonal. Such a family commutes, F_k = S D_k S^-1 being
+       conjugates of diagonal matrices by one S, so the pairwise commute
+       check is left to the failure path: any error after the support
+       check (a spectrum error, classes the joint projectors do not split,
+       a singular S, S outside the algebra, a member with F S != S D) first
+       runs it, and "members x and y do not commute" is raised before
+       anything else, as when the check ran first. For a commuting family
+       S is invertible (step 3), so F S != S D means that some member is not
+       diagonalizable; the annihilation test prod (F_k - lam I) = 0, run
+       member by member, then names the first such member.
 
     Where every member is upper-triangular on every class, each Q_CC is an
     upper-triangular idempotent, its pivots are the j with (Q)_jj = 1, and
@@ -233,15 +275,21 @@ def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> Diagonalization:
             raise SupportViolation(
                 f"family member has entry at {bad} outside the relation", pair=bad
             )
-    for x in range(len(family)):
-        for y in range(x + 1, len(family)):
-            if family[x] * family[y] != family[y] * family[x]:
-                raise PreconditionViolated(
-                    f"members {x + 1} and {y + 1} do not commute"
-                )
     if not family:
         ident = DenseMatrix.identity(n)
         return Diagonalization(ident, ident, ())
+    try:
+        return _diagonalize(rho, family)
+    except SmalgError:
+        # a family that does not commute is named as such first
+        _check_commute(family)
+        raise
+
+
+def _diagonalize(rho: QuasiOrder, family) -> Diagonalization:
+    """Steps 1-4 of ``simultaneous_diagonalize_in_sma`` on a nonempty family
+    supported in the relation."""
+    n = rho.n
     classes = [sorted(c) for c in block_triangular_form(rho).class_order]
     # a member's spectrum is the union of the spectra of its class blocks
     spectra = [set() for _ in family]
@@ -279,20 +327,19 @@ def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> Diagonalization:
                 raise InternalInconsistency("joint projectors do not split a class")
         for j, (c, t) in zip(idx, picks):
             sources[j - 1], targets[j - 1] = idx[c - 1], t
-    s = DenseMatrix.from_rows(_push(family, spectra, sources, targets)).transpose()
+    s = _push(family, spectra, sources, targets)
     sinv = inverse(s)
     bad = first_unsupported(s.support(), rho)
     if bad is None:
         bad = first_unsupported(sinv.support(), rho)
     if bad is not None:
         raise InternalInconsistency(f"similarity escaped the algebra at {bad}")
-    diagonals = []
-    for f in family:
-        d = sinv * f * s
-        if not d.is_diagonal():
+    # column j of S is a joint eigenvector: eigenvalue spectra[k][t[k]] of F_k
+    diagonals = tuple([eigs[t[k]] for t in targets] for k, eigs in enumerate(spectra))
+    for f, values in zip(family, diagonals):
+        if f * s != s.scale_columns(values):
             # S is invertible, so some member is not diagonalizable: name it
             for g, eigs in zip(family, spectra):
                 _annihilate(g, eigs)
             raise InternalInconsistency("conjugate failed to come out diagonal")
-        diagonals.append(d.diagonal())
-    return Diagonalization(s, sinv, tuple(diagonals))
+    return Diagonalization(s, sinv, diagonals)

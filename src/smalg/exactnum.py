@@ -7,8 +7,9 @@ with one denominator for all its entries: a positive integer denominator and
 integer numerators for the real and imaginary parts, in lowest terms, so its
 arithmetic runs on Python ints and equal matrices have equal storage; entries
 are handed out as scalars. Rank, pivot columns and inverse all run on one
-fraction-free Gauss-Jordan kernel over the Gaussian integers. No floating
-point enters anywhere in this package.
+fraction-free Gauss-Jordan kernel over the Gaussian integers, and products
+on one kernel that multiplies a stack of integer rows by a matrix. No
+floating point enters anywhere in this package.
 
 Matrix indices in the public API are 1-based, matching the pair convention of
 the relation and weight file formats; storage is row-major and 0-based
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import re as _re
 from functools import cache, cmp_to_key
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Mapping, Sequence
@@ -258,13 +259,16 @@ def _ratio_text(n: int, d: int) -> str:
 def _rational(num: str, den, context: str):
     """(numerator, denominator) of ``num/den`` (``den`` None for an
     integer) from digit strings already matched by ``_RATIONAL``."""
-    if den is None:
-        return int(num), 1
-    d = int(den)
+    try:
+        n, d = int(num), 1 if den is None else int(den)
+    except ValueError as exc:  # more digits than int() converts
+        raise FormatError(
+            f"scalar literal {context[:20]!r}... has too many digits"
+        ) from exc
     if not d:
         token = f"{num}/{den}"
         raise FormatError(f"bad rational {token!r} in {context!r}")
-    return int(num), d
+    return n, d
 
 
 def _coerce(x):
@@ -472,6 +476,19 @@ class DenseMatrix:
             im = [p * b for b in self._im]
         return _reduced(self.rows, self.cols, self._d * e, re, im)
 
+    def scale_columns(self, values: Sequence) -> "DenseMatrix":
+        """self times the diagonal matrix of the values: column j scaled by
+        values[j - 1]."""
+        c, d = self.cols, self._d
+        if len(values) != c:
+            raise DimensionMismatch(f"{c} columns, {len(values)} scales")
+        return _scaled_columns(
+            self.rows,
+            [self._re[j::c] for j in range(c)],
+            [self._im[j::c] for j in range(c)],
+            [_reduced_scalar(v.p, v.q, v.d * d) for v in map(scalar, values)],
+        )
+
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "DenseMatrix":
         """Submatrix on the given 1-based row and column index sequences."""
         c = self.cols
@@ -620,33 +637,78 @@ def _divided(rows: int, cols: int, re: list, im: list, p, num: int = 1) -> Dense
     return _reduced(rows, cols, pr, [num * a for a in re], [num * b for b in im])
 
 
+def _rows_times(re_rows, im_rows, b: DenseMatrix):
+    """A stack of integer rows times b, the product kernel.
+
+    Row r is re_rows[r] + i im_rows[r], of length b.rows; the two stacks
+    are read once, in step, so they may be iterators. Returns the
+    numerator rows of the products, real parts and imaginary parts, and
+    their denominator, b's: row r times b is (re[r] + i im[r]) / d. Nothing
+    is reduced, so the rows can be pushed through further factors.
+    """
+    m, p = b.rows, b.cols
+    bre, bim = b._re, b._im
+    # Nonzero parts of each row of b, as (column, value) lists.
+    b_re = [[(j, x) for j, x in enumerate(bre[k * p : (k + 1) * p]) if x] for k in range(m)]
+    if any(bim):
+        b_im = [[(j, x) for j, x in enumerate(bim[k * p : (k + 1) * p]) if x] for k in range(m)]
+    else:
+        b_im = [()] * m
+    out_re, out_im = [], []
+    for xs, ys in zip(re_rows, im_rows):
+        row_re = [0] * p
+        row_im = [0] * p
+        for x, y, u_row, v_row in zip(xs, ys, b_re, b_im):
+            if x:
+                for j, u in u_row:
+                    row_re[j] += x * u
+                for j, v in v_row:
+                    row_im[j] += x * v
+            if y:
+                for j, u in u_row:
+                    row_im[j] += y * u
+                for j, v in v_row:
+                    row_re[j] -= y * v
+        out_re.append(row_re)
+        out_im.append(row_im)
+    return out_re, out_im, b._d
+
+
 def multiply(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    n, m, p = a.rows, a.cols, b.cols
-    are, aim, bre, bim = a._re, a._im, b._re, b._im
-    # Nonzero parts of each row of b, as (column, value) lists.
-    b_re = [[(j, x) for j, x in enumerate(bre[k * p : (k + 1) * p]) if x] for k in range(m)]
-    b_im = [[(j, x) for j, x in enumerate(bim[k * p : (k + 1) * p]) if x] for k in range(m)]
-    re, im = [], []
-    for i in range(n):
-        row_re = [0] * p
-        row_im = [0] * p
-        for k in range(m):
-            x, y = are[i * m + k], aim[i * m + k]
-            if x:
-                for j, u in b_re[k]:
-                    row_re[j] += x * u
-                for j, v in b_im[k]:
-                    row_im[j] += x * v
-            if y:
-                for j, u in b_re[k]:
-                    row_im[j] += y * u
-                for j, v in b_im[k]:
-                    row_re[j] -= y * v
-        re.extend(row_re)
-        im.extend(row_im)
-    return _reduced(n, p, a._d * b._d, re, im)
+    n, m = a.rows, a.cols
+    re, im, d = _rows_times(
+        (a._re[i * m : (i + 1) * m] for i in range(n)),
+        (a._im[i * m : (i + 1) * m] for i in range(n)),
+        b,
+    )
+    return _reduced(n, b.cols, a._d * d, [*chain.from_iterable(re)], [*chain.from_iterable(im)])
+
+
+def _scaled_columns(rows: int, re_cols, im_cols, scales) -> DenseMatrix:
+    """The matrix whose column j is scales[j] (re_cols[j] + i im_cols[j]),
+    for integer columns of length ``rows``: each column takes one
+    Gaussian-integer factor onto the common denominator of the scales, and
+    the matrix is reduced once."""
+    d = lcm(*{s.d for s in scales})
+    re_out, im_out = [], []
+    for xs, ys, s in zip(re_cols, im_cols, scales):
+        f = d // s.d
+        p, q = f * s.p, f * s.q
+        if q:
+            re_out.append([p * x - q * y for x, y in zip(xs, ys)])
+            im_out.append([p * y + q * x for x, y in zip(xs, ys)])
+        else:
+            re_out.append([p * x for x in xs])
+            im_out.append([p * y for y in ys])
+    return _reduced(
+        rows,
+        len(re_cols),
+        d,
+        [x for row in zip(*re_out) for x in row],
+        [y for row in zip(*im_out) for y in row],
+    )
 
 
 def combination(rows: int, cols: int, terms) -> DenseMatrix:

@@ -1,17 +1,23 @@
 """Exact polynomial arithmetic over the Gaussian rationals and root finding.
 
-Polynomials are lists of coefficients in ascending degree order. Root
-finding clears denominators and runs the rational root theorem over the
-Gaussian integers, so every Gaussian-rational root is found exactly; what
-remains after deflation is a factor with no roots in the field.
+Polynomials are lists of coefficients in ascending degree order. The
+characteristic polynomial runs on a matrix's integer numerators. Root
+finding scales a monic polynomial to one with Gaussian-integer
+coefficients, whose roots in the field are Gaussian integers. It finds
+them modulo a prime p = 1 (mod 4), where Z[i] maps onto Z/p in two ways,
+lifts them p-adically past a root bound, combines the two images and keeps
+each candidate that is an exact root (Loos, "Computing rational zeros of
+integral polynomials by p-adic expansion", SIAM J. Comput. 12, 1983). No
+integer is factored. What remains after deflation is a factor with no
+roots in the field.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import DimensionMismatch, InternalInconsistency
-from .exactnum import DenseMatrix, GaussianRational, ONE, ZERO, scalar
+from .exactnum import DenseMatrix, GaussianRational, ONE, ZERO, _rows_times, scalar
 
 
 def poly_trim(cs):
@@ -110,141 +116,166 @@ def poly_eval_matrix(cs, a: DenseMatrix) -> DenseMatrix:
 def charpoly(a: DenseMatrix):
     """Characteristic polynomial det(tI - A), monic, ascending coefficients.
 
-    Faddeev-LeVerrier recurrence; the divisions by k are exact in
-    characteristic zero.
+    Faddeev-LeVerrier on the integer numerators N of A = N / d: with
+    M_1 = I, c_{n-k} = -tr(M_k N) / k and M_{k+1} = M_k N + c_{n-k} I. The
+    c are the coefficients of det(tI - N), Gaussian integers, so each
+    division by k is exact; the coefficient of t^{n-k} for A is
+    c_{n-k} / d^k.
     """
     n = a.rows
     if a.cols != n:
         raise DimensionMismatch("characteristic polynomial needs a square matrix")
-    coeffs = [ZERO] * n + [ONE]
-    m = DenseMatrix.identity(n)
+    coeffs = [ONE] * (n + 1)
+    re_rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    im_rows = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        am = a * m
-        c = -(am.trace() / scalar(k))
-        coeffs[n - k] = c
+        re_rows, im_rows, d = _rows_times(re_rows, im_rows, a)
+        cr = -sum(row[i] for i, row in enumerate(re_rows)) // k
+        ci = -sum(row[i] for i, row in enumerate(im_rows)) // k
+        coeffs[n - k] = GaussianRational(cr, ci) / d**k
         if k < n:
-            m = am + DenseMatrix.identity(n).scale(c)
+            for i in range(n):
+                re_rows[i][i] += cr
+                im_rows[i][i] += ci
     return coeffs
 
 
-# --- Gaussian integer arithmetic on plain int pairs -------------------------
+# --- roots modulo split primes ------------------------------------------------
+#
+# A polynomial with Gaussian-integer coefficients is a list of (re, im) int
+# pairs; its image modulo a prime is a list of ints.
 
 
-def _gi_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+def _split_primes():
+    """The primes p = 1 (mod 4) in increasing order, each with a square
+    root c of -1 modulo p: i -> c and i -> -c are the two maps of Z[i]
+    onto Z/p."""
+    p = 1
+    while True:
+        p += 4
+        if any(p % t == 0 for t in range(3, isqrt(p) + 1, 2)):
+            continue
+        # x^((p-1)/4) squares to x^((p-1)/2) = -1 for a non-residue x
+        for x in range(2, p):
+            c = pow(x, (p - 1) // 4, p)
+            if c * c % p == p - 1:
+                yield p, c
+                break
 
 
-def _gi_norm(x) -> int:
-    return x[0] * x[0] + x[1] * x[1]
+def _image(g, c: int, q: int) -> list:
+    """g under i -> c, modulo q."""
+    return [(a + b * c) % q for a, b in g]
 
 
-def _gi_divmod(x, y):
-    """Rounded division making the remainder norm less than the divisor's."""
-    n = _gi_norm(y)
-    num = _gi_mul(x, (y[0], -y[1]))
-    q = (
-        (2 * num[0] + n) // (2 * n) if num[0] >= 0 else -((-2 * num[0] + n) // (2 * n)),
-        (2 * num[1] + n) // (2 * n) if num[1] >= 0 else -((-2 * num[1] + n) // (2 * n)),
-    )
-    r = (x[0] - (q[0] * y[0] - q[1] * y[1]), x[1] - (q[0] * y[1] + q[1] * y[0]))
-    return q, r
+def _eval_mod(f, x: int, q: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % q
+    return acc
 
 
-def _gi_gcd(x, y):
-    while y != (0, 0):
-        _, r = _gi_divmod(x, y)
-        x, y = y, r
+def _rem_mod(a, b, p: int) -> list:
+    """The remainder of a by b modulo the prime p; b has a nonzero leading
+    coefficient."""
+    a = list(a)
+    top = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    for k in range(len(a) - 1, top - 1, -1):
+        f = a[k] * inv % p
+        if f:
+            for t in range(top):
+                a[k - top + t] = (a[k - top + t] - f * b[t]) % p
+    del a[top:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _squarefree_mod(f, p: int) -> bool:
+    """Whether the monic f is squarefree modulo the prime p: gcd(f, f') = 1."""
+    a = f
+    b = [k * c % p for k, c in enumerate(f)][1:]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        a, b = b, _rem_mod(a, b, p)
+    return len(a) == 1
+
+
+def _lift(f, x: int, p: int, q: int) -> int:
+    """The root x of f modulo p, a simple one, lifted to the root modulo
+    q = p^k (f taken modulo q) by Newton steps that double the precision."""
+    df = [k * c for k, c in enumerate(f)][1:]
+    m = p
+    while m < q:
+        m = min(m * m, q)
+        x = (x - _eval_mod(f, x, m) * pow(_eval_mod(df, x, m), -1, m)) % m
     return x
 
 
-def _gi_exact_div(x, y):
-    q, r = _gi_divmod(x, y)
-    return q if r == (0, 0) else None
+def _splits_squarefree(g, p: int, c: int) -> bool:
+    """Whether g stays squarefree modulo p under both i -> c and i -> -c."""
+    return _squarefree_mod(_image(g, c, p), p) and _squarefree_mod(_image(g, -c, p), p)
 
 
-def _factor_int(n: int):
-    """Prime factorization of a positive integer by trial division."""
-    out = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    p = 5
-    while p * p <= n:
-        for q in (p, p + 2):
-            while n % q == 0:
-                out[q] = out.get(q, 0) + 1
-                n //= q
-        p += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+def _candidates(g, p: int, c: int) -> list:
+    """Gaussian integers u + vi, as (u, v), among which lie all roots of g.
+
+    g is monic with Gaussian-integer coefficients and squarefree modulo p
+    under both i -> c and i -> -c. Every root is below the Cauchy bound
+    B = 1 + max |g_k| (k below the degree), so |u|, |v| <= B. The roots of
+    both images modulo p are simple; each is lifted to a root modulo
+    q = p^k > 8 B^2, and each pair (x, y) of lifted roots gives the one
+    u + vi with u + vc = x and u - vc = y modulo q, in the symmetric
+    residues. q > 2B already makes a root come out as itself; q > 8B^2
+    also keeps the images of two different roots from combining into a
+    candidate within the bound (their difference would lie in an ideal of
+    norm q), so only images of factors without roots give false
+    candidates.
+    """
+    bound = 1 + max(abs(a) + abs(b) for a, b in g[:-1])
+    q = p
+    while q <= 8 * bound * bound:
+        q *= p
+    c = _lift([1, 0, 1], c, p, q)
+    lifted = []
+    for s in (c, -c):
+        f = _image(g, s, q)
+        base = [x % p for x in f]
+        lifted.append([_lift(f, x, p, q) for x in range(p) if not _eval_mod(base, x, p)])
+    half, inv_2c = pow(2, -1, q), pow(2 * c, -1, q)
+    out = []
+    for x in lifted[0]:
+        for y in lifted[1]:
+            u = (x + y) * half % q
+            v = (x - y) * inv_2c % q
+            u = u - q if 2 * u > q else u
+            v = v - q if 2 * v > q else v
+            if abs(u) <= bound and abs(v) <= bound:
+                out.append((u, v))
     return out
 
 
-def _sqrt_minus_one_mod(p: int) -> int:
-    """A square root of -1 modulo a prime p = 1 mod 4."""
-    for x in range(2, p):
-        c = pow(x, (p - 1) // 4, p)
-        if (c * c) % p == p - 1:
-            return c
-    raise InternalInconsistency(f"no sqrt(-1) mod {p}")
+def _deflate(g, root):
+    """(quotient, remainder) of g by y - root, by synthetic division in Z[i]."""
+    u, v = root
+    acc_re = acc_im = 0
+    out = []
+    for a, b in reversed(g):
+        acc_re, acc_im = a + acc_re * u - acc_im * v, b + acc_re * v + acc_im * u
+        out.append((acc_re, acc_im))
+    rem = out.pop()
+    out.reverse()
+    return out, rem
 
 
-def _gaussian_prime_factors(z):
-    """Gaussian prime factorization of a nonzero Gaussian integer, as a
-    dict prime -> exponent with primes taken up to unit multiples."""
-    if z == (0, 0):
-        raise ZeroDivisionError("factorization of zero")
-    factors = {}
-    for p, _ in _factor_int(_gi_norm(z)).items():
-        if p == 2:
-            primes = [(1, 1)]
-        elif p % 4 == 3:
-            primes = [(p, 0)]
-        else:
-            c = _sqrt_minus_one_mod(p)
-            pi = _gi_gcd((p, 0), (c, 1))
-            primes = [pi, (pi[0], -pi[1])]
-        for pi in primes:
-            e = 0
-            w = z
-            while True:
-                q = _gi_exact_div(w, pi)
-                if q is None:
-                    break
-                w = q
-                e += 1
-            if e:
-                factors[pi] = e
-    return factors
-
-
-def gaussian_integer_divisors(z):
-    """All divisors of a nonzero Gaussian integer up to unit multiples,
-    as GaussianRational values."""
-    divs = [(1, 0)]
-    for pi, e in _gaussian_prime_factors(z).items():
-        grown = []
-        power = (1, 0)
-        for _ in range(e + 1):
-            grown.extend(_gi_mul(d, power) for d in divs)
-            power = _gi_mul(power, pi)
-        divs = grown
-    return [GaussianRational(a, b) for (a, b) in divs]
-
-
-_UNITS = (
-    GaussianRational(1),
-    GaussianRational(-1),
-    GaussianRational(0, 1),
-    GaussianRational(0, -1),
-)
-
-
-def _clear_denominators(cs):
-    """Scale a polynomial to Gaussian-integer coefficients, as int pairs."""
-    m = lcm(*{c.d for c in cs})
-    return [(c.p * (m // c.d), c.q * (m // c.d)) for c in cs]
+def _integral(cs, scale: int) -> list:
+    """scale^m f(y / scale) for the monic f of degree m, as (re, im) pairs:
+    Gaussian integers when scale is a multiple of every denominator."""
+    m = len(cs) - 1
+    return [(c.p * (scale ** (m - k) // c.d), c.q * (scale ** (m - k) // c.d))
+            for k, c in enumerate(cs)]
 
 
 def roots_in_gaussian_rationals(cs):
@@ -253,6 +284,20 @@ def roots_in_gaussian_rationals(cs):
     Returns ``(roots, remainder)`` where roots maps each root to its
     multiplicity and remainder is the monic cofactor without roots in the
     field (degree 0 exactly when the polynomial splits).
+
+    Roots at zero come off first. The rest of the monic f, of degree m, is
+    scaled to g(y) = L^m f(y / L) for the lcm L of its denominators: monic
+    with Gaussian-integer coefficients, so its roots in the field are the
+    Gaussian integers L r. The search runs on the first prime p = 1 (mod 4)
+    at which the squarefree part of g stays squarefree under both maps of
+    Z[i] onto Z/p (see ``_candidates``). That part is g itself when g is
+    squarefree modulo the first such prime; otherwise it is taken exactly,
+    by one gcd over the field. Only a prime dividing the norm of the
+    discriminant of the squarefree part can fail, so at most log_5 of that
+    norm primes fail before one serves, and p is at most the next prime
+    after them; the roots modulo p are found by trying every residue, at a
+    cost of O(m p). Each candidate is confirmed as a root of f with
+    ``poly_eval``, and g is deflated by it, in Z[i], as often as it divides.
     """
     work = poly_monic(cs)
     if not work:
@@ -265,29 +310,29 @@ def roots_in_gaussian_rationals(cs):
     if nz:
         roots[ZERO] = nz
         work = work[nz:]
-    while len(work) > 1:
-        ints = _clear_denominators(work)
-        candidates = set()
-        for u in gaussian_integer_divisors(ints[0]):
-            for v in gaussian_integer_divisors(ints[-1]):
-                base = u / v
-                for unit in _UNITS:
-                    candidates.add(unit * base)
-        hit = None
-        for r in sorted(candidates, key=GaussianRational.sort_key):
-            if not poly_eval(work, r):
-                hit = r
-                break
-        if hit is None:
-            break
+    if len(work) == 1:
+        return roots, work
+    scale = lcm(*{c.d for c in work})
+    g = _integral(work, scale)
+    primes = _split_primes()
+    p, c = next(primes)
+    f = g
+    if not _splits_squarefree(f, p, c):
+        # a repeated factor, or p divides the discriminant
+        f = _integral(squarefree_part(work), scale)
+        while not _splits_squarefree(f, p, c):
+            p, c = next(primes)
+    for u, v in _candidates(f, p, c):
+        r = GaussianRational(u, v) / scale
+        if poly_eval(work, r):
+            continue
         mult = 0
-        while True:
-            q, rem = poly_divmod(work, [-hit, ONE])
-            if rem:
+        while len(g) > 1:
+            quotient, rem = _deflate(g, (u, v))
+            if rem != (0, 0):
                 break
-            work = q
+            g = quotient
             mult += 1
-            if len(work) == 1 or poly_eval(work, hit):
-                break
-        roots[hit] = roots.get(hit, 0) + mult
-    return roots, poly_monic(work)
+        roots[r] = mult
+    m = len(g) - 1
+    return roots, [GaussianRational(a, b) / scale ** (m - k) for k, (a, b) in enumerate(g)]

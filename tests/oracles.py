@@ -28,9 +28,13 @@ diagonalizability and the spectral resolution of one matrix); unlike the
 oracles they run on the package's matrix products and, for the spectral
 resolution, on diag's own spectrum and Lagrange projectors. The last
 section keeps the references of the fast routes: the rectangle count over every
-row pair, the first missing composition of a pair set, and the four input
+row pair, the first missing composition of a pair set, the four input
 parsers as they read their text line by line before the shared tokenizer
-(they build their values with the package's constructors and ``validate``).
+(they build their values with the package's constructors and ``validate``),
+and the root search by the rational root theorem over the Gaussian
+integers, which factors norms by trial division
+(``divisor_roots_in_gaussian_rationals`` with ``gaussian_integer_divisors``
+and ``sqrt_minus_one_mod``; it runs on the package's polynomial arithmetic).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 from typing import Optional
 
 from smalg.diag import Diagonalization, _annihilate, _projectors, _spectrum
@@ -67,7 +72,10 @@ from smalg.jordan import CanonicalJordanForm, LinearMapOnSMA
 from smalg.polyroots import (
     charpoly,
     poly_degree,
+    poly_divmod,
+    poly_eval,
     poly_eval_matrix,
+    poly_monic,
     poly_trim,
     roots_in_gaussian_rationals,
     squarefree_part,
@@ -1502,3 +1510,164 @@ def line_parse_linear_map(text: str) -> LinearMapOnSMA:
     if missing:
         raise FormatError(f"missing unit block for {missing[0]}")
     return LinearMapOnSMA(rho, images)
+
+
+# The root search as the package ran it before the p-adic one: the rational
+# root theorem over the Gaussian integers, with every divisor of the leading
+# and constant coefficients found by factoring their norms.
+
+
+def _gi_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _gi_norm(x) -> int:
+    return x[0] * x[0] + x[1] * x[1]
+
+
+def _gi_divmod(x, y):
+    """Rounded division making the remainder norm less than the divisor's."""
+    n = _gi_norm(y)
+    num = _gi_mul(x, (y[0], -y[1]))
+    q = (
+        (2 * num[0] + n) // (2 * n) if num[0] >= 0 else -((-2 * num[0] + n) // (2 * n)),
+        (2 * num[1] + n) // (2 * n) if num[1] >= 0 else -((-2 * num[1] + n) // (2 * n)),
+    )
+    r = (x[0] - (q[0] * y[0] - q[1] * y[1]), x[1] - (q[0] * y[1] + q[1] * y[0]))
+    return q, r
+
+
+def _gi_gcd(x, y):
+    while y != (0, 0):
+        _, r = _gi_divmod(x, y)
+        x, y = y, r
+    return x
+
+
+def _gi_exact_div(x, y):
+    q, r = _gi_divmod(x, y)
+    return q if r == (0, 0) else None
+
+
+def _factor_int(n: int):
+    """Prime factorization of a positive integer by trial division."""
+    out = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    p = 5
+    while p * p <= n:
+        for q in (p, p + 2):
+            while n % q == 0:
+                out[q] = out.get(q, 0) + 1
+                n //= q
+        p += 6
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def sqrt_minus_one_mod(p: int) -> int:
+    """A square root of -1 modulo a prime p = 1 mod 4."""
+    for x in range(2, p):
+        c = pow(x, (p - 1) // 4, p)
+        if (c * c) % p == p - 1:
+            return c
+    raise InternalInconsistency(f"no sqrt(-1) mod {p}")
+
+
+def _gaussian_prime_factors(z):
+    """Gaussian prime factorization of a nonzero Gaussian integer, as a
+    dict prime -> exponent with primes taken up to unit multiples."""
+    if z == (0, 0):
+        raise ZeroDivisionError("factorization of zero")
+    factors = {}
+    for p, _ in _factor_int(_gi_norm(z)).items():
+        if p == 2:
+            primes = [(1, 1)]
+        elif p % 4 == 3:
+            primes = [(p, 0)]
+        else:
+            c = sqrt_minus_one_mod(p)
+            pi = _gi_gcd((p, 0), (c, 1))
+            primes = [pi, (pi[0], -pi[1])]
+        for pi in primes:
+            e = 0
+            w = z
+            while True:
+                q = _gi_exact_div(w, pi)
+                if q is None:
+                    break
+                w = q
+                e += 1
+            if e:
+                factors[pi] = e
+    return factors
+
+
+def gaussian_integer_divisors(z):
+    """All divisors of a nonzero Gaussian integer up to unit multiples,
+    as GaussianRational values."""
+    divs = [(1, 0)]
+    for pi, e in _gaussian_prime_factors(z).items():
+        grown = []
+        power = (1, 0)
+        for _ in range(e + 1):
+            grown.extend(_gi_mul(d, power) for d in divs)
+            power = _gi_mul(power, pi)
+        divs = grown
+    return [GaussianRational(a, b) for (a, b) in divs]
+
+
+_UNITS = (
+    GaussianRational(1),
+    GaussianRational(-1),
+    GaussianRational(0, 1),
+    GaussianRational(0, -1),
+)
+
+
+def divisor_roots_in_gaussian_rationals(cs):
+    """``roots_in_gaussian_rationals`` by divisor candidates: each root of
+    the monic polynomial, scaled to Gaussian-integer coefficients, is a
+    quotient of divisors of the constant and leading coefficients times a
+    unit; the least candidate in sort order that is a root is deflated as
+    often as it divides, and the search repeats on the quotient."""
+    work = poly_monic(cs)
+    if not work:
+        raise ZeroDivisionError("the zero polynomial has every root")
+    roots = {}
+    nz = 0
+    while nz < len(work) and not work[nz]:
+        nz += 1
+    if nz:
+        roots[ZERO] = nz
+        work = work[nz:]
+    while len(work) > 1:
+        m = lcm(*{c.d for c in work})
+        ints = [(c.p * (m // c.d), c.q * (m // c.d)) for c in work]
+        candidates = set()
+        for u in gaussian_integer_divisors(ints[0]):
+            for v in gaussian_integer_divisors(ints[-1]):
+                base = u / v
+                for unit in _UNITS:
+                    candidates.add(unit * base)
+        hit = None
+        for r in sorted(candidates, key=GaussianRational.sort_key):
+            if not poly_eval(work, r):
+                hit = r
+                break
+        if hit is None:
+            break
+        mult = 0
+        while True:
+            q, rem = poly_divmod(work, [-hit, ONE])
+            if rem:
+                break
+            work = q
+            mult += 1
+            if len(work) == 1 or poly_eval(work, hit):
+                break
+        roots[hit] = roots.get(hit, 0) + mult
+    return roots, poly_monic(work)

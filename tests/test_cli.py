@@ -495,6 +495,47 @@ def test_diagonalize_large_prime_spectrum_under_five_seconds(tmp_path):
     assert out.report.splitlines()[-1] == "diag 1000000007 999999937"
 
 
+P, Q, R = 999999937, 1000000007, 1000000009
+
+
+def _diagonalize_on_a_full_block(tmp_path, m):
+    q = tmp_path / "full.qo"
+    q.write_text(format_relation(full(m.rows)))
+    gm = tmp_path / "m.gm"
+    gm.write_text(format_matrix(m))
+    return _timed_run(["diagonalize", str(q), str(gm)])
+
+
+def test_diagonalize_lower_triangular_prime_spectrum_under_five_seconds(tmp_path):
+    # not upper-triangular, so the spectrum comes from the root search; the
+    # divisor search trial-divided the norm of 1000000007 * 999999937
+    out, elapsed = _diagonalize_on_a_full_block(
+        tmp_path, DenseMatrix.from_rows([[Q, 0], [70, P]])
+    )
+    assert elapsed < 5.0
+    assert (out.exit_code, out.report) == (0, f"S\n2 2\n0 1\n-1 1\ndiag {P} {Q}\n")
+
+
+def test_diagonalize_three_prime_spectrum_on_a_full_block_under_five_seconds(tmp_path):
+    s = DenseMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 2]])
+    m = s * DenseMatrix.diag([R, P, Q]) * inverse(s)
+    assert not m.is_upper_triangular()
+    out, elapsed = _diagonalize_on_a_full_block(tmp_path, m)
+    assert elapsed < 5.0
+    assert out.exit_code == 0
+    assert out.report.splitlines()[-1] == f"diag {P} {Q} {R}"
+
+
+@pytest.mark.parametrize("rows", [[[0, 2], [1, 0]], [[Q, 1], [1, P]]])
+def test_diagonalize_irrational_block_stays_negative(tmp_path, rows):
+    # x^2 - 2, and x^2 - (P + Q) x + PQ - 1 with discriminant (Q - P)^2 + 4
+    out, elapsed = _diagonalize_on_a_full_block(tmp_path, DenseMatrix.from_rows(rows))
+    assert elapsed < 5.0
+    assert (out.exit_code, out.report) == (
+        1, "NOT-DIAGONALIZABLE member 1 has irrational eigenvalues\n"
+    )
+
+
 def test_diagonalize_unsupported_entry(files):
     out = run(["diagonalize", files["t3"], files["low"]])
     assert out.exit_code == 2
@@ -759,7 +800,9 @@ def test_no_command_is_input_error():
 def test_failed_reverification_exits_three(files, tmp_path, monkeypatch, fmt):
     # the column step leaves every column of S at its unit column
     def bare_units(family, spectra, sources, targets):
-        return [[int(i == src) for i in range(1, len(sources) + 1)] for src in sources]
+        return DenseMatrix.from_entries(
+            len(sources), len(sources), {(src, j): 1 for j, src in enumerate(sources, 1)}
+        )
 
     monkeypatch.setattr(smalg.diag, "_push", bare_units)
     t2 = tmp_path / "t2.qo"
@@ -922,3 +965,27 @@ def test_selftest_round_trip_reports_a_failed_ladder(monkeypatch):
     out = run(["selftest", "--n", "3"])
     assert out.exit_code == 1
     assert "FAIL round-trip: classification round trip failed" in out.report.splitlines()
+
+
+# --- a literal too long for int() is bad input ------------------------------------
+
+HUGE = "1" + "0" * 5000
+TOO_LONG = "scalar literal '10000000000000000000'... has too many digits"
+
+
+@pytest.mark.parametrize(
+    "command, name, text, line",
+    [
+        ("diagonalize", "m.gm", f"2 2\n1 0\n0 {HUGE}\n", 3),
+        ("trivial", "g.gw", f"# weights\n1 2 {HUGE}\n", 2),
+        ("classify", "phi.lm",
+         f"2\nunit 1 1\n1 0\n0 0\nunit 1 2\n0 {HUGE}\n0 0\nunit 2 2\n0 0\n0 1\n", 6),
+    ],
+)
+def test_literal_too_long_for_int_exits_two_on_its_line(tmp_path, command, name, text, line):
+    t2 = tmp_path / "t2.qo"
+    t2.write_text("2\n1 2\n")
+    path = tmp_path / name
+    path.write_text(text)
+    out = run([command, str(t2), str(path)])
+    assert (out.exit_code, out.report) == (2, f"error: {path}: line {line}: {TOO_LONG}\n")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import smalg.diag
 import smalg.exactnum
+import smalg.polyroots
 from smalg.diag import simultaneous_diagonalize_in_sma
 from smalg.errors import (
     IrrationalSpectrum,
@@ -449,8 +450,10 @@ def test_column_construction_matches_dense_joint_projectors():
 
 
 def test_diagonalize_products_stay_within_the_spectra(monkeypatch):
-    # one product per member and eigenvalue, two per commuting pair and two
-    # per conjugate S^-1 F S; the n x n joint projectors took 86 here
+    # one product per member and eigenvalue, and one per member for the
+    # certificate F S = S D; the n x n joint projectors took 86 here, and
+    # the conjugates S^-1 F S with the commute check 6 more. Every product
+    # runs on the row kernel, exactnum.multiply's and the push's alike.
     n = 10
     rng = random.Random(97)
     s0 = random_invertible_in_sma(upper_chain(n), rng, steps=12)
@@ -460,14 +463,18 @@ def test_diagonalize_products_stay_within_the_spectra(monkeypatch):
         for k in (1, 2)
     ]
     products = []
-    multiply = smalg.exactnum.multiply
+    kernel = smalg.exactnum._rows_times
 
-    def counting(a, b):
-        if (n, n) in (a.shape, b.shape):
-            products.append((a.shape, b.shape))
-        return multiply(a, b)
+    def counting(re_rows, im_rows, b):
+        re_rows, im_rows = list(re_rows), list(im_rows)
+        if b.shape == (n, n):
+            products.append(len(re_rows))
+        return kernel(re_rows, im_rows, b)
 
-    monkeypatch.setattr(smalg.exactnum, "multiply", counting)
+    for module in (smalg.exactnum, smalg.diag, smalg.polyroots):
+        monkeypatch.setattr(module, "_rows_times", counting)
     result = simultaneous_diagonalize_in_sma(upper_chain(n), family)
     assert [len(set(d)) for d in result.diagonals] == [5, 5]
-    assert len(products) <= 5 + 5 + 2 * 1 + 2 * 2
+    assert len(products) <= 5 + 5 + 2
+    # the two certificate products take all n rows of F
+    assert products.count(n) >= 2

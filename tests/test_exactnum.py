@@ -264,6 +264,21 @@ class TestMatrixAlgebra:
             assert multiply(DenseMatrix.identity(3), a) == a
             assert multiply(a, DenseMatrix.identity(4)) == a
 
+    def test_scale_columns_scales_each_entry_by_its_column_value(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            a = rand_matrix(rng, rng.randrange(4), 3)
+            values = [rand_scalar(rng) for _ in range(3)]
+            got = a.scale_columns(values)
+            assert got.shape == a.shape
+            assert got.entries() == tuple(
+                a.at(i, j) * values[j - 1]
+                for i in range(1, a.rows + 1)
+                for j in range(1, 4)
+            )
+        with pytest.raises(DimensionMismatch):
+            a.scale_columns(values[:2])
+
     def test_shape_errors(self):
         a = DenseMatrix.zeros(2, 3)
         b = DenseMatrix.zeros(2, 3)

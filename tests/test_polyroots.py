@@ -4,13 +4,14 @@ root finding over the Gaussian rationals."""
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import smalg.polyroots
 from smalg.errors import InternalInconsistency
 from smalg.exactnum import DenseMatrix, GaussianRational, scalar
 from smalg.polyroots import (
     charpoly,
-    gaussian_integer_divisors,
     poly_degree,
     poly_divmod,
     poly_eval,
@@ -23,7 +24,16 @@ from smalg.polyroots import (
     squarefree_part,
 )
 
-from oracles import fraction_pair, grid_of, oracle_charpoly, oracle_det, poly_mul
+from oracles import (
+    divisor_roots_in_gaussian_rationals,
+    fraction_pair,
+    gaussian_integer_divisors,
+    grid_of,
+    oracle_charpoly,
+    oracle_det,
+    poly_mul,
+    sqrt_minus_one_mod,
+)
 
 
 def lin(r):
@@ -189,7 +199,50 @@ def test_gaussian_integer_divisors():
 def test_internal_failures_raise_internal_inconsistency(monkeypatch):
     # 21 = 1 mod 4 is not prime and -1 is no square mod 3, so no root exists
     with pytest.raises(InternalInconsistency, match="no sqrt"):
-        smalg.polyroots._sqrt_minus_one_mod(21)
+        sqrt_minus_one_mod(21)
     monkeypatch.setattr(smalg.polyroots, "poly_gcd", lambda a, b: lin(5))
     with pytest.raises(InternalInconsistency, match="gcd does not divide"):
         squarefree_part(poly_mul(lin(1), lin(1)))
+
+
+# --- the p-adic root search against the divisor search --------------------------
+
+# roots 1 and 6 differ by 5, and 1 and 3+1i by 2+1i, a prime over 5: the
+# first split prime then divides the discriminant
+ROOTS = ["0", "1", "-1", "2", "6", "1/2", "-3/4", "1i", "-1i", "3+1i", "2-3i",
+         "5/3+1/2i", "-7/2i", "12"]
+# x^2 - 2, x^2 + x + 1 and (x^2 - 2)^2 have no roots; x^2 + 1 splits
+COFACTORS = [[1], [-2, 0, 1], [1, 1, 1], [4, 0, -4, 0, 1], [1, 0, 1]]
+LEADS = ["1", "-1", "2", "-1/3", "2+1i", "3/5i"]
+
+
+@st.composite
+def root_products(draw):
+    """lead * cofactor * prod (x - r) over drawn roots, repeats allowed."""
+    p = [scalar(draw(st.sampled_from(LEADS)))]
+    p = poly_mul(p, [scalar(c) for c in draw(st.sampled_from(COFACTORS))])
+    for r in draw(st.lists(st.sampled_from(ROOTS), max_size=5)):
+        p = poly_mul(p, lin(r))
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    root_products(),
+    st.lists(st.sampled_from(["0", "1", "-2", "3", "1/2", "1i", "-2+1i"]), min_size=2,
+             max_size=6).filter(lambda cs: cs[-1] != "0"),
+))
+@example([scalar(c) for c in ["-6", "7", "1"]])  # (x - 1)(x - 6)
+@example(poly_mul(poly_mul(lin(1), lin(1)), lin("3+1i")))
+def test_roots_match_the_divisor_search(p):
+    assert roots_in_gaussian_rationals(p) == divisor_roots_in_gaussian_rationals(p)
+
+
+def test_roots_of_a_large_prime_spectrum():
+    # the divisor search would trial-divide a norm near 1e36 here
+    p, q = 999999937, 1000000007
+    r = scalar(f"123456789/7+{q}i")
+    poly = poly_mul(poly_mul(poly_mul(lin(p), lin(q)), lin(r)), [-2, 0, 1])
+    roots, rem = roots_in_gaussian_rationals(poly_scale(poly, "3/4"))
+    assert roots == {scalar(p): 1, scalar(q): 1, r: 1}
+    assert rem == [scalar(-2), scalar(0), scalar(1)]
