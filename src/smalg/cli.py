@@ -8,9 +8,9 @@ raised inside the library). Each certificate is verified once, by the
 library function that builds it, and comes back with the numbers it was
 verified with (witness ranks, the similarity's inverse, the diagonals); the
 `_cmd_*` handlers only render it, through one writer per block (`FORM`,
-`WITNESS`). The selftest suites are the exception: they recompute what the
-library claims. Reports go to standard output; `--format json-lines` swaps
-the text layout for one JSON object per line with the same content.
+`WITNESS`). The selftest suites check inputs drawn by `smalg.sampling`.
+Reports go to standard output; `--format json-lines` swaps the text
+layout for one JSON object per line with the same content.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 from dataclasses import dataclass
 
@@ -82,18 +81,18 @@ from .rankpres import (
     nontrivial_g_rank_witness,
     rank_identity_check,
 )
+from .sampling import selftest_draws
 from .tokens import parse_int
 from .transmap import (
     all_transitive_trivial,
     format_weights,
     nontrivial_transitive_map,
     parse_weights,
-    random_transitive_map,
     triviality_witness,
 )
 
-# The randomized suites build dense n x n matrices: --n 20 takes about 20 s
-# and 60 MB, --n 30 about 3 minutes and 400 MB.
+# The randomized suites build dense n x n matrices: --n 20 takes 2-7 s and
+# up to 63 MB (seeds 0-9), --n 30 about 22 s and 260 MB (seed 0).
 MAX_SELFTEST_N = 20
 
 
@@ -503,64 +502,20 @@ def _cmd_witness(args) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# selftest helpers (standalone so the installed package needs no test files)
+# selftest suites: each checks the inputs smalg.sampling drew for it
 
 
-def _random_quasiorder(rng, n_max):
-    n = rng.randint(2, n_max)
-    edges = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j and rng.random() < 0.3
-    ]
-    return from_edges(n, edges)
-
-
-def _random_invertible(rho, rng):
-    n = rho.n
-    m = DenseMatrix.diag([rng.choice([1, -1, 2]) for _ in range(n)])
-    strict = rho.strict_pairs()
-    for _ in range(5):
-        if not strict:
-            break
-        i, j = strict[rng.randrange(len(strict))]
-        elementary = {(k, k): 1 for k in range(1, n + 1)}
-        elementary[(i, j)] = rng.choice([1, -1, 2])
-        m = m * DenseMatrix.from_entries(n, n, elementary)
-    return m
-
-
-def _random_union(rho, rng):
-    picked = [b for b in approx_classes(rho).blocks if rng.random() < 0.5]
-    return frozenset().union(*picked) if picked else frozenset()
-
-
-def _random_supported(rho, rng):
-    entries = {}
-    for (i, j) in rho.pairs():
-        c = rng.randint(-2, 2)
-        if c:
-            entries[(i, j)] = c
-    return DenseMatrix.from_entries(rho.n, rho.n, entries)
-
-
-def _selftest_rank_identity(rng, n_max):
-    for _ in range(60):
-        rho = _random_quasiorder(rng, n_max)
-        if not rank_identity_check(rho, _random_union(rho, rng), _random_supported(rho, rng)):
+def _selftest_rank_identity(draws):
+    for rho, u, x in draws:
+        if not rank_identity_check(rho, u, x):
             return "rank identity violated"
     return None
 
 
-def _selftest_round_trip(rng, n_max):
+def _selftest_round_trip(draws):
     # synthesize_jordan classifies the map it builds and checks that the
     # form rebuilds it
-    for _ in range(15):
-        rho = _random_quasiorder(rng, n_max)
-        s = _random_invertible(rho, rng)
-        u = _random_union(rho, rng)
-        g = random_transitive_map(rho, seed=rng.randrange(10**6))
+    for rho, s, u, g in draws:
         try:
             synthesize_jordan(rho, s, u, g)
         except InternalInconsistency:
@@ -568,14 +523,8 @@ def _selftest_round_trip(rng, n_max):
     return None
 
 
-def _selftest_triviality_rank(rng, n_max):
-    if n_max < 4:
-        return None
-    for _ in range(10):
-        n = rng.randint(4, n_max)
-        a, b, c, d = rng.sample(range(1, n + 1), 4)
-        rho = from_edges(n, [(a, c), (a, d), (b, c), (b, d)])
-        g = random_transitive_map(rho, seed=rng.randrange(10**6))
+def _selftest_triviality_rank(draws):
+    for rho, g in draws:
         phi = induced_linear_map(g)
         verdict = classify_rank_preserver(phi)
         trivial = triviality_witness(g).is_trivial
@@ -588,15 +537,8 @@ def _selftest_triviality_rank(rng, n_max):
     return None
 
 
-def _selftest_diagonalize(rng, n_max):
-    for _ in range(10):
-        rho = _random_quasiorder(rng, n_max)
-        s = _random_invertible(rho, rng)
-        s_inv = inverse(s)
-        family = [
-            s * DenseMatrix.diag([rng.randint(0, 2) for _ in range(rho.n)]) * s_inv
-            for _ in range(2)
-        ]
+def _selftest_diagonalize(draws):
+    for rho, family in draws:
         t, _, diagonals = simultaneous_diagonalize_in_sma(rho, family)
         t_inv = inverse(t)
         for m, diagonal in zip(family, diagonals):
@@ -608,21 +550,23 @@ def _selftest_diagonalize(rng, n_max):
     return None
 
 
+_SELFTEST_CHECKS = {
+    "rank-identity": _selftest_rank_identity,
+    "round-trip": _selftest_round_trip,
+    "triviality-rank": _selftest_triviality_rank,
+    "diagonalize": _selftest_diagonalize,
+}
+
+
 def _cmd_selftest(args) -> tuple:
+    if args.n < 2:
+        raise _InputError("error: --n must be at least 2")
     if args.n > MAX_SELFTEST_N:
         raise _InputError(f"error: --n must be at most {MAX_SELFTEST_N}")
-    rng = random.Random(args.seed)
-    n_max = max(2, args.n)
-    suites = (
-        ("rank-identity", _selftest_rank_identity),
-        ("round-trip", _selftest_round_trip),
-        ("triviality-rank", _selftest_triviality_rank),
-        ("diagonalize", _selftest_diagonalize),
-    )
     rep = Report()
     failed = False
-    for name, fn in suites:
-        problem = fn(rng, n_max)
+    for name, draws in selftest_draws(args.seed, args.n):
+        problem = _SELFTEST_CHECKS[name](draws)
         if problem is None:
             rep.add(f"ok {name}", suite=name, ok=True)
         else:

@@ -462,9 +462,6 @@ class DenseMatrix:
         order = [i * c + j for j in range(c) for i in range(r)]
         return _new(c, r, self._d, *self._pick(order))
 
-    def conj(self) -> "DenseMatrix":
-        return _new(self.rows, self.cols, self._d, self._re, tuple(-b for b in self._im))
-
     def scale(self, s) -> "DenseMatrix":
         s = scalar(s)
         p, q, e = s.p, s.q, s.d

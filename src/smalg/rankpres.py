@@ -8,12 +8,12 @@ and has least rank. Every witness is handed back with the ranks measured
 when it was verified, so a caller only renders them. Sampling is left in
 two places: the rank-one counterexample of a unital map that is not Jordan
 (one exists by theory and is re-verified), and the bounded check of a map
-with a singular phi(I), whose positive verdict rests on samples.
+with a singular phi(I), whose positive verdict rests on samples. The
+samples come from ``smalg.sampling``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -28,6 +28,7 @@ from .errors import (
 from .exactnum import DenseMatrix, ONE, inverse, rank
 from .jordan import CanonicalJordanForm, LinearMapOnSMA, apply, classify_jordan
 from .quasiorder import NotClassUnion, QuasiOrder, approx_classes, first_unsupported
+from .sampling import bounded_rank_samples, sample_rank_one_in_sma
 from .transmap import (
     TransitiveMap,
     apply_induced,
@@ -70,39 +71,6 @@ def induced_linear_map(g: TransitiveMap) -> LinearMapOnSMA:
             for (i, j) in rho.pairs()
         },
     )
-
-
-def sample_rank_one_in_sma(rho: QuasiOrder, count: int, seed: int = 0):
-    """Random rank-one matrices supported in the relation.
-
-    Each sample is an outer product: a random row set, a random column set
-    drawn from the common out-neighborhood, and nonzero entries in -2..2.
-    """
-    rng = random.Random(seed)
-    n = rho.n
-    vertices = list(range(1, n + 1))
-    out = []
-    for _ in range(count):
-        rows = None
-        for _attempt in range(50):
-            k = rng.randint(1, n)
-            cand = sorted(rng.sample(vertices, k))
-            common = set(rho.out_set(cand[0]))
-            for i in cand[1:]:
-                common &= set(rho.out_set(i))
-            if common:
-                rows = cand
-                break
-        if rows is None:
-            rows = [rng.choice(vertices)]
-            common = set(rho.out_set(rows[0]))
-        cols = sorted(rng.sample(sorted(common), rng.randint(1, len(common))))
-        uvals = {i: rng.choice([-2, -1, 1, 2]) for i in rows}
-        vvals = {j: rng.choice([-2, -1, 1, 2]) for j in cols}
-        out.append(DenseMatrix.from_entries(
-            n, n, {(i, j): uvals[i] * vvals[j] for i in rows for j in cols}
-        ))
-    return out
 
 
 def is_rank_one_preserver_sampled(phi: LinearMapOnSMA, samples):
@@ -273,21 +241,6 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     return PreserverVerdict(kind="RankPreserver", form=final)
 
 
-def _random_rank_k_sample(rho: QuasiOrder, k: int, rng):
-    """A supported matrix of exact rank k: a sum of k sampled rank-ones,
-    or a 0/1 diagonal when the sum degenerates."""
-    n = rho.n
-    for _ in range(20):
-        parts = sample_rank_one_in_sma(rho, k, seed=rng.randrange(10**9))
-        m = DenseMatrix.zeros(n, n)
-        for p in parts:
-            m = m + p
-        if rank(m) == k:
-            return m
-    positions = rng.sample(range(1, n + 1), k)
-    return DenseMatrix.diag([1 if i in positions else 0 for i in range(1, n + 1)])
-
-
 def bounded_rank_preserver_check(
     phi: LinearMapOnSMA, max_rank: int, count: int = 40, seed: int = 0
 ):
@@ -308,11 +261,8 @@ def bounded_rank_preserver_check(
         return False, verdict.witness
     if least < n:
         return True, None
-    rng = random.Random(seed)
-    for k in range(1, max_rank + 1):
-        for _ in range(count):
-            x = _random_rank_k_sample(phi.rho, k, rng)
-            r = rank(apply(phi, x))
-            if r != k:
-                return False, RankWitness(x, (k, r))
+    for k, x in bounded_rank_samples(phi.rho, max_rank, count, seed):
+        r = rank(apply(phi, x))
+        if r != k:
+            return False, RankWitness(x, (k, r))
     return True, None

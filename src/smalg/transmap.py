@@ -12,13 +12,12 @@ a Smith normal form. Both the decision and its witness run on the
 relation's beat-point core, which has the same answer (see
 ``all_transitive_trivial``). A negative answer is backed by a nontrivial
 map built from the kernel bases of that lattice, with no random numbers;
-the seeded sampler over the same bases is left for the randomized
-self-tests.
+the seeded sampler over the same bases, ``random_transitive_map``, lives
+in ``smalg.sampling``.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from functools import cache
@@ -484,26 +483,6 @@ def nontrivial_transitive_map(
     if triviality_witness(g).is_trivial:
         raise InternalInconsistency("the weight map found nontrivial is trivial")
     return g
-
-
-def random_transitive_map(rho: QuasiOrder, seed: int = 0) -> TransitiveMap:
-    """Seeded sampler over the +-2^k transitive maps, for the randomized
-    self-tests: a random combination of the integer kernel basis
-    (coefficients -2..2) gives the exponents, one of the GF(2) kernel basis
-    the signs (see ``nontrivial_transitive_map``)."""
-    edges, dense = _dense_relation_rows(rho)
-    ecount = len(edges)
-    rng = random.Random(seed)
-    expo = [0] * ecount
-    for vec in integer_kernel_basis(dense, ecount):
-        c = rng.randint(-2, 2)
-        if c:
-            expo = [x + c * y for x, y in zip(expo, vec)]
-    signs = [0] * ecount
-    for vec in gf2_kernel_basis(dense, ecount):
-        if rng.random() < 0.5:
-            signs = [x ^ y for x, y in zip(signs, vec)]
-    return validate(rho, _signed_powers(edges, expo, signs))
 
 
 # --- weight text format -----------------------------------------------------

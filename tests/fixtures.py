@@ -1,7 +1,8 @@
 """Shared fixtures, named by their structure.
 
 Lazy imports keep this module usable while the package grows; expected values
-frozen here were computed with tests/oracles.py.
+frozen here were computed with tests/oracles.py. The random generators come
+from ``smalg.sampling``, which the ``selftest`` command draws from too.
 """
 
 from __future__ import annotations
@@ -10,6 +11,13 @@ from fractions import Fraction
 
 from smalg.exactnum import DenseMatrix, GaussianRational
 from smalg.quasiorder import QuasiOrder, from_edges
+from smalg.sampling import (
+    random_class_union,
+    random_invertible_in_sma,
+    random_quasiorder,
+    random_supported_matrix,
+    random_transitive_map,
+)
 
 
 def delta(n: int) -> QuasiOrder:
@@ -154,18 +162,6 @@ def census12():
     ]
 
 
-def random_quasiorder(rng, n_min=2, n_max=6, density=0.3) -> QuasiOrder:
-    """Reflexive-transitive closure of randomly sprinkled edges."""
-    n = rng.randint(n_min, n_max)
-    edges = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j and rng.random() < density
-    ]
-    return from_edges(n, edges)
-
-
 def random_class_order(rng, n, density, sizes=(1, 1, 2, 3)) -> QuasiOrder:
     """A quasi-order on n shuffled labels whose mutual classes have sizes
     drawn from ``sizes`` (the first has two members when n >= 2), each
@@ -186,22 +182,6 @@ def random_class_order(rng, n, density, sizes=(1, 1, 2, 3)) -> QuasiOrder:
             if rng.random() < density:
                 edges.append((rng.choice(lower), rng.choice(upper)))
     return from_edges(n, edges)
-
-
-def random_invertible_in_sma(rho, rng, steps=6) -> DenseMatrix:
-    """Invertible matrix supported in the relation: a random diagonal of
-    units times a product of random elementary matrices on strict pairs."""
-    n = rho.n
-    m = DenseMatrix.diag([rng.choice([1, 1, 1, -1, 2, "1/2"]) for _ in range(n)])
-    strict = rho.strict_pairs()
-    if not strict:
-        return m
-    ident = DenseMatrix.identity(n)
-    for _ in range(steps):
-        i, j = strict[rng.randrange(len(strict))]
-        c = rng.choice(["1", "-1", "2", "1i"])
-        m = m * (ident + DenseMatrix.unit(n, i, j).scale(c))
-    return m
 
 
 def separator_map(rho, s):
@@ -234,28 +214,9 @@ def double_chain() -> QuasiOrder:
     return from_edges(4, [(1, 2), (3, 4)], close=False)
 
 
-def random_supported_matrix(rho, rng, lo=-3, hi=3) -> DenseMatrix:
-    """Random integer matrix with entries only on related pairs."""
-    entries = {}
-    for (i, j) in rho.pairs():
-        c = rng.randint(lo, hi)
-        if c:
-            entries[(i, j)] = c
-    return DenseMatrix.from_entries(rho.n, rho.n, entries)
-
-
-def random_class_union(rho, rng):
-    """Random union of connectivity classes."""
-    from smalg.quasiorder import approx_classes
-
-    picked = [b for b in approx_classes(rho).blocks if rng.random() < 0.5]
-    return frozenset().union(*picked) if picked else frozenset()
-
-
 def random_jordan_map(rho, rng):
     """Random synthesized Jordan homomorphism with its parameters."""
     from smalg.jordan import synthesize_jordan
-    from smalg.transmap import random_transitive_map
 
     s = random_invertible_in_sma(rho, rng)
     u = random_class_union(rho, rng)

@@ -199,7 +199,8 @@ def outer(u, v):
 
 
 def conjugate_transpose(m):
-    return m.transpose().conj()
+    t = m.transpose()
+    return DenseMatrix(t.rows, t.cols, [x.conjugate() for x in t.entries()])
 
 
 def to_grid(m):

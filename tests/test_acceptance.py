@@ -30,12 +30,11 @@ from smalg.rankpres import (
     is_rank_one_preserver_sampled,
     nontrivial_g_rank_witness,
     rank_identity_check,
-    sample_rank_one_in_sma,
 )
+from smalg.sampling import random_transitive_map, sample_rank_one_in_sma
 from smalg.transmap import (
     all_transitive_trivial,
     apply_induced,
-    random_transitive_map,
     triviality_witness,
     validate,
     walk_product,

@@ -33,3 +33,18 @@ def test_every_export_is_used_by_the_package_or_named_in_the_readme():
         if name not in used and not re.search(rf"\b{name}\b", readme)
     ]
     assert stray == []
+
+
+def test_only_the_sampling_module_imports_random():
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name == "random" or name.startswith("random.") for name in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["sampling.py"]

@@ -14,6 +14,7 @@ import smalg.diag
 import smalg.exactnum
 import smalg.jordan
 import smalg.rankpres
+import smalg.sampling
 import smalg.transmap
 from smalg.cli import run
 from smalg.errors import InternalInconsistency, NotJordan
@@ -254,7 +255,7 @@ def test_all_trivial_example_is_constructed_without_random_numbers(
     def no_randomness(*args, **kwargs):
         raise AssertionError("random numbers drawn")
 
-    monkeypatch.setattr(smalg.transmap.random, "Random", no_randomness)
+    monkeypatch.setattr(smalg.sampling.random, "Random", no_randomness)
     out = run(["all-trivial", files[relation]])
     assert out.exit_code == 1
     lines = out.report.splitlines()
@@ -418,6 +419,12 @@ def test_selftest_n_above_the_vertex_limit_exits_two():
     for n in ("21", "40001"):
         out = run(["selftest", "--n", n])
         assert (out.exit_code, out.report) == (2, "error: --n must be at most 20\n")
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-5"])
+def test_selftest_n_below_two_exits_two(n):
+    out = run(["selftest", "--n", n])
+    assert (out.exit_code, out.report) == (2, "error: --n must be at least 2\n")
 
 
 def test_blocks_on_the_thousand_antichain_under_five_seconds(tmp_path):

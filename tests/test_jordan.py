@@ -42,7 +42,8 @@ from smalg.jordan import (
     synthesize_jordan,
 )
 from smalg.quasiorder import from_edges
-from smalg.transmap import random_transitive_map, validate
+from smalg.sampling import random_transitive_map
+from smalg.transmap import validate
 
 from fixtures import (
     BAD_LITERALS,

@@ -23,11 +23,10 @@ from smalg.rankpres import (
     is_rank_one_preserver_sampled,
     nontrivial_g_rank_witness,
     rank_identity_check,
-    sample_rank_one_in_sma,
 )
+from smalg.sampling import random_transitive_map, sample_rank_one_in_sma
 from smalg.transmap import (
     apply_induced,
-    random_transitive_map,
     shortest_unbalanced_cycle,
     triviality_witness,
     validate,
@@ -345,6 +344,7 @@ def test_bounded_check_is_exact_on_jordan_maps(monkeypatch):
         raise AssertionError("a verdict on a Jordan map sampled")
 
     monkeypatch.setattr(smalg.rankpres, "sample_rank_one_in_sma", no_sampling)
+    monkeypatch.setattr(smalg.rankpres, "bounded_rank_samples", no_sampling)
     rng = random.Random(73)
     checked = 0
     while checked < 12:

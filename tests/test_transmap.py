@@ -9,13 +9,13 @@ import pytest
 from smalg.errors import FormatError, NotTransitive, SupportViolation, ZeroWeight
 from smalg.exactnum import DenseMatrix, GaussianRational, ONE, scalar
 from smalg.quasiorder import beat_core, from_edges
+from smalg.sampling import random_transitive_map
 from smalg.transmap import (
     all_transitive_trivial,
     apply_induced,
     format_weights,
     nontrivial_transitive_map,
     parse_weights,
-    random_transitive_map,
     triviality_witness,
     validate,
     walk_product,
