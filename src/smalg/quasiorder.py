@@ -1,14 +1,20 @@
 """Quasi-orders (reflexive transitive relations) on {1..n} and the
 combinatorics the algebra layer needs from them.
 
-A relation is stored as one bitmask per row, so closure is Warshall over
-machine words. All pairs in the public API are 1-based.
+A relation is stored as one bitmask per row. Closure is one pass of
+Tarjan's strongly connected components over the successor lists, a
+mutual class is a set of equal rows found by one mask AND per vertex, and
+the class order is Kahn's sort on a heap, so each costs O(n + |rho|)
+steps, each step one operation on a row of n bits. All pairs in the
+public API are 1-based.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import compress
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -26,15 +32,31 @@ from .tokens import convert, parse_int, plain_tokens, strip_comments, token_line
 MAX_VERTICES = 40_000
 
 
+# _BYTE_FLAGS[b] holds the 8 bits of the byte b, lowest first, one byte each
+_BYTE_FLAGS = tuple(bytes(b >> k & 1 for k in range(8)) for b in range(256))
+
+
 def _bits(mask: int):
-    """The 1-based positions of the set bits of ``mask``, ascending; one
-    step per set bit."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return out
+    """The 1-based positions of the set bits of ``mask``, ascending.
+
+    A sparse mask is walked one set bit at a time; each step rewrites the
+    mask, so k bits of an n-bit mask cost k steps of n/64 words. A dense
+    mask is spread into one flag byte per bit through ``_BYTE_FLAGS`` and
+    the positions are picked out in one linear pass. The walk per bit is
+    the faster one up to about 8 + n/8 set bits, and never past about 300
+    (timed on n from 8 to 40,000 bits).
+    """
+    count = mask.bit_count()
+    if count <= 300 and 8 * count <= mask.bit_length() + 64:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length())
+            mask ^= low
+        return out
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    flags = b"".join([_BYTE_FLAGS[b] for b in data])
+    return list(compress(range(1, len(flags) + 1), flags))
 
 
 class QuasiOrder:
@@ -84,9 +106,10 @@ def from_edges(n: int, edges: Iterable, close: bool = True) -> QuasiOrder:
     """Build a quasi-order from generating pairs.
 
     The diagonal is always included. With ``close=True`` the transitive
-    closure is taken (Warshall); with ``close=False`` the edge set must
-    already be transitive, otherwise NotClosed reports a violating
-    composable pair: the first (i, k), (k, j) with i, then k, then j least.
+    closure is taken (``_closure_rows``, one pass over the pairs); with
+    ``close=False`` the edge set must already be transitive, otherwise
+    NotClosed reports a violating composable pair: the first (i, k),
+    (k, j) with i, then k, then j least.
 
     Without closure the relation is transitive exactly when row k lies
     inside row i for each given pair (i, k), so the check walks the given
@@ -94,27 +117,88 @@ def from_edges(n: int, edges: Iterable, close: bool = True) -> QuasiOrder:
     """
     if n < 1:
         raise DimensionMismatch("need at least one vertex")
-    if not close:
-        edges = list(edges)  # walked twice; a generator would be spent
+    if close:
+        succ = [[] for _ in range(n)]
+        for (i, j) in edges:
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise DimensionMismatch(f"pair ({i},{j}) outside 1..{n}")
+            succ[i - 1].append(j - 1)
+        return QuasiOrder(n, _closure_rows(succ))
+    edges = list(edges)  # walked twice; a generator would be spent
     rows = [1 << i for i in range(n)]
     for (i, j) in edges:
         if not (1 <= i <= n and 1 <= j <= n):
             raise DimensionMismatch(f"pair ({i},{j}) outside 1..{n}")
         rows[i - 1] |= 1 << (j - 1)
-    if close:
-        for k in range(n):
-            bit = 1 << k
-            krow = rows[k]
-            if krow == bit:  # nothing to pass on through k
-                continue
-            for i in range(n):
-                if rows[i] & bit:
-                    rows[i] |= krow
-    else:
-        for (i, k) in edges:
-            if rows[k - 1] & ~rows[i - 1]:
-                _raise_first_violation(rows)
+    for (i, k) in edges:
+        if rows[k - 1] & ~rows[i - 1]:
+            _raise_first_violation(rows)
     return QuasiOrder(n, rows)
+
+
+def _closure_rows(succ):
+    """The reflexive-transitive closure of the digraph with 0-based
+    successor lists ``succ``, as one row mask per vertex.
+
+    Tarjan's strongly connected components (1972), on an explicit stack so
+    that a long path does not reach the interpreter's recursion limit. A
+    vertex v roots a component when its search is done with low(v) equal
+    to its visit number; the component is then the top of the path stack
+    down to v. Every successor of a member lies in the component or in one
+    completed before it (components come out in reverse topological order),
+    so the component's row is the OR of its members' bits and its members'
+    successors' rows: those in the component are still 0, the others are
+    final. A row is nonzero exactly when its vertex is completed. Each pair
+    is read once and each vertex pushed and popped once: O(n + |pairs|)
+    steps, each one OR of rows.
+    """
+    n = len(succ)
+    # a vertex with no successor is a component by itself, complete at once
+    rows = [0 if out else 1 << x for x, out in enumerate(succ)]
+    visit = [0] * n  # visit number from 1; 0 while unvisited
+    low = [0] * n
+    path = []  # visited vertices whose component is not complete
+    count = 0
+    for root in range(n):
+        if rows[root] or visit[root]:
+            continue
+        count += 1
+        visit[root] = low[root] = count
+        path.append(root)
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            v, rest = frames[-1]
+            for w in rest:
+                if rows[w]:  # complete: its row is read when v's is
+                    continue
+                if not visit[w]:
+                    count += 1
+                    visit[w] = low[w] = count
+                    path.append(w)
+                    frames.append((w, iter(succ[w])))
+                    break
+                if visit[w] < low[v]:  # w is on the path
+                    low[v] = visit[w]
+            else:
+                frames.pop()
+                if low[v] < visit[v]:  # v is not a root: pass low(v) up
+                    u = frames[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    continue
+                members = []
+                row = 0
+                while True:
+                    x = path.pop()
+                    members.append(x)
+                    row |= 1 << x
+                    for w in succ[x]:
+                        row |= rows[w]
+                    if x == v:
+                        break
+                for x in members:
+                    rows[x] = row
+    return rows
 
 
 def _raise_first_violation(rows):
@@ -157,48 +241,63 @@ class ClassPartition:
         return True
 
 
-def _partition(n, block_iter):
-    blocks = sorted((frozenset(b) for b in block_iter), key=min)
-    return ClassPartition(n, tuple(blocks))
+def _mutual_groups(q: QuasiOrder):
+    """The mutual classes of q as ascending lists of vertices, ordered by
+    their minimum; see ``two_sided_classes``."""
+    rows = q._rows
+    counts = [r.bit_count() for r in rows]
+    alike = {}  # bit count -> mask of the vertices whose rows have it
+    for x, c in enumerate(counts):
+        alike[c] = alike.get(c, 0) | 1 << x
+    groups = {}  # least member -> the class, filled in ascending order
+    for x, r in enumerate(rows):
+        mates = r & alike[counts[x]]
+        groups.setdefault((mates & -mates).bit_length(), []).append(x + 1)
+    return list(groups.values())
 
 
 def two_sided_classes(q: QuasiOrder) -> ClassPartition:
-    """Classes of the mutual relation: i ~ j iff both (i,j) and (j,i)."""
-    rev = reverse(q)._rows
-    seen = 0
-    blocks = []
-    for i, r in enumerate(q._rows):
-        if seen >> i & 1:
-            continue
-        cls = r & rev[i]
-        seen |= cls
-        blocks.append(_bits(cls))
-    return _partition(q.n, blocks)
+    """Classes of the mutual relation: i ~ j iff both (i,j) and (j,i).
+
+    In a reflexive transitive relation i ~ j exactly when rows i and j are
+    equal. If i ~ j and (j, k) is related then so is (i, k), through j, so
+    row j lies inside row i, and the other way round. If the rows are
+    equal, j is in row i because it is in its own row, and i in row j.
+    For j in row i, row j lies inside row i, so the two are equal exactly
+    when they have as many bits. So the class of i is row i cut down to
+    the vertices whose rows have as many bits as row i: one mask AND per
+    vertex, whose lowest bit names the class. Walked in ascending i, the
+    classes come out ordered by their minimum. (A dict keyed by the rows
+    themselves would hash each mask, and Python hashes an int modulo
+    2^61 - 1, so rows that differ in one power of two fall into 61 hash
+    values: grouping the rows 1 + 2^k + 2^(n-1) that way took 16 s at
+    n = 40,000.)
+    """
+    return ClassPartition(q.n, tuple(map(frozenset, _mutual_groups(q))))
 
 
 def approx_classes(q: QuasiOrder) -> ClassPartition:
-    """Connected components of the symmetrized strict relation."""
+    """Connected components of the symmetrized strict relation: a search
+    that adds the row and the column of each vertex it reaches. Each
+    search starts at the least vertex not yet reached, so the components
+    come out ordered by their minimum."""
     n = q.n
-    adj = [0] * n
-    for (i, j) in q.strict_pairs():
-        adj[i - 1] |= 1 << (j - 1)
-        adj[j - 1] |= 1 << (i - 1)
+    rows, cols = q._rows, reverse(q)._rows
     seen = 0
     blocks = []
     for i in range(n):
         if seen >> i & 1:
             continue
-        comp = 1 << i
-        frontier = 1 << i
+        comp = frontier = 1 << i
         while frontier:
             nxt = 0
             for v in _bits(frontier):
-                nxt |= adj[v - 1] & ~comp
-            comp |= nxt
-            frontier = nxt
+                nxt |= rows[v - 1] | cols[v - 1]
+            frontier = nxt & ~comp
+            comp |= frontier
         seen |= comp
-        blocks.append(_bits(comp))
-    return _partition(n, blocks)
+        blocks.append(frozenset(_bits(comp)))
+    return ClassPartition(n, tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -223,35 +322,37 @@ def block_triangular_form(q: QuasiOrder) -> BlockTriangularForm:
     Among classes whose strict predecessors are all placed, the one with the
     smallest minimum element goes first, so the output is reproducible.
     This is Kahn's sort: placing a class lowers the in-degree of the classes
-    above it, and the least ready class goes next. On p classes the order
-    costs O(p^2) steps at most (one ``min`` over the ready list per
-    placement); the p x p ``presence`` matrix is of the same size.
+    above it, and the least ready class goes next. The classes are indexed
+    by their minimum, so a heap of ready indices gives that class. The
+    classes above a class are read off the row of its minimum, so the sort
+    costs O(n + |rho|) steps and the heap O(p log p) on p classes; the p x p
+    ``presence`` matrix is the one part of size p^2.
     """
-    blocks = two_sided_classes(q).blocks
+    blocks = _mutual_groups(q)
     p = len(blocks)
     cls = [0] * q.n
     for a, blk in enumerate(blocks):
         for v in blk:
             cls[v - 1] = a
-    # the classes strictly above each class, read off one row of it
+    rows = q._rows
+    # the classes strictly above each class, read off the row of its minimum
     above = [
-        {cls[j - 1] for j in _bits(q._rows[min(blk) - 1])} - {a}
+        {cls[j - 1] for j in _bits(rows[blk[0] - 1])} - {a}
         for a, blk in enumerate(blocks)
     ]
     indeg = [0] * p
     for succ in above:
         for b in succ:
             indeg[b] += 1
-    ready = [a for a in range(p) if not indeg[a]]
+    ready = [a for a in range(p) if not indeg[a]]  # ascending, so a heap
     placed = []
     while ready:
-        nxt = min(ready)  # blocks are ordered by minimum
-        ready.remove(nxt)
+        nxt = heappop(ready)
         placed.append(nxt)
         for b in above[nxt]:
             indeg[b] -= 1
             if not indeg[b]:
-                ready.append(b)
+                heappush(ready, b)
     if len(placed) < p:
         raise InternalInconsistency("class order has a cycle")
     pos = [0] * p
@@ -269,14 +370,14 @@ def block_triangular_form(q: QuasiOrder) -> BlockTriangularForm:
     pi = [0] * q.n
     offset = 0
     for a in placed:
-        for t, v in enumerate(sorted(blocks[a]), start=1):
-            pi[v - 1] = offset + t
+        for t, v in enumerate(blocks[a], start=offset + 1):
+            pi[v - 1] = t
         offset += len(blocks[a])
     return BlockTriangularForm(
         pi=tuple(pi),
         sizes=tuple(len(blocks[a]) for a in placed),
         presence=tuple(presence),
-        class_order=tuple(blocks[a] for a in placed),
+        class_order=tuple(frozenset(blocks[a]) for a in placed),
     )
 
 
@@ -409,57 +510,75 @@ def increasing_permutations(
 
 def _increasing_search(src, dst, limit, pin=None):
     """``increasing_permutations`` on relations of one size; ``pin = (v, t)``
-    keeps only the bijections with pi(v) = t."""
+    keeps only the bijections with pi(v) = t.
+
+    An image t fits v when the images of v's placed successors lie in
+    t's row of dst and those of its placed predecessors in t's column.
+    Both image masks are built once per level, over the placed vertices
+    of v's row and column, and the candidates are the unused images,
+    walked lowest first from one mask.
+    """
     n = src.n
-    rev_src = reverse(src)
-    rev_dst = reverse(dst)
-    out_s = [src._rows[i].bit_count() for i in range(n)]
-    in_s = [rev_src._rows[i].bit_count() for i in range(n)]
-    out_d = [dst._rows[i].bit_count() for i in range(n)]
-    in_d = [rev_dst._rows[i].bit_count() for i in range(n)]
-    order = sorted(range(1, n + 1), key=lambda v: (-out_s[v - 1], v))
+    out_src, out_dst = src._rows, dst._rows
+    in_src = reverse(src)._rows
+    in_dst = in_src if dst is src else reverse(dst)._rows
+    out_s = [r.bit_count() for r in out_src]
+    in_s = [r.bit_count() for r in in_src]
+    out_d = [r.bit_count() for r in out_dst]
+    in_d = [r.bit_count() for r in in_dst]
+    order = sorted(range(n), key=lambda x: (-out_s[x], x))
     if pin is not None:
-        order.remove(pin[0])
-        order.insert(0, pin[0])
+        order.remove(pin[0] - 1)
+        order.insert(0, pin[0] - 1)
     results = []
-    assign = {}
-    used = set()
+    everything = (1 << n) - 1
+    image = [0] * n  # pi(x + 1) - 1 for each placed x, 0-based
+    placed = 0  # the placed vertices of src, as a mask
+    used = 0  # their images in dst
 
     def candidates(pos: int):
         """The images t of order[pos] that fit the vertices placed so far,
-        ascending; it reads ``assign`` and ``used`` as it goes."""
-        v = order[pos]
-        for t in (pin[1],) if pin is not None and pos == 0 else range(1, n + 1):
-            if t in used:
+        ascending, 1-based."""
+        x = order[pos]
+        succ_img = pred_img = 0
+        for w in _bits(out_src[x] & placed):
+            succ_img |= 1 << image[w - 1]
+        for w in _bits(in_src[x] & placed):
+            pred_img |= 1 << image[w - 1]
+        if pin is not None and pos == 0:
+            free = 1 << (pin[1] - 1)
+        else:
+            free = everything ^ used  # the unused images
+        while free:
+            low = free & -free
+            free ^= low
+            y = low.bit_length() - 1
+            if out_d[y] < out_s[x] or in_d[y] < in_s[x]:
                 continue
-            if out_d[t - 1] < out_s[v - 1] or in_d[t - 1] < in_s[v - 1]:
+            if succ_img & ~out_dst[y] or pred_img & ~in_dst[y]:
                 continue
-            for w, u in assign.items():
-                if src.has(v, w) and not dst.has(t, u):
-                    break
-                if src.has(w, v) and not dst.has(u, t):
-                    break
-            else:
-                yield t
+            yield y + 1
 
     # depth-first, one candidate iterator per placed vertex: an explicit
     # stack, so the depth is not bound by the interpreter's recursion limit
     stack = [candidates(0)]
     while stack:
         pos = len(stack) - 1
-        v = order[pos]
-        if v in assign:  # back at this level: undo its last choice
-            used.remove(assign.pop(v))
+        x = order[pos]
+        if placed >> x & 1:  # back at this level: undo its last choice
+            placed ^= 1 << x
+            used ^= 1 << image[x]
         t = next(stack[-1], None)
         if t is None:
             stack.pop()
             continue
-        assign[v] = t
-        used.add(t)
+        image[x] = t - 1
+        placed |= 1 << x
+        used |= 1 << (t - 1)
         if pos + 1 < n:
             stack.append(candidates(pos + 1))
             continue
-        results.append(tuple(assign[i] for i in range(1, n + 1)))
+        results.append(tuple(y + 1 for y in image))
         if limit is not None and len(results) >= limit:
             break
     return sorted(results)
@@ -507,18 +626,19 @@ def automorphisms_fix_two_sided_classes(q: QuasiOrder) -> bool:
     backtracking, which can take exponential time (the README gives an
     example).
     """
-    classes = two_sided_classes(q).blocks
-    rev = reverse(q)
-
-    def degrees(v):
-        return q._rows[v - 1].bit_count(), rev._rows[v - 1].bit_count()
-
-    for a, blk in enumerate(classes):
-        v = min(blk)
-        for other in classes[a + 1:]:
-            t = min(other)
-            if len(other) != len(blk) or degrees(t) != degrees(v):
-                continue
+    rows, cols = q._rows, reverse(q)._rows
+    # the minima of the classes of each (size, out-degree, in-degree), in
+    # class order; each class is tried against the later ones of its group
+    groups = {}
+    tries = []
+    for blk in _mutual_groups(q):
+        v = blk[0]
+        key = (len(blk), rows[v - 1].bit_count(), cols[v - 1].bit_count())
+        group = groups.setdefault(key, [])
+        tries.append((v, group, len(group)))
+        group.append(v)
+    for v, group, k in tries:
+        for t in group[k + 1:]:
             if _increasing_search(q, q, 1, pin=(v, t)):
                 return False
     return True

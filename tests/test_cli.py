@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -397,6 +398,42 @@ def test_close_on_twenty_thousand_isolated_vertices_under_five_seconds(tmp_path)
     out, elapsed = _timed_run(["close", str(q)])
     assert elapsed < 5.0
     assert (out.exit_code, out.report) == (0, "20000\n")
+
+
+def test_close_on_a_forty_thousand_point_forest_under_five_seconds(tmp_path):
+    # 2,000 roots; every other vertex hangs under a random smaller one. The
+    # closure took one pass over all rows per vertex with a child; one
+    # strongly connected component pass reads each pair once
+    n, roots = 40_000, 2_000
+    rng = random.Random(40)
+    parent = [0] * (n + 1)
+    for v in range(roots + 1, n + 1):
+        parent[v] = rng.randrange(1, v)
+    q = tmp_path / "forest40000.qo"
+    q.write_text(f"{n}\n" + "".join(f"{parent[v]} {v}\n" for v in range(roots + 1, n + 1)))
+    out, elapsed = _timed_run(["close", str(q)])
+    assert elapsed < 5.0
+    assert out.exit_code == 0
+    # one strict pair per vertex and strict ancestor
+    depth = [0] * (n + 1)
+    for v in range(roots + 1, n + 1):
+        depth[v] = depth[parent[v]] + 1
+    lines = out.report.splitlines()
+    assert lines[0] == str(n)
+    assert len(lines) == 1 + sum(depth)
+
+
+def test_info_on_the_five_thousand_antichain_under_five_seconds(tmp_path):
+    # the pinned automorphism search checked each candidate against every
+    # placed vertex; the row masks of the placed images check it at once
+    q = tmp_path / "a5000.qo"
+    q.write_text("5000\n")
+    out, elapsed = _timed_run(["info", str(q)])
+    assert elapsed < 5.0
+    assert out.exit_code == 0
+    assert out.report.splitlines()[-4:] == [
+        "rectangles 0", "dichotomy true", "inner false", "extends true"
+    ]
 
 
 @pytest.mark.parametrize("text", ["40001\n1 2\n", "2000000\n"])

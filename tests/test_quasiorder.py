@@ -7,6 +7,8 @@ import pytest
 from smalg.errors import DimensionMismatch, FormatError, NotClassUnion, NotClosed
 from smalg.exactnum import DenseMatrix, multiply
 from smalg.quasiorder import (
+    _bits,
+    _increasing_search,
     approx_classes,
     automorphisms_fix_two_sided_classes,
     block_triangular_form,
@@ -122,6 +124,36 @@ class TestClosure:
             from_edges(3, (p for p in pairs[:2]), close=False)
         assert exc.value.witness == ((1, 2), (2, 3))
 
+    def test_cycles_and_self_loops_against_oracle(self):
+        # a few random cycles with self-loops and chords on up to 40
+        # vertices, so that components of many sizes feed one another
+        rng = random.Random(103)
+        for _ in range(60):
+            n = rng.randrange(1, 41)
+            edges = []
+            for _ in range(rng.randrange(0, 4)):
+                cycle = rng.sample(range(1, n + 1), rng.randrange(1, min(n, 8) + 1))
+                edges.extend(zip(cycle, cycle[1:] + cycle[:1]))
+            edges += [(v, v) for v in rng.sample(range(1, n + 1), rng.randrange(0, 3) if n > 2 else 0)]
+            edges += [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randrange(0, n + 1))]
+            rng.shuffle(edges)
+            assert set(from_edges(n, edges).pairs()) == oracle_closure(n, edges)
+
+    def test_long_path_and_cycle_close_without_recursion(self):
+        # one search walks the whole path, and the whole cycle is one
+        # component; both would pass the interpreter's recursion limit
+        n = 20_000
+        full_row = (1 << n) - 1
+        up = from_edges(n, [(i, i + 1) for i in range(1, n)])._rows
+        assert all(r == full_row >> k << k for k, r in enumerate(up))
+        del up
+        down = from_edges(n, [(i + 1, i) for i in range(1, n)])._rows
+        assert all(r == (2 << k) - 1 for k, r in enumerate(down))
+        del down
+        n = 5_000
+        cycle = from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
+        assert cycle._rows == ((1 << n) - 1,) * n
+
     def test_bounds(self):
         with pytest.raises(DimensionMismatch):
             from_edges(2, [(1, 3)])
@@ -166,6 +198,36 @@ class TestRelationWalks:
             assert got.sizes == want.sizes
             assert got.presence == want.presence
             assert got.class_order == want.class_order
+
+
+class TestLargeClasses:
+    """Mutual classes and the class order on relations whose mutual
+    classes have up to 12 members, and many rows of one bit count."""
+
+    @pytest.mark.parametrize("sizes", [(4, 5), (1, 6, 12), (2, 9)])
+    def test_against_oracles(self, sizes):
+        rng = random.Random(sum(sizes))
+        for _ in range(12):
+            n = rng.randrange(1, 40)
+            q = fx.random_class_order(rng, n, rng.choice((0.0, 0.2, 0.6)), sizes)
+            classes = two_sided_classes(q).blocks
+            assert classes == tuple(oracle_mutual_classes(n, set(q.pairs())))
+            assert block_triangular_form(q) == oracle_block_triangular_form(q)
+
+
+class TestBits:
+    @pytest.mark.parametrize("length", [1, 8, 63, 64, 65, 200, 2400, 5000])
+    def test_sparse_and_dense_masks(self, length):
+        # bit counts on both sides of the switch from the per-bit walk to
+        # the byte table
+        rng = random.Random(length)
+        for count in sorted({1, 2, 8, 9, length // 8 + 8, length // 8 + 9, 300, 301, length}):
+            if count > length:
+                continue
+            picked = rng.sample(range(length - 1), count - 1) + [length - 1]
+            mask = sum(1 << k for k in picked)
+            assert _bits(mask) == sorted(k + 1 for k in picked)
+        assert _bits(0) == []
 
 
 class TestClasses:
@@ -385,6 +447,21 @@ class TestIncreasingPermutations:
         assert automorphisms_fix_two_sided_classes(cases[0])
         assert not automorphisms_fix_two_sided_classes(cases[1])
         assert not automorphisms_fix_two_sided_classes(cases[2])
+
+    def test_pinned_search_against_automorphism_enumeration(self):
+        rng = random.Random(61)
+        for _ in range(30):
+            n = rng.randrange(1, 7)
+            q = random_quasi_order(rng, n, rng.choice((0.0, 0.2, 0.4)))
+            autos = oracle_relation_automorphisms(n, set(q.pairs()))
+            assert _increasing_search(q, q, None) == sorted(autos)
+            for v in range(1, n + 1):
+                for t in range(1, n + 1):
+                    want = sorted(a for a in autos if a[v - 1] == t)
+                    assert _increasing_search(q, q, None, pin=(v, t)) == want
+                    first = _increasing_search(q, q, 1, pin=(v, t))
+                    assert len(first) == min(len(want), 1)
+                    assert set(first) <= set(want)
 
     def test_fix_classes_predicate(self):
         assert automorphisms_fix_two_sided_classes(fx.upper_chain(3))
