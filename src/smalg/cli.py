@@ -288,7 +288,8 @@ def _cmd_info(args) -> tuple:
     q = _load_qo(args.relation)
     rep = Report()
     rep.add(f"n {q.n}", n=q.n)
-    classes = approx_classes(q).blocks
+    part = approx_classes(q)
+    classes = part.blocks
     rep.add("classes " + _fmt_blocks(classes), classes=_json_blocks(classes))
     mutual = two_sided_classes(q).blocks
     rep.add(
@@ -302,9 +303,9 @@ def _cmd_info(args) -> tuple:
     rep.add(f"rectangles {rect}", rectangles=rect)
     all_trivial = all_transitive_trivial(q)
     for name, value in (
-        ("dichotomy", multiplicativity_dichotomy(q)),
+        ("dichotomy", multiplicativity_dichotomy(q, part)),
         ("inner", all_algebra_automorphisms_inner(q, all_trivial)),
-        ("extends", extends_to_full_jordan_automorphism(q, all_trivial)),
+        ("extends", extends_to_full_jordan_automorphism(q, all_trivial, part)),
     ):
         rep.add(f"{name} {_bool(value)}", **{name: value})
     return 0, rep

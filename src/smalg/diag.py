@@ -2,21 +2,27 @@
 
 Given commuting diagonalizable matrices supported in a quasi-order, an
 invertible S with the same support is produced whose conjugation makes all
-of them diagonal; the inverse of S automatically shares the support. The
-joint spectral projectors of the small class blocks choose, for each
-column of S, a unit column and a joint eigenvalue; the unit column is then
-pushed through the Lagrange factors of that eigenvalue, one product per
-member and eigenvalue for all columns at once, on integer rows. No n x n
-projector is formed. Each member F is checked as F S = S D, with D read off
-the chosen eigenvalues, and the family is checked to commute only when
-something fails. `simultaneous_diagonalize_in_sma` proves this correct. S
-comes back with the inverse and the diagonals it was checked with.
+of them diagonal; the inverse of S automatically shares the support. Each
+member's block on each class of mutually related vertices gets one integer
+basis of its left eigenspace per eigenvalue, from one fraction-free kernel:
+their dimensions add up to the block size exactly when the block is
+diagonalizable, and their intersections, the joint left eigenspaces of the
+class blocks, give by their pivot columns, for each column of S, a unit
+column and a joint eigenvalue. The unit column is then pushed through the
+Lagrange factors of that eigenvalue, one product per member and eigenvalue
+for all columns at once, on integer rows. No projector is formed, of a
+class block or of the whole matrix. Each member F is checked as F S = S D,
+with D read off the chosen eigenvalues, and the family is checked to
+commute only when something fails; the test by the minimal polynomial runs
+only to name a member that fails. `simultaneous_diagonalize_in_sma` proves
+this correct. S comes back with the inverse and the diagonals it was
+checked with.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import (
     DimensionMismatch,
@@ -31,10 +37,13 @@ from .exactnum import (
     ONE,
     DenseMatrix,
     GaussianRational,
+    _gauss_jordan,
+    _kernel_basis,
+    _primitive,
     _rows_times,
     _scaled_columns,
+    _shifted_kernel,
     inverse,
-    pivot_columns,
     scalar,
 )
 from .polyroots import (
@@ -67,66 +76,120 @@ def _annihilate(a: DenseMatrix, eigs) -> None:
         raise NotDiagonalizable("minimal polynomial has a repeated root")
 
 
-def _spectrum(a: DenseMatrix) -> list:
-    """Sorted distinct eigenvalues of a square matrix that is diagonalizable
-    over the Gaussian rationals.
+def _diagnose(a: DenseMatrix, cp) -> NoReturn:
+    """Raise the error of the test by the minimal polynomial for a square
+    matrix that is not diagonalizable over the Gaussian rationals. ``cp``
+    is its characteristic polynomial, or None when a is upper-triangular.
 
-    An upper-triangular matrix shows its spectrum on the diagonal, so only
-    the annihilation test by the product of the A - lam*I remains. Any other
-    matrix takes the squarefree part of its characteristic polynomial, tests
-    that it annihilates the matrix, and searches it for rational roots.
+    An upper-triangular matrix takes the annihilation test by the product
+    of the a - lam*I over its diagonal. Any other matrix takes the
+    squarefree part of ``cp``, tests that it annihilates the matrix, then
+    searches it for roots; so a matrix that is neither diagonalizable nor
+    of rational spectrum is named not diagonalizable.
+    """
+    if cp is None:
+        _annihilate(a, set(a.diagonal()))
+    else:
+        mu = squarefree_part(cp)
+        if not poly_eval_matrix(mu, a).is_zero():
+            raise NotDiagonalizable("minimal polynomial has a repeated root")
+        _, rem = roots_in_gaussian_rationals(mu)
+        if poly_degree(rem) > 0:
+            raise IrrationalSpectrum(
+                f"characteristic factor of degree {poly_degree(rem)} has no "
+                "Gaussian-rational root"
+            )
+    raise InternalInconsistency("eigenspaces disagree with the minimal polynomial")
+
+
+def _spectrum(a: DenseMatrix) -> tuple:
+    """(eigenvalues, eigenspaces) of a square matrix that is diagonalizable
+    over the Gaussian rationals: its distinct eigenvalues in sort-key order
+    and, for each, an integer basis of its left eigenspace, as (re, im) int
+    rows.
+
+    An upper-triangular matrix shows its eigenvalues on the diagonal; any
+    other one takes them from the roots of its characteristic polynomial,
+    which split it exactly when the spectrum is rational. The matrix is
+    diagonalizable exactly when the eigenspaces fill the space. When either
+    test fails, ``_diagnose`` raises the error.
     """
     if a.is_upper_triangular():
-        eigs = sorted(set(a.diagonal()), key=GaussianRational.sort_key)
-        _annihilate(a, eigs)
-        return eigs
-    mu = squarefree_part(charpoly(a))
-    if not poly_eval_matrix(mu, a).is_zero():
-        raise NotDiagonalizable("minimal polynomial has a repeated root")
-    roots, rem = roots_in_gaussian_rationals(mu)
-    if poly_degree(rem) > 0:
-        raise IrrationalSpectrum(
-            f"characteristic factor of degree {poly_degree(rem)} has no "
-            "Gaussian-rational root"
-        )
-    return sorted(roots, key=GaussianRational.sort_key)
+        cp = None
+        eigs = set(a.diagonal())
+    else:
+        cp = charpoly(a)
+        eigs, rem = roots_in_gaussian_rationals(cp)
+        if poly_degree(rem) > 0:
+            _diagnose(a, cp)
+    eigs = sorted(eigs, key=GaussianRational.sort_key)
+    # w a = lam w exactly when a^T w = lam w
+    at = a.transpose()
+    spaces = [_shifted_kernel(at, lam) for lam in eigs]
+    if sum(map(len, spaces)) != a.rows:
+        _diagnose(a, cp)
+    return eigs, spaces
 
 
-
-
-def _projectors(a: DenseMatrix, eigs) -> list:
-    """The Lagrange projectors of a diagonalizable matrix, one per
-    eigenvalue in ``eigs`` and in that order: the polynomial in a that is 1
-    at its own eigenvalue and 0 at the others."""
-    ident = DenseMatrix.identity(a.rows)
-    shifted = [a - ident.scale(lam) for lam in eigs]
+def _intersection(us: list, vs: list) -> list:
+    """An integer basis of the intersection of the spans of two bases of
+    (re, im) int rows: x U for each kernel vector (x, y) of the columns of
+    U and -V. x is never zero, since V is independent, and the x of a
+    kernel basis are independent, so the x U are a basis."""
+    stacked = us + [([-x for x in re], [-y for y in im]) for re, im in vs]
+    re_rows = [list(row) for row in zip(*(re for re, _ in stacked))]
+    im_rows = [list(row) for row in zip(*(im for _, im in stacked))]
+    m = len(re_rows)
     out = []
-    for lam in eigs:
-        p = ident
-        for other, m in zip(eigs, shifted):
-            if other != lam:
-                p = (m * p).scale((lam - other).reciprocal())
-        out.append(p)
+    for xr, xi in _kernel_basis(re_rows, im_rows, len(stacked)):
+        wr, wi = [0] * m, [0] * m
+        for p, q, (ur, ui) in zip(xr, xi, us):
+            if q:
+                wr = [w + p * a - q * b for w, a, b in zip(wr, ur, ui)]
+                wi = [w + p * b + q * a for w, a, b in zip(wi, ur, ui)]
+            elif p:
+                wr = [w + p * a for w, a in zip(wr, ur)]
+                wi = [w + p * b for w, b in zip(wi, ui)]
+        out.append(_primitive(wr, wi))
     return out
 
 
-def _class_picks(blocks, position) -> list:
-    """The pairs (pivot column j, tuple t) of one class of size 2 or more:
-    t holds one eigenvalue index per member, and j runs over the pivot
-    columns of the joint projector block Q_CC of t, the product of the
-    members' block projectors; tuples whose product is zero are dropped.
-    ``blocks`` holds each member's (C x C block, sorted block eigenvalues)."""
-    joint = [((), DenseMatrix.identity(blocks[0][0].rows))]
-    for (block, eigs), pos in zip(blocks, position):
-        projectors = [(pos[lam], p) for lam, p in zip(eigs, _projectors(block, eigs))]
+def _class_picks(blocks, position, size: int) -> list:
+    """The pairs (pivot column j, tuple t) of one class of ``size`` 2 or
+    more: t holds one eigenvalue index per member, and j runs over the
+    pivot columns of a basis of L_t, the joint left eigenspace of the
+    members' class blocks for t; tuples with L_t = 0 are dropped.
+    ``blocks`` holds each member's (sorted block eigenvalues, their left
+    eigenspaces) from ``_spectrum``.
+
+    L_t is refined member by member, L_{t+(u)} = L_t meet K_u for the
+    member's eigenspace K_u; the first member's eigenspaces are taken as
+    they are. Eigenspaces of distinct eigenvalues are independent, so once
+    the pieces of L_t fill it, the rest are zero and are not solved.
+    """
+    joint = [((), None)]  # None: the whole space
+    for (eigs, spaces), pos in zip(blocks, position):
         refined = []
-        for t, q in joint:
-            for u, p in projectors:
-                qp = q * p
-                if not qp.is_zero():
-                    refined.append((t + (u,), qp))
+        for t, basis in joint:
+            left = size if basis is None else len(basis)
+            for lam, space in zip(eigs, spaces):
+                if not left:
+                    break
+                if basis is None:
+                    part = space
+                elif len(space) == size:
+                    part = basis
+                else:
+                    part = _intersection(basis, space)
+                if part:
+                    refined.append((t + (pos[lam],), part))
+                    left -= len(part)
         joint = refined
-    return [(j, t) for t, q in joint for j in pivot_columns(q)]
+    return [
+        (c + 1, t)
+        for t, basis in joint
+        for _, c in _gauss_jordan([list(re) for re, _ in basis], [list(im) for _, im in basis])[0]
+    ]
 
 
 def _push(family, spectra, sources, targets) -> DenseMatrix:
@@ -216,6 +279,27 @@ def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> Diagonalization:
        diagonalizable family each Q_t is idempotent, and a block
        upper-triangular idempotent whose diagonal blocks are all zero is
        nilpotent, hence zero.
+       No projector is formed to find these pairs. Let B_k be the C x C
+       block of F_k and K_k(lam) = {w : w B_k = lam w} its left eigenspace.
+       `_spectrum` takes one integer basis of each from the kernel of
+       (B_k - lam I)^T; B_k is diagonalizable exactly when their
+       dimensions add up to |C|. L_t, the meet over k of the
+       K_k(lam_{t_k}), is refined member by member, one kernel of the
+       stacked bases per step (`_class_picks`), and the pairs are (j, t)
+       for the pivot columns j of a basis of each nonzero L_t. These are
+       the same pairs. The row space of (Q_t)_CC is L_t. Its factors, the
+       block projectors P_k, commute, and P_k B_k = lam_{t_k} P_k, so every
+       row w of (Q_t)_CC has w B_k = lam_{t_k} w for each k: the rows lie
+       in L_t. A w in L_t is fixed by each Lagrange polynomial of its
+       eigenvalue, so w (Q_t)_CC = w: L_t lies in the row space. Two
+       matrices with the same row space have the same null space, so the
+       same linear relations among their columns; a column is a pivot
+       exactly when it is not a combination of the columns left of it, so
+       they have the same pivot columns. The sorted pairs, and with them S,
+       come out entry for entry as the ones read off (Q_t)_CC. For a family
+       that does not commute, the L_t may not fill C; then fewer than |C|
+       pairs come out, and step 4's failure path names the pair of members
+       that do not commute.
     2. Columns by pushing. The column of S for the pair (j, t) is Q_t e_j,
        with j read as a vertex of C. The factors F_k - mu I commute, being
        polynomials in a commuting family, so Q_t e_j is e_j multiplied by
@@ -253,7 +337,7 @@ def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> Diagonalization:
        is diagonal. Such a family commutes, F_k = S D_k S^-1 being
        conjugates of diagonal matrices by one S, so the pairwise commute
        check is left to the failure path: any error after the support
-       check (a spectrum error, classes the joint projectors do not split,
+       check (a spectrum error, classes the joint eigenspaces do not split,
        a singular S, S outside the algebra, a member with F S != S D) first
        runs it, and "members x and y do not commute" is raised before
        anything else, as when the check ran first. For a commuting family
@@ -298,11 +382,10 @@ def _diagonalize(rho: QuasiOrder, family) -> Diagonalization:
         blocks = []
         for k, f in enumerate(family):
             if len(idx) == 1:
-                block, eigs = None, [f.at(idx[0], idx[0])]
+                eigs, spaces = [f.at(idx[0], idx[0])], None
             else:
-                block = f.submatrix(idx, idx)
                 try:
-                    eigs = _spectrum(block)
+                    eigs, spaces = _spectrum(f.submatrix(idx, idx))
                 except NotDiagonalizable as exc:
                     raise NotDiagonalizable(
                         f"member {k + 1} is not diagonalizable"
@@ -312,19 +395,19 @@ def _diagonalize(rho: QuasiOrder, family) -> Diagonalization:
                         f"member {k + 1} has irrational eigenvalues"
                     ) from exc
             spectra[k].update(eigs)
-            blocks.append((block, eigs))
+            blocks.append((eigs, spaces))
         class_blocks.append(blocks)
     spectra = [sorted(eigs, key=GaussianRational.sort_key) for eigs in spectra]
     position = [{lam: u for u, lam in enumerate(eigs)} for eigs in spectra]
     sources, targets = [0] * n, [()] * n
     for idx, blocks in zip(classes, class_blocks):
         if len(idx) == 1:
-            t = tuple(pos[eigs[0]] for (_, eigs), pos in zip(blocks, position))
+            t = tuple(pos[eigs[0]] for (eigs, _), pos in zip(blocks, position))
             picks = [(1, t)]
         else:
-            picks = sorted(_class_picks(blocks, position))
+            picks = sorted(_class_picks(blocks, position, len(idx)))
             if len(picks) != len(idx):
-                raise InternalInconsistency("joint projectors do not split a class")
+                raise InternalInconsistency("joint eigenspaces do not split a class")
         for j, (c, t) in zip(idx, picks):
             sources[j - 1], targets[j - 1] = idx[c - 1], t
     s = _push(family, spectra, sources, targets)

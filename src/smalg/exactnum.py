@@ -6,10 +6,10 @@ equal storage and compare and hash as ints. A matrix keeps the same form
 with one denominator for all its entries: a positive integer denominator and
 integer numerators for the real and imaginary parts, in lowest terms, so its
 arithmetic runs on Python ints and equal matrices have equal storage; entries
-are handed out as scalars. Rank, pivot columns and inverse all run on one
-fraction-free Gauss-Jordan kernel over the Gaussian integers, and products
-on one kernel that multiplies a stack of integer rows by a matrix. No
-floating point enters anywhere in this package.
+are handed out as scalars. Rank, pivot columns, kernel bases and inverse
+all run on one fraction-free Gauss-Jordan kernel over the Gaussian
+integers, and products on one kernel that multiplies a stack of integer
+rows by a matrix. No floating point enters anywhere in this package.
 
 Matrix indices in the public API are 1-based, matching the pair convention of
 the relation and weight file formats; storage is row-major and 0-based
@@ -943,6 +943,54 @@ def pivot_columns(m: DenseMatrix) -> list:
     """The 1-based pivot columns: each column that is not in the span of
     the columns left of it."""
     return [c + 1 for _, c in _gauss_jordan(*_int_rows(m))[0]]
+
+
+def _primitive(re: list, im: list):
+    """The nonzero Gaussian-integer vector re + i im divided by the gcd of
+    its parts."""
+    g = gcd(*re, *im)
+    if g == 1:
+        return re, im
+    return [x // g for x in re], [y // g for y in im]
+
+
+def _kernel_basis(re_rows, im_rows, cols: int) -> list:
+    """A Gaussian-integer basis of the kernel of the integer matrix with
+    rows re_rows + i im_rows and ``cols`` columns, as (re, im) int lists,
+    one vector per free column, each divided by the gcd of its parts. The
+    rows are eliminated in place.
+
+    After Gauss-Jordan, pivot row r holds the last pivot p at its pivot
+    column c_r and zeros at the other pivot columns. For a free column f,
+    the vector with p at f, -R[r][f] at each c_r and zeros at the other
+    free columns is then in the kernel. Among the free columns each vector
+    is nonzero only at its own, so they are independent, and there are as
+    many as the nullity.
+    """
+    pivots, (pr, pi) = _gauss_jordan(re_rows, im_rows, reduce=True)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for f in range(cols):
+        if f in pivot_cols:
+            continue
+        re, im = [0] * cols, [0] * cols
+        re[f], im[f] = pr, pi
+        for r, c in pivots:
+            re[c], im[c] = -re_rows[r][f], -im_rows[r][f]
+        basis.append(_primitive(re, im))
+    return basis
+
+
+def _shifted_kernel(m: DenseMatrix, lam: GaussianRational) -> list:
+    """An integer basis of the kernel of m - lam*I for a square m, as
+    ``_kernel_basis`` gives it: the kernel of e*N - d*(x + y i)*I, a
+    multiple of m - lam*I, for m = N / d and lam = (x + y i) / e."""
+    re_rows, im_rows = _int_rows(m, lam.d)
+    shift_re, shift_im = m._d * lam.p, m._d * lam.q
+    for i in range(m.rows):
+        re_rows[i][i] -= shift_re
+        im_rows[i][i] -= shift_im
+    return _kernel_basis(re_rows, im_rows, m.cols)
 
 
 def inverse(m: DenseMatrix) -> DenseMatrix:

@@ -38,6 +38,7 @@ from .exactnum import (
     permutation_matrix,
 )
 from .quasiorder import (
+    ClassPartition,
     QuasiOrder,
     approx_classes,
     automorphisms_fix_two_sided_classes,
@@ -319,9 +320,16 @@ def synthesize_jordan(rho: QuasiOrder, s: DenseMatrix, u, g) -> LinearMapOnSMA:
     return phi
 
 
-def multiplicativity_dichotomy(rho: QuasiOrder) -> bool:
-    """True iff at most one connectivity class has two or more vertices."""
-    big = [b for b in approx_classes(rho).blocks if len(b) >= 2]
+def multiplicativity_dichotomy(
+    rho: QuasiOrder, classes: Optional[ClassPartition] = None
+) -> bool:
+    """True iff at most one connectivity class has two or more vertices.
+
+    ``classes`` is ``approx_classes(rho)`` when the caller has it already;
+    it is computed here otherwise."""
+    if classes is None:
+        classes = approx_classes(rho)
+    big = [b for b in classes.blocks if len(b) >= 2]
     return len(big) <= 1
 
 
@@ -426,16 +434,19 @@ def classify_into_codomain(
 
 
 def extends_to_full_jordan_automorphism(
-    rho: QuasiOrder, all_trivial: Optional[bool] = None
+    rho: QuasiOrder,
+    all_trivial: Optional[bool] = None,
+    classes: Optional[ClassPartition] = None,
 ) -> bool:
     """True iff every Jordan automorphism of the algebra is the restriction
     of a Jordan automorphism of the full matrix algebra.
 
-    ``all_trivial`` is ``all_transitive_trivial(rho)`` when the caller has
-    it already; it is computed here otherwise."""
+    ``all_trivial`` is ``all_transitive_trivial(rho)`` and ``classes`` is
+    ``approx_classes(rho)`` when the caller has them already; each is
+    computed here otherwise."""
     if all_trivial is None:
         all_trivial = all_transitive_trivial(rho)
-    return all_trivial and multiplicativity_dichotomy(rho)
+    return all_trivial and multiplicativity_dichotomy(rho, classes)
 
 
 def all_algebra_automorphisms_inner(

@@ -22,6 +22,7 @@ from .errors import (
     InternalInconsistency,
     NotJordan,
     NotUnital,
+    Singular,
     SupportViolation,
     VanishingUnitImage,
 )
@@ -197,14 +198,15 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     rho = phi.rho
     n = rho.n
     f_id = apply(phi, DenseMatrix.identity(n))
-    r_id = rank(f_id)
-    if r_id < n:
+    try:
+        norm = inverse(f_id)
+    except Singular:
+        # the rank is needed only for the witness
         return PreserverVerdict(
             kind="Neither",
-            witness=RankWitness(DenseMatrix.identity(n), (n, r_id)),
+            witness=RankWitness(DenseMatrix.identity(n), (n, rank(f_id))),
             note="fails unitality: the identity maps to a singular matrix",
         )
-    norm = inverse(f_id)
     psi = LinearMapOnSMA(rho, {p: norm * m for p, m in phi.images.items()})
     try:
         form = classify_jordan(psi)

@@ -18,7 +18,10 @@ kernels. ``dense_classify_jordan`` keeps the classification ladder as the
 package ran it on dense products, with ``dense_reconstruct``, as the
 reference for its frame ladder; ``dense_simultaneous_diagonalize`` keeps
 the diagonalizer as it read S off the n x n joint projectors, as the
-reference for its column construction; ``dense_gf2_kernel_basis`` keeps
+reference for its column construction, on its own copies of the route the
+package no longer runs (``lagrange_spectrum``, the squarefree part tested
+by annihilation, ``lagrange_annihilate`` and ``lagrange_projectors``);
+``dense_gf2_kernel_basis`` keeps
 the GF(2) elimination on dense 0/1 rows, as the reference for its bitmask
 rows. The next-to-last section holds reference checks
 that the package once exported and no longer calls (the central
@@ -26,7 +29,7 @@ idempotents, the all-pairs Jordan identity check, the
 identity, transpose and conjugation maps, the annihilation test for
 diagonalizability and the spectral resolution of one matrix); unlike the
 oracles they run on the package's matrix products and, for the spectral
-resolution, on diag's own spectrum and Lagrange projectors. The last
+resolution, on those copies of the spectrum and Lagrange projectors. The last
 section keeps the references of the fast routes: the rectangle count over every
 row pair, the first missing composition of a pair set, the four input
 parsers as they read their text line by line before the shared tokenizer
@@ -45,7 +48,7 @@ from itertools import combinations, permutations, product
 from math import lcm
 from typing import Optional
 
-from smalg.diag import Diagonalization, _annihilate, _projectors, _spectrum
+from smalg.diag import Diagonalization
 from smalg.errors import (
     DimensionMismatch,
     FormatError,
@@ -932,6 +935,57 @@ def dense_classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
 # --- rank preservation of the induced scaling -----------------------------------
 
 
+def lagrange_annihilate(a: DenseMatrix, eigs) -> None:
+    """Raise unless the product of the a - lam*I over the distinct
+    eigenvalues is zero, which holds exactly when a is diagonalizable."""
+    ident = DenseMatrix.identity(a.rows)
+    annihilator = ident
+    for lam in eigs:
+        annihilator = annihilator * (a - ident.scale(lam))
+    if not annihilator.is_zero():
+        raise NotDiagonalizable("minimal polynomial has a repeated root")
+
+
+def lagrange_spectrum(a: DenseMatrix) -> list:
+    """Sorted distinct eigenvalues of a square matrix that is diagonalizable
+    over the Gaussian rationals, by the minimal polynomial: an
+    upper-triangular matrix reads them off its diagonal and takes the
+    annihilation test; any other takes the squarefree part of its
+    characteristic polynomial, tests that it annihilates the matrix, and
+    searches it for roots. The route the package ran before it read
+    diagonalizability off its left eigenspaces."""
+    if a.is_upper_triangular():
+        eigs = sorted(set(a.diagonal()), key=GaussianRational.sort_key)
+        lagrange_annihilate(a, eigs)
+        return eigs
+    mu = squarefree_part(charpoly(a))
+    if not poly_eval_matrix(mu, a).is_zero():
+        raise NotDiagonalizable("minimal polynomial has a repeated root")
+    roots, rem = roots_in_gaussian_rationals(mu)
+    if poly_degree(rem) > 0:
+        raise IrrationalSpectrum(
+            f"characteristic factor of degree {poly_degree(rem)} has no "
+            "Gaussian-rational root"
+        )
+    return sorted(roots, key=GaussianRational.sort_key)
+
+
+def lagrange_projectors(a: DenseMatrix, eigs) -> list:
+    """The Lagrange projectors of a diagonalizable matrix, one per
+    eigenvalue in ``eigs`` and in that order: the polynomial in a that is 1
+    at its own eigenvalue and 0 at the others."""
+    ident = DenseMatrix.identity(a.rows)
+    shifted = [a - ident.scale(lam) for lam in eigs]
+    out = []
+    for lam in eigs:
+        p = ident
+        for other, m in zip(eigs, shifted):
+            if other != lam:
+                p = (m * p).scale((lam - other).reciprocal())
+        out.append(p)
+    return out
+
+
 def dense_simultaneous_diagonalize(rho: QuasiOrder, family) -> Diagonalization:
     """The simultaneous diagonalization as the package built it before it
     pushed unit columns through the Lagrange factors: every member's n x n
@@ -967,7 +1021,7 @@ def dense_simultaneous_diagonalize(rho: QuasiOrder, family) -> Diagonalization:
                 spectra[k].add(f.at(idx[0], idx[0]))
                 continue
             try:
-                spectra[k].update(_spectrum(f.submatrix(idx, idx)))
+                spectra[k].update(lagrange_spectrum(f.submatrix(idx, idx)))
             except NotDiagonalizable as exc:
                 raise NotDiagonalizable(f"member {k + 1} is not diagonalizable") from exc
             except IrrationalSpectrum as exc:
@@ -977,8 +1031,8 @@ def dense_simultaneous_diagonalize(rho: QuasiOrder, family) -> Diagonalization:
     joint = [DenseMatrix.identity(n)]
     for f, eigs in zip(family, spectra):
         eigs = sorted(eigs, key=GaussianRational.sort_key)
-        _annihilate(f, eigs)
-        projectors = _projectors(f, eigs)
+        lagrange_annihilate(f, eigs)
+        projectors = lagrange_projectors(f, eigs)
         refined = []
         for q in joint:
             for p in projectors:
@@ -1314,8 +1368,8 @@ def spectral_idempotents(a: DenseMatrix) -> SpectralDecomposition:
     """
     if not a.is_square:
         raise DimensionMismatch("spectral idempotents need a square matrix")
-    eigs = _spectrum(a)
-    pairs = tuple(zip(eigs, _projectors(a, eigs)))
+    eigs = lagrange_spectrum(a)
+    pairs = tuple(zip(eigs, lagrange_projectors(a, eigs)))
     n = a.rows
     total = DenseMatrix.zeros(n, n)
     recon = DenseMatrix.zeros(n, n)

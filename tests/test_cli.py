@@ -14,6 +14,7 @@ import smalg.cli
 import smalg.diag
 import smalg.exactnum
 import smalg.jordan
+import smalg.quasiorder
 import smalg.rankpres
 import smalg.sampling
 import smalg.transmap
@@ -287,6 +288,25 @@ def test_info_runs_one_smith_form(files, monkeypatch):
     assert out.exit_code == 0
     assert out.report.splitlines()[-3:] == ["dichotomy true", "inner false", "extends false"]
     assert calls == [0]
+
+
+def test_info_builds_its_connectivity_classes_once(files, monkeypatch):
+    # the classes line, the dichotomy and the extends line share one search
+    calls = []
+    real = smalg.quasiorder.approx_classes
+
+    def counting(q):
+        calls.append(q.n)
+        return real(q)
+
+    for module in (smalg.cli, smalg.jordan):
+        monkeypatch.setattr(module, "approx_classes", counting)
+    for name, last in (("bowtie", "extends false"), ("t3", "extends true")):
+        calls.clear()
+        out = run(["info", files[name]])
+        assert out.exit_code == 0
+        assert out.report.splitlines()[-1] == last
+        assert len(calls) == 1
 
 
 def test_info_on_the_three_chain_runs_no_smith_form(files, monkeypatch):
@@ -570,13 +590,31 @@ def test_diagonalize_three_prime_spectrum_on_a_full_block_under_five_seconds(tmp
     assert out.report.splitlines()[-1] == f"diag {P} {Q} {R}"
 
 
-@pytest.mark.parametrize("rows", [[[0, 2], [1, 0]], [[Q, 1], [1, P]]])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 2], [1, 0]],
+        [[Q, 1], [1, P]],
+        [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]],
+    ],
+)
 def test_diagonalize_irrational_block_stays_negative(tmp_path, rows):
-    # x^2 - 2, and x^2 - (P + Q) x + PQ - 1 with discriminant (Q - P)^2 + 4
+    # x^2 - 2, x^2 - (P + Q) x + PQ - 1 with discriminant (Q - P)^2 + 4,
+    # and (x^2 - 2)(x^2 - 3), diagonalizable over the reals
     out, elapsed = _diagonalize_on_a_full_block(tmp_path, DenseMatrix.from_rows(rows))
     assert elapsed < 5.0
     assert (out.exit_code, out.report) == (
         1, "NOT-DIAGONALIZABLE member 1 has irrational eigenvalues\n"
+    )
+
+
+def test_diagonalize_names_a_defective_irrational_block_not_diagonalizable(tmp_path):
+    # minimal polynomial (x^2 - 2)^2: irrational and not diagonalizable,
+    # and the second is named, as the test by the minimal polynomial does
+    rows = [[0, 2, 1, 0], [1, 0, 0, 1], [0, 0, 0, 2], [0, 0, 1, 0]]
+    out, _ = _diagonalize_on_a_full_block(tmp_path, DenseMatrix.from_rows(rows))
+    assert (out.exit_code, out.report) == (
+        1, "NOT-DIAGONALIZABLE member 1 is not diagonalizable\n"
     )
 
 

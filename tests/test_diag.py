@@ -19,6 +19,7 @@ from smalg.errors import (
     SupportViolation,
 )
 from smalg.exactnum import DenseMatrix, inverse, rank, scalar
+from smalg.quasiorder import from_edges
 
 from fixtures import (
     delta,
@@ -28,6 +29,7 @@ from fixtures import (
     random_quasiorder,
     upper_chain,
 )
+import oracles
 from oracles import (
     col_list,
     dense_simultaneous_diagonalize,
@@ -434,11 +436,52 @@ def _random_family(rng):
     return rho, family
 
 
+def _conjugates(s0, diagonals):
+    s0inv = inverse(s0)
+    return [s0 * DenseMatrix.diag(d) * s0inv for d in diagonals]
+
+
+def _two_classes():
+    """The classes {1, 2, 3} below {4, 5}."""
+    return from_edges(5, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 4), (2, 4)])
+
+
+def _class_block_cases(rng):
+    """Families chosen to reach each branch of the class-block stage: full
+    blocks of size 3 and 4 with repeated eigenvalues, Gaussian eigenvalues,
+    class blocks that are upper-triangular, and one to three members."""
+    two_classes = _two_classes()
+    repeated = [[1, 1, 2, 2], [0, 3, 3, 0], ["1i", 0, 0, "1i"]]
+    gaussian = [["1i", "1i", "-1+2i"], ["-1i", 2, 2]]
+    cases = []
+    for _ in range(4):
+        s4 = random_invertible_in_sma(full(4), rng, steps=10)
+        for k in (1, 2, 3):
+            cases.append((full(4), _conjugates(s4, repeated[:k])))
+        s3 = random_invertible_in_sma(full(3), rng, steps=8)
+        cases.append((full(3), _conjugates(s3, [[5, 5, -1]])))
+        for k in (1, 2):
+            cases.append((full(3), _conjugates(s3, gaussian[:k])))
+        # upper-triangular on the whole relation, so on every class block
+        u4 = random_invertible_in_sma(upper_chain(4), rng, steps=8)
+        cases.append((full(4), _conjugates(u4, repeated)))
+        s5 = random_invertible_in_sma(two_classes, rng, steps=10)
+        cases.append((two_classes, _conjugates(s5, [[2, 2, 7, 7, 2], ["1i", 0, 0, 0, "1i"]])))
+    # a 3 x 3 block with a repeated eigenvalue that is not diagonalizable,
+    # and one with a 2 x 2 irrational part, each beside a diagonalizable member
+    defective = DenseMatrix.from_rows([[1, 1, 0], [0, 1, 0], [1, 0, 2]])
+    irrational = DenseMatrix.from_rows([[0, 2, 0], [1, 0, 0], [0, 0, 1]])
+    for bad in (defective, irrational):
+        cases.append((full(3), [DenseMatrix.identity(3), bad]))
+    return cases
+
+
 def test_column_construction_matches_dense_joint_projectors():
     rng = random.Random(2024)
     seen = set()
     # the pivot tie: both projectors of [[0,1],[1,0]] pivot on column 1
     cases = [(full(2), [DenseMatrix.from_rows([[0, 1], [1, 0]])])]
+    cases += _class_block_cases(rng)
     cases += [_random_family(rng) for _ in range(1000)]
     for rho, family in cases:
         got = _outcome(simultaneous_diagonalize_in_sma, rho, family)
@@ -478,3 +521,45 @@ def test_diagonalize_products_stay_within_the_spectra(monkeypatch):
     assert len(products) <= 5 + 5 + 2
     # the two certificate products take all n rows of F
     assert products.count(n) >= 2
+
+
+def test_full_block_stage_forms_no_projector_and_no_block_product(monkeypatch):
+    # Diagonalizability and the picks are read off the left eigenspaces:
+    # no minimal polynomial is evaluated, no annihilation test runs, no
+    # Lagrange projector is formed, and every matrix product is n x n (the
+    # push and the certificate F S = S D), none of a class block.
+    rho = _two_classes()
+    rng = random.Random(101)
+    s0 = random_invertible_in_sma(rho, rng, steps=12)
+    family = _conjugates(s0, [[2, 2, 7, 7, 2], ["1i", 0, 0, 0, "1i"], [1, 3, 3, 1, 1]])
+    assert any(
+        not f.submatrix(idx, idx).is_upper_triangular()
+        for f in family
+        for idx in ([1, 2, 3], [4, 5])
+    )
+    calls = []
+
+    def forbidden(name):
+        def wrapper(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} ran on a diagonalizable family")
+        return wrapper
+
+    monkeypatch.setattr(smalg.diag, "poly_eval_matrix", forbidden("poly_eval_matrix"))
+    monkeypatch.setattr(smalg.diag, "_annihilate", forbidden("_annihilate"))
+    for name in ("lagrange_spectrum", "lagrange_projectors", "lagrange_annihilate"):
+        monkeypatch.setattr(oracles, name, forbidden(name))
+    shapes = []
+    kernel = smalg.exactnum._rows_times
+
+    def recording(re_rows, im_rows, b):
+        shapes.append(b.shape)
+        return kernel(re_rows, im_rows, b)
+
+    for module in (smalg.exactnum, smalg.diag):
+        monkeypatch.setattr(module, "_rows_times", recording)
+    s, s_inv, diagonals = simultaneous_diagonalize_in_sma(rho, family)
+    assert calls == []
+    assert shapes and set(shapes) == {(5, 5)}
+    for f, d in zip(family, diagonals):
+        assert s_inv * f * s == DenseMatrix.diag(d)

@@ -412,6 +412,24 @@ def test_classify_corner_fails_unitality():
     assert "unitality" in v.note
 
 
+def test_classify_takes_the_rank_of_the_identity_image_only_when_singular(monkeypatch):
+    """phi(I) is eliminated once: inverted, and ranked only for the (n, r)
+    witness when it is singular."""
+    ranked = []
+    real_rank = smalg.rankpres.rank
+
+    def counting(m):
+        ranked.append(m)
+        return real_rank(m)
+
+    monkeypatch.setattr(smalg.rankpres, "rank", counting)
+    assert classify_rank_preserver(transpose_map(full(3))).kind == "RankPreserver"
+    assert ranked == []
+    v = classify_rank_preserver(linear_map(corner(), corner_map_images()))
+    assert v.witness.ranks == (3, 2)
+    assert len(ranked) == 1
+
+
 def test_classify_unital_non_jordan():
     v = classify_rank_preserver(unital_non_jordan_on_full2())
     assert v.kind == "Neither"
