@@ -175,7 +175,7 @@ def _load_gw(path: str, rho):
 def _load_lm(path: str, rho) -> LinearMapOnSMA:
     try:
         phi = parse_linear_map(_read(path))
-    except (FormatError, SupportViolation, DimensionMismatch) as exc:
+    except (FormatError, NotClosed, SupportViolation, DimensionMismatch) as exc:
         raise _InputError(_diagnostic(path, exc))
     if phi.rho != rho:
         raise _InputError(

@@ -6,10 +6,12 @@ equal storage and compare and hash as ints. A matrix keeps the same form
 with one denominator for all its entries: a positive integer denominator and
 integer numerators for the real and imaginary parts, in lowest terms, so its
 arithmetic runs on Python ints and equal matrices have equal storage; entries
-are handed out as scalars. Rank, pivot columns, kernel bases and inverse
-all run on one fraction-free Gauss-Jordan kernel over the Gaussian
-integers, and products on one kernel that multiplies a stack of integer
-rows by a matrix. No floating point enters anywhere in this package.
+are handed out as scalars. Rank, kernel bases and inverse all run on one
+fraction-free Gauss-Jordan kernel over the Gaussian integers, and products
+on one kernel that multiplies a stack of integer rows by a matrix. A
+``BlockRow`` keeps many n x n matrices side by side as one matrix, with the
+nonzero entries of each block listed once. No floating point enters
+anywhere in this package.
 
 Matrix indices in the public API are 1-based, matching the pair convention of
 the relation and weight file formats; storage is row-major and 0-based
@@ -646,9 +648,12 @@ def _rows_times(re_rows, im_rows, b: DenseMatrix):
     m, p = b.rows, b.cols
     bre, bim = b._re, b._im
     # Nonzero parts of each row of b, as (column, value) lists.
-    b_re = [[(j, x) for j, x in enumerate(bre[k * p : (k + 1) * p]) if x] for k in range(m)]
+    cols = range(p)
+    rows = [bre[k * p : (k + 1) * p] for k in range(m)]
+    b_re = [[*zip(compress(cols, row), compress(row, row))] for row in rows]
     if any(bim):
-        b_im = [[(j, x) for j, x in enumerate(bim[k * p : (k + 1) * p]) if x] for k in range(m)]
+        rows = [bim[k * p : (k + 1) * p] for k in range(m)]
+        b_im = [[*zip(compress(cols, row), compress(row, row))] for row in rows]
     else:
         b_im = [()] * m
     out_re, out_im = [], []
@@ -708,27 +713,6 @@ def _scaled_columns(rows: int, re_cols, im_cols, scales) -> DenseMatrix:
     )
 
 
-def combination(rows: int, cols: int, terms) -> DenseMatrix:
-    """The sum of c * m over the (scalar c, rows x cols matrix m) terms,
-    accumulated over one common denominator and reduced once."""
-    split = [(scalar(c), m) for c, m in terms]
-    d = lcm(*{c.d * m._d for c, m in split})
-    re = [0] * (rows * cols)
-    im = [0] * (rows * cols)
-    for c, m in split:
-        if m.shape != (rows, cols):
-            raise DimensionMismatch(f"cannot add {m.shape} to {rows}x{cols}")
-        f = d // (c.d * m._d)
-        p, q = f * c.p, f * c.q
-        if q:
-            re = [x + p * a - q * b for x, a, b in zip(re, m._re, m._im)]
-            im = [y + p * b + q * a for y, a, b in zip(im, m._re, m._im)]
-        else:
-            re = [x + p * a for x, a in zip(re, m._re)]
-            im = [y + p * b for y, b in zip(im, m._im)]
-    return _reduced(rows, cols, d, re, im)
-
-
 def _nonzero_positions(m: DenseMatrix):
     """The 0-based row-major positions of the nonzero entries of m."""
     re, im = m._re, m._im
@@ -737,12 +721,117 @@ def _nonzero_positions(m: DenseMatrix):
     return compress(range(len(re)), re)
 
 
-def _nonzero_count(m: DenseMatrix) -> int:
-    re, im = m._re, m._im
-    if any(im):
-        # a | b is 0 exactly when a and b are
-        return len(re) - list(map(or_, re, im)).count(0)
-    return len(re) - re.count(0)
+# --- rows of blocks ---------------------------------------------------------------
+
+
+class BlockRow:
+    """n x n blocks B_0, ..., B_{k-1} side by side in one n x (n k) matrix
+    [B_0 | B_1 | ... | B_{k-1}].
+
+    ``matrix`` is that matrix, with one denominator over all the blocks.
+    ``nonzeros[t]`` lists the nonzero numerators of B_t over it, as
+    (row-major position in the block, re, im) in position order. They are
+    found once, when the row is built, so each read below takes time in the
+    nonzeros of the blocks it reads.
+    """
+
+    __slots__ = ("n", "matrix", "nonzeros")
+
+    def __init__(self, matrix: DenseMatrix, n: int):
+        width = matrix.cols
+        if matrix.rows != n or width % n:
+            raise DimensionMismatch(f"a {matrix.shape} matrix is no row of {n}x{n} blocks")
+        self.n = n
+        self.matrix = matrix
+        nonzeros = [[] for _ in range(width // n)]
+        re, im = matrix._re, matrix._im
+        for t in _nonzero_positions(matrix):
+            r, col = divmod(t, width)
+            k, c = divmod(col, n)
+            nonzeros[k].append((r * n + c, re[t], im[t]))
+        self.nonzeros = nonzeros
+
+    @classmethod
+    def from_entries(cls, n: int, blocks) -> "BlockRow":
+        """The row whose block t has the entries blocks[t], (row-major
+        position, scalar) pairs in position order; every other entry is
+        zero. The numerators go over the lcm of the scalars' denominators,
+        which leaves them in lowest terms."""
+        blocks = [list(entries) for entries in blocks]
+        d = lcm(*{v.d for entries in blocks for _, v in entries})
+        return cls._build(
+            n,
+            d,
+            [
+                [(pos, v.p * (d // v.d), v.q * (d // v.d)) for pos, v in entries if v]
+                for entries in blocks
+            ],
+        )
+
+    @classmethod
+    def of(cls, blocks: Sequence[DenseMatrix], n: int) -> "BlockRow":
+        """The row of the given n x n matrices."""
+        if any(b.shape != (n, n) for b in blocks):
+            raise DimensionMismatch(f"blocks must be {n}x{n}")
+        entries = []
+        for b in blocks:
+            ks = list(_nonzero_positions(b))
+            entries.append(zip(ks, b._scalars(ks)))
+        return cls.from_entries(n, entries)
+
+    @classmethod
+    def _build(cls, n: int, d: int, nonzeros: list) -> "BlockRow":
+        """The row with these nonzero numerators over d, in lowest terms."""
+        width = n * len(nonzeros)
+        re, im = [0] * (n * width), [0] * (n * width)
+        for t, entries in enumerate(nonzeros):
+            base = t * n
+            for pos, a, b in entries:
+                r, c = divmod(pos, n)
+                k = r * width + base + c
+                re[k] = a
+                im[k] = b
+        row = object.__new__(cls)
+        row.n = n
+        row.matrix = _new(n, width, d, tuple(re), tuple(im))
+        row.nonzeros = nonzeros
+        return row
+
+    def __len__(self):
+        return len(self.nonzeros)
+
+    def block(self, t: int) -> DenseMatrix:
+        """B_t as a matrix of its own."""
+        return self.combination(((ONE, t),))
+
+    def support(self, t: int):
+        """Positions of the nonzero entries of B_t as a frozenset of 1-based
+        pairs."""
+        n = self.n
+        return frozenset((pos // n + 1, pos % n + 1) for pos, _, _ in self.nonzeros[t])
+
+    def combination(self, terms) -> DenseMatrix:
+        """The n x n sum of c * B_t over the (scalar c, block index t) terms,
+        accumulated over one common denominator and reduced once."""
+        terms = [(scalar(c), t) for c, t in terms]
+        dc = lcm(*{c.d for c, _ in terms})
+        size = self.n * self.n
+        re, im = [0] * size, [0] * size
+        for c, t in terms:
+            f = dc // c.d
+            p, q = f * c.p, f * c.q
+            for pos, a, b in self.nonzeros[t]:
+                re[pos] += p * a - q * b
+                im[pos] += p * b + q * a
+        return _reduced(self.n, self.n, dc * self.matrix._d, re, im)
+
+    def literals(self, t: int) -> list:
+        """The literals of the n*n entries of B_t, row-major."""
+        d = self.matrix._d
+        out = ["0"] * (self.n * self.n)
+        for pos, a, b in self.nonzeros[t]:
+            out[pos] = _reduced_scalar(a, b, d).literal()
+        return out
 
 
 # --- unit frames ----------------------------------------------------------------
@@ -755,10 +844,11 @@ class UnitFrame:
     Conjugation by S sends the unit E_ab to the outer product c_a r_b, so
     every unit image of a Jordan homomorphism in canonical form is one
     scaled outer product. The frame keeps the nonzero integer numerators of
-    each c_a and each r_b; its operations take time in the nonzeros of the
-    matrices and terms they are given, and form no matrix product. A term
-    is a triple (g, a, b), the matrix g c_a r_b, with 1-based a and b.
-    ``s_inv`` must be the inverse of ``s``; the frame trusts it.
+    each c_a and each r_b; its operations read the blocks of a ``BlockRow``
+    and take time in the nonzeros of the blocks and terms they are given,
+    and form no matrix product. A term is a triple (g, a, b), the matrix
+    g c_a r_b, with 1-based a and b. ``s_inv`` must be the inverse of ``s``;
+    the frame trusts it.
     """
 
     __slots__ = ("n", "_cols", "_rows", "_col_parts", "_row_parts", "_d")
@@ -785,80 +875,87 @@ class UnitFrame:
         # the denominator of every outer product c_a r_b
         self._d = s._d * s_inv._d
 
-    def _check(self, m: DenseMatrix):
-        if m.shape != (self.n, self.n):
-            raise DimensionMismatch(f"matrix shape {m.shape}, frame size {self.n}")
+    def _check(self, blocks: BlockRow):
+        if blocks.n != self.n:
+            raise DimensionMismatch(f"blocks of size {blocks.n}, frame size {self.n}")
 
-    def coordinate(self, m: DenseMatrix, a: int, b: int) -> GaussianRational:
-        """r_a m c_b, the entry (a, b) of S^-1 m S, summed over the nonzero
-        entries of m."""
-        self._check(m)
+    def coordinate(self, blocks: BlockRow, t: int, a: int, b: int) -> GaussianRational:
+        """r_a B_t c_b, the entry (a, b) of S^-1 B_t S, summed over the
+        nonzero entries of block t."""
+        self._check(blocks)
         n = self.n
         xr, xi = self._row_parts[a - 1]
         yr, yi = self._col_parts[b - 1]
-        re, im = m._re, m._im
         tr = ti = 0
-        for pos in _nonzero_positions(m):
+        for pos, p, q in blocks.nonzeros[t]:
             k, l = divmod(pos, n)
             u, v = xr[k], xi[k]
             w, z = yr[l], yi[l]
             if (u or v) and (w or z):
-                p, q = re[pos], im[pos]
                 # (u + v i)(p + q i)(w + z i)
                 f, h = u * p - v * q, u * q + v * p
                 tr += f * w - h * z
                 ti += f * z + h * w
-        return _scalar_over(tr, ti, self._d * m._d)
+        return _scalar_over(tr, ti, self._d * blocks.matrix._d)
 
     def _sum(self, terms):
-        """The numerators of sum g c_a r_b at every position the terms
-        reach, as {0-based row-major position: (re, im)}, and their common
-        denominator."""
+        """The nonzero numerators of sum g c_a r_b as (0-based row-major
+        position, re, im) in position order, and their common denominator.
+        One term needs no merging: its outer product comes out in position
+        order, and every entry is a product of nonzero Gaussian integers."""
         terms = [(scalar(g), a, b) for g, a, b in terms]
+        terms = [term for term in terms if term[0]]
         dg = lcm(*{g.d for g, _, _ in terms})
         n = self.n
-        acc = {}
+        out = []
         for g, a, b in terms:
             f = dg // g.d
             gp, gq = f * g.p, f * g.q
-            if not (gp or gq):
-                continue
             row = self._rows[b - 1]
             for k, u, v in self._cols[a - 1]:
                 xr, xi = gp * u - gq * v, gp * v + gq * u
                 base = k * n
-                for l, p, q in row:
-                    pos = base + l
-                    yr, yi = xr * p - xi * q, xr * q + xi * p
-                    old = acc.get(pos)
-                    acc[pos] = (yr, yi) if old is None else (old[0] + yr, old[1] + yi)
-        return acc, dg * self._d
+                out += [(base + l, xr * p - xi * q, xr * q + xi * p) for l, p, q in row]
+        if len(terms) > 1:
+            acc = {}
+            for pos, x, y in out:
+                old = acc.get(pos)
+                acc[pos] = (x, y) if old is None else (old[0] + x, old[1] + y)
+            out = sorted((pos, x, y) for pos, (x, y) in acc.items() if x or y)
+        return out, dg * self._d
 
-    def matches(self, m: DenseMatrix, terms) -> bool:
-        """Whether m equals the sum of the terms, decided by cross-multiplying
-        numerators at the positions the terms reach and counting the nonzero
-        entries of m."""
-        self._check(m)
-        acc, d = self._sum(terms)
-        re, im, e = m._re, m._im, m._d
-        reached = 0
-        for pos, (x, y) in acc.items():
-            # m = (re + i im) / e against (x + i y) / d
-            if re[pos] * d != x * e or im[pos] * d != y * e:
-                return False
-            if x or y:
-                reached += 1
-        return reached == _nonzero_count(m)
+    def matches(self, blocks: BlockRow, t: int, terms) -> bool:
+        """Whether block t equals the sum of the terms, decided by
+        cross-multiplying numerators: the sum's nonzero entries must be the
+        block's, at the same positions."""
+        self._check(blocks)
+        got, d = self._sum(terms)
+        mine = blocks.nonzeros[t]
+        if len(got) != len(mine):
+            return False
+        e = blocks.matrix._d
+        # the block (a + i b) / e against the sum (x + i y) / d
+        return [(pos, x * e, y * e) for pos, x, y in got] == [
+            (pos, a * d, b * d) for pos, a, b in mine
+        ]
 
-    def image(self, terms) -> DenseMatrix:
-        """The matrix sum g c_a r_b over the terms."""
-        acc, d = self._sum(terms)
-        size = self.n * self.n
-        re, im = [0] * size, [0] * size
-        for pos, (x, y) in acc.items():
-            re[pos] = x
-            im[pos] = y
-        return _reduced(self.n, self.n, d, re, im)
+    def block_row(self, term_lists) -> BlockRow:
+        """The row of blocks whose block t is the sum g c_a r_b over
+        term_lists[t], over one common denominator, reduced once."""
+        sums = [self._sum(terms) for terms in term_lists]
+        d = lcm(*{e for _, e in sums})
+        nonzeros = []
+        for entries, e in sums:
+            f = d // e
+            nonzeros.append([(pos, f * x, f * y) for pos, x, y in entries])
+        if d != 1:
+            g = gcd(d, *(x for entries in nonzeros for _, a, b in entries for x in (a, b)))
+            if g != 1:
+                d //= g
+                nonzeros = [
+                    [(pos, a // g, b // g) for pos, a, b in entries] for entries in nonzeros
+                ]
+        return BlockRow._build(self.n, d, nonzeros)
 
 
 # --- elimination ----------------------------------------------------------------
@@ -937,12 +1034,6 @@ def _gauss_jordan(re_rows, im_rows, reduce=False):
 
 def rank(m: DenseMatrix) -> int:
     return len(_gauss_jordan(*_int_rows(m))[0])
-
-
-def pivot_columns(m: DenseMatrix) -> list:
-    """The 1-based pivot columns: each column that is not in the span of
-    the columns left of it."""
-    return [c + 1 for _, c in _gauss_jordan(*_int_rows(m))[0]]
 
 
 def _primitive(re: list, im: list):

@@ -1,8 +1,11 @@
 """Jordan homomorphisms of structural matrix algebras.
 
 A linear map out of the algebra is stored by its images on the matrix-unit
-basis. Classification factors a nonvanishing Jordan homomorphism into
-conjugation, a central idempotent splitting multiplicative from
+basis, kept side by side as one integer matrix over one denominator with
+the nonzero entries of each image listed once (``BlockRow``): every check
+below reads those lists, and the normalization phi(I)^-1 phi of the rank
+preservers is one product with that matrix. Classification factors a
+nonvanishing Jordan homomorphism into conjugation, a central idempotent splitting multiplicative from
 antimultiplicative behavior, and a transitive weight map; a map that fails
 one of its checks is not Jordan, so the same ladder recognizes Jordan maps.
 Synthesis goes the other way. Embedding questions between two algebras
@@ -11,9 +14,10 @@ reduce to a finite search over class unions and increasing permutations.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Optional
 
 from .diag import simultaneous_diagonalize_in_sma
@@ -29,15 +33,17 @@ from .errors import (
     VanishingUnitImage,
 )
 from .exactnum import (
+    BlockRow,
     DenseMatrix,
     GaussianRational,
     ONE,
+    ZERO,
     UnitFrame,
-    combination,
     inverse,
     permutation_matrix,
 )
 from .quasiorder import (
+    MAX_VERTICES,
     ClassPartition,
     QuasiOrder,
     approx_classes,
@@ -47,19 +53,26 @@ from .quasiorder import (
     increasing_permutations,
     rho_U,
 )
-from .tokens import convert, parse_int, strip_comments, token_lines
+from .tokens import convert, parse_int, plain_tokens, strip_comments, token_lines
 from .transmap import TransitiveMap, all_transitive_trivial, validate
 
 
 class LinearMapOnSMA:
-    """Linear map out of A_rho, stored by its matrix-unit images."""
+    """Linear map out of A_rho, stored by its matrix-unit images.
 
-    __slots__ = ("rho", "images")
+    ``units`` is ``rho.pairs()`` and ``blocks`` the row of the images of
+    those units in that order, [phi(E_p1) | phi(E_p2) | ...]: one
+    n x (n |rho|) matrix with one denominator. The constructor takes the
+    images as a dict of n x n matrices; ``unit_images`` builds that dict
+    again.
+    """
+
+    __slots__ = ("rho", "units", "blocks", "_index")
 
     def __init__(self, rho: QuasiOrder, images):
-        self.rho = rho
         imgs = dict(images)
-        expected = set(rho.pairs())
+        units = rho.pairs()
+        expected = set(units)
         given = set(imgs)
         missing = sorted(expected - given)
         if missing:
@@ -77,15 +90,38 @@ class LinearMapOnSMA:
                 raise DimensionMismatch(
                     f"image of {pair} must be a {n}x{n} matrix"
                 )
-        self.images = imgs
+        self._fill(rho, units, BlockRow.of([imgs[p] for p in units], n))
+
+    @classmethod
+    def _of(cls, rho: QuasiOrder, units: list, blocks: BlockRow) -> "LinearMapOnSMA":
+        """The map whose unit images are the blocks; ``units`` must be
+        ``rho.pairs()``. Trusted, not checked."""
+        phi = object.__new__(cls)
+        phi._fill(rho, units, blocks)
+        return phi
+
+    def _fill(self, rho, units, blocks):
+        self.rho = rho
+        self.units = units
+        self.blocks = blocks
+        self._index = {p: t for t, p in enumerate(units)}
+
+    def unit_images(self) -> dict:
+        """The image of each unit as a matrix of its own, built on demand."""
+        return {p: self.blocks.block(t) for t, p in enumerate(self.units)}
+
+    def left_multiplied(self, m: DenseMatrix) -> "LinearMapOnSMA":
+        """The map X -> m phi(X): one product of m with the row of images."""
+        blocks = BlockRow(m * self.blocks.matrix, self.rho.n)
+        return LinearMapOnSMA._of(self.rho, self.units, blocks)
 
     def __eq__(self, other):
         if not isinstance(other, LinearMapOnSMA):
             return NotImplemented
-        return self.rho == other.rho and self.images == other.images
+        return self.rho == other.rho and self.blocks.matrix == other.blocks.matrix
 
     def __repr__(self):
-        return f"LinearMapOnSMA(n={self.rho.n}, units={len(self.images)})"
+        return f"LinearMapOnSMA(n={self.rho.n}, units={len(self.units)})"
 
 
 def apply(phi: LinearMapOnSMA, x: DenseMatrix) -> DenseMatrix:
@@ -99,9 +135,8 @@ def apply(phi: LinearMapOnSMA, x: DenseMatrix) -> DenseMatrix:
         raise SupportViolation(
             f"argument has entry at {bad} outside the relation", pair=bad
         )
-    return combination(
-        n, n, ((x.at(*p), m) for p, m in phi.images.items() if p in support)
-    )
+    index = phi._index
+    return phi.blocks.combination((x.at(*p), index[p]) for p in support)
 
 
 @dataclass(frozen=True)
@@ -144,13 +179,12 @@ class CanonicalJordanForm:
     def unit_image(self, i: int, j: int) -> DenseMatrix:
         if (i, j) not in self.rho:
             raise SupportViolation(f"({i},{j}) is not in the relation", pair=(i, j))
-        return self._frame().image((self._term(i, j),))
+        return self._frame().block_row([(self._term(i, j),)]).matrix
 
     def reconstruct(self) -> LinearMapOnSMA:
-        frame = self._frame()
-        return LinearMapOnSMA(
-            self.rho, {p: frame.image((self._term(*p),)) for p in self.rho.pairs()}
-        )
+        units = self.rho.pairs()
+        blocks = self._frame().block_row((self._term(*p),) for p in units)
+        return LinearMapOnSMA._of(self.rho, units, blocks)
 
     def reproduces(self, phi: LinearMapOnSMA) -> bool:
         """Whether ``reconstruct() == phi``, checked unit by unit in the
@@ -158,8 +192,9 @@ class CanonicalJordanForm:
         if phi.rho != self.rho:
             return False
         frame = self._frame()
+        blocks = phi.blocks
         return all(
-            frame.matches(phi.images[p], (self._term(*p),)) for p in self.rho.pairs()
+            frame.matches(blocks, t, (self._term(*p),)) for t, p in enumerate(phi.units)
         )
 
 
@@ -202,18 +237,14 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
     """
     rho = phi.rho
     n = rho.n
-    for pair in rho.pairs():
-        if phi.images[pair].is_zero():
+    blocks = phi.blocks
+    for pair, nonzeros in zip(phi.units, blocks.nonzeros):
+        if not nonzeros:
             raise VanishingUnitImage(f"unit {pair} maps to zero", pair=pair)
-    diag_imgs = [phi.images[(i, i)] for i in range(1, n + 1)]
-    # one range vector per image: the first nonzero column, scaled to lead
-    # with 1
-    idx = range(1, n + 1)
-    cols = []
-    for q in diag_imgs:
-        j, i = min((j, i) for (i, j) in q.support())
-        cols.append(q.submatrix(idx, (j,)).scale(q.at(i, j).reciprocal()).entries())
-    s0 = DenseMatrix.from_rows(cols).transpose()
+    diag = [phi._index[(k, k)] for k in range(1, n + 1)]
+    s0 = DenseMatrix.from_rows(
+        [_range_vector(blocks.nonzeros[t], n) for t in diag]
+    ).transpose()
     try:
         s0inv = inverse(s0)
     except Singular:
@@ -221,19 +252,20 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
     else:
         frame = UnitFrame(s0, s0inv)
     if frame is None or not all(
-        frame.matches(q, ((ONE, k, k),)) for k, q in enumerate(diag_imgs, start=1)
+        frame.matches(blocks, t, ((ONE, k, k),)) for k, t in enumerate(diag, start=1)
     ):
-        _raise_diagonal_failure(diag_imgs)
+        _raise_diagonal_failure([blocks.block(t) for t in diag])
         raise InternalInconsistency(
             "diagonal unit images pass the dense checks but not the frame"
         )
     mult = {}
     anti = {}
-    for (i, j) in rho.strict_pairs():
-        m = phi.images[(i, j)]
-        alpha = frame.coordinate(m, i, j)
-        beta = frame.coordinate(m, j, i)
-        if not frame.matches(m, ((alpha, i, j), (beta, j, i))):
+    for t, (i, j) in enumerate(phi.units):
+        if i == j:
+            continue
+        alpha = frame.coordinate(blocks, t, i, j)
+        beta = frame.coordinate(blocks, t, j, i)
+        if not frame.matches(blocks, t, ((alpha, i, j), (beta, j, i))):
             raise NotJordan(
                 f"conjugated image of E_{i}{j} leaves span(E_{i}{j}, E_{j}{i})",
                 pair=((i, i), (i, j)),
@@ -273,6 +305,19 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
             "reconstruction differs; the input was not a Jordan homomorphism"
         )
     return form
+
+
+def _range_vector(nonzeros, n: int) -> list:
+    """The first nonzero column of an n x n image given by its nonzero
+    numerators (``BlockRow.nonzeros``), scaled to lead with 1: the common
+    denominator cancels."""
+    c, _, a, b = min((pos % n, pos // n, a, b) for pos, a, b in nonzeros)
+    lead = GaussianRational(a, b)
+    column = [ZERO] * n
+    for pos, x, y in nonzeros:
+        if pos % n == c:
+            column[pos // n] = GaussianRational(x, y) / lead
+    return column
 
 
 def _raise_diagonal_failure(diag_imgs) -> None:
@@ -354,9 +399,9 @@ def jordan_embeds_into(rho: QuasiOrder, rho2: QuasiOrder):
         if hits:
             pi = hits[0]
             ones = validate(rho, {p: ONE for p in rho.strict_pairs()})
-            phi = synthesize_jordan(rho, permutation_matrix(pi), u, ones)
-            for m in phi.images.values():
-                if first_unsupported(m.support(), rho2) is not None:
+            blocks = synthesize_jordan(rho, permutation_matrix(pi), u, ones).blocks
+            for t in range(len(blocks)):
+                if first_unsupported(blocks.support(t), rho2) is not None:
                     raise InternalInconsistency("embedding witness fails support")
             return u, pi
     return None
@@ -390,8 +435,8 @@ def classify_into_codomain(
     n = rho.n
     if rho2.n != n:
         raise DimensionMismatch("codomain lives on a different vertex count")
-    for pair in sorted(phi.images):
-        bad = first_unsupported(phi.images[pair].support(), rho2)
+    for t, pair in enumerate(phi.units):
+        bad = first_unsupported(phi.blocks.support(t), rho2)
         if bad is not None:
             raise SupportViolation(
                 f"image of {pair} has entry at {bad} outside the codomain",
@@ -467,9 +512,24 @@ def all_algebra_automorphisms_inner(
 # Line 1: n. Then, per related pair, a line "unit i j" followed by the n*n
 # entries of its image, whitespace separated across any number of lines.
 
+# The alphabet of the format, for plain_tokens: ASCII digits, the other
+# characters of literals, the letters of "unit", spaces, tabs and "\n". A
+# grammar regex that also checked the lines took 80 ms on an 850 KB map
+# (2-core x86-64, Python 3.11), this one 3 ms; the lines are checked on the
+# tokens instead (``_plain_units``).
+_PLAIN_MAP = re.compile(r"[-+/0-9intu \t\n]*")
+# "unit i j" alone on its line, after the size line
+_UNIT_LINE = re.compile(r"\n[ \t]*unit[ \t]+([0-9]{1,5})[ \t]+([0-9]{1,5})[ \t]*(?=\n|\Z)")
+
 
 def parse_linear_map(text: str) -> LinearMapOnSMA:
-    lines = token_lines(strip_comments(text))
+    text = strip_comments(text)
+    tokens = plain_tokens(text, _PLAIN_MAP)
+    if tokens:
+        read = _plain_units(text, tokens)
+        if read is not None:
+            return _unit_map(*read)
+    lines = token_lines(text)
     if not lines:
         raise FormatError("empty linear map input")
     lineno, header = lines[0]
@@ -478,10 +538,12 @@ def parse_linear_map(text: str) -> LinearMapOnSMA:
     (n,) = convert(parse_int, header, lineno, "first line must be the size n")
     if n < 1:
         raise FormatError("size must be positive", line=lineno)
+    if n > MAX_VERTICES:
+        raise FormatError(f"size {n} exceeds the limit of {MAX_VERTICES}", line=lineno)
     # the n*n entries of a unit image are mostly 0: each literal is read
     # once per file
-    literal = cache(GaussianRational.literal_parts)
-    images = {}
+    literal = cache(GaussianRational.from_literal)
+    units = {}
     pos = 1
     while pos < len(lines):
         lineno, parts = lines[pos]
@@ -490,7 +552,7 @@ def parse_linear_map(text: str) -> LinearMapOnSMA:
         i, j = convert(parse_int, parts[1:], lineno, "unit indices must be integers")
         if not (1 <= i <= n and 1 <= j <= n):
             raise FormatError(f"unit ({i},{j}) outside 1..{n}", line=lineno)
-        if (i, j) in images:
+        if (i, j) in units:
             raise FormatError(f"duplicate unit ({i},{j})", line=lineno)
         pos += 1
         entries = []
@@ -505,21 +567,78 @@ def parse_linear_map(text: str) -> LinearMapOnSMA:
                 f"unit ({i},{j}) needs {n * n} entries, got {len(entries)}",
                 line=lineno,
             )
-        images[(i, j)] = DenseMatrix.from_parts(n, n, entries)
-    strict = [p for p in images if p[0] != p[1]]
-    rho = from_edges(n, strict, close=False)
-    missing = sorted(set(rho.pairs()) - set(images))
+        units[(i, j)] = [(e, v) for e, v in enumerate(entries) if v]
+    return _unit_map(n, units)
+
+
+def _plain_units(text: str, tokens):
+    """(n, units) as ``_unit_map`` takes them, from a text in the
+    alphabet ``_PLAIN_MAP`` and its tokens; None when the line walk must
+    read the text, for an error to report with its line.
+
+    The text is plain when its first token is the size, in at most five
+    digits, and the tokens at stride 3 + n*n after it are the lines
+    "unit i j" of the text (``_UNIT_LINE``), each alone on its line. Every
+    other token is then an entry, on a line of entries; a "unit" among them
+    is a bad literal. So each unit has n*n entries, which is what the line
+    walk reads. Only the entries other than "0" are read, each distinct
+    literal once; a bad literal leaves the text to the line walk.
+    """
+    head = tokens[0]
+    if not (head.isdigit() and len(head) <= 5):
+        return None
+    n = int(head)
+    size = n * n
+    stride = 3 + size
+    count, rest = divmod(len(tokens) - 1, stride)
+    if (
+        not 1 <= n <= MAX_VERTICES
+        or rest
+        or tokens[1::stride] != ["unit"] * count
+        or _UNIT_LINE.findall(text) != list(zip(tokens[2::stride], tokens[3::stride]))
+    ):
+        return None
+    pairs = list(zip(map(int, tokens[2::stride]), map(int, tokens[3::stride])))
+    if len(set(pairs)) != count or not all(
+        1 <= i <= n and 1 <= j <= n for i, j in pairs
+    ):
+        return None
+    literal = cache(GaussianRational.from_literal)
+    positions = range(size)
+    cells = []
+    try:
+        for start in range(4, len(tokens), stride):
+            unit = tokens[start : start + size]
+            nonzero = [*compress(positions, map("0".__ne__, unit))]
+            cells.append([*zip(nonzero, map(literal, map(unit.__getitem__, nonzero)))])
+    except FormatError:
+        return None
+    return n, dict(zip(pairs, cells))
+
+
+def _unit_map(n: int, units: dict) -> LinearMapOnSMA:
+    """The map whose image of each unit (i, j) has the entries units[(i, j)],
+    (row-major position, scalar) pairs in position order; every other
+    entry is zero.
+
+    Raises NotClosed when the units are not transitively closed and
+    FormatError when a related pair has no unit.
+    """
+    rho = from_edges(n, [p for p in units if p[0] != p[1]], close=False)
+    # rho's strict pairs are the units', so only a diagonal unit can be missing
+    missing = next((k for k in range(1, n + 1) if (k, k) not in units), None)
     if missing:
-        raise FormatError(f"missing unit block for {missing[0]}")
-    return LinearMapOnSMA(rho, images)
+        raise FormatError(f"missing unit block for {(missing, missing)}")
+    pairs = rho.pairs()
+    blocks = BlockRow.from_entries(n, [units[p] for p in pairs])
+    return LinearMapOnSMA._of(rho, pairs, blocks)
 
 
 def format_linear_map(phi: LinearMapOnSMA) -> str:
     n = phi.rho.n
     out = [str(n)]
-    for (i, j) in phi.rho.pairs():
+    for t, (i, j) in enumerate(phi.units):
         out.append(f"unit {i} {j}")
-        m = phi.images[(i, j)]
-        for r in range(1, n + 1):
-            out.append(" ".join(v.literal() for v in m.row_list(r)))
+        literals = phi.blocks.literals(t)
+        out.extend(" ".join(literals[r : r + n]) for r in range(0, n * n, n))
     return "\n".join(out) + "\n"

@@ -26,7 +26,7 @@ from .errors import (
     SupportViolation,
     VanishingUnitImage,
 )
-from .exactnum import DenseMatrix, ONE, inverse, rank
+from .exactnum import BlockRow, DenseMatrix, ONE, inverse, rank
 from .jordan import CanonicalJordanForm, LinearMapOnSMA, apply, classify_jordan
 from .quasiorder import NotClassUnion, QuasiOrder, approx_classes, first_unsupported
 from .sampling import bounded_rank_samples, sample_rank_one_in_sma
@@ -62,16 +62,15 @@ class PreserverVerdict:
 
 
 def induced_linear_map(g: TransitiveMap) -> LinearMapOnSMA:
-    """The unit-scaling automorphism of A_rho as a stored linear map."""
+    """The unit-scaling automorphism of A_rho as a stored linear map: the
+    image of E_ij is g(i, j) at (i, j) of its block."""
     rho = g.rho
     n = rho.n
-    return LinearMapOnSMA(
-        rho,
-        {
-            (i, j): DenseMatrix.from_entries(n, n, {(i, j): g.value(i, j)})
-            for (i, j) in rho.pairs()
-        },
+    units = rho.pairs()
+    blocks = BlockRow.from_entries(
+        n, [[((i - 1) * n + j - 1, g.value(i, j))] for (i, j) in units]
     )
+    return LinearMapOnSMA._of(rho, units, blocks)
 
 
 def is_rank_one_preserver_sampled(phi: LinearMapOnSMA, samples):
@@ -207,7 +206,7 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
             witness=RankWitness(DenseMatrix.identity(n), (n, rank(f_id))),
             note="fails unitality: the identity maps to a singular matrix",
         )
-    psi = LinearMapOnSMA(rho, {p: norm * m for p, m in phi.images.items()})
+    psi = phi.left_multiplied(norm)
     try:
         form = classify_jordan(psi)
     except VanishingUnitImage as exc:

@@ -20,7 +20,9 @@ reference for its frame ladder; ``dense_simultaneous_diagonalize`` keeps
 the diagonalizer as it read S off the n x n joint projectors, as the
 reference for its column construction, on its own copies of the route the
 package no longer runs (``lagrange_spectrum``, the squarefree part tested
-by annihilation, ``lagrange_annihilate`` and ``lagrange_projectors``);
+by annihilation, ``lagrange_annihilate`` and ``lagrange_projectors``) and
+on ``pivot_columns``, which reads the pivots of the package's elimination
+kernel;
 ``dense_gf2_kernel_basis`` keeps
 the GF(2) elimination on dense 0/1 rows, as the reference for its bitmask
 rows. The next-to-last section holds reference checks
@@ -66,9 +68,9 @@ from smalg.exactnum import (
     ZERO,
     DenseMatrix,
     GaussianRational,
-    combination,
+    _gauss_jordan,
+    _int_rows,
     inverse,
-    pivot_columns,
     scalar,
 )
 from smalg.jordan import CanonicalJordanForm, LinearMapOnSMA
@@ -858,16 +860,17 @@ def dense_classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
     exception with the same message and pair."""
     rho = phi.rho
     n = rho.n
+    images = phi.unit_images()
     for pair in rho.pairs():
-        if phi.images[pair].is_zero():
+        if images[pair].is_zero():
             raise VanishingUnitImage(f"unit {pair} maps to zero", pair=pair)
-    diag_imgs = [phi.images[(i, i)] for i in range(1, n + 1)]
+    diag_imgs = [images[(i, i)] for i in range(1, n + 1)]
     for i, q in enumerate(diag_imgs, start=1):
         if q * q != q:
             raise NotJordan(
                 f"image of E_{i}{i} is not idempotent", pair=((i, i), (i, i))
             )
-    total = combination(n, n, ((ONE, q) for q in diag_imgs))
+    total = sum(diag_imgs[1:], diag_imgs[0])
     if total * total != total:
         for i, j in combinations(range(1, n + 1), 2):
             qi, qj = diag_imgs[i - 1], diag_imgs[j - 1]
@@ -886,7 +889,7 @@ def dense_classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
     mult = {}
     anti = {}
     for (i, j) in rho.strict_pairs():
-        b = s0inv * phi.images[(i, j)] * s0
+        b = s0inv * images[(i, j)] * s0
         alpha = b.at(i, j)
         beta = b.at(j, i)
         expected = DenseMatrix.from_entries(n, n, {(i, j): alpha, (j, i): beta})
@@ -984,6 +987,12 @@ def lagrange_projectors(a: DenseMatrix, eigs) -> list:
                 p = (m * p).scale((lam - other).reciprocal())
         out.append(p)
     return out
+
+
+def pivot_columns(m: DenseMatrix) -> list:
+    """The 1-based pivot columns of the package's elimination kernel: each
+    column that is not in the span of the columns left of it."""
+    return [c + 1 for _, c in _gauss_jordan(*_int_rows(m))[0]]
 
 
 def dense_simultaneous_diagonalize(rho: QuasiOrder, family) -> Diagonalization:
@@ -1323,14 +1332,15 @@ def is_jordan_homomorphism(phi: LinearMapOnSMA):
     """
     rho = phi.rho
     pairs = rho.pairs()
+    images = phi.unit_images()
     for t, (a, b) in enumerate(pairs):
         for (c, d) in pairs[t:]:
             left = DenseMatrix.zeros(rho.n, rho.n)
             if b == c:
-                left = left + phi.images[(a, d)]
+                left = left + images[(a, d)]
             if d == a:
-                left = left + phi.images[(c, b)]
-            right = jordan_product(phi.images[(a, b)], phi.images[(c, d)])
+                left = left + images[(c, b)]
+            right = jordan_product(images[(a, b)], images[(c, d)])
             if left != right:
                 return False, ((a, b), (c, d))
     return True, None
@@ -1526,6 +1536,8 @@ def line_parse_linear_map(text: str) -> LinearMapOnSMA:
         raise FormatError("first line must be the size n", line=lineno) from exc
     if n < 1:
         raise FormatError("size must be positive", line=lineno)
+    if n > MAX_VERTICES:
+        raise FormatError(f"size {n} exceeds the limit of {MAX_VERTICES}", line=lineno)
     images = {}
     pos = 1
     while pos < len(lines):

@@ -273,9 +273,9 @@ def test_criterion_09_embedding_census_against_brute_force():
                 phi = form.reconstruct()
                 jordan_ok, _ = is_jordan_homomorphism(phi)
                 assert jordan_ok
-                supports = [frozenset(m.support()) for m in phi.images.values()]
+                supports = [frozenset(m.support()) for m in phi.unit_images().values()]
                 assert len(set(supports)) == len(supports)
-                for image in phi.images.values():
+                for image in phi.unit_images().values():
                     assert first_unsupported(image.support(), r2) is None
 
 

@@ -21,8 +21,14 @@ import smalg.transmap
 from smalg.cli import run
 from smalg.errors import InternalInconsistency, NotJordan
 from smalg.exactnum import ONE, DenseMatrix, format_matrix, inverse, parse_matrix, rank
-from smalg.jordan import format_linear_map, parse_linear_map, synthesize_jordan
+from smalg.jordan import (
+    CanonicalJordanForm,
+    format_linear_map,
+    parse_linear_map,
+    synthesize_jordan,
+)
 from smalg.quasiorder import format_relation, from_edges, reverse
+from smalg.sampling import random_invertible_in_sma
 from smalg.transmap import (
     apply_induced,
     format_weights,
@@ -1071,3 +1077,77 @@ def test_literal_too_long_for_int_exits_two_on_its_line(tmp_path, command, name,
     path.write_text(text)
     out = run([command, str(t2), str(path)])
     assert (out.exit_code, out.report) == (2, f"error: {path}: line {line}: {TOO_LONG}\n")
+
+
+# --- linear maps ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def chain30_map(tmp_path_factory):
+    """A Jordan map on the 30-chain, 465 units in an 850 KB file: S from 30
+    elementary steps, every unit transposed, g(i, j) = i / j."""
+    root = tmp_path_factory.mktemp("chain30")
+    rho = upper_chain(30)
+    s = random_invertible_in_sma(rho, random.Random(30), steps=30)
+    g = separator_map(rho, {i: i for i in range(1, 31)})
+    phi = CanonicalJordanForm(s=s, u=frozenset(), g=g).reconstruct()
+    qo, lm = root / "c30.qo", root / "c30.lm"
+    qo.write_text(format_relation(rho))
+    lm.write_text(format_linear_map(phi))
+    return str(qo), str(lm)
+
+
+@pytest.mark.parametrize(
+    "command, first",
+    [
+        ("classify", "FORM"),
+        ("check-rank", "VERDICT RankPreserver"),
+        ("check-rank-one", "VERDICT RankOnePreserver"),
+    ],
+)
+def test_jordan_map_on_the_thirty_chain_under_five_seconds(chain30_map, command, first):
+    out, elapsed = _timed_run([command, *chain30_map])
+    assert elapsed < 5.0
+    assert out.exit_code == 0
+    assert out.report.splitlines()[0] == first
+
+
+def _unit_lines(n, units):
+    """A map text with the matrix unit E_ij as the image of each unit."""
+    out = [str(n)]
+    for i, j in units:
+        out.append(f"unit {i} {j}")
+        out += [" ".join("1" if (r, c) == (i, j) else "0" for c in range(1, n + 1))
+                for r in range(1, n + 1)]
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "check-rank", "check-rank-one"])
+def test_map_whose_units_are_not_closed_exits_two(tmp_path, command):
+    # from_edges(close=False) raised NotClosed inside the parser, which
+    # exited 3 as an internal failure
+    t3 = tmp_path / "t3.qo"
+    t3.write_text(format_relation(upper_chain(3)))
+    lm = tmp_path / "phi.lm"
+    lm.write_text(_unit_lines(3, [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)]))
+    out = run([command, str(t3), str(lm)])
+    assert (out.exit_code, out.report) == (
+        2, f"error: {lm}: (1,2) and (2,3) are present but (1,3) is not\n"
+    )
+
+
+@pytest.mark.parametrize("text", ["100000000\n", "40001\nunit 1 1\n1\n"])
+def test_map_size_above_the_limit_exits_two_at_once(tmp_path, text):
+    # the 10-byte file "100000000" built a relation on 10^8 vertices and
+    # ran out of memory
+    t2 = tmp_path / "t2.qo"
+    t2.write_text("2\n1 2\n")
+    lm = tmp_path / "phi.lm"
+    lm.write_text(text)
+    count = text.split()[0]
+    for command in ("classify", "check-rank", "check-rank-one"):
+        out, elapsed = _timed_run([command, str(t2), str(lm)])
+        assert elapsed < 1.0
+        assert (out.exit_code, out.report) == (
+            2, f"error: {lm}: line 1: size {count} exceeds the limit of 40000\n"
+        )

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from smalg.errors import DimensionMismatch, FormatError, Singular
 from smalg.exactnum import (
+    BlockRow,
     DenseMatrix,
     GaussianRational,
     UnitFrame,
@@ -22,7 +23,6 @@ from smalg.exactnum import (
     multiply,
     parse_matrix,
     permutation_matrix,
-    pivot_columns,
     rank,
     scalar,
 )
@@ -42,6 +42,7 @@ from oracles import (
     oracle_rank,
     oracle_rank_of,
     outer,
+    pivot_columns,
     RankNotOne,
     rank_one_factor,
     relabel_matrix,
@@ -423,7 +424,7 @@ class TestInverse:
 
 class TestUnitFrame:
     """Coordinates, matches and images of a unit frame against dense
-    products with S and S^-1."""
+    products with S and S^-1, on blocks read from a row of several."""
 
     def _frames(self, rng, count):
         while count:
@@ -441,9 +442,10 @@ class TestUnitFrame:
         for n, s, s_inv, frame in self._frames(rng, 60):
             m = rand_matrix(rng, n, n)
             conj = multiply(multiply(s_inv, m), s)
+            blocks = BlockRow.of([rand_matrix(rng, n, n), m, rand_matrix(rng, n, n)], n)
             for a in range(1, n + 1):
                 for b in range(1, n + 1):
-                    assert frame.coordinate(m, a, b) == conj.at(a, b)
+                    assert frame.coordinate(blocks, 1, a, b) == conj.at(a, b)
 
     def test_images_and_matches_against_dense_products(self):
         rng = random.Random(89)
@@ -455,26 +457,76 @@ class TestUnitFrame:
             dense = DenseMatrix.zeros(n, n)
             for g, a, b in terms:
                 dense = dense + multiply(multiply(s, DenseMatrix.unit(n, a, b)), s_inv).scale(g)
-            assert frame.image(terms) == dense
-            assert frame.matches(dense, terms)
             other = rand_matrix(rng, n, n)
-            assert frame.matches(other, terms) == (other == dense)
+            one = [(rand_scalar(rng), rng.randint(1, n), rng.randint(1, n))]
+            single = frame.block_row([one]).matrix
+            assert frame.block_row([terms]).matrix == dense
+            assert frame.block_row([one, terms]).matrix == BlockRow.of([single, dense], n).matrix
+            blocks = BlockRow.of([other, dense], n)
+            assert frame.matches(blocks, 1, terms)
+            assert frame.matches(blocks, 0, terms) == (other == dense)
             if not dense.is_zero():
                 # one entry off, inside or outside the terms' support
                 i, j = rng.randint(1, n), rng.randint(1, n)
-                assert not frame.matches(dense + DenseMatrix.unit(n, i, j), terms)
+                off = BlockRow.of([dense + DenseMatrix.unit(n, i, j)], n)
+                assert not frame.matches(off, 0, terms)
             # cancelling terms sum to zero
             g, a, b = rand_scalar(rng), rng.randint(1, n), rng.randint(1, n)
-            assert frame.matches(DenseMatrix.zeros(n, n), [(g, a, b), (-g, a, b)])
+            zero = BlockRow.of([DenseMatrix.zeros(n, n)], n)
+            assert frame.matches(zero, 0, [(g, a, b), (-g, a, b)])
 
     def test_shapes(self):
         frame = UnitFrame(DenseMatrix.identity(2), DenseMatrix.identity(2))
         with pytest.raises(DimensionMismatch):
             UnitFrame(DenseMatrix.identity(2), DenseMatrix.identity(3))
         with pytest.raises(DimensionMismatch):
-            frame.matches(DenseMatrix.identity(3), [(1, 1, 1)])
+            frame.matches(BlockRow.of([DenseMatrix.identity(3)], 3), 0, [(1, 1, 1)])
         with pytest.raises(DimensionMismatch):
-            frame.coordinate(DenseMatrix.zeros(2, 3), 1, 1)
+            frame.coordinate(BlockRow.of([DenseMatrix.zeros(3, 3)], 3), 0, 1, 1)
+
+
+class TestBlockRow:
+    """The row of blocks against the blocks it was built from."""
+
+    def test_reads_match_the_blocks(self):
+        rng = random.Random(97)
+        for _ in range(150):
+            n, k = rng.randint(1, 4), rng.randint(1, 4)
+            blocks = [rand_matrix(rng, n, n) for _ in range(k)]
+            row = BlockRow.of(blocks, n)
+            assert len(row) == k
+            assert row.matrix.shape == (n, n * k)
+            for r in range(1, n + 1):
+                assert row.matrix.row_list(r) == [
+                    x for b in blocks for x in b.row_list(r)
+                ]
+            # the same row read back out of its matrix
+            again = BlockRow(row.matrix, n)
+            assert again.nonzeros == row.nonzeros
+            for t, b in enumerate(blocks):
+                assert row.block(t) == b
+                assert row.support(t) == b.support()
+                assert row.literals(t) == [x.literal() for x in b.entries()]
+            coeffs = [(rand_scalar(rng), rng.randrange(k)) for _ in range(rng.randint(0, 3))]
+            total = DenseMatrix.zeros(n, n)
+            for c, t in coeffs:
+                total = total + blocks[t].scale(c)
+            assert row.combination(coeffs) == total
+
+    def test_from_entries_places_entries_and_zeros(self):
+        row = BlockRow.from_entries(
+            2, [[(1, scalar("1/2"))], [], [(0, scalar("0")), (3, scalar("2i"))]]
+        )
+        assert row.matrix == DenseMatrix.from_rows(
+            [[0, "1/2", 0, 0, 0, 0], [0, 0, 0, 0, 0, "2i"]]
+        )
+        assert row.nonzeros == [[(1, 1, 0)], [], [(3, 0, 4)]]
+
+    def test_shapes(self):
+        with pytest.raises(DimensionMismatch):
+            BlockRow(DenseMatrix.zeros(2, 3), 2)
+        with pytest.raises(DimensionMismatch):
+            BlockRow.of([DenseMatrix.identity(2), DenseMatrix.identity(3)], 2)
 
 
 class TestFromEntries:

@@ -19,6 +19,7 @@ from smalg.errors import (
     ZeroWeight,
 )
 import smalg.exactnum as exactnum
+import smalg.jordan
 from smalg.exactnum import (
     DenseMatrix,
     GaussianRational,
@@ -135,13 +136,13 @@ def test_is_jordan_first_violation_matches_ordered_pairs():
     for _ in range(20):
         rho = random_quasiorder(rng, 2, 4, density=0.4)
         phi = random_jordan_map(rho, rng)[0]
-        images = dict(phi.images)
+        images = phi.unit_images()
         pairs = rho.pairs()
         p, q = rng.choice(pairs), rng.choice(pairs)
         images[p] = images[p] + DenseMatrix.unit(rho.n, *q).scale(rng.choice([1, -2, "1i"]))
         for m in (phi, linear_map(rho, images)):
             expected = oracle_first_jordan_violation(
-                pairs, {k: grid_of(v) for k, v in m.images.items()}
+                pairs, {k: grid_of(v) for k, v in m.unit_images().items()}
             )
             assert is_jordan_homomorphism(m) == (expected is None, expected)
 
@@ -286,10 +287,11 @@ def test_jordan_maps_are_injective():
         phi, _, _, _ = random_jordan_map(rho, rng)
         pairs = rho.pairs()
         n = rho.n
+        images = phi.unit_images()
         entries = []
         for r in range(1, n + 1):
             for c in range(1, n + 1):
-                entries.extend(phi.images[p].at(r, c) for p in pairs)
+                entries.extend(images[p].at(r, c) for p in pairs)
         stacked = DenseMatrix(n * n, len(pairs), entries)
         assert rank(stacked) == len(pairs)
 
@@ -381,15 +383,16 @@ def test_mixed_map_on_split_classes_is_neither_mult_nor_anti():
     phi = synthesize_jordan(rho, DenseMatrix.identity(4), {1, 2}, ones)
     assert is_jordan_homomorphism(phi) == (True, None)
     pairs = rho.pairs()
+    images = phi.unit_images()
     mult_ok = all(
         apply(phi, unit(4, a, b) * unit(4, c, d))
-        == phi.images[(a, b)] * phi.images[(c, d)]
+        == images[(a, b)] * images[(c, d)]
         for (a, b) in pairs
         for (c, d) in pairs
     )
     anti_ok = all(
         apply(phi, unit(4, a, b) * unit(4, c, d))
-        == phi.images[(c, d)] * phi.images[(a, b)]
+        == images[(c, d)] * images[(a, b)]
         for (a, b) in pairs
         for (c, d) in pairs
     )
@@ -508,7 +511,7 @@ def test_reconstruction_matches_dense_products():
     assert any(f.pi is not None and f.u and len(f.u) < f.rho.n for f in forms)
     for form in forms:
         sinv = inverse(form.s)
-        images = form.reconstruct().images
+        images = form.reconstruct().unit_images()
         for (i, j) in form.rho.pairs():
             assert grid_of(images[(i, j)]) == oracle_unit_image(form, i, j, sinv)
             assert form.unit_image(i, j) == images[(i, j)]
@@ -521,10 +524,11 @@ def test_nonorthogonal_idempotents_name_the_first_pair():
         rho = random_quasiorder(rng, n_min=3)
         n = rho.n
         phi, _, _, _ = random_jordan_map(rho, rng)
-        images = dict(phi.images)
+        original = phi.unit_images()
+        images = dict(original)
         for k in rng.sample(range(1, n + 1), rng.randint(1, 2)):
             images[(k, k)] = rank_one_idempotent(rng, n)
-        for family in (phi.images, images):
+        for family in (original, images):
             qs = [family[(i, i)] for i in range(1, n + 1)]
             total = sum(qs[1:], qs[0])
             first = oracle_first_nonorthogonal_pair([grid_of(q) for q in qs])
@@ -587,7 +591,7 @@ def _perturbed(rng, phi, kind):
     transposed."""
     rho = phi.rho
     n = rho.n
-    images = dict(phi.images)
+    images = phi.unit_images()
     strict = rho.strict_pairs()
     if kind == 1 and strict:
         p = rng.choice(strict)
@@ -645,7 +649,7 @@ def test_frame_failure_on_dense_jordan_images_is_internal(monkeypatch):
     # idempotent, orthogonal diagonal images always pass the frame check;
     # a frame that says otherwise is a fault, not a verdict
     phi = identity_map(upper_chain(3))
-    monkeypatch.setattr(exactnum.UnitFrame, "matches", lambda self, m, terms: False)
+    monkeypatch.setattr(exactnum.UnitFrame, "matches", lambda self, blocks, t, terms: False)
     with pytest.raises(InternalInconsistency, match="pass the dense checks"):
         classify_jordan(phi)
 
@@ -665,7 +669,7 @@ def test_linear_map_literals_match_the_scalar_path():
             assert expected[(i, i)] == DenseMatrix(
                 n, n, [GaussianRational.from_literal(t) for t, _ in cells]
             )
-        assert parse_linear_map("\n".join(blocks) + "\n").images == expected
+        assert parse_linear_map("\n".join(blocks) + "\n").unit_images() == expected
 
 
 @pytest.mark.parametrize("bad, message", BAD_LITERALS)
@@ -721,3 +725,63 @@ def test_linear_map_parse_errors():
     text = "2\nunit 1 1\n1 0\n0 0\nunit 1 2\n0 1\n0 0\n"
     with pytest.raises(FormatError):
         parse_linear_map(text)
+
+
+def _layouts(phi):
+    """The map's text as ``format_linear_map`` writes it, and two other
+    plain layouts: comments, blank lines and indentation with each image on
+    one line, and each entry on a line of its own."""
+    n = phi.rho.n
+    images = phi.unit_images()
+    cells = {p: [x.literal() for x in m.entries()] for p, m in images.items()}
+    units = phi.rho.pairs()
+    commented = f"# size\n{n}\n\n" + "".join(
+        f"  unit {i} {j}\t# unit\n\t{' '.join(cells[(i, j)])}  \n" for i, j in units
+    )
+    tall = f"{n}\n" + "".join(
+        f"unit {i} {j}\n" + "".join(c + "\n" for c in cells[(i, j)]) for i, j in units
+    )
+    return format_linear_map(phi), commented, tall
+
+
+def test_plain_linear_map_is_read_without_the_line_walk(monkeypatch):
+    """A plain map is read by one split, whatever its layout; only a text
+    with an error goes line by line, to name the line."""
+    walked = []
+    real_token_lines = smalg.jordan.token_lines
+
+    def counting(text):
+        walked.append(text)
+        return real_token_lines(text)
+
+    monkeypatch.setattr(smalg.jordan, "token_lines", counting)
+    rng = random.Random(37)
+    for _ in range(20):
+        phi = random_jordan_map(random_quasiorder(rng), rng)[0]
+        for text in _layouts(phi):
+            assert parse_linear_map(text) == phi
+    assert walked == []
+    with pytest.raises(FormatError) as exc:
+        parse_linear_map("1\nunit 1 1\n1/0\n")
+    assert exc.value.line == 3
+    assert len(walked) == 1
+
+
+def test_unit_images_are_read_from_one_row():
+    """The images sit side by side in one n x (n |rho|) matrix in
+    ``rho.pairs()`` order; each unit's nonzero entries are listed once."""
+    rng = random.Random(43)
+    for _ in range(20):
+        phi = random_jordan_map(random_quasiorder(rng), rng)[0]
+        n, units = phi.rho.n, phi.rho.pairs()
+        images = phi.unit_images()
+        assert phi.units == units
+        assert phi.blocks.matrix.shape == (n, n * len(units))
+        for r in range(1, n + 1):
+            assert phi.blocks.matrix.row_list(r) == [
+                x for p in units for x in images[p].row_list(r)
+            ]
+        for t, p in enumerate(units):
+            assert phi.blocks.support(t) == images[p].support()
+            assert len(phi.blocks.nonzeros[t]) == len(images[p].support())
+        assert LinearMapOnSMA(phi.rho, images) == phi

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import smalg.exactnum
 import smalg.rankpres
 from smalg.errors import (
     GIsTrivial,
@@ -666,3 +667,35 @@ def test_bounded_inverts_the_identity_image_once(monkeypatch):
     monkeypatch.setattr(smalg.rankpres, "inverse", counting)
     assert bounded_rank_preserver_check(phi, 1, count=2) == (True, None)
     assert len(calls) == 1
+
+
+def test_normalization_is_one_product_with_the_row_of_images(monkeypatch):
+    """phi(I)^-1 phi is one call of the product kernel over all the unit
+    images side by side, not one product per unit, and gives each image
+    left-multiplied by phi(I)^-1."""
+    rng = random.Random(41)
+    rho = upper_chain(5)
+    s_vals = {i: rng.choice([1, 2, 3, "1/2"]) for i in range(1, 6)}
+    phi = synthesize_jordan(
+        rho, random_invertible_in_sma(rho, rng), frozenset(), separator_map(rho, s_vals)
+    )
+    a = random_invertible_in_sma(full(5), rng)
+    scaled = LinearMapOnSMA(rho, {p: a * m for p, m in phi.unit_images().items()})
+    calls, seen = [], []
+    real_rows_times = smalg.exactnum._rows_times
+    real_classify = smalg.rankpres.classify_jordan
+
+    def counting(*args):
+        calls.append(args)
+        return real_rows_times(*args)
+
+    def spy(psi):
+        seen.append((len(calls), psi))
+        return real_classify(psi)
+
+    monkeypatch.setattr(smalg.exactnum, "_rows_times", counting)
+    monkeypatch.setattr(smalg.rankpres, "classify_jordan", spy)
+    assert classify_rank_preserver(scaled).kind == "RankPreserver"
+    [(count, psi)] = seen
+    assert count == 1
+    assert psi == phi

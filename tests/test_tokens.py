@@ -57,12 +57,12 @@ def laid_out(draw, rows):
 
 
 @st.composite
-def mutated(draw, texts):
+def mutated(draw, texts, noise=NOISE):
     text = draw(texts)
     for _ in range(draw(st.integers(0, 3))):
         pos = draw(st.integers(0, len(text)))
         op = draw(st.sampled_from(["insert", "delete", "replace"]))
-        piece = draw(st.sampled_from(NOISE))
+        piece = draw(st.sampled_from(noise))
         if op == "insert":
             text = text[:pos] + piece + text[pos:]
         elif op == "delete":
@@ -125,18 +125,42 @@ def _broken(draw, tokens):
     return rows + ([row] if row else [])
 
 
+# entries of a linear map are mostly 0, as in real files
+ENTRIES = ["0"] * 8 + LITERALS[:12]
+# pieces that move or break the unit lines of a linear map
+MAP_NOISE = NOISE + ["unit", "unit 1 1", "\nunit 2 1\n", "unit1", "n", "t"]
+
+
 @st.composite
 def linear_map_texts(draw):
-    rho = draw(small_quasi_orders().filter(lambda q: q.n <= 2))
-    n = rho.n
-    units = draw(st.permutations(rho.pairs()))
+    """A map on up to 4 points: its units in any order, on a transitively
+    closed relation or on pairs that are not closed, now and then one unit
+    left out or repeated. Each unit's entries are cut into lines at random.
+    Now and then one unit gets a defect: one entry more or one fewer than
+    n*n (so a line may run past the entries its unit needs), or some of its
+    entries on its own unit line."""
+    n = draw(st.integers(1, 4))
+    edges = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=5))
+    if draw(st.booleans()):
+        pairs = from_edges(n, edges).pairs()
+    else:
+        if n >= 3:  # a path a -> b -> c, mostly without its shortcut
+            a, b, c = draw(st.permutations(range(1, n + 1)))[:3]
+            edges += [(a, b), (b, c)]
+        pairs = sorted(set(edges) | {(k, k) for k in range(1, n + 1)})
+    units = draw(st.permutations(pairs))
     if units and draw(st.integers(0, 3)) == 0:
         units = units[:-1] if draw(st.booleans()) else units + [units[0]]
+    defect = draw(st.sampled_from([None, None, None, "more", "fewer", "carried"]))
+    at = draw(st.integers(0, max(len(units) - 1, 0)))
     rows = [[str(n)]]
-    for i, j in units:
-        rows.append(["unit", str(i), str(j)])
-        count = n * n + draw(st.sampled_from([0, 0, 0, 1, -1]))
-        rows += _broken(draw, [draw(st.sampled_from(LITERALS[:12])) for _ in range(count)])
+    for k, (i, j) in enumerate(units):
+        this = defect if k == at else None
+        count = n * n + {"more": 1, "fewer": -1}.get(this, 0)
+        entries = [draw(st.sampled_from(ENTRIES)) for _ in range(count)]
+        carried = draw(st.integers(1, 2)) if this == "carried" else 0
+        rows.append(["unit", str(i), str(j)] + entries[:carried])
+        rows += _broken(draw, entries[carried:])
     return draw(laid_out(rows))
 
 
@@ -190,8 +214,23 @@ def test_matrix_matches_the_line_parser(text):
 
 
 @PARSE
-@given(mutated(linear_map_texts()))
+@given(mutated(linear_map_texts(), MAP_NOISE))
 @example("2 1\nunit 1 1\n1\n")
+# units not transitively closed: NotClosed from both
+@example("3\n" + "".join(f"unit {i} {j}\n" + "0 0 0\n" * 3
+                         for i, j in [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)]))
+# a size above the vertex limit is rejected on line 1
+@example("100000000\n")
+@example("40001\nunit 1 1\n1\n")
+@example("# c\n40000\n")
+# a unit line carrying entries; a line past the n*n entries of its unit
+@example("1\nunit 1 1 1\n")
+@example("1\nunit 1 1\n1 0\n")
+# 5 + 3 entries: the token count fits two units, the units do not
+@example("2\nunit 1 1\n1 0 0 0 0\nunit 2 2\n0 0 1\n")
+@example("1\n  unit 1 1  \n 2/4 \n")
+# a "unit" line of one token, with whole unit lines after it at the stride
+@example("1\nunit\nunit 1 1\nunit 1 1\n0\n")
 def test_linear_map_matches_the_line_parser(text):
     assert outcome(parse_linear_map, text) == outcome(line_parse_linear_map, text)
 
