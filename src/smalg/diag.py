@@ -10,18 +10,19 @@ diagonalizable, and their intersections, the joint left eigenspaces of the
 class blocks, give by their pivot columns, for each column of S, a unit
 column and a joint eigenvalue. The unit column is then pushed through the
 Lagrange factors of that eigenvalue, one product per member and eigenvalue
-for all columns at once, on integer rows. No projector is formed, of a
-class block or of the whole matrix. Each member F is checked as F S = S D,
-with D read off the chosen eigenvalues, and the family is checked to
-commute only when something fails; the test by the minimal polynomial runs
-only to name a member that fails. `simultaneous_diagonalize_in_sma` proves
-this correct. S comes back with the inverse and the diagonals it was
-checked with.
+for all columns at once, on integer rows; a column takes only the factors
+of the eigenvalues of the class blocks above its class. No projector is
+formed, of a class block or of the whole matrix. Each member F is checked
+as F S = S D, with D read off the chosen eigenvalues, and the family is
+checked to commute only when something fails; the test by the minimal
+polynomial runs only to name a member that fails.
+`simultaneous_diagonalize_in_sma` proves this correct. S comes back with
+the inverse and the diagonals it was checked with.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import lcm
 from typing import NamedTuple, NoReturn
 
 from .errors import (
@@ -34,17 +35,17 @@ from .errors import (
     SupportViolation,
 )
 from .exactnum import (
-    ONE,
     DenseMatrix,
     GaussianRational,
     _gauss_jordan,
     _kernel_basis,
     _primitive,
+    _reduced_scalar,
     _rows_times,
     _scaled_columns,
     _shifted_kernel,
+    _sparse_rows,
     inverse,
-    scalar,
 )
 from .polyroots import (
     charpoly,
@@ -76,28 +77,30 @@ def _annihilate(a: DenseMatrix, eigs) -> None:
         raise NotDiagonalizable("minimal polynomial has a repeated root")
 
 
-def _diagnose(a: DenseMatrix, cp) -> NoReturn:
+def _diagnose(a: DenseMatrix, cp, rem) -> NoReturn:
     """Raise the error of the test by the minimal polynomial for a square
     matrix that is not diagonalizable over the Gaussian rationals. ``cp``
-    is its characteristic polynomial, or None when a is upper-triangular.
+    is its characteristic polynomial and ``rem`` the factor of ``cp`` that
+    the root search left, or both None when a is upper-triangular.
 
     An upper-triangular matrix takes the annihilation test by the product
     of the a - lam*I over its diagonal. Any other matrix takes the
-    squarefree part of ``cp``, tests that it annihilates the matrix, then
-    searches it for roots; so a matrix that is neither diagonalizable nor
-    of rational spectrum is named not diagonalizable.
+    squarefree part of ``cp`` and tests that it annihilates the matrix; so
+    a matrix that is neither diagonalizable nor of rational spectrum is
+    named not diagonalizable. The roots of ``cp`` are not searched again:
+    ``rem`` is the product of the x - lam over the roots outside the field,
+    with multiplicity, so its squarefree part has the degree of the factor
+    that the search of the squarefree part of ``cp`` would leave.
     """
     if cp is None:
         _annihilate(a, set(a.diagonal()))
     else:
-        mu = squarefree_part(cp)
-        if not poly_eval_matrix(mu, a).is_zero():
+        if not poly_eval_matrix(squarefree_part(cp), a).is_zero():
             raise NotDiagonalizable("minimal polynomial has a repeated root")
-        _, rem = roots_in_gaussian_rationals(mu)
-        if poly_degree(rem) > 0:
+        degree = poly_degree(squarefree_part(rem))
+        if degree > 0:
             raise IrrationalSpectrum(
-                f"characteristic factor of degree {poly_degree(rem)} has no "
-                "Gaussian-rational root"
+                f"characteristic factor of degree {degree} has no Gaussian-rational root"
             )
     raise InternalInconsistency("eigenspaces disagree with the minimal polynomial")
 
@@ -115,19 +118,19 @@ def _spectrum(a: DenseMatrix) -> tuple:
     test fails, ``_diagnose`` raises the error.
     """
     if a.is_upper_triangular():
-        cp = None
+        cp = rem = None
         eigs = set(a.diagonal())
     else:
         cp = charpoly(a)
         eigs, rem = roots_in_gaussian_rationals(cp)
         if poly_degree(rem) > 0:
-            _diagnose(a, cp)
+            _diagnose(a, cp, rem)
     eigs = sorted(eigs, key=GaussianRational.sort_key)
     # w a = lam w exactly when a^T w = lam w
     at = a.transpose()
     spaces = [_shifted_kernel(at, lam) for lam in eigs]
     if sum(map(len, spaces)) != a.rows:
-        _diagnose(a, cp)
+        _diagnose(a, cp, rem)
     return eigs, spaces
 
 
@@ -192,19 +195,21 @@ def _class_picks(blocks, position, size: int) -> list:
     ]
 
 
-def _push(family, spectra, sources, targets) -> DenseMatrix:
-    """S, whose column j is Q_t e_src for src = ``sources[j]`` and
-    t = ``targets[j]``.
+def _push(family, spectra, sources, targets, factors) -> DenseMatrix:
+    """S, whose column j is e_src for src = ``sources[j]`` times
+    (F_k - mu I) / (lam - mu) for each member k and each mu with index in
+    ``factors[j][k]``, where lam has index ``targets[j][k]``; the indices
+    point into ``spectra[k]``.
 
     The columns are kept as integer rows, the rows of S^T, each with an
-    integer denominator, and start as the unit columns e_src. For each
-    member F_k and each eigenvalue mu in ``spectra[k]``, (F_k - mu I)^T is
-    formed once, and one product of the kernel replaces every row whose
-    target eigenvalue for F_k is not mu by its product with it, the
-    factor's denominator joining the row's. Column j is then divided by its
-    denominator and by the product of (lam - mu) over the factors it took:
-    one scaling per column, onto a common denominator, and S is reduced
-    once.
+    integer denominator, and start as the unit columns e_src. Each member's
+    F_k^T = N / d is read into the product kernel once. For each
+    eigenvalue mu = (x + y i) / e of F_k, one product moves every row that
+    takes its factor: the row w becomes w (F_k - mu I)^T, that is
+    (a w N - b (x + y i) w) / L for L = lcm(d, e), a = L / d and b = L / e,
+    and L joins the row's denominator. Column j is then divided by its
+    denominator and by the product of its (lam - mu): one scaling per
+    column, onto a common denominator, and S is reduced once.
     """
     n = len(sources)
     re_cols = [[0] * n for _ in sources]
@@ -212,31 +217,39 @@ def _push(family, spectra, sources, targets) -> DenseMatrix:
     for col, src in zip(re_cols, sources):
         col[src - 1] = 1
     dens = [1] * n
-    ident = DenseMatrix.identity(n)
     for k, (f, eigs) in enumerate(zip(family, spectra)):
-        ft = f.transpose()
+        ft = _sparse_rows(f.transpose())
+        d = ft[-1]
         for u, mu in enumerate(eigs):
-            moved = [j for j, t in enumerate(targets) if t[k] != u]
+            moved = [j for j, fs in enumerate(factors) if u in fs[k]]
             if not moved:
                 continue
-            pushed_re, pushed_im, d = _rows_times(
-                [re_cols[j] for j in moved],
-                [im_cols[j] for j in moved],
-                ft - ident.scale(mu),
-            )
-            for j, xs, ys in zip(moved, pushed_re, pushed_im):
+            old_re = [re_cols[j] for j in moved]
+            old_im = [im_cols[j] for j in moved]
+            pushed_re, pushed_im = _rows_times(old_re, old_im, ft)
+            big = lcm(d, mu.d)
+            a, b = big // d, big // mu.d
+            x, y = b * mu.p, b * mu.q
+            for j, xs, ys, us, vs in zip(moved, pushed_re, pushed_im, old_re, old_im):
+                if x or y:
+                    xs = [a * p - x * u + y * v for p, u, v in zip(xs, us, vs)]
+                    ys = [a * q - x * v - y * u for q, u, v in zip(ys, us, vs)]
                 re_cols[j] = xs
                 im_cols[j] = ys
-                dens[j] *= d
-    # each member's Lagrange denominators, prod (lam - mu) over mu != lam
-    lagrange = [
-        [prod((lam - mu for mu in eigs if mu != lam), start=ONE) for lam in eigs]
-        for eigs in spectra
-    ]
-    scales = [
-        prod((ls[u] for ls, u in zip(lagrange, t)), start=scalar(den)).reciprocal()
-        for den, t in zip(dens, targets)
-    ]
+                dens[j] *= big
+    parts = [[(lam.p, lam.q, lam.d) for lam in eigs] for eigs in spectra]
+    scales = []
+    for den, t, fs in zip(dens, targets, factors):
+        # 1 / (den prod (lam - mu)) as top / (gr + gi i), reduced once
+        top, gr, gi = 1, den, 0
+        for ps, u, us in zip(parts, t, fs):
+            lr, li, ld = ps[u]
+            for mr, mi, md in map(ps.__getitem__, us):
+                # lam - mu = ((lr + li i) md - (mr + mi i) ld) / (ld md)
+                xr, xi = lr * md - mr * ld, li * md - mi * ld
+                gr, gi = gr * xr - gi * xi, gr * xi + gi * xr
+                top *= ld * md
+        scales.append(_reduced_scalar(top * gr, -top * gi, gr * gr + gi * gi))
     return _scaled_columns(n, re_cols, im_cols, scales)
 
 
@@ -305,11 +318,38 @@ def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> Diagonalization:
        polynomials in a commuting family, so Q_t e_j is e_j multiplied by
        F_k - mu I for every member k and every mu other than lam_{t_k}, in
        any order, then scaled by the product of the (lam_{t_k} - mu)^-1.
-       `_push` keeps the columns as integer rows and takes one product per
-       member and eigenvalue, moving every column that takes that factor
-       at once; each column is divided once at the end. The values are
-       exact, so S is the same matrix, entry for entry, as the one read off
-       the n x n joint projectors.
+       Only the mu of the class blocks above C are needed. Let
+       V = span{e_i : i -> j}. Every matrix A of the algebra maps V into itself: A e_i lies
+       on the l with l -> i, and l -> i -> j gives l -> j. On V, in class
+       order, A is block upper-triangular, and its diagonal blocks are the
+       class blocks A_DD of the classes D above C, those with D -> C, C
+       itself included; the `presence` column of C in the block-triangular
+       form lists them. Take a diagonalizable F_k. Its restriction R to V is
+       diagonalizable too (the minimal polynomial of R divides that of F_k,
+       which has simple roots), and its spectrum is the union sigma_k of the
+       spectra of those class blocks, which holds lam = lam_{t_k}, an
+       eigenvalue of the block of C. The Lagrange polynomial L of lam over
+       the whole spectrum of F_k and the one L' over sigma_k agree on
+       sigma_k, 1 at lam and 0 at the rest, so their difference is divisible
+       by the minimal polynomial of R, the product of the x - mu over
+       sigma_k, and L(R) = L'(R): L(F_k) e = L'(F_k) e for every e in V. Each
+       factor maps V into V, so, member by member, Q_t e_j is e_j times the
+       product over k of the L'(F_k): the factors F_k - mu I for mu in
+       sigma_k other than lam, over (lam - mu). `_push` keeps the columns as
+       integer rows and takes one product per member and eigenvalue, moving
+       every column that takes that factor at once; it reads each F_k^T into
+       the product kernel once and applies the shift by -mu to the rows. Each
+       column is divided once at the end. The values are exact, so S is the
+       same matrix, entry for entry, as the one read off the n x n joint
+       projectors.
+       For a commuting family whose class blocks are diagonalizable but some
+       member is not, these columns may differ from Q_t e_j; the outcome does
+       not. They still lie in V, and the C x C block of L'(F_k) is
+       L'(B_k) = L(B_k), for the diagonalizable class block B_k whose spectrum lies in
+       sigma_k; so step 3 holds for them as it stands. An invertible S with
+       F_k S = S D_k would make F_k diagonalizable, so step 4's check fails
+       with either S, and its failure path, which never reads S, names the
+       same member.
     3. S is invertible and lies in the algebra, for every commuting family
        whose class blocks passed the spectrum step, diagonalizable or not:
        - Q_t is a polynomial in the family, so it lies in the algebra, and
@@ -343,7 +383,8 @@ def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> Diagonalization:
        anything else, as when the check ran first. For a commuting family
        S is invertible (step 3), so F S != S D means that some member is not
        diagonalizable; the annihilation test prod (F_k - lam I) = 0, run
-       member by member, then names the first such member.
+       member by member, then names the first such member, as "member k is
+       not diagonalizable", the wording of the class-block stage.
 
     Where every member is upper-triangular on every class, each Q_CC is an
     upper-triangular idempotent, its pivots are the j with (Q)_jj = 1, and
@@ -374,7 +415,8 @@ def _diagonalize(rho: QuasiOrder, family) -> Diagonalization:
     """Steps 1-4 of ``simultaneous_diagonalize_in_sma`` on a nonempty family
     supported in the relation."""
     n = rho.n
-    classes = [sorted(c) for c in block_triangular_form(rho).class_order]
+    form = block_triangular_form(rho)
+    classes = [sorted(c) for c in form.class_order]
     # a member's spectrum is the union of the spectra of its class blocks
     spectra = [set() for _ in family]
     class_blocks = []
@@ -399,8 +441,13 @@ def _diagonalize(rho: QuasiOrder, family) -> Diagonalization:
         class_blocks.append(blocks)
     spectra = [sorted(eigs, key=GaussianRational.sort_key) for eigs in spectra]
     position = [{lam: u for u, lam in enumerate(eigs)} for eigs in spectra]
-    sources, targets = [0] * n, [()] * n
-    for idx, blocks in zip(classes, class_blocks):
+    # the indices of each class block's eigenvalues, member by member
+    indices = [
+        [{pos[lam] for lam in eigs} for (eigs, _), pos in zip(blocks, position)]
+        for blocks in class_blocks
+    ]
+    sources, targets, factors = [0] * n, [()] * n, [()] * n
+    for b, (idx, blocks) in enumerate(zip(classes, class_blocks)):
         if len(idx) == 1:
             t = tuple(pos[eigs[0]] for (eigs, _), pos in zip(blocks, position))
             picks = [(1, t)]
@@ -408,9 +455,13 @@ def _diagonalize(rho: QuasiOrder, family) -> Diagonalization:
             picks = sorted(_class_picks(blocks, position, len(idx)))
             if len(picks) != len(idx):
                 raise InternalInconsistency("joint eigenspaces do not split a class")
+        # each member's eigenvalues on the class blocks above and at this one
+        above = [own for own, row in zip(indices, form.presence) if row[b]]
+        reach = [set().union(*sets) for sets in zip(*above)]
         for j, (c, t) in zip(idx, picks):
             sources[j - 1], targets[j - 1] = idx[c - 1], t
-    s = _push(family, spectra, sources, targets)
+            factors[j - 1] = tuple(r - {u} for r, u in zip(reach, t))
+    s = _push(family, spectra, sources, targets, factors)
     sinv = inverse(s)
     bad = first_unsupported(s.support(), rho)
     if bad is None:
@@ -422,7 +473,10 @@ def _diagonalize(rho: QuasiOrder, family) -> Diagonalization:
     for f, values in zip(family, diagonals):
         if f * s != s.scale_columns(values):
             # S is invertible, so some member is not diagonalizable: name it
-            for g, eigs in zip(family, spectra):
-                _annihilate(g, eigs)
+            for k, (g, eigs) in enumerate(zip(family, spectra)):
+                try:
+                    _annihilate(g, eigs)
+                except NotDiagonalizable as exc:
+                    raise NotDiagonalizable(f"member {k + 1} is not diagonalizable") from exc
             raise InternalInconsistency("conjugate failed to come out diagonal")
     return Diagonalization(s, sinv, diagonals)

@@ -1,17 +1,19 @@
 """Exact scalars and dense matrices over the Gaussian rationals.
 
-A scalar is one canonical integer triple (p, q, d), the number
-(p + q i) / d, with d > 0 and gcd(p, q, d) = 1, so equal scalars have
-equal storage and compare and hash as ints. A matrix keeps the same form
-with one denominator for all its entries: a positive integer denominator and
-integer numerators for the real and imaginary parts, in lowest terms, so its
-arithmetic runs on Python ints and equal matrices have equal storage; entries
-are handed out as scalars. Rank, kernel bases and inverse all run on one
-fraction-free Gauss-Jordan kernel over the Gaussian integers, and products
-on one kernel that multiplies a stack of integer rows by a matrix. A
-``BlockRow`` keeps many n x n matrices side by side as one matrix, with the
-nonzero entries of each block listed once. No floating point enters
-anywhere in this package.
+A scalar is one canonical integer triple (p, q, d), the number (p + q i) / d,
+with d > 0 and gcd(p, q, d) = 1, so equal scalars have equal storage and
+compare and hash as ints. A matrix keeps the same form with one denominator
+for all its entries: a positive integer denominator and integer numerators
+for the real and imaginary parts, in lowest terms, so its arithmetic runs on
+Python ints and equal matrices have equal storage; entries are handed out as
+scalars. Rank, kernel bases and inverse all run on one fraction-free
+Gauss-Jordan kernel over the Gaussian integers, which updates only the rows
+with a nonzero entry in the pivot column, so sparse and triangular matrices
+eliminate in time near their nonzeros. Products run on one kernel that
+multiplies a stack of integer rows by a matrix read once into its nonzero
+entries per row. A ``BlockRow`` keeps many n x n matrices side by side as one
+matrix, with the nonzero entries of each block listed once. No floating point
+enters anywhere in this package.
 
 Matrix indices in the public API are 1-based, matching the pair convention of
 the relation and weight file formats; storage is row-major and 0-based
@@ -636,18 +638,13 @@ def _divided(rows: int, cols: int, re: list, im: list, p, num: int = 1) -> Dense
     return _reduced(rows, cols, pr, [num * a for a in re], [num * b for b in im])
 
 
-def _rows_times(re_rows, im_rows, b: DenseMatrix):
-    """A stack of integer rows times b, the product kernel.
-
-    Row r is re_rows[r] + i im_rows[r], of length b.rows; the two stacks
-    are read once, in step, so they may be iterators. Returns the
-    numerator rows of the products, real parts and imaginary parts, and
-    their denominator, b's: row r times b is (re[r] + i im[r]) / d. Nothing
-    is reduced, so the rows can be pushed through further factors.
-    """
+def _sparse_rows(b: DenseMatrix):
+    """b = N / d as the product kernel reads it: for each row of N, its
+    nonzero real parts and its nonzero imaginary parts, each as a
+    (column, value) list; then the row length and d. A factor taken many
+    times is read once."""
     m, p = b.rows, b.cols
     bre, bim = b._re, b._im
-    # Nonzero parts of each row of b, as (column, value) lists.
     cols = range(p)
     rows = [bre[k * p : (k + 1) * p] for k in range(m)]
     b_re = [[*zip(compress(cols, row), compress(row, row))] for row in rows]
@@ -656,6 +653,20 @@ def _rows_times(re_rows, im_rows, b: DenseMatrix):
         b_im = [[*zip(compress(cols, row), compress(row, row))] for row in rows]
     else:
         b_im = [()] * m
+    return b_re, b_im, p, b._d
+
+
+def _rows_times(re_rows, im_rows, b_rows):
+    """A stack of integer rows times an integer matrix, the product kernel.
+
+    Row r is re_rows[r] + i im_rows[r]; the two stacks are read once, in
+    step, so they may be iterators. ``b_rows`` is the matrix as
+    ``_sparse_rows`` gives it, N / d. Returns the rows of the products with
+    N, real parts and imaginary parts: row r times the matrix is
+    (re[r] + i im[r]) / d. Nothing is reduced, so the rows can be pushed
+    through further factors.
+    """
+    b_re, b_im, p, _ = b_rows
     out_re, out_im = [], []
     for xs, ys in zip(re_rows, im_rows):
         row_re = [0] * p
@@ -673,19 +684,21 @@ def _rows_times(re_rows, im_rows, b: DenseMatrix):
                     row_re[j] -= y * v
         out_re.append(row_re)
         out_im.append(row_im)
-    return out_re, out_im, b._d
+    return out_re, out_im
 
 
 def multiply(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
     n, m = a.rows, a.cols
-    re, im, d = _rows_times(
+    re, im = _rows_times(
         (a._re[i * m : (i + 1) * m] for i in range(n)),
         (a._im[i * m : (i + 1) * m] for i in range(n)),
-        b,
+        _sparse_rows(b),
     )
-    return _reduced(n, b.cols, a._d * d, [*chain.from_iterable(re)], [*chain.from_iterable(im)])
+    return _reduced(
+        n, b.cols, a._d * b._d, [*chain.from_iterable(re)], [*chain.from_iterable(im)]
+    )
 
 
 def _scaled_columns(rows: int, re_cols, im_cols, scales) -> DenseMatrix:
@@ -962,19 +975,40 @@ class UnitFrame:
 
 
 def _gauss_jordan(re_rows, im_rows, reduce=False):
-    """Bareiss elimination over the Gaussian integers, fraction-free and in place.
+    """Bareiss elimination over the Gaussian integers, fraction-free and in
+    place, touching only the rows with a nonzero entry in the pivot column.
 
     Rows are lists of ints, real parts in ``re_rows`` and imaginary parts in
-    ``im_rows``. Each step replaces every other row x by
-    (p x - f y) / prev, with y the pivot row, p its pivot, f the entry of x
-    in the pivot column and prev the previous pivot (Bareiss 1968,
-    "Sylvester's identity and multistep integer-preserving Gaussian
-    elimination"). Every entry stays a minor of the input, so the division
-    is exact in Z[i]; it is done as multiplication by conj(prev) and integer
-    division by its norm. With ``reduce`` the rows above the pivot are
-    updated too (Gauss-Jordan), and every pivot row then ends with the last
-    pivot at its pivot column and zeros in the other pivot columns: the
-    reduced echelon form times that pivot.
+    ``im_rows``. Bareiss's step m replaces every other row x by
+    (p_m x - f y) / p_{m-1}, with y the pivot row, p_m its pivot, f the entry
+    of x in the pivot column and p_{m-1} the previous pivot, p_0 = 1
+    (Bareiss 1968, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination"). Every entry stays a minor of the input, so the
+    division is exact in Z[i]; it is done as multiplication by the conjugate
+    and integer division by the norm. With ``reduce`` the rows above the
+    pivot are updated too (Gauss-Jordan), and every pivot row then ends with
+    the last pivot at its pivot column and zeros in the other pivot columns:
+    the reduced echelon form times that pivot.
+
+    Rows with f = 0 are skipped. Bareiss's step takes such a row to
+    p_m x / p_{m-1}, and leaves the pivot row as it is. So each row records
+    the step l after which its stored value x_l is Bareiss's row (0 at the
+    start; the pivot row's step is the one it pivots). If steps l+1, ..., m
+    all skip it, Bareiss's row after step m is
+    x_l (p_{l+1} / p_l) ... (p_m / p_{m-1}) = x_l p_m / p_l, as the product
+    telescopes. That row is Bareiss's, whose entries are minors, so the
+    division is exact. A row is brought up to date by this lift whenever it
+    is read: as the pivot row, before an update, and at the end under
+    ``reduce``. The stored and the true row differ by a nonzero factor, so
+    they have their zeros in the same places, and the pivot search and the
+    test f = 0 may read the stored row. Every row that is read is thus
+    Bareiss's row at that step, and the pivots, the last pivot and the rows
+    come out as Bareiss's, entry for entry. Without ``reduce`` a pivot row is
+    not read after its step, and the rows below the last pivot are zero.
+    Rows below the pivot are zero left of its column, and a row above is
+    zero left of its own pivot column, so only the columns from there on are
+    read or written. The identity, triangular and other sparse matrices thus
+    cost time in the rows that take an update, not in all of them.
 
     Pivot choice: scan columns left to right, take the first row with a
     nonzero entry (deterministic, no magnitude heuristics). Returns the
@@ -983,6 +1017,10 @@ def _gauss_jordan(re_rows, im_rows, reduce=False):
     rows = len(re_rows)
     cols = len(re_rows[0]) if rows else 0
     pivots = []
+    # scales[m] = p_m; row rr holds Bareiss's row after step steps[rr] times
+    # p_{steps[rr]} / p_m, for the last step m
+    scales = [(1, 0)]
+    steps = [0] * rows
     qr, qi = 1, 0
     r = 0
     for c in range(cols):
@@ -998,14 +1036,19 @@ def _gauss_jordan(re_rows, im_rows, reduce=False):
         if src != r:
             re_rows[r], re_rows[src] = re_rows[src], re_rows[r]
             im_rows[r], im_rows[src] = im_rows[src], im_rows[r]
+            steps[r], steps[src] = steps[src], steps[r]
+        m = len(pivots)
+        if steps[r] != m:
+            _lift(re_rows[r], im_rows[r], c, scales[m], scales[steps[r]])
         yr, yi = re_rows[r], im_rows[r]
         pr, pi = yr[c], yi[c]
         norm = qr * qr + qi * qi
         for rr in range(0 if reduce else r + 1, rows):
-            if rr == r:
+            if rr == r or not (re_rows[rr][c] or im_rows[rr][c]):
                 continue
-            # Rows below the pivot are zero left of column c.
-            s = c if rr > r else 0
+            s = c if rr > r else pivots[rr][1]
+            if steps[rr] != m:
+                _lift(re_rows[rr], im_rows[rr], s, scales[m], scales[steps[rr]])
             xr, xi = re_rows[rr][s:], im_rows[rr][s:]
             ur, ui = yr[s:], yi[s:]
             fr, fi = xr[c - s], xi[c - s]
@@ -1026,10 +1069,41 @@ def _gauss_jordan(re_rows, im_rows, reduce=False):
                 ni = [b // qr for b in ni]
             re_rows[rr][s:] = nr
             im_rows[rr][s:] = ni
+            steps[rr] = m + 1
+        steps[r] = m + 1
         pivots.append((r, c))
         qr, qi = pr, pi
+        scales.append((qr, qi))
         r += 1
+    if reduce:
+        m = len(pivots)
+        for rr, c in pivots:
+            if steps[rr] != m:
+                _lift(re_rows[rr], im_rows[rr], c, scales[m], scales[steps[rr]])
     return pivots, (qr, qi)
+
+
+def _lift(re_row: list, im_row: list, s: int, now, then) -> None:
+    """Multiply the row re_row + i im_row by now / then in place, from
+    column s on, for Gaussian integers now and then (as (re, im) pairs)
+    whose quotient leaves every entry a Gaussian integer."""
+    (ar, ai), (br, bi) = now, then
+    if (ar, ai) == (br, bi):
+        return
+    # now / then = now conj(then) / |then|^2, brought to lowest terms
+    mr, mi, norm = ar * br + ai * bi, ai * br - ar * bi, br * br + bi * bi
+    g = gcd(mr, mi, norm)
+    mr, mi, norm = mr // g, mi // g, norm // g
+    xr, xi = re_row[s:], im_row[s:]
+    if mi:
+        re_row[s:] = [(a * mr - b * mi) // norm for a, b in zip(xr, xi)]
+        im_row[s:] = [(a * mi + b * mr) // norm for a, b in zip(xr, xi)]
+    elif norm == 1:
+        re_row[s:] = [a * mr for a in xr]
+        im_row[s:] = [b * mr for b in xi]
+    else:
+        re_row[s:] = [a * mr // norm for a in xr]
+        im_row[s:] = [b * mr // norm for b in xi]
 
 
 def rank(m: DenseMatrix) -> int:

@@ -17,7 +17,15 @@ from __future__ import annotations
 from math import isqrt, lcm
 
 from .errors import DimensionMismatch, InternalInconsistency
-from .exactnum import DenseMatrix, GaussianRational, ONE, ZERO, _rows_times, scalar
+from .exactnum import (
+    DenseMatrix,
+    GaussianRational,
+    ONE,
+    ZERO,
+    _rows_times,
+    _sparse_rows,
+    scalar,
+)
 
 
 def poly_trim(cs):
@@ -128,8 +136,10 @@ def charpoly(a: DenseMatrix):
     coeffs = [ONE] * (n + 1)
     re_rows = [[int(i == j) for j in range(n)] for i in range(n)]
     im_rows = [[0] * n for _ in range(n)]
+    factor = _sparse_rows(a)
+    d = factor[-1]
     for k in range(1, n + 1):
-        re_rows, im_rows, d = _rows_times(re_rows, im_rows, a)
+        re_rows, im_rows = _rows_times(re_rows, im_rows, factor)
         cr = -sum(row[i] for i, row in enumerate(re_rows)) // k
         ci = -sum(row[i] for i, row in enumerate(im_rows)) // k
         coeffs[n - k] = GaussianRational(cr, ci) / d**k

@@ -196,17 +196,19 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     """
     rho = phi.rho
     n = rho.n
-    f_id = apply(phi, DenseMatrix.identity(n))
+    ident = DenseMatrix.identity(n)
+    f_id = apply(phi, ident)
     try:
         norm = inverse(f_id)
     except Singular:
         # the rank is needed only for the witness
         return PreserverVerdict(
             kind="Neither",
-            witness=RankWitness(DenseMatrix.identity(n), (n, rank(f_id))),
+            witness=RankWitness(ident, (n, rank(f_id))),
             note="fails unitality: the identity maps to a singular matrix",
         )
-    psi = phi.left_multiplied(norm)
+    # a unital map is its own normalization
+    psi = phi if f_id == ident else phi.left_multiplied(norm)
     try:
         form = classify_jordan(psi)
     except VanishingUnitImage as exc:

@@ -25,7 +25,9 @@ on ``pivot_columns``, which reads the pivots of the package's elimination
 kernel;
 ``dense_gf2_kernel_basis`` keeps
 the GF(2) elimination on dense 0/1 rows, as the reference for its bitmask
-rows. The next-to-last section holds reference checks
+rows, and ``bareiss_gauss_jordan`` keeps the Bareiss elimination that
+updates every row at every step, as the reference for the kernel that
+skips rows with a zero in the pivot column. The next-to-last section holds reference checks
 that the package once exported and no longer calls (the central
 idempotents, the all-pairs Jordan identity check, the
 identity, transpose and conjugation maps, the annihilation test for
@@ -1038,9 +1040,12 @@ def dense_simultaneous_diagonalize(rho: QuasiOrder, family) -> Diagonalization:
                     f"member {k + 1} has irrational eigenvalues"
                 ) from exc
     joint = [DenseMatrix.identity(n)]
-    for f, eigs in zip(family, spectra):
+    for k, (f, eigs) in enumerate(zip(family, spectra)):
         eigs = sorted(eigs, key=GaussianRational.sort_key)
-        lagrange_annihilate(f, eigs)
+        try:
+            lagrange_annihilate(f, eigs)
+        except NotDiagonalizable as exc:
+            raise NotDiagonalizable(f"member {k + 1} is not diagonalizable") from exc
         projectors = lagrange_projectors(f, eigs)
         refined = []
         for q in joint:
@@ -1114,6 +1119,64 @@ def dense_gf2_kernel_basis(mat, cols=None):
             vec[c] = a[pr][fc]
         basis.append(vec)
     return basis
+
+
+def bareiss_gauss_jordan(re_rows, im_rows, reduce=False):
+    """Bareiss elimination over the Gaussian integers as the package ran it
+    before it skipped rows with a zero in the pivot column: every other row
+    x becomes (p x - f y) / prev at every step, in place. The reference for
+    ``exactnum._gauss_jordan``, which must return the same pivots and last
+    pivot and leave the same rows, entry for entry."""
+    rows = len(re_rows)
+    cols = len(re_rows[0]) if rows else 0
+    pivots = []
+    qr, qi = 1, 0
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        src = None
+        for rr in range(r, rows):
+            if re_rows[rr][c] or im_rows[rr][c]:
+                src = rr
+                break
+        if src is None:
+            continue
+        if src != r:
+            re_rows[r], re_rows[src] = re_rows[src], re_rows[r]
+            im_rows[r], im_rows[src] = im_rows[src], im_rows[r]
+        yr, yi = re_rows[r], im_rows[r]
+        pr, pi = yr[c], yi[c]
+        norm = qr * qr + qi * qi
+        for rr in range(0 if reduce else r + 1, rows):
+            if rr == r:
+                continue
+            # Rows below the pivot are zero left of column c.
+            s = c if rr > r else 0
+            xr, xi = re_rows[rr][s:], im_rows[rr][s:]
+            ur, ui = yr[s:], yi[s:]
+            fr, fi = xr[c - s], xi[c - s]
+            if pi or fi:
+                parts = list(zip(xr, xi, ur, ui))
+                nr = [pr * a - pi * b - fr * u + fi * v for a, b, u, v in parts]
+                ni = [pr * b + pi * a - fr * v - fi * u for a, b, u, v in parts]
+            else:
+                nr = [pr * a - fr * u for a, u in zip(xr, ur)]
+                ni = [pr * b - fr * v for b, v in zip(xi, ui)] if any(xi) or any(ui) else xi
+            if qi:
+                nr, ni = (
+                    [(a * qr + b * qi) // norm for a, b in zip(nr, ni)],
+                    [(b * qr - a * qi) // norm for a, b in zip(nr, ni)],
+                )
+            elif qr != 1:
+                nr = [a // qr for a in nr]
+                ni = [b // qr for b in ni]
+            re_rows[rr][s:] = nr
+            im_rows[rr][s:] = ni
+        pivots.append((r, c))
+        qr, qi = pr, pi
+        r += 1
+    return pivots, (qr, qi)
 
 
 def rectangles(q: QuasiOrder):

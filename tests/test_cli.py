@@ -887,7 +887,7 @@ def test_no_command_is_input_error():
 @pytest.mark.parametrize("fmt", ["text", "json-lines"])
 def test_failed_reverification_exits_three(files, tmp_path, monkeypatch, fmt):
     # the column step leaves every column of S at its unit column
-    def bare_units(family, spectra, sources, targets):
+    def bare_units(family, spectra, sources, targets, factors):
         return DenseMatrix.from_entries(
             len(sources), len(sources), {(src, j): 1 for j, src in enumerate(sources, 1)}
         )

@@ -19,7 +19,7 @@ from smalg.errors import (
     SupportViolation,
 )
 from smalg.exactnum import DenseMatrix, inverse, rank, scalar
-from smalg.quasiorder import from_edges
+from smalg.quasiorder import block_triangular_form, from_edges
 
 from fixtures import (
     delta,
@@ -242,7 +242,7 @@ def test_diagonalize_in_sma_errors():
     assert exc.value.pair == (2, 1)
     # each class block is a scalar, so only the conjugate check finds the
     # defect, and the annihilation test then names it
-    with pytest.raises(NotDiagonalizable, match="^minimal polynomial has a repeated root$"):
+    with pytest.raises(NotDiagonalizable, match="^member 1 is not diagonalizable$"):
         simultaneous_diagonalize_in_sma(rho, [DenseMatrix.from_rows([[0, 1], [0, 0]])])
     e12 = DenseMatrix.from_rows([[0, 1], [0, 0]])
     e21 = DenseMatrix.from_rows([[0, 0], [1, 0]])
@@ -508,11 +508,11 @@ def test_diagonalize_products_stay_within_the_spectra(monkeypatch):
     products = []
     kernel = smalg.exactnum._rows_times
 
-    def counting(re_rows, im_rows, b):
+    def counting(re_rows, im_rows, b_rows):
         re_rows, im_rows = list(re_rows), list(im_rows)
-        if b.shape == (n, n):
+        if (len(b_rows[0]), b_rows[2]) == (n, n):
             products.append(len(re_rows))
-        return kernel(re_rows, im_rows, b)
+        return kernel(re_rows, im_rows, b_rows)
 
     for module in (smalg.exactnum, smalg.diag, smalg.polyroots):
         monkeypatch.setattr(module, "_rows_times", counting)
@@ -552,9 +552,9 @@ def test_full_block_stage_forms_no_projector_and_no_block_product(monkeypatch):
     shapes = []
     kernel = smalg.exactnum._rows_times
 
-    def recording(re_rows, im_rows, b):
-        shapes.append(b.shape)
-        return kernel(re_rows, im_rows, b)
+    def recording(re_rows, im_rows, b_rows):
+        shapes.append((len(b_rows[0]), b_rows[2]))
+        return kernel(re_rows, im_rows, b_rows)
 
     for module in (smalg.exactnum, smalg.diag):
         monkeypatch.setattr(module, "_rows_times", recording)
@@ -563,3 +563,91 @@ def test_full_block_stage_forms_no_projector_and_no_block_product(monkeypatch):
     assert shapes and set(shapes) == {(5, 5)}
     for f, d in zip(family, diagonals):
         assert s_inv * f * s == DenseMatrix.diag(d)
+
+
+def _layered_family(rng):
+    """A relation with classes of 1 to 3 vertices and a commuting family of
+    1 to 3 members S0 D_k S0^-1, where each class draws its eigenvalues from
+    a pool of its own, so that the class blocks above a column carry fewer
+    eigenvalues than the member's whole spectrum. Half the families get a
+    coupling on a strict pair (p, q) with D_pp = D_qq in every member: they
+    commute, every class block is diagonalizable, and the first member is
+    not."""
+    n = rng.randint(2, 8)
+    rho = random_class_order(rng, n, rng.choice((0.3, 0.6)), sizes=(1, 1, 2, 3))
+    pools = {}
+    for a, members in enumerate(block_triangular_form(rho).class_order):
+        pool = [scalar(a), scalar(a) + scalar("1i"), scalar(-a - 1)]
+        for v in members:
+            pools[v] = pool
+    s0 = random_invertible_in_sma(rho, rng, steps=rng.randrange(0, 10))
+    s0inv = inverse(s0)
+    values = [[rng.choice(pools[v]) for v in range(1, n + 1)] for _ in range(rng.randint(1, 3))]
+    extra = {}
+    strict = [(i, j) for (i, j) in rho.strict_pairs() if (j, i) not in rho]
+    if strict and rng.random() < 0.5:
+        p, q = rng.choice(strict)
+        extra = {(p, q): rng.choice(("1", "-1/3", "1i"))}
+        for row in values:
+            row[q - 1] = row[p - 1]
+    family = []
+    for k, row in enumerate(values):
+        core = {(i, i): v for i, v in enumerate(row, start=1)}
+        if k == 0:
+            core.update(extra)
+        family.append(s0 * DenseMatrix.from_entries(n, n, core) * s0inv)
+    return rho, family
+
+
+def test_push_through_the_factors_above_a_column_matches_dense_joint_projectors(monkeypatch):
+    # Column j takes only the factors (F_k - mu I) for the eigenvalues mu of
+    # the class blocks above its class; S, S^-1 and the diagonals must
+    # still be the ones read off the n x n joint projectors, and a family
+    # that commutes but is not diagonalizable must fail alike.
+    rng = random.Random(4049)
+    push = smalg.diag._push
+    dropped = []
+
+    def recording(family, spectra, sources, targets, factors):
+        dropped.append(
+            any(len(fs[k]) < len(spectra[k]) - 1 for fs in factors for k in range(len(spectra)))
+        )
+        return push(family, spectra, sources, targets, factors)
+
+    monkeypatch.setattr(smalg.diag, "_push", recording)
+    outcomes = {"ok": 0, NotDiagonalizable: 0}
+    for _ in range(300):
+        rho, family = _layered_family(rng)
+        got = _outcome(simultaneous_diagonalize_in_sma, rho, family)
+        assert got == _outcome(dense_simultaneous_diagonalize, rho, family)
+        kind = got[0] if isinstance(got[0], type) else "ok"
+        outcomes[kind] += 1
+        if kind is NotDiagonalizable:
+            assert got[1] == "member 1 is not diagonalizable"
+    assert min(outcomes.values()) >= 50
+    assert sum(dropped) >= 100
+
+
+def test_irrational_block_searches_its_roots_once(monkeypatch):
+    # (x^2 - 2)^2 for a diagonalizable block: the factor the search leaves
+    # has degree 4 and its squarefree part, the one the message names,
+    # degree 2
+    searches = []
+    search = smalg.diag.roots_in_gaussian_rationals
+
+    def counting(cs):
+        searches.append(len(cs) - 1)
+        return search(cs)
+
+    monkeypatch.setattr(smalg.diag, "roots_in_gaussian_rationals", counting)
+    rng = random.Random(7)
+    s4 = random_invertible_in_sma(full(4), rng, steps=8)
+    block = DenseMatrix.from_rows([[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 2, 0]])
+    member = s4 * block * inverse(s4)
+    with pytest.raises(IrrationalSpectrum) as exc:
+        simultaneous_diagonalize_in_sma(full(4), [DenseMatrix.identity(4), member])
+    assert str(exc.value) == "member 2 has irrational eigenvalues"
+    assert str(exc.value.__cause__) == (
+        "characteristic factor of degree 2 has no Gaussian-rational root"
+    )
+    assert searches == [4]

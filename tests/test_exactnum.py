@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -18,6 +19,7 @@ from smalg.exactnum import (
     DenseMatrix,
     GaussianRational,
     UnitFrame,
+    _gauss_jordan,
     format_matrix,
     inverse,
     multiply,
@@ -29,6 +31,7 @@ from smalg.exactnum import (
 
 from fixtures import BAD_LITERALS, random_literal
 from oracles import (
+    bareiss_gauss_jordan,
     cadd,
     cdiv,
     cmul,
@@ -683,6 +686,105 @@ def same_shape_pairs():
 
 
 KERNEL = settings(max_examples=60, deadline=None)
+
+SMALL = st.integers(-4, 4)
+NONZERO = SMALL.filter(bool)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """Gaussian-integer rows for the elimination kernel, as (re, im) stacks:
+    sparse, upper or lower triangular, a permutation times a diagonal,
+    dense, dense with Gaussian entries, singular (rows combined from earlier
+    ones), or any of these augmented by the identity, as inverse runs it."""
+    kind = draw(st.sampled_from(
+        ["sparse", "upper", "lower", "permutation", "dense", "gaussian", "singular"]
+    ))
+    n = draw(st.integers(0, 7))
+    c = n if kind in ("upper", "lower", "permutation") else draw(st.integers(0, 8))
+    imaginary = kind == "gaussian" or draw(st.integers(0, 3)) == 0
+    sparse = st.sampled_from([0, 0, 0, 0, 1, -1, 2, 3])
+
+    def part(i, j):
+        if kind in ("sparse", "singular"):
+            return draw(sparse)
+        if kind == "upper" and i > j or kind == "lower" and i < j:
+            return 0
+        if kind in ("upper", "lower") and i == j:
+            return draw(NONZERO) if draw(st.integers(0, 4)) else 0
+        if kind == "permutation":
+            return 0
+        return draw(SMALL)
+
+    re = [[part(i, j) for j in range(c)] for i in range(n)]
+    im = [[part(i, j) if imaginary else 0 for j in range(c)] for i in range(n)]
+    if kind == "permutation":
+        for i, j in enumerate(draw(st.permutations(range(n)))):
+            re[i][j] = draw(NONZERO)
+            im[i][j] = draw(SMALL) if imaginary else 0
+    if kind == "singular":
+        for i in range(1, n):
+            if draw(st.booleans()):
+                k, s = draw(st.integers(0, i - 1)), draw(NONZERO)
+                re[i] = [a + s * b for a, b in zip(re[i], re[k])]
+                im[i] = [a + s * b for a, b in zip(im[i], im[k])]
+    if draw(st.booleans()):
+        for i in range(n):
+            re[i] += [int(i == j) for j in range(n)]
+            im[i] += [0] * n
+    return re, im
+
+
+def _bareiss_both_ways(rows):
+    re, im = rows
+    for reduce in (False, True):
+        got_re, got_im = [list(r) for r in re], [list(r) for r in im]
+        want_re, want_im = [list(r) for r in re], [list(r) for r in im]
+        got = _gauss_jordan(got_re, got_im, reduce)
+        assert got == bareiss_gauss_jordan(want_re, want_im, reduce)
+        assert (got_re, got_im) == (want_re, want_im)
+
+
+class TestEliminationKernel:
+    """The kernel skips rows with a zero in the pivot column and lifts them
+    when they are read; it must return what Bareiss's every-row update
+    returns and leave the same rows."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(elimination_inputs())
+    @example(([[1, 0, 1, 0], [0, 1, 0, 1]], [[0, 0, 0, 0], [0, 0, 0, 0]]))
+    @example(([[0, 2, 1], [0, 0, 3], [2, 0, 0]], [[0, 1, 0], [0, 0, 0], [1, 0, 0]]))
+    @example(([[2, 3, 0, 0], [0, 2, 3, 0], [0, 0, 2, 3], [0, 0, 0, 2]], [[0] * 4] * 4))
+    def test_matches_bareiss_row_for_row(self, rows):
+        _bareiss_both_ways(rows)
+
+    def test_matches_bareiss_on_random_sparse_stacks(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            r, c = rng.randint(1, 12), rng.randint(1, 14)
+            density = rng.choice((0.1, 0.3, 1.0))
+
+            def part():
+                return rng.randint(-5, 5) if rng.random() < density else 0
+
+            re = [[part() for _ in range(c)] for _ in range(r)]
+            im = [[part() if rng.random() < 0.5 else 0 for _ in range(c)] for _ in range(r)]
+            _bareiss_both_ways((re, im))
+
+    def test_inverse_of_the_identity_at_400_under_two_seconds(self):
+        ident = DenseMatrix.identity(400)
+        start = time.perf_counter()
+        assert inverse(ident) == ident
+        assert time.perf_counter() - start < 2.0
+
+    def test_rank_of_a_bidiagonal_at_400_under_two_seconds(self):
+        n = 400
+        entries = {(i, i): 2 for i in range(1, n + 1)}
+        entries.update({(i + 1, i): "1i" for i in range(1, n)})
+        m = DenseMatrix.from_entries(n, n, entries)
+        start = time.perf_counter()
+        assert rank(m) == n
+        assert time.perf_counter() - start < 2.0
 
 
 class TestKernelProperties:

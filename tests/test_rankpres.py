@@ -699,3 +699,33 @@ def test_normalization_is_one_product_with_the_row_of_images(monkeypatch):
     [(count, psi)] = seen
     assert count == 1
     assert psi == phi
+
+
+def test_unital_map_is_its_own_normalization(monkeypatch):
+    """A map with phi(I) = I is classified as it stands: no product with
+    phi(I)^-1 runs before classify_jordan."""
+    rng = random.Random(43)
+    rho = upper_chain(5)
+    s_vals = {i: rng.choice([1, 2, 3, "1/2"]) for i in range(1, 6)}
+    phi = synthesize_jordan(
+        rho, random_invertible_in_sma(rho, rng), frozenset(), separator_map(rho, s_vals)
+    )
+    assert apply(phi, DenseMatrix.identity(5)) == DenseMatrix.identity(5)
+    calls, seen = [], []
+    real_rows_times = smalg.exactnum._rows_times
+    real_classify = smalg.rankpres.classify_jordan
+
+    def counting(*args):
+        calls.append(args)
+        return real_rows_times(*args)
+
+    def spy(psi):
+        seen.append((len(calls), psi))
+        return real_classify(psi)
+
+    monkeypatch.setattr(smalg.exactnum, "_rows_times", counting)
+    monkeypatch.setattr(smalg.rankpres, "classify_jordan", spy)
+    assert classify_rank_preserver(phi).kind == "RankPreserver"
+    [(count, psi)] = seen
+    assert count == 0
+    assert psi is phi
