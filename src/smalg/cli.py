@@ -42,6 +42,7 @@ from .errors import (
 )
 from .exactnum import (
     DenseMatrix,
+    GaussianRational,
     format_matrix,
     inverse,
     parse_matrix,
@@ -206,7 +207,7 @@ def _fmt_blocks(blocks) -> str:
 
 def _fmt_block_list(blocks) -> str:
     """The blocks in the order given, each as {v1,v2,...}."""
-    return " ".join("{" + ",".join(str(v) for v in sorted(b)) + "}" for b in blocks)
+    return " ".join(["{" + ",".join(map(str, sorted(b))) + "}" for b in blocks])
 
 
 def _json_blocks(blocks):
@@ -267,7 +268,9 @@ def _fmt_pair(pair) -> str:
 
 
 def _add_trivial(rep: Report, cert):
-    values = [cert.separator[i].literal() for i in sorted(cert.separator)]
+    # a separator repeats few values: each distinct one is written once
+    literal = functools.cache(GaussianRational.literal)
+    values = [literal(cert.separator[i]) for i in sorted(cert.separator)]
     rep.add("TRIVIAL", trivial=True)
     rep.add("separator " + " ".join(values), separator=values)
 
@@ -315,10 +318,10 @@ def _cmd_blocks(args) -> tuple:
     q = _load_qo(args.relation)
     b = block_triangular_form(q)
     rep = Report()
-    rep.add("pi " + " ".join(str(k) for k in b.pi), pi=list(b.pi))
-    rep.add("sizes " + " ".join(str(s) for s in b.sizes), sizes=list(b.sizes))
-    # each row of bools is rendered in one pass: False -> "0", True -> "1"
-    rows = [bytes(row).translate(_DIGITS).decode() for row in b.presence]
+    rep.add("pi " + " ".join(map(str, b.pi)), pi=list(b.pi))
+    rep.add("sizes " + " ".join(map(str, b.sizes)), sizes=list(b.sizes))
+    # each row of 0/1 bytes is rendered in one pass: 0 -> "0", 1 -> "1"
+    rows = [row.translate(_DIGITS).decode() for row in b.presence]
     rep.add("presence " + " ".join(rows), presence=rows)
     rep.add(
         "class-order " + _fmt_block_list(b.class_order),

@@ -490,6 +490,19 @@ class DenseMatrix:
             [_reduced_scalar(v.p, v.q, v.d * d) for v in map(scalar, values)],
         )
 
+    def scale_rows(self, values: Sequence) -> "DenseMatrix":
+        """The diagonal matrix of the values times self: row i scaled by
+        values[i - 1]."""
+        r, c, d = self.rows, self.cols, self._d
+        if len(values) != r:
+            raise DimensionMismatch(f"{r} rows, {len(values)} scales")
+        e, re, im = _scaled_lines(
+            [self._re[k * c:k * c + c] for k in range(r)],
+            [self._im[k * c:k * c + c] for k in range(r)],
+            [_reduced_scalar(v.p, v.q, v.d * d) for v in map(scalar, values)],
+        )
+        return _reduced(r, c, e, [*chain.from_iterable(re)], [*chain.from_iterable(im)])
+
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "DenseMatrix":
         """Submatrix on the given 1-based row and column index sequences."""
         c = self.cols
@@ -701,14 +714,13 @@ def multiply(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     )
 
 
-def _scaled_columns(rows: int, re_cols, im_cols, scales) -> DenseMatrix:
-    """The matrix whose column j is scales[j] (re_cols[j] + i im_cols[j]),
-    for integer columns of length ``rows``: each column takes one
-    Gaussian-integer factor onto the common denominator of the scales, and
-    the matrix is reduced once."""
+def _scaled_lines(re_lines, im_lines, scales):
+    """(d, re, im) with line k of (re + i im) / d equal to scales[k]
+    (re_lines[k] + i im_lines[k]), for integer lines: each line takes one
+    Gaussian-integer factor onto the common denominator d of the scales."""
     d = lcm(*{s.d for s in scales})
     re_out, im_out = [], []
-    for xs, ys, s in zip(re_cols, im_cols, scales):
+    for xs, ys, s in zip(re_lines, im_lines, scales):
         f = d // s.d
         p, q = f * s.p, f * s.q
         if q:
@@ -717,6 +729,13 @@ def _scaled_columns(rows: int, re_cols, im_cols, scales) -> DenseMatrix:
         else:
             re_out.append([p * x for x in xs])
             im_out.append([p * y for y in ys])
+    return d, re_out, im_out
+
+
+def _scaled_columns(rows: int, re_cols, im_cols, scales) -> DenseMatrix:
+    """The matrix whose column j is scales[j] (re_cols[j] + i im_cols[j]),
+    for integer columns of length ``rows``, reduced once."""
+    d, re_out, im_out = _scaled_lines(re_cols, im_cols, scales)
     return _reduced(
         rows,
         len(re_cols),

@@ -60,13 +60,18 @@ def _bits(mask: int):
 
 
 class QuasiOrder:
-    """Immutable reflexive transitive relation on {1..n}."""
+    """Immutable reflexive transitive relation on {1..n}.
 
-    __slots__ = ("n", "_rows")
+    ``_reversed`` holds the reversed relation once ``reverse`` has built
+    it, so each relation is reversed at most once.
+    """
+
+    __slots__ = ("n", "_rows", "_reversed")
 
     def __init__(self, n: int, rows: Sequence[int]):
         self.n = n
         self._rows = tuple(rows)
+        self._reversed = None
 
     def has(self, i: int, j: int) -> bool:
         return bool(self._rows[i - 1] >> (j - 1) & 1)
@@ -216,12 +221,17 @@ def _raise_first_violation(rows):
 
 
 def reverse(q: QuasiOrder) -> QuasiOrder:
-    rows = [0] * q.n
-    for i, r in enumerate(q._rows):
-        bit = 1 << i
-        for j in _bits(r):
-            rows[j - 1] |= bit
-    return QuasiOrder(q.n, rows)
+    """The relation with every pair turned round, built on the first call
+    for q and kept in q."""
+    if q._reversed is None:
+        rows = [1 << i for i in range(q.n)]
+        for i, r in enumerate(q._rows):
+            bit = 1 << i
+            if r != bit:  # a row of the diagonal pair alone adds nothing
+                for j in _bits(r ^ bit):
+                    rows[j - 1] |= bit
+        q._reversed = QuasiOrder(q.n, rows)
+    return q._reversed
 
 
 @dataclass(frozen=True)
@@ -305,9 +315,10 @@ class BlockTriangularForm:
     """Renumbering onto a block upper-triangular pattern.
 
     ``pi`` relabels old index i to pi(i); ``sizes`` are the diagonal block
-    sizes in order; ``presence[a][b]`` says whether the full block (a, b) is
-    inside the relabeled relation; ``class_order`` lists the mutual-relation
-    classes in the order they were laid out.
+    sizes in order; ``presence[a]`` is a ``bytes`` row whose byte b is 1
+    when the full block (a, b) is inside the relabeled relation and 0
+    otherwise; ``class_order`` lists the mutual-relation classes in the
+    order they were laid out.
     """
 
     pi: tuple
@@ -326,20 +337,23 @@ def block_triangular_form(q: QuasiOrder) -> BlockTriangularForm:
     by their minimum, so a heap of ready indices gives that class. The
     classes above a class are read off the row of its minimum, so the sort
     costs O(n + |rho|) steps and the heap O(p log p) on p classes; the p x p
-    ``presence`` matrix is the one part of size p^2.
+    ``presence`` matrix, one byte a block, is the one part of size p^2.
     """
     blocks = _mutual_groups(q)
     p = len(blocks)
     cls = [0] * q.n
+    mins = 0  # the minimum of each class, as a mask
     for a, blk in enumerate(blocks):
+        mins |= 1 << (blk[0] - 1)
         for v in blk:
             cls[v - 1] = a
     rows = q._rows
-    # the classes strictly above each class, read off the row of its minimum
-    above = [
-        {cls[j - 1] for j in _bits(rows[blk[0] - 1])} - {a}
-        for a, blk in enumerate(blocks)
-    ]
+    # the classes strictly above each class: the other classes' minima in
+    # the row of its minimum, each class once
+    above = []
+    for blk in blocks:
+        m = blk[0] - 1
+        above.append([cls[j - 1] for j in _bits((rows[m] & mins) ^ (1 << m))])
     indeg = [0] * p
     for succ in above:
         for b in succ:
@@ -360,13 +374,14 @@ def block_triangular_form(q: QuasiOrder) -> BlockTriangularForm:
         pos[a] = t
     presence = []
     for t, a in enumerate(placed):
-        row = [False] * p
-        row[t] = True
+        row = bytearray(p)
+        row[t] = 1
         for b in above[a]:
-            if pos[b] < t:
+            c = pos[b]
+            if c < t:
                 raise InternalInconsistency("order not triangular")
-            row[pos[b]] = True
-        presence.append(tuple(row))
+            row[c] = 1
+        presence.append(bytes(row))
     pi = [0] * q.n
     offset = 0
     for a in placed:
@@ -691,6 +706,13 @@ def parse_relation(text: str):
 
 
 def format_relation(q: QuasiOrder) -> str:
-    lines = [str(q.n)]
-    lines.extend(f"{i} {j}" for (i, j) in q.strict_pairs())
+    """n, then one line "i j" per strict pair, sorted: the lines of row i
+    are one join of its names, each vertex named once."""
+    names = list(map(str, range(q.n + 1)))
+    lines = [names[q.n]]
+    for i, r in enumerate(q._rows, 1):
+        strict = r & ~(1 << (i - 1))
+        if strict:
+            head = names[i] + " "
+            lines.append(head + ("\n" + head).join([names[j] for j in _bits(strict)]))
     return "\n".join(lines) + "\n"

@@ -234,9 +234,10 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
         )
     s = dict(cert.separator)
     gamma = [s[i] if i in form.u else s[i].reciprocal() for i in range(1, n + 1)]
-    # (S0 Gamma)^-1 = Gamma^-1 S0^-1 scales the rows of S0^-1
-    t = form.s * DenseMatrix.diag(gamma)
-    t_inv = DenseMatrix.diag([v.reciprocal() for v in gamma]) * form.s_inv
+    # S0 Gamma scales the columns of S0, and (S0 Gamma)^-1 = Gamma^-1 S0^-1
+    # the rows of S0^-1
+    t = form.s.scale_columns(gamma)
+    t_inv = form.s_inv.scale_rows([v.reciprocal() for v in gamma])
     ones = validate(rho, {p: ONE for p in rho.strict_pairs()})
     final = CanonicalJordanForm(s=t, u=form.u, g=ones, s_inv=t_inv)
     if not final.reproduces(psi):

@@ -21,7 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional
+from math import gcd
+from typing import NamedTuple, Optional
 
 from .errors import (
     FormatError,
@@ -30,7 +31,7 @@ from .errors import (
     SupportViolation,
     ZeroWeight,
 )
-from .exactnum import DenseMatrix, GaussianRational, ONE, scalar
+from .exactnum import DenseMatrix, GaussianRational, ONE, _scalar, scalar
 from .intlattice import (
     gf2_kernel_basis,
     integer_kernel_basis,
@@ -50,14 +51,18 @@ class TransitiveMap:
     """Validated weight assignment on the strict pairs of a quasi-order.
 
     ``_w`` holds the strict pairs in sorted order (``validate`` builds it
-    so), and the triviality walk reads them in that order.
+    so), and the triviality walk reads them in that order. ``_forest`` is
+    the map's spanning forest (``_Forest``): ``validate`` keeps the one it
+    checked the map against, and a map constructed directly, which must
+    weigh every strict pair, builds it on first use.
     """
 
-    __slots__ = ("rho", "_w")
+    __slots__ = ("rho", "_w", "_forest")
 
     def __init__(self, rho: QuasiOrder, weights):
         self.rho = rho
         self._w = dict(weights)
+        self._forest = None
 
     def value(self, i: int, j: int) -> GaussianRational:
         if i == j and 1 <= i <= self.rho.n:
@@ -79,6 +84,112 @@ class TransitiveMap:
         return f"TransitiveMap({self._w})"
 
 
+class _Forest(NamedTuple):
+    """A spanning forest of the symmetrized strict relation and its
+    potentials, as ``_spanning_forest`` builds them.
+
+    ``potentials[v]`` is s(v) as an integer triple (p, q, d), the number
+    (p + q i) / d in lowest terms with d > 0; ``parent[v]`` is (u, pair)
+    for the tree pair that reached v from u, None at a root (index 0 is
+    unused in both); ``first`` is the first pair of the map, in its order,
+    where g(i, j) differs from s(i)/s(j), or None when there is none.
+    """
+
+    potentials: list
+    parent: list
+    first: Optional[tuple]
+
+
+def _forest(g: TransitiveMap) -> _Forest:
+    f = g._forest
+    if f is None:
+        f = g._forest = _spanning_forest(g.rho, g._w)
+    return f
+
+
+def _spanning_forest(rho: QuasiOrder, w: dict) -> _Forest:
+    """Spanning-forest potentials of the symmetrized strict relation, and
+    the first pair of ``w`` that fails them.
+
+    Per connected component the lowest vertex is the root with potential 1.
+    The search is breadth first and reaches the unreached neighbours of a
+    vertex in ascending order, off one mask of its row and its column (the
+    column read off the pairs of ``w``, one step a pair). A tree pair
+    (v, u) gives s(u) = s(v) / g(v, u), and a tree pair (u, v) gives
+    s(u) = g(u, v) s(v), on integer triples brought to lowest terms. Each
+    pair (i, j) of ``w`` is then checked as g(i, j) s(j) = s(i), cross-
+    multiplied (``_failing_pairs``).
+
+    A vertex u related both ways to v is reached along (v, u), the lesser
+    of the two pairs, as v is then the root: else v was reached from some
+    w related to v, w != u, and by transitivity w is related to u too, so
+    u was reached by w's turn, before v's.
+    """
+    n = rho.n
+    rows = rho._rows
+    cols = [0] * n
+    for (i, j) in w:
+        cols[j - 1] |= 1 << (i - 1)
+    pot = [None] * (n + 1)
+    parent = [None] * (n + 1)
+    unseen = (1 << n) - 1  # bit v - 1 for each vertex v not yet reached
+    while unseen:
+        low = unseen & -unseen
+        unseen ^= low
+        root = low.bit_length()
+        pot[root] = (1, 0, 1)
+        queue = [root]
+        for v in queue:  # grows while it is walked: breadth first
+            out, inn = rows[v - 1], cols[v - 1]
+            new = (out | inn) & unseen
+            if not new:
+                continue
+            unseen ^= new
+            p, q, d = pot[v]
+            while new:
+                bit = new & -new
+                new ^= bit
+                u = bit.bit_length()
+                forward = out & bit
+                edge = (v, u) if forward else (u, v)
+                x = w[edge]
+                a, b, c = x.p, x.q, x.d
+                if b or q:
+                    if forward:
+                        # s(v) / x = c (p + q i)(a - b i) / (d (a^2 + b^2))
+                        t = c * (p * a + q * b)
+                        e = c * (q * a - p * b)
+                        f = d * (a * a + b * b)
+                    else:
+                        t, e, f = a * p - b * q, a * q + b * p, c * d
+                elif forward:  # (p / d) / (a / c), the sign on the numerator
+                    t, e, f = (p * c, 0, d * a) if a > 0 else (-p * c, 0, -d * a)
+                else:
+                    t, e, f = a * p, 0, c * d
+                g = gcd(t, e, f)
+                pot[u] = (t, e, f) if g == 1 else (t // g, e // g, f // g)
+                parent[u] = (v, edge)
+                queue.append(u)
+    return _Forest(pot, parent, next(_failing_pairs(w, pot), None))
+
+
+def _failing_pairs(w: dict, pot: list):
+    """The pairs (i, j) of ``w``, in its order, with g(i, j) s(j) != s(i)
+    for the potentials ``pot``: (a + b i)/c (p_j + q_j i)/d_j against
+    (p_i + q_i i)/d_i, both parts multiplied out by c d_i d_j."""
+    for (i, j), x in w.items():
+        a, b, c = x.p, x.q, x.d
+        pi, qi, di = pot[i]
+        pj, qj, dj = pot[j]
+        if b or qi or qj:
+            if (a * pj - b * qj) * di != pi * c * dj or (
+                (a * qj + b * pj) * di != qi * c * dj
+            ):
+                yield (i, j)
+        elif a * pj * di != pi * c * dj:
+            yield (i, j)
+
+
 def _out_lists(strict):
     """The k of each (j, k) in ``strict``, grouped by j. Sorted pairs give
     ascending lists, so composable pairs come in (i, j, k) order."""
@@ -88,31 +199,10 @@ def _out_lists(strict):
     return out
 
 
-def validate(rho: QuasiOrder, weights) -> TransitiveMap:
-    """Check coverage, nonvanishing and multiplicative transitivity.
-
-    ``weights`` maps each strict pair to a scalar (anything ``scalar``
-    accepts). Composable pairs must multiply consistently; a two-sided pair
-    must multiply to 1 with its reverse.
-    """
-    strict = rho.strict_pairs()
-    allowed = set(strict)
-    w = {}
-    for key, val in dict(weights).items():
-        i, j = key
-        if (i, j) not in allowed:
-            if i == j:
-                raise SupportViolation(
-                    f"diagonal weight ({i},{j}) must not be given", pair=(i, j)
-                )
-            raise SupportViolation(f"({i},{j}) is not in the relation", pair=(i, j))
-        v = scalar(val)
-        if not v:
-            raise ZeroWeight(f"weight at ({i},{j}) is zero")
-        w[(i, j)] = v
-    if len(w) < len(strict):
-        missing = next(p for p in strict if p not in w)
-        raise SupportViolation(f"missing weight for {missing}", pair=missing)
+def _check_composable(strict, w) -> None:
+    """Raise NotTransitive for the first composable pair (i, j), (j, k) of
+    the sorted ``strict`` pairs, in (i, j, k) order, whose product breaks
+    transitivity: g(i, j) g(j, k) != g(i, k), or != 1 when k = i."""
     out = _out_lists(strict)
     for (i, j) in strict:
         for k in out.get(j, ()):
@@ -128,7 +218,58 @@ def validate(rho: QuasiOrder, weights) -> TransitiveMap:
                     f"g({i},{j}) g({j},{k}) != g({i},{k})",
                     witness=((i, j), (j, k)),
                 )
-    return TransitiveMap(rho, {p: w[p] for p in strict})
+
+
+def validate(rho: QuasiOrder, weights) -> TransitiveMap:
+    """Check coverage, nonvanishing and multiplicative transitivity.
+
+    ``weights`` maps each strict pair to a scalar (anything ``scalar``
+    accepts). Composable pairs must multiply consistently; a two-sided pair
+    must multiply to 1 with its reverse. The first key, in the order of
+    ``weights``, that is diagonal, outside the relation or weighs zero is
+    reported; then the first strict pair with no weight; then the first
+    composable pair (i, j), (j, k), in (i, j, k) order, that fails.
+
+    The map is checked against its spanning-forest potentials first
+    (``_spanning_forest``), in O(n + |rho|) steps. If every strict pair
+    passes, g(i, j) = s(i)/s(j) on all of them, with every s(v) nonzero
+    (a potential is a product of nonzero weights and their inverses), and
+    such a map is transitive: for composable (i, j), (j, k) with i != k,
+    (i, k) is a strict pair by transitivity and g(i, j) g(j, k) =
+    s(i)/s(j) s(j)/s(k) = s(i)/s(k) = g(i, k); for k = i the product is
+    s(i)/s(j) s(j)/s(i) = 1. So the composable pairs, whose number grows
+    faster than n + |rho|, are walked only when some pair fails: the walk
+    then tells a map that is not transitive from a transitive map that is
+    not trivial. The forest stays with the map for ``triviality_witness``.
+    """
+    n, rows = rho.n, rho._rows
+    w = {}
+    for key, val in dict(weights).items():
+        i, j = key
+        if i == j or not (0 < i <= n and 0 < j <= n and rows[i - 1] >> (j - 1) & 1):
+            if i == j:
+                raise SupportViolation(
+                    f"diagonal weight ({i},{j}) must not be given", pair=(i, j)
+                )
+            raise SupportViolation(f"({i},{j}) is not in the relation", pair=(i, j))
+        v = val if type(val) is GaussianRational else scalar(val)
+        if not (v.p or v.q):
+            raise ZeroWeight(f"weight at ({i},{j}) is zero")
+        w[(i, j)] = v
+    # every key is a strict pair, so the weights cover them iff they count them
+    if len(w) < sum(r.bit_count() for r in rows) - n:
+        missing = next(p for p in rho.strict_pairs() if p not in w)
+        raise SupportViolation(f"missing weight for {missing}", pair=missing)
+    keys = list(w)
+    strict = sorted(keys)
+    if keys != strict:
+        w = {p: w[p] for p in strict}
+    forest = _spanning_forest(rho, w)
+    if forest.first is not None:
+        _check_composable(strict, w)
+    g = TransitiveMap(rho, w)
+    g._forest = forest
+    return g
 
 
 def apply_induced(g: TransitiveMap, x: DenseMatrix) -> DenseMatrix:
@@ -178,47 +319,6 @@ def walk_product(g: TransitiveMap, walk) -> GaussianRational:
     return total
 
 
-def _spanning_potentials(g: TransitiveMap):
-    """Spanning-forest potentials of the symmetrized strict relation.
-
-    Per connected component the lowest vertex is the root with potential 1;
-    potentials propagate along BFS tree edges. Returns the potentials, the
-    tree parents, and a lazy iterator over the strict pairs (in sorted
-    order) where g differs from s(i)/s(j).
-    """
-    rho = g.rho
-    w = g._w
-    adj = [[] for _ in range(rho.n + 1)]
-    for edge in w:
-        i, j = edge
-        adj[i].append((j, edge))
-        adj[j].append((i, edge))
-    s = {}
-    parent = {}
-    for root in range(1, rho.n + 1):
-        if root in s:
-            continue
-        s[root] = ONE
-        queue = [root]
-        for v in queue:  # grows while it is walked: breadth first
-            sv = s[v]
-            for (u, edge) in sorted(adj[v]):
-                if u in s:
-                    continue
-                x = w[edge]
-                if _is_one(x):
-                    s[u] = sv
-                else:
-                    s[u] = sv / x if edge[0] == v else x * sv
-                parent[u] = (v, edge)
-                queue.append(u)
-    failing = (
-        e for e, x in w.items()
-        if (s[e[1]] if _is_one(x) else x * s[e[1]]) != s[e[0]]
-    )
-    return s, parent, failing
-
-
 def _is_one(x: GaussianRational) -> bool:
     # most weights of the constructed and pulled-back maps are 1, and the
     # test is cheaper than a product
@@ -229,17 +329,23 @@ def triviality_witness(g: TransitiveMap) -> TrivialityCertificate:
     """Decide triviality by spanning-tree potentials.
 
     Every strict pair is checked against the potentials of
-    ``_spanning_potentials``. The first failing pair closes a walk through
-    the tree whose product is the certificate.
+    ``_spanning_forest``, which ``validate`` has already built. With no
+    failing pair the potentials are the separator; otherwise the first
+    failing pair closes a walk through the tree whose product is the
+    certificate.
     """
-    s, parent, failing = _spanning_potentials(g)
-    bad = next(failing, None)
+    forest = _forest(g)
+    bad = forest.first
     if bad is None:
-        return TrivialityCertificate(separator=s)
+        pot = forest.potentials
+        return TrivialityCertificate(
+            separator={v: _scalar(*pot[v]) for v in range(1, g.rho.n + 1)}
+        )
+    parent = forest.parent
 
     def steps_to_root(v):
         out = []
-        while v in parent:
+        while parent[v] is not None:
             u, edge = parent[v]
             out.append((edge, 1 if edge[0] == v else -1))
             v = u
@@ -274,7 +380,10 @@ def shortest_unbalanced_cycle(g: TransitiveMap):
     and Rodeh's girth search, with potentials).
     """
     rho = g.rho
-    _, _, failing = _spanning_potentials(g)
+    forest = _forest(g)
+    if forest.first is None:
+        return None
+    failing = _failing_pairs(g._w, forest.potentials)
     # row i is vertex i, column j is vertex -j
     adj = {}
     label = {}
@@ -480,7 +589,7 @@ def nontrivial_transitive_map(
         return None
     weights = _signed_powers(edges, *found)
     g = validate(rho, weights if q is rho else _pull_back(rho, core, weights))
-    if triviality_witness(g).is_trivial:
+    if _forest(g).first is None:
         raise InternalInconsistency("the weight map found nontrivial is trivial")
     return g
 

@@ -35,7 +35,11 @@ diagonalizability and the spectral resolution of one matrix); unlike the
 oracles they run on the package's matrix products and, for the spectral
 resolution, on those copies of the spectrum and Lagrange projectors. The last
 section keeps the references of the fast routes: the rectangle count over every
-row pair, the first missing composition of a pair set, the four input
+row pair, the first missing composition of a pair set, ``validate`` as it
+walked every composable pair of strict pairs (``composable_validate``)
+and the triviality walk on the spanning-forest potentials it built on
+scalars (``scalar_spanning_potentials``, ``scalar_triviality_witness``),
+the four input
 parsers as they read their text line by line before the shared tokenizer
 (they build their values with the package's constructors and ``validate``),
 and the root search by the rational root theorem over the Gaussian
@@ -64,6 +68,7 @@ from smalg.errors import (
     PreconditionViolated,
     SupportViolation,
     VanishingUnitImage,
+    ZeroWeight,
 )
 from smalg.exactnum import (
     ONE,
@@ -105,11 +110,13 @@ from smalg.quasiorder import (
 from smalg.tokens import parse_int
 from smalg.transmap import (
     TransitiveMap,
+    TrivialityCertificate,
     _dense_relation_rows,
     _relation_vectors,
     _signed_powers,
     triviality_witness,
     validate,
+    walk_product,
 )
 
 
@@ -427,7 +434,7 @@ def oracle_block_triangular_form(q):
             pi[v - 1] = offset + t
         offset += len(blocks[a])
     presence = tuple(
-        tuple(leq[placed[a]][placed[b]] for b in range(p)) for a in range(p)
+        bytes(leq[placed[a]][placed[b]] for b in range(p)) for a in range(p)
     )
     return BlockTriangularForm(
         pi=tuple(pi),
@@ -1487,6 +1494,105 @@ def oracle_first_closure_violation(n, edges):
                 if (k, j) in rel and (i, j) not in rel:
                     return (i, k), (k, j)
     return None
+
+
+def composable_validate(rho: QuasiOrder, weights) -> TransitiveMap:
+    """``validate`` as it checked every map before the spanning-forest
+    potentials: the keys against a set of the strict pairs, then every
+    composable pair of strict pairs, multiplied out."""
+    strict = rho.strict_pairs()
+    allowed = set(strict)
+    w = {}
+    for key, val in dict(weights).items():
+        i, j = key
+        if (i, j) not in allowed:
+            if i == j:
+                raise SupportViolation(
+                    f"diagonal weight ({i},{j}) must not be given", pair=(i, j)
+                )
+            raise SupportViolation(f"({i},{j}) is not in the relation", pair=(i, j))
+        v = scalar(val)
+        if not v:
+            raise ZeroWeight(f"weight at ({i},{j}) is zero")
+        w[(i, j)] = v
+    if len(w) < len(strict):
+        missing = next(p for p in strict if p not in w)
+        raise SupportViolation(f"missing weight for {missing}", pair=missing)
+    out = {}
+    for (j, k) in strict:
+        out.setdefault(j, []).append(k)
+    for (i, j) in strict:
+        for k in out.get(j, ()):
+            prod = w[(i, j)] * w[(j, k)]
+            if i == k:
+                if prod != ONE:
+                    raise NotTransitive(
+                        f"g({i},{j}) g({j},{k}) != 1 on a two-sided pair",
+                        witness=((i, j), (j, k)),
+                    )
+            elif prod != w[(i, k)]:
+                raise NotTransitive(
+                    f"g({i},{j}) g({j},{k}) != g({i},{k})",
+                    witness=((i, j), (j, k)),
+                )
+    return TransitiveMap(rho, {p: w[p] for p in strict})
+
+
+def scalar_spanning_potentials(g: TransitiveMap):
+    """Spanning-forest potentials of the symmetrized strict relation, as
+    the package built them on scalars: adjacency lists of the map's pairs,
+    each sorted per vertex; per component the lowest vertex is the root
+    with potential 1. Returns the potentials, the tree parents, and a lazy
+    iterator over the pairs of g, in its order, where g differs from
+    s(i)/s(j)."""
+    w = g._w
+    adj = [[] for _ in range(g.rho.n + 1)]
+    for edge in w:
+        i, j = edge
+        adj[i].append((j, edge))
+        adj[j].append((i, edge))
+    s = {}
+    parent = {}
+    for root in range(1, g.rho.n + 1):
+        if root in s:
+            continue
+        s[root] = ONE
+        queue = [root]
+        for v in queue:
+            for (u, edge) in sorted(adj[v]):
+                if u in s:
+                    continue
+                x = w[edge]
+                s[u] = s[v] / x if edge[0] == v else x * s[v]
+                parent[u] = (v, edge)
+                queue.append(u)
+    failing = (e for e, x in w.items() if x * s[e[1]] != s[e[0]])
+    return s, parent, failing
+
+
+def scalar_triviality_witness(g: TransitiveMap) -> TrivialityCertificate:
+    """``triviality_witness`` on ``scalar_spanning_potentials``: the
+    separator, or the walk closed by the first failing pair and its
+    product."""
+    s, parent, failing = scalar_spanning_potentials(g)
+    bad = next(failing, None)
+    if bad is None:
+        return TrivialityCertificate(separator=s)
+
+    def steps_to_root(v):
+        out = []
+        while v in parent:
+            u, edge = parent[v]
+            out.append((edge, 1 if edge[0] == v else -1))
+            v = u
+        return out
+
+    i, j = bad
+    walk = [((i, j), 1)]
+    walk.extend(steps_to_root(j))
+    walk.extend((e, -d) for (e, d) in reversed(steps_to_root(i)))
+    walk = tuple(walk)
+    return TrivialityCertificate(walk=walk, product=walk_product(g, walk))
 
 
 # The four parsers as they read their input line by line, token by token,

@@ -378,6 +378,21 @@ def test_all_trivial_on_the_two_hundred_chain_under_five_seconds(tmp_path):
     assert (out.exit_code, out.report) == (0, "ALL-TRIVIAL\n")
 
 
+def test_trivial_on_the_two_hundred_chain_under_one_second(tmp_path):
+    # a separator map passes its spanning-forest potentials, so none of the
+    # 1,313,400 composable pairs of its 19,900 strict pairs is walked
+    rho = upper_chain(200)
+    s = {i: i for i in range(1, 201)}
+    q, gw = tmp_path / "c200.qo", tmp_path / "c200.gw"
+    q.write_text(format_relation(rho))
+    gw.write_text(format_weights(separator_map(rho, s)))
+    out, elapsed = _timed_run(["trivial", str(q), str(gw)])
+    assert elapsed < 1.0
+    assert out.exit_code == 0
+    # the potentials start from 1 at vertex 1: s itself
+    assert out.report == "TRIVIAL\nseparator " + " ".join(map(str, range(1, 201))) + "\n"
+
+
 def test_all_trivial_on_a_sixty_chain_beside_a_bowtie_under_five_seconds(tmp_path):
     # the core is the bowtie beside one point; the map found there is pulled
     # back along the chain's retraction

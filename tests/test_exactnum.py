@@ -283,6 +283,22 @@ class TestMatrixAlgebra:
         with pytest.raises(DimensionMismatch):
             a.scale_columns(values[:2])
 
+    def test_scale_rows_scales_each_entry_by_its_row_value(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            a = rand_matrix(rng, 3, rng.randrange(4))
+            values = [rand_scalar(rng) for _ in range(3)]
+            got = a.scale_rows(values)
+            assert got.shape == a.shape
+            assert got.entries() == tuple(
+                values[i - 1] * a.at(i, j)
+                for i in range(1, 4)
+                for j in range(1, a.cols + 1)
+            )
+            assert got == DenseMatrix.diag(values) * a
+        with pytest.raises(DimensionMismatch):
+            a.scale_rows(values[:2])
+
     def test_shape_errors(self):
         a = DenseMatrix.zeros(2, 3)
         b = DenseMatrix.zeros(2, 3)

@@ -11,6 +11,7 @@ from smalg.quasiorder import (
     _increasing_search,
     approx_classes,
     automorphisms_fix_two_sided_classes,
+    beat_core,
     block_triangular_form,
     format_relation,
     from_edges,
@@ -170,6 +171,20 @@ class TestBasicOps:
             assert set(r.pairs()) == {(j, i) for (i, j) in q.pairs()}
             assert reverse(r) == q
 
+    def test_reverse_is_built_once_per_relation(self):
+        # the classes, the core and the automorphism check all read the
+        # reversed relation that the first call built
+        rng = random.Random(19)
+        for _ in range(20):
+            q = random_quasi_order(rng, rng.randrange(1, 7))
+            r = reverse(q)
+            assert reverse(q) is r
+            assert r.pairs() == oracle_reverse_pairs(q)
+            approx_classes(q)
+            beat_core(q)
+            automorphisms_fix_two_sided_classes(q)
+            assert q._reversed is r
+
     def test_strict_part(self):
         q = fx.cycle_over_point()
         assert strict_part(q) == {(1, 2), (1, 3), (2, 3), (3, 2)}
@@ -298,7 +313,7 @@ class TestBlockTriangularForm:
         btf = block_triangular_form(fx.cycle_over_point())
         assert btf.sizes == (1, 2)
         assert btf.pi == (1, 2, 3)
-        assert btf.presence[0][1] is True
+        assert btf.presence[0][1] == 1
 
     def test_sandwich_property(self):
         rng = random.Random(37)

@@ -14,7 +14,7 @@ from smalg.errors import (
     VanishingUnitImage,
 )
 from smalg.exactnum import DenseMatrix, ONE, rank, scalar
-from smalg.jordan import LinearMapOnSMA, apply, synthesize_jordan
+from smalg.jordan import LinearMapOnSMA, apply, classify_jordan, synthesize_jordan
 from smalg.quasiorder import NotClassUnion, approx_classes, from_edges
 from smalg.rankpres import (
     bounded_rank_preserver_check,
@@ -729,3 +729,34 @@ def test_unital_map_is_its_own_normalization(monkeypatch):
     [(count, psi)] = seen
     assert count == 0
     assert psi is phi
+
+
+def test_separator_is_absorbed_by_scalings_not_products(monkeypatch):
+    """S0 Gamma scales the columns of S0 and Gamma^-1 S0^-1 the rows of
+    S0^-1, so a unital map's positive verdict runs no product, and the
+    form equals the two diagonal products."""
+    rng = random.Random(47)
+    rho = upper_chain(5)
+    s_vals = {i: rng.choice([1, 2, 3, "1/2", "1i"]) for i in range(1, 6)}
+    phi = synthesize_jordan(
+        rho, random_invertible_in_sma(rho, rng), frozenset({1, 2, 3, 4, 5}),
+        separator_map(rho, s_vals),
+    )
+    form = classify_jordan(phi)
+    s = triviality_witness(form.g).separator
+    gamma = [s[i] if i in form.u else s[i].reciprocal() for i in range(1, 6)]
+    assert len(set(gamma)) > 1
+    calls = []
+    real_rows_times = smalg.exactnum._rows_times
+
+    def counting(*args):
+        calls.append(args)
+        return real_rows_times(*args)
+
+    monkeypatch.setattr(smalg.exactnum, "_rows_times", counting)
+    verdict = classify_rank_preserver(phi)
+    assert verdict.kind == "RankPreserver"
+    assert calls == []
+    monkeypatch.undo()
+    assert verdict.form.s == form.s * DenseMatrix.diag(gamma)
+    assert verdict.form.s_inv == DenseMatrix.diag([v.reciprocal() for v in gamma]) * form.s_inv

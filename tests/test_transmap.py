@@ -6,11 +6,18 @@ from itertools import combinations
 
 import pytest
 
-from smalg.errors import FormatError, NotTransitive, SupportViolation, ZeroWeight
+from smalg.errors import (
+    FormatError,
+    NotClosed,
+    NotTransitive,
+    SupportViolation,
+    ZeroWeight,
+)
 from smalg.exactnum import DenseMatrix, GaussianRational, ONE, scalar
 from smalg.quasiorder import beat_core, from_edges
 from smalg.sampling import random_transitive_map
 from smalg.transmap import (
+    TransitiveMap,
     all_transitive_trivial,
     apply_induced,
     format_weights,
@@ -40,12 +47,14 @@ from fixtures import (
 from oracles import (
     cdiv,
     cmul,
+    composable_validate,
     full_relation_all_transitive_trivial,
     full_relation_nontrivial_transitive_map,
     is_beat_point,
     oracle_first_transitivity_violation,
     oracle_strict_pairs,
     rectangle_minor_condition,
+    scalar_triviality_witness,
 )
 
 
@@ -405,3 +414,131 @@ def test_weights_only_ascii_digits(text, line):
     with pytest.raises(FormatError) as exc:
         parse_weights(text, upper_chain(2))
     assert exc.value.line == line
+
+
+def _every_quasi_order(n):
+    """Every quasi-order on n labelled points: each set of strict pairs
+    that is already transitive."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    for mask in range(1 << len(pairs)):
+        edges = [p for t, p in enumerate(pairs) if mask >> t & 1]
+        try:
+            yield from_edges(n, edges, close=False)
+        except NotClosed:
+            pass
+
+
+_SEPARATOR_VALUES = ["1", "1", "2", "-1", "1/3", "1i", "-1i", "1+1i", "2/3-1/2i"]
+_UNITS = [scalar(v) for v in ("2", "-1", "1i", "1/5")]
+
+
+def _weight_inputs(rho, rng):
+    """Weight dicts for rho, each labelled: a trivial map, a +-2^k sampled
+    map on up to 24 strict pairs (transitive, often nontrivial), a trivial
+    map with one to three pairs scaled by a unit (not transitive, composite
+    or two-sided, or transitive but nontrivial), and each defect that
+    validate names, once or twice: a zero, a missing pair, a diagonal key
+    and a key outside the relation or outside 1..n. Keys come sorted or
+    shuffled, so a defect sits anywhere in the order."""
+    strict = rho.strict_pairs()
+    s = {v: scalar(rng.choice(_SEPARATOR_VALUES)) for v in range(1, rho.n + 1)}
+    trivial = {(i, j): s[i] / s[j] for (i, j) in strict}
+    yield "trivial", trivial
+    if len(strict) <= 24:  # the kernel bases grow fast with the pairs
+        sampled = random_transitive_map(rho, seed=rng.randrange(10**6))
+        yield "sampled", dict(sampled.items())
+    scaled = dict(trivial)
+    for _ in range(rng.randint(1, 3) if strict else 0):
+        pair = rng.choice(strict)
+        scaled[pair] = scaled[pair] * rng.choice(_UNITS)
+    yield "scaled", scaled
+    outside = [
+        (i, j)
+        for i in range(0, rho.n + 2)
+        for j in range(0, rho.n + 2)
+        if i != j and (i, j) not in rho
+    ]
+    defects = [
+        ("diagonal", lambda w, v=v: w.__setitem__((v, v), 1)) for v in (1, rho.n + 1)
+    ]
+    if strict:
+        defects.append(("zero", lambda w: w.__setitem__(rng.choice(strict), 0)))
+        defects.append(("missing", lambda w: w.pop(rng.choice(strict), None)))
+    if outside:
+        defects.append(("outside", lambda w: w.__setitem__(rng.choice(outside), 2)))
+    for name, defect in defects:
+        w = dict(rng.choice([trivial, scaled]))
+        defect(w)
+        if rng.random() < 0.5:
+            defect = rng.choice(defects)[1]
+            defect(w)
+        yield name, _shuffled(w, rng) if rng.random() < 0.5 else w
+    yield "trivial-shuffled", _shuffled(trivial, rng)
+    yield "scaled-shuffled", _shuffled(scaled, rng)
+
+
+def _shuffled(w, rng):
+    items = list(w.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+def _validation_outcome(check, rho, weights):
+    try:
+        return check(rho, weights)
+    except (SupportViolation, ZeroWeight, NotTransitive) as exc:
+        return type(exc), str(exc), getattr(exc, "pair", None), getattr(exc, "witness", None)
+
+
+def _assert_validates_like_the_composable_walk(rho, rng, seen):
+    for name, weights in _weight_inputs(rho, rng):
+        got = _validation_outcome(validate, rho, weights)
+        want = _validation_outcome(composable_validate, rho, weights)
+        if not isinstance(want, TransitiveMap):
+            assert got == want, (rho, name, weights)
+            if want[0] is NotTransitive:
+                seen.add("two-sided" if "two-sided" in want[1] else "composite")
+            else:
+                seen.add(want[0].__name__)
+            continue
+        assert isinstance(got, TransitiveMap), (rho, name, got)
+        assert got == want and got.items() == want.items()
+        reference = scalar_triviality_witness(want)
+        # the forest validate kept, and the one a direct construction builds
+        for g in (got, TransitiveMap(rho, want.items())):
+            cert = triviality_witness(g)
+            assert cert.separator == reference.separator
+            assert (cert.walk, cert.product) == (reference.walk, reference.product)
+        seen.add("trivial" if reference.is_trivial else "nontrivial")
+
+
+# a trivial and a nontrivial map, both kinds of failing composable pair,
+# and both errors of the keys
+_EVERY_OUTCOME = {
+    "trivial", "nontrivial", "two-sided", "composite", "SupportViolation", "ZeroWeight"
+}
+
+
+def test_validate_matches_the_composable_walk_on_every_small_quasi_order():
+    # every quasi-order on up to 4 points: the potentials route returns
+    # the same map, or the same error with the same pair or witness, and
+    # the same separator, or the same walk and product
+    rng = random.Random(61)
+    seen = set()
+    for n in range(1, 5):
+        for rho in _every_quasi_order(n):
+            _assert_validates_like_the_composable_walk(rho, rng, seen)
+    assert seen == _EVERY_OUTCOME
+
+
+def test_validate_matches_the_composable_walk_on_random_quasi_orders():
+    rng = random.Random(67)
+    seen = set()
+    for k in range(300):
+        n = rng.randint(2, 12)
+        if k % 2:
+            rho = random_class_order(rng, n, rng.random())
+        else:
+            rho = random_quasiorder(rng, n, n, rng.random() / 2)
+        _assert_validates_like_the_composable_walk(rho, rng, seen)
+    assert seen == _EVERY_OUTCOME
