@@ -1,32 +1,37 @@
-"""Integer matrix utilities: Smith invariant factors, kernel lattice bases,
-GF(2) kernels.
+"""Integer matrices on sparse rows: Smith invariant factors, and kernel
+bases over Q and GF(2).
 
-The Smith form is fed the transitivity relations of a quasi-order's
-beat-point core (``quasiorder.beat_core``), one row per composable triple.
-A chain's core is one point, with no rows; a relation that is its own core
-keeps them all, 9,120 x 760 for the 40-point ordinal sum of 2-point
-antichains. Those rows have at most three entries, all units, so
-``smith_invariant_factors`` takes each row as a sparse dict {column: value}
-and eliminates unit pivots on them before any dense work. The kernel
-routines take plain nested lists of Python ints and run the classic dense
-reductions; their inputs stay small.
+The rows come from ``transmap``: one per multiplicative relation of a
+quasi-order's beat-point core (``quasiorder.beat_core``), over the strict
+pairs off a spanning forest. They have at most three entries, all units,
+and there are many: 10,564 rows over 798 columns for the 43-point wedge of
+an ordinal sum and a bowtie. So both entry points start with one sparse
+elimination of unit pivots (``_unit_pivots``) and run dense reductions
+only on the complement it leaves, which is small: the smallest-pivot
+Smith reduction, or the Bareiss kernel over Q and the bitmask kernel over
+GF(2), each extended back through the pivots (``kernel_bases``). On the
+wedge every column but one takes a unit pivot, and ``all-trivial`` takes
+0.21 s and 24 MB as a process on a 2-core x86-64 host with Python 3.11;
+a dense column reduction over every strict pair took 6.4 s and 163 MB.
 """
 
 from __future__ import annotations
 
+from .exactnum import _kernel_basis
 
-def smith_invariant_factors(rows):
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix given
-    by its sparse rows, dicts from column to nonzero entry.
 
-    Unit pivots go first. An entry +-1 at (i, j) clears column j from every
-    other row; row i and column j then drop out, contributing the invariant
-    factor 1, and what is left is the Schur complement, again an integer
-    matrix. The pivot is taken in a shortest row, in the column held by the
-    fewest rows, to keep fill-in low (Dumas, Saunders & Villard, "On
-    efficient sparse integer matrix Smith normal form computations", 2001).
-    The smallest-pivot dense reduction finishes whatever has no unit entry
-    left.
+def _unit_pivots(rows):
+    """Eliminate the unit entries of an integer matrix given by its sparse
+    rows, dicts from column to nonzero entry, and return (pivots, rest).
+
+    An entry +-1 at (i, j) clears column j from every other row; row i and
+    column j then drop out, and what is left is the Schur complement, again
+    an integer matrix. The pivot is taken in a shortest row, in the column
+    held by the fewest rows, to keep fill-in low (Dumas, Saunders & Villard,
+    "On efficient sparse integer matrix Smith normal form computations",
+    2001). ``pivots`` lists (j, row i) in the order taken, each row as it
+    stood then: it holds no column of an earlier pivot. ``rest`` is the
+    nonzero rows of the complement, which hold no pivot column.
     """
     rows = [dict(row) for row in rows]
     live = {k for k, row in enumerate(rows) if row}
@@ -34,7 +39,7 @@ def smith_invariant_factors(rows):
     for k in live:
         for j in rows[k]:
             holders.setdefault(j, set()).add(k)
-    units = 0
+    pivots = []
     progress = True
     while progress:
         progress = False
@@ -65,12 +70,64 @@ def smith_invariant_factors(rows):
                 del other[j]
                 if not other:
                     live.discard(k2)
-            units += 1
+            pivots.append((j, row))
             progress = True
-    rest = [rows[k] for k in sorted(live)]
+    return pivots, [rows[k] for k in sorted(live)]
+
+
+def smith_invariant_factors(rows):
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix given
+    by its sparse rows, dicts from column to nonzero entry.
+
+    Each unit pivot of ``_unit_pivots`` contributes the invariant factor 1,
+    and the smallest-pivot dense reduction finishes the complement left
+    when no unit entry is.
+    """
+    pivots, rest = _unit_pivots(rows)
     rest_cols = sorted({c for row in rest for c in row})
     dense = [[row.get(c, 0) for c in rest_cols] for row in rest]
-    return [1] * units + (_dense_smith_factors(dense) if dense else [])
+    return [1] * len(pivots) + (_dense_smith_factors(dense) if dense else [])
+
+
+def kernel_bases(rows, cols: int):
+    """Bases of the kernel of the integer matrix with these sparse rows and
+    ``cols`` columns: (over Q, as int vectors; over GF(2), as 0/1 vectors).
+
+    ``_unit_pivots`` leaves a complement on the columns that no pivot took.
+    Its kernel over Q comes from the Bareiss kernel (``exactnum``), one
+    integer vector per free column, and its kernel over GF(2) from
+    ``gf2_kernel_basis`` on the complement mod 2: the pivots are +-1, units
+    mod 2 too, so the complement mod 2 is the one that elimination mod 2
+    leaves. Each vector x is then extended through the pivots in reverse
+    order, x_j = -row[j] * sum(row[c] x_c, c != j), which reads only the
+    complement's columns and later pivots; with unit pivots an integer
+    vector stays integer. Every row of the matrix is a combination of pivot
+    rows and complement rows, so the extension and the restriction to the
+    columns no pivot took are inverse maps between the kernel of the
+    complement and that of the matrix, over Q and over GF(2) alike: a
+    basis goes to a basis.
+    """
+    pivots, rest = _unit_pivots(rows)
+    taken = {j for j, _ in pivots}
+    free = [c for c in range(cols) if c not in taken]
+    dense = [[row.get(c, 0) for c in free] for row in rest]
+    over_2 = gf2_kernel_basis(dense, len(free))
+    # the Bareiss kernel eliminates the rows in place, so it goes second
+    over_q = _kernel_basis(dense, [[0] * len(free) for _ in rest], len(free))
+
+    def extend(vec, mod2):
+        x = [0] * cols
+        for c, v in zip(free, vec):
+            x[c] = v
+        for j, row in reversed(pivots):
+            s = -row[j] * sum(v * x[c] for c, v in row.items() if c != j)
+            x[j] = s & 1 if mod2 else s
+        return x
+
+    return (
+        [extend(re, False) for re, _ in over_q],
+        [extend(vec, True) for vec in over_2],
+    )
 
 
 def _dense_smith_factors(a):
@@ -130,50 +187,6 @@ def _dense_smith_factors(a):
         factors.append(abs(d))
         t += 1
     return factors
-
-
-def integer_kernel_basis(mat, cols=None):
-    """Basis of {x in Z^cols : mat @ x = 0} as a list of int vectors.
-
-    Unimodular column reduction; the returned vectors generate the full
-    (saturated) kernel lattice. ``cols`` is needed when mat has no rows.
-    """
-    if not mat:
-        if cols is None:
-            raise ValueError("need column count for an empty matrix")
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    ncols = len(mat[0]) if cols is None else cols
-    a = [list(row) for row in mat]
-    rows = len(a)
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_sub(dst, src, q):
-        for r in range(rows):
-            a[r][dst] -= q * a[r][src]
-        for r in range(ncols):
-            v[r][dst] -= q * v[r][src]
-
-    def col_swap(c1, c2):
-        for r in range(rows):
-            a[r][c1], a[r][c2] = a[r][c2], a[r][c1]
-        for r in range(ncols):
-            v[r][c1], v[r][c2] = v[r][c2], v[r][c1]
-
-    frozen = 0
-    for row in range(rows):
-        while True:
-            cands = [c for c in range(frozen, ncols) if a[row][c]]
-            if len(cands) <= 1:
-                break
-            c0 = min(cands, key=lambda c: abs(a[row][c]))
-            for c in cands:
-                if c != c0:
-                    col_sub(c, c0, a[row][c] // a[row][c0])
-        cands = [c for c in range(frozen, ncols) if a[row][c]]
-        if cands:
-            col_swap(frozen, cands[0])
-            frozen += 1
-    return [[v[r][c] for r in range(ncols)] for c in range(frozen, ncols)]
 
 
 def gf2_kernel_basis(mat, cols=None):

@@ -15,9 +15,9 @@ from __future__ import annotations
 import random
 
 from .exactnum import DenseMatrix, inverse, rank
-from .intlattice import gf2_kernel_basis, integer_kernel_basis
+from .intlattice import kernel_bases
 from .quasiorder import QuasiOrder, approx_classes, from_edges
-from .transmap import TransitiveMap, _dense_relation_rows, _signed_powers, validate
+from .transmap import TransitiveMap, _relation_vectors, _signed_powers, validate
 
 
 def random_quasiorder(rng, n_min=2, n_max=6, density=0.3) -> QuasiOrder:
@@ -65,20 +65,23 @@ def random_supported_matrix(rho, rng) -> DenseMatrix:
 
 
 def random_transitive_map(rho: QuasiOrder, seed: int = 0) -> TransitiveMap:
-    """Seeded sampler over the +-2^k transitive maps: a random combination
-    of the integer kernel basis (coefficients -2..2) gives the exponents,
-    one of the GF(2) kernel basis the signs (see
-    ``transmap.nontrivial_transitive_map``)."""
-    edges, dense = _dense_relation_rows(rho)
+    """Seeded sampler over the +-2^k transitive maps, trivial ones
+    included: the kernel of all the relation rows, over every strict pair
+    (``transmap._relation_vectors``), holds their exponents over Q and
+    their signs over GF(2). A random combination of the basis over Q
+    (``intlattice.kernel_bases``, coefficients -2..2) gives the exponents,
+    one of the basis over GF(2) the signs."""
+    edges, rows = _relation_vectors(rho)
     ecount = len(edges)
+    over_q, over_2 = kernel_bases(rows, ecount)
     rng = random.Random(seed)
     expo = [0] * ecount
-    for vec in integer_kernel_basis(dense, ecount):
+    for vec in over_q:
         c = rng.randint(-2, 2)
         if c:
             expo = [x + c * y for x, y in zip(expo, vec)]
     signs = [0] * ecount
-    for vec in gf2_kernel_basis(dense, ecount):
+    for vec in over_2:
         if rng.random() < 0.5:
             signs = [x ^ y for x, y in zip(signs, vec)]
     return validate(rho, _signed_powers(edges, expo, signs))

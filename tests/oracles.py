@@ -39,7 +39,11 @@ row pair, the first missing composition of a pair set, ``validate`` as it
 walked every composable pair of strict pairs (``composable_validate``)
 and the triviality walk on the spanning-forest potentials it built on
 scalars (``scalar_spanning_potentials``, ``scalar_triviality_witness``),
-the four input
+the search for a nontrivial weight map before the spanning-forest gauge,
+over a saturated integer kernel basis of dense rows over every strict pair
+with a coboundary test for each vector (``basis_nontrivial_transitive_map``
+with ``integer_kernel_basis``, ``dense_relation_rows`` and
+``is_coboundary``), the four input
 parsers as they read their text line by line before the shared tokenizer
 (they build their values with the package's constructors and ``validate``),
 and the root search by the rational root theorem over the Gaussian
@@ -92,17 +96,15 @@ from smalg.polyroots import (
     roots_in_gaussian_rationals,
     squarefree_part,
 )
-from smalg.intlattice import (
-    gf2_kernel_basis,
-    integer_kernel_basis,
-    smith_invariant_factors,
-)
+from smalg.intlattice import gf2_kernel_basis, smith_invariant_factors
 from smalg.quasiorder import (
     MAX_VERTICES,
+    BeatCore,
     BlockTriangularForm,
     QuasiOrder,
     _bits,
     approx_classes,
+    beat_core,
     block_triangular_form,
     first_unsupported,
     from_edges,
@@ -111,7 +113,7 @@ from smalg.tokens import parse_int
 from smalg.transmap import (
     TransitiveMap,
     TrivialityCertificate,
-    _dense_relation_rows,
+    _pull_back,
     _relation_vectors,
     _signed_powers,
     triviality_witness,
@@ -1217,7 +1219,7 @@ def full_relation_all_transitive_trivial(rho: QuasiOrder) -> bool:
 def full_relation_nontrivial_transitive_map(rho: QuasiOrder):
     """The basis search for a nontrivial +-2^k map on the whole relation:
     the route before the beat-point core."""
-    edges, dense = _dense_relation_rows(rho)
+    edges, dense = dense_relation_rows(rho)
     ecount = len(edges)
     zeros = [0] * ecount
 
@@ -1593,6 +1595,111 @@ def scalar_triviality_witness(g: TransitiveMap) -> TrivialityCertificate:
     walk.extend((e, -d) for (e, d) in reversed(steps_to_root(i)))
     walk = tuple(walk)
     return TrivialityCertificate(walk=walk, product=walk_product(g, walk))
+
+
+def integer_kernel_basis(mat, cols=None):
+    """Basis of {x in Z^cols : mat @ x = 0} as a list of int vectors.
+
+    Unimodular column reduction; the returned vectors generate the full
+    (saturated) kernel lattice. ``cols`` is needed when mat has no rows.
+    """
+    if not mat:
+        if cols is None:
+            raise ValueError("need column count for an empty matrix")
+        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
+    ncols = len(mat[0]) if cols is None else cols
+    a = [list(row) for row in mat]
+    rows = len(a)
+    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def col_sub(dst, src, q):
+        for r in range(rows):
+            a[r][dst] -= q * a[r][src]
+        for r in range(ncols):
+            v[r][dst] -= q * v[r][src]
+
+    def col_swap(c1, c2):
+        for r in range(rows):
+            a[r][c1], a[r][c2] = a[r][c2], a[r][c1]
+        for r in range(ncols):
+            v[r][c1], v[r][c2] = v[r][c2], v[r][c1]
+
+    frozen = 0
+    for row in range(rows):
+        while True:
+            cands = [c for c in range(frozen, ncols) if a[row][c]]
+            if len(cands) <= 1:
+                break
+            c0 = min(cands, key=lambda c: abs(a[row][c]))
+            for c in cands:
+                if c != c0:
+                    col_sub(c, c0, a[row][c] // a[row][c0])
+        cands = [c for c in range(frozen, ncols) if a[row][c]]
+        if cands:
+            col_swap(frozen, cands[0])
+            frozen += 1
+    return [[v[r][c] for r in range(ncols)] for c in range(frozen, ncols)]
+
+
+def dense_relation_rows(rho: QuasiOrder):
+    """The strict pairs and the relation rows as dense lists, the input of
+    the kernel bases: the integer kernel holds the exponent vectors and the
+    GF(2) kernel the sign vectors of the transitive maps with values +-2^k."""
+    edges, rows = _relation_vectors(rho)
+    return edges, [[row.get(t, 0) for t in range(len(edges))] for row in rows]
+
+
+def is_coboundary(n: int, edges, vec, parity: bool) -> bool:
+    """True iff some integer potential p on 1..n has vec[t] = p(i) - p(j)
+    on every edge t = (i, j), modulo 2 when ``parity``: that is, iff the
+    map 2^vec, or (-1)^vec with ``parity``, is trivial. The potentials are
+    spread along a spanning forest and then checked on every edge."""
+    adj = [[] for _ in range(n + 1)]
+    for (i, j), x in zip(edges, vec):
+        adj[i].append((j, -x))
+        adj[j].append((i, x))
+    p = [None] * (n + 1)
+    for root in range(1, n + 1):
+        if p[root] is not None:
+            continue
+        p[root] = 0
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u, x in adj[v]:
+                if p[u] is None:
+                    p[u] = p[v] + x
+                    stack.append(u)
+    gaps = (p[i] - p[j] - x for (i, j), x in zip(edges, vec))
+    return not any(d % 2 for d in gaps) if parity else not any(gaps)
+
+
+def basis_nontrivial_transitive_map(rho: QuasiOrder, core: Optional[BeatCore] = None):
+    """The search for a nontrivial +-2^k map on the beat-point core as the
+    package ran it before the spanning-forest gauge: 2^b for each vector b
+    of the saturated integer kernel basis of all the core's relation rows,
+    then (-1)^c for each vector c of the GF(2) kernel basis, the first whose
+    vector is not a coboundary, pulled back to rho; None if every one is."""
+    if core is None:
+        core = beat_core(rho)
+    q = core.core
+    edges, dense = dense_relation_rows(q)
+    ecount = len(edges)
+    zeros = [0] * ecount
+
+    def candidates():
+        for vec in integer_kernel_basis(dense, ecount):
+            if not is_coboundary(q.n, edges, vec, False):
+                yield vec, zeros
+        for vec in gf2_kernel_basis(dense, ecount):
+            if not is_coboundary(q.n, edges, vec, True):
+                yield zeros, vec
+
+    found = next(candidates(), None)
+    if found is None:
+        return None
+    weights = _signed_powers(edges, *found)
+    return validate(rho, weights if q is rho else _pull_back(rho, core, weights))
 
 
 # The four parsers as they read their input line by line, token by token,

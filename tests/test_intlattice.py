@@ -6,17 +6,17 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from smalg.intlattice import (
-    gf2_kernel_basis,
-    integer_kernel_basis,
-    smith_invariant_factors,
-)
+from smalg.intlattice import gf2_kernel_basis, kernel_bases, smith_invariant_factors
 
 from smalg.quasiorder import from_edges
-from smalg.transmap import _relation_vectors
+from smalg.transmap import _gauge, _relation_vectors
 
-from fixtures import upper_chain
-from oracles import dense_gf2_kernel_basis, oracle_rational_matrix_rank
+from fixtures import bowtie, chain10, seven_point, upper_chain
+from oracles import (
+    dense_gf2_kernel_basis,
+    integer_kernel_basis,
+    oracle_rational_matrix_rank,
+)
 
 
 def sparse(mat):
@@ -106,22 +106,69 @@ class TestSmith:
             assert len(smith_invariant_factors(sparse(m))) == oracle_rational_matrix_rank(m)
 
 
+def _kernel_inputs():
+    """(sparse rows, column count): random dense matrices, sparse ones with
+    unit entries, and the relation rows of random quasi-orders and of the
+    fixtures, over every strict pair and in the spanning-forest gauge."""
+    rng = random.Random(31)
+    for _ in range(60):
+        rows = rng.randrange(0, 5)
+        cols = rng.randrange(1, 6)
+        yield sparse(rand_mat(rng, rows, cols)), cols
+    weights = [0] * 12 + [1, -1] * 3 + [2, -2] * 2 + [3, -4, 6]
+    for _ in range(60):
+        rows = rng.randrange(1, 13)
+        cols = rng.randrange(1, 13)
+        m = [[rng.choice(weights) for _ in range(cols)] for _ in range(rows)]
+        yield sparse(m), cols
+    relations = [bowtie(), chain10(), seven_point(), upper_chain(6)]
+    for _ in range(30):
+        n = rng.randrange(2, 7)
+        density = rng.choice((0.1, 0.2, 0.3))
+        relations.append(from_edges(n, [
+            (i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+            if i != j and rng.random() < density
+        ]))
+    for q in relations:
+        edges, rows = _relation_vectors(q)
+        yield rows, len(edges)
+        _, off, rows = _gauge(q)
+        yield rows, len(off)
+
+
 class TestIntegerKernel:
     def test_annihilates_and_counts(self):
-        rng = random.Random(31)
-        for _ in range(60):
-            rows = rng.randrange(0, 5)
-            cols = rng.randrange(1, 6)
-            m = rand_mat(rng, rows, cols) if rows else []
-            basis = integer_kernel_basis(m, cols=cols)
-            assert len(basis) == cols - (oracle_rational_matrix_rank(m) if m else 0)
-            for v in basis:
-                for row in m:
-                    assert sum(a * b for a, b in zip(row, v)) == 0
+        for rows, cols in _kernel_inputs():
+            over_q, over_2 = kernel_bases(rows, cols)
+            m = dense(rows, cols)
+            assert len(over_q) == cols - (oracle_rational_matrix_rank(m) if m else 0)
+            for v in over_q:
+                assert len(v) == cols
+                for row in rows:
+                    assert sum(x * v[c] for c, x in row.items()) == 0
+            for v in over_2:
+                assert len(v) == cols and set(v) <= {0, 1}
+                for row in rows:
+                    assert sum(x * v[c] for c, x in row.items()) % 2 == 0
+
+    def test_gf2_vectors_span_the_dense_kernel(self):
+        # two bases of one space: each is independent and lies in the span
+        # of the other, so stacking them keeps the rank, read off the
+        # dense kernel of the stacked vectors
+        def rank(vectors, cols):
+            return cols - len(dense_gf2_kernel_basis(vectors, cols))
+
+        for rows, cols in _kernel_inputs():
+            _, over_2 = kernel_bases(rows, cols)
+            ref = dense_gf2_kernel_basis(dense(rows, cols), cols)
+            assert len(over_2) == len(ref)
+            assert rank(over_2, cols) == rank(ref, cols) == rank(over_2 + ref, cols)
 
     def test_saturated(self):
-        # a basis of a saturated lattice forms a primitive matrix: all
-        # invariant factors are 1
+        # the reference route's integer kernel basis (tests/oracles.py)
+        # generates the whole kernel lattice, so its search for a
+        # nontrivial map is complete: a basis of a saturated lattice forms
+        # a primitive matrix, all invariant factors 1
         rng = random.Random(37)
         for _ in range(40):
             rows = rng.randrange(1, 5)

@@ -18,6 +18,7 @@ from smalg.quasiorder import beat_core, from_edges
 from smalg.sampling import random_transitive_map
 from smalg.transmap import (
     TransitiveMap,
+    _gauge,
     all_transitive_trivial,
     apply_induced,
     format_weights,
@@ -41,10 +42,12 @@ from fixtures import (
     random_class_order,
     random_quasiorder,
     separator_map,
+    seven_point,
     upper_chain,
     vee3,
 )
 from oracles import (
+    basis_nontrivial_transitive_map,
     cdiv,
     cmul,
     composable_validate,
@@ -262,10 +265,11 @@ def test_nontrivial_transitive_map_exists_iff_not_all_trivial():
 
 
 def test_nontrivial_transitive_map_tries_exponents_first():
-    # [DERIVED] the bowtie has no composable pairs, so the integer kernel
-    # basis is the unit vectors and the first one, 2 at (1,3), is nontrivial
+    # [DERIVED] the bowtie's spanning forest is (1,3), (1,4), (2,3), so the
+    # gauge leaves one column, (2,4), and no relation row: the kernel over Q
+    # is its unit vector, and the map is 2 at (2,4)
     g = nontrivial_transitive_map(bowtie())
-    assert g == validate(bowtie(), {(1, 3): 2, (1, 4): 1, (2, 3): 1, (2, 4): 1})
+    assert g == validate(bowtie(), {(1, 3): 1, (1, 4): 1, (2, 3): 1, (2, 4): 2})
 
 
 def test_nontrivial_transitive_map_falls_back_to_signs():
@@ -299,9 +303,12 @@ def _core_route_matches_full_relation(rho):
         assert g is None
         return False
     assert (g is None) == (full_relation_nontrivial_transitive_map(rho) is None)
+    assert (g is None) == (basis_nontrivial_transitive_map(rho, core) is None)
     if g is not None:
         assert validate(rho, dict(g.items())) == g
         assert not triviality_witness(g).is_trivial
+        edges, off, _ = _gauge(core.core)
+        assert all(g.value(*e) == ONE for e in set(edges) - set(off))
     return True
 
 
@@ -320,7 +327,7 @@ def test_core_route_matches_the_full_relation_on_every_small_quasi_order():
 
 def test_core_route_matches_the_full_relation_on_random_relations():
     rng = random.Random(23)
-    relations = [rp2_face_poset(), bowtie(), chain10()]
+    relations = [rp2_face_poset(), bowtie(), chain10(), seven_point()]
     for t in range(2000):
         sizes = (1,) if t % 2 else (1, 1, 2, 3)
         n = rng.randint(2, 10)
