@@ -8,7 +8,11 @@ raised inside the library). Each certificate is verified once, by the
 library function that builds it, and comes back with the numbers it was
 verified with (witness ranks, the similarity's inverse, the diagonals); the
 `_cmd_*` handlers only render it, through one writer per block (`FORM`,
-`WITNESS`). The selftest suites check inputs drawn by `smalg.sampling`.
+`WITNESS`). A handler passes each library function the relation alone:
+what the relation derives (classes, reverse, block form, core, gauge,
+triviality verdict) is computed at most once and kept in it, whichever
+lines of a report read it. The selftest suites check inputs drawn by
+`smalg.sampling`.
 Reports go to standard output; `--format json-lines` swaps the text
 layout for one JSON object per line with the same content.
 """
@@ -43,6 +47,7 @@ from .errors import (
 from .exactnum import (
     DenseMatrix,
     GaussianRational,
+    _nonzero_positions,
     format_matrix,
     inverse,
     parse_matrix,
@@ -65,7 +70,6 @@ from .jordan import (
 )
 from .quasiorder import (
     approx_classes,
-    beat_core,
     block_triangular_form,
     first_unsupported,
     format_relation,
@@ -291,8 +295,7 @@ def _cmd_info(args) -> tuple:
     q = _load_qo(args.relation)
     rep = Report()
     rep.add(f"n {q.n}", n=q.n)
-    part = approx_classes(q)
-    classes = part.blocks
+    classes = approx_classes(q).blocks
     rep.add("classes " + _fmt_blocks(classes), classes=_json_blocks(classes))
     mutual = two_sided_classes(q).blocks
     rep.add(
@@ -304,11 +307,10 @@ def _cmd_info(args) -> tuple:
     rep.add(f"center-dimension {center}", center_dimension=center)
     rect = rectangle_count(q)
     rep.add(f"rectangles {rect}", rectangles=rect)
-    all_trivial = all_transitive_trivial(q)
     for name, value in (
-        ("dichotomy", multiplicativity_dichotomy(q, part)),
-        ("inner", all_algebra_automorphisms_inner(q, all_trivial)),
-        ("extends", extends_to_full_jordan_automorphism(q, all_trivial, part)),
+        ("dichotomy", multiplicativity_dichotomy(q)),
+        ("inner", all_algebra_automorphisms_inner(q)),
+        ("extends", extends_to_full_jordan_automorphism(q)),
     ):
         rep.add(f"{name} {_bool(value)}", **{name: value})
     return 0, rep
@@ -374,12 +376,11 @@ def _cmd_trivial(args) -> tuple:
 
 def _cmd_all_trivial(args) -> tuple:
     rho = _load_qo(args.relation)
-    core = beat_core(rho)
     rep = Report()
-    if all_transitive_trivial(rho, core):
+    if all_transitive_trivial(rho):
         rep.add("ALL-TRIVIAL", all_trivial=True)
         return 0, rep
-    g = nontrivial_transitive_map(rho, core)
+    g = nontrivial_transitive_map(rho)
     if g is None:
         raise InternalInconsistency("no transitive map with values +-2^k is nontrivial")
     rep.add("NOT-ALL-TRIVIAL", all_trivial=False)
@@ -393,7 +394,7 @@ def _cmd_diagonalize(args) -> tuple:
     for path, m in zip(args.matrices, family):
         if m.shape != (rho.n, rho.n):
             raise _InputError(f"error: {path}: matrix is not {rho.n}x{rho.n}")
-        bad = first_unsupported(m.support(), rho)
+        bad = first_unsupported(_nonzero_positions(m), rho)
         if bad is not None:
             raise _InputError(f"error: {path}: entry at {bad} outside the relation")
     rep = Report()

@@ -39,6 +39,7 @@ from .exactnum import (
     GaussianRational,
     _gauss_jordan,
     _kernel_basis,
+    _nonzero_positions,
     _primitive,
     _reduced_scalar,
     _rows_times,
@@ -395,7 +396,7 @@ def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> Diagonalization:
     for f in family:
         if f.shape != (n, n):
             raise DimensionMismatch(f"family member shape {f.shape}, expected n={n}")
-        bad = first_unsupported(f.support(), rho)
+        bad = first_unsupported(_nonzero_positions(f), rho)
         if bad is not None:
             raise SupportViolation(
                 f"family member has entry at {bad} outside the relation", pair=bad
@@ -463,9 +464,9 @@ def _diagonalize(rho: QuasiOrder, family) -> Diagonalization:
             factors[j - 1] = tuple(r - {u} for r, u in zip(reach, t))
     s = _push(family, spectra, sources, targets, factors)
     sinv = inverse(s)
-    bad = first_unsupported(s.support(), rho)
+    bad = first_unsupported(_nonzero_positions(s), rho)
     if bad is None:
-        bad = first_unsupported(sinv.support(), rho)
+        bad = first_unsupported(_nonzero_positions(sinv), rho)
     if bad is not None:
         raise InternalInconsistency(f"similarity escaped the algebra at {bad}")
     # column j of S is a joint eigenvector: eigenvalue spectra[k][t[k]] of F_k

@@ -189,8 +189,9 @@ def _dense_smith_factors(a):
     return factors
 
 
-def gf2_kernel_basis(mat, cols=None):
-    """Basis of the kernel over GF(2), vectors with entries in {0, 1}.
+def gf2_kernel_basis(mat, cols: int):
+    """Basis of the kernel over GF(2) of the integer matrix with the rows
+    ``mat`` and ``cols`` columns, vectors with entries in {0, 1}.
 
     Each row is kept as an int bitmask, bit c for column c, so that one
     elimination step is one XOR. The rows are inserted one by one, each
@@ -200,15 +201,10 @@ def gf2_kernel_basis(mat, cols=None):
     column, in column order: 1 at that column and, at each pivot column,
     the pivot row's bit at the free column.
     """
-    if not mat:
-        if cols is None:
-            raise ValueError("need column count for an empty matrix")
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    ncols = len(mat[0]) if cols is None else cols
     pivots = {}  # lowest set bit -> pivot row
     for row in mat:
         mask = 0
-        for c in range(ncols):
+        for c in range(cols):
             if row[c] & 1:
                 mask |= 1 << c
         while mask:
@@ -224,10 +220,10 @@ def gf2_kernel_basis(mat, cols=None):
             if pivots[lower] & bit:
                 pivots[lower] ^= prow
     basis = []
-    for fc in range(ncols):
+    for fc in range(cols):
         if fc in pivots:
             continue
-        vec = [0] * ncols
+        vec = [0] * cols
         vec[fc] = 1
         for c in order:
             vec[c] = (pivots[c] >> fc) & 1

@@ -25,7 +25,6 @@ from .errors import (
     DimensionMismatch,
     FormatError,
     InternalInconsistency,
-    NotClassUnion,
     NotJordan,
     NotTransitive,
     Singular,
@@ -39,15 +38,16 @@ from .exactnum import (
     ONE,
     ZERO,
     UnitFrame,
+    _nonzero_positions,
     inverse,
     permutation_matrix,
 )
 from .quasiorder import (
     MAX_VERTICES,
-    ClassPartition,
     QuasiOrder,
     approx_classes,
     automorphisms_fix_two_sided_classes,
+    class_union,
     first_unsupported,
     from_edges,
     increasing_permutations,
@@ -129,14 +129,13 @@ def apply(phi: LinearMapOnSMA, x: DenseMatrix) -> DenseMatrix:
     n = phi.rho.n
     if x.shape != (n, n):
         raise DimensionMismatch(f"argument shape {x.shape}, expected {n}x{n}")
-    support = x.support()
-    bad = first_unsupported(support, phi.rho)
+    bad = first_unsupported(_nonzero_positions(x), phi.rho)
     if bad is not None:
         raise SupportViolation(
             f"argument has entry at {bad} outside the relation", pair=bad
         )
     index = phi._index
-    return phi.blocks.combination((x.at(*p), index[p]) for p in support)
+    return phi.blocks.combination((x.at(*p), index[p]) for p in x.support())
 
 
 @dataclass(frozen=True)
@@ -349,9 +348,7 @@ def synthesize_jordan(rho: QuasiOrder, s: DenseMatrix, u, g) -> LinearMapOnSMA:
         g = validate(rho, g)
     elif g.rho != rho:
         raise DimensionMismatch("weight map lives on a different relation")
-    useg = frozenset(u)
-    if not approx_classes(rho).is_union_of_blocks(useg):
-        raise NotClassUnion(f"{sorted(useg)} is not a union of classes")
+    useg = class_union(rho, u)
     if s.shape != (rho.n, rho.n):
         raise DimensionMismatch("similarity has the wrong size")
     # reconstruct() inverts s first, so Singular propagates
@@ -365,16 +362,9 @@ def synthesize_jordan(rho: QuasiOrder, s: DenseMatrix, u, g) -> LinearMapOnSMA:
     return phi
 
 
-def multiplicativity_dichotomy(
-    rho: QuasiOrder, classes: Optional[ClassPartition] = None
-) -> bool:
-    """True iff at most one connectivity class has two or more vertices.
-
-    ``classes`` is ``approx_classes(rho)`` when the caller has it already;
-    it is computed here otherwise."""
-    if classes is None:
-        classes = approx_classes(rho)
-    big = [b for b in classes.blocks if len(b) >= 2]
+def multiplicativity_dichotomy(rho: QuasiOrder) -> bool:
+    """True iff at most one connectivity class has two or more vertices."""
+    big = [b for b in approx_classes(rho).blocks if len(b) >= 2]
     return len(big) <= 1
 
 
@@ -401,7 +391,7 @@ def jordan_embeds_into(rho: QuasiOrder, rho2: QuasiOrder):
             ones = validate(rho, {p: ONE for p in rho.strict_pairs()})
             blocks = synthesize_jordan(rho, permutation_matrix(pi), u, ones).blocks
             for t in range(len(blocks)):
-                if first_unsupported(blocks.support(t), rho2) is not None:
+                if first_unsupported([p for p, _, _ in blocks.nonzeros[t]], rho2):
                     raise InternalInconsistency("embedding witness fails support")
             return u, pi
     return None
@@ -436,7 +426,7 @@ def classify_into_codomain(
     if rho2.n != n:
         raise DimensionMismatch("codomain lives on a different vertex count")
     for t, pair in enumerate(phi.units):
-        bad = first_unsupported(phi.blocks.support(t), rho2)
+        bad = first_unsupported([p for p, _, _ in phi.blocks.nonzeros[t]], rho2)
         if bad is not None:
             raise SupportViolation(
                 f"image of {pair} has entry at {bad} outside the codomain",
@@ -478,33 +468,16 @@ def classify_into_codomain(
     return form
 
 
-def extends_to_full_jordan_automorphism(
-    rho: QuasiOrder,
-    all_trivial: Optional[bool] = None,
-    classes: Optional[ClassPartition] = None,
-) -> bool:
+def extends_to_full_jordan_automorphism(rho: QuasiOrder) -> bool:
     """True iff every Jordan automorphism of the algebra is the restriction
-    of a Jordan automorphism of the full matrix algebra.
-
-    ``all_trivial`` is ``all_transitive_trivial(rho)`` and ``classes`` is
-    ``approx_classes(rho)`` when the caller has them already; each is
-    computed here otherwise."""
-    if all_trivial is None:
-        all_trivial = all_transitive_trivial(rho)
-    return all_trivial and multiplicativity_dichotomy(rho, classes)
+    of a Jordan automorphism of the full matrix algebra."""
+    return all_transitive_trivial(rho) and multiplicativity_dichotomy(rho)
 
 
-def all_algebra_automorphisms_inner(
-    rho: QuasiOrder, all_trivial: Optional[bool] = None
-) -> bool:
+def all_algebra_automorphisms_inner(rho: QuasiOrder) -> bool:
     """True iff every algebra automorphism is conjugation by a unit of the
-    algebra.
-
-    ``all_trivial`` is ``all_transitive_trivial(rho)`` when the caller has
-    it already; it is computed here otherwise."""
-    if all_trivial is None:
-        all_trivial = all_transitive_trivial(rho)
-    return all_trivial and automorphisms_fix_two_sided_classes(rho)
+    algebra."""
+    return all_transitive_trivial(rho) and automorphisms_fix_two_sided_classes(rho)
 
 
 # --- linear map text format -------------------------------------------------

@@ -7,12 +7,19 @@ mutual class is a set of equal rows found by one mask AND per vertex, and
 the class order is Kahn's sort on a heap, so each costs O(n + |rho|)
 steps, each step one operation on a row of n bits. All pairs in the
 public API are 1-based.
+
+What a relation derives is computed at most once per relation object and
+kept in it (``_memo``): its connectivity classes, its reverse, its mutual
+classes, its block form and its beat-point core here, and the gauge and
+the triviality verdict of ``transmap``. So no function takes one of them
+as an argument beside the relation.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import wraps
 from heapq import heappop, heappush
 from itertools import compress
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -62,16 +69,16 @@ def _bits(mask: int):
 class QuasiOrder:
     """Immutable reflexive transitive relation on {1..n}.
 
-    ``_reversed`` holds the reversed relation once ``reverse`` has built
-    it, so each relation is reversed at most once.
+    ``_derived`` holds the values that ``_memo`` functions have computed
+    from the relation, keyed by function.
     """
 
-    __slots__ = ("n", "_rows", "_reversed")
+    __slots__ = ("n", "_rows", "_derived")
 
     def __init__(self, n: int, rows: Sequence[int]):
         self.n = n
         self._rows = tuple(rows)
-        self._reversed = None
+        self._derived = {}
 
     def has(self, i: int, j: int) -> bool:
         return bool(self._rows[i - 1] >> (j - 1) & 1)
@@ -220,18 +227,33 @@ def _raise_first_violation(rows):
                 )
 
 
+def _memo(fn):
+    """``fn(q)`` computed on the first call for each relation q and kept in
+    ``q._derived``. The value must be immutable, and must not hold q: q
+    would then hold itself and outlive its last use until the cyclic
+    garbage collector ran."""
+
+    @wraps(fn)
+    def kept(q):
+        try:
+            return q._derived[fn]
+        except KeyError:
+            value = q._derived[fn] = fn(q)
+            return value
+
+    return kept
+
+
+@_memo
 def reverse(q: QuasiOrder) -> QuasiOrder:
-    """The relation with every pair turned round, built on the first call
-    for q and kept in q."""
-    if q._reversed is None:
-        rows = [1 << i for i in range(q.n)]
-        for i, r in enumerate(q._rows):
-            bit = 1 << i
-            if r != bit:  # a row of the diagonal pair alone adds nothing
-                for j in _bits(r ^ bit):
-                    rows[j - 1] |= bit
-        q._reversed = QuasiOrder(q.n, rows)
-    return q._reversed
+    """The relation with every pair turned round."""
+    rows = [1 << i for i in range(q.n)]
+    for i, r in enumerate(q._rows):
+        bit = 1 << i
+        if r != bit:  # a row of the diagonal pair alone adds nothing
+            for j in _bits(r ^ bit):
+                rows[j - 1] |= bit
+    return QuasiOrder(q.n, rows)
 
 
 @dataclass(frozen=True)
@@ -241,18 +263,10 @@ class ClassPartition:
     n: int
     blocks: tuple
 
-    def is_union_of_blocks(self, subset) -> bool:
-        s = set(subset)
-        if not s <= set(range(1, self.n + 1)):
-            return False
-        for b in self.blocks:
-            if s & b and not b <= s:
-                return False
-        return True
 
-
+@_memo
 def _mutual_groups(q: QuasiOrder):
-    """The mutual classes of q as ascending lists of vertices, ordered by
+    """The mutual classes of q as ascending tuples of vertices, ordered by
     their minimum; see ``two_sided_classes``."""
     rows = q._rows
     counts = [r.bit_count() for r in rows]
@@ -263,7 +277,7 @@ def _mutual_groups(q: QuasiOrder):
     for x, r in enumerate(rows):
         mates = r & alike[counts[x]]
         groups.setdefault((mates & -mates).bit_length(), []).append(x + 1)
-    return list(groups.values())
+    return tuple(map(tuple, groups.values()))
 
 
 def two_sided_classes(q: QuasiOrder) -> ClassPartition:
@@ -286,6 +300,7 @@ def two_sided_classes(q: QuasiOrder) -> ClassPartition:
     return ClassPartition(q.n, tuple(map(frozenset, _mutual_groups(q))))
 
 
+@_memo
 def approx_classes(q: QuasiOrder) -> ClassPartition:
     """Connected components of the symmetrized strict relation: a search
     that adds the row and the column of each vertex it reaches. Each
@@ -310,6 +325,16 @@ def approx_classes(q: QuasiOrder) -> ClassPartition:
     return ClassPartition(n, tuple(blocks))
 
 
+def class_union(q: QuasiOrder, u) -> frozenset:
+    """u as a frozenset, checked to be a union of connectivity classes of q
+    (NotClassUnion otherwise): the union of the classes it meets. The
+    classes partition 1..n, so a vertex outside 1..n is in none of them."""
+    uset = frozenset(u)
+    if uset != frozenset().union(*(b for b in approx_classes(q).blocks if b & uset)):
+        raise NotClassUnion(f"{sorted(uset)} is not a union of classes")
+    return uset
+
+
 @dataclass(frozen=True)
 class BlockTriangularForm:
     """Renumbering onto a block upper-triangular pattern.
@@ -327,6 +352,7 @@ class BlockTriangularForm:
     class_order: tuple
 
 
+@_memo
 def block_triangular_form(q: QuasiOrder) -> BlockTriangularForm:
     """Topologically order the mutual-relation classes and renumber.
 
@@ -441,7 +467,15 @@ def _least(s: int, up, down):
 
 def beat_core(q: QuasiOrder) -> BeatCore:
     """Strip q down to a core by deleting beat points (Stong, "Finite
-    topological spaces", 1966).
+    topological spaces", 1966); see ``_beat_core``."""
+    core, retraction = _beat_core(q)
+    return BeatCore(q if core is None else core, retraction)
+
+
+@_memo
+def _beat_core(q: QuasiOrder):
+    """The core and the retraction of ``beat_core``, with None for a core
+    that is q itself, which the value kept in q must not hold.
 
     First every vertex but the smallest of its mutual class goes, retracting
     to that smallest vertex. The rest is a partial order. Then, lowest
@@ -462,7 +496,7 @@ def beat_core(q: QuasiOrder) -> BeatCore:
         if row != 1 << x:
             active |= row
     if not active:
-        return BeatCore(q, tuple(range(1, n + 1)))
+        return None, tuple(range(1, n + 1))
     down = reverse(q)._rows
     target = list(range(n))
     dropped = []
@@ -493,19 +527,28 @@ def beat_core(q: QuasiOrder) -> BeatCore:
         dropped.append(x)
         dirty |= above | below
     if not dropped:
-        return BeatCore(q, tuple(range(1, n + 1)))
+        return None, tuple(range(1, n + 1))
     for x in reversed(dropped):
         target[x] = target[target[x]]
     core = QuasiOrder(
         n, [up[x] & kept if kept >> x & 1 else 1 << x for x in range(n)]
     )
-    return BeatCore(core, tuple(t + 1 for t in target))
+    return core, tuple(t + 1 for t in target)
 
 
-def first_unsupported(support, q: QuasiOrder):
-    """Lexicographically first pair in ``support`` not related in q, or None."""
-    bad = [p for p in support if p not in q]
-    return min(bad) if bad else None
+def first_unsupported(positions, q: QuasiOrder):
+    """The least pair (i, j) that q does not relate among the nonzero
+    entries of an n x n matrix (n = q.n), or None. ``positions`` are the
+    0-based row-major positions of those entries, ascending, as
+    ``exactnum._nonzero_positions`` gives them: that is the lexicographic
+    order of their pairs, so the first that fails is the least, and the
+    rest are not read."""
+    n, rows = q.n, q._rows
+    for k in positions:
+        i, j = divmod(k, n)
+        if not rows[i] >> j & 1:
+            return i + 1, j + 1
+    return None
 
 
 def increasing_permutations(
@@ -606,10 +649,7 @@ def rho_U(q: QuasiOrder, u) -> QuasiOrder:
     since classes never straddle U, no cross pairs exist to drop and the
     result is again reflexive and transitive (verified).
     """
-    part = approx_classes(q)
-    uset = frozenset(u)
-    if not part.is_union_of_blocks(uset):
-        raise NotClassUnion(f"{sorted(uset)} is not a union of classes")
+    uset = class_union(q, u)
     comp = set(range(1, q.n + 1)) - uset
     new_edges = []
     for (i, j) in q.strict_pairs():

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import (
+    DimensionMismatch,
     GIsTrivial,
     InternalInconsistency,
     NotJordan,
@@ -26,9 +27,9 @@ from .errors import (
     SupportViolation,
     VanishingUnitImage,
 )
-from .exactnum import BlockRow, DenseMatrix, ONE, inverse, rank
+from .exactnum import BlockRow, DenseMatrix, ONE, _nonzero_positions, inverse, rank
 from .jordan import CanonicalJordanForm, LinearMapOnSMA, apply, classify_jordan
-from .quasiorder import NotClassUnion, QuasiOrder, approx_classes, first_unsupported
+from .quasiorder import QuasiOrder, class_union, first_unsupported
 from .sampling import bounded_rank_samples, sample_rank_one_in_sma
 from .transmap import (
     TransitiveMap,
@@ -172,15 +173,15 @@ def nontrivial_g_rank_witness(g: TransitiveMap) -> RankWitness:
 def rank_identity_check(rho: QuasiOrder, u, x: DenseMatrix) -> bool:
     """Compare rank(X) with rank(PX + (I-P)X^t) for the class union's
     central idempotent; the theory says they always agree."""
-    useg = frozenset(u)
-    if not approx_classes(rho).is_union_of_blocks(useg):
-        raise NotClassUnion(f"{sorted(useg)} is not a union of classes")
-    bad = first_unsupported(x.support(), rho)
+    useg = class_union(rho, u)
+    n = rho.n
+    if x.shape != (n, n):
+        raise DimensionMismatch(f"matrix shape {x.shape}, expected {n}x{n}")
+    bad = first_unsupported(_nonzero_positions(x), rho)
     if bad is not None:
         raise SupportViolation(
             f"matrix has entry at {bad} outside the relation", pair=bad
         )
-    n = rho.n
     p = DenseMatrix.diag([1 if i in useg else 0 for i in range(1, n + 1)])
     q = DenseMatrix.identity(n) - p
     return rank(x) == rank(p * x + q * x.transpose())

@@ -14,13 +14,15 @@ only by the multiplicative relations, with the forest's columns dropped,
 and one sparse integer system R_N of them serves every question: its
 Smith form decides, and a vector of its kernel over Q or over GF(2)
 (``intlattice.kernel_bases``) is the nontrivial map that backs a negative
-answer, with no random numbers. As processes on a 2-core x86-64 host with
-Python 3.11, ``all-trivial`` takes 0.29 s and 23 MB on the ordinal sum of
-twenty 2-point antichains beside a bowtie, and 0.21 s and 24 MB with the
-bowtie glued at its top (4.8 s and 138 MB, and 6.4 s and 163 MB, with a
-dense column reduction over every strict pair). The seeded sampler over
-the kernel of all the relations, ``random_transitive_map``, lives in
-``smalg.sampling``.
+answer, with no random numbers. The gauge and the verdict are each
+computed at most once per relation (``quasiorder._memo``), so a negative
+``all-trivial`` builds one gauge for the verdict and its map. As
+processes on a 2-core x86-64 host with Python 3.11, ``all-trivial`` takes
+0.29 s and 23 MB on the ordinal sum of twenty 2-point antichains beside a
+bowtie, and 0.21 s and 24 MB with the bowtie glued at its top (4.8 s and
+138 MB, and 6.4 s and 163 MB, with a dense column reduction over every
+strict pair). The seeded sampler over the kernel of all the relations,
+``random_transitive_map``, lives in ``smalg.sampling``.
 """
 
 from __future__ import annotations
@@ -29,18 +31,27 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from math import gcd
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .errors import (
+    DimensionMismatch,
     FormatError,
     InternalInconsistency,
     NotTransitive,
     SupportViolation,
     ZeroWeight,
 )
-from .exactnum import DenseMatrix, GaussianRational, ONE, _scalar, scalar
+from .exactnum import (
+    DenseMatrix,
+    GaussianRational,
+    ONE,
+    _nonzero_positions,
+    _scalar,
+    scalar,
+)
 from .intlattice import kernel_bases, smith_invariant_factors
-from .quasiorder import BeatCore, QuasiOrder, beat_core, first_unsupported
+from .quasiorder import BeatCore, QuasiOrder, _memo, beat_core, first_unsupported
 from .tokens import convert, parse_int, plain_tokens, strip_comments, token_lines
 
 
@@ -276,15 +287,14 @@ def apply_induced(g: TransitiveMap, x: DenseMatrix) -> DenseMatrix:
     """
     n = g.rho.n
     if x.shape != (n, n):
-        raise SupportViolation(f"matrix shape {x.shape} does not match n={n}")
-    support = x.support()
-    bad = first_unsupported(support, g.rho)
+        raise DimensionMismatch(f"matrix shape {x.shape} does not match n={n}")
+    bad = first_unsupported(_nonzero_positions(x), g.rho)
     if bad is not None:
         raise SupportViolation(
             "nonzero entry at ({},{}) outside the relation".format(*bad), pair=bad
         )
     return DenseMatrix.from_entries(
-        n, n, {(i, j): g.value(i, j) * x.at(i, j) for (i, j) in support}
+        n, n, {(i, j): g.value(i, j) * x.at(i, j) for (i, j) in x.support()}
     )
 
 
@@ -458,9 +468,11 @@ def _relation_vectors(rho: QuasiOrder, column: Optional[dict] = None):
     return edges, rows
 
 
+@_memo
 def _gauge(q: QuasiOrder):
     """The strict pairs of q, those off its spanning forest, and the
-    relation rows over the latter (``_relation_vectors``).
+    relation rows over the latter (``_relation_vectors``), each row a
+    read-only mapping.
 
     Every transitive map equals, modulo a trivial map, exactly one map that
     is 1 on the pairs of the forest that ``_spanning_forest`` walks. It
@@ -473,16 +485,18 @@ def _gauge(q: QuasiOrder):
     (i, j), (j, k), (i, k) and no two-sided pair both ways, so no row is
     left empty.
     """
-    edges = q.strict_pairs()
+    edges = tuple(q.strict_pairs())
     if not edges:
-        return edges, [], []
+        return (), (), ()
     parent = _spanning_forest(q, dict.fromkeys(edges, ONE)).parent
     tree = {p[1] for p in parent if p is not None}
-    off = [e for e in edges if e not in tree]
-    return edges, off, _relation_vectors(q, {e: t for t, e in enumerate(off)})[1]
+    off = tuple(e for e in edges if e not in tree)
+    rows = _relation_vectors(q, {e: t for t, e in enumerate(off)})[1]
+    return edges, off, tuple(map(MappingProxyType, rows))
 
 
-def all_transitive_trivial(rho: QuasiOrder, core: Optional[BeatCore] = None) -> bool:
+@_memo
+def all_transitive_trivial(rho: QuasiOrder) -> bool:
     """True iff every transitive map on rho is trivial.
 
     In the gauge of ``_gauge`` that is Hom(Z^N / R_N, A) = 0 for every
@@ -492,22 +506,20 @@ def all_transitive_trivial(rho: QuasiOrder, core: Optional[BeatCore] = None) -> 
     the first homology of the complex on vertices, strict pairs and
     composable triples.
 
-    The test runs on ``core``, the beat-point core of rho (``beat_core``,
-    built here when not given), and a core with no pair off its forest
-    answers True with no Smith form. That gives the same answer. Let x be
-    deleted with least element c above it, and restrict from P to P - x.
-    Every map g on P - x extends to P, as g after the retraction x -> c. If
-    the restriction of a map G is trivial, s(i)/s(j), then so is G, with
-    s(x) = G(x, c) s(c): for y > x, G(x, y) = G(x, c) G(c, y) = s(x)/s(y)
-    (c <= y), and for y < x, G(y, x) G(x, c) = G(y, c) = s(y)/s(c) gives
-    G(y, x) = s(y)/s(x). A greatest element below x is the mirror case, and
-    a vertex x with a mutually related c is the case where c is both. So
-    restriction is a bijection on maps modulo trivial ones, for every A,
-    and the inclusion of the core induces an isomorphism on homology.
+    The test runs on the beat-point core of rho (``beat_core``), and a core
+    with no pair off its forest answers True with no Smith form. That gives
+    the same answer. Let x be deleted with least element c above it, and
+    restrict from P to P - x. Every map g on P - x extends to P, as g after
+    the retraction x -> c. If the restriction of a map G is trivial,
+    s(i)/s(j), then so is G, with s(x) = G(x, c) s(c): for y > x, G(x, y) =
+    G(x, c) G(c, y) = s(x)/s(y) (c <= y), and for y < x, G(y, x) G(x, c) =
+    G(y, c) = s(y)/s(c) gives G(y, x) = s(y)/s(x). A greatest element below
+    x is the mirror case, and a vertex x with a mutually related c is the
+    case where c is both. So restriction is a bijection on maps modulo
+    trivial ones, for every A, and the inclusion of the core induces an
+    isomorphism on homology.
     """
-    if core is None:
-        core = beat_core(rho)
-    _, off, rows = _gauge(core.core)
+    _, off, rows = _gauge(beat_core(rho).core)
     return not off or smith_invariant_factors(rows) == [1] * len(off)
 
 
@@ -530,33 +542,29 @@ def _pull_back(rho: QuasiOrder, core: BeatCore, weights) -> dict:
     }
 
 
-def nontrivial_transitive_map(
-    rho: QuasiOrder, core: Optional[BeatCore] = None
-) -> Optional[TransitiveMap]:
+def nontrivial_transitive_map(rho: QuasiOrder) -> Optional[TransitiveMap]:
     """A nontrivial map of the core with values +-2^k, pulled back to rho,
     validated and checked nontrivial; None if the core has none.
 
-    The search runs on ``core``, the beat-point core of rho (built here
-    when not given), in the gauge of ``_gauge``: a map that is 1 on the
-    core's forest is transitive iff its values off the forest are a point
-    of Hom(Z^N / R_N, A), and it is trivial only when it is 1 everywhere.
-    So every nonzero vector of the kernel of R_N gives a nontrivial map:
-    2^b for an integer vector b, (-1)^c for a GF(2) vector c. The map is
-    built from the first vector of ``kernel_bases``, over Q if there is one
-    and else over GF(2), and is 1 on the rest of the core's pairs. The
-    obstruction group Z^N / R_N is a free part, which the kernel over Q
-    detects, plus torsion; the kernel over GF(2) detects even torsion, and
-    odd torsion has no nontrivial Gaussian-rational values (the roots of
-    unity there are +-1, +-i). So None after a negative answer of
-    ``all_transitive_trivial`` means the only obstruction is odd torsion.
-    The map g of the core comes back as g after the retraction, which is
-    transitive because the retraction is order-preserving, and nontrivial
-    because it restricts to g on the core. By the bijection of
-    ``all_transitive_trivial``, rho has a nontrivial +-2^k map iff its
-    core has one.
+    The search runs on the beat-point core of rho (``beat_core``), in the
+    gauge of ``_gauge``: a map that is 1 on the core's forest is transitive
+    iff its values off the forest are a point of Hom(Z^N / R_N, A), and it
+    is trivial only when it is 1 everywhere. So every nonzero vector of the
+    kernel of R_N gives a nontrivial map: 2^b for an integer vector b,
+    (-1)^c for a GF(2) vector c. The map is built from the first vector of
+    ``kernel_bases``, over Q if there is one and else over GF(2), and is 1
+    on the rest of the core's pairs. The obstruction group Z^N / R_N is a
+    free part, which the kernel over Q detects, plus torsion; the kernel
+    over GF(2) detects even torsion, and odd torsion has no nontrivial
+    Gaussian-rational values (the roots of unity there are +-1, +-i). So
+    None after a negative answer of ``all_transitive_trivial`` means the
+    only obstruction is odd torsion. The map g of the core comes back as g
+    after the retraction, which is transitive because the retraction is
+    order-preserving, and nontrivial because it restricts to g on the core.
+    By the bijection of ``all_transitive_trivial``, rho has a nontrivial
+    +-2^k map iff its core has one.
     """
-    if core is None:
-        core = beat_core(rho)
+    core = beat_core(rho)
     q = core.core
     edges, off, rows = _gauge(q)
     over_q, over_2 = kernel_bases(rows, len(off))

@@ -106,7 +106,6 @@ from smalg.quasiorder import (
     approx_classes,
     beat_core,
     block_triangular_form,
-    first_unsupported,
     from_edges,
 )
 from smalg.tokens import parse_int
@@ -403,6 +402,12 @@ def oracle_out_set(q, i):
 def oracle_reverse_pairs(q):
     """The pairs of the reversed relation, sorted."""
     return sorted((j, i) for (i, j) in oracle_pairs(q))
+
+
+def oracle_first_unsupported(support, q):
+    """The least pair of the set ``support`` that q does not relate, or
+    None: every pair tested with ``QuasiOrder.__contains__``."""
+    return min((p for p in support if p not in q), default=None)
 
 
 def oracle_block_triangular_form(q):
@@ -1018,7 +1023,7 @@ def dense_simultaneous_diagonalize(rho: QuasiOrder, family) -> Diagonalization:
     for f in family:
         if f.shape != (n, n):
             raise DimensionMismatch(f"family member shape {f.shape}, expected n={n}")
-        bad = first_unsupported(f.support(), rho)
+        bad = oracle_first_unsupported(f.support(), rho)
         if bad is not None:
             raise SupportViolation(
                 f"family member has entry at {bad} outside the relation", pair=bad
@@ -1074,9 +1079,9 @@ def dense_simultaneous_diagonalize(rho: QuasiOrder, family) -> Diagonalization:
             columns[j] = col_list(joint[t], idx[c - 1])
     s = DenseMatrix.from_rows([columns[j] for j in range(1, n + 1)]).transpose()
     sinv = inverse(s)
-    bad = first_unsupported(s.support(), rho)
+    bad = oracle_first_unsupported(s.support(), rho)
     if bad is None:
-        bad = first_unsupported(sinv.support(), rho)
+        bad = oracle_first_unsupported(sinv.support(), rho)
     if bad is not None:
         raise InternalInconsistency(f"similarity escaped the algebra at {bad}")
     diagonals = []

@@ -1,5 +1,8 @@
 """Tests for the command-line front end: dispatch, exit codes, reports."""
 
+import collections
+import contextlib
+import gc
 import json
 import os
 import random
@@ -249,7 +252,7 @@ def test_all_trivial_bowtie_with_example(files):
 def test_all_trivial_without_a_sampled_example_exits_three(files, monkeypatch):
     # a negative verdict is never printed without its certificate
     monkeypatch.setattr(
-        smalg.cli, "nontrivial_transitive_map", lambda rho, core: None
+        smalg.cli, "nontrivial_transitive_map", lambda rho: None
     )
     out = run(["all-trivial", files["bowtie"]])
     assert out.exit_code == 3
@@ -296,23 +299,112 @@ def test_info_runs_one_smith_form(files, monkeypatch):
     assert calls == [0]
 
 
-def test_info_builds_its_connectivity_classes_once(files, monkeypatch):
+def _memoized():
+    """The functions whose values a relation keeps, by name: those wrapped
+    by ``quasiorder._memo``, whose wrappers all share one code object."""
+    kept = smalg.quasiorder._memo(lambda q: q).__code__
+    return {
+        f.__name__: f
+        for module in (smalg.quasiorder, smalg.transmap)
+        for f in vars(module).values()
+        if getattr(f, "__code__", None) is kept
+    }
+
+
+@contextlib.contextmanager
+def _body_runs():
+    """Counts the runs of each memoized function's own body, by (name,
+    relation id), while the block runs. The relations are held, so that no
+    id is reused within the block."""
+    codes = {f.__wrapped__.__code__: name for name, f in _memoized().items()}
+    runs = collections.Counter()
+    held = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            q = frame.f_locals[frame.f_code.co_varnames[0]]
+            held.append(q)
+            runs[codes[frame.f_code], id(q)] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield runs
+    finally:
+        sys.setprofile(previous)
+
+
+def test_info_builds_its_connectivity_classes_once(files):
     # the classes line, the dichotomy and the extends line share one search
-    calls = []
-    real = smalg.quasiorder.approx_classes
-
-    def counting(q):
-        calls.append(q.n)
-        return real(q)
-
-    for module in (smalg.cli, smalg.jordan):
-        monkeypatch.setattr(module, "approx_classes", counting)
     for name, last in (("bowtie", "extends false"), ("t3", "extends true")):
-        calls.clear()
-        out = run(["info", files[name]])
+        with _body_runs() as runs:
+            out = run(["info", files[name]])
         assert out.exit_code == 0
         assert out.report.splitlines()[-1] == last
+        calls = [key for key in runs.elements() if key[0] == "approx_classes"]
         assert len(calls) == 1
+
+
+# requests that read what their relations derive, each through several
+# public functions; the names are keys of the ``files`` fixture
+_DERIVING_REQUESTS = [
+    ["info", "bowtie"],
+    ["info", "seven"],
+    ["info", "t3"],
+    ["all-trivial", "bowtie"],
+    ["all-trivial", "seven"],
+    ["all-trivial", "chain10"],
+    ["blocks", "bowtie"],
+    ["embed", "--jordan", "vee3", "wedge3"],
+    ["embed", "--jordan", "t3", "t3"],
+    ["classify", "bowtie", "bowtie_lm"],
+    ["classify", "--codomain", "t3", "t3", "id_t3"],
+    ["diagonalize", "t3", "eye3"],
+]
+
+
+def _argv(files, request):
+    return [files.get(a, a) for a in request]
+
+
+def test_the_memoized_functions():
+    assert sorted(_memoized()) == [
+        "_beat_core",
+        "_gauge",
+        "_mutual_groups",
+        "all_transitive_trivial",
+        "approx_classes",
+        "block_triangular_form",
+        "reverse",
+    ]
+
+
+@pytest.mark.parametrize("request_", _DERIVING_REQUESTS, ids=" ".join)
+def test_each_derived_value_is_computed_once_per_relation(files, request_):
+    with _body_runs() as runs:
+        out = run(_argv(files, request_))
+    assert out.exit_code in (0, 1), out.report
+    assert runs, "no memoized function ran"
+    assert max(runs.values()) == 1, runs
+
+
+def test_no_relation_outlives_its_request(files):
+    # a value kept in a relation that held the relation would form a cycle,
+    # freed only by the cyclic collector: with it off, the count would grow
+    def relations():
+        return sum(isinstance(o, smalg.quasiorder.QuasiOrder) for o in gc.get_objects())
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for request in _DERIVING_REQUESTS:
+            before = relations()
+            out = run(_argv(files, request))
+            assert out.exit_code in (0, 1), out.report
+            assert relations() == before, request
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_info_on_the_three_chain_runs_no_smith_form(files, monkeypatch):

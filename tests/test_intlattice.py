@@ -210,7 +210,7 @@ class TestGF2Kernel:
                 [rng.choice((1, 3, -1)) if rng.random() < density else 0 for _ in range(cols)]
                 for _ in range(rows)
             ]
-            assert gf2_kernel_basis(m) == dense_gf2_kernel_basis(m)
+            assert gf2_kernel_basis(m, cols) == dense_gf2_kernel_basis(m)
             assert gf2_kernel_basis(m, cols) == dense_gf2_kernel_basis(m, cols)
 
     def test_bitmask_rows_match_dense_elimination_on_a_relation(self):

@@ -44,7 +44,7 @@ from smalg.jordan import (
 )
 from smalg.quasiorder import from_edges
 from smalg.sampling import random_transitive_map
-from smalg.transmap import validate
+from smalg.transmap import apply_induced, validate
 
 from fixtures import (
     BAD_LITERALS,
@@ -113,6 +113,18 @@ def test_apply_identity_transpose_and_support():
     assert exc.value.pair == (2, 1)
     with pytest.raises(DimensionMismatch):
         apply(identity_map(rho), DenseMatrix.identity(2))
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_a_wrong_sized_argument_is_a_dimension_mismatch(size):
+    # both ways of applying a map to a matrix name the same fault, even
+    # where the matrix has an entry outside the relation
+    rho = upper_chain(3)
+    x = DenseMatrix.identity(size)
+    with pytest.raises(DimensionMismatch):
+        apply(identity_map(rho), x)
+    with pytest.raises(DimensionMismatch):
+        apply_induced(validate(rho, {(1, 2): 2, (1, 3): 6, (2, 3): 3}), x)
 
 
 def test_corner_map_is_not_jordan():

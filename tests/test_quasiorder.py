@@ -5,7 +5,7 @@ import random
 import pytest
 
 from smalg.errors import DimensionMismatch, FormatError, NotClassUnion, NotClosed
-from smalg.exactnum import DenseMatrix, multiply
+from smalg.exactnum import DenseMatrix, GaussianRational, _nonzero_positions, multiply
 from smalg.quasiorder import (
     _bits,
     _increasing_search,
@@ -13,6 +13,7 @@ from smalg.quasiorder import (
     automorphisms_fix_two_sided_classes,
     beat_core,
     block_triangular_form,
+    first_unsupported,
     format_relation,
     from_edges,
     increasing_permutations,
@@ -39,6 +40,7 @@ from oracles import (
     oracle_rho_u,
     oracle_strict_pairs,
     oracle_first_closure_violation,
+    oracle_first_unsupported,
     rectangles,
     relabel_matrix,
     row_pair_rectangle_count,
@@ -183,7 +185,18 @@ class TestBasicOps:
             approx_classes(q)
             beat_core(q)
             automorphisms_fix_two_sided_classes(q)
-            assert q._reversed is r
+            assert reverse(q) is r
+
+    def test_first_unsupported_reads_the_nonzero_positions(self):
+        # real, imaginary and zero entries, on relations of 1-6 points
+        rng = random.Random(29)
+        values = [0] * 6 + [1, -2, GaussianRational(0, 1), GaussianRational(3, -1)]
+        for _ in range(300):
+            n = rng.randrange(1, 7)
+            q = random_quasi_order(rng, n, rng.choice((0.1, 0.4)))
+            m = DenseMatrix(n, n, [rng.choice(values) for _ in range(n * n)])
+            got = first_unsupported(_nonzero_positions(m), q)
+            assert got == oracle_first_unsupported(m.support(), q)
 
     def test_strict_part(self):
         q = fx.cycle_over_point()
