@@ -7,14 +7,17 @@ failure (an `InternalInconsistency` or any other unexpected exception
 raised inside the library). Each certificate is verified once, by the
 library function that builds it, and comes back with the numbers it was
 verified with (witness ranks, the similarity's inverse, the diagonals); the
-`_cmd_*` handlers only render it, through one writer per block (`FORM`,
-`WITNESS`). A handler passes each library function the relation alone:
-what the relation derives (classes, reverse, block form, core, gauge,
-triviality verdict) is computed at most once and kept in it, whichever
-lines of a report read it. The selftest suites check inputs drawn by
+`_cmd_*` handlers only turn it into records, dicts of JSON values, through
+one builder per certificate (`_form`, `_witness`, `_verdict`, `_trivial`).
+A handler passes each library function the relation alone: what the
+relation derives (classes, reverse, block form, core, gauge, triviality
+verdict) is computed at most once and kept in it, whichever records of a
+report read it. The selftest suites check inputs drawn by
 `smalg.sampling`.
-Reports go to standard output; `--format json-lines` swaps the text
-layout for one JSON object per line with the same content.
+Reports go to standard output. `--format json-lines` prints each record as
+one JSON object per line; the text layout is `_render`'s lines for each
+record, which depend on the command and the record alone, so the two
+formats cannot say different things.
 """
 
 from __future__ import annotations
@@ -115,27 +118,6 @@ class _InputError(Exception):
         self.message = message
 
 
-class Report:
-    """Parallel text and JSON-lines accumulators."""
-
-    def __init__(self) -> None:
-        self.lines = []
-        self.records = []
-
-    def add(self, text, **fields):
-        if text is not None:
-            self.lines.append(text)
-        if fields:
-            self.records.append(fields)
-
-    def render(self, fmt: str) -> str:
-        if fmt == "json-lines":
-            body = "\n".join(json.dumps(r, sort_keys=True) for r in self.records)
-        else:
-            body = "\n".join(self.lines)
-        return body + "\n" if body else ""
-
-
 # ---------------------------------------------------------------------------
 # input loading
 
@@ -199,143 +181,166 @@ def _parse_class_list(text: str) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# shared rendering
+# records and their text
+#
+# A report is a list of records, dicts of JSON values. Under --format
+# json-lines each record is one line; as text, ``_render`` writes each
+# record's lines from the command and the record alone.
 
 
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _fmt_blocks(blocks) -> str:
-    return _fmt_block_list(sorted(blocks, key=min))
-
-
-def _fmt_block_list(blocks) -> str:
-    """The blocks in the order given, each as {v1,v2,...}."""
-    return " ".join(["{" + ",".join(map(str, sorted(b))) + "}" for b in blocks])
-
-
-def _json_blocks(blocks):
-    return [sorted(b) for b in sorted(blocks, key=min)]
-
-
-def _fmt_classes(u) -> str:
-    return ",".join(str(v) for v in sorted(u)) if u else "-"
-
-
-def _bool(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
-def _block(rep: Report, label: str, text: str, key: str):
-    rep.add(label)
-    rep.add(text.rstrip("\n"), **{key: text})
-
-
-def _add_form(rep: Report, form: CanonicalJordanForm):
+def _form(form: CanonicalJordanForm) -> dict:
     record = {
         "s": format_matrix(form.s),
         "classes": sorted(form.u),
         "g": format_weights(form.g),
     }
-    rep.add("FORM")
-    rep.add("S")
-    rep.add(record["s"].rstrip("\n"))
-    rep.add(f"classes {_fmt_classes(form.u)}")
-    rep.add("g")
-    rep.add(record["g"].rstrip("\n"))
     if form.pi is not None:
         record["pi"] = list(form.pi)
-        rep.add("pi " + " ".join(str(k) for k in form.pi))
-    rep.add(None, **record)
+    return record
 
 
-def _add_witness(rep: Report, witness):
-    text = format_matrix(witness.matrix)
-    before, after = witness.ranks
-    rep.add("WITNESS")
-    rep.add(text.rstrip("\n"))
-    rep.add(f"RANKS {before} {after}", witness=text, ranks=[before, after])
+def _witness(witness) -> dict:
+    return {"witness": format_matrix(witness.matrix), "ranks": list(witness.ranks)}
 
 
-def _add_verdict(rep: Report, v):
-    rep.add(f"VERDICT {v.kind}", verdict=v.kind)
+def _verdict(v) -> list:
+    records = [{"verdict": v.kind}]
     if v.form is not None:
-        _add_form(rep, v.form)
+        records.append(_form(v.form))
     if v.witness is not None:
-        _add_witness(rep, v.witness)
+        records.append(_witness(v.witness))
     if v.note:
-        rep.add(f"NOTE {v.note}", note=v.note)
+        records.append({"note": v.note})
+    return records
 
 
-def _fmt_pair(pair) -> str:
-    return f"({pair[0]},{pair[1]})"
-
-
-def _add_trivial(rep: Report, cert):
+def _trivial(cert) -> list:
     # a separator repeats few values: each distinct one is written once
     literal = functools.cache(GaussianRational.literal)
     values = [literal(cert.separator[i]) for i in sorted(cert.separator)]
-    rep.add("TRIVIAL", trivial=True)
-    rep.add("separator " + " ".join(values), separator=values)
+    return [{"trivial": True}, {"separator": values}]
+
+
+# a record of one text value prints it under its heading line, if any
+_HEADINGS = {"relation": None, "map": None, "s": "S", "g": "g", "witness": "WITNESS"}
+# a record of one flag prints the first line when set and the second when
+# not; None prints no line
+_FLAGS = {
+    "embedding": ("EMBEDDING", "NO-EMBEDDING"),
+    "trivial": ("TRIVIAL", "NONTRIVIAL"),
+    "all_trivial": ("ALL-TRIVIAL", "NOT-ALL-TRIVIAL"),
+    "bounded_ok": ("BOUNDED-OK", None),
+}
+# the fields of a FORM and of a WITNESS, in the order their lines print
+_FIELDS = {"s": ("s", "classes", "g", "pi"), "witness": ("witness", "ranks")}
+
+
+def _render(command: str, record: dict) -> list:
+    """The text lines of one record: the only code that writes report text.
+
+    A record is named by its field ``suite``, ``diagonalizable``, ``s`` or
+    ``witness`` if it has several, and else by its only key."""
+    if "suite" in record:
+        if record["ok"]:
+            return [f"ok {record['suite']}"]
+        return [f"FAIL {record['suite']}: {record['detail']}"]
+    if "diagonalizable" in record:
+        return [f"NOT-DIAGONALIZABLE {record['reason']}"]
+    if len(record) > 1:
+        name = "s" if "s" in record else "witness"
+        lines = ["FORM"] if name == "s" else []
+        for key in _FIELDS[name]:
+            if key in record:
+                lines += _render(command, {key: record[key]})
+        return lines
+    [(key, value)] = record.items()
+    if key in _HEADINGS:
+        heading = _HEADINGS[key]
+        text = value.rstrip("\n")
+        return [text] if heading is None else [heading, text]
+    if key in _FLAGS:
+        line = _FLAGS[key][not value]
+        # witness prints its WITNESS where trivial prints NONTRIVIAL
+        if line is None or (command == "witness" and value is False):
+            return []
+        return [line]
+    if key == "verdict":
+        return [value.upper() if command == "classify" else f"VERDICT {value}"]
+    if key == "error":
+        return [value]
+    if key == "classes" and command != "info":
+        words = ",".join(map(str, value)) or "-"
+    elif key == "pair":
+        pairs = value if isinstance(value[0], list) else [value]
+        words = " ".join(f"({i},{j})" for i, j in pairs)
+    elif key == "walk":
+        words = " ".join(f"({i},{j}){'+' if d > 0 else '-'}" for i, j, d in value)
+    elif isinstance(value, bool):
+        words = "true" if value else "false"
+    elif isinstance(value, list):
+        # a list in the list is a class, {v1,v2,...}
+        words = " ".join(
+            ["{" + ",".join(map(str, v)) + "}" if isinstance(v, list) else str(v)
+             for v in value]
+        )
+    else:
+        words = str(value)
+    label = key.upper() if key in ("note", "ranks") else key.replace("_", "-")
+    return [f"{label} {words}"]
+
+
+def _report(fmt: str, command: str, records) -> str:
+    """The report of these records, built by one join."""
+    if fmt == "json-lines":
+        lines = [json.dumps(r, sort_keys=True) for r in records]
+    else:
+        lines = [line for r in records for line in _render(command, r)]
+    return "\n".join(lines + [""]) if lines else ""
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, records)
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _cmd_close(args) -> tuple:
-    q = _load_qo(args.relation, close=True)
-    rep = Report()
-    text = format_relation(q)
-    rep.add(text.rstrip("\n"), relation=text)
-    return 0, rep
+    return 0, [{"relation": format_relation(_load_qo(args.relation, close=True))}]
 
 
 def _cmd_info(args) -> tuple:
     q = _load_qo(args.relation)
-    rep = Report()
-    rep.add(f"n {q.n}", n=q.n)
-    classes = approx_classes(q).blocks
-    rep.add("classes " + _fmt_blocks(classes), classes=_json_blocks(classes))
-    mutual = two_sided_classes(q).blocks
-    rep.add(
-        "mutual-classes " + _fmt_blocks(mutual),
-        mutual_classes=_json_blocks(mutual),
+    classes, mutual = (
+        [sorted(b) for b in sorted(blocks, key=min)]
+        for blocks in (approx_classes(q).blocks, two_sided_classes(q).blocks)
     )
-    # the center is spanned by one 0/1 diagonal idempotent per class
-    center = len(classes)
-    rep.add(f"center-dimension {center}", center_dimension=center)
-    rect = rectangle_count(q)
-    rep.add(f"rectangles {rect}", rectangles=rect)
-    for name, value in (
-        ("dichotomy", multiplicativity_dichotomy(q)),
-        ("inner", all_algebra_automorphisms_inner(q)),
-        ("extends", extends_to_full_jordan_automorphism(q)),
-    ):
-        rep.add(f"{name} {_bool(value)}", **{name: value})
-    return 0, rep
+    return 0, [
+        {"n": q.n},
+        {"classes": classes},
+        {"mutual_classes": mutual},
+        # the center is spanned by one 0/1 diagonal idempotent per class
+        {"center_dimension": len(classes)},
+        {"rectangles": rectangle_count(q)},
+        {"dichotomy": multiplicativity_dichotomy(q)},
+        {"inner": all_algebra_automorphisms_inner(q)},
+        {"extends": extends_to_full_jordan_automorphism(q)},
+    ]
 
 
 def _cmd_blocks(args) -> tuple:
-    q = _load_qo(args.relation)
-    b = block_triangular_form(q)
-    rep = Report()
-    rep.add("pi " + " ".join(map(str, b.pi)), pi=list(b.pi))
-    rep.add("sizes " + " ".join(map(str, b.sizes)), sizes=list(b.sizes))
-    # each row of 0/1 bytes is rendered in one pass: 0 -> "0", 1 -> "1"
-    rows = [row.translate(_DIGITS).decode() for row in b.presence]
-    rep.add("presence " + " ".join(rows), presence=rows)
-    rep.add(
-        "class-order " + _fmt_block_list(b.class_order),
-        class_order=[sorted(c) for c in b.class_order],
-    )
-    return 0, rep
+    b = block_triangular_form(_load_qo(args.relation))
+    return 0, [
+        {"pi": list(b.pi)},
+        {"sizes": list(b.sizes)},
+        # each row of 0/1 bytes is rendered in one pass: 0 -> "0", 1 -> "1"
+        {"presence": [row.translate(_DIGITS).decode() for row in b.presence]},
+        {"class_order": [sorted(c) for c in b.class_order]},
+    ]
 
 
 def _cmd_embed(args) -> tuple:
     rho = _load_qo(args.relation)
     rho2 = _load_qo(args.codomain_relation)
-    rep = Report()
     try:
         if args.jordan:
             found = jordan_embeds_into(rho, rho2)
@@ -344,48 +349,33 @@ def _cmd_embed(args) -> tuple:
     except DimensionMismatch as exc:
         raise _InputError(f"error: {exc}")
     if found is None:
-        rep.add("NO-EMBEDDING", embedding=None)
-        return 1, rep
+        return 1, [{"embedding": None}]
     if args.jordan:
         u, pi = found
-        rep.add("EMBEDDING", embedding="jordan")
-        rep.add(f"classes {_fmt_classes(u)}", classes=sorted(u))
-    else:
-        pi = found
-        rep.add("EMBEDDING", embedding="algebra")
-    rep.add("pi " + " ".join(str(k) for k in pi), pi=list(pi))
-    return 0, rep
+        return 0, [{"embedding": "jordan"}, {"classes": sorted(u)}, {"pi": list(pi)}]
+    return 0, [{"embedding": "algebra"}, {"pi": list(found)}]
 
 
 def _cmd_trivial(args) -> tuple:
     rho = _load_qo(args.relation)
-    g = _load_gw(args.weights, rho)
-    cert = triviality_witness(g)
-    rep = Report()
+    cert = triviality_witness(_load_gw(args.weights, rho))
     if cert.is_trivial:
-        _add_trivial(rep, cert)
-        return 0, rep
-    steps = " ".join(
-        f"({i},{j}){'+' if d > 0 else '-'}" for ((i, j), d) in cert.walk
-    )
-    rep.add("NONTRIVIAL", trivial=False)
-    rep.add("walk " + steps, walk=[[i, j, d] for ((i, j), d) in cert.walk])
-    rep.add("product " + cert.product.literal(), product=cert.product.literal())
-    return 1, rep
+        return 0, _trivial(cert)
+    return 1, [
+        {"trivial": False},
+        {"walk": [[i, j, d] for ((i, j), d) in cert.walk]},
+        {"product": cert.product.literal()},
+    ]
 
 
 def _cmd_all_trivial(args) -> tuple:
     rho = _load_qo(args.relation)
-    rep = Report()
     if all_transitive_trivial(rho):
-        rep.add("ALL-TRIVIAL", all_trivial=True)
-        return 0, rep
+        return 0, [{"all_trivial": True}]
     g = nontrivial_transitive_map(rho)
     if g is None:
         raise InternalInconsistency("no transitive map with values +-2^k is nontrivial")
-    rep.add("NOT-ALL-TRIVIAL", all_trivial=False)
-    _block(rep, "g", format_weights(g), "g")
-    return 1, rep
+    return 1, [{"all_trivial": False}, {"g": format_weights(g)}]
 
 
 def _cmd_diagonalize(args) -> tuple:
@@ -397,25 +387,20 @@ def _cmd_diagonalize(args) -> tuple:
         bad = first_unsupported(_nonzero_positions(m), rho)
         if bad is not None:
             raise _InputError(f"error: {path}: entry at {bad} outside the relation")
-    rep = Report()
     try:
         found = simultaneous_diagonalize_in_sma(rho, family)
     except (NotDiagonalizable, IrrationalSpectrum) as exc:
-        rep.add(f"NOT-DIAGONALIZABLE {exc}", diagonalizable=False, reason=str(exc))
-        return 1, rep
+        return 1, [{"diagonalizable": False, "reason": str(exc)}]
     except PreconditionViolated as exc:
         raise _InputError(f"error: {exc}")
-    _block(rep, "S", format_matrix(found.s), "s")
-    for diagonal in found.diagonals:
-        entries = [v.literal() for v in diagonal]
-        rep.add("diag " + " ".join(entries), diag=entries)
-    return 0, rep
+    return 0, [{"s": format_matrix(found.s)}] + [
+        {"diag": [v.literal() for v in diagonal]} for diagonal in found.diagonals
+    ]
 
 
 def _cmd_classify(args) -> tuple:
     rho = _load_qo(args.relation)
     phi = _load_lm(args.map, rho)
-    rep = Report()
     try:
         if args.codomain:
             rho2 = _load_qo(args.codomain)
@@ -425,22 +410,12 @@ def _cmd_classify(args) -> tuple:
     except DimensionMismatch as exc:
         raise _InputError(f"error: {exc}")
     except NotJordan as exc:
-        rep.add("NOT-JORDAN", verdict="not-jordan")
-        rep.add(
-            f"pair {_fmt_pair(exc.pair[0])} {_fmt_pair(exc.pair[1])}",
-            pair=[list(p) for p in exc.pair],
-        )
-        return 1, rep
+        return 1, [{"verdict": "not-jordan"}, {"pair": [list(p) for p in exc.pair]}]
     except VanishingUnitImage as exc:
-        rep.add("VANISHING-UNIT", verdict="vanishing-unit")
-        rep.add(f"pair {_fmt_pair(exc.pair)}", pair=list(exc.pair))
-        return 1, rep
+        return 1, [{"verdict": "vanishing-unit"}, {"pair": list(exc.pair)}]
     except SupportViolation as exc:
-        rep.add("UNSUPPORTED", verdict="unsupported")
-        rep.add(f"pair {_fmt_pair(exc.pair)}", pair=list(exc.pair))
-        return 1, rep
-    _add_form(rep, form)
-    return 0, rep
+        return 1, [{"verdict": "unsupported"}, {"pair": list(exc.pair)}]
+    return 0, [_form(form)]
 
 
 def _cmd_synthesize(args) -> tuple:
@@ -452,16 +427,12 @@ def _cmd_synthesize(args) -> tuple:
         phi = synthesize_jordan(rho, s, u, g)
     except (NotClassUnion, Singular, DimensionMismatch, ZeroWeight) as exc:
         raise _InputError(f"error: {exc}")
-    rep = Report()
-    text = format_linear_map(phi)
-    rep.add(text.rstrip("\n"), map=text)
-    return 0, rep
+    return 0, [{"map": format_linear_map(phi)}]
 
 
 def _cmd_check_rank(args) -> tuple:
     rho = _load_qo(args.relation)
     phi = _load_lm(args.map, rho)
-    rep = Report()
     if args.max_rank is not None:
         if not 1 <= args.max_rank <= rho.n:
             raise _InputError(f"error: --max-rank must lie in 1..{rho.n}")
@@ -469,41 +440,30 @@ def _cmd_check_rank(args) -> tuple:
             phi, args.max_rank, seed=args.seed
         )
         if ok:
-            rep.add("BOUNDED-OK", bounded_ok=True)
-            rep.add(f"max-rank {args.max_rank}", max_rank=args.max_rank)
-            return 0, rep
-        rep.add(None, bounded_ok=False)
-        _add_witness(rep, witness)
-        return 1, rep
+            return 0, [{"bounded_ok": True}, {"max_rank": args.max_rank}]
+        return 1, [{"bounded_ok": False}, _witness(witness)]
     verdict = classify_rank_preserver(phi)
-    _add_verdict(rep, verdict)
-    return (0 if verdict.kind == "RankPreserver" else 1), rep
+    return (0 if verdict.kind == "RankPreserver" else 1), _verdict(verdict)
 
 
 def _cmd_check_rank_one(args) -> tuple:
     rho = _load_qo(args.relation)
     phi = _load_lm(args.map, rho)
-    rep = Report()
     try:
         verdict = certify_rank_one_preserver(phi)
     except (NotUnital, VanishingUnitImage) as exc:
         raise _InputError(f"error: {exc}")
-    _add_verdict(rep, verdict)
-    return (0 if verdict.kind == "RankOnePreserver" else 1), rep
+    return (0 if verdict.kind == "RankOnePreserver" else 1), _verdict(verdict)
 
 
 def _cmd_witness(args) -> tuple:
     rho = _load_qo(args.relation)
     g = _load_gw(args.weights, rho)
-    rep = Report()
     try:
         witness = nontrivial_g_rank_witness(g)
     except GIsTrivial:
-        _add_trivial(rep, triviality_witness(g))
-        return 0, rep
-    rep.add(None, trivial=False)
-    _add_witness(rep, witness)
-    return 1, rep
+        return 0, _trivial(triviality_witness(g))
+    return 1, [{"trivial": False}, _witness(witness)]
 
 
 # ---------------------------------------------------------------------------
@@ -568,16 +528,14 @@ def _cmd_selftest(args) -> tuple:
         raise _InputError("error: --n must be at least 2")
     if args.n > MAX_SELFTEST_N:
         raise _InputError(f"error: --n must be at most {MAX_SELFTEST_N}")
-    rep = Report()
-    failed = False
+    records = []
     for name, draws in selftest_draws(args.seed, args.n):
         problem = _SELFTEST_CHECKS[name](draws)
         if problem is None:
-            rep.add(f"ok {name}", suite=name, ok=True)
+            records.append({"suite": name, "ok": True})
         else:
-            failed = True
-            rep.add(f"FAIL {name}: {problem}", suite=name, ok=False, detail=problem)
-    return (1 if failed else 0), rep
+            records.append({"suite": name, "ok": False, "detail": problem})
+    return (0 if all(r["ok"] for r in records) else 1), records
 
 
 # ---------------------------------------------------------------------------
@@ -672,20 +630,15 @@ def run(argv) -> CommandOutcome:
     except SystemExit as exc:
         return CommandOutcome(exc.code if exc.code else 0, "")
     try:
-        code, rep = args.handler(args)
+        code, records = args.handler(args)
+        return CommandOutcome(code, _report(args.format, args.command, records))
     except _InputError as exc:
-        return _error_outcome(2, exc.message, args.format)
+        code, message = 2, exc.message
     except InternalInconsistency as exc:
-        return _error_outcome(3, f"error: {exc}", args.format)
+        code, message = 3, f"error: {exc}"
     except Exception as exc:  # a fault, never a verdict or bad input
-        return _error_outcome(3, f"error: {type(exc).__name__}: {exc}", args.format)
-    return CommandOutcome(code, rep.render(args.format))
-
-
-def _error_outcome(code: int, message: str, fmt: str) -> CommandOutcome:
-    if fmt == "json-lines":
-        return CommandOutcome(code, json.dumps({"error": message}) + "\n")
-    return CommandOutcome(code, message + "\n")
+        code, message = 3, f"error: {type(exc).__name__}: {exc}"
+    return CommandOutcome(code, _report(args.format, args.command, [{"error": message}]))
 
 
 def main() -> None:

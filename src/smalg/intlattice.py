@@ -17,6 +17,8 @@ a dense column reduction over every strict pair took 6.4 s and 163 MB.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .exactnum import _kernel_basis
 
 
@@ -31,7 +33,9 @@ def _unit_pivots(rows):
     "On efficient sparse integer matrix Smith normal form computations",
     2001). ``pivots`` lists (j, row i) in the order taken, each row as it
     stood then: it holds no column of an earlier pivot. ``rest`` is the
-    nonzero rows of the complement, which hold no pivot column.
+    nonzero rows of the complement, which hold no pivot column. Both are
+    tuples of read-only rows, so that ``transmap`` can keep them with the
+    gauge and read them for the Smith form and for the kernels alike.
     """
     rows = [dict(row) for row in rows]
     live = {k for k, row in enumerate(rows) if row}
@@ -70,9 +74,9 @@ def _unit_pivots(rows):
                 del other[j]
                 if not other:
                     live.discard(k2)
-            pivots.append((j, row))
+            pivots.append((j, MappingProxyType(row)))
             progress = True
-    return pivots, [rows[k] for k in sorted(live)]
+    return tuple(pivots), tuple(MappingProxyType(rows[k]) for k in sorted(live))
 
 
 def smith_invariant_factors(rows):
@@ -83,7 +87,12 @@ def smith_invariant_factors(rows):
     and the smallest-pivot dense reduction finishes the complement left
     when no unit entry is.
     """
-    pivots, rest = _unit_pivots(rows)
+    return _smith_factors(*_unit_pivots(rows))
+
+
+def _smith_factors(pivots, rest):
+    """``smith_invariant_factors`` of the rows that ``_unit_pivots``
+    reduced to ``pivots`` and ``rest``."""
     rest_cols = sorted({c for row in rest for c in row})
     dense = [[row.get(c, 0) for c in rest_cols] for row in rest]
     return [1] * len(pivots) + (_dense_smith_factors(dense) if dense else [])
@@ -107,7 +116,12 @@ def kernel_bases(rows, cols: int):
     complement and that of the matrix, over Q and over GF(2) alike: a
     basis goes to a basis.
     """
-    pivots, rest = _unit_pivots(rows)
+    return _kernels(*_unit_pivots(rows), cols)
+
+
+def _kernels(pivots, rest, cols: int):
+    """``kernel_bases`` of the rows that ``_unit_pivots`` reduced to
+    ``pivots`` and ``rest``, with ``cols`` columns."""
     taken = {j for j, _ in pivots}
     free = [c for c in range(cols) if c not in taken]
     dense = [[row.get(c, 0) for c in free] for row in rest]

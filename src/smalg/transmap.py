@@ -31,7 +31,6 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from math import gcd
-from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -50,7 +49,7 @@ from .exactnum import (
     _scalar,
     scalar,
 )
-from .intlattice import kernel_bases, smith_invariant_factors
+from .intlattice import _kernels, _smith_factors, _unit_pivots
 from .quasiorder import BeatCore, QuasiOrder, _memo, beat_core, first_unsupported
 from .tokens import convert, parse_int, plain_tokens, strip_comments, token_lines
 
@@ -471,8 +470,9 @@ def _relation_vectors(rho: QuasiOrder, column: Optional[dict] = None):
 @_memo
 def _gauge(q: QuasiOrder):
     """The strict pairs of q, those off its spanning forest, and the
-    relation rows over the latter (``_relation_vectors``), each row a
-    read-only mapping.
+    unit-pivot elimination (``intlattice._unit_pivots``) of the relation
+    rows over the latter (``_relation_vectors``): the Smith form and the
+    kernels both read it, so it runs once per relation.
 
     Every transitive map equals, modulo a trivial map, exactly one map that
     is 1 on the pairs of the forest that ``_spanning_forest`` walks. It
@@ -487,12 +487,12 @@ def _gauge(q: QuasiOrder):
     """
     edges = tuple(q.strict_pairs())
     if not edges:
-        return (), (), ()
+        return (), (), ((), ())
     parent = _spanning_forest(q, dict.fromkeys(edges, ONE)).parent
     tree = {p[1] for p in parent if p is not None}
     off = tuple(e for e in edges if e not in tree)
     rows = _relation_vectors(q, {e: t for t, e in enumerate(off)})[1]
-    return edges, off, tuple(map(MappingProxyType, rows))
+    return edges, off, _unit_pivots(rows)
 
 
 @_memo
@@ -519,8 +519,8 @@ def all_transitive_trivial(rho: QuasiOrder) -> bool:
     trivial ones, for every A, and the inclusion of the core induces an
     isomorphism on homology.
     """
-    _, off, rows = _gauge(beat_core(rho).core)
-    return not off or smith_invariant_factors(rows) == [1] * len(off)
+    _, off, reduced = _gauge(beat_core(rho).core)
+    return not off or _smith_factors(*reduced) == [1] * len(off)
 
 
 def _signed_powers(edges, expo, signs) -> dict:
@@ -566,8 +566,8 @@ def nontrivial_transitive_map(rho: QuasiOrder) -> Optional[TransitiveMap]:
     """
     core = beat_core(rho)
     q = core.core
-    edges, off, rows = _gauge(q)
-    over_q, over_2 = kernel_bases(rows, len(off))
+    edges, off, reduced = _gauge(q)
+    over_q, over_2 = _kernels(*reduced, len(off))
     zeros = [0] * len(off)
     if over_q:
         found = over_q[0], zeros

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: dispatch, exit codes, reports."""
 
+import ast
 import collections
 import contextlib
 import gc
@@ -9,6 +10,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import pytest
 import smalg.cli
 import smalg.diag
 import smalg.exactnum
+import smalg.intlattice
 import smalg.jordan
 import smalg.quasiorder
 import smalg.rankpres
@@ -277,15 +280,16 @@ def test_all_trivial_example_is_constructed_without_random_numbers(
 
 
 def _counted_smith(monkeypatch):
-    """The row counts of the Smith forms taken from here on."""
+    """The row counts of the Smith forms taken from here on: the pivot rows
+    and the complement that the unit-pivot elimination left."""
     calls = []
-    smith = smalg.transmap.smith_invariant_factors
+    smith = smalg.transmap._smith_factors
 
-    def counted(mat):
-        calls.append(len(mat))
-        return smith(mat)
+    def counted(pivots, rest):
+        calls.append(len(pivots) + len(rest))
+        return smith(pivots, rest)
 
-    monkeypatch.setattr(smalg.transmap, "smith_invariant_factors", counted)
+    monkeypatch.setattr(smalg.transmap, "_smith_factors", counted)
     return calls
 
 
@@ -405,6 +409,40 @@ def test_no_relation_outlives_its_request(files):
     finally:
         if enabled:
             gc.enable()
+
+
+@contextlib.contextmanager
+def _unit_pivot_runs():
+    """The runs of the body of ``intlattice._unit_pivots`` while the block
+    runs, counted by its code object: a count of calls through the module
+    name would miss a caller that holds the function."""
+    code = smalg.intlattice._unit_pivots.__code__
+    runs = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            runs.append(len(frame.f_locals["rows"]))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield runs
+    finally:
+        sys.setprofile(previous)
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [["all-trivial", "bowtie"], ["all-trivial", "seven"], ["info", "bowtie"], ["info", "seven"]],
+    ids=" ".join,
+)
+def test_one_unit_pivot_elimination_per_request(files, request_):
+    # a negative all-trivial reads the elimination twice, for the Smith form
+    # and for the kernels; info reads it for the Smith form
+    with _unit_pivot_runs() as runs:
+        out = run(_argv(files, request_))
+    assert out.exit_code == (1 if request_[0] == "all-trivial" else 0)
+    assert len(runs) == 1, runs
 
 
 def test_info_on_the_three_chain_runs_no_smith_form(files, monkeypatch):
@@ -1292,3 +1330,153 @@ def test_map_size_above_the_limit_exits_two_at_once(tmp_path, text):
         assert (out.exit_code, out.report) == (
             2, f"error: {lm}: line 1: size {count} exceeds the limit of 40000\n"
         )
+
+
+# --- records are the one source of every report -----------------------------------
+
+# one request per record kind and branch; names are keys of the ``files``
+# fixture or of the extra files that ``record_files`` writes
+_RECORD_REQUESTS = [
+    ["close", "unclosed"],
+    ["info", "bowtie"],
+    ["info", "t3"],
+    ["blocks", "bowtie"],
+    ["embed", "vee3", "wedge3"],
+    ["embed", "t3", "t3rev"],
+    ["embed", "--jordan", "vee3", "wedge3"],
+    ["trivial", "t3", "sep_gw"],
+    ["trivial", "bowtie", "bowtie_gw"],
+    ["all-trivial", "t3"],
+    ["all-trivial", "bowtie"],
+    ["diagonalize", "t3", "eye3"],
+    ["diagonalize", "t2", "nilp"],
+    ["classify", "t3", "id_t3"],
+    ["classify", "--codomain", "t3", "t3", "id_t3"],
+    ["classify", "corner", "corner_lm"],
+    ["classify", "t2", "vanishing_lm"],
+    ["classify", "--codomain", "delta3", "t3", "id_t3"],
+    ["synthesize", "t3", "--s", "eye3", "--classes", "1,2", "--g", "sep_gw"],
+    ["check-rank", "t3", "id_t3"],
+    ["check-rank", "bowtie", "bowtie_lm"],
+    ["check-rank", "--max-rank", "2", "t3", "id_t3"],
+    ["check-rank", "--max-rank", "4", "chain10", "chain10_lm"],
+    ["check-rank-one", "chain10", "chain10_lm"],
+    ["check-rank-one", "bowtie", "bowtie_lm"],
+    ["witness", "t3", "sep_gw"],
+    ["witness", "bowtie", "bowtie_gw"],
+    ["selftest", "--n", "3"],
+    ["info", "bad"],
+]
+
+
+@pytest.fixture(scope="module")
+def record_files(files, tmp_path_factory):
+    root = tmp_path_factory.mktemp("records")
+    t2 = upper_chain(2)
+    images = {(i, j): DenseMatrix.unit(2, i, j) for (i, j) in t2.pairs()}
+    images[(1, 2)] = DenseMatrix.unit(2, 1, 2).scale(0)
+    extra = {
+        "t2": format_relation(t2),
+        "vanishing_lm": format_linear_map(linear_map(t2, images)),
+    }
+    paths = dict(files)
+    for name, text in extra.items():
+        (root / name).write_text(text)
+        paths[name] = str(root / name)
+    return paths
+
+
+def _rendered(command, records):
+    return "".join(
+        line + "\n" for r in records for line in smalg.cli._render(command, r)
+    )
+
+
+@pytest.mark.parametrize("request_", _RECORD_REQUESTS, ids=" ".join)
+def test_the_text_report_is_the_rendering_of_the_json_records(record_files, request_):
+    argv = _argv(record_files, request_)
+    text = run(argv)
+    out = run(["--format", "json-lines"] + argv)
+    assert out.exit_code == text.exit_code
+    records = [json.loads(line) for line in out.report.splitlines()]
+    assert records
+    assert text.report == _rendered(request_[0], records)
+
+
+def test_the_branches_covered_by_the_record_requests(record_files):
+    # every heading the renderer writes is met by some request above
+    firsts = set()
+    for request in _RECORD_REQUESTS:
+        report = run(_argv(record_files, request)).report
+        firsts.update(line.split(" ")[0] for line in report.splitlines())
+    assert firsts >= {
+        "NO-EMBEDDING", "EMBEDDING", "TRIVIAL", "NONTRIVIAL", "ALL-TRIVIAL",
+        "NOT-ALL-TRIVIAL", "NOT-DIAGONALIZABLE", "NOT-JORDAN", "VANISHING-UNIT",
+        "UNSUPPORTED", "FORM", "VERDICT", "WITNESS", "RANKS", "NOTE", "BOUNDED-OK",
+        "max-rank", "ok", "error:", "S", "g", "pi", "classes", "walk", "separator",
+    }
+
+
+def test_a_failed_suite_renders_from_its_record_alone():
+    # no seed fails a suite, so the record is built here
+    record = {"suite": "round-trip", "ok": False, "detail": "round trip failed"}
+    read_back = json.loads(json.dumps(record, sort_keys=True))
+    assert list(read_back) == ["detail", "ok", "suite"]
+    assert _rendered("selftest", [read_back]) == "FAIL round-trip: round trip failed\n"
+
+
+def test_a_report_is_built_without_extra_copies(tmp_path):
+    # the 2,000-point antichain: a 4 MB presence line, held once as rows,
+    # once as the line and once in the report (4.3 times its length when
+    # the report was joined and then copied once more with its newline)
+    q = tmp_path / "a.qo"
+    q.write_text("2000\n")
+    run(["blocks", str(q)])
+    tracemalloc.start()
+    try:
+        out = run(["blocks", str(q)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.exit_code == 0
+    assert peak < 3.6 * len(out.report)
+
+
+def _record_keys():
+    """The record keys that cli.py writes or reads: the string keys of the
+    dicts built and the string subscripts read inside its functions."""
+    tree = ast.parse(Path(smalg.cli.__file__).read_text(encoding="utf-8"))
+    keys = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Dict):
+                found = node.keys
+            elif isinstance(node, ast.Subscript):
+                found = [node.slice]
+            else:
+                continue
+            keys.update(
+                k.value for k in found
+                if isinstance(k, ast.Constant) and isinstance(k.value, str)
+            )
+    return keys
+
+
+def test_every_record_key_is_in_the_readme_table(record_files):
+    readme = (Path(smalg.cli.__file__).resolve().parents[2] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    section = readme.split("### Report records", 1)[1].split("\n#", 1)[0]
+    table = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+    keys = _record_keys()
+    seen = {
+        key
+        for request in _RECORD_REQUESTS
+        for line in run(["--format", "json-lines"] + _argv(record_files, request))
+        .report.splitlines()
+        for key in json.loads(line)
+    }
+    assert seen <= keys
+    assert sorted(k for k in keys if f"`{k}`" not in table) == []

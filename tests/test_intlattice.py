@@ -132,8 +132,8 @@ def _kernel_inputs():
     for q in relations:
         edges, rows = _relation_vectors(q)
         yield rows, len(edges)
-        _, off, rows = _gauge(q)
-        yield rows, len(off)
+        _, off, _ = _gauge(q)
+        yield _relation_vectors(q, {e: t for t, e in enumerate(off)})[1], len(off)
 
 
 class TestIntegerKernel:
