@@ -18,15 +18,23 @@ Reports go to standard output. `--format json-lines` prints each record as
 one JSON object per line; the text layout is `_render`'s lines for each
 record, which depend on the command and the record alone, so the two
 formats cannot say different things.
+
+The subcommands, their positionals and options are declared once, in
+`_COMMANDS`. Two readers of an argv come from that table: `_plain_args`
+reads an argv spelled exactly as declared, without argparse, and hands
+every other argv to the argparse parser that `_build_parser` builds from
+the same table, which is the one source of usage, help and errors. Both
+give the same namespace, so a handler cannot tell which read its argv.
+argparse is imported only when that parser is first built.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .diag import simultaneous_diagonalize_in_sma
 from .errors import (
@@ -123,11 +131,22 @@ class _InputError(Exception):
 
 
 def _read(path: str) -> str:
+    """The file's bytes decoded as UTF-8, with ``\\r\\n`` and then a lone
+    ``\\r`` read as ``\\n``: the text that text mode reads, without its
+    incremental decoder. A file that is not UTF-8 is unusable input."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        # unbuffered: one read of the whole file needs no buffer object
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.read()
     except OSError as exc:
         raise _InputError(f"error: {path}: {exc.strerror or exc}")
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"error: {path}: not UTF-8 at byte {exc.start}: {exc.reason}")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _diagnostic(path: str, exc) -> str:
@@ -292,6 +311,9 @@ def _render(command: str, record: dict) -> list:
 def _report(fmt: str, command: str, records) -> str:
     """The report of these records, built by one join."""
     if fmt == "json-lines":
+        # imported on first use, like argparse: a text run never loads it
+        import json
+
         lines = [json.dumps(r, sort_keys=True) for r in records]
     else:
         lines = [line for r in records for line in _render(command, r)]
@@ -539,96 +561,180 @@ def _cmd_selftest(args) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the command table, and the two readers of an argv built from it
+
+
+# The table's types are named tuples, not dataclasses: a frozen dataclass
+# builds its methods with exec() at import, about 1 ms a class in every
+# process, against 0.1 ms for a named tuple (2-core x86-64, Python 3.11).
+
+
+class _Option(NamedTuple):
+    """A ``--name`` of the table: a flag when ``read`` is None, else it
+    takes one value, which ``read`` converts."""
+
+    read: object = str
+    default: object = None
+    required: bool = False
+    choices: tuple = None
+
+
+_FLAG = _Option(read=None, default=False)
+_REQUIRED = _Option(required=True)
+
+
+class _Command(NamedTuple):
+    """A subcommand: its handler, positional names and options by name
+    (the table is never changed, so commands may share the empty dict).
+    With ``many`` the last positional takes one or more values; argparse
+    splits those differently when an option comes between them, so such a
+    command has no options."""
+
+    handler: object
+    help: str
+    positionals: tuple = ("relation",)
+    options: dict = {}
+    many: bool = False
+
+
+_GLOBAL_OPTIONS = {
+    "--seed": _Option(parse_int, 0),
+    "--format": _Option(default="text", choices=("text", "json-lines")),
+}
+
+_COMMANDS = {
+    "close": _Command(_cmd_close, "reflexive-transitive closure of a relation"),
+    "info": _Command(_cmd_info, "class structure and predicate summary"),
+    "blocks": _Command(_cmd_blocks, "block triangular renumbering"),
+    "embed": _Command(_cmd_embed, "decide embeddability between two relations",
+                      ("relation", "codomain_relation"), {"--jordan": _FLAG}),
+    "trivial": _Command(_cmd_trivial, "decide triviality of a weight map",
+                        ("relation", "weights")),
+    "all-trivial": _Command(_cmd_all_trivial,
+                            "decide whether every weight map is trivial"),
+    "diagonalize": _Command(_cmd_diagonalize,
+                            "simultaneously diagonalize inside the algebra",
+                            ("relation", "matrices"), many=True),
+    "classify": _Command(_cmd_classify, "canonical form of a Jordan embedding",
+                         ("relation", "map"), {"--codomain": _Option()}),
+    "synthesize": _Command(_cmd_synthesize, "build the map for given (S, classes, g)",
+                           options={"--s": _REQUIRED, "--classes": _REQUIRED,
+                                    "--g": _REQUIRED}),
+    "check-rank": _Command(_cmd_check_rank, "rank preserver classification",
+                           ("relation", "map"), {"--max-rank": _Option(parse_int)}),
+    "check-rank-one": _Command(_cmd_check_rank_one, "certified rank-one preserver check",
+                               ("relation", "map")),
+    "witness": _Command(_cmd_witness, "rank witness for a nontrivial weight map",
+                        ("relation", "weights")),
+    "selftest": _Command(_cmd_selftest, "run the randomized invariant suites", (),
+                         {"--n": _Option(parse_int, 6)}),
+}
+
+
+# the namespace attribute of each option, as argparse names it:
+# --max-rank -> max_rank
+_DESTS = {
+    name: name[2:].replace("-", "_")
+    for options in [_GLOBAL_OPTIONS, *(c.options for c in _COMMANDS.values())]
+    for name in options
+}
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused by every run."""
+def _build_parser():
+    """The argparse parser of the command table, built on first use and
+    reused by every run. argparse is imported here only, so that a run the
+    plain reader serves never loads it."""
+    import argparse
+
+    def add(parser, options):
+        for name, o in options.items():
+            if o.read is None:
+                parser.add_argument(name, action="store_true")
+            else:
+                parser.add_argument(name, type=o.read, default=o.default,
+                                    required=o.required, choices=o.choices)
+
     parser = argparse.ArgumentParser(
         prog="smalg",
         description="decision procedures for structural matrix algebras",
     )
-    parser.add_argument("--seed", type=parse_int, default=0)
-    parser.add_argument(
-        "--format", choices=("text", "json-lines"), default="text"
-    )
+    add(parser, _GLOBAL_OPTIONS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("close", help="reflexive-transitive closure of a relation")
-    p.add_argument("relation")
-    p.set_defaults(handler=_cmd_close)
-
-    p = sub.add_parser("info", help="class structure and predicate summary")
-    p.add_argument("relation")
-    p.set_defaults(handler=_cmd_info)
-
-    p = sub.add_parser("blocks", help="block triangular renumbering")
-    p.add_argument("relation")
-    p.set_defaults(handler=_cmd_blocks)
-
-    p = sub.add_parser("embed", help="decide embeddability between two relations")
-    p.add_argument("--jordan", action="store_true")
-    p.add_argument("relation")
-    p.add_argument("codomain_relation")
-    p.set_defaults(handler=_cmd_embed)
-
-    p = sub.add_parser("trivial", help="decide triviality of a weight map")
-    p.add_argument("relation")
-    p.add_argument("weights")
-    p.set_defaults(handler=_cmd_trivial)
-
-    p = sub.add_parser("all-trivial", help="decide whether every weight map is trivial")
-    p.add_argument("relation")
-    p.set_defaults(handler=_cmd_all_trivial)
-
-    p = sub.add_parser("diagonalize", help="simultaneously diagonalize inside the algebra")
-    p.add_argument("relation")
-    p.add_argument("matrices", nargs="+")
-    p.set_defaults(handler=_cmd_diagonalize)
-
-    p = sub.add_parser("classify", help="canonical form of a Jordan embedding")
-    p.add_argument("--codomain")
-    p.add_argument("relation")
-    p.add_argument("map")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("synthesize", help="build the map for given (S, classes, g)")
-    p.add_argument("relation")
-    p.add_argument("--s", required=True)
-    p.add_argument("--classes", required=True)
-    p.add_argument("--g", required=True)
-    p.set_defaults(handler=_cmd_synthesize)
-
-    p = sub.add_parser("check-rank", help="rank preserver classification")
-    p.add_argument("--max-rank", type=parse_int)
-    p.add_argument("relation")
-    p.add_argument("map")
-    p.set_defaults(handler=_cmd_check_rank)
-
-    p = sub.add_parser("check-rank-one", help="certified rank-one preserver check")
-    p.add_argument("relation")
-    p.add_argument("map")
-    p.set_defaults(handler=_cmd_check_rank_one)
-
-    p = sub.add_parser("witness", help="rank witness for a nontrivial weight map")
-    p.add_argument("relation")
-    p.add_argument("weights")
-    p.set_defaults(handler=_cmd_witness)
-
-    p = sub.add_parser("selftest", help="run the randomized invariant suites")
-    p.add_argument("--n", type=parse_int, default=6)
-    p.set_defaults(handler=_cmd_selftest)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for k, positional in enumerate(command.positionals, 1):
+            many = command.many and k == len(command.positionals)
+            p.add_argument(positional, nargs="+" if many else None)
+        add(p, command.options)
+        p.set_defaults(handler=command.handler)
     return parser
 
 
+def _plain_args(argv):
+    """The namespace argparse builds from ``argv`` when ``argv`` is spelled
+    exactly as the table declares it; None for every other argv.
+
+    Exactly as declared: global options, the command, then its options and
+    positionals in any order. Each option is named in full and, unless it
+    is a flag, followed by its value, which may be ``-`` but not otherwise
+    start with ``-``; no positional starts with ``-``. Everything else
+    (``--x=y``, an abbreviation, ``--``, ``-h``, an unknown command, a
+    missing, extra or ill-typed argument, a global option after the
+    command) is left to argparse, the one source of usage, help and errors.
+    """
+    args = {}
+    for option, o in _GLOBAL_OPTIONS.items():
+        args[_DESTS[option]] = o.default
+    options, name, command, positionals = _GLOBAL_OPTIONS, None, None, []
+    words = iter(argv)
+    for word in words:
+        if word[:1] != "-" and command is not None:
+            positionals.append(word)
+        elif word[:1] != "-":
+            name, command = word, _COMMANDS.get(word)
+            if command is None:
+                return None
+            options = command.options
+            for option, o in options.items():
+                args[_DESTS[option]] = o.default
+        else:
+            option = options.get(word)
+            if option is None:
+                return None
+            value = True
+            if option.read is not None:
+                text = next(words, None)
+                if text is None or (text[:1] == "-" and text != "-"):
+                    return None
+                try:
+                    value = option.read(text)
+                except ValueError:
+                    return None
+                if option.choices is not None and value not in option.choices:
+                    return None
+            args[_DESTS[word]] = value
+    if command is None:
+        return None
+    names = command.positionals
+    if command.many and len(positionals) >= len(names):
+        positionals[len(names) - 1:] = [positionals[len(names) - 1:]]
+    if len(positionals) != len(names):
+        return None
+    args.update(zip(names, positionals))
+    for option, o in options.items():
+        if o.required and args[_DESTS[option]] is None:
+            return None
+    return SimpleNamespace(**args, command=name, handler=command.handler)
+
+
 def run(argv) -> CommandOutcome:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return CommandOutcome(exc.code if exc.code else 0, "")
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return CommandOutcome(exc.code if exc.code else 0, "")
     try:
         code, records = args.handler(args)
         return CommandOutcome(code, _report(args.format, args.command, records))

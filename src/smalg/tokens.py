@@ -8,13 +8,13 @@ and count every line, blank and comment lines included.
 A parser strips the comments once and then reads the text in one of two
 ways. ``plain_tokens`` matches the whole text against a regex of the
 format's grammar, written in ASCII characters with spaces, tabs and ``\\n``
-only, and splits it in one call. (The linear-map parser matches only the
-format's alphabet there and checks the lines on the tokens, as a grammar
-regex is slow on large maps.) It only accepts: a parser that finds
-anything wrong in what it returns, such as a value out of range, reads the
-text again with ``token_lines``, line by line, which finds the first error
-and its line (``convert`` puts the line number on it). So both paths give
-the same value or the same error.
+only, and splits it in one call. (The relation and linear-map parsers
+match only the format's alphabet there and check the lines on the tokens,
+as a grammar regex is slow on large inputs.) It only accepts: a parser
+that finds anything wrong in what it returns, such as a value out of
+range, reads the text again with ``token_lines``, line by line, which finds
+the first error and its line (``convert`` puts the line number on it). So
+both paths give the same value or the same error.
 """
 
 from __future__ import annotations

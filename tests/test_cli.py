@@ -4,6 +4,7 @@ import ast
 import collections
 import contextlib
 import gc
+import io
 import json
 import os
 import random
@@ -14,6 +15,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import smalg.cli
 import smalg.diag
@@ -33,7 +36,7 @@ from smalg.jordan import (
     parse_linear_map,
     synthesize_jordan,
 )
-from smalg.quasiorder import format_relation, from_edges, reverse
+from smalg.quasiorder import format_relation, from_edges, parse_relation, reverse
 from smalg.sampling import random_invertible_in_sma
 from smalg.transmap import (
     apply_induced,
@@ -1480,3 +1483,227 @@ def test_every_record_key_is_in_the_readme_table(record_files):
     }
     assert seen <= keys
     assert sorted(k for k in keys if f"`{k}`" not in table) == []
+
+
+# --- the plain argv reader against argparse, and the byte read ------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+SUBCOMMANDS = list(smalg.cli._COMMANDS)
+OPTION_NAMES = sorted(
+    {name for c in smalg.cli._COMMANDS.values() for name in c.options}
+    | set(smalg.cli._GLOBAL_OPTIONS)
+)
+# words a positional or a text option may be, and integer option values
+VALUES = ["a.qo", "b", "1", "1,2", "", "x y", "text", "-"]
+INTEGERS = ["1", "0", "+2", "3", "-1", "x"]
+# what argparse reads otherwise than as spelled: abbreviations, --x=y, --,
+# a lone -, a negative number, help, and every option name in any place
+NOISE = (
+    [name[: k] for name in OPTION_NAMES for k in range(3, len(name))]
+    + [f"{name}={value}" for name in OPTION_NAMES for value in ("1", "text", "-")]
+    + ["--", "-", "-1", "-h", "--help", "--nope", "-x", "no-such-command"]
+    + OPTION_NAMES
+    + SUBCOMMANDS
+)
+
+
+@st.composite
+def spelled_argvs(draw):
+    """An argv of global options, a command, and the command's options
+    and positionals in some order; sometimes with one positional too few or
+    one or two too many, a global option after the command, or one noise
+    word inserted."""
+
+    def value(option):
+        if option.choices:
+            return draw(st.sampled_from(option.choices + ("xml",)))
+        return draw(st.sampled_from(VALUES if option.read is str else INTEGERS))
+
+    argv = []
+    global_options = smalg.cli._GLOBAL_OPTIONS
+    for name in draw(st.lists(st.sampled_from(sorted(global_options)), max_size=2)):
+        argv += [name, value(global_options[name])]
+    name = draw(st.sampled_from(SUBCOMMANDS))
+    command = smalg.cli._COMMANDS[name]
+    count = len(command.positionals) + draw(st.sampled_from([0] * 6 + [-1, 1, 2]))
+    groups = [[draw(st.sampled_from(VALUES))] for _ in range(count)]
+    for option, spec in command.options.items():
+        if draw(st.booleans()):
+            groups.append([option] if spec.read is None else [option, value(spec)])
+    if draw(st.integers(0, 5)) == 0:
+        misplaced = draw(st.sampled_from(sorted(global_options)))
+        groups.append([misplaced, value(global_options[misplaced])])
+    argv.append(name)
+    argv += [word for group in draw(st.permutations(groups)) for word in group]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(NOISE)))
+    return argv
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return vars(smalg.cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# every argv shape that the tests and the benchmark corpora send
+@settings(max_examples=600, deadline=None)
+@given(
+    st.one_of(
+        spelled_argvs(),
+        st.lists(st.sampled_from(NOISE + VALUES + INTEGERS), max_size=7),
+    )
+)
+@example(["info", "a.qo"])
+@example(["close", "a.qo"])
+@example(["blocks", "a.qo"])
+@example(["all-trivial", "a.qo"])
+@example(["embed", "a.qo", "b.qo"])
+@example(["embed", "--jordan", "a.qo", "b.qo"])
+@example(["trivial", "a.qo", "a.gw"])
+@example(["witness", "a.qo", "a.gw"])
+@example(["diagonalize", "a.qo", "a.gm"])
+@example(["diagonalize", "a.qo", "a.gm", "b.gm"])
+@example(["classify", "a.qo", "a.lm"])
+@example(["classify", "--codomain", "b.qo", "a.qo", "a.lm"])
+@example(["check-rank", "a.qo", "a.lm"])
+@example(["check-rank", "--max-rank", "2", "a.qo", "a.lm"])
+@example(["check-rank", "--max-rank", "-1", "a.qo", "a.lm"])
+@example(["check-rank-one", "a.qo", "a.lm"])
+@example(["synthesize", "a.qo", "--s", "s.gm", "--classes", "-", "--g", "a.gw"])
+@example(["synthesize", "a.qo", "--s", "s.gm", "--classes", "1,2", "--g", "a.gw"])
+@example(["selftest", "--n", "5"])
+@example(["selftest", "--n", "-5"])
+@example(["--seed", "3", "selftest", "--n", "4"])
+@example(["--seed", "1_0", "selftest"])
+@example(["--seed", "3", "check-rank", "--max-rank", "2", "a.qo", "a.lm"])
+@example(["--format", "json-lines", "info", "a.qo"])
+@example(["--format", "xml", "info", "a.qo"])
+@example(["info", "--seed", "1", "a.qo"])
+@example(["info", "a.qo", "--format", "text"])
+@example(["info", "--", "a.qo"])
+@example(["embed", "--jor", "a.qo", "b.qo"])
+@example(["check-rank", "--max-rank=2", "a.qo", "a.lm"])
+@example(["synthesize", "a.qo", "--s", "s.gm", "--classes", "-"])
+@example(["no-such-command"])
+@example([])
+def test_the_plain_reader_agrees_with_argparse(argv):
+    plain = smalg.cli._plain_args(argv)
+    expected = _argparse_vars(argv)
+    if plain is not None:
+        assert vars(plain) == expected
+    if expected is None:
+        assert plain is None
+
+
+@pytest.mark.parametrize("workload", ["algebra", "bulk", "relations", "spectral"])
+def test_the_benchmark_corpora_take_the_plain_path(workload, tmp_path, monkeypatch):
+    sys.path.insert(0, str(ROOT))
+    try:
+        from perfbench import corpus
+    finally:
+        sys.path.remove(str(ROOT))
+
+    def no_parser():
+        raise AssertionError("argparse read a benchmark argv")
+
+    monkeypatch.setattr(smalg.cli, "_build_parser", no_parser)
+    requests = corpus.build(workload, 1, 1)
+    for name, text in requests.files.items():
+        (tmp_path / name).write_text(text)
+    for request in requests.requests:
+        argv = [word.replace("{w}", str(tmp_path)) for word in request.argv]
+        assert run(argv).exit_code == request.expect, request.kind
+
+
+def test_import_leaves_argparse_and_json_out():
+    # -S: no site hook may load either module first
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, smalg.cli; print(sorted({'argparse', 'json'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.stdout == "[]\n"
+
+
+def test_help_exits_zero(capsys):
+    assert run(["--help"]) == smalg.cli.CommandOutcome(0, "")
+    assert "usage: smalg" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "{bad}"],
+        ["diagonalize", "{t3}", "{bad}"],
+        ["trivial", "{t3}", "{bad}"],
+        ["classify", "{t3}", "{bad}"],
+    ],
+    ids=[".qo", ".gm", ".gw", ".lm"],
+)
+def test_a_file_that_is_not_utf8_is_unusable_input(files, tmp_path, argv):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"3\n1 2\xff\n")
+    out = run([word.format(bad=bad, t3=files["t3"]) for word in argv])
+    assert out == smalg.cli.CommandOutcome(
+        2, f"error: {bad}: not UTF-8 at byte 5: invalid start byte\n"
+    )
+
+
+# pieces of files: line breaks text mode translates and ones it keeps, a
+# byte order mark, NUL, invalid and truncated UTF-8, and format tokens
+BYTE_PIECES = [b"\r", b"\n", b"\r\n", b"\r\r\n", b"\n\r", b"\xef\xbb\xbf",
+               "\x85".encode(), "\u2028".encode(), b"\x85", b"\x00", b"\xff",
+               b"\xc3", b"\xe2\x80", b"\xed\xa0\x80", b"1", b"2", b"3", b" ",
+               b"\t", b"#", b"unit", b"1/2", b"i"]
+
+
+def _parsed(text):
+    """Each format's parser on text: a value, or the error and its line."""
+    rho = from_edges(3, [(1, 2), (2, 3), (1, 3)])
+    results = []
+    for parse, written in (
+        (parse_relation, str),
+        (parse_matrix, format_matrix),
+        (lambda t: parse_weights(t, rho), format_weights),
+        (parse_linear_map, format_linear_map),
+    ):
+        try:
+            results.append(written(parse(text)))
+        except Exception as exc:  # both readers must fail alike
+            results.append((type(exc).__name__, getattr(exc, "line", None)))
+    return results
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.lists(st.sampled_from(BYTE_PIECES), max_size=12).map(b"".join),
+                 st.binary(max_size=24)))
+@example(b"3\r\n1 2\r\n")
+@example(b"3\r\r\n1 2\r")
+@example(b"\xef\xbb\xbf3\n1 2\n")
+@example(b"3\n1 2\xff\n")
+def test_the_byte_read_gives_what_text_mode_read(tmp_path, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            expected = handle.read()
+    except UnicodeDecodeError:
+        with pytest.raises(smalg.cli._InputError) as caught:
+            smalg.cli._read(str(path))
+        assert caught.value.message.startswith(f"error: {path}: not UTF-8 at byte ")
+        return
+    text = smalg.cli._read(str(path))
+    assert text == expected
+    assert _parsed(text) == _parsed(expected)

@@ -8,6 +8,7 @@ must give the same value as the reference parser in tests/oracles.py, or
 the same error with the same message and line number.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -244,3 +245,32 @@ def test_token_lines_number_every_line(text):
         if raw.split("#", 1)[0].split()
     ]
     assert token_lines(strip_comments(text)) == expected
+
+
+# line shapes the relation's plain path must hand over to the line walk, or
+# read as it does: a pair line of one or three tokens, a count line of two,
+# a line of 256 tokens, blank lines and spaces around tokens, leading
+# zeros, values outside 1..n, and a last line without its newline
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3\n1 2 3\n",
+        "3\n1\n",
+        "3 1\n1 2\n",
+        "\n\n 3 \n\n1\t2 \n\n \t\n2 3",
+        "3\n" + "1 " * 256 + "\n",
+        "3\n" + "1 2 " * 128 + "\n",
+        "000003\n1 2\n",
+        "00003\n1 2\n",
+        "3\n01 000002\n",
+        "3\n0 1\n",
+        "3\n1 4\n",
+        "40000\n40000 1\n",
+        "40001\n",
+        "3\n\n",
+        "\n \n",
+        "3",
+    ],
+)
+def test_relation_line_shapes_match_the_line_parser(text):
+    assert outcome(parse_relation, text) == outcome(line_parse_relation, text)
