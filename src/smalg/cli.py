@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -112,8 +111,7 @@ from .transmap import (
 MAX_SELFTEST_N = 20
 
 
-@dataclass(frozen=True)
-class CommandOutcome:
+class CommandOutcome(NamedTuple):
     exit_code: int
     report: str
 
@@ -473,7 +471,7 @@ def _cmd_check_rank_one(args) -> tuple:
     phi = _load_lm(args.map, rho)
     try:
         verdict = certify_rank_one_preserver(phi)
-    except (NotUnital, VanishingUnitImage) as exc:
+    except NotUnital as exc:
         raise _InputError(f"error: {exc}")
     return (0 if verdict.kind == "RankOnePreserver" else 1), _verdict(verdict)
 

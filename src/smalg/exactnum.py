@@ -760,21 +760,23 @@ class BlockRow:
     """n x n blocks B_0, ..., B_{k-1} side by side in one n x (n k) matrix
     [B_0 | B_1 | ... | B_{k-1}].
 
-    ``matrix`` is that matrix, with one denominator over all the blocks.
-    ``nonzeros[t]`` lists the nonzero numerators of B_t over it, as
-    (row-major position in the block, re, im) in position order. They are
-    found once, when the row is built, so each read below takes time in the
-    nonzeros of the blocks it reads.
+    ``d`` is the one denominator over all the blocks, and ``nonzeros[t]``
+    lists the nonzero numerators of B_t over it, as (row-major position in
+    the block, re, im) in position order, in lowest terms over the whole
+    row. They are found once, when the row is built, so each read below
+    takes time in the nonzeros of the blocks it reads. ``matrix``, the
+    dense n x (n k) matrix, is built on its first read and kept.
     """
 
-    __slots__ = ("n", "matrix", "nonzeros")
+    __slots__ = ("n", "d", "nonzeros", "_matrix")
 
     def __init__(self, matrix: DenseMatrix, n: int):
         width = matrix.cols
         if matrix.rows != n or width % n:
             raise DimensionMismatch(f"a {matrix.shape} matrix is no row of {n}x{n} blocks")
         self.n = n
-        self.matrix = matrix
+        self.d = matrix._d
+        self._matrix = matrix
         nonzeros = [[] for _ in range(width // n)]
         re, im = matrix._re, matrix._im
         for t in _nonzero_positions(matrix):
@@ -814,20 +816,29 @@ class BlockRow:
     @classmethod
     def _build(cls, n: int, d: int, nonzeros: list) -> "BlockRow":
         """The row with these nonzero numerators over d, in lowest terms."""
-        width = n * len(nonzeros)
-        re, im = [0] * (n * width), [0] * (n * width)
-        for t, entries in enumerate(nonzeros):
-            base = t * n
-            for pos, a, b in entries:
-                r, c = divmod(pos, n)
-                k = r * width + base + c
-                re[k] = a
-                im[k] = b
         row = object.__new__(cls)
         row.n = n
-        row.matrix = _new(n, width, d, tuple(re), tuple(im))
+        row.d = d
         row.nonzeros = nonzeros
+        row._matrix = None
         return row
+
+    @property
+    def matrix(self) -> DenseMatrix:
+        """The dense n x (n k) matrix of the row."""
+        if self._matrix is None:
+            n = self.n
+            width = n * len(self.nonzeros)
+            re, im = [0] * (n * width), [0] * (n * width)
+            for t, entries in enumerate(self.nonzeros):
+                base = t * n
+                for pos, a, b in entries:
+                    r, c = divmod(pos, n)
+                    k = r * width + base + c
+                    re[k] = a
+                    im[k] = b
+            self._matrix = _new(n, width, self.d, tuple(re), tuple(im))
+        return self._matrix
 
     def __len__(self):
         return len(self.nonzeros)
@@ -855,11 +866,11 @@ class BlockRow:
             for pos, a, b in self.nonzeros[t]:
                 re[pos] += p * a - q * b
                 im[pos] += p * b + q * a
-        return _reduced(self.n, self.n, dc * self.matrix._d, re, im)
+        return _reduced(self.n, self.n, dc * self.d, re, im)
 
     def literals(self, t: int) -> list:
         """The literals of the n*n entries of B_t, row-major."""
-        d = self.matrix._d
+        d = self.d
         out = ["0"] * (self.n * self.n)
         for pos, a, b in self.nonzeros[t]:
             out[pos] = _reduced_scalar(a, b, d).literal()
@@ -928,15 +939,58 @@ class UnitFrame:
                 f, h = u * p - v * q, u * q + v * p
                 tr += f * w - h * z
                 ti += f * z + h * w
-        return _scalar_over(tr, ti, self._d * blocks.matrix._d)
+        return _scalar_over(tr, ti, self._d * blocks.d)
+
+    def propose(self, blocks: BlockRow, t: int, i: int, j: int):
+        """The term (g, a, b), with (a, b) = (i, j) or (j, i) for i != j,
+        that block t equals if it is one scaled outer product g c_a r_b of
+        either orientation; None when neither fits. Block t must be nonzero.
+
+        The first nonzero entry of g c_a r_b, in row-major order, lies in
+        the row of the first nonzero of c_a and the column of the first
+        nonzero of r_b. When that position tells the two orientations apart,
+        the one that leads where block t leads is proposed, and one division
+        of the leading entries gives g. When both lead there, g is the
+        coordinate of the one orientation with a nonzero coordinate: block
+        t = g c_i r_j has coordinate g at (i, j) and r_j (g c_i r_j) c_i = 0
+        at (j, i), as r_j c_i = 0. A proposal proves nothing; ``matches``
+        decides it.
+        """
+        self._check(blocks)
+        pos, p, q = blocks.nonzeros[t][0]
+        fits = []
+        for a, b in ((i, j), (j, i)):
+            at, lead = self._lead(a, b)
+            if at == pos:
+                fits.append((a, b, lead))
+        if len(fits) == 2:
+            alpha = self.coordinate(blocks, t, i, j)
+            beta = self.coordinate(blocks, t, j, i)
+            if alpha and not beta:
+                return alpha, i, j
+            if beta and not alpha:
+                return beta, j, i
+            return None
+        if not fits:
+            return None
+        [(a, b, (x, y))] = fits
+        # the block's (p + q i) / e over the outer product's (x + y i) / d
+        d = self._d
+        return _quotient(_scalar(p * d, q * d, blocks.d), _scalar(x, y, 1)), a, b
+
+    def _lead(self, a: int, b: int):
+        """The row-major position of the first nonzero entry of c_a r_b, and
+        its numerator (re, im)."""
+        k, x, y = self._cols[a - 1][0]
+        l, u, v = self._rows[b - 1][0]
+        return k * self.n + l, (x * u - y * v, x * v + y * u)
 
     def _sum(self, terms):
-        """The nonzero numerators of sum g c_a r_b as (0-based row-major
-        position, re, im) in position order, and their common denominator.
-        One term needs no merging: its outer product comes out in position
-        order, and every entry is a product of nonzero Gaussian integers."""
-        terms = [(scalar(g), a, b) for g, a, b in terms]
-        terms = [term for term in terms if term[0]]
+        """The nonzero numerators of sum g c_a r_b over nonzero scalars g as
+        (0-based row-major position, re, im) in position order, and their
+        common denominator. One term needs no merging: its outer product
+        comes out in position order, and every entry is a product of nonzero
+        Gaussian integers."""
         dg = lcm(*{g.d for g, _, _ in terms})
         n = self.n
         out = []
@@ -959,22 +1013,49 @@ class UnitFrame:
     def matches(self, blocks: BlockRow, t: int, terms) -> bool:
         """Whether block t equals the sum of the terms, decided by
         cross-multiplying numerators: the sum's nonzero entries must be the
-        block's, at the same positions."""
+        block's, at the same positions.
+
+        One term g c_a r_b is streamed: its |c_a| |r_b| entries, all
+        nonzero and in position order, must be as many as the block's
+        nonzeros, and are compared with them one by one up to the first
+        that differs."""
         self._check(blocks)
-        got, d = self._sum(terms)
+        terms = _nonzero_terms(terms)
         mine = blocks.nonzeros[t]
-        if len(got) != len(mine):
+        e = blocks.d
+        if len(terms) != 1:
+            got, d = self._sum(terms)
+            if len(got) != len(mine):
+                return False
+            # the block (a + i b) / e against the sum (x + i y) / d
+            return [(pos, x * e, y * e) for pos, x, y in got] == [
+                (pos, a * d, b * d) for pos, a, b in mine
+            ]
+        [(g, a, b)] = terms
+        col, row = self._cols[a - 1], self._rows[b - 1]
+        if len(col) * len(row) != len(mine):
             return False
-        e = blocks.matrix._d
-        # the block (a + i b) / e against the sum (x + i y) / d
-        return [(pos, x * e, y * e) for pos, x, y in got] == [
-            (pos, a * d, b * d) for pos, a, b in mine
-        ]
+        d = g.d * self._d
+        gp, gq = e * g.p, e * g.q
+        n = self.n
+        entries = iter(mine)
+        for k, u, v in col:
+            xr, xi = gp * u - gq * v, gp * v + gq * u
+            base = k * n
+            for l, p, q in row:
+                pos, re, im = next(entries)
+                if (
+                    pos != base + l
+                    or re * d != xr * p - xi * q
+                    or im * d != xr * q + xi * p
+                ):
+                    return False
+        return True
 
     def block_row(self, term_lists) -> BlockRow:
         """The row of blocks whose block t is the sum g c_a r_b over
         term_lists[t], over one common denominator, reduced once."""
-        sums = [self._sum(terms) for terms in term_lists]
+        sums = [self._sum(_nonzero_terms(terms)) for terms in term_lists]
         d = lcm(*{e for _, e in sums})
         nonzeros = []
         for entries, e in sums:
@@ -988,6 +1069,12 @@ class UnitFrame:
                     [(pos, a // g, b // g) for pos, a, b in entries] for entries in nonzeros
                 ]
         return BlockRow._build(self.n, d, nonzeros)
+
+
+def _nonzero_terms(terms) -> list:
+    """The terms (g, a, b) with g made a scalar, less those with g = 0."""
+    terms = [(scalar(g), a, b) for g, a, b in terms]
+    return [term for term in terms if term[0]]
 
 
 # --- elimination ----------------------------------------------------------------

@@ -5,20 +5,24 @@ basis, kept side by side as one integer matrix over one denominator with
 the nonzero entries of each image listed once (``BlockRow``): every check
 below reads those lists, and the normalization phi(I)^-1 phi of the rank
 preservers is one product with that matrix. Classification factors a
-nonvanishing Jordan homomorphism into conjugation, a central idempotent splitting multiplicative from
-antimultiplicative behavior, and a transitive weight map; a map that fails
-one of its checks is not Jordan, so the same ladder recognizes Jordan maps.
-Synthesis goes the other way. Embedding questions between two algebras
+nonvanishing Jordan homomorphism into conjugation, a central idempotent
+splitting multiplicative from antimultiplicative behavior, and a transitive
+weight map. Each unit image of such a map is one scaled outer product
+g c_a r_b of a column of the similarity and a row of its inverse, so the
+first nonzero entry of an image fixes its orientation (a, b) and g; the
+form they propose is proved by one exact pass that compares every image
+with its term. The pass succeeds exactly when every check of the
+verification ladder would (see ``classify_jordan``); a map that fails it
+is not Jordan, and the ladder, run only then, names the first check it
+fails. Synthesis goes the other way. Embedding questions between two algebras
 reduce to a finite search over class unions and increasing permutations.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, compress
-from typing import Optional
 
 from .diag import simultaneous_diagonalize_in_sma
 from .errors import (
@@ -118,7 +122,12 @@ class LinearMapOnSMA:
     def __eq__(self, other):
         if not isinstance(other, LinearMapOnSMA):
             return NotImplemented
-        return self.rho == other.rho and self.blocks.matrix == other.blocks.matrix
+        mine, theirs = self.blocks, other.blocks
+        return (
+            self.rho == other.rho
+            and mine.d == theirs.d
+            and mine.nonzeros == theirs.nonzeros
+        )
 
     def __repr__(self):
         return f"LinearMapOnSMA(n={self.rho.n}, units={len(self.units)})"
@@ -138,7 +147,6 @@ def apply(phi: LinearMapOnSMA, x: DenseMatrix) -> DenseMatrix:
     return phi.blocks.combination((x.at(*p), index[p]) for p in x.support())
 
 
-@dataclass(frozen=True)
 class CanonicalJordanForm:
     """Factorization of a Jordan homomorphism.
 
@@ -151,11 +159,25 @@ class CanonicalJordanForm:
     checked, and takes no part in comparisons.
     """
 
-    s: DenseMatrix
-    u: frozenset
-    g: TransitiveMap
-    pi: Optional[tuple] = None
-    s_inv: Optional[DenseMatrix] = field(default=None, repr=False, compare=False)
+    __slots__ = ("s", "u", "g", "pi", "s_inv")
+
+    def __init__(self, s: DenseMatrix, u: frozenset, g: TransitiveMap, pi=None, s_inv=None):
+        self.s = s
+        self.u = u
+        self.g = g
+        self.pi = pi
+        self.s_inv = s_inv
+
+    def _key(self) -> tuple:
+        return self.s, self.u, self.g, self.pi
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return "CanonicalJordanForm(s={!r}, u={!r}, g={!r}, pi={!r})".format(*self._key())
 
     @property
     def rho(self) -> QuasiOrder:
@@ -200,17 +222,36 @@ class CanonicalJordanForm:
 def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
     """Factor a nonvanishing Jordan homomorphism into canonical parameters.
 
-    The verification ladder doubles as a decision procedure: every check
-    that fails names a Jordan violation, and an input passing all of them,
-    including the final exact reconstruction, provably was of the canonical
-    form, hence a Jordan homomorphism.
-
-    Every check runs in one frame (``UnitFrame``) of an S0 and its inverse,
+    Every step runs in one frame (``UnitFrame``) of an S0 and its inverse,
     inverted once: column k of S0 is c_k, the first nonzero column of
-    q_k = phi(E_kk) scaled to lead with 1, and r_k is row k of S0^-1. The
-    diagonal units pass when q_k == c_k r_k for every k. With S0
-    invertible this holds exactly when the q_k are orthogonal idempotents
-    (q_k q_l + q_l q_k = 0 for k != l), which is what the dense checks test:
+    q_k = phi(E_kk) scaled to lead with 1, and r_k is row k of S0^-1. A
+    Jordan map in canonical form sends E_kk to c_k r_k and the strict unit
+    E_ij to one scaled outer product g c_a r_b, with (a, b) = (i, j) on the
+    multiplicative part and (j, i) on the antimultiplicative part. So each
+    image is compared once with its term in the frame: the diagonal images
+    first, as their terms c_k r_k hold for every form, then the strict
+    ones, whose terms the form proposed by their first nonzero entries
+    gives (``UnitFrame.propose``, which fixes (a, b) and g).
+
+    A passing comparison proves what the verification ladder would: if
+    phi(E_ij) = g c_i r_j, the ladder's alpha = r_i phi(E_ij) c_j is g, as
+    r_i c_i = r_j c_j = 1, and its beta = r_j (g c_i r_j) c_i is 0, as
+    r_j c_i = 0; the orientation (j, i) is symmetric. So the ladder finds
+    each image in span(c_i r_j, c_j r_i) with one coordinate nonzero, the
+    same kind of pair in each class, the same weights, hence the same u and
+    g, and the same S0; every one of its checks passes and its form is this
+    one. Conversely a map the ladder accepts equals its form's
+    reconstruction, so each strict image is g c_a r_b, which leads where
+    c_a r_b leads: the proposal is the ladder's term and the pass
+    succeeds. Only a failure of a strict image runs the rest of the ladder
+    (``_name_failure``), in the same frame, to name the first check the map
+    fails.
+
+    The ladder is also a decision procedure: every check that fails names a
+    Jordan violation. The diagonal units pass when q_k == c_k r_k for every
+    k. With S0 invertible this holds exactly when the q_k are orthogonal
+    idempotents (q_k q_l + q_l q_k = 0 for k != l), which is what the dense
+    checks test:
 
     - If q_k = c_k r_k for all k, then r_k c_l = delta_kl, as S0^-1 S0 = I,
       gives q_k q_l = c_k (r_k c_l) r_l = delta_kl q_k.
@@ -230,12 +271,10 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
     phi(E_ij) == alpha c_i r_j + beta c_j r_i, with alpha = r_i phi(E_ij) c_j
     and beta = r_j phi(E_ij) c_i the entries (i, j) and (j, i) of
     S0^-1 phi(E_ij) S0; as S0 is invertible, that is S0^-1 phi(E_ij) S0
-    lying in span(E_ij, E_ji). The final reconstruction compares each unit
-    image with its term in the same frame. No step forms an n x n by n x n
-    product unless a diagonal check fails.
+    lying in span(E_ij, E_ji). No step forms an n x n by n x n product
+    unless a diagonal check fails.
     """
-    rho = phi.rho
-    n = rho.n
+    n = phi.rho.n
     blocks = phi.blocks
     for pair, nonzeros in zip(phi.units, blocks.nonzeros):
         if not nonzeros:
@@ -250,6 +289,7 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
         frame = None
     else:
         frame = UnitFrame(s0, s0inv)
+    # the term of E_kk is c_k r_k whatever the form
     if frame is None or not all(
         frame.matches(blocks, t, ((ONE, k, k),)) for k, t in enumerate(diag, start=1)
     ):
@@ -257,11 +297,55 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
         raise InternalInconsistency(
             "diagonal unit images pass the dense checks but not the frame"
         )
+    strict = [(t, p) for t, p in enumerate(phi.units) if p[0] != p[1]]
+    form = _proposed_form(phi, frame, s0, s0inv, strict)
+    if form is not None and all(
+        frame.matches(blocks, t, (form._term(*p),)) for t, p in strict
+    ):
+        return form
+    _name_failure(phi, frame, strict)
+    raise InternalInconsistency(
+        "the map passes every check of the ladder but does not match its form"
+    )
+
+
+def _proposed_form(phi: LinearMapOnSMA, frame: UnitFrame, s0, s0inv, strict: list):
+    """The form that the strict images, (block index, unit) pairs, propose
+    in the frame of S0 (``UnitFrame.propose``), or None when an image fits
+    neither orientation or the weights are not transitive. u is the union
+    of the classes with a multiplicative pair; a class that holds both
+    kinds of pair fails the comparison with the form, as an
+    antimultiplicative image g c_j r_i is not g c_i r_j."""
+    rho = phi.rho
+    blocks = phi.blocks
     mult = {}
     anti = {}
-    for t, (i, j) in enumerate(phi.units):
-        if i == j:
-            continue
+    for t, (i, j) in strict:
+        term = frame.propose(blocks, t, i, j)
+        if term is None:
+            return None
+        g, a, _ = term
+        (mult if a == i else anti)[(i, j)] = g
+    try:
+        g = validate(rho, {**mult, **anti})
+    except NotTransitive:
+        return None
+    heads = {i for i, _ in mult}
+    u = frozenset().union(
+        *(blk for blk in approx_classes(rho).blocks if not heads.isdisjoint(blk))
+    )
+    return CanonicalJordanForm(s=s0, u=u, g=g, s_inv=s0inv)
+
+
+def _name_failure(phi: LinearMapOnSMA, frame: UnitFrame, strict: list) -> None:
+    """The verification ladder past the diagonal images, in the frame of
+    S0: raise NotJordan for the first check phi fails, in order each strict
+    image, (block index, unit) pairs in unit order, the classes, and
+    transitivity of the weights. Returns when every check passes."""
+    blocks = phi.blocks
+    mult = {}
+    anti = {}
+    for t, (i, j) in strict:
         alpha = frame.coordinate(blocks, t, i, j)
         beta = frame.coordinate(blocks, t, j, i)
         if not frame.matches(blocks, t, ((alpha, i, j), (beta, j, i))):
@@ -279,9 +363,7 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
             mult[(i, j)] = alpha
         else:
             anti[(i, j)] = beta
-    classes = approx_classes(rho).blocks
-    u = set()
-    for blk in classes:
+    for blk in approx_classes(phi.rho).blocks:
         m_pairs = sorted(p for p in mult if p[0] in blk)
         a_pairs = sorted(p for p in anti if p[0] in blk)
         if m_pairs and a_pairs:
@@ -289,21 +371,13 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
                 "multiplicative and antimultiplicative pairs share a class",
                 pair=(m_pairs[0], a_pairs[0]),
             )
-        if m_pairs:
-            u |= blk
     try:
-        g = validate(rho, {**mult, **anti})
+        validate(phi.rho, {**mult, **anti})
     except NotTransitive as exc:
         raise NotJordan(
             f"unit weights are not multiplicatively transitive: {exc}",
             pair=exc.witness,
         ) from exc
-    form = CanonicalJordanForm(s=s0, u=frozenset(u), g=g, s_inv=s0inv)
-    if not form.reproduces(phi):
-        raise InternalInconsistency(
-            "reconstruction differs; the input was not a Jordan homomorphism"
-        )
-    return form
 
 
 def _range_vector(nonzeros, n: int) -> list:

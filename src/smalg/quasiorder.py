@@ -18,7 +18,6 @@ as an argument beside the relation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import wraps
 from heapq import heappop, heappush
 from itertools import compress, islice
@@ -256,8 +255,7 @@ def reverse(q: QuasiOrder) -> QuasiOrder:
     return QuasiOrder(q.n, rows)
 
 
-@dataclass(frozen=True)
-class ClassPartition:
+class ClassPartition(NamedTuple):
     """A partition of {1..n} into blocks, ordered by smallest element."""
 
     n: int
@@ -335,8 +333,7 @@ def class_union(q: QuasiOrder, u) -> frozenset:
     return uset
 
 
-@dataclass(frozen=True)
-class BlockTriangularForm:
+class BlockTriangularForm(NamedTuple):
     """Renumbering onto a block upper-triangular pattern.
 
     ``pi`` relabels old index i to pi(i); ``sizes`` are the diagonal block

@@ -14,7 +14,6 @@ samples come from ``smalg.sampling``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -48,8 +47,7 @@ class RankWitness(NamedTuple):
     ranks: tuple
 
 
-@dataclass(frozen=True)
-class PreserverVerdict:
+class PreserverVerdict(NamedTuple):
     """Outcome of a preserver decision.
 
     Exactly one of ``form`` (positive case) or ``witness`` (negative case)
@@ -104,11 +102,14 @@ def certify_rank_one_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     4-cycle, i.e. every rectangle minor vanishes; otherwise the least-rank
     witness is that rectangle's all-ones indicator. Non-Jordan inputs must
     be unital, where rank-one preservation would contradict their
-    non-Jordan-ness, so a sampled counterexample exists.
+    non-Jordan-ness, so a sampled counterexample exists. A unit whose image
+    vanishes is itself a witness: rank one, sent to rank zero.
     """
     n = phi.rho.n
     try:
         form = classify_jordan(phi)
+    except VanishingUnitImage as exc:
+        return _vanishing_unit(phi, exc.pair, f"the unit image at {exc.pair} vanishes")
     except NotJordan:
         if apply(phi, DenseMatrix.identity(n)) != DenseMatrix.identity(n):
             raise NotUnital("map is neither Jordan nor unital")
@@ -128,6 +129,15 @@ def certify_rank_one_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
         kind="Neither",
         witness=RankWitness(x, (1, r_image)),
         note="rectangle minor does not vanish",
+    )
+
+
+def _vanishing_unit(phi: LinearMapOnSMA, pair, note: str) -> PreserverVerdict:
+    """Neither, witnessed by the unit at ``pair``, of rank one, whose image
+    vanishes."""
+    unit = DenseMatrix.unit(phi.rho.n, *pair)
+    return PreserverVerdict(
+        kind="Neither", witness=RankWitness(unit, (1, rank(apply(phi, unit)))), note=note
     )
 
 
@@ -213,11 +223,8 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     try:
         form = classify_jordan(psi)
     except VanishingUnitImage as exc:
-        unit = DenseMatrix.unit(n, *exc.pair)
-        return PreserverVerdict(
-            kind="Neither",
-            witness=RankWitness(unit, (1, rank(apply(phi, unit)))),
-            note=f"fails rank: the unit image at {exc.pair} vanishes",
+        return _vanishing_unit(
+            phi, exc.pair, f"fails rank: the unit image at {exc.pair} vanishes"
         )
     except NotJordan as exc:
         return _sampled_rank_one_counterexample(

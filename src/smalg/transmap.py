@@ -28,7 +28,6 @@ strict pair). The seeded sampler over the kernel of all the relations,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from math import gcd
 from typing import NamedTuple, Optional
@@ -297,8 +296,7 @@ def apply_induced(g: TransitiveMap, x: DenseMatrix) -> DenseMatrix:
     )
 
 
-@dataclass(frozen=True)
-class TrivialityCertificate:
+class TrivialityCertificate(NamedTuple):
     """Outcome of the triviality decision.
 
     Separator case: ``separator`` maps every vertex to a nonzero scalar with

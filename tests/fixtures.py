@@ -279,3 +279,24 @@ BAD_LITERALS = [
     ("\u0663", "bad scalar literal '\u0663'"),  # ARABIC-INDIC DIGIT THREE
     ("i", "bad scalar literal 'i'"),
 ]
+
+
+def corpus_style_jordan_map(n: int, seed: int):
+    """A Jordan map on the n-chain built as the benchmark corpus builds its
+    maps: S = D E_1 ... E_n with D diagonal over 1, -1, 2, 1+i and each E_k
+    an elementary matrix I + c E_ab (c in 1, -1, 2), a separator weight map
+    g(i, j) = s(i)/s(j), and the chain's one class in u or not."""
+    import random
+
+    from smalg.jordan import CanonicalJordanForm
+
+    rng = random.Random(seed)
+    rho = upper_chain(n)
+    s = DenseMatrix.diag([rng.choice(["1", "-1", "2", "1+1i"]) for _ in range(n)])
+    eye = DenseMatrix.identity(n)
+    for _ in range(n):
+        a, b = rng.sample(range(1, n + 1), 2)
+        s = s * (eye + DenseMatrix.unit(n, a, b).scale(rng.choice([1, -1, 2])))
+    g = separator_map(rho, {i: rng.choice([1, -1, 2, "1/2", "1i"]) for i in range(1, n + 1)})
+    u = frozenset(range(1, n + 1)) if rng.random() < 0.5 else frozenset()
+    return CanonicalJordanForm(s=s, u=u, g=g).reconstruct()

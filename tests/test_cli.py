@@ -53,6 +53,7 @@ from fixtures import (
     chain10_weights,
     corner,
     corner_map_images,
+    corpus_style_jordan_map,
     delta,
     full,
     linear_map,
@@ -981,6 +982,52 @@ def test_check_rank_one_not_unital(files):
     assert out.exit_code == 2
 
 
+def test_check_rank_one_vanishing_unit_is_a_verdict(tmp_path):
+    # E_12 has rank one and its image rank zero: a negative verdict with
+    # the unit as its witness, as check-rank gives, not unusable input
+    rel = tmp_path / "t2.qo"
+    rel.write_text("2\n1 2\n")
+    lm = tmp_path / "vanish.lm"
+    lm.write_text("2\nunit 1 1\n1 0\n0 0\nunit 1 2\n0 0\n0 0\nunit 2 2\n0 0\n0 1\n")
+    out = run(["check-rank-one", str(rel), str(lm)])
+    assert (out.exit_code, out.report) == (
+        1,
+        "VERDICT Neither\nWITNESS\n2 2\n0 1\n0 0\nRANKS 1 0\n"
+        "NOTE the unit image at (1, 2) vanishes\n",
+    )
+    out = run(["--format", "json-lines", "check-rank-one", str(rel), str(lm)])
+    assert out.exit_code == 1
+    assert [json.loads(line) for line in out.report.splitlines()] == [
+        {"verdict": "Neither"},
+        {"ranks": [1, 0], "witness": "2 2\n0 1\n0 0\n"},
+        {"note": "the unit image at (1, 2) vanishes"},
+    ]
+    out = run(["check-rank", str(rel), str(lm)])
+    assert out.exit_code == 1
+    assert "RANKS 1 0" in out.report.splitlines()
+
+
+@pytest.mark.parametrize("command", ["classify", "check-rank", "check-rank-one"])
+def test_a_jordan_map_is_read_without_its_dense_matrix(tmp_path, command):
+    # a map over the 30-chain, 465 units in about 850 KB of text: the
+    # images stay as their nonzeros, and no n x (n |rho|) matrix is built
+    phi = corpus_style_jordan_map(30, 0)
+    rel = tmp_path / "chain30.qo"
+    rel.write_text(format_relation(phi.rho))
+    lm = tmp_path / "chain30.lm"
+    lm.write_text(format_linear_map(phi))
+    argv = [command, str(rel), str(lm)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.exit_code == 0
+    assert peak < 9_000_000
+
+
 def test_verdict_form_blocks(files):
     # check-rank and check-rank-one print the FORM block classify prints
     form = run(["classify", files["t3"], files["id_t3"]])
@@ -1629,6 +1676,23 @@ def test_import_leaves_argparse_and_json_out():
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, smalg.cli; print(sorted({'argparse', 'json'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.stdout == "[]\n"
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    # a frozen dataclass loads both at import, about 9 ms of every process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, smalg.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
         capture_output=True,
         text=True,
         env=env,

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from smalg.errors import (
     DimensionMismatch,
@@ -42,7 +44,7 @@ from smalg.jordan import (
     parse_linear_map,
     synthesize_jordan,
 )
-from smalg.quasiorder import from_edges
+from smalg.quasiorder import approx_classes, from_edges
 from smalg.sampling import random_transitive_map
 from smalg.transmap import apply_induced, validate
 
@@ -52,6 +54,7 @@ from fixtures import (
     census12,
     corner,
     corner_map_images,
+    corpus_style_jordan_map,
     cycle_over_point,
     delta,
     double_chain,
@@ -655,6 +658,186 @@ def test_frame_ladder_agrees_with_the_dense_ladder():
     assert kinds["form"] >= 250
     assert min(kinds["idempotent"], kinds["leaves span"]) >= 150
     assert min(kinds["orthogonal"], kinds["transitive"]) >= 25
+
+
+def _sharing_similarity(n):
+    """1 everywhere, 2 on the diagonal below the first row: the first row
+    of S and the first column of S^-1 have no zero, so every c_a r_b leads
+    at (1, 1) and no strict image is told apart by its leading entry."""
+    return DenseMatrix.from_rows(
+        [[2 if i == j > 1 else 1 for j in range(1, n + 1)] for i in range(1, n + 1)]
+    )
+
+
+def _corrupted(phi, form, draw):
+    """phi with one change drawn: none, an image scaled, c_b r_a added to a
+    strict image g c_a r_b or put in its place, one entry changed, zeroed
+    or added, a diagonal image doubled, or two diagonal images made equal,
+    which makes S0 singular."""
+    rho = phi.rho
+    n = rho.n
+    images = phi.unit_images()
+    strict = rho.strict_pairs()
+    kind = draw(st.sampled_from(
+        ["none", "scale", "mix", "swap", "entry", "double", "singular"]
+    ))
+    c = scalar(draw(st.sampled_from(["2", "-1", "1/2", "1i", "1+1i"])))
+
+    def outer(a, b):
+        return form.s * unit(n, a, b) * inverse(form.s)
+
+    if kind == "scale":
+        p = draw(st.sampled_from(rho.pairs()))
+        images[p] = images[p].scale(c)
+    elif kind in ("mix", "swap") and strict:
+        p = draw(st.sampled_from(strict))
+        g, a, b = form._term(*p)
+        images[p] = images[p] + outer(b, a).scale(c) if kind == "mix" else outer(b, a).scale(g)
+    elif kind == "entry":
+        p = draw(st.sampled_from(rho.pairs()))
+        i, j = draw(st.integers(1, n)), draw(st.integers(1, n))
+        if draw(st.booleans()):
+            images[p] = images[p] + unit(n, i, j).scale(c)
+        else:
+            images[p] = images[p] - unit(n, i, j).scale(images[p].at(i, j))
+    elif kind == "double":
+        k = draw(st.integers(1, n))
+        images[(k, k)] = images[(k, k)].scale(2)
+    elif kind == "singular" and n > 1:
+        k, l = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        images[(k, k)] = images[(l, l)]
+    return LinearMapOnSMA(rho, images)
+
+
+@st.composite
+def _jordan_or_corrupted(draw):
+    """A Jordan map built by ``synthesize_jordan`` on a quasi-order of at
+    most 5 points, from S = D B E_1 ... E_k (D diagonal, B the identity or
+    ``_sharing_similarity``, E elementary), a class union and a transitive
+    g; then maybe corrupted (``_corrupted``)."""
+    n = draw(st.integers(1, 5))
+    vertex = st.integers(1, n)
+    edges = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=8))
+    rho = from_edges(n, edges)
+    d = draw(st.lists(st.sampled_from(["1", "-1", "2", "1+1i"]), min_size=n, max_size=n))
+    s = DenseMatrix.diag(d)
+    if draw(st.booleans()):
+        s = s * _sharing_similarity(n)
+    if n > 1:
+        pair = st.lists(vertex, min_size=2, max_size=2, unique=True)
+        for a, b in draw(st.lists(pair, max_size=2 * n)):
+            c = draw(st.sampled_from([1, -1, 2, "1i"]))
+            s = s * (DenseMatrix.identity(n) + unit(n, a, b).scale(c))
+    blocks = approx_classes(rho).blocks
+    picks = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+    u = frozenset().union(*(b for b, pick in zip(blocks, picks) if pick))
+    g = random_transitive_map(rho, seed=draw(st.integers(0, 2**31)))
+    form = CanonicalJordanForm(s=s, u=u, g=g)
+    return _corrupted(synthesize_jordan(rho, s, u, g), form, draw)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_jordan_or_corrupted())
+def test_proposed_form_agrees_with_the_ladder(phi):
+    """classify_jordan, which proposes a form from leading entries and
+    verifies it once, against the dense ladder: the same form field for
+    field, or the same exception with the same message and pair."""
+    got = _ladder_outcome(classify_jordan, phi)
+    want = _ladder_outcome(dense_classify_jordan, phi)
+    assert got == want
+    if isinstance(got, CanonicalJordanForm):
+        assert (got.s, got.u, got.g, got.pi) == (want.s, want.u, want.g, want.pi)
+        assert got.s_inv == inverse(got.s)
+
+
+def test_shared_leading_positions_fall_back_to_coordinates(monkeypatch):
+    """With every c_a r_b leading at (1, 1), each strict image is oriented
+    by its two coordinates, and the outcome is still the dense ladder's."""
+    rng = random.Random(31)
+    calls = []
+    real = exactnum.UnitFrame.coordinate
+
+    def coordinate(self, blocks, t, a, b):
+        calls.append((t, a, b))
+        return real(self, blocks, t, a, b)
+
+    monkeypatch.setattr(exactnum.UnitFrame, "coordinate", coordinate)
+    for trial in range(40):
+        rho = random_quasiorder(rng, 2, 5)
+        s = _sharing_similarity(rho.n)
+        u = random_class_union(rho, rng)
+        g = random_transitive_map(rho, seed=trial)
+        phi = CanonicalJordanForm(s=s, u=u, g=g).reconstruct()
+        if trial % 2:
+            phi = _perturbed(rng, phi, trial % 5)
+        calls.clear()
+        got = _ladder_outcome(classify_jordan, phi)
+        assert got == _ladder_outcome(dense_classify_jordan, phi)
+        if isinstance(got, CanonicalJordanForm):
+            strict = [t for t, (i, j) in enumerate(phi.units) if i != j]
+            assert [t for t, _, _ in calls] == [t for t in strict for _ in range(2)]
+
+
+def test_a_jordan_map_is_compared_once_per_unit(monkeypatch):
+    """On a Jordan map over the 6-chain each unit image is compared with
+    its term once, coordinates are summed only where c_i r_j and c_j r_i
+    lead at one position, and the ladder never runs."""
+    phi = corpus_style_jordan_map(6, 1)
+    n = phi.rho.n
+    compared, coordinates, ladders = [], [], []
+    frame = exactnum.UnitFrame
+    matches, coordinate = frame.matches, frame.coordinate
+
+    def counting_matches(self, blocks, t, terms):
+        compared.append(t)
+        return matches(self, blocks, t, terms)
+
+    def counting_coordinate(self, blocks, t, a, b):
+        coordinates.append((phi.units[t], (a, b)))
+        return coordinate(self, blocks, t, a, b)
+
+    monkeypatch.setattr(frame, "matches", counting_matches)
+    monkeypatch.setattr(frame, "coordinate", counting_coordinate)
+    monkeypatch.setattr(smalg.jordan, "_name_failure", lambda *args: ladders.append(args))
+    form = classify_jordan(phi)
+    assert form.reconstruct() == phi
+    assert sorted(compared) == list(range(len(phi.units)))
+    s, s_inv = form.s, inverse(form.s)
+    first_row = {a: min(k for k in range(1, n + 1) if s.at(k, a)) for a in range(1, n + 1)}
+    first_col = {b: min(l for l in range(1, n + 1) if s_inv.at(b, l)) for b in range(1, n + 1)}
+    shared = [
+        (i, j)
+        for (i, j) in phi.units
+        if i != j and (first_row[i], first_col[j]) == (first_row[j], first_col[i])
+    ]
+    assert shared
+    assert coordinates == [(p, q) for p in shared for q in (p, p[::-1])]
+    assert ladders == []
+
+
+def test_maps_compare_by_their_entries():
+    # the same numerators over another denominator are another map
+    phi = corpus_style_jordan_map(4, 2)
+    assert phi == LinearMapOnSMA(phi.rho, phi.unit_images())
+    halved = phi.left_multiplied(DenseMatrix.identity(4).scale("1/2"))
+    assert halved.blocks.nonzeros == phi.blocks.nonzeros
+    assert halved != phi
+    assert halved == LinearMapOnSMA(
+        phi.rho, {p: m.scale("1/2") for p, m in phi.unit_images().items()}
+    )
+
+
+def test_a_map_that_fails_is_inverted_once(monkeypatch):
+    # the corpus's non-Jordan map, E_11's image doubled: the ladder names
+    # the failure in the frame the proposal used
+    phi = corpus_style_jordan_map(6, 1)
+    images = phi.unit_images()
+    images[(1, 1)] = images[(1, 1)].scale(2)
+    calls = []
+    monkeypatch.setattr(smalg.jordan, "inverse", lambda m: calls.append(m) or inverse(m))
+    with pytest.raises(NotJordan, match="image of E_11 is not idempotent"):
+        classify_jordan(LinearMapOnSMA(phi.rho, images))
+    assert len(calls) == 1
 
 
 def test_frame_failure_on_dense_jordan_images_is_internal(monkeypatch):

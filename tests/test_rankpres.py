@@ -11,7 +11,6 @@ from smalg.errors import (
     InternalInconsistency,
     NotUnital,
     SupportViolation,
-    VanishingUnitImage,
 )
 from smalg.exactnum import DenseMatrix, ONE, rank, scalar
 from smalg.jordan import LinearMapOnSMA, apply, classify_jordan, synthesize_jordan
@@ -195,6 +194,7 @@ def test_certify_unital_non_jordan_sampled():
 
 
 def test_certify_vanishing_unit_image_propagates():
+    # the unit is the witness: rank one, its image rank zero
     rho = upper_chain(2)
     phi = LinearMapOnSMA(
         rho,
@@ -204,8 +204,10 @@ def test_certify_vanishing_unit_image_propagates():
             (1, 2): DenseMatrix.zeros(2, 2),
         },
     )
-    with pytest.raises(VanishingUnitImage):
-        certify_rank_one_preserver(phi)
+    v = certify_rank_one_preserver(phi)
+    assert v.kind == "Neither" and v.form is None
+    assert v.witness == (DenseMatrix.unit(2, 1, 2), (1, 0))
+    assert v.note == "the unit image at (1, 2) vanishes"
 
 
 # ---------------------------------------------------------------------------
