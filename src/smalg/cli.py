@@ -498,8 +498,9 @@ def _selftest_rank_identity(draws):
 
 
 def _selftest_round_trip(draws):
-    # synthesize_jordan classifies the map it builds and checks that the
-    # form rebuilds it
+    # synthesize_jordan runs classify_jordan's comparison pass on the map it
+    # builds, in the frame of the given S, and fails unless every unit image
+    # matches its term
     for rho, s, u, g in draws:
         try:
             synthesize_jordan(rho, s, u, g)

@@ -14,8 +14,14 @@ form they propose is proved by one exact pass that compares every image
 with its term. The pass succeeds exactly when every check of the
 verification ladder would (see ``classify_jordan``); a map that fails it
 is not Jordan, and the ladder, run only then, names the first check it
-fails. Synthesis goes the other way. Embedding questions between two algebras
-reduce to a finite search over class unions and increasing permutations.
+fails. That pass is the one verification of a Jordan verdict: the form in
+a codomain (``classify_into_codomain``) and the rank preservers' form of
+weight one are exact rescalings and relabelings of the form it proved,
+and synthesis runs it once on the map it builds, in the frame of the
+similarity it was given. Embedding questions between two algebras reduce
+to a finite search over class unions and increasing permutations, and a
+witness (u, pi) is proved by pi sending every pair of rho_U into the
+codomain.
 """
 
 from __future__ import annotations
@@ -207,17 +213,6 @@ class CanonicalJordanForm:
         blocks = self._frame().block_row((self._term(*p),) for p in units)
         return LinearMapOnSMA._of(self.rho, units, blocks)
 
-    def reproduces(self, phi: LinearMapOnSMA) -> bool:
-        """Whether ``reconstruct() == phi``, checked unit by unit in the
-        nonzeros of each image without building one."""
-        if phi.rho != self.rho:
-            return False
-        frame = self._frame()
-        blocks = phi.blocks
-        return all(
-            frame.matches(blocks, t, (self._term(*p),)) for t, p in enumerate(phi.units)
-        )
-
 
 def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
     """Factor a nonvanishing Jordan homomorphism into canonical parameters.
@@ -274,21 +269,37 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
     lying in span(E_ij, E_ji). No step forms an n x n by n x n product
     unless a diagonal check fails.
     """
+    s0 = _leading_columns(phi)
+    try:
+        s0inv = inverse(s0)
+    except Singular:
+        s0inv = None
+    return _verified_form(phi, s0, s0inv)
+
+
+def _leading_columns(phi: LinearMapOnSMA) -> DenseMatrix:
+    """S0, whose column k is the first nonzero column of phi(E_kk) scaled
+    to lead with 1; VanishingUnitImage for the first unit, in unit order,
+    whose image is zero."""
     n = phi.rho.n
     blocks = phi.blocks
     for pair, nonzeros in zip(phi.units, blocks.nonzeros):
         if not nonzeros:
             raise VanishingUnitImage(f"unit {pair} maps to zero", pair=pair)
-    diag = [phi._index[(k, k)] for k in range(1, n + 1)]
-    s0 = DenseMatrix.from_rows(
-        [_range_vector(blocks.nonzeros[t], n) for t in diag]
+    return DenseMatrix.from_rows(
+        [_range_vector(blocks.nonzeros[phi._index[(k, k)]], n) for k in range(1, n + 1)]
     ).transpose()
-    try:
-        s0inv = inverse(s0)
-    except Singular:
-        frame = None
-    else:
-        frame = UnitFrame(s0, s0inv)
+
+
+def _verified_form(phi: LinearMapOnSMA, s0: DenseMatrix, s0inv) -> CanonicalJordanForm:
+    """The pass of ``classify_jordan`` in the frame of S0 and s0inv, its
+    inverse (trusted, not checked; None when S0 is singular): phi's form,
+    proved by one comparison per unit image, or NotJordan for the first
+    check of the ladder that phi fails."""
+    n = phi.rho.n
+    blocks = phi.blocks
+    diag = [phi._index[(k, k)] for k in range(1, n + 1)]
+    frame = None if s0inv is None else UnitFrame(s0, s0inv)
     # the term of E_kk is c_k r_k whatever the form
     if frame is None or not all(
         frame.matches(blocks, t, ((ONE, k, k),)) for k, t in enumerate(diag, start=1)
@@ -415,8 +426,14 @@ def synthesize_jordan(rho: QuasiOrder, s: DenseMatrix, u, g) -> LinearMapOnSMA:
     """Build the Jordan homomorphism with the given parameters.
 
     ``u`` must be a union of connectivity classes; ``g`` either a validated
-    TransitiveMap on rho or a weight dict to validate. The built map is
-    re-verified by the classification ladder before it is returned.
+    TransitiveMap on rho or a weight dict to validate. S is inverted once
+    (Singular propagates) and the built map is re-verified by the pass of
+    ``classify_jordan`` before it is returned. That pass runs in the frame
+    of S0, read off the diagonal images: phi(E_kk) = c_k r_k has first
+    nonzero column c_k times an entry of r_k, so S0 = S D, with D the
+    diagonal of the reciprocals of the first nonzero entries of S's
+    columns. S0 is checked to equal S D, so D^-1 S^-1, S^-1 with its rows
+    scaled, is S0's inverse and the pass trusts it.
     """
     if not isinstance(g, TransitiveMap):
         g = validate(rho, g)
@@ -425,10 +442,17 @@ def synthesize_jordan(rho: QuasiOrder, s: DenseMatrix, u, g) -> LinearMapOnSMA:
     useg = class_union(rho, u)
     if s.shape != (rho.n, rho.n):
         raise DimensionMismatch("similarity has the wrong size")
-    # reconstruct() inverts s first, so Singular propagates
-    phi = CanonicalJordanForm(s=s, u=useg, g=g).reconstruct()
+    s_inv = inverse(s)
+    phi = CanonicalJordanForm(s=s, u=useg, g=g, s_inv=s_inv).reconstruct()
+    columns = s.transpose()
+    leads = [next(filter(None, columns.row_list(k))) for k in range(1, rho.n + 1)]
     try:
-        classify_jordan(phi)
+        s0 = _leading_columns(phi)
+        if s0 != s.scale_columns([x.reciprocal() for x in leads]):
+            raise InternalInconsistency(
+                "the diagonal images of the synthesized map do not lead with S"
+            )
+        _verified_form(phi, s0, s_inv.scale_rows(leads))
     except (NotJordan, VanishingUnitImage) as exc:
         raise InternalInconsistency(
             f"synthesized map failed re-verification: {exc}"
@@ -447,8 +471,10 @@ def jordan_embeds_into(rho: QuasiOrder, rho2: QuasiOrder):
 
     Unions are tried largest first, so a plain algebra embedding (all
     classes direct) is found before any partially transposed one. The
-    witness map is built by ``synthesize_jordan``, which runs the
-    classification ladder on it, and every image must lie in rho2.
+    witness map X -> R_pi (P X + (I - P) X^t) R_pi^-1 sends E_ij to
+    E_pi(a)pi(b), with (a, b) = (i, j) inside u and (j, i) outside it,
+    that is for (a, b) in rho_U. So its images lie in rho2 exactly when pi
+    sends every pair of rho_U into rho2, which is checked.
     """
     if rho.n != rho2.n:
         raise DimensionMismatch("relations live on different vertex counts")
@@ -459,14 +485,11 @@ def jordan_embeds_into(rho: QuasiOrder, rho2: QuasiOrder):
         unions.append(u)
     unions.sort(key=lambda s: (-len(s), tuple(sorted(s))))
     for u in unions:
-        hits = increasing_permutations(rho_U(rho, u), rho2, limit=1)
+        mixed = rho_U(rho, u)
+        hits = increasing_permutations(mixed, rho2, limit=1)
         if hits:
             pi = hits[0]
-            ones = validate(rho, {p: ONE for p in rho.strict_pairs()})
-            blocks = synthesize_jordan(rho, permutation_matrix(pi), u, ones).blocks
-            for t in range(len(blocks)):
-                if first_unsupported([p for p, _, _ in blocks.nonzeros[t]], rho2):
-                    raise InternalInconsistency("embedding witness fails support")
+            _check_sends_into(mixed, pi, rho2, "embedding witness fails support")
             return u, pi
     return None
 
@@ -480,10 +503,16 @@ def algebra_embeds_into(rho: QuasiOrder, rho2: QuasiOrder):
     if not hits:
         return None
     pi = hits[0]
-    for (i, j) in rho.pairs():
-        if (pi[i - 1], pi[j - 1]) not in rho2:
-            raise InternalInconsistency("embedding witness fails support")
+    _check_sends_into(rho, pi, rho2, "embedding witness fails support")
     return pi
+
+
+def _check_sends_into(q: QuasiOrder, pi, rho2: QuasiOrder, failure: str) -> None:
+    """Raise InternalInconsistency(failure) unless the permutation pi sends
+    every pair of q into rho2."""
+    for (i, j) in q.pairs():
+        if (pi[i - 1], pi[j - 1]) not in rho2:
+            raise InternalInconsistency(failure)
 
 
 def classify_into_codomain(
@@ -491,9 +520,19 @@ def classify_into_codomain(
 ) -> CanonicalJordanForm:
     """Classification refined against a codomain algebra.
 
-    The conjugating matrix is refactored as S' R_pi with S' invertible
+    The conjugating matrix is refactored as S1 R_pi with S1 invertible
     inside the codomain algebra and pi read off the intrinsic
     diagonalization of the image of diag(1..n).
+
+    The form is derived from the one ``classify_jordan`` verified, not
+    compared again. D0 = R_pi^T S1^-1 S0 is checked diagonal with a nonzero
+    diagonal d, and S0 = S1 R_pi D0 holds exactly, as R_pi^T and S1^-1 are
+    exact inverses. So column a of S0 is d_a times column pi(a) of S1, row
+    b of S0^-1 is row pi(b) of S1^-1 over d_b, and each verified term
+    g(i, j) c_a r_b is S1 (g(i, j) d_a / d_b E_pi(a)pi(b)) S1^-1: the term
+    of this form, whose weight is g(i, j) d_i / d_j inside u, where
+    (a, b) = (i, j), and g(i, j) d_j / d_i outside it, where (a, b) = (j, i).
+    pi is checked to send each such (a, b), a pair of rho_U, into rho2.
     """
     rho = phi.rho
     n = rho.n
@@ -532,14 +571,10 @@ def classify_into_codomain(
         for (i, j) in rho.strict_pairs()
     }
     g2 = validate(rho, weights)
-    mixed = rho_U(rho, base.u)
-    for (i, j) in mixed.pairs():
-        if (pi[i - 1], pi[j - 1]) not in rho2:
-            raise InternalInconsistency("permutation is not increasing into codomain")
-    form = CanonicalJordanForm(s=s1, u=base.u, g=g2, pi=pi, s_inv=s1inv)
-    if not form.reproduces(phi):
-        raise InternalInconsistency("codomain reconstruction differs")
-    return form
+    _check_sends_into(
+        rho_U(rho, base.u), pi, rho2, "permutation is not increasing into codomain"
+    )
+    return CanonicalJordanForm(s=s1, u=base.u, g=g2, pi=pi, s_inv=s1inv)
 
 
 def extends_to_full_jordan_automorphism(rho: QuasiOrder) -> bool:

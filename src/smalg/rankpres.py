@@ -204,6 +204,15 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     normalizing by it the map must be Jordan with a trivial weight map.
     The positive certificate absorbs the separator into the similarity, so
     the returned form has constant weight one.
+
+    That form is derived from the one ``classify_jordan`` verified, not
+    compared again. ``triviality_witness`` checks g(i, j) = s(i)/s(j) on
+    every strict pair; gamma is s on u and 1/s off it, so gamma_a/gamma_b
+    is g(i, j) for the verified term g(i, j) c_a r_b of every unit,
+    (a, b) = (i, j) inside u and (j, i) outside it, and 1 on the diagonal.
+    The columns gamma_a c_a of S0 Gamma and the rows r_b / gamma_b of its
+    inverse Gamma^-1 S0^-1 make that term (gamma_a c_a)(r_b / gamma_b),
+    of weight one.
     """
     rho = phi.rho
     n = rho.n
@@ -247,10 +256,9 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     t = form.s.scale_columns(gamma)
     t_inv = form.s_inv.scale_rows([v.reciprocal() for v in gamma])
     ones = validate(rho, {p: ONE for p in rho.strict_pairs()})
-    final = CanonicalJordanForm(s=t, u=form.u, g=ones, s_inv=t_inv)
-    if not final.reproduces(psi):
-        raise InternalInconsistency("absorbed similarity fails to reconstruct")
-    return PreserverVerdict(kind="RankPreserver", form=final)
+    return PreserverVerdict(
+        kind="RankPreserver", form=CanonicalJordanForm(s=t, u=form.u, g=ones, s_inv=t_inv)
+    )
 
 
 def bounded_rank_preserver_check(

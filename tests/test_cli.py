@@ -837,39 +837,54 @@ def test_classify_codomain_support(files):
 @pytest.mark.parametrize(
     "command, inversions",
     [
-        (["classify"], 1),
-        (["classify", "--codomain", "{qo}"], 2),
-        (["check-rank-one"], 1),
-        (["check-rank"], 2),
+        (["classify", "{qo}", "{lm}"], 1),
+        (["classify", "--codomain", "{qo}", "{qo}", "{lm}"], 2),
+        (["check-rank-one", "{qo}", "{lm}"], 1),
+        (["check-rank", "{qo}", "{lm}"], 2),
+        (["synthesize", "{qo}", "--s", "{s}", "--classes", "1,2,3,4", "--g", "{g}"], 1),
+        (["embed", "--jordan", "{qo}", "{qo}"], 0),
     ],
 )
 def test_each_form_is_inverted_once(tmp_path, monkeypatch, command, inversions):
     """classify inverts S0 only; --codomain adds the diagonalizer's S;
     check-rank inverts phi(I) and S0, and takes the inverse of the absorbed
-    similarity S0 Gamma from S0^-1."""
+    similarity S0 Gamma from S0^-1. synthesize inverts S and verifies the
+    map it builds with S^-1, its rows scaled; embed --jordan checks the
+    support of its permutation, so it inverts nothing and classifies
+    nothing."""
     rho = upper_chain(4)
     s = DenseMatrix.from_rows(
         [[1, 2, 0, 1], [0, 1, -1, 0], [0, 0, 2, "1i"], [0, 0, 0, -1]]
     )
     g = separator_map(rho, {1: 2, 2: 1, 3: "1/3", 4: "1i"})
     phi = synthesize_jordan(rho, s, {1, 2, 3, 4}, g)
-    qo = tmp_path / "t4.qo"
-    qo.write_text(format_relation(rho))
-    lm = tmp_path / "phi.lm"
-    lm.write_text(format_linear_map(phi))
-    calls = []
+    paths = {name: tmp_path / name for name in ("qo", "lm", "s", "g")}
+    paths["qo"].write_text(format_relation(rho))
+    paths["lm"].write_text(format_linear_map(phi))
+    paths["s"].write_text(format_matrix(s))
+    paths["g"].write_text(format_weights(g))
+    calls, classified = [], []
     real_inverse = smalg.exactnum.inverse
+    real_classify = smalg.jordan.classify_jordan
 
     def counting(m):
         calls.append(m)
         return real_inverse(m)
 
+    def counting_classify(phi):
+        classified.append(phi)
+        return real_classify(phi)
+
     for module in (smalg.cli, smalg.diag, smalg.jordan, smalg.rankpres):
         monkeypatch.setattr(module, "inverse", counting)
-    argv = [a.format(qo=qo) for a in command] + [str(qo), str(lm)]
-    out = run(argv)
+    for module in (smalg.cli, smalg.jordan, smalg.rankpres):
+        monkeypatch.setattr(module, "classify_jordan", counting_classify)
+    out = run([a.format(**paths) for a in command])
     assert out.exit_code == 0
     assert len(calls) == inversions
+    if command[0] == "embed":
+        assert "pi 1 2 3 4" in out.report.splitlines()
+        assert classified == []
 
 
 def test_classify_synthesize_round_trip(files):
@@ -1165,17 +1180,51 @@ def test_embedding_witness_off_support_exits_three(files, monkeypatch, jordan):
 
 
 def test_synthesized_map_failing_the_ladder_exits_three(files, monkeypatch):
-    def broken(phi):
+    # synthesize runs classify_jordan's pass, in the frame of the given S
+    def broken(phi, s0, s0inv):
         raise NotJordan("images of E_11 and E_22 are not orthogonal",
                         pair=((1, 1), (2, 2)))
 
-    monkeypatch.setattr(smalg.jordan, "classify_jordan", broken)
+    monkeypatch.setattr(smalg.jordan, "_verified_form", broken)
     out = run(_synthesize_argv(files))
     assert out.exit_code == 3
     assert out.report == (
         "error: synthesized map failed re-verification: "
         "images of E_11 and E_22 are not orthogonal\n"
     )
+
+
+def test_synthesized_map_leading_off_its_similarity_exits_three(files, monkeypatch):
+    # the pass trusts S^-1 with its rows scaled only when S0 = S D
+    monkeypatch.setattr(
+        smalg.jordan, "_leading_columns", lambda phi: DenseMatrix.identity(3).scale(2)
+    )
+    out = run(_synthesize_argv(files))
+    assert out.exit_code == 3
+    assert out.report == (
+        "error: the diagonal images of the synthesized map do not lead with S\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, replacement, message",
+    [
+        (
+            "permutation_matrix",
+            lambda pi: smalg.exactnum.permutation_matrix(pi[::-1]),
+            "residual similarity is not diagonal",
+        ),
+        ("rho_U", lambda rho, u: full(rho.n), "permutation is not increasing into codomain"),
+    ],
+)
+def test_malformed_codomain_form_exits_three(files, monkeypatch, name, replacement, message):
+    """The codomain form is derived from the classified one, not compared
+    again: a residual similarity that is not diagonal, or a pi that leaves
+    the codomain, is an internal failure."""
+    monkeypatch.setattr(smalg.jordan, name, replacement)
+    out = run(["classify", "--codomain", files["t3"], files["t3"], files["id_t3"]])
+    assert out.exit_code == 3
+    assert out.report == f"error: {message}\n"
 
 
 def test_jordan_certificates_do_not_use_the_all_pairs_check(files, monkeypatch):

@@ -45,6 +45,7 @@ from smalg.jordan import (
     synthesize_jordan,
 )
 from smalg.quasiorder import approx_classes, from_edges
+from smalg.rankpres import classify_rank_preserver
 from smalg.sampling import random_transitive_map
 from smalg.transmap import apply_induced, validate
 
@@ -447,6 +448,7 @@ def test_classify_into_codomain_recovers_relabeling():
     assert f.pi == (3, 2, 1)
     assert f.u == frozenset({1, 2, 3})
     assert f.reconstruct() == phi
+    assert f.s_inv == inverse(f.s)
 
 
 def test_classify_into_codomain_random_conjugations():
@@ -459,8 +461,9 @@ def test_classify_into_codomain_random_conjugations():
         phi = synthesize_jordan(rho, s, frozenset(range(1, rho.n + 1)), g)
         f = classify_into_codomain(phi, rho)
         assert f.reconstruct() == phi
+        assert f.s_inv == inverse(f.s)
         assert all(p in rho for p in f.s.support())
-        assert all(p in rho for p in inverse(f.s).support())
+        assert all(p in rho for p in f.s_inv.support())
         mixed = [
             (i, j) if (i == j or i in f.u) else (j, i) for (i, j) in rho.pairs()
         ]
@@ -469,6 +472,7 @@ def test_classify_into_codomain_random_conjugations():
     f = classify_into_codomain(transpose_map(full(3)), full(3))
     assert f.u == frozenset()
     assert f.reconstruct() == transpose_map(full(3))
+    assert f.s_inv == inverse(f.s)
 
 
 def test_classify_into_codomain_support_violation():
@@ -778,12 +782,33 @@ def test_shared_leading_positions_fall_back_to_coordinates(monkeypatch):
             assert [t for t, _, _ in calls] == [t for t in strict for _ in range(2)]
 
 
-def test_a_jordan_map_is_compared_once_per_unit(monkeypatch):
+@pytest.mark.parametrize(
+    "classify",
+    [
+        classify_jordan,
+        lambda phi: classify_rank_preserver(phi).form,
+        lambda phi: classify_into_codomain(phi, full(6)),
+    ],
+    ids=["classify", "check-rank", "codomain"],
+)
+def test_a_jordan_map_is_compared_once_per_unit(monkeypatch, classify):
     """On a Jordan map over the 6-chain each unit image is compared with
     its term once, coordinates are summed only where c_i r_j and c_j r_i
-    lead at one position, and the ladder never runs."""
+    lead at one position, and the ladder never runs: the rank preservers'
+    form and the codomain form are derived from the one the comparison
+    proved, not compared again."""
     phi = corpus_style_jordan_map(6, 1)
     n = phi.rho.n
+    s = classify_jordan(phi).s
+    s_inv = inverse(s)
+    first_row = {a: min(k for k in range(1, n + 1) if s.at(k, a)) for a in range(1, n + 1)}
+    first_col = {b: min(l for l in range(1, n + 1) if s_inv.at(b, l)) for b in range(1, n + 1)}
+    shared = [
+        (i, j)
+        for (i, j) in phi.units
+        if i != j and (first_row[i], first_col[j]) == (first_row[j], first_col[i])
+    ]
+    assert shared
     compared, coordinates, ladders = [], [], []
     frame = exactnum.UnitFrame
     matches, coordinate = frame.matches, frame.coordinate
@@ -799,20 +824,14 @@ def test_a_jordan_map_is_compared_once_per_unit(monkeypatch):
     monkeypatch.setattr(frame, "matches", counting_matches)
     monkeypatch.setattr(frame, "coordinate", counting_coordinate)
     monkeypatch.setattr(smalg.jordan, "_name_failure", lambda *args: ladders.append(args))
-    form = classify_jordan(phi)
-    assert form.reconstruct() == phi
+    form = classify(phi)
+    assert len(phi.units) == 21
     assert sorted(compared) == list(range(len(phi.units)))
-    s, s_inv = form.s, inverse(form.s)
-    first_row = {a: min(k for k in range(1, n + 1) if s.at(k, a)) for a in range(1, n + 1)}
-    first_col = {b: min(l for l in range(1, n + 1) if s_inv.at(b, l)) for b in range(1, n + 1)}
-    shared = [
-        (i, j)
-        for (i, j) in phi.units
-        if i != j and (first_row[i], first_col[j]) == (first_row[j], first_col[i])
-    ]
-    assert shared
     assert coordinates == [(p, q) for p in shared for q in (p, p[::-1])]
     assert ladders == []
+    monkeypatch.undo()
+    assert form.reconstruct() == phi
+    assert form.s_inv == inverse(form.s)
 
 
 def test_maps_compare_by_their_entries():

@@ -12,7 +12,7 @@ from smalg.errors import (
     NotUnital,
     SupportViolation,
 )
-from smalg.exactnum import DenseMatrix, ONE, rank, scalar
+from smalg.exactnum import DenseMatrix, ONE, inverse, rank, scalar
 from smalg.jordan import LinearMapOnSMA, apply, classify_jordan, synthesize_jordan
 from smalg.quasiorder import NotClassUnion, approx_classes, from_edges
 from smalg.rankpres import (
@@ -472,6 +472,7 @@ def test_classify_synthesized_trivial_maps():
         assert v.kind == "RankPreserver"
         assert all(w == ONE for _, w in v.form.g.items())
         assert v.form.reconstruct() == phi
+        assert v.form.s_inv == inverse(v.form.s)
         ok, _ = bounded_rank_preserver_check(phi, rho.n, count=6, seed=rng.randrange(10**6))
         assert ok
 
