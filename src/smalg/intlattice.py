@@ -5,14 +5,15 @@ The rows come from ``transmap``: one per multiplicative relation of a
 quasi-order's beat-point core (``quasiorder.beat_core``), over the strict
 pairs off a spanning forest. They have at most three entries, all units,
 and there are many: 10,564 rows over 798 columns for the 43-point wedge of
-an ordinal sum and a bowtie. So both entry points start with one sparse
+an ordinal sum and a bowtie. So both computations start with one sparse
 elimination of unit pivots (``_unit_pivots``) and run dense reductions
 only on the complement it leaves, which is small: the smallest-pivot
-Smith reduction, or the Bareiss kernel over Q and the bitmask kernel over
-GF(2), each extended back through the pivots (``kernel_bases``). On the
-wedge every column but one takes a unit pivot, and ``all-trivial`` takes
-0.21 s and 24 MB as a process on a 2-core x86-64 host with Python 3.11;
-a dense column reduction over every strict pair took 6.4 s and 163 MB.
+Smith reduction (``_smith_factors``), or the Bareiss kernel over Q and the
+bitmask kernel over GF(2), each extended back through the pivots
+(``kernel_bases``). On the wedge every column but one takes a unit pivot,
+and ``all-trivial`` takes 0.21 s and 24 MB as a process on a 2-core
+x86-64 host with Python 3.11; a dense column reduction over every strict
+pair took 6.4 s and 163 MB.
 """
 
 from __future__ import annotations
@@ -79,20 +80,11 @@ def _unit_pivots(rows):
     return tuple(pivots), tuple(MappingProxyType(rows[k]) for k in sorted(live))
 
 
-def smith_invariant_factors(rows):
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix given
-    by its sparse rows, dicts from column to nonzero entry.
-
-    Each unit pivot of ``_unit_pivots`` contributes the invariant factor 1,
-    and the smallest-pivot dense reduction finishes the complement left
-    when no unit entry is.
-    """
-    return _smith_factors(*_unit_pivots(rows))
-
-
 def _smith_factors(pivots, rest):
-    """``smith_invariant_factors`` of the rows that ``_unit_pivots``
-    reduced to ``pivots`` and ``rest``."""
+    """The nonzero invariant factors d_1 | d_2 | ... of the integer matrix
+    whose rows ``_unit_pivots`` reduced to ``pivots`` and ``rest``. Each
+    unit pivot contributes the invariant factor 1, and the smallest-pivot
+    dense reduction finishes the complement left when no unit entry is."""
     rest_cols = sorted({c for row in rest for c in row})
     dense = [[row.get(c, 0) for c in rest_cols] for row in rest]
     return [1] * len(pivots) + (_dense_smith_factors(dense) if dense else [])

@@ -9,13 +9,12 @@ nonvanishing Jordan homomorphism into conjugation, a central idempotent
 splitting multiplicative from antimultiplicative behavior, and a transitive
 weight map. Each unit image of such a map is one scaled outer product
 g c_a r_b of a column of the similarity and a row of its inverse, so the
-first nonzero entry of an image fixes its orientation (a, b) and g; the
-form they propose is proved by one exact pass that compares every image
-with its term. The pass succeeds exactly when every check of the
-verification ladder would (see ``classify_jordan``); a map that fails it
-is not Jordan, and the ladder, run only then, names the first check it
-fails. That pass is the one verification of a Jordan verdict: the form in
-a codomain (``classify_into_codomain``) and the rank preservers' form of
+first nonzero entry of an image fixes its orientation (a, b) and g, and
+one exact pass compares every image with its term once. The pass stops
+at the first check a map fails and names it there, by a pair of units at
+which the Jordan identity breaks (see ``classify_jordan``). That pass is
+the one verification of a Jordan verdict: the form in a codomain
+(``classify_into_codomain``) and the rank preservers' form of
 weight one are exact rescalings and relabelings of the form it proved,
 and synthesis runs it once on the map it builds, in the frame of the
 similarity it was given. Embedding questions between two algebras reduce
@@ -225,28 +224,65 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
     multiplicative part and (j, i) on the antimultiplicative part. So each
     image is compared once with its term in the frame: the diagonal images
     first, as their terms c_k r_k hold for every form, then the strict
-    ones, whose terms the form proposed by their first nonzero entries
-    gives (``UnitFrame.propose``, which fixes (a, b) and g).
+    ones in one walk, in unit order, each with the term its first nonzero
+    entry proposes (``UnitFrame.propose``, which fixes (a, b) and g). The
+    first image that fails is named on the spot. Then no connectivity
+    class may hold pairs of both orientations, and the weights must be
+    transitive (``validate``). The form is S0, the union u of the classes
+    with a multiplicative pair, and those weights; its terms are the ones
+    the walk compared, as each class holds one orientation and ``validate``
+    keeps the weights it is given.
 
-    A passing comparison proves what the verification ladder would: if
-    phi(E_ij) = g c_i r_j, the ladder's alpha = r_i phi(E_ij) c_j is g, as
-    r_i c_i = r_j c_j = 1, and its beta = r_j (g c_i r_j) c_i is 0, as
-    r_j c_i = 0; the orientation (j, i) is symmetric. So the ladder finds
-    each image in span(c_i r_j, c_j r_i) with one coordinate nonzero, the
-    same kind of pair in each class, the same weights, hence the same u and
-    g, and the same S0; every one of its checks passes and its form is this
-    one. Conversely a map the ladder accepts equals its form's
-    reconstruction, so each strict image is g c_a r_b, which leads where
-    c_a r_b leads: the proposal is the ladder's term and the pass
-    succeeds. Only a failure of a strict image runs the rest of the ladder
-    (``_name_failure``), in the same frame, to name the first check the map
-    fails.
+    Per image, the walk agrees with the verification ladder it replaced.
+    The ladder accepted a strict image when S0^-1 phi(E_ij) S0 lay in
+    span(E_ij, E_ji), its coordinates alpha = r_i phi(E_ij) c_j and
+    beta = r_j phi(E_ij) c_i not both nonzero; as S0 is invertible and the
+    image is not zero, that is phi(E_ij) = g c_a r_b for one orientation
+    (a, b), with g the nonzero coordinate. That holds exactly when
+    ``propose`` returns that term and ``matches`` accepts it: the term
+    leads where c_a r_b leads, and when both orientations lead there its
+    coordinate at (b, a) is 0, as r_b c_a = 0, so ``propose`` returns it,
+    and ``matches`` decides equality. So the first failing image, the class
+    verdict and the transitivity witness are the ladder's, and every map
+    the ladder accepted gets the same form.
 
-    The ladder is also a decision procedure: every check that fails names a
-    Jordan violation. The diagonal units pass when q_k == c_k r_k for every
-    k. With S0 invertible this holds exactly when the q_k are orthogonal
-    idempotents (q_k q_l + q_l q_k = 0 for k != l), which is what the dense
-    checks test:
+    Per named pair, every NotJordan names a unit pair (X, Y) with
+    phi(X) phi(Y) + phi(Y) phi(X) != phi(XY + YX). The diagonal pairs:
+    ((k,k),(k,k)) fails when q_k^2 != q_k, and ((k,k),(l,l)) when
+    q_k q_l + q_l q_k != 0. With the diagonal images equal to c_k r_k,
+    conjugation by S0 sends them to the E_kk; write
+    X = S0^-1 phi(E_ij) S0 for a strict unit.
+
+    - The pair ((i,i),(i,j)), with E_ii E_ij + E_ij E_ii = E_ij, holds
+      exactly when E_ii X + X E_ii = X: X vanishes outside row i and
+      column i, and at (i, i). The same holds for j. Both hold exactly
+      when X lies in span(E_ij, E_ji), so for an image that leaves the
+      span one of the two pairs fails: ((i,i),(i,j)) when
+      q_i phi(E_ij) + phi(E_ij) q_i != phi(E_ij), else ((j,j),(i,j)).
+    - An image in the span with both coordinates nonzero has
+      X^2 = alpha beta (E_ii + E_jj) != 0, and 2 E_ij^2 = 0: the pair
+      ((i,j),(i,j)) fails.
+    - A multiplicative unit E_ij, X = g E_ij, and an antimultiplicative
+      unit E_kl, Y = h E_lk, that share a vertex always violate the
+      identity. With j != l and i != k there are four cases: k = i gives
+      E_ij E_il + E_il E_ij = 0 against XY + YX = gh E_lj; l = j gives 0
+      against gh E_ik; k = j gives E_il, whose image is nonzero, against 0;
+      l = i gives E_kj against 0. The mutual pair (i, j), (j, i) gives
+      E_ii + E_jj, whose image c_i r_i + c_j r_j is nonzero, against
+      2 gh E_ij^2 = 0. A class that holds both kinds has such a pair: its
+      strict pairs, as edges, form a connected graph, and the line graph
+      of a connected graph is connected, so edges of the two kinds meet at
+      a vertex. The least such (multiplicative, antimultiplicative) pair,
+      in lexicographic order, is named.
+    - The transitivity witness ((i,j),(j,k)) lies in a class of one
+      orientation. Conjugated, E_ij E_jk + E_jk E_ij is E_ik for i != k,
+      whose image is g(i,k) E_ik or g(i,k) E_ki, against
+      g(i,j) g(j,k) times the same unit; for k = i it is E_ii + E_jj
+      against g(i,j) g(j,i) (E_ii + E_jj).
+
+    The diagonal pass alone needs no dense product: q_k == c_k r_k for
+    every k holds exactly when the q_k are orthogonal idempotents
+    (q_k q_l + q_l q_k = 0 for k != l), with S0 invertible:
 
     - If q_k = c_k r_k for all k, then r_k c_l = delta_kl, as S0^-1 S0 = I,
       gives q_k q_l = c_k (r_k c_l) r_l = delta_kl q_k.
@@ -262,12 +298,8 @@ def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
 
     So the dense checks (each q_k squared, then each pair) run only when S0
     is singular or the frame check fails, to name the first failure; they
-    cannot all pass then. A strict unit passes when
-    phi(E_ij) == alpha c_i r_j + beta c_j r_i, with alpha = r_i phi(E_ij) c_j
-    and beta = r_j phi(E_ij) c_i the entries (i, j) and (j, i) of
-    S0^-1 phi(E_ij) S0; as S0 is invertible, that is S0^-1 phi(E_ij) S0
-    lying in span(E_ij, E_ji). No step forms an n x n by n x n product
-    unless a diagonal check fails.
+    cannot all pass then. No step forms an n x n by n x n product unless a
+    check fails.
     """
     s0 = _leading_columns(phi)
     try:
@@ -295,8 +327,10 @@ def _verified_form(phi: LinearMapOnSMA, s0: DenseMatrix, s0inv) -> CanonicalJord
     """The pass of ``classify_jordan`` in the frame of S0 and s0inv, its
     inverse (trusted, not checked; None when S0 is singular): phi's form,
     proved by one comparison per unit image, or NotJordan for the first
-    check of the ladder that phi fails."""
-    n = phi.rho.n
+    check that phi fails, named by a unit pair that breaks the Jordan
+    identity."""
+    rho = phi.rho
+    n = rho.n
     blocks = phi.blocks
     diag = [phi._index[(k, k)] for k in range(1, n + 1)]
     frame = None if s0inv is None else UnitFrame(s0, s0inv)
@@ -308,87 +342,67 @@ def _verified_form(phi: LinearMapOnSMA, s0: DenseMatrix, s0inv) -> CanonicalJord
         raise InternalInconsistency(
             "diagonal unit images pass the dense checks but not the frame"
         )
-    strict = [(t, p) for t, p in enumerate(phi.units) if p[0] != p[1]]
-    form = _proposed_form(phi, frame, s0, s0inv, strict)
-    if form is not None and all(
-        frame.matches(blocks, t, (form._term(*p),)) for t, p in strict
-    ):
-        return form
-    _name_failure(phi, frame, strict)
-    raise InternalInconsistency(
-        "the map passes every check of the ladder but does not match its form"
-    )
-
-
-def _proposed_form(phi: LinearMapOnSMA, frame: UnitFrame, s0, s0inv, strict: list):
-    """The form that the strict images, (block index, unit) pairs, propose
-    in the frame of S0 (``UnitFrame.propose``), or None when an image fits
-    neither orientation or the weights are not transitive. u is the union
-    of the classes with a multiplicative pair; a class that holds both
-    kinds of pair fails the comparison with the form, as an
-    antimultiplicative image g c_j r_i is not g c_i r_j."""
-    rho = phi.rho
-    blocks = phi.blocks
     mult = {}
     anti = {}
-    for t, (i, j) in strict:
+    for t, (i, j) in enumerate(phi.units):
+        if i == j:
+            continue
         term = frame.propose(blocks, t, i, j)
-        if term is None:
-            return None
+        if term is None or not frame.matches(blocks, t, (term,)):
+            _raise_image_failure(phi, frame, t, i, j)
         g, a, _ = term
         (mult if a == i else anti)[(i, j)] = g
-    try:
-        g = validate(rho, {**mult, **anti})
-    except NotTransitive:
-        return None
-    heads = {i for i, _ in mult}
-    u = frozenset().union(
-        *(blk for blk in approx_classes(rho).blocks if not heads.isdisjoint(blk))
-    )
-    return CanonicalJordanForm(s=s0, u=u, g=g, s_inv=s0inv)
-
-
-def _name_failure(phi: LinearMapOnSMA, frame: UnitFrame, strict: list) -> None:
-    """The verification ladder past the diagonal images, in the frame of
-    S0: raise NotJordan for the first check phi fails, in order each strict
-    image, (block index, unit) pairs in unit order, the classes, and
-    transitivity of the weights. Returns when every check passes."""
-    blocks = phi.blocks
-    mult = {}
-    anti = {}
-    for t, (i, j) in strict:
-        alpha = frame.coordinate(blocks, t, i, j)
-        beta = frame.coordinate(blocks, t, j, i)
-        if not frame.matches(blocks, t, ((alpha, i, j), (beta, j, i))):
-            raise NotJordan(
-                f"conjugated image of E_{i}{j} leaves span(E_{i}{j}, E_{j}{i})",
-                pair=((i, i), (i, j)),
-            )
-        if alpha and beta:
-            raise NotJordan(
-                f"image of E_{i}{j} mixes multiplicative and antimultiplicative "
-                "parts",
-                pair=((i, j), (i, j)),
-            )
-        if alpha:
-            mult[(i, j)] = alpha
-        else:
-            anti[(i, j)] = beta
-    for blk in approx_classes(phi.rho).blocks:
-        m_pairs = sorted(p for p in mult if p[0] in blk)
-        a_pairs = sorted(p for p in anti if p[0] in blk)
+    u = set()
+    for blk in approx_classes(rho).blocks:
+        m_pairs = [p for p in mult if p[0] in blk]
+        a_pairs = [p for p in anti if p[0] in blk]
         if m_pairs and a_pairs:
+            # a connected class has two units of the two kinds that meet
+            # at a vertex (see classify_jordan)
             raise NotJordan(
                 "multiplicative and antimultiplicative pairs share a class",
-                pair=(m_pairs[0], a_pairs[0]),
+                pair=next((m, a) for m in m_pairs for a in a_pairs if set(m) & set(a)),
             )
+        if m_pairs:
+            u |= blk
     try:
-        validate(phi.rho, {**mult, **anti})
+        g = validate(rho, {**mult, **anti})
     except NotTransitive as exc:
         raise NotJordan(
             f"unit weights are not multiplicatively transitive: {exc}",
             pair=exc.witness,
         ) from exc
+    return CanonicalJordanForm(s=s0, u=frozenset(u), g=g, s_inv=s0inv)
+
+
+def _raise_image_failure(
+    phi: LinearMapOnSMA, frame: UnitFrame, t: int, i: int, j: int
+) -> None:
+    """Raise NotJordan for block t, the image of the strict unit E_ij, which
+    is no scaled outer product g c_a r_b of either orientation in the frame
+    of S0, whose diagonal images passed: it leaves span(c_i r_j, c_j r_i),
+    or it lies there with both coordinates nonzero. An image there with
+    one nonzero coordinate is a term the walk must have accepted:
+    InternalInconsistency."""
+    blocks = phi.blocks
+    alpha = frame.coordinate(blocks, t, i, j)
+    beta = frame.coordinate(blocks, t, j, i)
+    if not frame.matches(blocks, t, ((alpha, i, j), (beta, j, i))):
+        x = blocks.block(t)
+        q = blocks.block(phi._index[(i, i)])
+        k = i if q * x + x * q != x else j
+        raise NotJordan(
+            f"conjugated image of E_{i}{j} leaves span(E_{i}{j}, E_{j}{i})",
+            pair=((k, k), (i, j)),
+        )
+    if not (alpha and beta):
+        raise InternalInconsistency(
+            f"image of E_{i}{j} is one term of the frame but not the one proposed"
+        )
+    raise NotJordan(
+        f"image of E_{i}{j} mixes multiplicative and antimultiplicative parts",
+        pair=((i, j), (i, j)),
+    )
 
 
 def _range_vector(nonzeros, n: int) -> list:

@@ -31,8 +31,10 @@ skips rows with a zero in the pivot column. The next-to-last section holds refer
 that the package once exported and no longer calls (the central
 idempotents, the all-pairs Jordan identity check, the
 identity, transpose and conjugation maps, the annihilation test for
-diagonalizability and the spectral resolution of one matrix); unlike the
-oracles they run on the package's matrix products and, for the spectral
+diagonalizability, the spectral resolution of one matrix and the Smith
+invariant factors of sparse integer rows); unlike the
+oracles they run on the package's matrix products, for the Smith factors
+on its integer eliminations and, for the spectral
 resolution, on those copies of the spectrum and Lagrange projectors. The last
 section keeps the references of the fast routes: the rectangle count over every
 row pair, the first missing composition of a pair set, ``validate`` as it
@@ -96,7 +98,7 @@ from smalg.polyroots import (
     roots_in_gaussian_rationals,
     squarefree_part,
 )
-from smalg.intlattice import gf2_kernel_basis, smith_invariant_factors
+from smalg.intlattice import _smith_factors, _unit_pivots, gf2_kernel_basis
 from smalg.quasiorder import (
     MAX_VERTICES,
     BeatCore,
@@ -735,25 +737,38 @@ def _pair_matadd(x, y):
     return [[cadd(a, b) for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
 
 
+def _breaks_jordan_identity(grids, first, second) -> bool:
+    """Whether phi(X) phi(Y) + phi(Y) phi(X) differs from phi(X Y + Y X)
+    for the units X = E_first and Y = E_second; ``grids`` maps each unit
+    to its image in oracle pair form."""
+    (a, b), (c, d) = first, second
+    n = len(grids[first])
+    left = [[CZERO] * n for _ in range(n)]
+    if b == c:
+        left = _pair_matadd(left, grids[(a, d)])
+    if d == a:
+        left = _pair_matadd(left, grids[(c, b)])
+    x, y = grids[first], grids[second]
+    return left != _pair_matadd(_pair_matmul(x, y), _pair_matmul(y, x))
+
+
 def oracle_first_jordan_violation(pairs, grids):
     """First ordered unit pair (in the given order, every ordered pair) at
     which phi(X) phi(Y) + phi(Y) phi(X) differs from phi(X Y + Y X); None if
     there is none. ``grids`` maps each pair to its image in oracle pair
     form."""
-    n = len(next(iter(grids.values())))
-    zero = [[CZERO] * n for _ in range(n)]
-    for (a, b) in pairs:
-        for (c, d) in pairs:
-            left = zero
-            if b == c:
-                left = _pair_matadd(left, grids[(a, d)])
-            if d == a:
-                left = _pair_matadd(left, grids[(c, b)])
-            x, y = grids[(a, b)], grids[(c, d)]
-            right = _pair_matadd(_pair_matmul(x, y), _pair_matmul(y, x))
-            if left != right:
-                return ((a, b), (c, d))
-    return None
+    return next(
+        ((x, y) for x in pairs for y in pairs if _breaks_jordan_identity(grids, x, y)),
+        None,
+    )
+
+
+def jordan_pair_violated(phi: LinearMapOnSMA, pair) -> bool:
+    """Whether the Jordan identity fails at the named unit pair, checked on
+    the two images by dense products of their entries: the check a
+    NOT-JORDAN certificate must pass."""
+    grids = {p: grid_of(m) for p, m in phi.unit_images().items()}
+    return _breaks_jordan_identity(grids, *pair)
 
 
 # --- spectral projectors by the characteristic-polynomial route --------------
@@ -871,9 +886,13 @@ def dense_classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
     """The classification ladder as the package ran it on dense products:
     idempotence of each q_i = phi(E_ii) by squaring, orthogonality through
     one product of their sum, two n x n products S0^-1 phi(E_ij) S0 per
-    strict unit, and the final comparison with ``dense_reconstruct``. The
-    package's frame ladder must give the same form, or raise the same
-    exception with the same message and pair."""
+    strict unit, and the final comparison with ``dense_reconstruct``. An
+    image that leaves its span is named with E_ii when q_i phi(E_ij) +
+    phi(E_ij) q_i != phi(E_ij), else with E_jj, and a class of both kinds
+    by its least pair of the two kinds that share a vertex: pairs that
+    break the Jordan identity. The package's frame ladder must give the
+    same form, or raise the same exception with the same message and
+    pair."""
     rho = phi.rho
     n = rho.n
     images = phi.unit_images()
@@ -910,9 +929,11 @@ def dense_classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
         beta = b.at(j, i)
         expected = DenseMatrix.from_entries(n, n, {(i, j): alpha, (j, i): beta})
         if b != expected:
+            x, qi = images[(i, j)], images[(i, i)]
+            k = i if jordan_product(qi, x) != x else j
             raise NotJordan(
                 f"conjugated image of E_{i}{j} leaves span(E_{i}{j}, E_{j}{i})",
-                pair=((i, i), (i, j)),
+                pair=((k, k), (i, j)),
             )
         if alpha and beta:
             raise NotJordan(
@@ -932,7 +953,9 @@ def dense_classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
         if m_pairs and a_pairs:
             raise NotJordan(
                 "multiplicative and antimultiplicative pairs share a class",
-                pair=(m_pairs[0], a_pairs[0]),
+                pair=min(
+                    (m, a) for m in m_pairs for a in a_pairs if set(m) & set(a)
+                ),
             )
         if m_pairs:
             u |= blk
@@ -1351,6 +1374,14 @@ def oracle_unbalanced_cycle(g, cycle):
 
 
 # --- reference checks the package no longer calls ------------------------------
+
+
+def smith_invariant_factors(rows):
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix given
+    by its sparse rows, dicts from column to nonzero entry: the package's
+    unit-pivot elimination, then its Smith reduction of the complement, as
+    ``transmap`` runs them in two steps."""
+    return _smith_factors(*_unit_pivots(rows))
 
 
 def central_idempotents(q: QuasiOrder):

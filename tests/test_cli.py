@@ -828,6 +828,40 @@ def test_classify_not_jordan(files):
     assert "pair" in out.report
 
 
+@pytest.mark.parametrize(
+    "rho, unit_pair, image, named",
+    [
+        # phi(E_12) = E_13 on the 3-chain: the identity holds at E_11 and
+        # E_12, and fails at E_22 and E_12
+        (upper_chain(3), (1, 2), (1, 3), ((2, 2), (1, 2))),
+        # phi(E_34) = E_43 beside E_12 and E_14: E_12 and E_34 share no
+        # vertex, so both sides at that pair are 0
+        (from_edges(4, [(1, 2), (3, 4), (1, 4)]), (3, 4), (4, 3), ((1, 4), (3, 4))),
+    ],
+    ids=["leaves-span", "shared-class"],
+)
+def test_not_jordan_names_a_pair_that_breaks_the_identity(
+    tmp_path, rho, unit_pair, image, named
+):
+    n = rho.n
+    images = {p: DenseMatrix.unit(n, *p) for p in rho.pairs()}
+    images[unit_pair] = DenseMatrix.unit(n, *image)
+    phi = linear_map(rho, images)
+    assert oracles.jordan_pair_violated(phi, named)
+    rel, lm = tmp_path / "r.qo", tmp_path / "m.lm"
+    rel.write_text(format_relation(rho))
+    lm.write_text(format_linear_map(phi))
+    (a, b), (c, d) = named
+    out = run(["classify", str(rel), str(lm)])
+    assert (out.exit_code, out.report) == (1, f"NOT-JORDAN\npair ({a},{b}) ({c},{d})\n")
+    out = run(["--format", "json-lines", "classify", str(rel), str(lm)])
+    pair = json.dumps({"pair": [list(p) for p in named]})
+    assert (out.exit_code, out.report) == (1, f'{{"verdict": "not-jordan"}}\n{pair}\n')
+    out = run(["check-rank", str(rel), str(lm)])
+    assert out.exit_code == 1
+    assert f"NOTE fails rank: not Jordan at unit pair {named}" in out.report.splitlines()
+
+
 def test_classify_codomain_support(files):
     out = run(["classify", "--codomain", files["delta3"], files["t3"], files["id_t3"]])
     assert out.exit_code == 1

@@ -6,7 +6,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from smalg.intlattice import gf2_kernel_basis, kernel_bases, smith_invariant_factors
+from smalg.intlattice import gf2_kernel_basis, kernel_bases
 
 from smalg.quasiorder import from_edges
 from smalg.transmap import _gauge, _relation_vectors
@@ -16,6 +16,7 @@ from oracles import (
     dense_gf2_kernel_basis,
     integer_kernel_basis,
     oracle_rational_matrix_rank,
+    smith_invariant_factors,
 )
 
 

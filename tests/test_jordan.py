@@ -79,6 +79,7 @@ from oracles import (
     grid_of,
     identity_map,
     is_jordan_homomorphism,
+    jordan_pair_violated,
     jordan_product,
     oracle_first_jordan_violation,
     oracle_first_nonorthogonal_pair,
@@ -208,26 +209,35 @@ def test_classify_absorbs_diagonal_scaling_into_weights():
     assert f.reconstruct() == phi
 
 
+def _not_jordan_pair(phi):
+    """The pair classify_jordan names for phi, checked to break the Jordan
+    identity by the dense oracle."""
+    with pytest.raises(NotJordan) as exc:
+        classify_jordan(phi)
+    assert jordan_pair_violated(phi, exc.value.pair)
+    return exc.value.pair
+
+
 def test_classify_error_cases():
     rho = upper_chain(2)
     base = {(1, 1): unit(2, 1, 1), (2, 2): unit(2, 2, 2), (1, 2): unit(2, 1, 2)}
     with pytest.raises(VanishingUnitImage) as exc:
         classify_jordan(LinearMapOnSMA(rho, {**base, (1, 2): DenseMatrix.zeros(2, 2)}))
     assert exc.value.pair == (1, 2)
-    with pytest.raises(NotJordan) as exc:
-        classify_jordan(LinearMapOnSMA(rho, {**base, (1, 1): unit(2, 1, 2)}))
-    assert exc.value.pair == ((1, 1), (1, 1))
-    with pytest.raises(NotJordan) as exc:
-        classify_jordan(LinearMapOnSMA(rho, {**base, (2, 2): unit(2, 1, 1)}))
-    assert exc.value.pair == ((1, 1), (2, 2))
-    with pytest.raises(NotJordan) as exc:
-        classify_jordan(LinearMapOnSMA(rho, {**base, (1, 2): unit(2, 1, 1)}))
-    assert exc.value.pair == ((1, 1), (1, 2))
-    with pytest.raises(NotJordan) as exc:
-        classify_jordan(
-            LinearMapOnSMA(rho, {**base, (1, 2): unit(2, 1, 2) + unit(2, 2, 1)})
-        )
-    assert exc.value.pair == ((1, 2), (1, 2))
+    for images, pair in [
+        ({**base, (1, 1): unit(2, 1, 2)}, ((1, 1), (1, 1))),
+        ({**base, (2, 2): unit(2, 1, 1)}, ((1, 1), (2, 2))),
+        ({**base, (1, 2): unit(2, 1, 1)}, ((1, 1), (1, 2))),
+        ({**base, (1, 2): unit(2, 1, 2) + unit(2, 2, 1)}, ((1, 2), (1, 2))),
+    ]:
+        assert _not_jordan_pair(LinearMapOnSMA(rho, images)) == pair
+    # phi(E_12) = E_13 on the 3-chain leaves the span: E_11 E_13 + E_13 E_11
+    # = E_13 is phi(E_11 E_12 + E_12 E_11), so the pair of E_11 holds and
+    # that of E_22 fails
+    t3 = upper_chain(3)
+    imgs = {(i, j): unit(3, i, j) for (i, j) in t3.pairs()}
+    imgs[(1, 2)] = unit(3, 1, 3)
+    assert _not_jordan_pair(LinearMapOnSMA(t3, imgs)) == ((2, 2), (1, 2))
 
 
 def test_classify_rejects_mixed_class_and_nontransitive_weights():
@@ -235,16 +245,18 @@ def test_classify_rejects_mixed_class_and_nontransitive_weights():
     imgs = {(i, i): unit(3, i, i) for i in range(1, 4)}
     imgs[(1, 2)] = unit(3, 1, 2)
     imgs[(1, 3)] = unit(3, 3, 1)
-    with pytest.raises(NotJordan) as exc:
-        classify_jordan(LinearMapOnSMA(rho, imgs))
-    assert exc.value.pair == ((1, 2), (1, 3))
+    assert _not_jordan_pair(LinearMapOnSMA(rho, imgs)) == ((1, 2), (1, 3))
+
+    # E_12 and E_34 share no vertex, so the pair named is E_14 with E_34
+    rho = from_edges(4, [(1, 2), (3, 4), (1, 4)])
+    imgs = {(i, j): unit(4, i, j) for (i, j) in rho.pairs()}
+    imgs[(3, 4)] = unit(4, 4, 3)
+    assert _not_jordan_pair(LinearMapOnSMA(rho, imgs)) == ((1, 4), (3, 4))
 
     t3 = upper_chain(3)
     imgs = {(i, j): unit(3, i, j) for (i, j) in t3.pairs()}
     imgs[(1, 3)] = unit(3, 1, 3).scale(2)
-    with pytest.raises(NotJordan) as exc:
-        classify_jordan(LinearMapOnSMA(t3, imgs))
-    assert exc.value.pair == ((1, 2), (2, 3))
+    assert _not_jordan_pair(LinearMapOnSMA(t3, imgs)) == ((1, 2), (2, 3))
 
 
 def test_synthesize_identity_and_transpose():
@@ -597,9 +609,13 @@ def test_classify_chain10_dense_product_count(monkeypatch):
 
 def _ladder_outcome(classify, phi):
     """The form a ladder returns, or the class, message and pair of what it
-    raises."""
+    raises. The pair of a NotJordan is checked to break the Jordan identity
+    by the dense oracle."""
     try:
         return classify(phi)
+    except NotJordan as exc:
+        assert jordan_pair_violated(phi, exc.pair)
+        return NotJordan, str(exc), exc.pair
     except SmalgError as exc:
         return type(exc), str(exc), getattr(exc, "pair", None)
 
@@ -793,10 +809,9 @@ def test_shared_leading_positions_fall_back_to_coordinates(monkeypatch):
 )
 def test_a_jordan_map_is_compared_once_per_unit(monkeypatch, classify):
     """On a Jordan map over the 6-chain each unit image is compared with
-    its term once, coordinates are summed only where c_i r_j and c_j r_i
-    lead at one position, and the ladder never runs: the rank preservers'
-    form and the codomain form are derived from the one the comparison
-    proved, not compared again."""
+    its term once and coordinates are summed only where c_i r_j and c_j r_i
+    lead at one position: the rank preservers' form and the codomain form
+    are derived from the one the comparison proved, not compared again."""
     phi = corpus_style_jordan_map(6, 1)
     n = phi.rho.n
     s = classify_jordan(phi).s
@@ -809,7 +824,7 @@ def test_a_jordan_map_is_compared_once_per_unit(monkeypatch, classify):
         if i != j and (first_row[i], first_col[j]) == (first_row[j], first_col[i])
     ]
     assert shared
-    compared, coordinates, ladders = [], [], []
+    compared, coordinates = [], []
     frame = exactnum.UnitFrame
     matches, coordinate = frame.matches, frame.coordinate
 
@@ -823,12 +838,10 @@ def test_a_jordan_map_is_compared_once_per_unit(monkeypatch, classify):
 
     monkeypatch.setattr(frame, "matches", counting_matches)
     monkeypatch.setattr(frame, "coordinate", counting_coordinate)
-    monkeypatch.setattr(smalg.jordan, "_name_failure", lambda *args: ladders.append(args))
     form = classify(phi)
     assert len(phi.units) == 21
     assert sorted(compared) == list(range(len(phi.units)))
     assert coordinates == [(p, q) for p in shared for q in (p, p[::-1])]
-    assert ladders == []
     monkeypatch.undo()
     assert form.reconstruct() == phi
     assert form.s_inv == inverse(form.s)
@@ -857,6 +870,15 @@ def test_a_map_that_fails_is_inverted_once(monkeypatch):
     with pytest.raises(NotJordan, match="image of E_11 is not idempotent"):
         classify_jordan(LinearMapOnSMA(phi.rho, images))
     assert len(calls) == 1
+
+
+def test_a_strict_image_of_one_term_that_fails_the_walk_is_internal(monkeypatch):
+    # an image that is one scaled outer product of the frame is always
+    # proposed and matched; a walk that says otherwise is a fault
+    phi = identity_map(upper_chain(2))
+    monkeypatch.setattr(exactnum.UnitFrame, "propose", lambda self, blocks, t, i, j: None)
+    with pytest.raises(InternalInconsistency, match="not the one proposed"):
+        classify_jordan(phi)
 
 
 def test_frame_failure_on_dense_jordan_images_is_internal(monkeypatch):
