@@ -4,12 +4,16 @@ Positive verdicts come with a canonical form that reconstructs the map
 exactly; negative verdicts come with a concrete matrix whose rank jumps
 under the map. For a map whose normalization phi(I)^-1 phi is Jordan, the
 witness is constructed from the shortest unbalanced cycle of its weight map
-and has least rank. Every witness is handed back with the ranks measured
-when it was verified, so a caller only renders them. Sampling is left in
-two places: the rank-one counterexample of a unital map that is not Jordan
-(one exists by theory and is re-verified), and the bounded check of a map
-with a singular phi(I), whose positive verdict rests on samples. The
-samples come from ``smalg.sampling``.
+and has least rank. Each witness carries two ranks, taken once under the
+map whose verdict prints it: ``witness`` checks the cycle matrix against
+the induced scaling g*, ``check-rank`` and ``check-rank-one`` against phi
+itself, and a sample or the identity is ranked under the map it convicts.
+A unit whose image vanishes takes no rank: its ranks (1, 0) restate what
+the classification found. So a caller only renders the ranks. Sampling
+is left in two places: the rank-one counterexample of a unital map that
+is not Jordan (one exists by theory and is re-verified), and the bounded
+check of a map with a singular phi(I), whose positive verdict rests on
+samples. The samples come from ``smalg.sampling``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .transmap import (
     apply_induced,
     shortest_unbalanced_cycle,
     triviality_witness,
-    validate,
 )
 
 
@@ -100,16 +103,18 @@ def certify_rank_one_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
 
     A Jordan map keeps rank one iff its weight map has no unbalanced
     4-cycle, i.e. every rectangle minor vanishes; otherwise the least-rank
-    witness is that rectangle's all-ones indicator. Non-Jordan inputs must
-    be unital, where rank-one preservation would contradict their
-    non-Jordan-ness, so a sampled counterexample exists. A unit whose image
-    vanishes is itself a witness: rank one, sent to rank zero.
+    witness is that rectangle's all-ones indicator, checked against phi
+    itself: phi is Jordan with phi(I) = I, so it sends the indicator to
+    rank two (see ``_cycle_matrix``). Non-Jordan inputs must be unital,
+    where rank-one preservation would contradict their non-Jordan-ness, so
+    a sampled counterexample exists. A unit whose image vanishes is itself
+    a witness: rank one, sent to rank zero.
     """
     n = phi.rho.n
     try:
         form = classify_jordan(phi)
     except VanishingUnitImage as exc:
-        return _vanishing_unit(phi, exc.pair, f"the unit image at {exc.pair} vanishes")
+        return _vanishing_unit(n, exc.pair, f"the unit image at {exc.pair} vanishes")
     except NotJordan:
         if apply(phi, DenseMatrix.identity(n)) != DenseMatrix.identity(n):
             raise NotUnital("map is neither Jordan nor unital")
@@ -121,44 +126,48 @@ def certify_rank_one_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     cycle = shortest_unbalanced_cycle(form.g)
     if cycle is None or len(cycle) > 4:
         return PreserverVerdict(kind="RankOnePreserver", form=form)
-    x = _cycle_matrix(form.g, cycle).matrix
-    r_image = rank(apply(phi, x))
-    if r_image == 1:
-        raise InternalInconsistency("violating rectangle kept rank one")
     return PreserverVerdict(
         kind="Neither",
-        witness=RankWitness(x, (1, r_image)),
+        witness=_cycle_matrix(cycle, n, lambda x: apply(phi, x)),
         note="rectangle minor does not vanish",
     )
 
 
-def _vanishing_unit(phi: LinearMapOnSMA, pair, note: str) -> PreserverVerdict:
-    """Neither, witnessed by the unit at ``pair``, of rank one, whose image
-    vanishes."""
-    unit = DenseMatrix.unit(phi.rho.n, *pair)
-    return PreserverVerdict(
-        kind="Neither", witness=RankWitness(unit, (1, rank(apply(phi, unit)))), note=note
-    )
+def _vanishing_unit(n: int, pair, note: str) -> PreserverVerdict:
+    """Neither, witnessed by the unit at ``pair``: rank one, and its image
+    is zero, as the classification found from the unit images alone."""
+    unit = DenseMatrix.unit(n, *pair)
+    return PreserverVerdict(kind="Neither", witness=RankWitness(unit, (1, 0)), note=note)
 
 
-def _cycle_matrix(g: TransitiveMap, cycle) -> RankWitness:
-    """1 on each pair of an unbalanced cycle of length 2m, (-1)^m on the
-    closing pair: rank m - 1, while its induced scaling has rank m.
+def _cycle_matrix(cycle, n: int, image) -> RankWitness:
+    """1 on each pair of an unbalanced cycle of length 2m of a weight map g,
+    (-1)^m on the closing pair: rank m - 1, while ``image`` sends it to
+    rank m. Both ranks are checked here, once, and are the ranks returned.
 
     The support is an m x m block whose only two transversals are the odd
     and the even pairs of the cycle, so its determinant is
     +-(P_odd + (-1)^(m-1) P_even) for the entry products P on each. The
-    closing sign makes it 0, while the scaled block has determinant
-    +-(g on odd pairs - g on even pairs), nonzero as the cycle is
-    unbalanced. The path left by dropping the closing pair has a
-    unit-triangular minor of size m - 1.
+    closing sign makes it 0, while the block of g*(x), the induced scaling,
+    has determinant +-(g on odd pairs - g on even pairs), nonzero as the
+    cycle is unbalanced. The path left by dropping the closing pair has a
+    unit-triangular minor of size m - 1. So rank g*(x) = m.
+
+    A map phi with phi(I) invertible whose normalization psi =
+    phi(I)^-1 phi has the Jordan form (S, u, g) sends x to rank m too. Every
+    pair of the relation lies inside one connectivity class, and u is a
+    union of classes, so y = g*(x) has no entry with one index in u and
+    the other outside it. Then psi(x) = S (P y + (I - P) y^t) S^-1, with P
+    the idempotent with 1 exactly on u, and P y + (I - P) y^t is y on
+    u x u and y^t on the square of the complement of u: its rank is
+    rank y = m, as transposing a diagonal block keeps its rank. Left-multiplying by the
+    invertible phi(I) keeps it as well: rank phi(x) = m.
     """
     m = len(cycle) // 2
-    n = g.rho.n
     entries = dict.fromkeys(cycle, 1)
     entries[cycle[-1]] = (-1) ** m
     x = DenseMatrix.from_entries(n, n, entries)
-    if rank(x) != m - 1 or rank(apply_induced(g, x)) != m:
+    if rank(x) != m - 1 or rank(image(x)) != m:
         raise InternalInconsistency("cycle matrix does not change rank by one")
     return RankWitness(x, (m - 1, m))
 
@@ -177,7 +186,7 @@ def nontrivial_g_rank_witness(g: TransitiveMap) -> RankWitness:
     cycle = shortest_unbalanced_cycle(g)
     if cycle is None:
         raise GIsTrivial("weight map is a separator quotient")
-    return _cycle_matrix(g, cycle)
+    return _cycle_matrix(cycle, g.rho.n, lambda x: apply_induced(g, x))
 
 
 def rank_identity_check(rho: QuasiOrder, u, x: DenseMatrix) -> bool:
@@ -203,7 +212,10 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
     A rank preserver must send the identity to an invertible matrix; after
     normalizing by it the map must be Jordan with a trivial weight map.
     The positive certificate absorbs the separator into the similarity, so
-    the returned form has constant weight one.
+    the returned form has constant weight one. A nontrivial weight map
+    convicts phi by the cycle matrix of its shortest unbalanced cycle,
+    checked against phi itself (see ``_cycle_matrix``); a unit whose image
+    under phi(I)^-1 phi vanishes has phi(E) = phi(I) 0 = 0.
 
     That form is derived from the one ``classify_jordan`` verified, not
     compared again. ``triviality_witness`` checks g(i, j) = s(i)/s(j) on
@@ -233,7 +245,7 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
         form = classify_jordan(psi)
     except VanishingUnitImage as exc:
         return _vanishing_unit(
-            phi, exc.pair, f"fails rank: the unit image at {exc.pair} vanishes"
+            n, exc.pair, f"fails rank: the unit image at {exc.pair} vanishes"
         )
     except NotJordan as exc:
         return _sampled_rank_one_counterexample(
@@ -241,21 +253,21 @@ def classify_rank_preserver(phi: LinearMapOnSMA) -> PreserverVerdict:
             f"fails rank: not Jordan at unit pair {exc.pair}",
             "non-Jordan unitalization passed rank-one sampling",
         )
-    cert = triviality_witness(form.g)
-    if not cert.is_trivial:
-        x, (before, _) = nontrivial_g_rank_witness(form.g)
+    cycle = shortest_unbalanced_cycle(form.g)
+    if cycle is not None:
         return PreserverVerdict(
             kind="Neither",
-            witness=RankWitness(x, (before, rank(apply(phi, x)))),
+            witness=_cycle_matrix(cycle, n, lambda x: apply(phi, x)),
             note="fails rank: the weight map is not trivial",
         )
-    s = dict(cert.separator)
+    s = dict(triviality_witness(form.g).separator)
     gamma = [s[i] if i in form.u else s[i].reciprocal() for i in range(1, n + 1)]
     # S0 Gamma scales the columns of S0, and (S0 Gamma)^-1 = Gamma^-1 S0^-1
     # the rows of S0^-1
     t = form.s.scale_columns(gamma)
     t_inv = form.s_inv.scale_rows([v.reciprocal() for v in gamma])
-    ones = validate(rho, {p: ONE for p in rho.strict_pairs()})
+    # all-ones weights are transitive, so they need no validation
+    ones = TransitiveMap(rho, dict.fromkeys(rho.strict_pairs(), ONE))
     return PreserverVerdict(
         kind="RankPreserver", form=CanonicalJordanForm(s=t, u=form.u, g=ones, s_inv=t_inv)
     )

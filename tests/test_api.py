@@ -1,4 +1,5 @@
-"""The package's exports: each one is used by the package or documented."""
+"""The package's names: each export is used by the package or documented,
+and each private helper is used by the package."""
 
 import ast
 import re
@@ -33,6 +34,22 @@ def test_every_export_is_used_by_the_package_or_named_in_the_readme():
         if name not in used and not re.search(rf"\b{name}\b", readme)
     ]
     assert stray == []
+
+
+def test_every_private_helper_is_read_in_the_package():
+    # a helper that only tests use belongs in tests/oracles.py, and one that
+    # nothing uses is deleted
+    used = _names_read_in_the_package()
+    orphans = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and node.name not in used
+    ]
+    assert orphans == []
 
 
 def test_only_the_sampling_module_imports_random():

@@ -1056,6 +1056,60 @@ def test_check_rank_one_vanishing_unit_is_a_verdict(tmp_path):
     assert "RANKS 1 0" in out.report.splitlines()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-rank"],
+        ["check-rank", "--max-rank", "1"],
+        ["check-rank-one"],
+    ],
+)
+def test_a_witness_that_keeps_its_rank_under_the_map_is_an_internal_error(
+    files, monkeypatch, argv
+):
+    # with apply returning its argument, phi(I) = I and the image of the
+    # cycle matrix keeps its rank: the check against phi must fail, never
+    # print the unchecked ranks as a verdict
+    monkeypatch.setattr(smalg.rankpres, "apply", lambda phi, x: x)
+    out = run(argv + [files["bowtie"], files["bowtie_lm"]])
+    assert (out.exit_code, out.report) == (
+        3, "error: cycle matrix does not change rank by one\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, rho, weights",
+    [("bowtie", bowtie(), bowtie_weights()), ("chain10", chain10(), chain10_weights())],
+)
+def test_a_non_unital_map_is_convicted_by_its_own_ranks(files, tmp_path, name, rho, weights):
+    # phi = M g*(.) with M invertible and outside the algebra: check-rank
+    # prints the cycle matrix of g, with its ranks under phi
+    g = validate(rho, weights)
+    n = rho.n
+    m = DenseMatrix.from_entries(
+        n, n, {**{(i, i): 1 for i in range(1, n + 1)}, (n, 1): 2, (1, n): "1i"}
+    )
+    assert (n, 1) not in rho and rank(m) == n
+    images = {
+        p: m * DenseMatrix.unit(n, *p).scale(g.value(*p)) for p in rho.pairs()
+    }
+    lm = tmp_path / "scaled.lm"
+    lm.write_text(format_linear_map(linear_map(rho, images)))
+    witness = run(["witness", files[name], files[f"{name}_gw"]])
+    out = run(["check-rank", files[name], str(lm)])
+    assert out.exit_code == 1
+    lines = out.report.splitlines()
+    assert lines[0] == "VERDICT Neither"
+    assert lines[1:-2] == witness.report.splitlines()[:-1]
+    x = parse_matrix("\n".join(lines[2:-2]))
+    image = DenseMatrix.zeros(n, n)
+    for p in x.support():
+        image = image + images[p].scale(x.at(*p))
+    ranks = (oracles.oracle_rank_of(x), oracles.oracle_rank_of(image))
+    assert lines[-2] == "RANKS {} {}".format(*ranks)
+    assert lines[-1] == "NOTE fails rank: the weight map is not trivial"
+
+
 @pytest.mark.parametrize("command", ["classify", "check-rank", "check-rank-one"])
 def test_a_jordan_map_is_read_without_its_dense_matrix(tmp_path, command):
     # a map over the 30-chain, 465 units in about 850 KB of text: the

@@ -12,7 +12,7 @@ from smalg.errors import (
     NotUnital,
     SupportViolation,
 )
-from smalg.exactnum import DenseMatrix, ONE, inverse, rank, scalar
+from smalg.exactnum import DenseMatrix, inverse, rank, scalar
 from smalg.jordan import LinearMapOnSMA, apply, classify_jordan, synthesize_jordan
 from smalg.quasiorder import NotClassUnion, approx_classes, from_edges
 from smalg.rankpres import (
@@ -470,7 +470,9 @@ def test_classify_synthesized_trivial_maps():
         phi = synthesize_jordan(rho, t, u, g)
         v = classify_rank_preserver(phi)
         assert v.kind == "RankPreserver"
-        assert all(w == ONE for _, w in v.form.g.items())
+        # built directly, in the order validate keeps
+        ones = validate(rho, dict.fromkeys(rho.strict_pairs(), 1))
+        assert v.form.g.items() == ones.items()
         assert v.form.reconstruct() == phi
         assert v.form.s_inv == inverse(v.form.s)
         ok, _ = bounded_rank_preserver_check(phi, rho.n, count=6, seed=rng.randrange(10**6))
@@ -643,10 +645,10 @@ def test_bounded_internal_fault_is_not_a_verdict(monkeypatch):
     """A broken witness construction must surface, not fall through to
     sampling (which would still find a rank jump on the bowtie)."""
 
-    def broken(g):
+    def broken(cycle, n, image):
         raise InternalInconsistency("injected fault")
 
-    monkeypatch.setattr(smalg.rankpres, "nontrivial_g_rank_witness", broken)
+    monkeypatch.setattr(smalg.rankpres, "_cycle_matrix", broken)
     with pytest.raises(InternalInconsistency, match="injected fault"):
         bounded_rank_preserver_check(induced_linear_map(bowtie_g()), 1)
 
@@ -763,3 +765,79 @@ def test_separator_is_absorbed_by_scalings_not_products(monkeypatch):
     monkeypatch.undo()
     assert verdict.form.s == form.s * DenseMatrix.diag(gamma)
     assert verdict.form.s_inv == DenseMatrix.diag([v.reciprocal() for v in gamma]) * form.s_inv
+
+
+# ---------------------------------------------------------------------------
+# one check per rank witness
+
+
+def scaled_bipartite_g():
+    """Five sources over five sinks, every source related to every sink,
+    all weights 1 but one: the shortest unbalanced cycle is a 4-cycle."""
+    rho = from_edges(10, [(i, j) for i in range(1, 6) for j in range(6, 11)])
+    weights = dict.fromkeys(rho.strict_pairs(), 1)
+    weights[(5, 10)] = 2
+    return validate(rho, weights)
+
+
+def _counted(monkeypatch, names):
+    """Counts of the calls of each named function of smalg.rankpres,
+    reset by each call of ``calls``."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(smalg.rankpres, name, None)
+
+        def counting(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        # a name the module does not import is set all the same: nothing calls it
+        monkeypatch.setattr(smalg.rankpres, name, counting, raising=False)
+
+    def calls(fn, *args):
+        for name in names:
+            counts[name] = 0
+        return fn(*args), dict(counts)
+
+    return calls
+
+
+def test_each_rank_witness_is_checked_once_against_its_map(monkeypatch):
+    """check-rank and check-rank-one check the cycle matrix against phi
+    with two ranks; witness checks it against g*; the positive form's
+    all-ones weights are not validated; a vanishing unit takes no rank."""
+    g = scaled_bipartite_g()
+    phi = induced_linear_map(g)
+    trivial = induced_linear_map(
+        validate(g.rho, dict.fromkeys(g.rho.strict_pairs(), 1))
+    )
+    vanishing = LinearMapOnSMA(
+        upper_chain(2),
+        {
+            (1, 1): DenseMatrix.unit(2, 1, 1),
+            (2, 2): DenseMatrix.unit(2, 2, 2),
+            (1, 2): DenseMatrix.zeros(2, 2),
+        },
+    )
+    calls = _counted(monkeypatch, ("rank", "apply", "apply_induced", "validate"))
+    none = {"rank": 0, "apply": 0, "apply_induced": 0, "validate": 0}
+
+    v, counts = calls(classify_rank_preserver, phi)
+    assert v.witness.ranks == (1, 2)
+    # one apply for phi(I), one for the witness
+    assert counts == {**none, "rank": 2, "apply": 2}
+    v, counts = calls(certify_rank_one_preserver, phi)
+    assert v.witness.ranks == (1, 2)
+    assert counts == {**none, "rank": 2, "apply": 1}
+    w, counts = calls(nontrivial_g_rank_witness, g)
+    assert w.ranks == (1, 2)
+    assert counts == {**none, "rank": 2, "apply_induced": 1}
+    v, counts = calls(classify_rank_preserver, trivial)
+    assert v.kind == "RankPreserver"
+    assert counts == {**none, "apply": 1}
+    v, counts = calls(certify_rank_one_preserver, vanishing)
+    assert v.witness.ranks == (1, 0)
+    assert counts == none
+    v, counts = calls(classify_rank_preserver, vanishing)
+    assert v.witness.ranks == (1, 0)
+    assert counts == {**none, "apply": 1}
