@@ -2,14 +2,18 @@
 
 Given commuting diagonalizable matrices supported in a quasi-order, an
 invertible S with the same support is produced whose conjugation makes all
-of them diagonal; the inverse of S automatically shares the support. Each
-member's block on each class of mutually related vertices gets one integer
-basis of its left eigenspace per eigenvalue, from one fraction-free kernel:
-their dimensions add up to the block size exactly when the block is
-diagonalizable, and their intersections, the joint left eigenspaces of the
-class blocks, give by their pivot columns, for each column of S, a unit
-column and a joint eigenvalue. The unit column is then pushed through the
-Lagrange factors of that eigenvalue, one product per member and eigenvalue
+of them diagonal; the inverse of S automatically shares the support. On
+each class of mutually related vertices, the first member's block gets one
+integer basis of its left eigenspace per eigenvalue, from one
+fraction-free kernel: their dimensions add up to the block size exactly
+when the block is diagonalizable. Each later member's block keeps these
+joint pieces and is split by its restriction to each, read off one
+product of the piece's echelon basis with the block: a 1 x 1 restriction
+is an eigenvalue, and only a larger one is split by its own eigenspaces.
+The final pieces, the joint left eigenspaces of the class blocks, give by
+their pivot columns, for each column of S, a unit column and a joint
+eigenvalue. The unit column is then pushed through the Lagrange factors
+of that eigenvalue, one product per member and eigenvalue
 for all columns at once, on integer rows; a column takes only the factors
 of the eigenvalues of the class blocks above its class. No projector is
 formed, of a class block or of the whole matrix. Each member F is checked
@@ -22,8 +26,9 @@ the inverse and the diagonals it was checked with.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -35,10 +40,11 @@ from .errors import (
     SupportViolation,
 )
 from .exactnum import (
+    ONE,
     DenseMatrix,
     GaussianRational,
+    _divided,
     _gauss_jordan,
-    _kernel_basis,
     _nonzero_positions,
     _primitive,
     _reduced_scalar,
@@ -52,6 +58,7 @@ from .polyroots import (
     charpoly,
     poly_degree,
     poly_eval_matrix,
+    poly_mul,
     roots_in_gaussian_rationals,
     squarefree_part,
 )
@@ -78,122 +85,156 @@ def _annihilate(a: DenseMatrix, eigs) -> None:
         raise NotDiagonalizable("minimal polynomial has a repeated root")
 
 
-def _diagnose(a: DenseMatrix, cp, rem) -> NoReturn:
-    """Raise the error of the test by the minimal polynomial for a square
-    matrix that is not diagonalizable over the Gaussian rationals. ``cp``
-    is its characteristic polynomial and ``rem`` the factor of ``cp`` that
-    the root search left, or both None when a is upper-triangular.
-
-    An upper-triangular matrix takes the annihilation test by the product
-    of the a - lam*I over its diagonal. Any other matrix takes the
-    squarefree part of ``cp`` and tests that it annihilates the matrix; so
-    a matrix that is neither diagonalizable nor of rational spectrum is
-    named not diagonalizable. The roots of ``cp`` are not searched again:
-    ``rem`` is the product of the x - lam over the roots outside the field,
-    with multiplicity, so its squarefree part has the degree of the factor
-    that the search of the squarefree part of ``cp`` would leave.
-    """
-    if cp is None:
-        _annihilate(a, set(a.diagonal()))
-    else:
-        if not poly_eval_matrix(squarefree_part(cp), a).is_zero():
-            raise NotDiagonalizable("minimal polynomial has a repeated root")
-        degree = poly_degree(squarefree_part(rem))
-        if degree > 0:
-            raise IrrationalSpectrum(
-                f"characteristic factor of degree {degree} has no Gaussian-rational root"
-            )
-    raise InternalInconsistency("eigenspaces disagree with the minimal polynomial")
-
-
 def _spectrum(a: DenseMatrix) -> tuple:
-    """(eigenvalues, eigenspaces) of a square matrix that is diagonalizable
-    over the Gaussian rationals: its distinct eigenvalues in sort-key order
-    and, for each, an integer basis of its left eigenspace, as (re, im) int
-    rows.
+    """(eigenvalues, eigenspaces, leftover) of a square matrix that is
+    diagonalizable over the complex numbers: its distinct Gaussian-rational
+    eigenvalues in sort-key order, for each an integer basis of its left
+    eigenspace, as (re, im) int rows, and the monic factor of its
+    characteristic polynomial that has no root in the field. When that
+    factor has positive degree, no eigenspace is solved and the first two
+    come back empty.
 
-    An upper-triangular matrix shows its eigenvalues on the diagonal; any
-    other one takes them from the roots of its characteristic polynomial,
-    which split it exactly when the spectrum is rational. The matrix is
-    diagonalizable exactly when the eigenspaces fill the space. When either
-    test fails, ``_diagnose`` raises the error.
+    An upper-triangular matrix shows its eigenvalues on the diagonal and
+    leaves the factor 1; any other one takes them from the roots of its
+    characteristic polynomial. With a rational spectrum the matrix is
+    diagonalizable exactly when the eigenspaces fill the space. Only when
+    either test fails does the test by the minimal polynomial run, and it
+    raises NotDiagonalizable for a matrix that is not diagonalizable over
+    the complex numbers: an upper-triangular matrix takes the annihilation
+    test by the product of the a - lam*I over its diagonal, any other the
+    squarefree part of its characteristic polynomial, which annihilates it
+    exactly when it is. The leftover factor is the product of the x - lam
+    over the roots outside the field, with multiplicity, so its squarefree
+    part has the degree of the factor that the search of the squarefree
+    part of the characteristic polynomial would leave.
     """
     if a.is_upper_triangular():
-        cp = rem = None
+        cp, rem = None, [ONE]
         eigs = set(a.diagonal())
     else:
         cp = charpoly(a)
         eigs, rem = roots_in_gaussian_rationals(cp)
-        if poly_degree(rem) > 0:
-            _diagnose(a, cp, rem)
-    eigs = sorted(eigs, key=GaussianRational.sort_key)
-    # w a = lam w exactly when a^T w = lam w
-    at = a.transpose()
-    spaces = [_shifted_kernel(at, lam) for lam in eigs]
-    if sum(map(len, spaces)) != a.rows:
-        _diagnose(a, cp, rem)
-    return eigs, spaces
+    if poly_degree(rem) == 0:
+        eigs = sorted(eigs, key=GaussianRational.sort_key)
+        # w a = lam w exactly when a^T w = lam w
+        at = a.transpose()
+        spaces = [_shifted_kernel(at, lam) for lam in eigs]
+        if sum(map(len, spaces)) == a.rows:
+            return eigs, spaces, rem
+    if cp is None:
+        _annihilate(a, eigs)
+    elif not poly_eval_matrix(squarefree_part(cp), a).is_zero():
+        raise NotDiagonalizable("minimal polynomial has a repeated root")
+    if poly_degree(rem) == 0:
+        raise InternalInconsistency("eigenspaces disagree with the minimal polynomial")
+    return [], [], rem
 
 
-def _intersection(us: list, vs: list) -> list:
-    """An integer basis of the intersection of the spans of two bases of
-    (re, im) int rows: x U for each kernel vector (x, y) of the columns of
-    U and -V. x is never zero, since V is independent, and the x of a
-    kernel basis are independent, so the x U are a basis."""
-    stacked = us + [([-x for x in re], [-y for y in im]) for re, im in vs]
-    re_rows = [list(row) for row in zip(*(re for re, _ in stacked))]
-    im_rows = [list(row) for row in zip(*(im for _, im in stacked))]
-    m = len(re_rows)
+def _echelon(rows) -> tuple:
+    """(pivot columns, last pivot p, re rows, im rows) of independent
+    (re, im) int rows, reduced in place by ``_gauss_jordan``: row s is p
+    times row s of the reduced echelon form of their span, so it holds p at
+    its own pivot column and 0 at the others. The pivot columns depend on
+    the span alone."""
+    re_rows = [re for re, _ in rows]
+    im_rows = [im for _, im in rows]
+    pivots, p = _gauss_jordan(re_rows, im_rows, reduce=True)
+    return [c for _, c in pivots], p, re_rows, im_rows
+
+
+def _restriction(basis, b_rows) -> DenseMatrix:
+    """The d x d matrix M with W B = M W, for a class block B = N / e as
+    ``_sparse_rows`` gives it and the echelon basis W of a piece that B
+    keeps (``_echelon``, d rows). One product P = W N gives W B = P / e.
+    Column c_s of M W, for the pivot column c_s of row s of W, is p times
+    column s of M, so M = P[:, c] / (p e). M W = P / e is then checked on
+    every column, as P[:, c] W = p P; it fails only for a family that does
+    not commute, and raises."""
+    cols, (pr, pi), wre, wim = basis
+    pre, pim = _rows_times(wre, wim, b_rows)
+    for xr, xi in zip(pre, pim):
+        sr = [pr * x - pi * y for x, y in zip(xr, xi)]
+        si = [pr * y + pi * x for x, y in zip(xr, xi)]
+        for c, ur, ui in zip(cols, wre, wim):
+            a, b = xr[c], xi[c]
+            if b:
+                sr = [s - a * u + b * v for s, u, v in zip(sr, ur, ui)]
+                si = [s - a * v - b * u for s, u, v in zip(si, ur, ui)]
+            elif a:
+                sr = [s - a * u for s, u in zip(sr, ur)]
+                si = [s - a * v for s, v in zip(si, ui)]
+        if any(sr) or any(si):
+            raise InternalInconsistency("a class block does not keep a joint eigenspace")
+    d, e = len(cols), b_rows[3]
+    return _divided(
+        d,
+        d,
+        [xr[c] for xr in pre for c in cols],
+        [xi[c] for xi in pim for c in cols],
+        (pr * e, pi * e),
+    )
+
+
+def _combined(ys, basis) -> list:
+    """The rows y W, each divided by the gcd of its parts, for the (re, im)
+    int rows y and the rows of the echelon basis W."""
+    _, _, wre, wim = basis
+    m = len(wre[0])
     out = []
-    for xr, xi in _kernel_basis(re_rows, im_rows, len(stacked)):
-        wr, wi = [0] * m, [0] * m
-        for p, q, (ur, ui) in zip(xr, xi, us):
+    for yr, yi in ys:
+        xr, xi = [0] * m, [0] * m
+        for p, q, ur, ui in zip(yr, yi, wre, wim):
             if q:
-                wr = [w + p * a - q * b for w, a, b in zip(wr, ur, ui)]
-                wi = [w + p * b + q * a for w, a, b in zip(wi, ur, ui)]
+                xr = [x + p * a - q * b for x, a, b in zip(xr, ur, ui)]
+                xi = [x + p * b + q * a for x, a, b in zip(xi, ur, ui)]
             elif p:
-                wr = [w + p * a for w, a in zip(wr, ur)]
-                wi = [w + p * b for w, b in zip(wi, ui)]
-        out.append(_primitive(wr, wi))
+                xr = [x + p * a for x, a in zip(xr, ur)]
+                xi = [x + p * b for x, b in zip(xi, ui)]
+        out.append(_primitive(xr, xi))
     return out
 
 
-def _class_picks(blocks, position, size: int) -> list:
-    """The pairs (pivot column j, tuple t) of one class of ``size`` 2 or
-    more: t holds one eigenvalue index per member, and j runs over the
-    pivot columns of a basis of L_t, the joint left eigenspace of the
-    members' class blocks for t; tuples with L_t = 0 are dropped.
-    ``blocks`` holds each member's (sorted block eigenvalues, their left
-    eigenspaces) from ``_spectrum``.
+def _refine(pieces, block: DenseMatrix) -> tuple:
+    """The joint pieces split by one more member's class block B, and the
+    eigenvalues of B.
 
-    L_t is refined member by member, L_{t+(u)} = L_t meet K_u for the
-    member's eigenspace K_u; the first member's eigenspaces are taken as
-    they are. Eigenspaces of distinct eigenvalues are independent, so once
-    the pieces of L_t fill it, the rest are zero and are not solved.
+    A piece is (t, basis): t holds the eigenvalue of each member before on
+    it, and basis is its space L_t as ``_echelon`` gives it, or None for the
+    whole space, before the first member that is not scalar on the class.
+    B keeps each L_t (the members commute), so each is split by the
+    restriction M of B to it (``_restriction``): a 1 x 1 M is B's
+    eigenvalue there, and a larger one goes to ``_spectrum``, the refined
+    pieces being the y W for the bases y of M's left eigenspaces; a piece on
+    which M has one eigenvalue stays as it is. A piece that is not
+    diagonalizable raises at once. IrrationalSpectrum is raised only once
+    every piece has passed, with the degree of the squarefree part of the
+    product of the pieces' leftover factors, which is B's leftover factor.
     """
-    joint = [((), None)]  # None: the whole space
-    for (eigs, spaces), pos in zip(blocks, position):
-        refined = []
-        for t, basis in joint:
-            left = size if basis is None else len(basis)
-            for lam, space in zip(eigs, spaces):
-                if not left:
-                    break
-                if basis is None:
-                    part = space
-                elif len(space) == size:
-                    part = basis
-                else:
-                    part = _intersection(basis, space)
-                if part:
-                    refined.append((t + (pos[lam],), part))
-                    left -= len(part)
-        joint = refined
-    return [
-        (c + 1, t)
-        for t, basis in joint
-        for _, c in _gauss_jordan([list(re) for re, _ in basis], [list(im) for _, im in basis])[0]
-    ]
+    b_rows = None if pieces[0][1] is None else _sparse_rows(block)
+    refined, eigs, leftovers = [], set(), []
+    for t, basis in pieces:
+        m = block if basis is None else _restriction(basis, b_rows)
+        if m.rows == 1:
+            lam = m.at(1, 1)
+            eigs.add(lam)
+            refined.append((t + (lam,), basis))
+            continue
+        values, spaces, rem = _spectrum(m)
+        eigs.update(values)
+        if poly_degree(rem) > 0:
+            leftovers.append(rem)
+        elif len(values) == 1:
+            refined.append((t + (values[0],), basis))
+        else:
+            for lam, ys in zip(values, spaces):
+                rows = ys if basis is None else _combined(ys, basis)
+                refined.append((t + (lam,), _echelon(rows)))
+    if leftovers:
+        degree = poly_degree(squarefree_part(reduce(poly_mul, leftovers)))
+        raise IrrationalSpectrum(
+            f"characteristic factor of degree {degree} has no Gaussian-rational root"
+        )
+    return refined, eigs
 
 
 def _push(family, spectra, sources, targets, factors) -> DenseMatrix:
@@ -294,26 +335,56 @@ def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> Diagonalization:
        upper-triangular idempotent whose diagonal blocks are all zero is
        nilpotent, hence zero.
        No projector is formed to find these pairs. Let B_k be the C x C
-       block of F_k and K_k(lam) = {w : w B_k = lam w} its left eigenspace.
-       `_spectrum` takes one integer basis of each from the kernel of
-       (B_k - lam I)^T; B_k is diagonalizable exactly when their
-       dimensions add up to |C|. L_t, the meet over k of the
-       K_k(lam_{t_k}), is refined member by member, one kernel of the
-       stacked bases per step (`_class_picks`), and the pairs are (j, t)
-       for the pivot columns j of a basis of each nonzero L_t. These are
-       the same pairs. The row space of (Q_t)_CC is L_t. Its factors, the
-       block projectors P_k, commute, and P_k B_k = lam_{t_k} P_k, so every
-       row w of (Q_t)_CC has w B_k = lam_{t_k} w for each k: the rows lie
-       in L_t. A w in L_t is fixed by each Lagrange polynomial of its
-       eigenvalue, so w (Q_t)_CC = w: L_t lies in the row space. Two
-       matrices with the same row space have the same null space, so the
-       same linear relations among their columns; a column is a pivot
-       exactly when it is not a combination of the columns left of it, so
-       they have the same pivot columns. The sorted pairs, and with them S,
-       come out entry for entry as the ones read off (Q_t)_CC. For a family
-       that does not commute, the L_t may not fill C; then fewer than |C|
-       pairs come out, and step 4's failure path names the pair of members
-       that do not commute.
+       block of F_k, K_k(lam) = {w : w B_k = lam w} its left eigenspace,
+       and L_t the meet over k of the K_k(lam_{t_k}). The nonzero L_t are
+       found member by member (`_refine`), as the pieces of a direct sum
+       that fills the row space of C:
+       - B_1 is split by `_spectrum`, one integer basis of each K_1(lam)
+         from the kernel of (B_1 - lam I)^T; B_1 is diagonalizable exactly
+         when their dimensions add up to |C|, and the K_1(lam) are then
+         the pieces.
+       - The pieces L_t of the members before k are invariant under B_k.
+         The class blocks commute, since the C x C block of a product is
+         the product of the blocks; so for w in L_t and j < k,
+         (w B_k) B_j = (w B_j) B_k = lam_{t_j} w B_k, and w B_k lies in L_t.
+       - So B_k, acting on rows, is the direct sum of its restrictions M_t
+         to the pieces. With W the echelon basis of L_t (`_echelon`),
+         W B_k = M_t W, and M_t is read off the pivot columns of W, where W
+         is a multiple of the identity (`_restriction`). B_k is
+         diagonalizable, over the Gaussian rationals or over the complex
+         numbers, exactly when every M_t is; its spectrum is the union of
+         theirs, and its characteristic polynomial their product. So the
+         factor that the root search leaves of B_k's is the product of the
+         factors it leaves of the M_t's, and the error carries the degree
+         of that product's squarefree part, as when B_k was searched whole.
+         A piece that is not diagonalizable over the complex numbers is
+         named before a piece of irrational spectrum, as the test by the
+         minimal polynomial of B_k named the whole block. A 1 x 1 M_t
+         needs no root search.
+       - The pieces come out as L_t meet K_k(lam) for each eigenvalue lam
+         of M_t. The rows y W, for y in a basis of M_t's left eigenspace of
+         lam, span it: w = y W in L_t has w B_k = y M_t W, which is lam w
+         exactly when y M_t = lam y, W having independent rows. And every
+         K_k(lam) is the direct sum of its meets with the L_t, since B_k is
+         the direct sum of the M_t. These are thus the L_{t+(u)}, and the
+         nonzero ones: where M_t has one eigenvalue, the piece stays as it
+         is.
+       The pairs are (j, t) for the pivot columns j of the echelon basis of
+       each nonzero L_t. These are the same pairs. The row space of
+       (Q_t)_CC is L_t. Its factors, the block projectors P_k, commute, and
+       P_k B_k = lam_{t_k} P_k, so every row w of (Q_t)_CC has
+       w B_k = lam_{t_k} w for each k: the rows lie in L_t. A w in L_t is fixed by
+       each Lagrange polynomial of its eigenvalue, so w (Q_t)_CC = w: L_t
+       lies in the row space. Two matrices with the same row space have the
+       same null space, so the same linear relations among their columns; a
+       column is a pivot exactly when it is not a combination of the
+       columns left of it, so they have the same pivot columns. So the
+       pivot columns of a piece do not depend on the basis it was found in,
+       and the sorted pairs, and with them S, S^-1 and the diagonals, come
+       out entry for entry as the ones read off (Q_t)_CC. For a family that
+       does not commute, a piece may not be invariant: W B_k = M_t W then
+       fails on some column, `_restriction` raises, and step 4's failure
+       path names the pair of members that do not commute.
     2. Columns by pushing. The column of S for the pair (j, t) is Q_t e_j,
        with j read as a vertex of C. The factors F_k - mu I commute, being
        polynomials in a commuting family, so Q_t e_j is e_j multiplied by
@@ -368,21 +439,21 @@ def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> Diagonalization:
          algebra too.
     4. Certify, and diagnose only on failure. When every member is
        diagonalizable the Q_t are the joint spectral projectors, so column
-       j of S, for the pair (j', t), is a joint eigenvector: F_k takes it to
-       lam_{t_k} times itself. With D_k the diagonal matrix of these
+       j of S, for the pair (j', t), is a joint eigenvector: F_k takes it
+       to lam_{t_k} times itself. With D_k the diagonal matrix of these
        eigenvalues, read off the tuples t, each member is checked as
-       F_k S = S D_k: one product and a column scaling, where S^-1 F_k S
-       takes two. A positive verdict rests on the checked certificate
-       alone: S is invertible (its inverse was computed), S and S^-1 are
-       supported in the relation, and F_k S = S D_k, so S^-1 F_k S = D_k
-       is diagonal. Such a family commutes, F_k = S D_k S^-1 being
-       conjugates of diagonal matrices by one S, so the pairwise commute
-       check is left to the failure path: any error after the support
-       check (a spectrum error, classes the joint eigenspaces do not split,
-       a singular S, S outside the algebra, a member with F S != S D) first
+       F_k S = S D_k: one product and a column scaling, where S^-1 F_k S takes
+       two. A positive verdict rests on the checked certificate alone: S is
+       invertible (its inverse was computed), S and S^-1 are supported in
+       the relation, and F_k S = S D_k, so S^-1 F_k S = D_k is diagonal.
+       Such a family commutes, F_k = S D_k S^-1 being conjugates of
+       diagonal matrices by one S, so the pairwise commute check is left to
+       the failure path: any error after the support check (a spectrum
+       error, a class block that does not keep a joint eigenspace, a
+       singular S, S outside the algebra, a member with F S != S D) first
        runs it, and "members x and y do not commute" is raised before
-       anything else, as when the check ran first. For a commuting family
-       S is invertible (step 3), so F S != S D means that some member is not
+       anything else, as when the check ran first. For a commuting family S
+       is invertible (step 3), so F S != S D means that some member is not
        diagonalizable; the annihilation test prod (F_k - lam I) = 0, run
        member by member, then names the first such member, as "member k is
        not diagonalizable", the wording of the class-block stage.
@@ -420,15 +491,16 @@ def _diagonalize(rho: QuasiOrder, family) -> Diagonalization:
     classes = [sorted(c) for c in form.class_order]
     # a member's spectrum is the union of the spectra of its class blocks
     spectra = [set() for _ in family]
-    class_blocks = []
+    class_eigs, class_pieces = [], []
     for idx in classes:
-        blocks = []
-        for k, f in enumerate(family):
-            if len(idx) == 1:
-                eigs, spaces = [f.at(idx[0], idx[0])], None
-            else:
+        if len(idx) == 1:
+            t = tuple(f.at(idx[0], idx[0]) for f in family)
+            own, pieces = [{lam} for lam in t], [(t, [0])]
+        else:
+            own, pieces = [], [((), None)]
+            for k, f in enumerate(family):
                 try:
-                    eigs, spaces = _spectrum(f.submatrix(idx, idx))
+                    pieces, eigs = _refine(pieces, f.submatrix(idx, idx))
                 except NotDiagonalizable as exc:
                     raise NotDiagonalizable(
                         f"member {k + 1} is not diagonalizable"
@@ -437,30 +509,34 @@ def _diagonalize(rho: QuasiOrder, family) -> Diagonalization:
                     raise IrrationalSpectrum(
                         f"member {k + 1} has irrational eigenvalues"
                     ) from exc
-            spectra[k].update(eigs)
-            blocks.append((eigs, spaces))
-        class_blocks.append(blocks)
+                own.append(eigs)
+            pieces = [
+                (t, range(len(idx)) if basis is None else basis[0]) for t, basis in pieces
+            ]
+        for acc, eigs in zip(spectra, own):
+            acc.update(eigs)
+        class_eigs.append(own)
+        class_pieces.append(pieces)
     spectra = [sorted(eigs, key=GaussianRational.sort_key) for eigs in spectra]
     position = [{lam: u for u, lam in enumerate(eigs)} for eigs in spectra]
     # the indices of each class block's eigenvalues, member by member
     indices = [
-        [{pos[lam] for lam in eigs} for (eigs, _), pos in zip(blocks, position)]
-        for blocks in class_blocks
+        [{pos[lam] for lam in eigs} for eigs, pos in zip(own, position)]
+        for own in class_eigs
     ]
     sources, targets, factors = [0] * n, [()] * n, [()] * n
-    for b, (idx, blocks) in enumerate(zip(classes, class_blocks)):
-        if len(idx) == 1:
-            t = tuple(pos[eigs[0]] for (eigs, _), pos in zip(blocks, position))
-            picks = [(1, t)]
-        else:
-            picks = sorted(_class_picks(blocks, position, len(idx)))
-            if len(picks) != len(idx):
-                raise InternalInconsistency("joint eigenspaces do not split a class")
+    for b, (idx, pieces) in enumerate(zip(classes, class_pieces)):
+        # (pivot column, eigenvalue indices) for each piece and pivot column
+        picks = sorted(
+            (c, tuple(pos[lam] for lam, pos in zip(t, position)))
+            for t, cols in pieces
+            for c in cols
+        )
         # each member's eigenvalues on the class blocks above and at this one
         above = [own for own, row in zip(indices, form.presence) if row[b]]
         reach = [set().union(*sets) for sets in zip(*above)]
         for j, (c, t) in zip(idx, picks):
-            sources[j - 1], targets[j - 1] = idx[c - 1], t
+            sources[j - 1], targets[j - 1] = idx[c], t
             factors[j - 1] = tuple(r - {u} for r, u in zip(reach, t))
     s = _push(family, spectra, sources, targets, factors)
     sinv = inverse(s)

@@ -54,6 +54,15 @@ def poly_scale(cs, k):
     return poly_trim([k * c for c in cs])
 
 
+def poly_mul(cs, ds):
+    """Product of two polynomials."""
+    out = [ZERO] * (len(cs) + len(ds) - 1)
+    for a, c in enumerate(cs):
+        for b, d in enumerate(ds):
+            out[a + b] = out[a + b] + c * d
+    return poly_trim(out)
+
+
 def poly_derivative(cs):
     cs = poly_trim(cs)
     return poly_trim([scalar(k) * c for k, c in enumerate(cs)][1:])

@@ -22,7 +22,11 @@ reference for its column construction, on its own copies of the route the
 package no longer runs (``lagrange_spectrum``, the squarefree part tested
 by annihilation, ``lagrange_annihilate`` and ``lagrange_projectors``) and
 on ``pivot_columns``, which reads the pivots of the package's elimination
-kernel;
+kernel; ``eigenspace_simultaneous_diagonalize`` keeps the class-block stage
+as it split every member's block by its own spectrum and met the joint
+eigenspaces by intersection kernels (``eigenspace_class_picks``,
+``eigenspace_intersection``), on the package's ``_spectrum``, push and
+certificate, as the reference for the refinement by restrictions;
 ``dense_gf2_kernel_basis`` keeps
 the GF(2) elimination on dense 0/1 rows, as the reference for its bitmask
 rows, and ``bareiss_gauss_jordan`` keeps the Bareiss elimination that
@@ -62,7 +66,7 @@ from itertools import combinations, permutations, product
 from math import lcm
 from typing import Optional
 
-from smalg.diag import Diagonalization
+from smalg.diag import Diagonalization, _check_commute, _push, _spectrum
 from smalg.errors import (
     DimensionMismatch,
     FormatError,
@@ -72,6 +76,7 @@ from smalg.errors import (
     NotJordan,
     NotTransitive,
     PreconditionViolated,
+    SmalgError,
     SupportViolation,
     VanishingUnitImage,
     ZeroWeight,
@@ -83,6 +88,8 @@ from smalg.exactnum import (
     GaussianRational,
     _gauss_jordan,
     _int_rows,
+    _kernel_basis,
+    _primitive,
     inverse,
     scalar,
 )
@@ -1114,6 +1121,173 @@ def dense_simultaneous_diagonalize(rho: QuasiOrder, family) -> Diagonalization:
             raise InternalInconsistency("conjugate failed to come out diagonal")
         diagonals.append(d.diagonal())
     return Diagonalization(s, sinv, tuple(diagonals))
+
+
+def eigenspace_spectrum(a: DenseMatrix) -> tuple:
+    """(eigenvalues, eigenspaces) of a whole class block, raising as the
+    package's class-block stage did when it split every member's block by
+    its own spectrum: IrrationalSpectrum carries the degree of the
+    squarefree part of the factor that the root search left of the block's
+    characteristic polynomial."""
+    eigs, spaces, rem = _spectrum(a)
+    if poly_degree(rem) > 0:
+        raise IrrationalSpectrum(
+            f"characteristic factor of degree {poly_degree(squarefree_part(rem))} "
+            "has no Gaussian-rational root"
+        )
+    return eigs, spaces
+
+
+def eigenspace_intersection(us: list, vs: list) -> list:
+    """An integer basis of the intersection of the spans of two bases of
+    (re, im) int rows: x U for each kernel vector (x, y) of the columns of
+    U and -V. x is never zero, since V is independent, and the x of a
+    kernel basis are independent, so the x U are a basis."""
+    stacked = us + [([-x for x in re], [-y for y in im]) for re, im in vs]
+    re_rows = [list(row) for row in zip(*(re for re, _ in stacked))]
+    im_rows = [list(row) for row in zip(*(im for _, im in stacked))]
+    m = len(re_rows)
+    out = []
+    for xr, xi in _kernel_basis(re_rows, im_rows, len(stacked)):
+        wr, wi = [0] * m, [0] * m
+        for p, q, (ur, ui) in zip(xr, xi, us):
+            if q:
+                wr = [w + p * a - q * b for w, a, b in zip(wr, ur, ui)]
+                wi = [w + p * b + q * a for w, a, b in zip(wi, ur, ui)]
+            elif p:
+                wr = [w + p * a for w, a in zip(wr, ur)]
+                wi = [w + p * b for w, b in zip(wi, ui)]
+        out.append(_primitive(wr, wi))
+    return out
+
+
+def eigenspace_class_picks(blocks, position, size: int) -> list:
+    """The pairs (pivot column j, tuple t) of one class of ``size`` 2 or
+    more: t holds one eigenvalue index per member, and j runs over the
+    pivot columns of a basis of L_t, the joint left eigenspace of the
+    members' class blocks for t; tuples with L_t = 0 are dropped.
+    ``blocks`` holds each member's (sorted block eigenvalues, their left
+    eigenspaces) from ``eigenspace_spectrum``. L_t is refined member by
+    member, L_{t+(u)} = L_t meet K_u for the member's eigenspace K_u, by
+    one intersection kernel per pair; once the pieces of L_t fill it, the
+    rest are zero and are not solved."""
+    joint = [((), None)]  # None: the whole space
+    for (eigs, spaces), pos in zip(blocks, position):
+        refined = []
+        for t, basis in joint:
+            left = size if basis is None else len(basis)
+            for lam, space in zip(eigs, spaces):
+                if not left:
+                    break
+                if basis is None:
+                    part = space
+                elif len(space) == size:
+                    part = basis
+                else:
+                    part = eigenspace_intersection(basis, space)
+                if part:
+                    refined.append((t + (pos[lam],), part))
+                    left -= len(part)
+        joint = refined
+    return [
+        (c + 1, t)
+        for t, basis in joint
+        for _, c in _gauss_jordan([list(re) for re, _ in basis], [list(im) for _, im in basis])[0]
+    ]
+
+
+def eigenspace_simultaneous_diagonalize(rho: QuasiOrder, family) -> Diagonalization:
+    """The simultaneous diagonalization as the package built it before it
+    refined the first member's eigenspaces by the later members'
+    restrictions: every member's class block split by its own spectrum
+    (``eigenspace_spectrum``), the joint eigenspaces met member by member
+    by intersection kernels (``eigenspace_class_picks``), then the
+    package's push of unit columns and its certificate F S = S D. The
+    reference for ``simultaneous_diagonalize_in_sma``, which must return
+    the same S, S^-1 and diagonals, or raise the same error with the same
+    cause."""
+    family = list(family)
+    n = rho.n
+    for f in family:
+        if f.shape != (n, n):
+            raise DimensionMismatch(f"family member shape {f.shape}, expected n={n}")
+        bad = oracle_first_unsupported(f.support(), rho)
+        if bad is not None:
+            raise SupportViolation(
+                f"family member has entry at {bad} outside the relation", pair=bad
+            )
+    if not family:
+        ident = DenseMatrix.identity(n)
+        return Diagonalization(ident, ident, ())
+    try:
+        return _eigenspace_diagonalize(rho, family)
+    except SmalgError:
+        _check_commute(family)
+        raise
+
+
+def _eigenspace_diagonalize(rho: QuasiOrder, family) -> Diagonalization:
+    n = rho.n
+    form = block_triangular_form(rho)
+    classes = [sorted(c) for c in form.class_order]
+    spectra = [set() for _ in family]
+    class_blocks = []
+    for idx in classes:
+        blocks = []
+        for k, f in enumerate(family):
+            if len(idx) == 1:
+                eigs, spaces = [f.at(idx[0], idx[0])], None
+            else:
+                try:
+                    eigs, spaces = eigenspace_spectrum(f.submatrix(idx, idx))
+                except NotDiagonalizable as exc:
+                    raise NotDiagonalizable(
+                        f"member {k + 1} is not diagonalizable"
+                    ) from exc
+                except IrrationalSpectrum as exc:
+                    raise IrrationalSpectrum(
+                        f"member {k + 1} has irrational eigenvalues"
+                    ) from exc
+            spectra[k].update(eigs)
+            blocks.append((eigs, spaces))
+        class_blocks.append(blocks)
+    spectra = [sorted(eigs, key=GaussianRational.sort_key) for eigs in spectra]
+    position = [{lam: u for u, lam in enumerate(eigs)} for eigs in spectra]
+    indices = [
+        [{pos[lam] for lam in eigs} for (eigs, _), pos in zip(blocks, position)]
+        for blocks in class_blocks
+    ]
+    sources, targets, factors = [0] * n, [()] * n, [()] * n
+    for b, (idx, blocks) in enumerate(zip(classes, class_blocks)):
+        if len(idx) == 1:
+            t = tuple(pos[eigs[0]] for (eigs, _), pos in zip(blocks, position))
+            picks = [(1, t)]
+        else:
+            picks = sorted(eigenspace_class_picks(blocks, position, len(idx)))
+            if len(picks) != len(idx):
+                raise InternalInconsistency("joint eigenspaces do not split a class")
+        above = [own for own, row in zip(indices, form.presence) if row[b]]
+        reach = [set().union(*sets) for sets in zip(*above)]
+        for j, (c, t) in zip(idx, picks):
+            sources[j - 1], targets[j - 1] = idx[c - 1], t
+            factors[j - 1] = tuple(r - {u} for r, u in zip(reach, t))
+    s = _push(family, spectra, sources, targets, factors)
+    sinv = inverse(s)
+    bad = oracle_first_unsupported(s.support(), rho)
+    if bad is None:
+        bad = oracle_first_unsupported(sinv.support(), rho)
+    if bad is not None:
+        raise InternalInconsistency(f"similarity escaped the algebra at {bad}")
+    diagonals = tuple([eigs[t[k]] for t in targets] for k, eigs in enumerate(spectra))
+    for f, values in zip(family, diagonals):
+        if f * s != s.scale_columns(values):
+            for k, (g, eigs) in enumerate(zip(family, spectra)):
+                try:
+                    lagrange_annihilate(g, eigs)
+                except NotDiagonalizable as exc:
+                    raise NotDiagonalizable(f"member {k + 1} is not diagonalizable") from exc
+            raise InternalInconsistency("conjugate failed to come out diagonal")
+    return Diagonalization(s, sinv, diagonals)
 
 
 def dense_gf2_kernel_basis(mat, cols=None):

@@ -368,19 +368,65 @@ def test_chain_family_needs_no_root_search(root_search_calls):
     assert root_search_calls == {"charpoly": 0, "roots": 0}
 
 
-def test_full_block_family_searches_each_non_triangular_member_once(root_search_calls):
+def _reduced_echelon(m):
+    """The nonzero rows of the reduced row echelon form of m, as a matrix,
+    and its 0-based pivot columns, by elimination on scalars."""
+    rows = [m.row_list(i) for i in range(1, m.rows + 1)]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        src = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if src is None:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        inv = rows[r][c].reciprocal()
+        rows[r] = [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return DenseMatrix.from_rows(rows[: len(pivots)]), pivots
+
+
+def _expected_root_searches(family, idx):
+    """The root searches of the class-block stage on the class ``idx``: one
+    for each restriction that is not upper-triangular, of a member's block
+    to a joint piece of dimension 2 or more, in the piece's reduced echelon
+    basis. The first member's piece is the whole space, whose restriction
+    is its block. The pieces are the row spaces of the nonzero products of
+    the earlier members' block projectors (``spectral_idempotents``)."""
+    size = len(idx)
+    pieces, count = [DenseMatrix.identity(size)], 0
+    for f in family:
+        block = f.submatrix(idx, idx)
+        for q in pieces:
+            if rank(q) >= 2:
+                w, cols = _reduced_echelon(q)
+                m = (w * block).submatrix(range(1, w.rows + 1), [c + 1 for c in cols])
+                count += not m.is_upper_triangular()
+        projectors = spectral_idempotents(block).idempotents
+        pieces = [q * e for q in pieces for e in projectors if not (q * e).is_zero()]
+    return count
+
+
+def test_full_block_family_searches_the_first_member_and_wide_restrictions(root_search_calls):
+    # The first member's block is searched when it is not upper-triangular;
+    # a later member is searched only on the pieces of dimension 2 or more
+    # whose restriction is not upper-triangular, never as a whole block.
+    # The second member splits both pieces of the first, the third has
+    # only 1 x 1 restrictions, and the fourth is scalar.
     rng = random.Random(89)
     rho = full(4)
     s0 = random_invertible_in_sma(rho, rng, steps=10)
-    fam = [
-        s0 * DenseMatrix.diag([rng.randrange(3) for _ in range(4)]) * inverse(s0)
-        for _ in range(3)
-    ] + [DenseMatrix.identity(4).scale(3)]
+    fam = _conjugates(s0, [[0, 0, 1, 1], [2, 5, 2, 5], [1, 1, 1, 4]])
+    fam.append(DenseMatrix.identity(4).scale(3))
     non_triangular = sum(not f.is_upper_triangular() for f in fam)
-    assert non_triangular >= 2
+    expected = _expected_root_searches(fam, [1, 2, 3, 4])
+    # the first member and a restriction of the second
+    assert 2 <= expected < non_triangular == 3
     s = simultaneous_diagonalize_in_sma(rho, fam).s
     assert all((inverse(s) * f * s).is_diagonal() for f in fam)
-    assert root_search_calls == {"charpoly": non_triangular, "roots": non_triangular}
+    assert root_search_calls == {"charpoly": expected, "roots": expected}
 
 
 # --- the column construction against the dense joint projectors ---------------
@@ -523,19 +569,21 @@ def test_diagonalize_products_stay_within_the_spectra(monkeypatch):
     assert products.count(n) >= 2
 
 
-def test_full_block_stage_forms_no_projector_and_no_block_product(monkeypatch):
+def test_full_block_stage_forms_no_projector_and_multiplies_each_piece_once(monkeypatch):
     # Diagonalizability and the picks are read off the left eigenspaces:
-    # no minimal polynomial is evaluated, no annihilation test runs, no
-    # Lagrange projector is formed, and every matrix product is n x n (the
-    # push and the certificate F S = S D), none of a class block.
+    # no minimal polynomial is evaluated, no annihilation test runs and no
+    # Lagrange projector is formed. Each later member's class block is
+    # multiplied once by the echelon basis of each joint piece, as many
+    # rows as the piece's dimension; every other product is n x n (the push
+    # and the certificate F S = S D).
     rho = _two_classes()
     rng = random.Random(101)
     s0 = random_invertible_in_sma(rho, rng, steps=12)
-    family = _conjugates(s0, [[2, 2, 7, 7, 2], ["1i", 0, 0, 0, "1i"], [1, 3, 3, 1, 1]])
+    values = [[2, 2, 7, 7, 2], ["1i", 0, 0, 0, "1i"], [1, 3, 3, 1, 1]]
+    family = _conjugates(s0, values)
+    classes = ([1, 2, 3], [4, 5])
     assert any(
-        not f.submatrix(idx, idx).is_upper_triangular()
-        for f in family
-        for idx in ([1, 2, 3], [4, 5])
+        not f.submatrix(idx, idx).is_upper_triangular() for f in family for idx in classes
     )
     calls = []
 
@@ -553,14 +601,27 @@ def test_full_block_stage_forms_no_projector_and_no_block_product(monkeypatch):
     kernel = smalg.exactnum._rows_times
 
     def recording(re_rows, im_rows, b_rows):
-        shapes.append((len(b_rows[0]), b_rows[2]))
+        re_rows, im_rows = list(re_rows), list(im_rows)
+        shapes.append((len(re_rows), len(b_rows[0]), b_rows[2]))
         return kernel(re_rows, im_rows, b_rows)
 
     for module in (smalg.exactnum, smalg.diag):
         monkeypatch.setattr(module, "_rows_times", recording)
     s, s_inv, diagonals = simultaneous_diagonalize_in_sma(rho, family)
     assert calls == []
-    assert shapes and set(shapes) == {(5, 5)}
+    # S0 D_k S0^-1 has the rows of S0^-1 as its left eigenvectors, so the
+    # pieces before member k on a class group its vertices by the values
+    # of the members before k
+    expected = []
+    for idx in classes:
+        for k in range(1, len(values)):
+            groups = {}
+            for v in idx:
+                key = tuple(values[j][v - 1] for j in range(k))
+                groups[key] = groups.get(key, 0) + 1
+            expected += [(size, len(idx), len(idx)) for size in groups.values()]
+    assert sorted(x for x in shapes if x[1:] != (5, 5)) == sorted(expected)
+    assert any(x[1:] == (5, 5) for x in shapes)
     for f, d in zip(family, diagonals):
         assert s_inv * f * s == DenseMatrix.diag(d)
 
@@ -651,3 +712,139 @@ def test_irrational_block_searches_its_roots_once(monkeypatch):
         "characteristic factor of degree 2 has no Gaussian-rational root"
     )
     assert searches == [4]
+
+
+# --- the refinement by restrictions against the intersection route -----------
+
+
+def _outcome_with_cause(diagonalize, rho, family):
+    try:
+        return diagonalize(rho, family)
+    except Exception as exc:  # the routes must fail alike, cause included
+        cause = exc.__cause__
+        return type(exc), str(exc), None if cause is None else (type(cause), str(cause))
+
+
+def _mixed_failure_family(rng, defective_first):
+    """Two members on the 4-point full block: the first splits it into two
+    planes, and the second is not diagonalizable on one of them and has the
+    irrational eigenvalues +-sqrt(2) on the other. ``defective_first`` puts
+    the defective plane on the first member's smaller eigenvalue, whose
+    piece is split first."""
+    s0 = random_invertible_in_sma(full(4), rng, steps=8)
+    defective = {(1, 1): 5, (1, 2): 1, (2, 2): 5}
+    irrational = {(3, 4): 1, (4, 3): 2}
+    if not defective_first:
+        defective, irrational = (
+            {(i + 2, j + 2): v for (i, j), v in defective.items()},
+            {(i - 2, j - 2): v for (i, j), v in irrational.items()},
+        )
+    second = DenseMatrix.from_entries(4, 4, {**defective, **irrational})
+    return full(4), _conjugates(s0, [[0, 0, 1, 1]]) + [s0 * second * inverse(s0)]
+
+
+@st.composite
+def refinement_families(draw):
+    """A relation whose mutual classes have 2 to 5 vertices (the last may
+    be cut to 1), and 1 to 4 members S0 D_k S0^-1, with repeated
+    eigenvalues from a small pool and S0 invertible in the algebra (the
+    identity for some, so that every class block is triangular). Some
+    members are scalar on every class. A kind may add a nilpotent coupling
+    or an irrational 2 x 2 block to a member on a pair of one class where
+    every member is scalar, give a later member both (the defective pair
+    on one piece of the first member, the irrational one on another), or
+    add a member that does not commute."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(
+        ("plain", "scalar", "defective", "irrational", "mixed", "non-commuting")
+    ))
+    if kind == "mixed":
+        return (*_mixed_failure_family(rng, draw(st.booleans())), kind)
+    n = draw(st.integers(2, 7))
+    rho = random_class_order(rng, n, draw(st.sampled_from((0.0, 0.5, 1.0))), sizes=(2, 3, 4, 5))
+    s0 = random_invertible_in_sma(rho, rng, steps=draw(st.sampled_from((0, 3, 10))))
+    pool = GAUSSIAN_EIGENVALUES[: draw(st.integers(1, 3))]
+    count = draw(st.integers(1, 4))
+    classes = block_triangular_form(rho).class_order
+    values = []
+    for _ in range(count):
+        if kind == "scalar" and draw(st.booleans()):
+            row = [None] * n
+            for c in classes:
+                v = rng.choice(pool)
+                for i in c:
+                    row[i - 1] = v
+        else:
+            row = [rng.choice(pool) for _ in range(n)]
+        values.append(row)
+    extra, target = {}, draw(st.integers(0, count - 1))
+    mutual = [(i, j) for (i, j) in rho.strict_pairs() if (j, i) in rho]
+    if kind in ("defective", "irrational") and mutual:
+        p, q = rng.choice(mutual)
+        if kind == "defective":
+            extra = {(p, q): rng.choice(("1", "-1/3", "1i"))}
+        else:
+            extra = {(p, q): 1, (q, p): rng.choice((2, 3, "1i"))}
+        # every member is scalar on {p, q}, so each commutes with the coupling
+        for row in values:
+            row[q - 1] = row[p - 1]
+    family = []
+    for k, row in enumerate(values):
+        core = {(i, i): v for i, v in enumerate(row, start=1)}
+        if k == target:
+            core.update(extra)
+        family.append(s0 * DenseMatrix.from_entries(n, n, core) * inverse(s0))
+    if kind == "non-commuting":
+        s1 = random_invertible_in_sma(rho, rng)
+        family.append(s1 * DenseMatrix.diag([rng.choice(pool) for _ in range(n)]) * inverse(s1))
+    return rho, family, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(refinement_families())
+@example((*_mixed_failure_family(random.Random(5), True), "mixed"))
+@example((*_mixed_failure_family(random.Random(5), False), "mixed"))
+def test_refinement_matches_intersection_route_and_dense_projectors(case):
+    # The same S, S^-1 and diagonals, or the same error type, message and
+    # cause, by three routes: refining the first member's pieces by the
+    # later members' restrictions, meeting every member's own eigenspaces
+    # by intersection kernels, and the n x n joint projectors.
+    rho, family, kind = case
+    got = _outcome_with_cause(simultaneous_diagonalize_in_sma, rho, family)
+    assert got == _outcome_with_cause(oracles.eigenspace_simultaneous_diagonalize, rho, family)
+    assert got == _outcome_with_cause(dense_simultaneous_diagonalize, rho, family)
+    if kind == "mixed":
+        # not diagonalizable on one piece wins over irrational on another
+        assert got == (
+            NotDiagonalizable,
+            "member 2 is not diagonalizable",
+            (NotDiagonalizable, "minimal polynomial has a repeated root"),
+        )
+
+
+@pytest.mark.parametrize("a, b, degree", [(2, 3, 4), (2, 2, 2)])
+def test_irrational_pieces_name_the_whole_blocks_factor(monkeypatch, a, b, degree):
+    # The second member has x^2 - a on one piece of the first and x^2 - b on
+    # the other: each piece is searched on its own, and the cause names the
+    # squarefree part of the product, as the search of the whole block did.
+    searches = []
+    search = smalg.diag.roots_in_gaussian_rationals
+
+    def counting(cs):
+        searches.append(len(cs) - 1)
+        return search(cs)
+
+    monkeypatch.setattr(smalg.diag, "roots_in_gaussian_rationals", counting)
+    rng = random.Random(13)
+    s4 = random_invertible_in_sma(full(4), rng, steps=8)
+    first = s4 * DenseMatrix.diag([0, 0, 1, 1]) * inverse(s4)
+    assert not first.is_upper_triangular()
+    block = DenseMatrix.from_rows([[0, 1, 0, 0], [a, 0, 0, 0], [0, 0, 0, 1], [0, 0, b, 0]])
+    member = s4 * block * inverse(s4)
+    with pytest.raises(IrrationalSpectrum) as exc:
+        simultaneous_diagonalize_in_sma(full(4), [first, member])
+    assert str(exc.value) == "member 2 has irrational eigenvalues"
+    assert str(exc.value.__cause__) == (
+        f"characteristic factor of degree {degree} has no Gaussian-rational root"
+    )
+    assert searches == [4, 2, 2]
