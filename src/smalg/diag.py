@@ -8,8 +8,10 @@ integer basis of its left eigenspace per eigenvalue, from one
 fraction-free kernel: their dimensions add up to the block size exactly
 when the block is diagonalizable. Each later member's block keeps these
 joint pieces and is split by its restriction to each, read off one
-product of the piece's echelon basis with the block: a 1 x 1 restriction
-is an eigenvalue, and only a larger one is split by its own eigenspaces.
+product of the piece's echelon basis with the block and checked by one
+more: a 1 x 1 restriction is an eigenvalue, and only a larger one is split
+by its own eigenspaces. Every product goes through the one product kernel
+of ``exactnum``.
 The final pieces, the joint left eigenspaces of the class blocks, give by
 their pivot columns, for each column of S, a unit column and a joint
 eigenvalue. The unit column is then pushed through the Lagrange factors
@@ -18,8 +20,10 @@ for all columns at once, on integer rows; a column takes only the factors
 of the eigenvalues of the class blocks above its class. No projector is
 formed, of a class block or of the whole matrix. Each member F is checked
 as F S = S D, with D read off the chosen eigenvalues, and the family is
-checked to commute only when something fails; the test by the minimal
-polynomial runs only to name a member that fails.
+checked to commute only when something fails. The one diagonalizability
+test, a squarefree polynomial with the eigenvalues as roots evaluated at
+the matrix (``_annihilate``), runs only to name a block or a member that
+fails.
 `simultaneous_diagonalize_in_sma` proves this correct. S comes back with
 the inverse and the diagonals it was checked with.
 """
@@ -27,6 +31,7 @@ the inverse and the diagonals it was checked with.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import chain
 from math import lcm
 from typing import NamedTuple
 
@@ -51,6 +56,7 @@ from .exactnum import (
     _rows_times,
     _scaled_columns,
     _shifted_kernel,
+    _sparse_int_rows,
     _sparse_rows,
     inverse,
 )
@@ -74,15 +80,18 @@ class Diagonalization(NamedTuple):
     diagonals: tuple
 
 
-def _annihilate(a: DenseMatrix, eigs) -> None:
-    """Raise unless the product of the a - lam*I over the distinct
-    eigenvalues is zero, which holds exactly when a is diagonalizable."""
-    ident = DenseMatrix.identity(a.rows)
-    annihilator = ident
-    for lam in eigs:
-        annihilator = annihilator * (a - ident.scale(lam))
-    if not annihilator.is_zero():
+def _annihilate(a: DenseMatrix, squarefree) -> None:
+    """Raise unless the polynomial, squarefree with every eigenvalue of a as
+    a root, annihilates a. The minimal polynomial of a has the same roots,
+    so it divides this one exactly when it has no repeated root, that is,
+    when a is diagonalizable over the complex numbers."""
+    if not poly_eval_matrix(squarefree, a).is_zero():
         raise NotDiagonalizable("minimal polynomial has a repeated root")
+
+
+def _with_roots(eigs) -> list:
+    """The product of the x - lam over the distinct eigs."""
+    return reduce(poly_mul, ([-lam, ONE] for lam in eigs), [ONE])
 
 
 def _spectrum(a: DenseMatrix) -> tuple:
@@ -98,15 +107,15 @@ def _spectrum(a: DenseMatrix) -> tuple:
     leaves the factor 1; any other one takes them from the roots of its
     characteristic polynomial. With a rational spectrum the matrix is
     diagonalizable exactly when the eigenspaces fill the space. Only when
-    either test fails does the test by the minimal polynomial run, and it
-    raises NotDiagonalizable for a matrix that is not diagonalizable over
-    the complex numbers: an upper-triangular matrix takes the annihilation
-    test by the product of the a - lam*I over its diagonal, any other the
-    squarefree part of its characteristic polynomial, which annihilates it
-    exactly when it is. The leftover factor is the product of the x - lam
-    over the roots outside the field, with multiplicity, so its squarefree
-    part has the degree of the factor that the search of the squarefree
-    part of the characteristic polynomial would leave.
+    either test fails does ``_annihilate`` run, and it raises
+    NotDiagonalizable for a matrix that is not diagonalizable over the
+    complex numbers: with the product of the x - lam over the distinct
+    diagonal values for an upper-triangular matrix, with the squarefree
+    part of the characteristic polynomial for any other. The leftover
+    factor is the product of the x - lam over the roots outside the field,
+    with multiplicity, so its squarefree part has the degree of the factor
+    that the search of the squarefree part of the characteristic polynomial
+    would leave.
     """
     if a.is_upper_triangular():
         cp, rem = None, [ONE]
@@ -121,25 +130,24 @@ def _spectrum(a: DenseMatrix) -> tuple:
         spaces = [_shifted_kernel(at, lam) for lam in eigs]
         if sum(map(len, spaces)) == a.rows:
             return eigs, spaces, rem
-    if cp is None:
-        _annihilate(a, eigs)
-    elif not poly_eval_matrix(squarefree_part(cp), a).is_zero():
-        raise NotDiagonalizable("minimal polynomial has a repeated root")
+    _annihilate(a, _with_roots(eigs) if cp is None else squarefree_part(cp))
     if poly_degree(rem) == 0:
         raise InternalInconsistency("eigenspaces disagree with the minimal polynomial")
     return [], [], rem
 
 
 def _echelon(rows) -> tuple:
-    """(pivot columns, last pivot p, re rows, im rows) of independent
-    (re, im) int rows, reduced in place by ``_gauss_jordan``: row s is p
-    times row s of the reduced echelon form of their span, so it holds p at
+    """(pivot columns, last pivot p, W, W as ``_sparse_int_rows`` gives it)
+    for the basis W, as (re rows, im rows), of the span of independent
+    (re, im) int rows, reduced in place by ``_gauss_jordan``: row s of W is
+    p times row s of the reduced echelon form of the span, so it holds p at
     its own pivot column and 0 at the others. The pivot columns depend on
     the span alone."""
     re_rows = [re for re, _ in rows]
     im_rows = [im for _, im in rows]
     pivots, p = _gauss_jordan(re_rows, im_rows, reduce=True)
-    return [c for _, c in pivots], p, re_rows, im_rows
+    w_rows = _sparse_int_rows(re_rows, im_rows, len(re_rows[0]))
+    return [c for _, c in pivots], p, (re_rows, im_rows), w_rows
 
 
 def _restriction(basis, b_rows) -> DenseMatrix:
@@ -148,50 +156,26 @@ def _restriction(basis, b_rows) -> DenseMatrix:
     keeps (``_echelon``, d rows). One product P = W N gives W B = P / e.
     Column c_s of M W, for the pivot column c_s of row s of W, is p times
     column s of M, so M = P[:, c] / (p e). M W = P / e is then checked on
-    every column, as P[:, c] W = p P; it fails only for a family that does
-    not commute, and raises."""
-    cols, (pr, pi), wre, wim = basis
-    pre, pim = _rows_times(wre, wim, b_rows)
-    for xr, xi in zip(pre, pim):
-        sr = [pr * x - pi * y for x, y in zip(xr, xi)]
-        si = [pr * y + pi * x for x, y in zip(xr, xi)]
-        for c, ur, ui in zip(cols, wre, wim):
-            a, b = xr[c], xi[c]
-            if b:
-                sr = [s - a * u + b * v for s, u, v in zip(sr, ur, ui)]
-                si = [s - a * v - b * u for s, u, v in zip(si, ur, ui)]
-            elif a:
-                sr = [s - a * u for s, u in zip(sr, ur)]
-                si = [s - a * v for s, v in zip(si, ui)]
-        if any(sr) or any(si):
-            raise InternalInconsistency("a class block does not keep a joint eigenspace")
-    d, e = len(cols), b_rows[3]
-    return _divided(
-        d,
-        d,
-        [xr[c] for xr in pre for c in cols],
-        [xi[c] for xi in pim for c in cols],
-        (pr * e, pi * e),
+    every column, as P[:, c] W = p P, one more product; it fails only for a
+    family that does not commute, and raises."""
+    cols, (pr, pi), w, w_rows = basis
+    pre, pim = _rows_times(*w, b_rows)
+    cre = [[xr[c] for c in cols] for xr in pre]
+    cim = [[xi[c] for c in cols] for xi in pim]
+    scaled = (
+        [[pr * x - pi * y for x, y in zip(xr, xi)] for xr, xi in zip(pre, pim)],
+        [[pr * y + pi * x for x, y in zip(xr, xi)] for xr, xi in zip(pre, pim)],
     )
+    if _rows_times(cre, cim, w_rows) != scaled:
+        raise InternalInconsistency("a class block does not keep a joint eigenspace")
+    d, e = len(cols), b_rows[3]
+    return _divided(d, d, [*chain(*cre)], [*chain(*cim)], (pr * e, pi * e))
 
 
 def _combined(ys, basis) -> list:
     """The rows y W, each divided by the gcd of its parts, for the (re, im)
-    int rows y and the rows of the echelon basis W."""
-    _, _, wre, wim = basis
-    m = len(wre[0])
-    out = []
-    for yr, yi in ys:
-        xr, xi = [0] * m, [0] * m
-        for p, q, ur, ui in zip(yr, yi, wre, wim):
-            if q:
-                xr = [x + p * a - q * b for x, a, b in zip(xr, ur, ui)]
-                xi = [x + p * b + q * a for x, a, b in zip(xi, ur, ui)]
-            elif p:
-                xr = [x + p * a for x, a in zip(xr, ur)]
-                xi = [x + p * b for x, b in zip(xi, ui)]
-        out.append(_primitive(xr, xi))
-    return out
+    int rows y and the echelon basis W."""
+    return [*map(_primitive, *_rows_times(*zip(*ys), basis[3]))]
 
 
 def _refine(pieces, block: DenseMatrix) -> tuple:
@@ -454,9 +438,10 @@ def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> Diagonalization:
        runs it, and "members x and y do not commute" is raised before
        anything else, as when the check ran first. For a commuting family S
        is invertible (step 3), so F S != S D means that some member is not
-       diagonalizable; the annihilation test prod (F_k - lam I) = 0, run
-       member by member, then names the first such member, as "member k is
-       not diagonalizable", the wording of the class-block stage.
+       diagonalizable; ``_annihilate`` with the product of the x - lam over
+       the spectrum of F_k, run member by member, then names the first such
+       member, as "member k is not diagonalizable", the wording of the
+       class-block stage.
 
     Where every member is upper-triangular on every class, each Q_CC is an
     upper-triangular idempotent, its pivots are the j with (Q)_jj = 1, and
@@ -552,7 +537,7 @@ def _diagonalize(rho: QuasiOrder, family) -> Diagonalization:
             # S is invertible, so some member is not diagonalizable: name it
             for k, (g, eigs) in enumerate(zip(family, spectra)):
                 try:
-                    _annihilate(g, eigs)
+                    _annihilate(g, _with_roots(eigs))
                 except NotDiagonalizable as exc:
                     raise NotDiagonalizable(f"member {k + 1} is not diagonalizable") from exc
             raise InternalInconsistency("conjugate failed to come out diagonal")

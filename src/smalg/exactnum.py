@@ -422,12 +422,6 @@ class DenseMatrix:
         k = min(self.rows, self.cols)
         return self._scalars(t * self.cols + t for t in range(k))
 
-    def trace(self) -> GaussianRational:
-        if not self.is_square:
-            raise DimensionMismatch("trace needs a square matrix")
-        step = self.cols + 1
-        return _scalar_over(sum(self._re[::step]), sum(self._im[::step]), self._d)
-
     def support(self):
         """Positions of nonzero entries as a frozenset of 1-based pairs."""
         c = self.cols
@@ -658,15 +652,21 @@ def _sparse_rows(b: DenseMatrix):
     times is read once."""
     m, p = b.rows, b.cols
     bre, bim = b._re, b._im
+    im_rows = [bim[k * p : (k + 1) * p] for k in range(m)] if any(bim) else ()
+    return _sparse_int_rows([bre[k * p : (k + 1) * p] for k in range(m)], im_rows, p, b._d)
+
+
+def _sparse_int_rows(re_rows, im_rows, p: int, d: int = 1):
+    """The integer rows re_rows + i im_rows, of length p, over d, as
+    ``_sparse_rows`` gives a matrix; im_rows may be empty when every
+    imaginary part is zero."""
     cols = range(p)
-    rows = [bre[k * p : (k + 1) * p] for k in range(m)]
-    b_re = [[*zip(compress(cols, row), compress(row, row))] for row in rows]
-    if any(bim):
-        rows = [bim[k * p : (k + 1) * p] for k in range(m)]
-        b_im = [[*zip(compress(cols, row), compress(row, row))] for row in rows]
+    b_re = [[*zip(compress(cols, row), compress(row, row))] for row in re_rows]
+    if any(map(any, im_rows)):
+        b_im = [[*zip(compress(cols, row), compress(row, row))] for row in im_rows]
     else:
-        b_im = [()] * m
-    return b_re, b_im, p, b._d
+        b_im = [()] * len(re_rows)
+    return b_re, b_im, p, d
 
 
 def _rows_times(re_rows, im_rows, b_rows):

@@ -142,8 +142,9 @@ def _dense_smith_factors(a):
     rows, cols = len(a), len(a[0])
     t = 0
     factors = []
-    while t < rows and t < cols:
-        # smallest-magnitude nonzero pivot in the trailing block
+    while True:
+        # smallest-magnitude nonzero pivot in the trailing block, none once
+        # the block is empty
         piv = None
         best = None
         for i in range(t, rows):

@@ -1,7 +1,10 @@
 """Exact polynomial arithmetic over the Gaussian rationals and root finding.
 
 Polynomials are lists of coefficients in ascending degree order. The
-characteristic polynomial runs on a matrix's integer numerators. Root
+characteristic polynomial runs on a matrix's integer numerators. A
+polynomial is evaluated at a matrix by Horner's rule from the leading
+coefficient, one product per degree: this is how the diagonalizer's one
+diagonalizability test applies a squarefree polynomial. Root
 finding scales a monic polynomial to one with Gaussian-integer
 coefficients, whose roots in the field are Gaussian integers. It finds
 them modulo a prime p = 1 (mod 4), where Z[i] maps onto Z/p in two ways,
@@ -121,11 +124,12 @@ def squarefree_part(cs):
 
 
 def poly_eval_matrix(cs, a: DenseMatrix) -> DenseMatrix:
-    """Evaluate the polynomial at a square matrix (Horner)."""
-    n = a.rows
-    acc = DenseMatrix.zeros(n, n)
-    ident = DenseMatrix.identity(n)
-    for c in reversed(poly_trim(cs)):
+    """Evaluate the polynomial at a square matrix (Horner, from the leading
+    coefficient): degree k costs k products."""
+    cs = poly_trim(cs) or [ZERO]
+    ident = DenseMatrix.identity(a.rows)
+    acc = ident.scale(cs[-1])
+    for c in reversed(cs[:-1]):
         acc = acc * a + ident.scale(c)
     return acc
 

@@ -1,5 +1,6 @@
 """The package's names: each export is used by the package or documented,
-and each private helper is used by the package."""
+each private helper is used by the package, and each public function or
+method is used by the package or kept, for a named reader, as API."""
 
 import ast
 import re
@@ -50,6 +51,35 @@ def test_every_private_helper_is_read_in_the_package():
         and node.name not in used
     ]
     assert orphans == []
+
+
+# public functions and methods that nothing in the package reads, each kept
+# for the reader outside it named beside it
+KEPT_AS_API = {
+    # GaussianRational.conjugate: perfbench/trace.py SCALAR_OPS patches it
+    # through the class __dict__
+    "exactnum.py:conjugate",
+    # CanonicalJordanForm.unit_image: perfbench/trace.py METHODS wraps it
+    "jordan.py:unit_image",
+    # LinearMapOnSMA.unit_images: the class docstring documents it as API,
+    # and tests/test_jordan.py reads it
+    "jordan.py:unit_images",
+}
+
+
+def test_every_public_function_is_read_in_the_package_or_kept_as_api():
+    # a public function or method that nothing reads is deleted, unless the
+    # list above gives the reader outside the package that keeps it
+    used = _names_read_in_the_package()
+    unread = {
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    }
+    assert unread == KEPT_AS_API
 
 
 def test_only_the_sampling_module_imports_random():

@@ -16,10 +16,11 @@ from smalg.errors import (
     IrrationalSpectrum,
     NotDiagonalizable,
     PreconditionViolated,
+    SmalgError,
     SupportViolation,
 )
-from smalg.exactnum import DenseMatrix, inverse, rank, scalar
-from smalg.quasiorder import block_triangular_form, from_edges
+from smalg.exactnum import DenseMatrix, inverse, permutation_matrix, rank, scalar
+from smalg.quasiorder import block_triangular_form, from_edges, reverse
 
 from fixtures import (
     delta,
@@ -573,9 +574,12 @@ def test_full_block_stage_forms_no_projector_and_multiplies_each_piece_once(monk
     # Diagonalizability and the picks are read off the left eigenspaces:
     # no minimal polynomial is evaluated, no annihilation test runs and no
     # Lagrange projector is formed. Each later member's class block is
-    # multiplied once by the echelon basis of each joint piece, as many
-    # rows as the piece's dimension; every other product is n x n (the push
-    # and the certificate F S = S D).
+    # multiplied once by the echelon basis W of each joint piece, as many
+    # rows as the piece's dimension d, and the restriction read off it is
+    # checked by one d x d times W product; a piece that the member splits
+    # gives one product y W per eigenvalue, as many rows as the new piece's
+    # dimension. Every other product is n x n (the push and the
+    # certificate F S = S D).
     rho = _two_classes()
     rng = random.Random(101)
     s0 = random_invertible_in_sma(rho, rng, steps=12)
@@ -618,8 +622,12 @@ def test_full_block_stage_forms_no_projector_and_multiplies_each_piece_once(monk
             groups = {}
             for v in idx:
                 key = tuple(values[j][v - 1] for j in range(k))
-                groups[key] = groups.get(key, 0) + 1
-            expected += [(size, len(idx), len(idx)) for size in groups.values()]
+                groups.setdefault(key, {}).setdefault(values[k][v - 1], []).append(v)
+            for split in groups.values():
+                size = sum(map(len, split.values()))
+                expected += [(size, len(idx), len(idx)), (size, size, len(idx))]
+                if len(split) > 1:
+                    expected += [(len(part), size, len(idx)) for part in split.values()]
     assert sorted(x for x in shapes if x[1:] != (5, 5)) == sorted(expected)
     assert any(x[1:] == (5, 5) for x in shapes)
     for f, d in zip(family, diagonals):
@@ -848,3 +856,48 @@ def test_irrational_pieces_name_the_whole_blocks_factor(monkeypatch, a, b, degre
         f"characteristic factor of degree {degree} has no Gaussian-rational root"
     )
     assert searches == [4, 2, 2]
+
+
+def _diagonals_or_error(rho, family):
+    """The diagonals of S^-1 F S, each as a sorted multiset, or the error
+    class."""
+    try:
+        _, _, diagonals = simultaneous_diagonalize_in_sma(rho, family)
+    except SmalgError as exc:
+        return type(exc)
+    return [sorted(d, key=lambda lam: lam.sort_key()) for d in diagonals]
+
+
+METAMORPHIC_OUTCOMES = {"ok", NotDiagonalizable, IrrationalSpectrum, PreconditionViolated}
+
+
+def test_relabeling_keeps_the_outcome_and_the_diagonals():
+    # P X P^-1 relabels vertex i as pi(i) and takes the algebra of rho onto
+    # that of the relabeled relation: a similarity in one is conjugated
+    # into the other, so the outcome and every spectrum stay; only the
+    # class order, and with it the order of the work, may change
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        rho, family = _random_family(rng)
+        pi = list(range(1, rho.n + 1))
+        rng.shuffle(pi)
+        p = permutation_matrix(pi)
+        pairs = [(pi[i - 1], pi[j - 1]) for i, j in rho.pairs()]
+        relabeled = from_edges(rho.n, pairs, close=False)
+        got = _diagonals_or_error(rho, family)
+        assert _diagonals_or_error(relabeled, [p * f * p.transpose() for f in family]) == got
+        seen.add("ok" if isinstance(got, list) else got)
+    assert seen == METAMORPHIC_OUTCOMES
+
+
+def test_transposing_on_the_reversed_relation_keeps_the_outcome_and_the_diagonals():
+    # X -> X^t is an anti-isomorphism onto the algebra of the reversed
+    # relation: it keeps commuting pairs, diagonalizability and spectra
+    seen = set()
+    for seed in range(300):
+        rho, family = _random_family(random.Random(seed))
+        got = _diagonals_or_error(rho, family)
+        assert _diagonals_or_error(reverse(rho), [f.transpose() for f in family]) == got
+        seen.add("ok" if isinstance(got, list) else got)
+    assert seen == METAMORPHIC_OUTCOMES
