@@ -118,9 +118,6 @@ class GaussianRational:
         # d / (p + q i) = d (p - q i) / (p^2 + q^2)
         return _reduced_scalar(d * p, -d * q, n)
 
-    def is_zero(self) -> bool:
-        return not (self.p or self.q)
-
     def __bool__(self):
         return bool(self.p or self.q)
 
@@ -846,12 +843,6 @@ class BlockRow:
     def block(self, t: int) -> DenseMatrix:
         """B_t as a matrix of its own."""
         return self.combination(((ONE, t),))
-
-    def support(self, t: int):
-        """Positions of the nonzero entries of B_t as a frozenset of 1-based
-        pairs."""
-        n = self.n
-        return frozenset((pos // n + 1, pos % n + 1) for pos, _, _ in self.nonzeros[t])
 
     def combination(self, terms) -> DenseMatrix:
         """The n x n sum of c * B_t over the (scalar c, block index t) terms,

@@ -1,26 +1,23 @@
-"""Integer matrices on sparse rows: Smith invariant factors, and kernel
-bases over Q and GF(2).
+"""Integer matrices on sparse rows: the Smith invariant factors, and
+kernel bases over Z and GF(2) read off the same reduction.
 
 The rows come from ``transmap``: one per multiplicative relation of a
 quasi-order's beat-point core (``quasiorder.beat_core``), over the strict
-pairs off a spanning forest. They have at most three entries, all units,
-and there are many: 10,564 rows over 798 columns for the 43-point wedge of
-an ordinal sum and a bowtie. So both computations start with one sparse
-elimination of unit pivots (``_unit_pivots``) and run dense reductions
-only on the complement it leaves, which is small: the smallest-pivot
-Smith reduction (``_smith_factors``), or the Bareiss kernel over Q and the
-bitmask kernel over GF(2), each extended back through the pivots
-(``kernel_bases``). On the wedge every column but one takes a unit pivot,
-and ``all-trivial`` takes 0.21 s and 24 MB as a process on a 2-core
-x86-64 host with Python 3.11; a dense column reduction over every strict
-pair took 6.4 s and 163 MB.
+pairs off a spanning forest, and from ``sampling``, over every strict pair.
+They have at most three entries, all units, and there are many: 10,564
+rows over 798 columns for the 43-point wedge of an ordinal sum and a
+bowtie. So ``lattice`` runs one sparse elimination of unit pivots
+(``_unit_pivots``) and one dense reduction of the complement it leaves,
+which is small: the smallest-pivot Smith reduction, which keeps its column
+transform (``_dense_smith_factors``). The factors decide, and the columns
+of the transform, extended back through the pivots, are the kernel bases.
+On the wedge every column but one takes a unit pivot, and ``all-trivial``
+takes 0.21 s and 24 MB as a process on a 2-core x86-64 host with Python
+3.11; a dense column reduction over every strict pair took 6.4 s and
+163 MB. The module imports nothing from the package.
 """
 
 from __future__ import annotations
-
-from types import MappingProxyType
-
-from .exactnum import _kernel_basis
 
 
 def _unit_pivots(rows):
@@ -34,9 +31,7 @@ def _unit_pivots(rows):
     "On efficient sparse integer matrix Smith normal form computations",
     2001). ``pivots`` lists (j, row i) in the order taken, each row as it
     stood then: it holds no column of an earlier pivot. ``rest`` is the
-    nonzero rows of the complement, which hold no pivot column. Both are
-    tuples of read-only rows, so that ``transmap`` can keep them with the
-    gauge and read them for the Smith form and for the kernels alike.
+    nonzero rows of the complement, which hold no pivot column.
     """
     rows = [dict(row) for row in rows]
     live = {k for k, row in enumerate(rows) if row}
@@ -75,71 +70,73 @@ def _unit_pivots(rows):
                 del other[j]
                 if not other:
                     live.discard(k2)
-            pivots.append((j, MappingProxyType(row)))
+            pivots.append((j, row))
             progress = True
-    return tuple(pivots), tuple(MappingProxyType(rows[k]) for k in sorted(live))
+    return pivots, [rows[k] for k in sorted(live)]
 
 
-def _smith_factors(pivots, rest):
-    """The nonzero invariant factors d_1 | d_2 | ... of the integer matrix
-    whose rows ``_unit_pivots`` reduced to ``pivots`` and ``rest``. Each
-    unit pivot contributes the invariant factor 1, and the smallest-pivot
-    dense reduction finishes the complement left when no unit entry is."""
-    rest_cols = sorted({c for row in rest for c in row})
-    dense = [[row.get(c, 0) for c in rest_cols] for row in rest]
-    return [1] * len(pivots) + (_dense_smith_factors(dense) if dense else [])
+def lattice(rows, cols: int):
+    """(factors, kernel) of the integer matrix with these sparse rows and
+    ``cols`` columns: its nonzero invariant factors d_1 | d_2 | ..., and a
+    function whose ``kernel()`` yields a Z-basis of its kernel as int
+    vectors, and ``kernel(True)`` a basis over GF(2) as 0/1 vectors.
 
-
-def kernel_bases(rows, cols: int):
-    """Bases of the kernel of the integer matrix with these sparse rows and
-    ``cols`` columns: (over Q, as int vectors; over GF(2), as 0/1 vectors).
-
-    ``_unit_pivots`` leaves a complement on the columns that no pivot took.
-    Its kernel over Q comes from the Bareiss kernel (``exactnum``), one
-    integer vector per free column, and its kernel over GF(2) from
-    ``gf2_kernel_basis`` on the complement mod 2: the pivots are +-1, units
-    mod 2 too, so the complement mod 2 is the one that elimination mod 2
-    leaves. Each vector x is then extended through the pivots in reverse
-    order, x_j = -row[j] * sum(row[c] x_c, c != j), which reads only the
-    complement's columns and later pivots; with unit pivots an integer
-    vector stays integer. Every row of the matrix is a combination of pivot
-    rows and complement rows, so the extension and the restriction to the
-    columns no pivot took are inverse maps between the kernel of the
-    complement and that of the matrix, over Q and over GF(2) alike: a
-    basis goes to a basis.
+    ``_unit_pivots`` leaves a complement C, and each pivot contributes the
+    invariant factor 1. The Smith reduction of C (``_dense_smith_factors``)
+    runs on C with an identity below it, which takes its column operations
+    and no other: it ends as a unimodular V with C V = U D, for U
+    unimodular and D the Smith form with the r nonzero factors d_t. So the
+    columns V e_t for t >= r are a Z-basis of the kernel of C, and, as U
+    and V stay invertible mod 2, the V e_t mod 2 for t >= r or d_t even are
+    a basis of its kernel over GF(2); mod an odd prime p, the V e_t for
+    t >= r or p | d_t are one likewise. C and V hold only the columns that
+    some row of C holds; each other column that no pivot took is zero in C,
+    and its unit vector comes first in both bases. Each vector x is then
+    extended through the pivots in reverse order, x_j = -row[j] *
+    sum(row[c] x_c, c != j), which reads only the columns no pivot took and
+    later pivots; with unit pivots an integer vector stays integer. Every
+    row of the matrix is a combination of pivot rows and rows of C, so the
+    extension and the restriction to the columns no pivot took are inverse
+    maps between the kernel of C and that of the matrix, over Z and over
+    GF(2) alike: a basis goes to a basis. The bases are extended as they
+    are read, since the verdict needs only the factors: a bipartite
+    relation has no row at all, and thousands of free columns.
     """
-    return _kernels(*_unit_pivots(rows), cols)
+    pivots, rest = _unit_pivots(rows)
+    held = sorted({c for row in rest for c in row})
+    k = len(held)
+    a = [[row.get(c, 0) for c in held] for row in rest]
+    a += [[int(i == t) for t in range(k)] for i in range(k)]
+    factors = _dense_smith_factors(a, len(rest))
+    v = a[len(rest):]
+    r = len(factors)
+    unheld = sorted(set(range(cols)) - {j for j, _ in pivots} - set(held))
 
-
-def _kernels(pivots, rest, cols: int):
-    """``kernel_bases`` of the rows that ``_unit_pivots`` reduced to
-    ``pivots`` and ``rest``, with ``cols`` columns."""
-    taken = {j for j, _ in pivots}
-    free = [c for c in range(cols) if c not in taken]
-    dense = [[row.get(c, 0) for c in free] for row in rest]
-    over_2 = gf2_kernel_basis(dense, len(free))
-    # the Bareiss kernel eliminates the rows in place, so it goes second
-    over_q = _kernel_basis(dense, [[0] * len(free) for _ in rest], len(free))
-
-    def extend(vec, mod2):
+    def extend(start, mod2):
         x = [0] * cols
-        for c, v in zip(free, vec):
-            x[c] = v
+        for c, val in start:
+            x[c] = val & 1 if mod2 else val
         for j, row in reversed(pivots):
-            s = -row[j] * sum(v * x[c] for c, v in row.items() if c != j)
+            s = -row[j] * sum(val * x[c] for c, val in row.items() if c != j)
             x[j] = s & 1 if mod2 else s
         return x
 
-    return (
-        [extend(re, False) for re, _ in over_q],
-        [extend(vec, True) for vec in over_2],
-    )
+    def kernel(mod2=False):
+        for c in unheld:
+            yield extend(((c, 1),), mod2)
+        for t in range(k):
+            if t >= r or mod2 and factors[t] % 2 == 0:
+                yield extend(zip(held, (row[t] for row in v)), mod2)
+
+    return [1] * len(pivots) + factors, kernel
 
 
-def _dense_smith_factors(a):
-    """Invariant factors of the dense matrix a (rows modified in place), by
-    smallest-magnitude pivoting."""
-    rows, cols = len(a), len(a[0])
+def _dense_smith_factors(a, rows: int):
+    """Invariant factors of the dense matrix in the first ``rows`` rows of
+    a, by smallest-magnitude pivoting, in place; its k columns end in Smith
+    form. The k x k identity in the rows below it takes every column
+    operation and nothing else, so it ends as the column transform."""
+    cols = len(a) - rows
     t = 0
     factors = []
     while True:
@@ -194,45 +191,3 @@ def _dense_smith_factors(a):
         factors.append(abs(d))
         t += 1
     return factors
-
-
-def gf2_kernel_basis(mat, cols: int):
-    """Basis of the kernel over GF(2) of the integer matrix with the rows
-    ``mat`` and ``cols`` columns, vectors with entries in {0, 1}.
-
-    Each row is kept as an int bitmask, bit c for column c, so that one
-    elimination step is one XOR. The rows are inserted one by one, each
-    reduced by the pivot rows at its lowest set bit, and the pivot rows are
-    then cleared above each other: that is the reduced row echelon form,
-    which the row space alone determines. The basis has one vector per free
-    column, in column order: 1 at that column and, at each pivot column,
-    the pivot row's bit at the free column.
-    """
-    pivots = {}  # lowest set bit -> pivot row
-    for row in mat:
-        mask = 0
-        for c in range(cols):
-            if row[c] & 1:
-                mask |= 1 << c
-        while mask:
-            c = (mask & -mask).bit_length() - 1
-            if c not in pivots:
-                pivots[c] = mask
-                break
-            mask ^= pivots[c]
-    order = sorted(pivots)
-    for t, c in enumerate(reversed(order)):
-        bit, prow = 1 << c, pivots[c]
-        for lower in order[: len(order) - 1 - t]:
-            if pivots[lower] & bit:
-                pivots[lower] ^= prow
-    basis = []
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        vec = [0] * cols
-        vec[fc] = 1
-        for c in order:
-            vec[c] = (pivots[c] >> fc) & 1
-        basis.append(vec)
-    return basis

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from .exactnum import DenseMatrix, inverse, rank
-from .intlattice import kernel_bases
+from .intlattice import lattice
 from .quasiorder import QuasiOrder, approx_classes, from_edges
 from .transmap import TransitiveMap, _relation_vectors, _signed_powers, validate
 
@@ -67,21 +67,22 @@ def random_supported_matrix(rho, rng) -> DenseMatrix:
 def random_transitive_map(rho: QuasiOrder, seed: int = 0) -> TransitiveMap:
     """Seeded sampler over the +-2^k transitive maps, trivial ones
     included: the kernel of all the relation rows, over every strict pair
-    (``transmap._relation_vectors``), holds their exponents over Q and
-    their signs over GF(2). A random combination of the basis over Q
-    (``intlattice.kernel_bases``, coefficients -2..2) gives the exponents,
-    one of the basis over GF(2) the signs."""
+    (``transmap._relation_vectors``), holds their exponents over Z and
+    their signs over GF(2). A random combination of the basis over Z that
+    the Smith reduction of the rows gives (``intlattice.lattice``,
+    coefficients -2..2) gives the exponents, one of the basis over GF(2)
+    the signs."""
     edges, rows = _relation_vectors(rho)
     ecount = len(edges)
-    over_q, over_2 = kernel_bases(rows, ecount)
+    _, kernel = lattice(rows, ecount)
     rng = random.Random(seed)
     expo = [0] * ecount
-    for vec in over_q:
+    for vec in kernel():
         c = rng.randint(-2, 2)
         if c:
             expo = [x + c * y for x, y in zip(expo, vec)]
     signs = [0] * ecount
-    for vec in over_2:
+    for vec in kernel(True):
         if rng.random() < 0.5:
             signs = [x ^ y for x, y in zip(signs, vec)]
     return validate(rho, _signed_powers(edges, expo, signs))

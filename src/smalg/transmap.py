@@ -11,12 +11,13 @@ exactly, on the relation's beat-point core, which has the same answer (see
 spanning forest: modulo the trivial maps, each is exactly one map that is
 1 on the forest (``_gauge``). Its values off the forest are then bound
 only by the multiplicative relations, with the forest's columns dropped,
-and one sparse integer system R_N of them serves every question: its
-Smith form decides, and a vector of its kernel over Q or over GF(2)
-(``intlattice.kernel_bases``) is the nontrivial map that backs a negative
-answer, with no random numbers. The gauge and the verdict are each
-computed at most once per relation (``quasiorder._memo``), so a negative
-``all-trivial`` builds one gauge for the verdict and its map. As
+and one sparse integer system R_N of them serves every question. One
+Smith reduction of it (``intlattice.lattice``) gives both answers: its
+factors decide, and a column of its transform, a vector of the kernel
+over Z or over GF(2), is the nontrivial map that backs a negative answer,
+with no random numbers. The gauge and the verdict are each computed at
+most once per relation (``quasiorder._memo``), so a negative
+``all-trivial`` runs one reduction for the verdict and its map. As
 processes on a 2-core x86-64 host with Python 3.11, ``all-trivial`` takes
 0.29 s and 23 MB on the ordinal sum of twenty 2-point antichains beside a
 bowtie, and 0.21 s and 24 MB with the bowtie glued at its top (4.8 s and
@@ -48,7 +49,7 @@ from .exactnum import (
     _scalar,
     scalar,
 )
-from .intlattice import _kernels, _smith_factors, _unit_pivots
+from .intlattice import lattice
 from .quasiorder import BeatCore, QuasiOrder, _memo, beat_core, first_unsupported
 from .tokens import convert, parse_int, plain_tokens, strip_comments, token_lines
 
@@ -468,9 +469,10 @@ def _relation_vectors(rho: QuasiOrder, column: Optional[dict] = None):
 @_memo
 def _gauge(q: QuasiOrder):
     """The strict pairs of q, those off its spanning forest, and the
-    unit-pivot elimination (``intlattice._unit_pivots``) of the relation
-    rows over the latter (``_relation_vectors``): the Smith form and the
-    kernels both read it, so it runs once per relation.
+    reduction (``intlattice.lattice``) of the relation rows over the latter
+    (``_relation_vectors``), None if q has no strict pair: its Smith
+    factors and its kernel bases over Z and GF(2). The verdict and the
+    nontrivial map both read it, so it runs once per relation.
 
     Every transitive map equals, modulo a trivial map, exactly one map that
     is 1 on the pairs of the forest that ``_spanning_forest`` walks. It
@@ -485,12 +487,12 @@ def _gauge(q: QuasiOrder):
     """
     edges = tuple(q.strict_pairs())
     if not edges:
-        return (), (), ((), ())
+        return (), (), None
     parent = _spanning_forest(q, dict.fromkeys(edges, ONE)).parent
     tree = {p[1] for p in parent if p is not None}
     off = tuple(e for e in edges if e not in tree)
     rows = _relation_vectors(q, {e: t for t, e in enumerate(off)})[1]
-    return edges, off, _unit_pivots(rows)
+    return edges, off, lattice(rows, len(off))
 
 
 @_memo
@@ -505,8 +507,8 @@ def all_transitive_trivial(rho: QuasiOrder) -> bool:
     composable triples.
 
     The test runs on the beat-point core of rho (``beat_core``), and a core
-    with no pair off its forest answers True with no Smith form. That gives
-    the same answer. Let x be deleted with least element c above it, and
+    with no strict pair answers True with no Smith form. That gives the
+    same answer. Let x be deleted with least element c above it, and
     restrict from P to P - x. Every map g on P - x extends to P, as g after
     the retraction x -> c. If the restriction of a map G is trivial,
     s(i)/s(j), then so is G, with s(x) = G(x, c) s(c): for y > x, G(x, y) =
@@ -518,7 +520,7 @@ def all_transitive_trivial(rho: QuasiOrder) -> bool:
     isomorphism on homology.
     """
     _, off, reduced = _gauge(beat_core(rho).core)
-    return not off or _smith_factors(*reduced) == [1] * len(off)
+    return not off or reduced[0] == [1] * len(off)
 
 
 def _signed_powers(edges, expo, signs) -> dict:
@@ -550,28 +552,30 @@ def nontrivial_transitive_map(rho: QuasiOrder) -> Optional[TransitiveMap]:
     is trivial only when it is 1 everywhere. So every nonzero vector of the
     kernel of R_N gives a nontrivial map: 2^b for an integer vector b,
     (-1)^c for a GF(2) vector c. The map is built from the first vector of
-    ``kernel_bases``, over Q if there is one and else over GF(2), and is 1
-    on the rest of the core's pairs. The obstruction group Z^N / R_N is a
-    free part, which the kernel over Q detects, plus torsion; the kernel
-    over GF(2) detects even torsion, and odd torsion has no nontrivial
-    Gaussian-rational values (the roots of unity there are +-1, +-i). So
-    None after a negative answer of ``all_transitive_trivial`` means the
-    only obstruction is odd torsion. The map g of the core comes back as g
-    after the retraction, which is transitive because the retraction is
-    order-preserving, and nontrivial because it restricts to g on the core.
-    By the bijection of ``all_transitive_trivial``, rho has a nontrivial
-    +-2^k map iff its core has one.
+    the gauge's kernel bases, over Z if there is one and else over GF(2),
+    and is 1 on the rest of the core's pairs. The obstruction group
+    Z^N / R_N is a free part, which the kernel over Z detects, plus
+    torsion; the kernel over GF(2) detects even torsion, and odd torsion
+    has no nontrivial Gaussian-rational values (the roots of unity there
+    are +-1, +-i). So None after a negative answer of
+    ``all_transitive_trivial`` means the only obstruction is odd torsion.
+    The map g of the core comes back as g after the retraction, which is
+    transitive because the retraction is order-preserving, and nontrivial
+    because it restricts to g on the core. By the bijection of
+    ``all_transitive_trivial``, rho has a nontrivial +-2^k map iff its
+    core has one.
     """
     core = beat_core(rho)
     q = core.core
     edges, off, reduced = _gauge(q)
-    over_q, over_2 = _kernels(*reduced, len(off))
+    if not off:
+        return None
+    _, kernel = reduced
     zeros = [0] * len(off)
-    if over_q:
-        found = over_q[0], zeros
-    elif over_2:
-        found = zeros, over_2[0]
-    else:
+    found = next(((vec, zeros) for vec in kernel()), None)
+    if found is None:
+        found = next(((zeros, vec) for vec in kernel(True)), None)
+    if found is None:
         return None
     weights = dict.fromkeys(edges, ONE)
     weights.update(_signed_powers(off, *found))

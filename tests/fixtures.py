@@ -8,6 +8,7 @@ from ``smalg.sampling``, which the ``selftest`` command draws from too.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from smalg.exactnum import DenseMatrix, GaussianRational
 from smalg.quasiorder import QuasiOrder, from_edges
@@ -160,6 +161,79 @@ def census12():
         ("two-sided-pair", from_edges(4, [(1, 2), (2, 1)], close=False)),
         ("fan", from_edges(4, [(1, 3), (2, 3), (2, 4)], close=False)),
     ]
+
+
+def face_poset(simplices) -> QuasiOrder:
+    """The nonempty faces of the simplicial complex with these maximal
+    simplices, ordered by inclusion, labelled by (dimension, vertices).
+    Its transitive maps are the 1-cocycles of the order complex, a
+    subdivision of the complex, so the obstruction group Z^N / R_N of
+    ``transmap._gauge`` is the complex's first homology."""
+    faces = {
+        frozenset(c) for s in simplices for k in range(1, len(s) + 1)
+        for c in combinations(s, k)
+    }
+    faces = sorted(faces, key=lambda f: (len(f), sorted(f)))
+    label = {f: k for k, f in enumerate(faces, start=1)}
+    pairs = [(label[a], label[b]) for a in faces for b in faces if a < b]
+    return from_edges(len(faces), pairs)
+
+
+# the six-vertex triangulation of the projective plane
+_RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+        (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)]
+
+
+def rp2_face_poset() -> QuasiOrder:
+    """Faces of the six-vertex RP^2. H_1 = Z/2, and with Gaussian-rational
+    values the only nontrivial maps are sign maps."""
+    return face_poset(_RP2)
+
+
+def rp2_wedge_circle_face_poset() -> QuasiOrder:
+    """RP^2 with a triangle boundary glued at vertex 1: H_1 = Z + Z/2."""
+    return face_poset(_RP2 + [(1, 7), (7, 8), (8, 1)])
+
+
+def rp2_wedge_rp2_face_poset() -> QuasiOrder:
+    """Two copies of RP^2 glued at vertex 1: H_1 = Z/2 + Z/2."""
+    second = {1: 1, **{v: v + 5 for v in range(2, 7)}}
+    return face_poset(_RP2 + [tuple(second[v] for v in t) for t in _RP2])
+
+
+def moore_face_poset(d: int) -> QuasiOrder:
+    """Faces of a triangulated Moore space with H_1 = Z/d: a disk whose
+    3d-gon boundary b_0 .. b_{3d-1} is labelled 0, 1, 2, 0, 1, 2, ..., so
+    that it wraps d times round one triangle, filled by a ring of 3d inner
+    vertices r_i and a centre c, with the triangles (b_i, b_{i+1}, r_i),
+    (b_{i+1}, r_i, r_{i+1}) and (r_i, r_{i+1}, c)."""
+    m = 3 * d
+    b = [i % 3 for i in range(m)]
+    r = [3 + i for i in range(m)]
+    c = 3 + m
+    triangles = []
+    for i in range(m):
+        k = (i + 1) % m
+        triangles += [(b[i], b[k], r[i]), (b[k], r[i], r[k]), (r[i], r[k], c)]
+    return face_poset(triangles)
+
+
+def twisted_grid_face_poset() -> QuasiOrder:
+    """A 3 x 3 grid of squares, each cut by a diagonal, with the top edge
+    glued to the bottom and the right edge glued to the left upside down:
+    a Klein bottle, H_1 = Z + Z/2."""
+    def vertex(i, j):
+        j %= 3
+        if i == 3:
+            i, j = 0, -j % 3
+        return 3 * i + j
+
+    triangles = []
+    for i in range(3):
+        for j in range(3):
+            a, b = vertex(i, j), vertex(i + 1, j + 1)
+            triangles += [(a, vertex(i + 1, j), b), (a, vertex(i, j + 1), b)]
+    return face_poset(triangles)
 
 
 def random_class_order(rng, n, density, sizes=(1, 1, 2, 3)) -> QuasiOrder:

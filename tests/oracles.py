@@ -28,8 +28,9 @@ eigenspaces by intersection kernels (``eigenspace_class_picks``,
 ``eigenspace_intersection``), on the package's ``_spectrum``, push and
 certificate, as the reference for the refinement by restrictions;
 ``dense_gf2_kernel_basis`` keeps
-the GF(2) elimination on dense 0/1 rows, as the reference for its bitmask
-rows, and ``bareiss_gauss_jordan`` keeps the Bareiss elimination that
+the GF(2) elimination on dense 0/1 rows, as the reference for the span of
+the GF(2) basis that the package reads off its Smith transform, and
+``bareiss_gauss_jordan`` keeps the Bareiss elimination that
 updates every row at every step, as the reference for the kernel that
 skips rows with a zero in the pivot column. The next-to-last section holds reference checks
 that the package once exported and no longer calls (the central
@@ -105,7 +106,7 @@ from smalg.polyroots import (
     roots_in_gaussian_rationals,
     squarefree_part,
 )
-from smalg.intlattice import _smith_factors, _unit_pivots, gf2_kernel_basis
+from smalg.intlattice import lattice
 from smalg.quasiorder import (
     MAX_VERTICES,
     BeatCore,
@@ -1292,9 +1293,9 @@ def _eigenspace_diagonalize(rho: QuasiOrder, family) -> Diagonalization:
 
 def dense_gf2_kernel_basis(mat, cols=None):
     """Basis of the kernel over GF(2), vectors with entries in {0, 1}, by
-    Gauss-Jordan elimination on dense 0/1 rows: the reference for the
-    package's bitmask ``gf2_kernel_basis``, which must return the same
-    vectors in the same order."""
+    Gauss-Jordan elimination on dense 0/1 rows, one vector per free column
+    in column order: the reference for the span of the GF(2) basis that
+    ``intlattice.lattice`` reads off its Smith transform."""
     if not mat:
         if cols is None:
             raise ValueError("need column count for an empty matrix")
@@ -1429,7 +1430,7 @@ def full_relation_nontrivial_transitive_map(rho: QuasiOrder):
         # the GF(2) basis, the costlier one, only if every exponent map fails
         for vec in integer_kernel_basis(dense, ecount):
             yield vec, zeros
-        for vec in gf2_kernel_basis(dense, ecount):
+        for vec in dense_gf2_kernel_basis(dense, ecount):
             yield zeros, vec
 
     for expo, signs in candidates():
@@ -1553,9 +1554,8 @@ def oracle_unbalanced_cycle(g, cycle):
 def smith_invariant_factors(rows):
     """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix given
     by its sparse rows, dicts from column to nonzero entry: the package's
-    unit-pivot elimination, then its Smith reduction of the complement, as
-    ``transmap`` runs them in two steps."""
-    return _smith_factors(*_unit_pivots(rows))
+    one reduction (``intlattice.lattice``), as ``transmap`` runs it."""
+    return lattice(rows, 1 + max((c for row in rows for c in row), default=-1))[0]
 
 
 def central_idempotents(q: QuasiOrder):
@@ -1901,7 +1901,7 @@ def basis_nontrivial_transitive_map(rho: QuasiOrder, core: Optional[BeatCore] = 
         for vec in integer_kernel_basis(dense, ecount):
             if not is_coboundary(q.n, edges, vec, False):
                 yield vec, zeros
-        for vec in gf2_kernel_basis(dense, ecount):
+        for vec in dense_gf2_kernel_basis(dense, ecount):
             if not is_coboundary(q.n, edges, vec, True):
                 yield zeros, vec
 

@@ -57,6 +57,7 @@ from fixtures import (
     delta,
     full,
     linear_map,
+    moore_face_poset,
     separator_map,
     seven_point,
     seven_point_weights,
@@ -266,6 +267,16 @@ def test_all_trivial_without_a_sampled_example_exits_three(files, monkeypatch):
     assert out.report == "error: no transitive map with values +-2^k is nontrivial\n"
 
 
+def test_all_trivial_on_the_mod_three_moore_space_exits_three(tmp_path):
+    # H_1 = Z/3: the verdict is negative, but no map with values +-2^k
+    # shows odd torsion, so no certificate can be printed
+    path = tmp_path / "moore3.qo"
+    path.write_text(format_relation(moore_face_poset(3)))
+    out = run(["all-trivial", str(path)])
+    assert out.exit_code == 3
+    assert out.report == "error: no transitive map with values +-2^k is nontrivial\n"
+
+
 @pytest.mark.parametrize("relation", ["bowtie", "seven"])
 def test_all_trivial_example_is_constructed_without_random_numbers(
     files, monkeypatch, relation
@@ -284,22 +295,23 @@ def test_all_trivial_example_is_constructed_without_random_numbers(
 
 
 def _counted_smith(monkeypatch):
-    """The row counts of the Smith forms taken from here on: the pivot rows
-    and the complement that the unit-pivot elimination left."""
+    """The row counts of the reductions (``intlattice.lattice``) that
+    ``transmap`` runs from here on: one Smith form each, with the kernel
+    bases read off its column transform."""
     calls = []
-    smith = smalg.transmap._smith_factors
+    reduce = smalg.transmap.lattice
 
-    def counted(pivots, rest):
-        calls.append(len(pivots) + len(rest))
-        return smith(pivots, rest)
+    def counted(rows, cols):
+        calls.append(len(rows))
+        return reduce(rows, cols)
 
-    monkeypatch.setattr(smalg.transmap, "_smith_factors", counted)
+    monkeypatch.setattr(smalg.transmap, "lattice", counted)
     return calls
 
 
 def test_info_runs_one_smith_form(files, monkeypatch):
-    # the bowtie is its own core: one Smith form over its transitivity
-    # rows, of which it has none
+    # the bowtie is its own core: one reduction of its transitivity rows,
+    # of which it has none
     calls = _counted_smith(monkeypatch)
     out = run(["info", files["bowtie"]])
     assert out.exit_code == 0
@@ -435,14 +447,62 @@ def _unit_pivot_runs():
         sys.setprofile(previous)
 
 
+@contextlib.contextmanager
+def _package_calls():
+    """The names of the functions of src/smalg that run while the block
+    runs, one entry per call."""
+    root = os.path.dirname(smalg.__file__)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
+@pytest.mark.parametrize("relation", ["bowtie", "seven"])
+def test_a_negative_all_trivial_runs_one_complement_reduction(files, relation):
+    # the verdict and the printed map read one Smith reduction of the
+    # complement and its column transform: no kernel over Q or GF(2) of
+    # their own
+    with _package_calls() as calls:
+        out = run(["all-trivial", files[relation]])
+    assert out.exit_code == 1
+    assert calls.count("_dense_smith_factors") == 1
+    assert "_kernel_basis" not in calls
+    assert not [name for name in calls if "gf2" in name]
+
+
+@pytest.mark.parametrize("command, vectors", [("all-trivial", 1), ("info", 0)])
+def test_the_kernel_basis_is_extended_only_as_far_as_it_is_read(tmp_path, command, vectors):
+    # the complete bipartite 12 x 12 relation has no composable pair, so
+    # its 121 pairs off the forest are free columns: the verdict reads
+    # only the factors and the printed map one vector, where a basis built
+    # in full would hold 121 vectors of 144 entries
+    path = tmp_path / "k12.qo"
+    path.write_text(format_relation(
+        from_edges(24, [(i, 12 + j) for i in range(1, 13) for j in range(1, 13)])
+    ))
+    with _package_calls() as calls:
+        out = run([command, str(path)])
+    assert out.exit_code == (1 if command == "all-trivial" else 0)
+    assert calls.count("extend") == vectors
+
+
 @pytest.mark.parametrize(
     "request_",
     [["all-trivial", "bowtie"], ["all-trivial", "seven"], ["info", "bowtie"], ["info", "seven"]],
     ids=" ".join,
 )
 def test_one_unit_pivot_elimination_per_request(files, request_):
-    # a negative all-trivial reads the elimination twice, for the Smith form
-    # and for the kernels; info reads it for the Smith form
+    # the verdict and, after a negative all-trivial, its map read one
+    # reduction, which runs the elimination once
     with _unit_pivot_runs() as runs:
         out = run(_argv(files, request_))
     assert out.exit_code == (1 if request_[0] == "all-trivial" else 0)

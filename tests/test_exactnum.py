@@ -524,7 +524,8 @@ class TestBlockRow:
             assert again.nonzeros == row.nonzeros
             for t, b in enumerate(blocks):
                 assert row.block(t) == b
-                assert row.support(t) == b.support()
+                positions = {(pos // n + 1, pos % n + 1) for pos, _, _ in row.nonzeros[t]}
+                assert positions == b.support()
                 assert row.literals(t) == [x.literal() for x in b.entries()]
             coeffs = [(rand_scalar(rng), rng.randrange(k)) for _ in range(rng.randint(0, 3))]
             total = DenseMatrix.zeros(n, n)

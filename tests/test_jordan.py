@@ -1018,6 +1018,7 @@ def test_unit_images_are_read_from_one_row():
                 x for p in units for x in images[p].row_list(r)
             ]
         for t, p in enumerate(units):
-            assert phi.blocks.support(t) == images[p].support()
+            positions = {(pos // n + 1, pos % n + 1) for pos, _, _ in phi.blocks.nonzeros[t]}
+            assert positions == images[p].support()
             assert len(phi.blocks.nonzeros[t]) == len(images[p].support())
         assert LinearMapOnSMA(phi.rho, images) == phi

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -42,6 +41,7 @@ from fixtures import (
     full,
     random_class_order,
     random_quasiorder,
+    rp2_face_poset,
     separator_map,
     seven_point,
     upper_chain,
@@ -230,22 +230,6 @@ def test_all_trivial_agrees_with_sampling():
                 for seed in range(50)
             )
             assert found, f"no nontrivial sample found on {rho!r}"
-
-
-def rp2_face_poset():
-    """Faces of the six-vertex triangulation of the projective plane,
-    ordered by inclusion. Transitive maps are 1-cocycles of its order
-    complex, a subdivision of RP^2, and H^1(RP^2) with Gaussian-rational
-    coefficients is {+-1}: the only nontrivial maps are sign maps."""
-    triangles = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
-                 (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)]
-    faces = {
-        frozenset(c) for t in triangles for k in (1, 2, 3) for c in combinations(t, k)
-    }
-    faces = sorted(faces, key=lambda f: (len(f), sorted(f)))
-    label = {f: k for k, f in enumerate(faces, start=1)}
-    pairs = [(label[a], label[b]) for a in faces for b in faces if a < b]
-    return from_edges(len(faces), pairs)
 
 
 def test_nontrivial_transitive_map_exists_iff_not_all_trivial():
