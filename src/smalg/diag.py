@@ -20,10 +20,11 @@ for all columns at once, on integer rows; a column takes only the factors
 of the eigenvalues of the class blocks above its class. No projector is
 formed, of a class block or of the whole matrix. Each member F is checked
 as F S = S D, with D read off the chosen eigenvalues, and the family is
-checked to commute only when something fails. The one diagonalizability
-test, a squarefree polynomial with the eigenvalues as roots evaluated at
-the matrix (``_annihilate``), runs only to name a block or a member that
-fails.
+checked to commute only when something fails. Diagonalizability is decided
+once, by the eigenspaces: a matrix whose eigenvalues all lie in the field
+is diagonalizable exactly when its eigenspaces fill the space. Only a block
+with a characteristic factor of no root in the field is tested otherwise,
+by evaluating the squarefree part of its characteristic polynomial at it.
 `simultaneous_diagonalize_in_sma` proves this correct. S comes back with
 the inverse and the diagonals it was checked with.
 """
@@ -80,20 +81,6 @@ class Diagonalization(NamedTuple):
     diagonals: tuple
 
 
-def _annihilate(a: DenseMatrix, squarefree) -> None:
-    """Raise unless the polynomial, squarefree with every eigenvalue of a as
-    a root, annihilates a. The minimal polynomial of a has the same roots,
-    so it divides this one exactly when it has no repeated root, that is,
-    when a is diagonalizable over the complex numbers."""
-    if not poly_eval_matrix(squarefree, a).is_zero():
-        raise NotDiagonalizable("minimal polynomial has a repeated root")
-
-
-def _with_roots(eigs) -> list:
-    """The product of the x - lam over the distinct eigs."""
-    return reduce(poly_mul, ([-lam, ONE] for lam in eigs), [ONE])
-
-
 def _spectrum(a: DenseMatrix) -> tuple:
     """(eigenvalues, eigenspaces, leftover) of a square matrix that is
     diagonalizable over the complex numbers: its distinct Gaussian-rational
@@ -105,35 +92,35 @@ def _spectrum(a: DenseMatrix) -> tuple:
 
     An upper-triangular matrix shows its eigenvalues on the diagonal and
     leaves the factor 1; any other one takes them from the roots of its
-    characteristic polynomial. With a rational spectrum the matrix is
-    diagonalizable exactly when the eigenspaces fill the space. Only when
-    either test fails does ``_annihilate`` run, and it raises
-    NotDiagonalizable for a matrix that is not diagonalizable over the
-    complex numbers: with the product of the x - lam over the distinct
-    diagonal values for an upper-triangular matrix, with the squarefree
-    part of the characteristic polynomial for any other. The leftover
-    factor is the product of the x - lam over the roots outside the field,
-    with multiplicity, so its squarefree part has the degree of the factor
-    that the search of the squarefree part of the characteristic polynomial
+    characteristic polynomial. With every eigenvalue in the field, as for
+    an upper-triangular matrix or a characteristic polynomial that splits,
+    the matrix is diagonalizable exactly when the eigenspaces fill the
+    space, and NotDiagonalizable is raised when they do not. A matrix with
+    a leftover factor is diagonalizable over the complex numbers exactly
+    when the squarefree part s of its characteristic polynomial annihilates
+    it: s has every eigenvalue as a simple root, so the minimal polynomial
+    divides s exactly when it has no repeated root. The leftover factor is
+    the product of the x - lam over the roots outside the field, with
+    multiplicity, so its squarefree part has the degree of the factor that
+    the search of the squarefree part of the characteristic polynomial
     would leave.
     """
     if a.is_upper_triangular():
-        cp, rem = None, [ONE]
-        eigs = set(a.diagonal())
+        eigs, rem = set(a.diagonal()), [ONE]
     else:
         cp = charpoly(a)
         eigs, rem = roots_in_gaussian_rationals(cp)
-    if poly_degree(rem) == 0:
-        eigs = sorted(eigs, key=GaussianRational.sort_key)
-        # w a = lam w exactly when a^T w = lam w
-        at = a.transpose()
-        spaces = [_shifted_kernel(at, lam) for lam in eigs]
-        if sum(map(len, spaces)) == a.rows:
-            return eigs, spaces, rem
-    _annihilate(a, _with_roots(eigs) if cp is None else squarefree_part(cp))
-    if poly_degree(rem) == 0:
-        raise InternalInconsistency("eigenspaces disagree with the minimal polynomial")
-    return [], [], rem
+        if poly_degree(rem) > 0:
+            if not poly_eval_matrix(squarefree_part(cp), a).is_zero():
+                raise NotDiagonalizable("minimal polynomial has a repeated root")
+            return [], [], rem
+    eigs = sorted(eigs, key=GaussianRational.sort_key)
+    # w a = lam w exactly when a^T w = lam w
+    at = a.transpose()
+    spaces = [_shifted_kernel(at, lam) for lam in eigs]
+    if sum(map(len, spaces)) != a.rows:
+        raise NotDiagonalizable("minimal polynomial has a repeated root")
+    return eigs, spaces, rem
 
 
 def _echelon(rows) -> tuple:
@@ -438,10 +425,11 @@ def simultaneous_diagonalize_in_sma(rho: QuasiOrder, family) -> Diagonalization:
        runs it, and "members x and y do not commute" is raised before
        anything else, as when the check ran first. For a commuting family S
        is invertible (step 3), so F S != S D means that some member is not
-       diagonalizable; ``_annihilate`` with the product of the x - lam over
-       the spectrum of F_k, run member by member, then names the first such
-       member, as "member k is not diagonalizable", the wording of the
-       class-block stage.
+       diagonalizable. The spectrum of F_k, the union of its class blocks'
+       spectra, lies in the field, so F_k is diagonalizable exactly when its
+       eigenspaces at those eigenvalues fill the space; the first member
+       whose eigenspaces do not is named, as "member k is not
+       diagonalizable", the wording of the class-block stage.
 
     Where every member is upper-triangular on every class, each Q_CC is an
     upper-triangular idempotent, its pivots are the j with (Q)_jj = 1, and
@@ -536,9 +524,8 @@ def _diagonalize(rho: QuasiOrder, family) -> Diagonalization:
         if f * s != s.scale_columns(values):
             # S is invertible, so some member is not diagonalizable: name it
             for k, (g, eigs) in enumerate(zip(family, spectra)):
-                try:
-                    _annihilate(g, _with_roots(eigs))
-                except NotDiagonalizable as exc:
-                    raise NotDiagonalizable(f"member {k + 1} is not diagonalizable") from exc
+                if sum(len(_shifted_kernel(g, lam)) for lam in eigs) != n:
+                    cause = NotDiagonalizable("minimal polynomial has a repeated root")
+                    raise NotDiagonalizable(f"member {k + 1} is not diagonalizable") from cause
             raise InternalInconsistency("conjugate failed to come out diagonal")
     return Diagonalization(s, sinv, diagonals)

@@ -11,9 +11,10 @@ Gauss-Jordan kernel over the Gaussian integers, which updates only the rows
 with a nonzero entry in the pivot column, so sparse and triangular matrices
 eliminate in time near their nonzeros. Products run on one kernel that
 multiplies a stack of integer rows by a matrix read once into its nonzero
-entries per row. A ``BlockRow`` keeps many n x n matrices side by side as one
-matrix, with the nonzero entries of each block listed once. No floating point
-enters anywhere in this package.
+entries per row. This module holds only scalars, dense matrices and their
+kernels; the unit images of a linear map and the frames they are compared
+in live with the Jordan code (``jordan``), which reads the storage below. No
+floating point enters anywhere in this package.
 
 Matrix indices in the public API are 1-based, matching the pair convention of
 the relation and weight file formats; storage is row-major and 0-based
@@ -409,9 +410,6 @@ class DenseMatrix:
         k = (i - 1) * self.cols + (j - 1)
         return _scalar_over(self._re[k], self._im[k], self._d)
 
-    def entries(self):
-        return tuple(self._scalars(range(len(self._re))))
-
     def row_list(self, i: int):
         return self._scalars(range((i - 1) * self.cols, i * self.cols))
 
@@ -748,324 +746,6 @@ def _nonzero_positions(m: DenseMatrix):
     if any(im):
         return compress(range(len(re)), map(or_, re, im))
     return compress(range(len(re)), re)
-
-
-# --- rows of blocks ---------------------------------------------------------------
-
-
-class BlockRow:
-    """n x n blocks B_0, ..., B_{k-1} side by side in one n x (n k) matrix
-    [B_0 | B_1 | ... | B_{k-1}].
-
-    ``d`` is the one denominator over all the blocks, and ``nonzeros[t]``
-    lists the nonzero numerators of B_t over it, as (row-major position in
-    the block, re, im) in position order, in lowest terms over the whole
-    row. They are found once, when the row is built, so each read below
-    takes time in the nonzeros of the blocks it reads. ``matrix``, the
-    dense n x (n k) matrix, is built on its first read and kept.
-    """
-
-    __slots__ = ("n", "d", "nonzeros", "_matrix")
-
-    def __init__(self, matrix: DenseMatrix, n: int):
-        width = matrix.cols
-        if matrix.rows != n or width % n:
-            raise DimensionMismatch(f"a {matrix.shape} matrix is no row of {n}x{n} blocks")
-        self.n = n
-        self.d = matrix._d
-        self._matrix = matrix
-        nonzeros = [[] for _ in range(width // n)]
-        re, im = matrix._re, matrix._im
-        for t in _nonzero_positions(matrix):
-            r, col = divmod(t, width)
-            k, c = divmod(col, n)
-            nonzeros[k].append((r * n + c, re[t], im[t]))
-        self.nonzeros = nonzeros
-
-    @classmethod
-    def from_entries(cls, n: int, blocks) -> "BlockRow":
-        """The row whose block t has the entries blocks[t], (row-major
-        position, scalar) pairs in position order; every other entry is
-        zero. The numerators go over the lcm of the scalars' denominators,
-        which leaves them in lowest terms."""
-        blocks = [list(entries) for entries in blocks]
-        d = lcm(*{v.d for entries in blocks for _, v in entries})
-        return cls._build(
-            n,
-            d,
-            [
-                [(pos, v.p * (d // v.d), v.q * (d // v.d)) for pos, v in entries if v]
-                for entries in blocks
-            ],
-        )
-
-    @classmethod
-    def of(cls, blocks: Sequence[DenseMatrix], n: int) -> "BlockRow":
-        """The row of the given n x n matrices."""
-        if any(b.shape != (n, n) for b in blocks):
-            raise DimensionMismatch(f"blocks must be {n}x{n}")
-        entries = []
-        for b in blocks:
-            ks = list(_nonzero_positions(b))
-            entries.append(zip(ks, b._scalars(ks)))
-        return cls.from_entries(n, entries)
-
-    @classmethod
-    def _build(cls, n: int, d: int, nonzeros: list) -> "BlockRow":
-        """The row with these nonzero numerators over d, in lowest terms."""
-        row = object.__new__(cls)
-        row.n = n
-        row.d = d
-        row.nonzeros = nonzeros
-        row._matrix = None
-        return row
-
-    @property
-    def matrix(self) -> DenseMatrix:
-        """The dense n x (n k) matrix of the row."""
-        if self._matrix is None:
-            n = self.n
-            width = n * len(self.nonzeros)
-            re, im = [0] * (n * width), [0] * (n * width)
-            for t, entries in enumerate(self.nonzeros):
-                base = t * n
-                for pos, a, b in entries:
-                    r, c = divmod(pos, n)
-                    k = r * width + base + c
-                    re[k] = a
-                    im[k] = b
-            self._matrix = _new(n, width, self.d, tuple(re), tuple(im))
-        return self._matrix
-
-    def __len__(self):
-        return len(self.nonzeros)
-
-    def block(self, t: int) -> DenseMatrix:
-        """B_t as a matrix of its own."""
-        return self.combination(((ONE, t),))
-
-    def combination(self, terms) -> DenseMatrix:
-        """The n x n sum of c * B_t over the (scalar c, block index t) terms,
-        accumulated over one common denominator and reduced once."""
-        terms = [(scalar(c), t) for c, t in terms]
-        dc = lcm(*{c.d for c, _ in terms})
-        size = self.n * self.n
-        re, im = [0] * size, [0] * size
-        for c, t in terms:
-            f = dc // c.d
-            p, q = f * c.p, f * c.q
-            for pos, a, b in self.nonzeros[t]:
-                re[pos] += p * a - q * b
-                im[pos] += p * b + q * a
-        return _reduced(self.n, self.n, dc * self.d, re, im)
-
-    def literals(self, t: int) -> list:
-        """The literals of the n*n entries of B_t, row-major."""
-        d = self.d
-        out = ["0"] * (self.n * self.n)
-        for pos, a, b in self.nonzeros[t]:
-            out[pos] = _reduced_scalar(a, b, d).literal()
-        return out
-
-
-# --- unit frames ----------------------------------------------------------------
-
-
-class UnitFrame:
-    """The columns c_a of an invertible S and the rows r_b of S^-1, for
-    matrices of the form sum g c_a r_b.
-
-    Conjugation by S sends the unit E_ab to the outer product c_a r_b, so
-    every unit image of a Jordan homomorphism in canonical form is one
-    scaled outer product. The frame keeps the nonzero integer numerators of
-    each c_a and each r_b; its operations read the blocks of a ``BlockRow``
-    and take time in the nonzeros of the blocks and terms they are given,
-    and form no matrix product. A term is a triple (g, a, b), the matrix
-    g c_a r_b, with 1-based a and b. ``s_inv`` must be the inverse of ``s``;
-    the frame trusts it.
-    """
-
-    __slots__ = ("n", "_cols", "_rows", "_col_parts", "_row_parts", "_d")
-
-    def __init__(self, s: DenseMatrix, s_inv: DenseMatrix):
-        n = s.rows
-        if s.shape != (n, n) or s_inv.shape != (n, n):
-            raise DimensionMismatch("a unit frame needs two square matrices of one size")
-        self.n = n
-        sre, sim, tre, tim = s._re, s._im, s_inv._re, s_inv._im
-        # dense numerators: column a of S over s._d, row b of S^-1 over s_inv._d
-        self._col_parts = [(sre[a::n], sim[a::n]) for a in range(n)]
-        self._row_parts = [
-            (tre[b * n : (b + 1) * n], tim[b * n : (b + 1) * n]) for b in range(n)
-        ]
-        self._cols = [
-            [(k, x, y) for k, (x, y) in enumerate(zip(*part)) if x or y]
-            for part in self._col_parts
-        ]
-        self._rows = [
-            [(k, x, y) for k, (x, y) in enumerate(zip(*part)) if x or y]
-            for part in self._row_parts
-        ]
-        # the denominator of every outer product c_a r_b
-        self._d = s._d * s_inv._d
-
-    def _check(self, blocks: BlockRow):
-        if blocks.n != self.n:
-            raise DimensionMismatch(f"blocks of size {blocks.n}, frame size {self.n}")
-
-    def coordinate(self, blocks: BlockRow, t: int, a: int, b: int) -> GaussianRational:
-        """r_a B_t c_b, the entry (a, b) of S^-1 B_t S, summed over the
-        nonzero entries of block t."""
-        self._check(blocks)
-        n = self.n
-        xr, xi = self._row_parts[a - 1]
-        yr, yi = self._col_parts[b - 1]
-        tr = ti = 0
-        for pos, p, q in blocks.nonzeros[t]:
-            k, l = divmod(pos, n)
-            u, v = xr[k], xi[k]
-            w, z = yr[l], yi[l]
-            if (u or v) and (w or z):
-                # (u + v i)(p + q i)(w + z i)
-                f, h = u * p - v * q, u * q + v * p
-                tr += f * w - h * z
-                ti += f * z + h * w
-        return _scalar_over(tr, ti, self._d * blocks.d)
-
-    def propose(self, blocks: BlockRow, t: int, i: int, j: int):
-        """The term (g, a, b), with (a, b) = (i, j) or (j, i) for i != j,
-        that block t equals if it is one scaled outer product g c_a r_b of
-        either orientation; None when neither fits. Block t must be nonzero.
-
-        The first nonzero entry of g c_a r_b, in row-major order, lies in
-        the row of the first nonzero of c_a and the column of the first
-        nonzero of r_b. When that position tells the two orientations apart,
-        the one that leads where block t leads is proposed, and one division
-        of the leading entries gives g. When both lead there, g is the
-        coordinate of the one orientation with a nonzero coordinate: block
-        t = g c_i r_j has coordinate g at (i, j) and r_j (g c_i r_j) c_i = 0
-        at (j, i), as r_j c_i = 0. A proposal proves nothing; ``matches``
-        decides it.
-        """
-        self._check(blocks)
-        pos, p, q = blocks.nonzeros[t][0]
-        fits = []
-        for a, b in ((i, j), (j, i)):
-            at, lead = self._lead(a, b)
-            if at == pos:
-                fits.append((a, b, lead))
-        if len(fits) == 2:
-            alpha = self.coordinate(blocks, t, i, j)
-            beta = self.coordinate(blocks, t, j, i)
-            if alpha and not beta:
-                return alpha, i, j
-            if beta and not alpha:
-                return beta, j, i
-            return None
-        if not fits:
-            return None
-        [(a, b, (x, y))] = fits
-        # the block's (p + q i) / e over the outer product's (x + y i) / d
-        d = self._d
-        return _quotient(_scalar(p * d, q * d, blocks.d), _scalar(x, y, 1)), a, b
-
-    def _lead(self, a: int, b: int):
-        """The row-major position of the first nonzero entry of c_a r_b, and
-        its numerator (re, im)."""
-        k, x, y = self._cols[a - 1][0]
-        l, u, v = self._rows[b - 1][0]
-        return k * self.n + l, (x * u - y * v, x * v + y * u)
-
-    def _sum(self, terms):
-        """The nonzero numerators of sum g c_a r_b over nonzero scalars g as
-        (0-based row-major position, re, im) in position order, and their
-        common denominator. One term needs no merging: its outer product
-        comes out in position order, and every entry is a product of nonzero
-        Gaussian integers."""
-        dg = lcm(*{g.d for g, _, _ in terms})
-        n = self.n
-        out = []
-        for g, a, b in terms:
-            f = dg // g.d
-            gp, gq = f * g.p, f * g.q
-            row = self._rows[b - 1]
-            for k, u, v in self._cols[a - 1]:
-                xr, xi = gp * u - gq * v, gp * v + gq * u
-                base = k * n
-                out += [(base + l, xr * p - xi * q, xr * q + xi * p) for l, p, q in row]
-        if len(terms) > 1:
-            acc = {}
-            for pos, x, y in out:
-                old = acc.get(pos)
-                acc[pos] = (x, y) if old is None else (old[0] + x, old[1] + y)
-            out = sorted((pos, x, y) for pos, (x, y) in acc.items() if x or y)
-        return out, dg * self._d
-
-    def matches(self, blocks: BlockRow, t: int, terms) -> bool:
-        """Whether block t equals the sum of the terms, decided by
-        cross-multiplying numerators: the sum's nonzero entries must be the
-        block's, at the same positions.
-
-        One term g c_a r_b is streamed: its |c_a| |r_b| entries, all
-        nonzero and in position order, must be as many as the block's
-        nonzeros, and are compared with them one by one up to the first
-        that differs."""
-        self._check(blocks)
-        terms = _nonzero_terms(terms)
-        mine = blocks.nonzeros[t]
-        e = blocks.d
-        if len(terms) != 1:
-            got, d = self._sum(terms)
-            if len(got) != len(mine):
-                return False
-            # the block (a + i b) / e against the sum (x + i y) / d
-            return [(pos, x * e, y * e) for pos, x, y in got] == [
-                (pos, a * d, b * d) for pos, a, b in mine
-            ]
-        [(g, a, b)] = terms
-        col, row = self._cols[a - 1], self._rows[b - 1]
-        if len(col) * len(row) != len(mine):
-            return False
-        d = g.d * self._d
-        gp, gq = e * g.p, e * g.q
-        n = self.n
-        entries = iter(mine)
-        for k, u, v in col:
-            xr, xi = gp * u - gq * v, gp * v + gq * u
-            base = k * n
-            for l, p, q in row:
-                pos, re, im = next(entries)
-                if (
-                    pos != base + l
-                    or re * d != xr * p - xi * q
-                    or im * d != xr * q + xi * p
-                ):
-                    return False
-        return True
-
-    def block_row(self, term_lists) -> BlockRow:
-        """The row of blocks whose block t is the sum g c_a r_b over
-        term_lists[t], over one common denominator, reduced once."""
-        sums = [self._sum(_nonzero_terms(terms)) for terms in term_lists]
-        d = lcm(*{e for _, e in sums})
-        nonzeros = []
-        for entries, e in sums:
-            f = d // e
-            nonzeros.append([(pos, f * x, f * y) for pos, x, y in entries])
-        if d != 1:
-            g = gcd(d, *(x for entries in nonzeros for _, a, b in entries for x in (a, b)))
-            if g != 1:
-                d //= g
-                nonzeros = [
-                    [(pos, a // g, b // g) for pos, a, b in entries] for entries in nonzeros
-                ]
-        return BlockRow._build(self.n, d, nonzeros)
-
-
-def _nonzero_terms(terms) -> list:
-    """The terms (g, a, b) with g made a scalar, less those with g = 0."""
-    terms = [(scalar(g), a, b) for g, a, b in terms]
-    return [term for term in terms if term[0]]
 
 
 # --- elimination ----------------------------------------------------------------

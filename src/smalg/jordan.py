@@ -1,11 +1,14 @@
 """Jordan homomorphisms of structural matrix algebras.
 
-A linear map out of the algebra is stored by its images on the matrix-unit
-basis, kept side by side as one integer matrix over one denominator with
-the nonzero entries of each image listed once (``BlockRow``): every check
-below reads those lists, and the normalization phi(I)^-1 phi of the rank
-preservers is one product with that matrix. Classification factors a
-nonvanishing Jordan homomorphism into conjugation, a central idempotent
+A linear map out of the algebra (``LinearMapOnSMA``) is stored by its
+images on the matrix-unit basis, as the nonzero integer numerators of each
+image over one denominator for them all. That format is this module's
+alone: every check below reads those lists, in the frame of a similarity
+(``UnitFrame``) or through the map's own reads, and the normalization
+phi(I)^-1 phi of the rank preservers is one product with the images side by
+side as one matrix, whose nonzeros are read back image by image.
+Classification factors a nonvanishing Jordan homomorphism into
+conjugation, a central idempotent
 splitting multiplicative from antimultiplicative behavior, and a transitive
 weight map. Each unit image of such a map is one scaled outer product
 g c_a r_b of a column of the similarity and a row of its inverse, so the
@@ -28,6 +31,7 @@ from __future__ import annotations
 import re
 from functools import cache
 from itertools import combinations, compress
+from math import gcd, lcm
 
 from .diag import simultaneous_diagonalize_in_sma
 from .errors import (
@@ -41,15 +45,20 @@ from .errors import (
     VanishingUnitImage,
 )
 from .exactnum import (
-    BlockRow,
     DenseMatrix,
     GaussianRational,
     ONE,
     ZERO,
-    UnitFrame,
+    _new,
     _nonzero_positions,
+    _quotient,
+    _reduced,
+    _reduced_scalar,
+    _scalar,
+    _scalar_over,
     inverse,
     permutation_matrix,
+    scalar,
 )
 from .quasiorder import (
     MAX_VERTICES,
@@ -69,14 +78,19 @@ from .transmap import TransitiveMap, all_transitive_trivial, validate
 class LinearMapOnSMA:
     """Linear map out of A_rho, stored by its matrix-unit images.
 
-    ``units`` is ``rho.pairs()`` and ``blocks`` the row of the images of
-    those units in that order, [phi(E_p1) | phi(E_p2) | ...]: one
-    n x (n |rho|) matrix with one denominator. The constructor takes the
-    images as a dict of n x n matrices; ``unit_images`` builds that dict
-    again.
+    ``units`` is ``rho.pairs()``, and image t is the image of unit
+    ``units[t]``. ``d`` is one denominator over all the images, and
+    ``nonzeros[t]`` lists the nonzero numerators of image t over it, as
+    (row-major position, re, im) in position order, in lowest terms over
+    the whole map. They are found once, when the map is built, so each read
+    below takes time in the nonzeros of the images it reads. ``matrix``,
+    the images side by side as one n x (n |rho|) matrix
+    [phi(E_p1) | phi(E_p2) | ...], is built on its first read and kept. The
+    constructor takes the images as a dict of n x n matrices;
+    ``unit_images`` builds that dict again.
     """
 
-    __slots__ = ("rho", "units", "blocks", "_index")
+    __slots__ = ("rho", "units", "d", "nonzeros", "_index", "_matrix")
 
     def __init__(self, rho: QuasiOrder, images):
         imgs = dict(images)
@@ -99,43 +113,128 @@ class LinearMapOnSMA:
                 raise DimensionMismatch(
                     f"image of {pair} must be a {n}x{n} matrix"
                 )
-        self._fill(rho, units, BlockRow.of([imgs[p] for p in units], n))
+        entries = []
+        for p in units:
+            ks = list(_nonzero_positions(imgs[p]))
+            entries.append(zip(ks, imgs[p]._scalars(ks)))
+        self._fill(rho, units, *_over_one_denominator(entries))
 
     @classmethod
-    def _of(cls, rho: QuasiOrder, units: list, blocks: BlockRow) -> "LinearMapOnSMA":
-        """The map whose unit images are the blocks; ``units`` must be
-        ``rho.pairs()``. Trusted, not checked."""
+    def _from_entries(cls, rho: QuasiOrder, units: list, entries) -> "LinearMapOnSMA":
+        """The map whose image t has the entries entries[t], (row-major
+        position, scalar) pairs in position order; every other entry is
+        zero. ``units`` must be ``rho.pairs()``. Trusted, not checked."""
+        return cls._of(rho, units, *_over_one_denominator(entries))
+
+    @classmethod
+    def _of(cls, rho: QuasiOrder, units: list, d: int, nonzeros: list) -> "LinearMapOnSMA":
+        """The map whose images have these nonzero numerators over d, in
+        lowest terms; ``units`` must be ``rho.pairs()``. Trusted, not
+        checked."""
         phi = object.__new__(cls)
-        phi._fill(rho, units, blocks)
+        phi._fill(rho, units, d, nonzeros)
         return phi
 
-    def _fill(self, rho, units, blocks):
+    def _fill(self, rho, units, d, nonzeros):
         self.rho = rho
         self.units = units
-        self.blocks = blocks
+        self.d = d
+        self.nonzeros = nonzeros
         self._index = {p: t for t, p in enumerate(units)}
+        self._matrix = None
+
+    @property
+    def matrix(self) -> DenseMatrix:
+        """The images side by side, one n x (n |rho|) matrix."""
+        if self._matrix is None:
+            self._matrix = _side_by_side(self.rho.n, self.d, self.nonzeros)
+        return self._matrix
+
+    def block(self, t: int) -> DenseMatrix:
+        """Image t as a matrix of its own."""
+        return self.combination(((ONE, t),))
+
+    def combination(self, terms) -> DenseMatrix:
+        """The n x n sum of c * (image t) over the (scalar c, image index t)
+        terms, accumulated over one common denominator and reduced once."""
+        terms = [(scalar(c), t) for c, t in terms]
+        dc = lcm(*{c.d for c, _ in terms})
+        n = self.rho.n
+        re, im = [0] * (n * n), [0] * (n * n)
+        for c, t in terms:
+            f = dc // c.d
+            p, q = f * c.p, f * c.q
+            for pos, a, b in self.nonzeros[t]:
+                re[pos] += p * a - q * b
+                im[pos] += p * b + q * a
+        return _reduced(n, n, dc * self.d, re, im)
+
+    def literals(self, t: int) -> list:
+        """The literals of the n*n entries of image t, row-major."""
+        n, d = self.rho.n, self.d
+        out = ["0"] * (n * n)
+        for pos, a, b in self.nonzeros[t]:
+            out[pos] = _reduced_scalar(a, b, d).literal()
+        return out
 
     def unit_images(self) -> dict:
         """The image of each unit as a matrix of its own, built on demand."""
-        return {p: self.blocks.block(t) for t, p in enumerate(self.units)}
+        return {p: self.block(t) for t, p in enumerate(self.units)}
 
     def left_multiplied(self, m: DenseMatrix) -> "LinearMapOnSMA":
-        """The map X -> m phi(X): one product of m with the row of images."""
-        blocks = BlockRow(m * self.blocks.matrix, self.rho.n)
-        return LinearMapOnSMA._of(self.rho, self.units, blocks)
+        """The map X -> m phi(X): one product of m with the images side by
+        side, whose nonzeros are read off image by image."""
+        n = self.rho.n
+        if m.shape != (n, n):
+            raise DimensionMismatch(f"a {m.shape} matrix cannot multiply {n}x{n} images")
+        product = m * self.matrix
+        width = product.cols
+        re, im = product._re, product._im
+        nonzeros = [[] for _ in self.units]
+        for k in _nonzero_positions(product):
+            r, col = divmod(k, width)
+            t, c = divmod(col, n)
+            nonzeros[t].append((r * n + c, re[k], im[k]))
+        return LinearMapOnSMA._of(self.rho, self.units, product._d, nonzeros)
 
     def __eq__(self, other):
         if not isinstance(other, LinearMapOnSMA):
             return NotImplemented
-        mine, theirs = self.blocks, other.blocks
         return (
             self.rho == other.rho
-            and mine.d == theirs.d
-            and mine.nonzeros == theirs.nonzeros
+            and self.d == other.d
+            and self.nonzeros == other.nonzeros
         )
 
     def __repr__(self):
         return f"LinearMapOnSMA(n={self.rho.n}, units={len(self.units)})"
+
+
+def _over_one_denominator(entries) -> tuple:
+    """(d, nonzeros): the (row-major position, scalar) pairs of each image
+    as nonzero numerators over the lcm d of the scalars' denominators,
+    which leaves them in lowest terms."""
+    entries = [list(image) for image in entries]
+    d = lcm(*{v.d for image in entries for _, v in image})
+    return d, [
+        [(pos, v.p * (d // v.d), v.q * (d // v.d)) for pos, v in image if v]
+        for image in entries
+    ]
+
+
+def _side_by_side(n: int, d: int, nonzeros: list) -> DenseMatrix:
+    """The n x n images with these nonzero numerators over d, in lowest
+    terms, side by side as one n x (n k) matrix."""
+    width = n * len(nonzeros)
+    re, im = [0] * (n * width), [0] * (n * width)
+    for t, image in enumerate(nonzeros):
+        base = t * n
+        for pos, a, b in image:
+            r, c = divmod(pos, n)
+            k = r * width + base + c
+            re[k] = a
+            im[k] = b
+    return _new(n, width, d, tuple(re), tuple(im))
 
 
 def apply(phi: LinearMapOnSMA, x: DenseMatrix) -> DenseMatrix:
@@ -149,7 +248,209 @@ def apply(phi: LinearMapOnSMA, x: DenseMatrix) -> DenseMatrix:
             f"argument has entry at {bad} outside the relation", pair=bad
         )
     index = phi._index
-    return phi.blocks.combination((x.at(*p), index[p]) for p in x.support())
+    return phi.combination((x.at(*p), index[p]) for p in x.support())
+
+
+# --- unit frames ----------------------------------------------------------------
+
+
+class UnitFrame:
+    """The columns c_a of an invertible S and the rows r_b of S^-1, for
+    matrices of the form sum g c_a r_b.
+
+    Conjugation by S sends the unit E_ab to the outer product c_a r_b, so
+    every unit image of a Jordan homomorphism in canonical form is one
+    scaled outer product. The frame keeps the nonzero integer numerators of
+    each c_a and each r_b; its operations read image t of a map through its
+    nonzeros and take time in the nonzeros of the images and terms they are
+    given, and form no matrix product. A term is a triple (g, a, b), the
+    matrix g c_a r_b, with 1-based a and b. ``s_inv`` must be the inverse of
+    ``s``; the frame trusts it.
+    """
+
+    __slots__ = ("n", "_cols", "_rows", "_col_parts", "_row_parts", "_d")
+
+    def __init__(self, s: DenseMatrix, s_inv: DenseMatrix):
+        n = s.rows
+        if s.shape != (n, n) or s_inv.shape != (n, n):
+            raise DimensionMismatch("a unit frame needs two square matrices of one size")
+        self.n = n
+        sre, sim, tre, tim = s._re, s._im, s_inv._re, s_inv._im
+        # dense numerators: column a of S over s._d, row b of S^-1 over s_inv._d
+        self._col_parts = [(sre[a::n], sim[a::n]) for a in range(n)]
+        self._row_parts = [
+            (tre[b * n : (b + 1) * n], tim[b * n : (b + 1) * n]) for b in range(n)
+        ]
+        self._cols = [
+            [(k, x, y) for k, (x, y) in enumerate(zip(*part)) if x or y]
+            for part in self._col_parts
+        ]
+        self._rows = [
+            [(k, x, y) for k, (x, y) in enumerate(zip(*part)) if x or y]
+            for part in self._row_parts
+        ]
+        # the denominator of every outer product c_a r_b
+        self._d = s._d * s_inv._d
+
+    def _check(self, phi: LinearMapOnSMA):
+        if phi.rho.n != self.n:
+            raise DimensionMismatch(f"images of size {phi.rho.n}, frame size {self.n}")
+
+    def coordinate(self, phi: LinearMapOnSMA, t: int, a: int, b: int) -> GaussianRational:
+        """r_a X c_b, the entry (a, b) of S^-1 X S for image X = phi's image
+        t, summed over the nonzero entries of X."""
+        self._check(phi)
+        n = self.n
+        xr, xi = self._row_parts[a - 1]
+        yr, yi = self._col_parts[b - 1]
+        tr = ti = 0
+        for pos, p, q in phi.nonzeros[t]:
+            k, l = divmod(pos, n)
+            u, v = xr[k], xi[k]
+            w, z = yr[l], yi[l]
+            if (u or v) and (w or z):
+                # (u + v i)(p + q i)(w + z i)
+                f, h = u * p - v * q, u * q + v * p
+                tr += f * w - h * z
+                ti += f * z + h * w
+        return _scalar_over(tr, ti, self._d * phi.d)
+
+    def propose(self, phi: LinearMapOnSMA, t: int, i: int, j: int):
+        """The term (g, a, b), with (a, b) = (i, j) or (j, i) for i != j,
+        that image t of phi equals if it is one scaled outer product
+        g c_a r_b of either orientation; None when neither fits. Image t must
+        be nonzero.
+
+        The first nonzero entry of g c_a r_b, in row-major order, lies in
+        the row of the first nonzero of c_a and the column of the first
+        nonzero of r_b. When that position tells the two orientations apart,
+        the one that leads where image t leads is proposed, and one division
+        of the leading entries gives g. When both lead there, g is the
+        coordinate of the one orientation with a nonzero coordinate: image
+        t = g c_i r_j has coordinate g at (i, j) and r_j (g c_i r_j) c_i = 0
+        at (j, i), as r_j c_i = 0. A proposal proves nothing; ``matches``
+        decides it.
+        """
+        self._check(phi)
+        pos, p, q = phi.nonzeros[t][0]
+        fits = []
+        for a, b in ((i, j), (j, i)):
+            at, lead = self._lead(a, b)
+            if at == pos:
+                fits.append((a, b, lead))
+        if len(fits) == 2:
+            alpha = self.coordinate(phi, t, i, j)
+            beta = self.coordinate(phi, t, j, i)
+            if alpha and not beta:
+                return alpha, i, j
+            if beta and not alpha:
+                return beta, j, i
+            return None
+        if not fits:
+            return None
+        [(a, b, (x, y))] = fits
+        # the image's (p + q i) / e over the outer product's (x + y i) / d
+        d = self._d
+        return _quotient(_scalar(p * d, q * d, phi.d), _scalar(x, y, 1)), a, b
+
+    def _lead(self, a: int, b: int):
+        """The row-major position of the first nonzero entry of c_a r_b, and
+        its numerator (re, im)."""
+        k, x, y = self._cols[a - 1][0]
+        l, u, v = self._rows[b - 1][0]
+        return k * self.n + l, (x * u - y * v, x * v + y * u)
+
+    def _sum(self, terms):
+        """The nonzero numerators of sum g c_a r_b over nonzero scalars g as
+        (0-based row-major position, re, im) in position order, and their
+        common denominator. One term needs no merging: its outer product
+        comes out in position order, and every entry is a product of nonzero
+        Gaussian integers."""
+        dg = lcm(*{g.d for g, _, _ in terms})
+        n = self.n
+        out = []
+        for g, a, b in terms:
+            f = dg // g.d
+            gp, gq = f * g.p, f * g.q
+            row = self._rows[b - 1]
+            for k, u, v in self._cols[a - 1]:
+                xr, xi = gp * u - gq * v, gp * v + gq * u
+                base = k * n
+                out += [(base + l, xr * p - xi * q, xr * q + xi * p) for l, p, q in row]
+        if len(terms) > 1:
+            acc = {}
+            for pos, x, y in out:
+                old = acc.get(pos)
+                acc[pos] = (x, y) if old is None else (old[0] + x, old[1] + y)
+            out = sorted((pos, x, y) for pos, (x, y) in acc.items() if x or y)
+        return out, dg * self._d
+
+    def matches(self, phi: LinearMapOnSMA, t: int, terms) -> bool:
+        """Whether image t of phi equals the sum of the terms, decided by
+        cross-multiplying numerators: the sum's nonzero entries must be the
+        image's, at the same positions.
+
+        One term g c_a r_b is streamed: its |c_a| |r_b| entries, all
+        nonzero and in position order, must be as many as the image's
+        nonzeros, and are compared with them one by one up to the first
+        that differs."""
+        self._check(phi)
+        terms = _nonzero_terms(terms)
+        mine = phi.nonzeros[t]
+        e = phi.d
+        if len(terms) != 1:
+            got, d = self._sum(terms)
+            if len(got) != len(mine):
+                return False
+            # the image (a + i b) / e against the sum (x + i y) / d
+            return [(pos, x * e, y * e) for pos, x, y in got] == [
+                (pos, a * d, b * d) for pos, a, b in mine
+            ]
+        [(g, a, b)] = terms
+        col, row = self._cols[a - 1], self._rows[b - 1]
+        if len(col) * len(row) != len(mine):
+            return False
+        d = g.d * self._d
+        gp, gq = e * g.p, e * g.q
+        n = self.n
+        entries = iter(mine)
+        for k, u, v in col:
+            xr, xi = gp * u - gq * v, gp * v + gq * u
+            base = k * n
+            for l, p, q in row:
+                pos, re, im = next(entries)
+                if (
+                    pos != base + l
+                    or re * d != xr * p - xi * q
+                    or im * d != xr * q + xi * p
+                ):
+                    return False
+        return True
+
+    def block_row(self, term_lists) -> tuple:
+        """(d, nonzeros) as a map holds them, for the images whose image t
+        is the sum g c_a r_b over term_lists[t]: one common denominator,
+        reduced once."""
+        sums = [self._sum(_nonzero_terms(terms)) for terms in term_lists]
+        d = lcm(*{e for _, e in sums})
+        nonzeros = []
+        for entries, e in sums:
+            f = d // e
+            nonzeros.append([(pos, f * x, f * y) for pos, x, y in entries])
+        if d != 1:
+            g = gcd(d, *(x for entries in nonzeros for _, a, b in entries for x in (a, b)))
+            if g != 1:
+                d //= g
+                nonzeros = [
+                    [(pos, a // g, b // g) for pos, a, b in entries] for entries in nonzeros
+                ]
+        return d, nonzeros
+
+
+def _nonzero_terms(terms) -> list:
+    """The terms (g, a, b) with g made a scalar, less those with g = 0."""
+    terms = [(scalar(g), a, b) for g, a, b in terms]
+    return [term for term in terms if term[0]]
 
 
 class CanonicalJordanForm:
@@ -205,12 +506,12 @@ class CanonicalJordanForm:
     def unit_image(self, i: int, j: int) -> DenseMatrix:
         if (i, j) not in self.rho:
             raise SupportViolation(f"({i},{j}) is not in the relation", pair=(i, j))
-        return self._frame().block_row([(self._term(i, j),)]).matrix
+        return _side_by_side(self.rho.n, *self._frame().block_row([(self._term(i, j),)]))
 
     def reconstruct(self) -> LinearMapOnSMA:
         units = self.rho.pairs()
-        blocks = self._frame().block_row((self._term(*p),) for p in units)
-        return LinearMapOnSMA._of(self.rho, units, blocks)
+        d, nonzeros = self._frame().block_row((self._term(*p),) for p in units)
+        return LinearMapOnSMA._of(self.rho, units, d, nonzeros)
 
 
 def classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
@@ -314,12 +615,11 @@ def _leading_columns(phi: LinearMapOnSMA) -> DenseMatrix:
     to lead with 1; VanishingUnitImage for the first unit, in unit order,
     whose image is zero."""
     n = phi.rho.n
-    blocks = phi.blocks
-    for pair, nonzeros in zip(phi.units, blocks.nonzeros):
+    for pair, nonzeros in zip(phi.units, phi.nonzeros):
         if not nonzeros:
             raise VanishingUnitImage(f"unit {pair} maps to zero", pair=pair)
     return DenseMatrix.from_rows(
-        [_range_vector(blocks.nonzeros[phi._index[(k, k)]], n) for k in range(1, n + 1)]
+        [_range_vector(phi.nonzeros[phi._index[(k, k)]], n) for k in range(1, n + 1)]
     ).transpose()
 
 
@@ -331,14 +631,13 @@ def _verified_form(phi: LinearMapOnSMA, s0: DenseMatrix, s0inv) -> CanonicalJord
     identity."""
     rho = phi.rho
     n = rho.n
-    blocks = phi.blocks
     diag = [phi._index[(k, k)] for k in range(1, n + 1)]
     frame = None if s0inv is None else UnitFrame(s0, s0inv)
     # the term of E_kk is c_k r_k whatever the form
     if frame is None or not all(
-        frame.matches(blocks, t, ((ONE, k, k),)) for k, t in enumerate(diag, start=1)
+        frame.matches(phi, t, ((ONE, k, k),)) for k, t in enumerate(diag, start=1)
     ):
-        _raise_diagonal_failure([blocks.block(t) for t in diag])
+        _raise_diagonal_failure([phi.block(t) for t in diag])
         raise InternalInconsistency(
             "diagonal unit images pass the dense checks but not the frame"
         )
@@ -347,8 +646,8 @@ def _verified_form(phi: LinearMapOnSMA, s0: DenseMatrix, s0inv) -> CanonicalJord
     for t, (i, j) in enumerate(phi.units):
         if i == j:
             continue
-        term = frame.propose(blocks, t, i, j)
-        if term is None or not frame.matches(blocks, t, (term,)):
+        term = frame.propose(phi, t, i, j)
+        if term is None or not frame.matches(phi, t, (term,)):
             _raise_image_failure(phi, frame, t, i, j)
         g, a, _ = term
         (mult if a == i else anti)[(i, j)] = g
@@ -378,18 +677,17 @@ def _verified_form(phi: LinearMapOnSMA, s0: DenseMatrix, s0inv) -> CanonicalJord
 def _raise_image_failure(
     phi: LinearMapOnSMA, frame: UnitFrame, t: int, i: int, j: int
 ) -> None:
-    """Raise NotJordan for block t, the image of the strict unit E_ij, which
+    """Raise NotJordan for image t, the image of the strict unit E_ij, which
     is no scaled outer product g c_a r_b of either orientation in the frame
     of S0, whose diagonal images passed: it leaves span(c_i r_j, c_j r_i),
     or it lies there with both coordinates nonzero. An image there with
     one nonzero coordinate is a term the walk must have accepted:
     InternalInconsistency."""
-    blocks = phi.blocks
-    alpha = frame.coordinate(blocks, t, i, j)
-    beta = frame.coordinate(blocks, t, j, i)
-    if not frame.matches(blocks, t, ((alpha, i, j), (beta, j, i))):
-        x = blocks.block(t)
-        q = blocks.block(phi._index[(i, i)])
+    alpha = frame.coordinate(phi, t, i, j)
+    beta = frame.coordinate(phi, t, j, i)
+    if not frame.matches(phi, t, ((alpha, i, j), (beta, j, i))):
+        x = phi.block(t)
+        q = phi.block(phi._index[(i, i)])
         k = i if q * x + x * q != x else j
         raise NotJordan(
             f"conjugated image of E_{i}{j} leaves span(E_{i}{j}, E_{j}{i})",
@@ -407,7 +705,7 @@ def _raise_image_failure(
 
 def _range_vector(nonzeros, n: int) -> list:
     """The first nonzero column of an n x n image given by its nonzero
-    numerators (``BlockRow.nonzeros``), scaled to lead with 1: the common
+    numerators (``LinearMapOnSMA.nonzeros``), scaled to lead with 1: the common
     denominator cancels."""
     c, _, a, b = min((pos % n, pos // n, a, b) for pos, a, b in nonzeros)
     lead = GaussianRational(a, b)
@@ -547,13 +845,20 @@ def classify_into_codomain(
     of this form, whose weight is g(i, j) d_i / d_j inside u, where
     (a, b) = (i, j), and g(i, j) d_j / d_i outside it, where (a, b) = (j, i).
     pi is checked to send each such (a, b), a pair of rho_U, into rho2.
+
+    These weights need no validation. They are g(i, j) t(i) / t(j), with
+    t(i) = d_i inside u and 1 / d_i outside it: g times the trivial map
+    t(i) / t(j), every t(i) nonzero. A product of transitive maps is
+    transitive, g(i, j) t(i)/t(j) g(j, k) t(j)/t(k) = g(i, k) t(i)/t(k) for
+    i != k and 1 for k = i, and it is nonzero, as both factors are; it
+    weighs every strict pair, as g does.
     """
     rho = phi.rho
     n = rho.n
     if rho2.n != n:
         raise DimensionMismatch("codomain lives on a different vertex count")
     for t, pair in enumerate(phi.units):
-        bad = first_unsupported([p for p, _, _ in phi.blocks.nonzeros[t]], rho2)
+        bad = first_unsupported([p for p, _, _ in phi.nonzeros[t]], rho2)
         if bad is not None:
             raise SupportViolation(
                 f"image of {pair} has entry at {bad} outside the codomain",
@@ -580,11 +885,10 @@ def classify_into_codomain(
         if not di:
             raise InternalInconsistency("residual similarity is singular")
         scale[i] = di if i in base.u else di.reciprocal()
-    weights = {
-        (i, j): base.g.value(i, j) * scale[i] / scale[j]
-        for (i, j) in rho.strict_pairs()
-    }
-    g2 = validate(rho, weights)
+    g2 = TransitiveMap(
+        rho,
+        {(i, j): base.g.value(i, j) * scale[i] / scale[j] for (i, j) in rho.strict_pairs()},
+    )
     _check_sends_into(
         rho_U(rho, base.u), pi, rho2, "permutation is not increasing into codomain"
     )
@@ -726,8 +1030,7 @@ def _unit_map(n: int, units: dict) -> LinearMapOnSMA:
     if missing:
         raise FormatError(f"missing unit block for {(missing, missing)}")
     pairs = rho.pairs()
-    blocks = BlockRow.from_entries(n, [units[p] for p in pairs])
-    return LinearMapOnSMA._of(rho, pairs, blocks)
+    return LinearMapOnSMA._from_entries(rho, pairs, [units[p] for p in pairs])
 
 
 def format_linear_map(phi: LinearMapOnSMA) -> str:
@@ -735,6 +1038,6 @@ def format_linear_map(phi: LinearMapOnSMA) -> str:
     out = [str(n)]
     for t, (i, j) in enumerate(phi.units):
         out.append(f"unit {i} {j}")
-        literals = phi.blocks.literals(t)
+        literals = phi.literals(t)
         out.extend(" ".join(literals[r : r + n]) for r in range(0, n * n, n))
     return "\n".join(out) + "\n"

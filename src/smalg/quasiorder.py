@@ -640,26 +640,19 @@ def _increasing_search(src, dst, limit, pin=None):
 
 
 def rho_U(q: QuasiOrder, u) -> QuasiOrder:
-    """Keep the relation inside U, reverse it outside U, drop cross pairs.
+    """Keep the relation inside U, reverse it outside U.
 
-    U must be a union of connectivity classes (NotClassUnion otherwise);
-    since classes never straddle U, no cross pairs exist to drop and the
-    result is again reflexive and transitive (verified).
+    U must be a union of connectivity classes (NotClassUnion otherwise).
+    Every pair of q lies inside one class, so inside U or outside it, and
+    no pair straddles U: the row of i is q's row for i in U and the row of
+    reverse(q) otherwise. That is the disjoint union of q on U and the
+    reverse of q on the rest; the reverse of a quasi-order is one, and a
+    disjoint union of quasi-orders is one, so the result is reflexive and
+    transitive.
     """
     uset = class_union(q, u)
-    comp = set(range(1, q.n + 1)) - uset
-    new_edges = []
-    for (i, j) in q.strict_pairs():
-        if i in uset and j in uset:
-            new_edges.append((i, j))
-        elif i in comp and j in comp:
-            new_edges.append((j, i))
-        else:
-            raise InternalInconsistency("strict pair straddles a class union")
-    try:
-        return from_edges(q.n, new_edges, close=False)
-    except NotClosed as exc:
-        raise InternalInconsistency(f"recombined relation not closed: {exc}")
+    rows = zip(q._rows, reverse(q)._rows)
+    return QuasiOrder(q.n, [r if i in uset else b for i, (r, b) in enumerate(rows, 1)])
 
 
 def automorphisms_fix_two_sided_classes(q: QuasiOrder) -> bool:

@@ -30,7 +30,7 @@ from .errors import (
     SupportViolation,
     VanishingUnitImage,
 )
-from .exactnum import BlockRow, DenseMatrix, ONE, _nonzero_positions, inverse, rank
+from .exactnum import DenseMatrix, ONE, _nonzero_positions, inverse, rank
 from .jordan import CanonicalJordanForm, LinearMapOnSMA, apply, classify_jordan
 from .quasiorder import QuasiOrder, class_union, first_unsupported
 from .sampling import bounded_rank_samples, sample_rank_one_in_sma
@@ -69,10 +69,9 @@ def induced_linear_map(g: TransitiveMap) -> LinearMapOnSMA:
     rho = g.rho
     n = rho.n
     units = rho.pairs()
-    blocks = BlockRow.from_entries(
-        n, [[((i - 1) * n + j - 1, g.value(i, j))] for (i, j) in units]
+    return LinearMapOnSMA._from_entries(
+        rho, units, [[((i - 1) * n + j - 1, g.value(i, j))] for (i, j) in units]
     )
-    return LinearMapOnSMA._of(rho, units, blocks)
 
 
 def is_rank_one_preserver_sampled(phi: LinearMapOnSMA, samples):

@@ -56,7 +56,11 @@ parsers as they read their text line by line before the shared tokenizer
 and the root search by the rational root theorem over the Gaussian
 integers, which factors norms by trial division
 (``divisor_roots_in_gaussian_rationals`` with ``gaussian_integer_divisors``
-and ``sqrt_minus_one_mod``; it runs on the package's polynomial arithmetic).
+and ``sqrt_minus_one_mod``; it runs on the package's polynomial arithmetic),
+and rho_U as it was built from its strict pairs by ``from_edges``
+(``edge_rho_u``), the reference for its row masks. ``integer_bareiss_rank``
+ranks integer rows by fraction-free elimination on ints alone, where the
+pair-arithmetic rank is too slow.
 """
 
 from __future__ import annotations
@@ -225,7 +229,7 @@ def outer(u, v):
 
 def conjugate_transpose(m):
     t = m.transpose()
-    return DenseMatrix(t.rows, t.cols, [x.conjugate() for x in t.entries()])
+    return DenseMatrix(t.rows, t.cols, [x.conjugate() for row in to_grid(t) for x in row])
 
 
 def to_grid(m):
@@ -496,6 +500,24 @@ def oracle_rho_u(n, pairs, u):
     return out
 
 
+def edge_rho_u(q, u):
+    """rho_U as the package once built it, from a class union u of q: the
+    strict pairs kept inside u and turned round outside it, a pair that
+    straddles u refused, and the result closed-checked by ``from_edges``."""
+    uset = set(u)
+    edges = []
+    for (i, j) in q.pairs():
+        if i == j:
+            continue
+        if i in uset and j in uset:
+            edges.append((i, j))
+        elif i in uset or j in uset:
+            raise AssertionError("strict pair straddles a class union")
+        else:
+            edges.append((j, i))
+    return from_edges(q.n, edges, close=False)
+
+
 def oracle_jordan_embeddings_by_union(n, pairs, target_pairs):
     """Brute force over (class-union U, permutation pi).
 
@@ -538,6 +560,28 @@ def oracle_rational_matrix_rank(rows):
     return oracle_rank(
         [[(Fraction(v), Fraction(0)) for v in row] for row in rows]
     )
+
+
+def integer_bareiss_rank(rows):
+    """Rank over Q of an integer matrix, given as int rows, by fraction-free
+    (Bareiss) elimination on Python ints alone: after each pivot, every
+    entry below it is a minor of the input, so each division by the
+    previous pivot is exact."""
+    m = [list(row) for row in rows]
+    rank, last = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        p = top[c]
+        for r in range(rank + 1, len(m)):
+            row, a = m[r], m[r][c]
+            m[r] = row[:c] + [(p * x - a * y) // last for x, y in zip(row[c:], top[c:])]
+        last = p
+        rank += 1
+    return rank
 
 
 def oracle_all_transitive_trivial_small(n, pairs):
@@ -922,11 +966,10 @@ def dense_classify_jordan(phi: LinearMapOnSMA) -> CanonicalJordanForm:
                     f"images of E_{i}{i} and E_{j}{j} are not orthogonal",
                     pair=((i, i), (j, j)),
                 )
-    idx = range(1, n + 1)
     cols = []
     for q in diag_imgs:
         j, i = min((j, i) for (i, j) in q.support())
-        cols.append(q.submatrix(idx, (j,)).scale(q.at(i, j).reciprocal()).entries())
+        cols.append(col_list(q.scale(q.at(i, j).reciprocal()), j))
     s0 = DenseMatrix.from_rows(cols).transpose()
     s0inv = inverse(s0)
     mult = {}

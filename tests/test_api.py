@@ -12,8 +12,10 @@ SRC = Path(smalg.__file__).resolve().parent
 README = SRC.parents[1] / "README.md"
 
 
-def _names_read_in_the_package():
-    names = set()
+def _reads_in_the_package():
+    """(names, attributes): the bare names the package loads, and the
+    attribute names it reads (``x.name``)."""
+    names, attributes = set(), set()
     for path in SRC.glob("*.py"):
         if path.name == "__init__.py":
             continue
@@ -21,13 +23,26 @@ def _names_read_in_the_package():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def _definitions(tree):
+    """(node, class name or None) for each function and class the module
+    defines: the class name for a method, None for anything else. A method
+    is read only through an attribute, never through a bare name such as a
+    local variable that shares its name."""
+    methods = {
+        f: c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, methods.get(node)
 
 
 def test_every_export_is_used_by_the_package_or_named_in_the_readme():
     # helpers that only tests need live in tests/oracles.py, not in __all__
-    used = _names_read_in_the_package()
+    used = set().union(*_reads_in_the_package())
     readme = README.read_text(encoding="utf-8")
     stray = [
         name
@@ -40,15 +55,14 @@ def test_every_export_is_used_by_the_package_or_named_in_the_readme():
 def test_every_private_helper_is_read_in_the_package():
     # a helper that only tests use belongs in tests/oracles.py, and one that
     # nothing uses is deleted
-    used = _names_read_in_the_package()
+    names, attributes = _reads_in_the_package()
     orphans = [
         f"{path.name}:{node.name}"
         for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
+        for node, cls in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if node.name.startswith("_")
         and not node.name.endswith("__")
-        and node.name not in used
+        and node.name not in (attributes if cls else names | attributes)
     ]
     assert orphans == []
 
@@ -130,25 +144,41 @@ def test_every_public_function_is_read_in_the_package_or_kept_as_api():
     # a public function or method that nothing reads is deleted, unless the
     # list above gives the reader outside the package that keeps it; a
     # method whose name another class defines too needs a reader of its own
-    used = _names_read_in_the_package()
+    names, attributes = _reads_in_the_package()
     shared, read = _methods_read_per_class()
     unread = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        methods = {
-            f: c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
-        }
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        for node, cls in _definitions(tree):
+            if node.name.startswith("_"):
                 continue
-            cls = methods.get(node)
-            if node.name in shared and cls is not None:
+            if cls is None:
+                is_read = node.name in names | attributes
+            elif node.name in shared:
                 is_read = (cls, node.name) in read
             else:
-                is_read = node.name in used
+                is_read = node.name in attributes
             if not is_read:
                 unread.add(f"{path.name}:{cls + '.' if cls else ''}{node.name}")
     assert unread == KEPT_AS_API
+
+
+def test_only_the_jordan_module_reads_the_nonzeros_of_a_map():
+    # a linear map keeps its unit images as nonzero numerators, and the
+    # Jordan module alone reads that format; exactnum holds scalars and
+    # dense matrices only
+    readers = sorted(
+        {
+            path.name
+            for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "nonzeros"
+        }
+    )
+    assert readers == ["jordan.py"]
+    tree = ast.parse((SRC / "exactnum.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert classes == ["GaussianRational", "DenseMatrix"]
 
 
 def test_the_integer_lattice_imports_nothing_from_the_package():

@@ -598,7 +598,6 @@ def test_full_block_stage_forms_no_projector_and_multiplies_each_piece_once(monk
         return wrapper
 
     monkeypatch.setattr(smalg.diag, "poly_eval_matrix", forbidden("poly_eval_matrix"))
-    monkeypatch.setattr(smalg.diag, "_annihilate", forbidden("_annihilate"))
     for name in ("lagrange_spectrum", "lagrange_projectors", "lagrange_annihilate"):
         monkeypatch.setattr(oracles, name, forbidden(name))
     shapes = []

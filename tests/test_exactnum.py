@@ -15,10 +15,8 @@ from hypothesis import strategies as st
 
 from smalg.errors import DimensionMismatch, FormatError, Singular
 from smalg.exactnum import (
-    BlockRow,
     DenseMatrix,
     GaussianRational,
-    UnitFrame,
     _gauss_jordan,
     format_matrix,
     inverse,
@@ -275,7 +273,7 @@ class TestMatrixAlgebra:
             values = [rand_scalar(rng) for _ in range(3)]
             got = a.scale_columns(values)
             assert got.shape == a.shape
-            assert got.entries() == tuple(
+            assert [x for row in to_grid(got) for x in row] == list(
                 a.at(i, j) * values[j - 1]
                 for i in range(1, a.rows + 1)
                 for j in range(1, 4)
@@ -290,7 +288,7 @@ class TestMatrixAlgebra:
             values = [rand_scalar(rng) for _ in range(3)]
             got = a.scale_rows(values)
             assert got.shape == a.shape
-            assert got.entries() == tuple(
+            assert [x for row in to_grid(got) for x in row] == list(
                 values[i - 1] * a.at(i, j)
                 for i in range(1, 4)
                 for j in range(1, a.cols + 1)
@@ -439,114 +437,6 @@ class TestInverse:
             inverse(DenseMatrix.from_rows([[1, 2], [2, 4]]))
         with pytest.raises(DimensionMismatch):
             inverse(DenseMatrix.zeros(2, 3))
-
-
-class TestUnitFrame:
-    """Coordinates, matches and images of a unit frame against dense
-    products with S and S^-1, on blocks read from a row of several."""
-
-    def _frames(self, rng, count):
-        while count:
-            n = rng.randint(1, 5)
-            s = rand_matrix(rng, n, n)
-            try:
-                s_inv = inverse(s)
-            except Singular:
-                continue
-            count -= 1
-            yield n, s, s_inv, UnitFrame(s, s_inv)
-
-    def test_coordinates_are_entries_of_the_conjugate(self):
-        rng = random.Random(83)
-        for n, s, s_inv, frame in self._frames(rng, 60):
-            m = rand_matrix(rng, n, n)
-            conj = multiply(multiply(s_inv, m), s)
-            blocks = BlockRow.of([rand_matrix(rng, n, n), m, rand_matrix(rng, n, n)], n)
-            for a in range(1, n + 1):
-                for b in range(1, n + 1):
-                    assert frame.coordinate(blocks, 1, a, b) == conj.at(a, b)
-
-    def test_images_and_matches_against_dense_products(self):
-        rng = random.Random(89)
-        for n, s, s_inv, frame in self._frames(rng, 120):
-            terms = [
-                (rand_scalar(rng), rng.randint(1, n), rng.randint(1, n))
-                for _ in range(rng.randint(0, 3))
-            ]
-            dense = DenseMatrix.zeros(n, n)
-            for g, a, b in terms:
-                dense = dense + multiply(multiply(s, DenseMatrix.unit(n, a, b)), s_inv).scale(g)
-            other = rand_matrix(rng, n, n)
-            one = [(rand_scalar(rng), rng.randint(1, n), rng.randint(1, n))]
-            single = frame.block_row([one]).matrix
-            assert frame.block_row([terms]).matrix == dense
-            assert frame.block_row([one, terms]).matrix == BlockRow.of([single, dense], n).matrix
-            blocks = BlockRow.of([other, dense], n)
-            assert frame.matches(blocks, 1, terms)
-            assert frame.matches(blocks, 0, terms) == (other == dense)
-            if not dense.is_zero():
-                # one entry off, inside or outside the terms' support
-                i, j = rng.randint(1, n), rng.randint(1, n)
-                off = BlockRow.of([dense + DenseMatrix.unit(n, i, j)], n)
-                assert not frame.matches(off, 0, terms)
-            # cancelling terms sum to zero
-            g, a, b = rand_scalar(rng), rng.randint(1, n), rng.randint(1, n)
-            zero = BlockRow.of([DenseMatrix.zeros(n, n)], n)
-            assert frame.matches(zero, 0, [(g, a, b), (-g, a, b)])
-
-    def test_shapes(self):
-        frame = UnitFrame(DenseMatrix.identity(2), DenseMatrix.identity(2))
-        with pytest.raises(DimensionMismatch):
-            UnitFrame(DenseMatrix.identity(2), DenseMatrix.identity(3))
-        with pytest.raises(DimensionMismatch):
-            frame.matches(BlockRow.of([DenseMatrix.identity(3)], 3), 0, [(1, 1, 1)])
-        with pytest.raises(DimensionMismatch):
-            frame.coordinate(BlockRow.of([DenseMatrix.zeros(3, 3)], 3), 0, 1, 1)
-
-
-class TestBlockRow:
-    """The row of blocks against the blocks it was built from."""
-
-    def test_reads_match_the_blocks(self):
-        rng = random.Random(97)
-        for _ in range(150):
-            n, k = rng.randint(1, 4), rng.randint(1, 4)
-            blocks = [rand_matrix(rng, n, n) for _ in range(k)]
-            row = BlockRow.of(blocks, n)
-            assert len(row) == k
-            assert row.matrix.shape == (n, n * k)
-            for r in range(1, n + 1):
-                assert row.matrix.row_list(r) == [
-                    x for b in blocks for x in b.row_list(r)
-                ]
-            # the same row read back out of its matrix
-            again = BlockRow(row.matrix, n)
-            assert again.nonzeros == row.nonzeros
-            for t, b in enumerate(blocks):
-                assert row.block(t) == b
-                positions = {(pos // n + 1, pos % n + 1) for pos, _, _ in row.nonzeros[t]}
-                assert positions == b.support()
-                assert row.literals(t) == [x.literal() for x in b.entries()]
-            coeffs = [(rand_scalar(rng), rng.randrange(k)) for _ in range(rng.randint(0, 3))]
-            total = DenseMatrix.zeros(n, n)
-            for c, t in coeffs:
-                total = total + blocks[t].scale(c)
-            assert row.combination(coeffs) == total
-
-    def test_from_entries_places_entries_and_zeros(self):
-        row = BlockRow.from_entries(
-            2, [[(1, scalar("1/2"))], [], [(0, scalar("0")), (3, scalar("2i"))]]
-        )
-        assert row.matrix == DenseMatrix.from_rows(
-            [[0, "1/2", 0, 0, 0, 0], [0, 0, 0, 0, 0, "2i"]]
-        )
-        assert row.nonzeros == [[(1, 1, 0)], [], [(3, 0, 4)]]
-
-    def test_shapes(self):
-        with pytest.raises(DimensionMismatch):
-            BlockRow(DenseMatrix.zeros(2, 3), 2)
-        with pytest.raises(DimensionMismatch):
-            BlockRow.of([DenseMatrix.identity(2), DenseMatrix.identity(3)], 2)
 
 
 class TestFromEntries:
@@ -836,7 +726,7 @@ class TestKernelProperties:
     @given(same_shape_pairs())
     def test_storage_is_canonical(self, pair):
         a, b = pair
-        rebuilt = DenseMatrix(a.rows, a.cols, a.entries())
+        rebuilt = DenseMatrix(a.rows, a.cols, [x for row in to_grid(a) for x in row])
         for same in ((a + b) - b, a.scale(2).scale(Fraction(1, 2)), rebuilt):
             assert same == a
             assert hash(same) == hash(a)

@@ -24,6 +24,7 @@ from fixtures import (
 )
 from oracles import (
     dense_gf2_kernel_basis,
+    integer_bareiss_rank,
     integer_kernel_basis,
     oracle_rational_matrix_rank,
     smith_invariant_factors,
@@ -141,6 +142,17 @@ class TestSmith:
         for _ in range(40):
             m = rand_mat(rng, rng.randrange(1, 6), rng.randrange(1, 6))
             assert len(smith_invariant_factors(sparse(m))) == oracle_rational_matrix_rank(m)
+
+    def test_bareiss_rank_matches_the_pair_arithmetic_rank(self):
+        # the integer oracle that the face posets' gauges are ranked by,
+        # against the Fraction-pair eliminator on small matrices, with
+        # rows and columns that vanish or repeat
+        rng = random.Random(17)
+        for _ in range(300):
+            m = rand_mat(rng, rng.randrange(1, 7), rng.randrange(1, 7))
+            if rng.random() < 0.3:
+                m.append([2 * x - y for x, y in zip(m[0], m[-1])])
+            assert integer_bareiss_rank(m) == oracle_rational_matrix_rank(m)
 
 
 def _kernel_inputs():
@@ -295,16 +307,6 @@ FACE_POSETS = {
 }
 
 
-def rational_rank(m, name):
-    """The rank of m over Q by the pair-arithmetic oracle, or, on the mod-5
-    Moore space, where the oracle takes about 5 s on 270 x 270, by its rank
-    over GF(2), a lower bound that there is already the column count."""
-    if name != "moore5":
-        return oracle_rational_matrix_rank(m)
-    assert gf2_rank(m, len(m[0])) == len(m[0])
-    return len(m[0])
-
-
 @pytest.mark.parametrize("name", sorted(FACE_POSETS))
 def test_face_posets_give_their_first_homology(name):
     # Z^N / R_N is the first homology of the complex, so the gauge's Smith
@@ -322,6 +324,6 @@ def test_face_posets_give_their_first_homology(name):
     assert [d for d in full if d > 1] == torsion
     assert len(edges) - len(full) == free + q.n - len(approx_classes(q).blocks)
     over_q, over_2 = list(kernel()), list(kernel(True))
-    assert len(over_q) == free == cols - rational_rank(dense(rows, cols), name)
+    assert len(over_q) == free == cols - integer_bareiss_rank(dense(rows, cols))
     assert len(over_2) == free + sum(d % 2 == 0 for d in torsion)
     assert_same_gf2_span(over_2, dense_gf2_kernel_basis(dense(rows, cols), cols), cols)

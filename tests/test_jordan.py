@@ -32,6 +32,7 @@ from smalg.exactnum import (
 from smalg.jordan import (
     CanonicalJordanForm,
     LinearMapOnSMA,
+    UnitFrame,
     algebra_embeds_into,
     all_algebra_automorphisms_inner,
     apply,
@@ -106,6 +107,8 @@ def test_linear_map_validation():
     assert exc.value.pair == (2, 1)
     with pytest.raises(DimensionMismatch):
         LinearMapOnSMA(rho, {**imgs, (1, 2): DenseMatrix.identity(3)})
+    with pytest.raises(DimensionMismatch):
+        LinearMapOnSMA(rho, imgs).left_multiplied(DenseMatrix.identity(3))
 
 
 def test_apply_identity_transpose_and_support():
@@ -775,13 +778,13 @@ def test_shared_leading_positions_fall_back_to_coordinates(monkeypatch):
     by its two coordinates, and the outcome is still the dense ladder's."""
     rng = random.Random(31)
     calls = []
-    real = exactnum.UnitFrame.coordinate
+    real = UnitFrame.coordinate
 
-    def coordinate(self, blocks, t, a, b):
+    def coordinate(self, phi, t, a, b):
         calls.append((t, a, b))
-        return real(self, blocks, t, a, b)
+        return real(self, phi, t, a, b)
 
-    monkeypatch.setattr(exactnum.UnitFrame, "coordinate", coordinate)
+    monkeypatch.setattr(UnitFrame, "coordinate", coordinate)
     for trial in range(40):
         rho = random_quasiorder(rng, 2, 5)
         s = _sharing_similarity(rho.n)
@@ -825,16 +828,16 @@ def test_a_jordan_map_is_compared_once_per_unit(monkeypatch, classify):
     ]
     assert shared
     compared, coordinates = [], []
-    frame = exactnum.UnitFrame
+    frame = UnitFrame
     matches, coordinate = frame.matches, frame.coordinate
 
-    def counting_matches(self, blocks, t, terms):
+    def counting_matches(self, psi, t, terms):
         compared.append(t)
-        return matches(self, blocks, t, terms)
+        return matches(self, psi, t, terms)
 
-    def counting_coordinate(self, blocks, t, a, b):
+    def counting_coordinate(self, psi, t, a, b):
         coordinates.append((phi.units[t], (a, b)))
-        return coordinate(self, blocks, t, a, b)
+        return coordinate(self, psi, t, a, b)
 
     monkeypatch.setattr(frame, "matches", counting_matches)
     monkeypatch.setattr(frame, "coordinate", counting_coordinate)
@@ -852,7 +855,7 @@ def test_maps_compare_by_their_entries():
     phi = corpus_style_jordan_map(4, 2)
     assert phi == LinearMapOnSMA(phi.rho, phi.unit_images())
     halved = phi.left_multiplied(DenseMatrix.identity(4).scale("1/2"))
-    assert halved.blocks.nonzeros == phi.blocks.nonzeros
+    assert halved.nonzeros == phi.nonzeros
     assert halved != phi
     assert halved == LinearMapOnSMA(
         phi.rho, {p: m.scale("1/2") for p, m in phi.unit_images().items()}
@@ -876,7 +879,7 @@ def test_a_strict_image_of_one_term_that_fails_the_walk_is_internal(monkeypatch)
     # an image that is one scaled outer product of the frame is always
     # proposed and matched; a walk that says otherwise is a fault
     phi = identity_map(upper_chain(2))
-    monkeypatch.setattr(exactnum.UnitFrame, "propose", lambda self, blocks, t, i, j: None)
+    monkeypatch.setattr(UnitFrame, "propose", lambda self, phi, t, i, j: None)
     with pytest.raises(InternalInconsistency, match="not the one proposed"):
         classify_jordan(phi)
 
@@ -885,7 +888,7 @@ def test_frame_failure_on_dense_jordan_images_is_internal(monkeypatch):
     # idempotent, orthogonal diagonal images always pass the frame check;
     # a frame that says otherwise is a fault, not a verdict
     phi = identity_map(upper_chain(3))
-    monkeypatch.setattr(exactnum.UnitFrame, "matches", lambda self, blocks, t, terms: False)
+    monkeypatch.setattr(UnitFrame, "matches", lambda self, phi, t, terms: False)
     with pytest.raises(InternalInconsistency, match="pass the dense checks"):
         classify_jordan(phi)
 
@@ -969,7 +972,7 @@ def _layouts(phi):
     one line, and each entry on a line of its own."""
     n = phi.rho.n
     images = phi.unit_images()
-    cells = {p: [x.literal() for x in m.entries()] for p, m in images.items()}
+    cells = {p: [x.literal() for x in _cells(m)] for p, m in images.items()}
     units = phi.rho.pairs()
     commented = f"# size\n{n}\n\n" + "".join(
         f"  unit {i} {j}\t# unit\n\t{' '.join(cells[(i, j)])}  \n" for i, j in units
@@ -1005,20 +1008,151 @@ def test_plain_linear_map_is_read_without_the_line_walk(monkeypatch):
 
 def test_unit_images_are_read_from_one_row():
     """The images sit side by side in one n x (n |rho|) matrix in
-    ``rho.pairs()`` order; each unit's nonzero entries are listed once."""
+    ``rho.pairs()`` order; each unit's nonzero entries are listed once, and
+    every read of the map gives back the images it was built from."""
     rng = random.Random(43)
-    for _ in range(20):
-        phi = random_jordan_map(random_quasiorder(rng), rng)[0]
-        n, units = phi.rho.n, phi.rho.pairs()
-        images = phi.unit_images()
+    for trial in range(40):
+        rho = random_quasiorder(rng)
+        n, units = rho.n, rho.pairs()
+        if trial % 2:
+            phi = random_jordan_map(rho, rng)[0]
+            images = phi.unit_images()
+        else:
+            images = {p: _rand_matrix(rng, n) for p in units}
+            phi = LinearMapOnSMA(rho, images)
         assert phi.units == units
-        assert phi.blocks.matrix.shape == (n, n * len(units))
+        assert phi.matrix.shape == (n, n * len(units))
         for r in range(1, n + 1):
-            assert phi.blocks.matrix.row_list(r) == [
+            assert phi.matrix.row_list(r) == [
                 x for p in units for x in images[p].row_list(r)
             ]
         for t, p in enumerate(units):
-            positions = {(pos // n + 1, pos % n + 1) for pos, _, _ in phi.blocks.nonzeros[t]}
+            assert phi.block(t) == images[p]
+            positions = {(pos // n + 1, pos % n + 1) for pos, _, _ in phi.nonzeros[t]}
             assert positions == images[p].support()
-            assert len(phi.blocks.nonzeros[t]) == len(images[p].support())
-        assert LinearMapOnSMA(phi.rho, images) == phi
+            assert len(phi.nonzeros[t]) == len(images[p].support())
+            assert phi.literals(t) == [x.literal() for x in _cells(images[p])]
+        assert LinearMapOnSMA(rho, images) == phi
+        coeffs = [(_rand_scalar(rng), rng.randrange(len(units))) for _ in range(rng.randint(0, 3))]
+        total = DenseMatrix.zeros(n, n)
+        for c, t in coeffs:
+            total = total + images[units[t]].scale(c)
+        assert phi.combination(coeffs) == total
+        # the nonzeros read back out of a product with the images
+        assert phi.left_multiplied(DenseMatrix.identity(n)).nonzeros == phi.nonzeros
+        m = _rand_matrix(rng, n)
+        assert phi.left_multiplied(m) == LinearMapOnSMA(rho, {p: m * x for p, x in images.items()})
+
+
+def test_a_map_from_entries_places_entries_and_zeros():
+    rho = upper_chain(2)
+    phi = LinearMapOnSMA._from_entries(
+        rho, rho.pairs(), [[(1, scalar("1/2"))], [], [(0, scalar("0")), (3, scalar("2i"))]]
+    )
+    assert phi.matrix == DenseMatrix.from_rows(
+        [[0, "1/2", 0, 0, 0, 0], [0, 0, 0, 0, 0, "2i"]]
+    )
+    assert (phi.d, phi.nonzeros) == (2, [[(1, 1, 0)], [], [(3, 0, 4)]])
+
+
+POOL = [0, 0, 0, 1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-2, 3)]
+IM_POOL = [0, 0, 0, 0, 0, 1, -1, Fraction(1, 2)]
+
+
+def _rand_scalar(rng):
+    return GaussianRational(rng.choice(POOL), rng.choice(IM_POOL))
+
+
+def _rand_matrix(rng, n):
+    return DenseMatrix(n, n, [_rand_scalar(rng) for _ in range(n * n)])
+
+
+def _cells(m):
+    """The entries of m, row-major."""
+    return [x for r in range(1, m.rows + 1) for x in m.row_list(r)]
+
+
+def _map_of(images):
+    """The map on the full relation whose first images, in unit order, are
+    the given n x n matrices, and which is zero on every later unit."""
+    n = images[0].rows
+    rho = full(n)
+    zero = DenseMatrix.zeros(n, n)
+    return LinearMapOnSMA(
+        rho, {p: images[t] if t < len(images) else zero for t, p in enumerate(rho.pairs())}
+    )
+
+
+class TestUnitFrame:
+    """Coordinates, matches and images of a unit frame against dense
+    products with S and S^-1, on images read from a map of several."""
+
+    def _frames(self, rng, count):
+        while count:
+            n = rng.randint(1, 5)
+            s = _rand_matrix(rng, n)
+            try:
+                s_inv = inverse(s)
+            except Singular:
+                continue
+            count -= 1
+            yield n, s, s_inv, UnitFrame(s, s_inv)
+
+    def test_coordinates_are_entries_of_the_conjugate(self):
+        rng = random.Random(83)
+        for n, s, s_inv, frame in self._frames(rng, 60):
+            m = _rand_matrix(rng, n)
+            conj = s_inv * m * s
+            # m is image 1 of three, or the one image of the 1 x 1 map
+            t = 1 if n > 1 else 0
+            phi = _map_of([_rand_matrix(rng, n)] * t + [m, _rand_matrix(rng, n)])
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    assert frame.coordinate(phi, t, a, b) == conj.at(a, b)
+
+    def test_images_and_matches_against_dense_products(self):
+        rng = random.Random(89)
+        for n, s, s_inv, frame in self._frames(rng, 120):
+
+            def summed(terms):
+                total = DenseMatrix.zeros(n, n)
+                for g, a, b in terms:
+                    total = total + (s * DenseMatrix.unit(n, a, b) * s_inv).scale(g)
+                return total
+
+            terms = [
+                (_rand_scalar(rng), rng.randint(1, n), rng.randint(1, n))
+                for _ in range(rng.randint(0, 3))
+            ]
+            dense = summed(terms)
+            # block_row gives the images as a map built from them holds them
+            phi = _map_of([dense])
+            assert frame.block_row([terms]) == (phi.d, phi.nonzeros[:1])
+            if n > 1:
+                one = [(_rand_scalar(rng), rng.randint(1, n), rng.randint(1, n))]
+                pair = _map_of([summed(one), dense])
+                assert frame.block_row([one, terms]) == (pair.d, pair.nonzeros[:2])
+                other = _rand_matrix(rng, n)
+                phi = _map_of([other, dense])
+                assert frame.matches(phi, 1, terms)
+                assert frame.matches(phi, 0, terms) == (other == dense)
+            else:
+                assert frame.matches(phi, 0, terms)
+            if not dense.is_zero():
+                # one entry off, inside or outside the terms' support
+                i, j = rng.randint(1, n), rng.randint(1, n)
+                off = _map_of([dense + DenseMatrix.unit(n, i, j)])
+                assert not frame.matches(off, 0, terms)
+            # cancelling terms sum to zero
+            g, a, b = _rand_scalar(rng), rng.randint(1, n), rng.randint(1, n)
+            zero = _map_of([DenseMatrix.zeros(n, n)])
+            assert frame.matches(zero, 0, [(g, a, b), (-g, a, b)])
+
+    def test_shapes(self):
+        frame = UnitFrame(DenseMatrix.identity(2), DenseMatrix.identity(2))
+        with pytest.raises(DimensionMismatch):
+            UnitFrame(DenseMatrix.identity(2), DenseMatrix.identity(3))
+        with pytest.raises(DimensionMismatch):
+            frame.matches(_map_of([DenseMatrix.identity(3)]), 0, [(1, 1, 1)])
+        with pytest.raises(DimensionMismatch):
+            frame.coordinate(_map_of([DenseMatrix.zeros(3, 3)]), 0, 1, 1)

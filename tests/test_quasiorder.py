@@ -28,6 +28,7 @@ import fixtures as fx
 from oracles import (
     card,
     central_idempotents,
+    edge_rho_u,
     oracle_block_triangular_form,
     oracle_closure,
     oracle_connected_classes,
@@ -515,6 +516,26 @@ class TestRhoU:
                 (i, i) for i in range(1, q.n + 1)
             }
             assert rho_U(out, u) == q
+
+    def test_rows_match_the_edge_construction(self):
+        # every quasi-order on 1..4 points with every class union, then
+        # random relations on up to 9 points with random unions
+        relations = []
+        for n in range(1, 5):
+            off = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+            relations += {
+                from_edges(n, [e for t, e in enumerate(off) if mask >> t & 1])
+                for mask in range(1 << len(off))
+            }
+        assert len(relations) == 389
+        rng = random.Random(53)
+        relations += [random_quasi_order(rng, rng.randrange(1, 10), rng.random()) for _ in range(200)]
+        for q in relations:
+            blocks = approx_classes(q).blocks
+            masks = range(1 << len(blocks)) if q.n <= 4 else rng.sample(range(1 << len(blocks)), 1)
+            for mask in masks:
+                u = set().union(*(b for k, b in enumerate(blocks) if mask >> k & 1))
+                assert rho_U(q, u) == edge_rho_u(q, u)
 
     def test_not_class_union(self):
         q = from_edges(3, [(1, 2)], close=False)
