@@ -26,8 +26,10 @@ from smalg.exactnum import (
     rank,
     scalar,
 )
+from smalg.jordan import LinearMapOnSMA
+from smalg.sampling import random_quasiorder
 
-from fixtures import BAD_LITERALS, random_literal
+from fixtures import BAD_LITERALS, random_literal, upper_chain
 from oracles import (
     bareiss_gauss_jordan,
     cadd,
@@ -437,6 +439,54 @@ class TestInverse:
             inverse(DenseMatrix.from_rows([[1, 2], [2, 4]]))
         with pytest.raises(DimensionMismatch):
             inverse(DenseMatrix.zeros(2, 3))
+
+
+class TestBlockRow:
+    """The row of blocks a linear map holds, its unit images side by side,
+    against the images it was built from."""
+
+    def test_reads_match_the_blocks(self):
+        rng = random.Random(97)
+        for _ in range(150):
+            rho = random_quasiorder(rng, 1, 4)
+            n, units = rho.n, rho.pairs()
+            blocks = [rand_matrix(rng, n, n) for _ in units]
+            row = LinearMapOnSMA(rho, dict(zip(units, blocks)))
+            assert len(row.nonzeros) == len(units)
+            assert row.matrix.shape == (n, n * len(units))
+            for r in range(1, n + 1):
+                assert row.matrix.row_list(r) == [
+                    x for b in blocks for x in b.row_list(r)
+                ]
+            # the same row read back out of its blocks
+            again = LinearMapOnSMA(rho, row.unit_images())
+            assert (again.d, again.nonzeros) == (row.d, row.nonzeros)
+            for t, b in enumerate(blocks):
+                assert row.block(t) == b
+                positions = {(pos // n + 1, pos % n + 1) for pos, _, _ in row.nonzeros[t]}
+                assert positions == b.support()
+                assert row.literals(t) == [x.literal() for r in to_grid(b) for x in r]
+            coeffs = [
+                (rand_scalar(rng), rng.randrange(len(units))) for _ in range(rng.randint(0, 3))
+            ]
+            total = DenseMatrix.zeros(n, n)
+            for c, t in coeffs:
+                total = total + blocks[t].scale(c)
+            assert row.combination(coeffs) == total
+            # the nonzeros read back out of a product with the blocks
+            assert row.left_multiplied(DenseMatrix.identity(n)).nonzeros == row.nonzeros
+            m = rand_matrix(rng, n, n)
+            assert row.left_multiplied(m) == LinearMapOnSMA(
+                rho, {p: m * b for p, b in zip(units, blocks)}
+            )
+
+    def test_shapes(self):
+        rho = upper_chain(2)
+        blocks = {p: DenseMatrix.identity(2) for p in rho.pairs()}
+        with pytest.raises(DimensionMismatch):
+            LinearMapOnSMA(rho, {**blocks, (1, 2): DenseMatrix.identity(3)})
+        with pytest.raises(DimensionMismatch):
+            LinearMapOnSMA(rho, blocks).left_multiplied(DenseMatrix.identity(3))
 
 
 class TestFromEntries:
