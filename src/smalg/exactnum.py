@@ -979,9 +979,9 @@ def permutation_matrix(pi: Sequence[int]) -> DenseMatrix:
 
 def parse_matrix(text: str) -> DenseMatrix:
     lines = token_lines(strip_comments(text))
-    if not lines:
+    lineno, header = next(lines, (None, None))
+    if header is None:
         raise FormatError("empty matrix input")
-    lineno, header = lines[0]
     if len(header) != 2:
         raise FormatError("matrix header must be 'rows cols'", line=lineno)
     r, c = convert(parse_int, header, lineno, "matrix header must be 'rows cols'")
@@ -990,7 +990,7 @@ def parse_matrix(text: str) -> DenseMatrix:
     # a matrix repeats few values: each literal is read once per file
     literal = cache(GaussianRational.literal_parts)
     parts = []
-    for lineno, tokens in lines[1:]:
+    for lineno, tokens in lines:
         parts += convert(literal, tokens, lineno)
     if len(parts) != r * c:
         raise FormatError(

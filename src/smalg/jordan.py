@@ -28,9 +28,8 @@ codomain.
 
 from __future__ import annotations
 
-import re
 from functools import cache
-from itertools import combinations, compress
+from itertools import combinations, compress, count
 from math import gcd, lcm
 
 from .diag import simultaneous_diagonalize_in_sma
@@ -71,7 +70,7 @@ from .quasiorder import (
     increasing_permutations,
     rho_U,
 )
-from .tokens import convert, parse_int, plain_tokens, strip_comments, token_lines
+from .tokens import convert, names, parse_int, strip_comments, token_lines
 from .transmap import TransitiveMap, all_transitive_trivial, validate
 
 
@@ -912,27 +911,11 @@ def all_algebra_automorphisms_inner(rho: QuasiOrder) -> bool:
 # Line 1: n. Then, per related pair, a line "unit i j" followed by the n*n
 # entries of its image, whitespace separated across any number of lines.
 
-# The alphabet of the format, for plain_tokens: ASCII digits, the other
-# characters of literals, the letters of "unit", spaces, tabs and "\n". A
-# grammar regex that also checked the lines took 80 ms on an 850 KB map
-# (2-core x86-64, Python 3.11), this one 3 ms; the lines are checked on the
-# tokens instead (``_plain_units``).
-_PLAIN_MAP = re.compile(r"[-+/0-9intu \t\n]*")
-# "unit i j" alone on its line, after the size line
-_UNIT_LINE = re.compile(r"\n[ \t]*unit[ \t]+([0-9]{1,5})[ \t]+([0-9]{1,5})[ \t]*(?=\n|\Z)")
-
-
 def parse_linear_map(text: str) -> LinearMapOnSMA:
-    text = strip_comments(text)
-    tokens = plain_tokens(text, _PLAIN_MAP)
-    if tokens:
-        read = _plain_units(text, tokens)
-        if read is not None:
-            return _unit_map(*read)
-    lines = token_lines(text)
-    if not lines:
+    lines = token_lines(strip_comments(text))
+    lineno, header = next(lines, (None, None))
+    if header is None:
         raise FormatError("empty linear map input")
-    lineno, header = lines[0]
     if len(header) != 1:
         raise FormatError("first line must be the size n", line=lineno)
     (n,) = convert(parse_int, header, lineno, "first line must be the size n")
@@ -940,80 +923,52 @@ def parse_linear_map(text: str) -> LinearMapOnSMA:
         raise FormatError("size must be positive", line=lineno)
     if n > MAX_VERTICES:
         raise FormatError(f"size {n} exceeds the limit of {MAX_VERTICES}", line=lineno)
-    # the n*n entries of a unit image are mostly 0: each literal is read
-    # once per file
+    size = n * n
+    name = names(n)
+    # the n*n entries of a unit image are mostly 0: only the others are
+    # read, each literal once per file
     literal = cache(GaussianRational.from_literal)
     units = {}
-    pos = 1
-    while pos < len(lines):
-        lineno, parts = lines[pos]
+    line = next(lines, None)
+    while line:
+        lineno, parts = line
         if parts[0] != "unit" or len(parts) != 3:
             raise FormatError("expected 'unit i j'", line=lineno)
-        i, j = convert(parse_int, parts[1:], lineno, "unit indices must be integers")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise FormatError(f"unit ({i},{j}) outside 1..{n}", line=lineno)
-        if (i, j) in units:
+        i, j = pair = name(parts[1]), name(parts[2])
+        if i is None or j is None:
+            i, j = pair = tuple(
+                convert(parse_int, parts[1:], lineno, "unit indices must be integers")
+            )
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise FormatError(f"unit ({i},{j}) outside 1..{n}", line=lineno)
+        if pair in units:
             raise FormatError(f"duplicate unit ({i},{j})", line=lineno)
-        pos += 1
-        entries = []
-        while pos < len(lines) and len(entries) < n * n:
-            tl, tokens = lines[pos]
-            if tokens[0] == "unit":
+        # the unit's lines of entries: up to n*n entries or the next "unit"
+        rows, entries = [], []
+        line = None
+        for row in lines:
+            if row[1][0] == "unit":
+                line = row
                 break
-            entries += convert(literal, tokens, tl)
-            pos += 1
-        if len(entries) != n * n:
+            rows.append(row)
+            entries += row[1]
+            if len(entries) >= size:
+                line = next(lines, None)
+                break
+        nonzero = [*compress(count(), map("0".__ne__, entries))]
+        try:
+            units[pair] = [*zip(nonzero, map(literal, map(entries.__getitem__, nonzero)))]
+        except FormatError:
+            # name the line of the first bad literal
+            for row in rows:
+                convert(literal, row[1], row[0])
+            raise
+        if len(entries) != size:
             raise FormatError(
-                f"unit ({i},{j}) needs {n * n} entries, got {len(entries)}",
+                f"unit ({i},{j}) needs {size} entries, got {len(entries)}",
                 line=lineno,
             )
-        units[(i, j)] = [(e, v) for e, v in enumerate(entries) if v]
     return _unit_map(n, units)
-
-
-def _plain_units(text: str, tokens):
-    """(n, units) as ``_unit_map`` takes them, from a text in the
-    alphabet ``_PLAIN_MAP`` and its tokens; None when the line walk must
-    read the text, for an error to report with its line.
-
-    The text is plain when its first token is the size, in at most five
-    digits, and the tokens at stride 3 + n*n after it are the lines
-    "unit i j" of the text (``_UNIT_LINE``), each alone on its line. Every
-    other token is then an entry, on a line of entries; a "unit" among them
-    is a bad literal. So each unit has n*n entries, which is what the line
-    walk reads. Only the entries other than "0" are read, each distinct
-    literal once; a bad literal leaves the text to the line walk.
-    """
-    head = tokens[0]
-    if not (head.isdigit() and len(head) <= 5):
-        return None
-    n = int(head)
-    size = n * n
-    stride = 3 + size
-    count, rest = divmod(len(tokens) - 1, stride)
-    if (
-        not 1 <= n <= MAX_VERTICES
-        or rest
-        or tokens[1::stride] != ["unit"] * count
-        or _UNIT_LINE.findall(text) != list(zip(tokens[2::stride], tokens[3::stride]))
-    ):
-        return None
-    pairs = list(zip(map(int, tokens[2::stride]), map(int, tokens[3::stride])))
-    if len(set(pairs)) != count or not all(
-        1 <= i <= n and 1 <= j <= n for i, j in pairs
-    ):
-        return None
-    literal = cache(GaussianRational.from_literal)
-    positions = range(size)
-    cells = []
-    try:
-        for start in range(4, len(tokens), stride):
-            unit = tokens[start : start + size]
-            nonzero = [*compress(positions, map("0".__ne__, unit))]
-            cells.append([*zip(nonzero, map(literal, map(unit.__getitem__, nonzero)))])
-    except FormatError:
-        return None
-    return n, dict(zip(pairs, cells))
 
 
 def _unit_map(n: int, units: dict) -> LinearMapOnSMA:

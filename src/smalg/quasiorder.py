@@ -17,10 +17,9 @@ as an argument beside the relation.
 
 from __future__ import annotations
 
-import re
 from functools import wraps
 from heapq import heappop, heappush
-from itertools import compress, islice
+from itertools import compress
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     NotClassUnion,
     NotClosed,
 )
-from .tokens import convert, parse_int, plain_tokens, strip_comments, token_lines
+from .tokens import convert, names, parse_int, strip_comments, token_lines
 
 # Largest vertex count a relation may have. Each of the n rows is an n-bit
 # mask with its own bit set, so even an empty relation holds n^2 bits: about
@@ -572,6 +571,15 @@ def _increasing_search(src, dst, limit, pin=None):
     Both image masks are built once per level, over the placed vertices
     of v's row and column, and the candidates are the unused images,
     walked lowest first from one mask.
+
+    When src and dst have the same number of pairs, every increasing
+    bijection pi is an isomorphism: it sends the pairs of src to pairs of
+    dst, distinct pairs to distinct ones since pi is injective, so onto the
+    equally many pairs of dst. Then (x, w) is a pair of src exactly when
+    (pi(x), pi(w)) is one of dst, and pi(x) has the out- and in-degree of
+    x. So an image t of another degree than v lies in no solution; leaving
+    it out keeps every solution and the order in which they are found.
+    Otherwise only images of smaller degree are left out.
     """
     n = src.n
     out_src, out_dst = src._rows, dst._rows
@@ -581,6 +589,7 @@ def _increasing_search(src, dst, limit, pin=None):
     in_s = [r.bit_count() for r in in_src]
     out_d = [r.bit_count() for r in out_dst]
     in_d = [r.bit_count() for r in in_dst]
+    same = sum(out_s) == sum(out_d)
     order = sorted(range(n), key=lambda x: (-out_s[x], x))
     if pin is not None:
         order.remove(pin[0] - 1)
@@ -608,7 +617,10 @@ def _increasing_search(src, dst, limit, pin=None):
             low = free & -free
             free ^= low
             y = low.bit_length() - 1
-            if out_d[y] < out_s[x] or in_d[y] < in_s[x]:
+            if same:
+                if out_d[y] != out_s[x] or in_d[y] != in_s[x]:
+                    continue
+            elif out_d[y] < out_s[x] or in_d[y] < in_s[x]:
                 continue
             if succ_img & ~out_dst[y] or pred_img & ~in_dst[y]:
                 continue
@@ -693,29 +705,16 @@ def automorphisms_fix_two_sided_classes(q: QuasiOrder) -> bool:
 #
 # Line 1: n. Then one pair "i j" per line; '#' comments; diagonal implied.
 
-# The alphabet of the format, for plain_tokens: ASCII digits, spaces, tabs
-# and "\n". A grammar regex that also checked the lines took 0.43 s of the
-# 1.2 s parse of the 1,200-chain (5.9 MB; 2-core x86-64, Python 3.11), this
-# one 0.02 s; the lines are checked on their token counts instead
-# (``_plain_edges``).
-_PLAIN_RELATION = re.compile(r"[0-9 \t\n]*")
-# the token count of each line: blank lines, then the count line, then
-# blank lines and pairs
-_RELATION_SHAPE = re.compile(rb"\x00*\x01[\x00\x02]*")
-
-
 def parse_relation(text: str):
-    """Parse relation text into (n, edge list); closure is the caller's call."""
-    text = strip_comments(text)
-    tokens = plain_tokens(text, _PLAIN_RELATION)
-    if tokens:
-        read = _plain_edges(text, tokens)
-        if read is not None:
-            return read
-    lines = token_lines(text)
-    if not lines:
+    """Parse relation text into (n, edge list); closure is the caller's call.
+
+    A pair of names is looked up (``names``): a dense relation repeats each
+    name at many places, and its lines are not kept.
+    """
+    lines = token_lines(strip_comments(text))
+    lineno, parts = next(lines, (None, None))
+    if parts is None:
         raise FormatError("empty relation input")
-    lineno, parts = lines[0]
     if len(parts) != 1:
         raise FormatError("first line must be the vertex count", line=lineno)
     (n,) = convert(parse_int, parts, lineno, "vertex count must be an integer")
@@ -725,50 +724,20 @@ def parse_relation(text: str):
         raise FormatError(
             f"vertex count {n} exceeds the limit of {MAX_VERTICES}", line=lineno
         )
+    name = names(n)
     edges = []
-    for lineno, parts in lines[1:]:
+    for lineno, parts in lines:
         if len(parts) != 2:
             raise FormatError("expected a pair 'i j'", line=lineno)
-        i, j = convert(parse_int, parts, lineno, "pair entries must be integers")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise FormatError(f"pair ({i},{j}) outside 1..{n}", line=lineno)
-        edges.append((i, j))
+        i, j = pair = name(parts[0]), name(parts[1])
+        if i is None or j is None:
+            i, j = pair = tuple(
+                convert(parse_int, parts, lineno, "pair entries must be integers")
+            )
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise FormatError(f"pair ({i},{j}) outside 1..{n}", line=lineno)
+        edges.append(pair)
     return n, edges
-
-
-def _plain_edges(text: str, tokens):
-    """(n, edges) from a text in the alphabet ``_PLAIN_RELATION`` and its
-    tokens; None when the line walk must read the text, for an error to
-    report with its line.
-
-    The text is plain when its first line with tokens holds one and every
-    later one two (``_RELATION_SHAPE``), n has at most five digits and lies
-    within the bound, and every other token is one of the names "1" to "n":
-    then the line walk reads the same pairs. A value outside 1..n, or one
-    written with leading zeros, leaves the text to the line walk. Each
-    line's token list is counted and dropped at once, since keeping one
-    list per line of a dense relation makes the garbage collector walk them
-    all again and again; and a name is looked up, not read by ``int()``
-    again at each of its many places in a dense relation. The n names cost
-    far less than the n rows of n bits that the relation then gets.
-    """
-    try:
-        # bytes() refuses a line of 256 tokens or more
-        shape = bytes(map(len, map(str.split, text.split("\n"))))
-    except ValueError:
-        return None
-    if not _RELATION_SHAPE.fullmatch(shape) or len(tokens[0]) > 5:
-        return None
-    n = int(tokens[0])
-    if not 1 <= n <= MAX_VERTICES:
-        return None
-    vertices = range(1, n + 1)
-    names = dict(zip(map(str, vertices), vertices))
-    values = map(names.__getitem__, islice(tokens, 1, None))
-    try:
-        return n, list(zip(values, values))
-    except KeyError:
-        return None
 
 
 def format_relation(q: QuasiOrder) -> str:

@@ -5,21 +5,19 @@ A ``#`` starts a comment that runs to the end of its line. Lines break where
 so every Unicode line break and space separates. Line numbers are 1-based
 and count every line, blank and comment lines included.
 
-A parser strips the comments once and then reads the text in one of two
-ways. ``plain_tokens`` matches the whole text against a regex of the
-format's grammar, written in ASCII characters with spaces, tabs and ``\\n``
-only, and splits it in one call. (The relation and linear-map parsers
-match only the format's alphabet there and check the lines on the tokens,
-as a grammar regex is slow on large inputs.) It only accepts: a parser
-that finds anything wrong in what it returns, such as a value out of
-range, reads the text again with ``token_lines``, line by line, which finds
-the first error and its line (``convert`` puts the line number on it). So
-both paths give the same value or the same error.
+Each format has one reader. It strips the comments once and walks the
+lines of ``token_lines`` once, in order, and stops at the first error, on
+which ``convert`` puts the line number. The walk keeps no list of the
+file's lines. A vertex written as its name, "1" to "n", is looked up in
+``names``; only a token that is not a name is read by ``parse_int`` and
+checked, so a leading zero, a sign or a non-ASCII digit gives the value or
+the error it would give if every token were read.
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from .errors import FormatError
 
@@ -46,15 +44,17 @@ def strip_comments(text: str) -> str:
     return _COMMENT.sub(" ", text) if "#" in text else text
 
 
-def plain_tokens(text: str, grammar: re.Pattern):
-    """The tokens of ``text`` when ``grammar`` matches all of it, else None."""
-    return text.split() if grammar.fullmatch(text) else None
-
-
 def token_lines(text: str):
-    """(line number, tokens) for each line of ``text`` that has a token."""
-    lines = enumerate(map(str.split, text.splitlines()), start=1)
-    return [(lineno, tokens) for lineno, tokens in lines if tokens]
+    """An iterator of (line number, tokens) over the lines of ``text`` that
+    have a token."""
+    return filter(itemgetter(1), enumerate(map(str.split, text.splitlines()), 1))
+
+
+def names(n: int):
+    """The ``get`` of a dict from each name "1" to "n" to its int: None for
+    any other token."""
+    vertices = range(1, n + 1)
+    return dict(zip(map(str, vertices), vertices)).get
 
 
 def convert(read, tokens, lineno: int, message=None) -> list:

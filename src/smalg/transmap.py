@@ -28,7 +28,6 @@ strict pair). The seeded sampler over the kernel of all the relations,
 
 from __future__ import annotations
 
-import re
 from functools import cache
 from math import gcd
 from typing import NamedTuple, Optional
@@ -51,7 +50,7 @@ from .exactnum import (
 )
 from .intlattice import lattice
 from .quasiorder import BeatCore, QuasiOrder, _memo, beat_core, first_unsupported
-from .tokens import convert, parse_int, plain_tokens, strip_comments, token_lines
+from .tokens import convert, names, parse_int, strip_comments, token_lines
 
 
 class TransitiveMap:
@@ -589,36 +588,28 @@ def nontrivial_transitive_map(rho: QuasiOrder) -> Optional[TransitiveMap]:
 #
 # One line per strict pair: "i j literal"; '#' comments.
 
-# The format with ASCII pairs and literal characters, for plain_tokens. The
-# bounded lengths send a number too long for int() to the line walk.
-_PLAIN_WEIGHTS = re.compile(
-    r"[ \t\n]*(?:[0-9]{1,5}[ \t]+[0-9]{1,5}[ \t]+[-+/0-9i]{1,64}[ \t]*"
-    r"(?:\n[ \t\n]*|\Z))*"
-)
-
-
 def parse_weights(text: str, rho: QuasiOrder) -> TransitiveMap:
-    text = strip_comments(text)
     # a map repeats few values: each literal is read once per file
     value = cache(GaussianRational.from_literal)
-    tokens = plain_tokens(text, _PLAIN_WEIGHTS)
-    if tokens is not None:
-        pairs = zip(map(int, tokens[::3]), map(int, tokens[1::3]))
-        try:
-            weights = dict(zip(pairs, map(value, tokens[2::3])))
-        except FormatError:
-            weights = {}
-        # a bad literal or a repeated pair: the line walk names its line
-        if 3 * len(weights) == len(tokens):
-            return validate(rho, weights)
+    name = names(rho.n)
     weights = {}
-    for lineno, parts in token_lines(text):
-        if len(parts) != 3:
-            raise FormatError("expected 'i j value'", line=lineno)
-        i, j = convert(parse_int, parts[:2], lineno, "pair entries must be integers")
-        if (i, j) in weights:
-            raise FormatError(f"duplicate pair ({i},{j})", line=lineno)
-        weights[(i, j)] = convert(value, parts[2:], lineno)[0]
+    try:
+        for lineno, parts in token_lines(strip_comments(text)):
+            if len(parts) != 3:
+                raise FormatError("expected 'i j value'", line=lineno)
+            i, j = pair = name(parts[0]), name(parts[1])
+            if i is None or j is None:
+                i, j = pair = tuple(
+                    convert(parse_int, parts[:2], lineno, "pair entries must be integers")
+                )
+            if pair in weights:
+                raise FormatError(f"duplicate pair ({i},{j})", line=lineno)
+            weights[pair] = value(parts[2])
+    except FormatError as exc:
+        if exc.line is not None:
+            raise
+        # a bad literal, on the line the walk stopped at
+        raise FormatError(str(exc), line=lineno) from exc
     return validate(rho, weights)
 
 

@@ -548,6 +548,27 @@ def test_info_on_the_thousand_antichain_under_five_seconds(tmp_path):
     ]
 
 
+def test_info_on_two_chains_beside_isolated_points_under_five_seconds(tmp_path):
+    # the pinned search sending 3 to 31 gave the 27 isolated points the
+    # image 3 in turn and met the dead end only when it placed 31 last
+    q = tmp_path / "p31.qo"
+    q.write_text("31\n2 31\n1 3\n")
+    out, elapsed = _timed_run(["info", str(q)])
+    assert elapsed < 5.0
+    assert out.exit_code == 0
+    assert out.report.splitlines()[-3:] == ["dichotomy false", "inner false", "extends false"]
+
+
+def test_info_on_the_1200_chain_under_five_seconds(tmp_path):
+    # 719,400 pairs in a 5.9 MB file
+    q = tmp_path / "c1200.qo"
+    q.write_text(format_relation(upper_chain(1200)))
+    out, elapsed = _timed_run(["info", str(q)])
+    assert elapsed < 5.0
+    assert out.exit_code == 0
+    assert out.report.splitlines()[0] == "n 1200"
+
+
 def test_chain25_all_trivial_and_info_under_five_seconds(tmp_path):
     # 2,300 transitivity rows over 300 pairs; a dense Smith form of them
     # took about 15 s

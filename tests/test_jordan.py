@@ -22,6 +22,7 @@ from smalg.errors import (
 )
 import smalg.exactnum as exactnum
 import smalg.jordan
+import smalg.quasiorder
 from smalg.exactnum import (
     DenseMatrix,
     GaussianRational,
@@ -45,7 +46,7 @@ from smalg.jordan import (
     parse_linear_map,
     synthesize_jordan,
 )
-from smalg.quasiorder import approx_classes, from_edges
+from smalg.quasiorder import approx_classes, format_relation, from_edges, parse_relation
 from smalg.rankpres import classify_rank_preserver
 from smalg.sampling import random_transitive_map
 from smalg.transmap import apply_induced, validate
@@ -966,7 +967,7 @@ def test_linear_map_parse_errors():
 
 def _layouts(phi):
     """The map's text as ``format_linear_map`` writes it, and two other
-    plain layouts: comments, blank lines and indentation with each image on
+    layouts: comments, blank lines and indentation with each image on
     one line, and each entry on a line of its own."""
     n = phi.rho.n
     images = phi.unit_images()
@@ -981,27 +982,41 @@ def _layouts(phi):
     return format_linear_map(phi), commented, tall
 
 
-def test_plain_linear_map_is_read_without_the_line_walk(monkeypatch):
-    """A plain map is read by one split, whatever its layout; only a text
-    with an error goes line by line, to name the line."""
-    walked = []
-    real_token_lines = smalg.jordan.token_lines
+def test_a_map_reads_each_literal_once_and_a_relation_each_name_by_lookup(monkeypatch):
+    """Every layout of a map gives the map, and its reader reads each
+    distinct literal other than "0" once; a bad literal names its line. A
+    relation written in names reads only its header with ``parse_int``."""
+    real_literal = GaussianRational.from_literal
+    read = []
 
-    def counting(text):
-        walked.append(text)
-        return real_token_lines(text)
+    def counting_literal(text):
+        read.append(text)
+        return real_literal(text)
 
-    monkeypatch.setattr(smalg.jordan, "token_lines", counting)
+    monkeypatch.setattr(GaussianRational, "from_literal", counting_literal)
     rng = random.Random(37)
     for _ in range(20):
         phi = random_jordan_map(random_quasiorder(rng), rng)[0]
+        literals = {x for t in range(len(phi.units)) for x in phi.literals(t)} - {"0"}
         for text in _layouts(phi):
+            read.clear()
             assert parse_linear_map(text) == phi
-    assert walked == []
+            assert sorted(read) == sorted(literals)
     with pytest.raises(FormatError) as exc:
         parse_linear_map("1\nunit 1 1\n1/0\n")
     assert exc.value.line == 3
-    assert len(walked) == 1
+
+    real_int = smalg.quasiorder.parse_int
+    ints = []
+
+    def counting_int(token):
+        ints.append(token)
+        return real_int(token)
+
+    monkeypatch.setattr(smalg.quasiorder, "parse_int", counting_int)
+    rho = random_quasiorder(rng)
+    assert parse_relation(format_relation(rho)) == (rho.n, rho.strict_pairs())
+    assert ints == [str(rho.n)]
 
 
 def test_unit_images_are_read_from_one_row():

@@ -431,6 +431,18 @@ class TestIncreasingPermutations:
             mine = increasing_permutations(a, b, limit=None)
             theirs = oracle_increasing_perms(n, set(a.pairs()), set(b.pairs()))
             assert sorted(mine) == sorted(theirs)
+        # relabeled copies have as many pairs: the search prunes on equal
+        # degrees there
+        for _ in range(40):
+            n = rng.randrange(1, 7)
+            a = random_quasi_order(rng, n, rng.choice((0.2, 0.4, 0.6)))
+            pi = rng.sample(range(1, n + 1), n)
+            b = from_edges(n, [(pi[i - 1], pi[j - 1]) for i, j in a.pairs()])
+            for src, dst in ((a, b), (b, a), (a, a)):
+                mine = increasing_permutations(src, dst, limit=None)
+                theirs = oracle_increasing_perms(n, set(src.pairs()), set(dst.pairs()))
+                assert sorted(mine) == sorted(theirs)
+            assert tuple(pi) in increasing_permutations(a, b, limit=None)
 
     def test_limit(self):
         all_of_them = increasing_permutations(fx.delta(3), fx.delta(3), limit=None)

@@ -1,11 +1,12 @@
-"""The shared tokenizer against the per-line parsers it replaced.
+"""The readers of the four formats against the per-line parsers of
+tests/oracles.py.
 
 Each input comes from a format's grammar, laid out with random spacing,
 blank lines and comments, and then mutated a few times with pieces that
-the fast paths must hand over to the line walk: carriage returns, signs,
-leading zeros, non-ASCII digits and spaces, stray letters. Every input
-must give the same value as the reference parser in tests/oracles.py, or
-the same error with the same message and line number.
+a reader must not take for names or for the zeros it skips: carriage
+returns, signs, leading zeros, non-ASCII digits and spaces, stray letters.
+Every input must give the same value as the reference parser, or the same
+error with the same message and line number.
 """
 
 import pytest
@@ -244,13 +245,13 @@ def test_token_lines_number_every_line(text):
         for k, raw in enumerate(text.splitlines(), start=1)
         if raw.split("#", 1)[0].split()
     ]
-    assert token_lines(strip_comments(text)) == expected
+    assert list(token_lines(strip_comments(text))) == expected
 
 
-# line shapes the relation's plain path must hand over to the line walk, or
-# read as it does: a pair line of one or three tokens, a count line of two,
-# a line of 256 tokens, blank lines and spaces around tokens, leading
-# zeros, values outside 1..n, and a last line without its newline
+# line shapes the relation reader must read as the per-line parser does: a
+# pair line of one or three tokens, a count line of two, a line of 256
+# tokens, blank lines and spaces around tokens, leading zeros, values
+# outside 1..n, which are no names, and a last line without its newline
 @pytest.mark.parametrize(
     "text",
     [

@@ -393,6 +393,10 @@ def test_weights_format_errors_carry_line_numbers():
     with pytest.raises(FormatError) as exc:
         parse_weights("1 2 2\n1 2 3\n", rho)
     assert exc.value.line == 2
+    # a repeated pair is named before its value is read
+    with pytest.raises(FormatError, match=r"duplicate pair \(1,2\)") as exc:
+        parse_weights("1 2 0\n1 2 +1\n", rho)
+    assert exc.value.line == 2
     with pytest.raises(FormatError) as exc:
         parse_weights("1 2 1+\n", rho)
     assert exc.value.line == 1
